@@ -42,7 +42,9 @@
 
 use std::time::Instant;
 
-use synapse_campaign::{expand, runner, CampaignReport, CampaignSpec, ResultCache, RunConfig};
+use synapse_campaign::{
+    expand, CampaignEngine, CampaignReport, CampaignSpec, CancelToken, ResultCache, RunConfig,
+};
 
 /// Minimum wall-clock seconds each stage is measured over.
 const MIN_STAGE_SECS: f64 = 0.25;
@@ -165,15 +167,21 @@ pub fn stage_rates_with_bytes() -> (Vec<StageRate>, WatcherBytes) {
     let simulation = measure("simulation", || {
         // A fresh cache every iteration keeps this stage cold.
         let cache = ResultCache::in_memory();
-        let (_, stats) = runner::run_points(&sim_points, &cache, &config).expect("bench sweep");
+        let (_, stats) = CampaignEngine::new(&sim_points, &cache, &config)
+            .run(&|_| {}, &CancelToken::new())
+            .expect("bench sweep");
         assert_eq!(stats.simulated, sim_points.len());
         stats.points
     });
 
     let warm = ResultCache::in_memory();
-    let (results, _) = runner::run_points(&sim_points, &warm, &config).expect("warm-up sweep");
+    let (results, _) = CampaignEngine::new(&sim_points, &warm, &config)
+        .run(&|_| {}, &CancelToken::new())
+        .expect("warm-up sweep");
     let cache_lookup = measure("cache_lookup", || {
-        let (_, stats) = runner::run_points(&sim_points, &warm, &config).expect("warm sweep");
+        let (_, stats) = CampaignEngine::new(&sim_points, &warm, &config)
+            .run(&|_| {}, &CancelToken::new())
+            .expect("warm sweep");
         assert_eq!(stats.cache_hits, sim_points.len());
         stats.points
     });

@@ -191,8 +191,9 @@ pub fn reference_errors(results: &[PointResult], reference: &str) -> Vec<Referen
 mod tests {
     use super::*;
     use crate::cache::ResultCache;
+    use crate::engine::{CampaignEngine, CancelToken};
     use crate::grid::expand;
-    use crate::runner::{run_points, RunConfig};
+    use crate::runner::RunConfig;
     use crate::spec::CampaignSpec;
 
     #[test]
@@ -225,11 +226,12 @@ mod tests {
             "#,
         )
         .unwrap();
-        run_points(
+        CampaignEngine::new(
             &expand(&spec),
             &ResultCache::in_memory(),
             &RunConfig::default(),
         )
+        .run(&|_| {}, &CancelToken::new())
         .unwrap()
         .0
     }

@@ -7,19 +7,10 @@
 //! fingerprint prefix, saves rewrite only the shards touched since the
 //! last save, and a manifest records the layout — so a million-point
 //! campaign pays for the points it adds, not for the points it has.
-//!
-//! Caches written by older engines as one monolithic
-//! `campaign_results.json` migrate to the sharded layout transparently
-//! on first open (the legacy file is kept as `*.migrated`). Results
-//! keyed by an older engine's fingerprint scheme are dropped during
-//! migration — the current engine can never produce their keys, so
-//! they could never be cache hits again.
 
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use synapse_store::sharded::MANIFEST_FILE;
-use synapse_store::{Collection, Document, ShardedDb, DEFAULT_DOC_LIMIT};
+use synapse_store::{Document, ShardedDb, DEFAULT_DOC_LIMIT};
 
 use crate::error::CampaignError;
 use crate::grid::{fnv1a, ScenarioPoint};
@@ -35,9 +26,6 @@ use crate::runner::PointResult;
 /// `ScenarioPoint` field and a new term in the per-point seed
 /// derivation, so every fingerprint changed again.
 pub const ENGINE_VERSION: u32 = 4;
-
-/// File name of the pre-sharded, single-file cache layout.
-const LEGACY_FILE: &str = "campaign_results.json";
 
 /// Engine tag recorded in the sharded store's manifest.
 pub fn engine_tag() -> String {
@@ -103,15 +91,8 @@ impl ResultCache {
     /// Open (or create) a cache persisted under `dir`, loading shard
     /// files across `workers` threads (0 ⇒ one per core, capped at 16)
     /// so cache warm-up scales with the machine instead of a single
-    /// reader. A legacy single-file cache found under `dir` is
-    /// migrated to the sharded layout first (one-shot).
+    /// reader.
     pub fn open_with_workers(dir: impl AsRef<Path>, workers: usize) -> Result<Self, CampaignError> {
-        let dir = dir.as_ref();
-        // A migration already holds the fully-populated store; reuse
-        // it instead of re-reading the shard files it just wrote.
-        if let Some(db) = migrate_legacy_layout(dir)? {
-            return Ok(ResultCache { db });
-        }
         let db = ShardedDb::open_with_workers(dir, DEFAULT_DOC_LIMIT, engine_tag(), workers)?;
         Ok(ResultCache { db })
     }
@@ -172,49 +153,12 @@ impl ResultCache {
     }
 }
 
-/// One-shot migration: a directory holding a legacy single-file cache
-/// (and no sharded manifest) is rewritten into the sharded layout, and
-/// the legacy file renamed to `campaign_results.json.migrated` so the
-/// migration can never re-run against a stale copy. Returns the
-/// populated store, or `None` when no migration was needed.
-///
-/// Only results whose key the *current* engine would compute are
-/// carried over: a result fingerprinted by an older engine version can
-/// never be looked up again (that is the point of [`ENGINE_VERSION`]),
-/// so copying it forward would just be dead weight loaded on every
-/// open. The parked legacy file keeps the dropped data recoverable.
-fn migrate_legacy_layout(dir: &Path) -> Result<Option<ShardedDb>, CampaignError> {
-    let legacy = dir.join(LEGACY_FILE);
-    if !legacy.exists() || dir.join(MANIFEST_FILE).exists() {
-        return Ok(None);
-    }
-    let json = fs::read_to_string(&legacy)?;
-    let collection = Collection::from_json("campaign_results", DEFAULT_DOC_LIMIT, &json)?;
-    let db = ShardedDb::open(dir, DEFAULT_DOC_LIMIT, engine_tag())?;
-    for doc in collection.iter() {
-        let current_key = doc
-            .decode::<PointResult>()
-            .map(|r| fingerprint(&r.point) == doc.id)
-            .unwrap_or(false);
-        if current_key {
-            db.upsert(doc.clone())?;
-        }
-    }
-    db.save()?;
-    fs::rename(&legacy, legacy_backup_path(dir))?;
-    Ok(Some(db))
-}
-
-/// Where the legacy file is parked after a successful migration.
-pub fn legacy_backup_path(dir: &Path) -> PathBuf {
-    dir.join(format!("{LEGACY_FILE}.migrated"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::PointResult;
     use crate::spec::CampaignSpec;
+    use synapse_store::sharded::MANIFEST_FILE;
 
     fn points() -> Vec<ScenarioPoint> {
         let spec = CampaignSpec::from_toml(
@@ -345,72 +289,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_cache_migrates_transparently() {
-        let dir = tmpdir("migrate");
+    fn stray_single_file_cache_is_ignored_and_left_in_place() {
+        let dir = tmpdir("stray");
         std::fs::create_dir_all(&dir).unwrap();
-        // Write a legacy layout: one campaign_results.json collection.
-        let ps = points();
-        let mut collection = Collection::new("campaign_results");
-        for p in &ps {
-            let r = result_for(p);
-            collection
-                .upsert(Document::new(&r.fingerprint, &r).unwrap())
-                .unwrap();
-        }
-        std::fs::write(
-            dir.join("campaign_results.json"),
-            collection.to_json().unwrap(),
-        )
-        .unwrap();
-
+        let stray = dir.join("campaign_results.json");
+        std::fs::write(&stray, "[]").unwrap();
         let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.len(), ps.len(), "every legacy result migrated");
-        for p in &ps {
-            assert_eq!(cache.get(&fingerprint(p)).unwrap().point, *p);
-        }
-        assert!(!dir.join("campaign_results.json").exists());
-        assert!(legacy_backup_path(&dir).exists(), "legacy file parked");
-        assert!(dir.join(MANIFEST_FILE).exists());
-
-        // A second open must not re-run the migration.
-        let again = ResultCache::open_with_workers(&dir, 4).unwrap();
-        assert_eq!(again.len(), ps.len());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn migration_drops_results_keyed_by_an_older_engine() {
-        let dir = tmpdir("migrate-stale");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ps = points();
-        let live = result_for(&ps[0]);
-        // A result fingerprinted the old way (seed-only fold): its key
-        // can never be computed by the current engine again.
-        let stale = {
-            let mut r = result_for(&ps[1]);
-            let mut canonical = r.point.clone();
-            canonical.index = 0;
-            let json = serde_json::to_string(&canonical).unwrap();
-            r.fingerprint = format!("{:016x}", fnv1a(json.as_bytes(), 1));
-            r
-        };
-        let mut collection = Collection::new("campaign_results");
-        for r in [&live, &stale] {
-            collection
-                .upsert(Document::new(&r.fingerprint, r).unwrap())
-                .unwrap();
-        }
-        std::fs::write(
-            dir.join("campaign_results.json"),
-            collection.to_json().unwrap(),
-        )
-        .unwrap();
-
-        let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.len(), 1, "stale-engine result dropped");
-        assert!(cache.get(&live.fingerprint).is_some());
-        assert!(cache.get(&stale.fingerprint).is_none());
-        assert!(legacy_backup_path(&dir).exists(), "dropped data parked");
+        assert!(cache.is_empty());
+        assert_eq!(std::fs::read_to_string(&stray).unwrap(), "[]");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,9 +1,8 @@
 //! The resumable, observer-driven point-execution core.
 //!
-//! [`crate::runner::run_points`] used to own the worker pool directly;
-//! long-running frontends (notably `synapse serve`) need to *watch* a
-//! sweep while it runs and *stop* one mid-grid, so the pool now lives
-//! here. [`CampaignEngine`] drives the same deterministic sweep, but
+//! Long-running frontends (notably `synapse serve`) need to *watch* a
+//! sweep while it runs and *stop* one mid-grid, so [`CampaignEngine`]
+//! owns the worker pool: it drives the deterministic sweep and
 //!
 //! * emits a [`PointEvent`] through a caller-supplied observer the
 //!   moment each point lands (in completion order — every event

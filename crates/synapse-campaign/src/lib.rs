@@ -30,7 +30,7 @@
 //!   processes (`synapse-cluster`).
 //!
 //! ```
-//! use synapse_campaign::{run_campaign, CampaignSpec, RunConfig};
+//! use synapse_campaign::{run_campaign_on, CampaignSpec, CancelToken, ResultCache, RunConfig};
 //!
 //! let spec = CampaignSpec::from_toml(r#"
 //!     name = "quick"
@@ -41,7 +41,14 @@
 //!     app = "gromacs"
 //!     steps = [10000]
 //! "#).unwrap();
-//! let outcome = run_campaign(&spec, &RunConfig::default(), None).unwrap();
+//! let outcome = run_campaign_on(
+//!     &spec,
+//!     &RunConfig::default(),
+//!     &ResultCache::in_memory(),
+//!     &|_| {},
+//!     &CancelToken::new(),
+//! )
+//! .unwrap();
 //! assert_eq!(outcome.report.points, 4);
 //! println!("{}", outcome.report.render_summary());
 //! ```
@@ -59,8 +66,6 @@ pub mod runner;
 pub mod sketch;
 pub mod spec;
 pub mod toml;
-
-use std::path::Path;
 
 pub use aggregate::{AxisSlice, Percentiles, ReferenceError};
 pub use cache::{campaign_trace_id, fingerprint, ResultCache, ENGINE_VERSION};
@@ -88,32 +93,16 @@ pub struct CampaignOutcome {
     pub stats: RunStats,
 }
 
-/// Expand, execute and summarize a campaign.
+/// Expand, execute and summarize a campaign against a caller-owned
+/// cache handle, observing every [`PointEvent`] and honoring a
+/// [`CancelToken`].
 ///
-/// With a `cache_dir`, results persist across invocations: a re-run
-/// (or a grown campaign) only simulates points whose fingerprints are
-/// missing, and the cache is written back afterwards.
-pub fn run_campaign(
-    spec: &CampaignSpec,
-    config: &RunConfig,
-    cache_dir: Option<&Path>,
-) -> Result<CampaignOutcome, CampaignError> {
-    let cache = match cache_dir {
-        // Warm the cache with the same worker budget the sweep gets:
-        // shard files load in parallel, so warm-up scales with cores.
-        Some(dir) => ResultCache::open_with_workers(dir, config.workers)?,
-        None => ResultCache::in_memory(),
-    };
-    run_campaign_on(spec, config, &cache, &|_| {}, &CancelToken::new())
-}
-
-/// [`run_campaign`] against a caller-owned cache handle, observing
-/// every [`PointEvent`] and honoring a [`CancelToken`].
-///
-/// This is the form long-running frontends use: one process-wide
-/// [`ResultCache`] shared across concurrent campaigns, with per-point
-/// progress streamed out as it happens. Mutated shards are persisted
-/// before returning (also on cancellation, so landed points survive).
+/// With a persistent `cache`, a re-run (or a grown campaign) only
+/// simulates points whose fingerprints are missing. Long-running
+/// frontends share one process-wide [`ResultCache`] across concurrent
+/// campaigns, with per-point progress streamed out as it happens.
+/// Mutated shards are persisted before returning (also on
+/// cancellation, so landed points survive).
 pub fn run_campaign_on(
     spec: &CampaignSpec,
     config: &RunConfig,
@@ -166,10 +155,15 @@ mod tests {
         .unwrap()
     }
 
+    fn run(spec: &CampaignSpec, workers: usize, cache: &ResultCache) -> CampaignOutcome {
+        let config = RunConfig { workers };
+        run_campaign_on(spec, &config, cache, &|_| {}, &CancelToken::new()).unwrap()
+    }
+
     #[test]
     fn end_to_end_run_produces_full_report() {
         let s = spec();
-        let outcome = run_campaign(&s, &RunConfig::default(), None).unwrap();
+        let outcome = run(&s, 0, &ResultCache::in_memory());
         assert_eq!(outcome.report.points, 3 * 3 * 2 * 2);
         assert_eq!(outcome.stats.simulated, outcome.report.points);
         assert_eq!(outcome.stats.cache_hits, 0);
@@ -179,8 +173,8 @@ mod tests {
     #[test]
     fn determinism_same_spec_same_seed_byte_identical_json() {
         let s = spec();
-        let a = run_campaign(&s, &RunConfig { workers: 1 }, None).unwrap();
-        let b = run_campaign(&s, &RunConfig { workers: 8 }, None).unwrap();
+        let a = run(&s, 1, &ResultCache::in_memory());
+        let b = run(&s, 8, &ResultCache::in_memory());
         assert_eq!(
             a.report.to_json().unwrap(),
             b.report.to_json().unwrap(),
@@ -188,7 +182,7 @@ mod tests {
         );
         let mut reseeded = s.clone();
         reseeded.seed = 100;
-        let c = run_campaign(&reseeded, &RunConfig::default(), None).unwrap();
+        let c = run(&reseeded, 0, &ResultCache::in_memory());
         assert_ne!(a.report.to_json().unwrap(), c.report.to_json().unwrap());
     }
 
@@ -197,9 +191,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("synapse-campaign-e2e-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let s = spec();
-        let first = run_campaign(&s, &RunConfig::default(), Some(&dir)).unwrap();
+        let first = run(&s, 0, &ResultCache::open(&dir).unwrap());
         assert_eq!(first.stats.simulated, s.point_count());
-        let second = run_campaign(&s, &RunConfig::default(), Some(&dir)).unwrap();
+        let second = run(&s, 0, &ResultCache::open(&dir).unwrap());
         assert_eq!(second.stats.simulated, 0);
         assert_eq!(second.stats.cache_hits, s.point_count());
         assert_eq!(

@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use serde_json::{json, Value};
 use synapse_telemetry::{global, Counter, Histogram, SIZE_BUCKETS};
 
-use crate::aggregate::{axis_keys, AxisSlice};
+use crate::aggregate::axis_keys;
 use crate::runner::PointResult;
 use crate::sketch::QuantileSketch;
 
@@ -288,26 +288,6 @@ impl LiveAggregates {
         }
         Some(merged)
     }
-
-    /// The offline-report shape, computed from the sketches: exact
-    /// `n`/`mean`/`min`/`max`, quantiles within sketch error. Lets
-    /// large-grid report consumers reuse the watchers' computation
-    /// instead of re-sorting every slice.
-    pub fn approx_slices(&self) -> Vec<AxisSlice> {
-        let inner = self.inner.lock().expect("live aggregates lock");
-        inner
-            .slices
-            .iter()
-            .filter_map(|((axis, value), node)| {
-                Some(AxisSlice {
-                    axis: axis.clone(),
-                    value: value.clone(),
-                    tx: node.tx.percentiles()?,
-                    error_pct: node.error_pct.percentiles()?,
-                })
-            })
-            .collect()
-    }
 }
 
 /// Handles into the process-wide telemetry registry for the
@@ -357,9 +337,9 @@ mod tests {
     use super::*;
     use crate::aggregate::{axis_slices, AXES};
     use crate::cache::ResultCache;
+    use crate::engine::{CampaignEngine, CancelToken};
     use crate::grid::expand;
-    use crate::runner::{run_points, RunConfig};
-    use crate::sketch::{MIN_MAG, RELATIVE_ERROR};
+    use crate::runner::RunConfig;
     use crate::spec::CampaignSpec;
 
     fn results() -> Vec<PointResult> {
@@ -375,11 +355,12 @@ mod tests {
             "#,
         )
         .unwrap();
-        run_points(
+        CampaignEngine::new(
             &expand(&spec),
             &ResultCache::in_memory(),
             &RunConfig::default(),
         )
+        .run(&|_| {}, &CancelToken::new())
         .unwrap()
         .0
     }
@@ -473,20 +454,21 @@ mod tests {
         // count/min/max answer is identical; means agree up to f64
         // sum grouping across the split.
         let whole = live_of(&rs);
-        let (ms, ws) = (merged.approx_slices(), whole.approx_slices());
+        let (m, w) = (merged.render(None, None), whole.render(None, None));
+        assert_eq!(m["points"], w["points"]);
+        let (ms, ws) = (
+            m["slices"].as_array().unwrap(),
+            w["slices"].as_array().unwrap(),
+        );
         assert_eq!(ms.len(), ws.len());
-        for (m, w) in ms.iter().zip(&ws) {
-            assert_eq!(
-                (m.axis.as_str(), m.value.as_str()),
-                (w.axis.as_str(), w.value.as_str())
-            );
-            assert_eq!(m.tx.n, w.tx.n);
-            assert_eq!((m.tx.min, m.tx.max), (w.tx.min, w.tx.max));
-            assert_eq!(
-                (m.tx.p50, m.tx.p95, m.tx.p99),
-                (w.tx.p50, w.tx.p95, w.tx.p99)
-            );
-            assert!((m.tx.mean - w.tx.mean).abs() <= 1e-9 * w.tx.mean.abs().max(1.0));
+        for (m, w) in ms.iter().zip(ws) {
+            assert_eq!((&m["axis"], &m["value"]), (&w["axis"], &w["value"]));
+            let (m, w) = (&m["metrics"]["tx"], &w["metrics"]["tx"]);
+            for exact in ["n", "min", "max", "p50", "p95", "p99"] {
+                assert_eq!(m[exact], w[exact], "{exact}");
+            }
+            let (m_mean, w_mean) = (m["mean"].as_f64().unwrap(), w["mean"].as_f64().unwrap());
+            assert!((m_mean - w_mean).abs() <= 1e-9 * w_mean.abs().max(1.0));
         }
         let (m_err, w_err) = (
             merged.mean_abs_error_pct().unwrap(),
@@ -514,37 +496,5 @@ mod tests {
             serde_json::to_string(&live.render(None, None)).unwrap(),
             before
         );
-    }
-
-    #[test]
-    fn approx_slices_track_the_exact_report_within_sketch_error() {
-        let rs = results();
-        let approx = live_of(&rs).approx_slices();
-        let exact = axis_slices(&rs);
-        assert_eq!(approx.len(), exact.len());
-        for (a, e) in approx.iter().zip(&exact) {
-            assert_eq!(
-                (a.axis.as_str(), a.value.as_str()),
-                (e.axis.as_str(), e.value.as_str())
-            );
-            assert_eq!(a.tx.n, e.tx.n);
-            assert!((a.tx.mean - e.tx.mean).abs() <= 1e-9 * e.tx.mean.abs().max(1.0));
-            assert_eq!((a.tx.min, a.tx.max), (e.tx.min, e.tx.max));
-            for (got, want) in [
-                (a.tx.p50, e.tx.p50),
-                (a.tx.p95, e.tx.p95),
-                (a.tx.p99, e.tx.p99),
-                (a.error_pct.p50, e.error_pct.p50),
-                (a.error_pct.p95, e.error_pct.p95),
-                (a.error_pct.p99, e.error_pct.p99),
-            ] {
-                assert!(
-                    (got - want).abs() <= RELATIVE_ERROR * want.abs() + MIN_MAG,
-                    "{}/{}: got {got}, want {want}",
-                    a.axis,
-                    a.value
-                );
-            }
-        }
     }
 }

@@ -301,8 +301,9 @@ fn pilot_stage(results: &[PointResult], policy: &str) -> Result<Vec<PilotSummary
 mod tests {
     use super::*;
     use crate::cache::ResultCache;
+    use crate::engine::{CampaignEngine, CancelToken};
     use crate::grid::expand;
-    use crate::runner::{run_points, RunConfig};
+    use crate::runner::RunConfig;
 
     fn spec(pilot: bool) -> CampaignSpec {
         let base = r#"
@@ -325,11 +326,12 @@ mod tests {
 
     fn report(pilot: bool) -> CampaignReport {
         let s = spec(pilot);
-        let (results, _) = run_points(
+        let (results, _) = CampaignEngine::new(
             &expand(&s),
             &ResultCache::in_memory(),
             &RunConfig::default(),
         )
+        .run(&|_| {}, &CancelToken::new())
         .unwrap();
         CampaignReport::assemble(&s, &results).unwrap()
     }

@@ -1,11 +1,10 @@
-//! Per-point simulation and the one-shot campaign executor.
+//! Per-point simulation.
 //!
 //! Scenario points are independent, so sweeps fan them out over a pool
 //! of worker threads pulling indices from a shared atomic counter —
 //! that pool lives in [`crate::engine::CampaignEngine`]; this module
-//! holds the per-point physics ([`simulate_point`]) and the
-//! fire-and-forget wrapper ([`run_points`]). Every simulation runs in
-//! *virtual* time (the machine models' clock), which is what makes
+//! holds the per-point physics ([`simulate_point`]). Every simulation
+//! runs in *virtual* time (the machine models' clock), which is what makes
 //! thousand-point sweeps complete in seconds of wall time. Results
 //! land back in grid order, so the outcome is deterministic regardless
 //! of thread interleaving.
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use synapse::emulator::{EmulationPlan, Emulator};
 use synapse_sim::Noise;
 
-use crate::cache::{fingerprint, ResultCache};
+use crate::cache::fingerprint;
 use crate::error::CampaignError;
 use crate::grid::{
     app_by_name, atoms_by_name, fnv1a, fs_by_name, kernel_by_name, mode_by_name,
@@ -215,29 +214,21 @@ pub fn simulate_point(point: &ScenarioPoint) -> Result<PointResult, CampaignErro
     })
 }
 
-/// Run all points through the worker pool, serving memoized results
-/// from `cache` and writing fresh ones back. Results return in grid
-/// order.
-///
-/// This is the fire-and-forget form of [`CampaignEngine`]: no
-/// observer, no cancellation. Frontends that stream progress or stop
-/// sweeps mid-grid (`synapse serve`) drive the engine directly.
-///
-/// [`CampaignEngine`]: crate::engine::CampaignEngine
-pub fn run_points(
-    points: &[ScenarioPoint],
-    cache: &ResultCache,
-    config: &RunConfig,
-) -> Result<(Vec<PointResult>, RunStats), CampaignError> {
-    crate::engine::CampaignEngine::new(points, cache, config)
-        .run(&|_| {}, &crate::engine::CancelToken::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ResultCache;
+    use crate::engine::{CampaignEngine, CancelToken};
     use crate::grid::expand;
     use crate::spec::CampaignSpec;
+
+    fn sweep(
+        points: &[ScenarioPoint],
+        cache: &ResultCache,
+        config: &RunConfig,
+    ) -> Result<(Vec<PointResult>, RunStats), CampaignError> {
+        CampaignEngine::new(points, cache, config).run(&|_| {}, &CancelToken::new())
+    }
 
     fn small_spec() -> CampaignSpec {
         CampaignSpec::from_toml(
@@ -279,7 +270,7 @@ mod tests {
     fn parallel_run_matches_grid_order_and_counts() {
         let points = expand(&small_spec());
         let cache = ResultCache::in_memory();
-        let (results, stats) = run_points(&points, &cache, &RunConfig { workers: 4 }).unwrap();
+        let (results, stats) = sweep(&points, &cache, &RunConfig { workers: 4 }).unwrap();
         assert_eq!(results.len(), points.len());
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.point.index, i, "grid order preserved");
@@ -295,9 +286,9 @@ mod tests {
         let points = expand(&small_spec());
         let cache = ResultCache::in_memory();
         let config = RunConfig { workers: 3 };
-        let (first, s1) = run_points(&points, &cache, &config).unwrap();
+        let (first, s1) = sweep(&points, &cache, &config).unwrap();
         assert_eq!(s1.simulated, points.len());
-        let (second, s2) = run_points(&points, &cache, &config).unwrap();
+        let (second, s2) = sweep(&points, &cache, &config).unwrap();
         assert_eq!(s2.simulated, 0, "cache must satisfy every point");
         assert_eq!(s2.cache_hits, points.len());
         assert_eq!(s2.hit_rate(), 1.0);
@@ -309,13 +300,13 @@ mod tests {
         let spec = small_spec();
         let cache = ResultCache::in_memory();
         let config = RunConfig::default();
-        let (_, s1) = run_points(&expand(&spec), &cache, &config).unwrap();
+        let (_, s1) = sweep(&expand(&spec), &cache, &config).unwrap();
         assert_eq!(s1.simulated, spec.point_count());
 
         let mut grown = spec.clone();
         grown.machines.push("stampede".into());
         let grown_points = expand(&grown);
-        let (results, s2) = run_points(&grown_points, &cache, &config).unwrap();
+        let (results, s2) = sweep(&grown_points, &cache, &config).unwrap();
         let new_points = grown.point_count() - spec.point_count();
         assert_eq!(s2.simulated, new_points, "only the new machine simulates");
         assert_eq!(s2.cache_hits, spec.point_count());
@@ -331,14 +322,14 @@ mod tests {
     #[test]
     fn workers_dont_change_results() {
         let points = expand(&small_spec());
-        let serial = run_points(
+        let serial = sweep(
             &points,
             &ResultCache::in_memory(),
             &RunConfig { workers: 1 },
         )
         .unwrap()
         .0;
-        let parallel = run_points(
+        let parallel = sweep(
             &points,
             &ResultCache::in_memory(),
             &RunConfig { workers: 8 },
@@ -417,7 +408,7 @@ mod tests {
         spec.kernels = vec!["asm".into()];
         let points = expand(&spec);
         let (results, _) =
-            run_points(&points, &ResultCache::in_memory(), &RunConfig::default()).unwrap();
+            sweep(&points, &ResultCache::in_memory(), &RunConfig::default()).unwrap();
         let tx_of = |machine: &str, steps: u64| {
             results
                 .iter()

@@ -150,11 +150,15 @@ pub enum Invocation {
         /// Path to a recorded `.jsonl` trace.
         trace: PathBuf,
     },
-    /// Run the long-lived campaign server (`synapse serve`).
+    /// Run the long-lived campaign server (`synapse serve`), or — with
+    /// a coordinator — a cluster coordinator (`synapse cluster start`):
+    /// the same serve process, fanning `--cluster` submissions out over
+    /// registered workers.
     Serve {
         /// Bind address (`host:port`).
         addr: String,
-        /// Result-cache directory shared by every job.
+        /// Result-cache directory shared by every job (and by
+        /// locally-run leases).
         cache: PathBuf,
         /// Concurrent jobs (queue workers).
         queue_workers: usize,
@@ -164,28 +168,9 @@ pub enum Invocation {
         max_connections: usize,
         /// Handler-pool threads behind the epoll reactor (0 = default).
         reactor_threads: usize,
-        /// Points per lease-stream batch frame (1 = per-point events).
-        batch_points: usize,
-    },
-    /// Run a cluster coordinator: a serve process that fans
-    /// `--cluster` submissions out over registered workers.
-    ClusterStart {
-        /// Bind address (`host:port`).
-        addr: String,
-        /// Result-cache directory (also used by locally-run leases).
-        cache: PathBuf,
-        /// Concurrent jobs (queue workers).
-        queue_workers: usize,
-        /// Worker threads per locally-run lease sweep (0 = auto).
-        workers: usize,
-        /// Concurrent-connection cap (0 = unlimited).
-        max_connections: usize,
-        /// Handler-pool threads behind the epoll reactor (0 = default).
-        reactor_threads: usize,
-        /// Points per lease-stream batch frame (1 = per-point events).
-        batch_points: usize,
-        /// Worker serve addresses registered at startup.
-        worker_addrs: Vec<String>,
+        /// `Some` runs a coordinator, with these worker serve addresses
+        /// (`--worker`) registered at startup.
+        coordinator: Option<Vec<String>>,
     },
     /// Register a worker with a running coordinator.
     ClusterAddWorker {
@@ -290,7 +275,6 @@ fn parse_serve_like_args(args: &[String], cluster: bool) -> Result<Invocation, S
     let mut workers = 0usize;
     let mut max_connections = synapse_server::DEFAULT_MAX_CONNECTIONS;
     let mut reactor_threads = 0usize;
-    let mut batch_points = synapse_server::DEFAULT_BATCH_POINTS;
     let mut worker_addrs: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -324,11 +308,6 @@ fn parse_serve_like_args(args: &[String], cluster: bool) -> Result<Invocation, S
                     .parse()
                     .map_err(|e| format!("--reactor-threads: {e}"))?
             }
-            "--batch-points" => {
-                batch_points = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--batch-points: {e}"))?
-            }
             "--worker" if cluster => worker_addrs.push(value(&mut i)?),
             other => {
                 return Err(format!(
@@ -342,30 +321,14 @@ fn parse_serve_like_args(args: &[String], cluster: bool) -> Result<Invocation, S
     if queue_workers == 0 {
         return Err("--queue-workers must be at least 1".into());
     }
-    if batch_points == 0 {
-        return Err("--batch-points must be at least 1".into());
-    }
-    Ok(if cluster {
-        Invocation::ClusterStart {
-            addr,
-            cache,
-            queue_workers,
-            workers,
-            max_connections,
-            reactor_threads,
-            batch_points,
-            worker_addrs,
-        }
-    } else {
-        Invocation::Serve {
-            addr,
-            cache,
-            queue_workers,
-            workers,
-            max_connections,
-            reactor_threads,
-            batch_points,
-        }
+    Ok(Invocation::Serve {
+        addr,
+        cache,
+        queue_workers,
+        workers,
+        max_connections,
+        reactor_threads,
+        coordinator: cluster.then_some(worker_addrs),
     })
 }
 
@@ -790,10 +753,9 @@ USAGE:
   synapse campaign cache stats|compact [--cache DIR]
   synapse serve    [--addr HOST:PORT] [--cache DIR] [--queue-workers N]
                    [--workers N] [--max-connections N] [--reactor-threads N]
-                   [--batch-points N]
   synapse cluster start [--addr HOST:PORT] [--cache DIR] [--worker ADDR]...
                    [--queue-workers N] [--workers N] [--max-connections N]
-                   [--reactor-threads N] [--batch-points N]
+                   [--reactor-threads N]
   synapse cluster add-worker <ADDR> [--server HOST:PORT]
   synapse cluster status [--server HOST:PORT]
   synapse campaign submit <spec.toml|json> [--server HOST:PORT] [--watch]
@@ -1022,7 +984,7 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
             workers,
             max_connections,
             reactor_threads,
-            batch_points,
+            coordinator,
         } => {
             let config = synapse_server::ServerConfig {
                 addr,
@@ -1031,61 +993,35 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 job_workers: workers,
                 max_connections,
                 handler_threads: reactor_threads,
-                batch_points,
                 ..Default::default()
             };
-            let server = synapse_server::Server::bind(config).map_err(|e| e.to_string())?;
+            let mut server = synapse_server::Server::bind(config).map_err(|e| e.to_string())?;
+            let (role, detail) = match &coordinator {
+                Some(worker_addrs) => {
+                    let coordinator = std::sync::Arc::new(synapse_cluster::Coordinator::new(
+                        synapse_cluster::ClusterConfig::default(),
+                    ));
+                    for worker in worker_addrs {
+                        coordinator.registry().register(worker);
+                    }
+                    server = server.with_cluster(coordinator);
+                    (
+                        "synapse cluster coordinator",
+                        format!("{} workers registered", worker_addrs.len()),
+                    )
+                }
+                None => ("synapse serve", format!("{queue_workers} queue workers")),
+            };
             let bound = server.local_addr().map_err(|e| e.to_string())?;
             writeln!(
                 out,
-                "synapse serve listening on {bound} (cache {}, {queue_workers} queue workers)",
+                "{role} listening on {bound} (cache {}, {detail})",
                 cache.display(),
             )
             .map_err(|e| e.to_string())?;
             out.flush().map_err(|e| e.to_string())?;
             server.run().map_err(|e| e.to_string())?;
-            writeln!(out, "synapse serve shut down").map_err(|e| e.to_string())?;
-        }
-        Invocation::ClusterStart {
-            addr,
-            cache,
-            queue_workers,
-            workers,
-            max_connections,
-            reactor_threads,
-            batch_points,
-            worker_addrs,
-        } => {
-            let config = synapse_server::ServerConfig {
-                addr,
-                cache_dir: Some(cache.clone()),
-                queue_workers,
-                job_workers: workers,
-                max_connections,
-                handler_threads: reactor_threads,
-                batch_points,
-                ..Default::default()
-            };
-            let coordinator = std::sync::Arc::new(synapse_cluster::Coordinator::new(
-                synapse_cluster::ClusterConfig::default(),
-            ));
-            for worker in &worker_addrs {
-                coordinator.registry().register(worker);
-            }
-            let server = synapse_server::Server::bind(config)
-                .map_err(|e| e.to_string())?
-                .with_cluster(coordinator);
-            let bound = server.local_addr().map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "synapse cluster coordinator listening on {bound} (cache {}, {} workers registered)",
-                cache.display(),
-                worker_addrs.len(),
-            )
-            .map_err(|e| e.to_string())?;
-            out.flush().map_err(|e| e.to_string())?;
-            server.run().map_err(|e| e.to_string())?;
-            writeln!(out, "synapse cluster coordinator shut down").map_err(|e| e.to_string())?;
+            writeln!(out, "{role} shut down").map_err(|e| e.to_string())?;
         }
         Invocation::ClusterAddWorker { worker, server } => {
             let client = synapse_server::Client::new(server);
@@ -1317,31 +1253,33 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
             let spec =
                 synapse_campaign::CampaignSpec::from_path(&spec).map_err(|e| e.to_string())?;
             let config = synapse_campaign::RunConfig { workers };
+            let result_cache =
+                synapse_campaign::ResultCache::open_with_workers(&cache, config.workers)
+                    .map_err(|e| e.to_string())?;
+            // Flight-record the run (`--record`): the recorder sits on
+            // the same observer seam the server streams from, then the
+            // post-run stage timings are stamped in before sealing.
+            let recorder = record
+                .as_ref()
+                .map(|path| (path, synapse_trace::TraceRecorder::new(&spec)));
+            let outcome = synapse_campaign::run_campaign_on(
+                &spec,
+                &config,
+                &result_cache,
+                &|event| {
+                    if let Some((_, recorder)) = &recorder {
+                        recorder.observe(&event);
+                    }
+                },
+                &synapse_campaign::CancelToken::new(),
+            )
+            .map_err(|e| e.to_string())?;
             let mut trace_id = None;
-            let outcome = if let Some(trace_path) = &record {
-                // Flight-record the run: the recorder sits on the same
-                // observer seam the server streams from, then the
-                // post-run stage timings are stamped in before sealing.
-                let recorder = synapse_trace::TraceRecorder::new(&spec);
-                let result_cache =
-                    synapse_campaign::ResultCache::open_with_workers(&cache, config.workers)
-                        .map_err(|e| e.to_string())?;
-                let outcome = synapse_campaign::run_campaign_on(
-                    &spec,
-                    &config,
-                    &result_cache,
-                    &|event| recorder.observe(&event),
-                    &synapse_campaign::CancelToken::new(),
-                )
-                .map_err(|e| e.to_string())?;
+            if let Some((trace_path, recorder)) = &recorder {
                 recorder.record_stats(&outcome.stats);
                 recorder.write_to(trace_path).map_err(|e| e.to_string())?;
                 trace_id = Some(recorder.trace_id().to_string());
-                outcome
-            } else {
-                synapse_campaign::run_campaign(&spec, &config, Some(&cache))
-                    .map_err(|e| e.to_string())?
-            };
+            }
             write!(out, "{}", outcome.report.render_summary()).map_err(|e| e.to_string())?;
             let stats = outcome.stats;
             writeln!(
@@ -1929,7 +1867,7 @@ mod tests {
                 workers: 0,
                 max_connections: synapse_server::DEFAULT_MAX_CONNECTIONS,
                 reactor_threads: 0,
-                batch_points: synapse_server::DEFAULT_BATCH_POINTS,
+                coordinator: None,
             }
         );
         assert_eq!(
@@ -1947,8 +1885,6 @@ mod tests {
                 "64",
                 "--reactor-threads",
                 "8",
-                "--batch-points",
-                "16",
             ]))
             .unwrap(),
             Invocation::Serve {
@@ -1958,14 +1894,13 @@ mod tests {
                 workers: 2,
                 max_connections: 64,
                 reactor_threads: 8,
-                batch_points: 16,
+                coordinator: None,
             }
         );
         assert!(parse_args(&argv(&["serve", "--queue-workers", "0"])).is_err());
         assert!(parse_args(&argv(&["serve", "--bogus"])).is_err());
         assert!(parse_args(&argv(&["serve", "--reactor-threads", "lots"])).is_err());
-        assert!(parse_args(&argv(&["serve", "--batch-points", "0"])).is_err());
-        assert!(parse_args(&argv(&["serve", "--batch-points", "many"])).is_err());
+        assert!(parse_args(&argv(&["serve", "--worker", "127.0.0.1:9001"])).is_err());
 
         assert_eq!(
             parse_args(&argv(&["campaign", "submit", "s.toml", "--watch"])).unwrap(),
@@ -2100,15 +2035,14 @@ mod tests {
                 "128",
             ]))
             .unwrap(),
-            Invocation::ClusterStart {
+            Invocation::Serve {
                 addr: DEFAULT_SERVER_ADDR.into(),
                 cache: default_campaign_cache(),
                 queue_workers: 2,
                 workers: 0,
                 max_connections: 128,
                 reactor_threads: 0,
-                batch_points: synapse_server::DEFAULT_BATCH_POINTS,
-                worker_addrs: vec!["127.0.0.1:9001".into(), "127.0.0.1:9002".into()],
+                coordinator: Some(vec!["127.0.0.1:9001".into(), "127.0.0.1:9002".into()]),
             }
         );
         assert_eq!(

@@ -21,7 +21,7 @@
 //! sweeps the remaining leases through its own engine — a cluster
 //! degrades to a single process, never to a hung job.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use synapse_campaign::{
@@ -178,12 +178,6 @@ impl Coordinator {
                     // Split tails overlap their parent lease, so the
                     // grid can finish while this stream is mid-lease;
                     // hang up instead of waiting out the straggler.
-                    if collector.is_complete() {
-                        return false;
-                    }
-                }
-                Some(WorkerEvent::Point { result, cached }) => {
-                    collector.record(Arc::new(*result), cached, observer);
                     if collector.is_complete() {
                         return false;
                     }

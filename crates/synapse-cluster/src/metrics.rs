@@ -26,8 +26,8 @@ pub(crate) struct ClusterMetrics {
     /// earlier digest covered).
     pub sketch_merges: Arc<Counter>,
     /// Points per merged `batch` frame — the transport-efficiency
-    /// signal (a warm cluster should sit near the configured
-    /// `--batch-points`; a cold one is spread by landing jitter).
+    /// signal (a warm cluster should sit near `DEFAULT_BATCH_POINTS`;
+    /// a cold one is spread by landing jitter).
     pub batch_points: Arc<Histogram>,
     /// Liveness-probe (`GET /healthz`) latency against workers.
     pub probe_seconds: Arc<Histogram>,

@@ -4,10 +4,8 @@
 //! JSON [`LeaseRequest`] body of `POST
 //! /leases`, and results come back over the worker's ordinary NDJSON
 //! event stream. The lease-specific extensions: results arrive packed
-//! into versioned, length-prefixed `batch` frames (or, from a worker
-//! running with `--batch-points 1`, as legacy per-point `point`
-//! events), each point carrying the full serialized
-//! [`PointResult`] under `"result"`, so
+//! into versioned, length-prefixed `batch` frames, each point carrying
+//! the full serialized [`PointResult`] under `"result"`, so
 //! the coordinator can reassemble a byte-stable report without a
 //! second fetch. The full wire spec, including the byte-level frame
 //! layout and version-compatibility rules, lives in
@@ -33,15 +31,6 @@ pub fn lease_request_json(spec: &CampaignSpec, lease: &Lease) -> String {
 pub enum WorkerEvent {
     /// The lease sweep started on the worker.
     Started,
-    /// One point landed, with its full result (global grid index
-    /// inside) and whether the worker served it from cache.
-    Point {
-        /// The reconstructed per-point result (boxed: this variant
-        /// would otherwise dwarf the lifecycle ones).
-        result: Box<PointResult>,
-        /// Whether the worker's cache satisfied the point.
-        cached: bool,
-    },
     /// One `batch` frame of landed points (version-checked and
     /// length-validated; see `docs/PROTOCOL.md` for the layout). Each
     /// entry is the reconstructed result plus whether the worker's
@@ -85,13 +74,6 @@ pub fn parse_event(line: &str) -> Option<WorkerEvent> {
     let value: Value = serde_json::from_str(line).ok()?;
     let event = match value["event"].as_str()? {
         "started" => WorkerEvent::Started,
-        "point" => {
-            let result: PointResult = serde_json::from_value(value["result"].clone()).ok()?;
-            WorkerEvent::Point {
-                result: Box::new(result),
-                cached: value["cached"].as_bool().unwrap_or(false),
-            }
-        }
         "batch" => parse_batch(line, &value),
         "completed" => WorkerEvent::Completed,
         "cancelled" => WorkerEvent::Cancelled,
@@ -213,30 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn point_events_reconstruct_results_exactly() {
-        let s = spec();
-        let point = &expand(&s)[2];
-        let result = synapse_campaign::simulate_point(point).unwrap();
-        let line = serde_json::to_string(&serde_json::json!({
-            "event": "point",
-            "index": point.index,
-            "cached": true,
-            "result": serde_json::to_value(&result).unwrap(),
-        }))
-        .unwrap();
-        match parse_event(&line) {
-            Some(WorkerEvent::Point {
-                result: back,
-                cached,
-            }) => {
-                assert!(cached);
-                assert_eq!(*back, result, "exact roundtrip, floats included");
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-    }
-
-    #[test]
     fn batch_frames_roundtrip_exactly() {
         use std::sync::Arc;
         let s = spec();
@@ -351,7 +309,11 @@ mod tests {
             Some(WorkerEvent::Truncated { dropped: 5 })
         ));
         assert!(parse_event("not json").is_none());
-        // A point event with a mangled result payload is unusable.
-        assert!(parse_event("{\"event\":\"point\",\"result\":{\"nope\":1}}").is_none());
+        // Lease streams carry results in batch frames only: a `point`
+        // line is an unknown event like any other.
+        assert!(matches!(
+            parse_event("{\"event\":\"point\",\"index\":0,\"cached\":true,\"result\":{}}"),
+            Some(WorkerEvent::Other)
+        ));
     }
 }

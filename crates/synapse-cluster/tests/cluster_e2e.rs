@@ -648,14 +648,10 @@ fn straggling_lease_tail_splits_and_fast_workers_set_the_makespan() {
                                 }
                                 let result = synapse_campaign::simulate_point(point)
                                     .expect("simulate point");
-                                let result = serde_json::to_value(&result).unwrap();
-                                let line = serde_json::to_string(&serde_json::json!({
-                                    "event": "point",
-                                    "index": result["point"]["index"],
-                                    "result": result,
-                                    "cached": false,
-                                }))
-                                .unwrap();
+                                let line = synapse_server::lease_batch_line(
+                                    &[(Arc::new(result), false)],
+                                    None,
+                                );
                                 if out.write_all(&chunk(&line)).is_err() {
                                     break;
                                 }

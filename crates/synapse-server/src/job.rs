@@ -3,7 +3,8 @@
 //!
 //! Events are serialized once (by the worker that produced them) into
 //! a bounded ring; any number of concurrent stream readers replay the
-//! retained buffer from the top and then block on a condvar for more.
+//! retained buffer from the top and then follow the reactor's wakeups
+//! for more.
 //! That makes `GET /campaigns/<id>/events` joinable at any time — a
 //! client attaching mid-sweep first drains history, then follows live
 //! — and means a slow client never stalls the sweep (the workers never
@@ -14,7 +15,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -165,7 +166,7 @@ pub struct SnapshotCursor {
 
 /// Out-of-band notification that a job published (or closed) events —
 /// how the reactor learns to pump its streams without a thread parked
-/// on every job's condvar. Calls coalesce at the receiver (an eventfd
+/// per job. Calls coalesce at the receiver (an eventfd
 /// counter), so per-point invocation stays cheap.
 pub type EventHook = dyn Fn() + Send + Sync;
 
@@ -195,11 +196,10 @@ pub struct Job {
     events: Mutex<EventLog>,
     /// Lifecycle + snapshot lines only (see [`EventRing`]).
     aggregate_events: Mutex<EventLog>,
-    events_ready: Condvar,
     /// Cheap terminal check for streamers (avoids taking the progress
     /// lock per poll).
     done_events: AtomicUsize,
-    /// Reactor wakeup, fired alongside the condvar.
+    /// Reactor wakeup.
     hook: Option<Arc<EventHook>>,
     /// Flight recorder capturing this job's causal stream
     /// (`POST /campaigns?record=1`). Attached before the job is queued,
@@ -279,7 +279,6 @@ impl Job {
             }),
             events: ring(),
             aggregate_events: ring(),
-            events_ready: Condvar::new(),
             done_events: AtomicUsize::new(0),
             hook,
             recorder: OnceLock::new(),
@@ -373,7 +372,6 @@ impl Job {
                 .inc();
         }
         events.lines.push_back(line);
-        self.events_ready.notify_all();
         events.unflushed += 1;
         let fire = events.unflushed >= HOOK_BATCH || events.last_hook.elapsed() >= HOOK_LATENCY;
         if fire {
@@ -412,7 +410,6 @@ impl Job {
         {
             let _events = self.events.lock().expect("events lock");
             self.done_events.store(EVENTS_CLOSED, Ordering::Release);
-            self.events_ready.notify_all();
         }
         if let Some(hook) = &self.hook {
             hook();
@@ -454,24 +451,18 @@ impl Job {
         settled
     }
 
-    /// [`events_since`](Job::events_since) without the intermediate
-    /// `Vec<String>`: appends the retained lines (newline-terminated,
-    /// truncation marker included) straight into a caller buffer, up
-    /// to `max_bytes` of appended payload. The reactor's stream pump
-    /// runs this per wake batch; copying each line through its own
-    /// heap `String` first was measurable at 100k events/s. Returns
-    /// `(next_cursor, appended_any, closed)`.
-    pub fn events_into(
-        &self,
-        from: usize,
-        out: &mut Vec<u8>,
-        max_bytes: usize,
-    ) -> (usize, bool, bool) {
-        self.ring_events_into(EventRing::Raw, from, out, max_bytes)
-    }
-
-    /// [`Job::events_into`] over a chosen ring: the aggregates ring
-    /// serves `GET /campaigns/<id>/events?aggregates=1` watchers.
+    /// Append the lines one ring retains at absolute positions
+    /// `[from..]` (newline-terminated) straight into a caller buffer,
+    /// up to `max_bytes` of appended payload. The reactor's stream pump
+    /// runs this per wake batch; the aggregates ring serves
+    /// `GET /campaigns/<id>/events?aggregates=1` watchers. Returns
+    /// `(next_cursor, appended_any, closed)` — after draining, the
+    /// reader may hang up once a call returns empty+closed.
+    ///
+    /// A reader whose cursor fell behind the ring's retention (late
+    /// attach to a huge sweep, or a stalled consumer) first receives a
+    /// synthesized `truncated` event counting the dropped lines, then
+    /// the retained tail — the stream stays well-formed NDJSON.
     pub fn ring_events_into(
         &self,
         ring: EventRing,
@@ -509,42 +500,6 @@ impl Job {
         }
         (next, out.len() > start, self.events_closed())
     }
-
-    /// Copy out the events at absolute positions `[from..]`, blocking
-    /// up to `wait` when the ring has nothing new and the stream is
-    /// still open. Returns the next cursor, the copied lines and
-    /// whether the stream is closed (after draining, the reader may
-    /// hang up once a subsequent call returns empty+closed).
-    ///
-    /// A reader whose cursor fell behind the ring's retention (late
-    /// attach to a huge sweep, or a stalled consumer) first receives a
-    /// synthesized `truncated` event counting the dropped lines, then
-    /// the retained tail — the stream stays well-formed NDJSON.
-    pub fn events_since(&self, from: usize, wait: Duration) -> (usize, Vec<String>, bool) {
-        {
-            let events = self.events.lock().expect("events lock");
-            // `wait == 0` is a pure poll: never touch the condvar,
-            // just report what is retained right now.
-            if events.base + events.lines.len() <= from && !self.events_closed() && !wait.is_zero()
-            {
-                drop(
-                    self.events_ready
-                        .wait_timeout(events, wait)
-                        .expect("events lock"),
-                );
-            }
-        }
-        // One copy-out implementation: the marker/cursor rules live in
-        // `events_into` alone, so the two read paths cannot diverge.
-        let mut raw = Vec::new();
-        let (next, _, closed) = self.events_into(from, &mut raw, usize::MAX);
-        let fresh = raw
-            .split(|&b| b == b'\n')
-            .filter(|line| !line.is_empty())
-            .map(|line| String::from_utf8(line.to_vec()).expect("ring lines are UTF-8"))
-            .collect();
-        (next, fresh, closed)
-    }
 }
 
 #[cfg(test)]
@@ -566,6 +521,14 @@ mod tests {
         .unwrap()
     }
 
+    /// Poll the raw ring from `from`: `(next_cursor, lines, closed)`.
+    fn read_raw(job: &Job, from: usize) -> (usize, Vec<String>, bool) {
+        let mut raw = Vec::new();
+        let (next, _, closed) = job.ring_events_into(EventRing::Raw, from, &mut raw, usize::MAX);
+        let text = String::from_utf8(raw).expect("ring lines are UTF-8");
+        (next, text.lines().map(str::to_string).collect(), closed)
+    }
+
     #[test]
     fn state_names_and_terminality() {
         assert_eq!(JobState::Queued.name(), "queued");
@@ -583,34 +546,20 @@ mod tests {
         job.push_event("{\"event\":\"a\"}".into());
         job.push_event("{\"event\":\"b\"}".into());
         // Replay from the top.
-        let (next, lines, closed) = job.events_since(0, Duration::from_millis(1));
+        let (next, lines, closed) = read_raw(&job, 0);
         assert_eq!(lines.len(), 2);
         assert_eq!(next, 2);
         assert!(!closed);
-        // Nothing new: times out empty.
-        let (next, lines, closed) = job.events_since(2, Duration::from_millis(1));
+        // Nothing new: polls empty.
+        let (next, lines, closed) = read_raw(&job, 2);
         assert!(lines.is_empty());
         assert_eq!(next, 2);
         assert!(!closed);
         // Close: reader drains and sees the closed flag.
         job.close_events();
-        let (_, lines, closed) = job.events_since(2, Duration::from_millis(1));
+        let (_, lines, closed) = read_raw(&job, 2);
         assert!(lines.is_empty());
         assert!(closed);
-    }
-
-    #[test]
-    fn waiting_reader_wakes_on_push() {
-        let job = std::sync::Arc::new(Job::new(1, spec(), 1, 1, JobKind::Sweep, 0));
-        let reader = {
-            let job = job.clone();
-            std::thread::spawn(move || job.events_since(0, Duration::from_secs(5)))
-        };
-        // Give the reader a moment to block, then publish.
-        std::thread::sleep(Duration::from_millis(20));
-        job.push_event("{\"event\":\"live\"}".into());
-        let (_, lines, _) = reader.join().unwrap();
-        assert_eq!(lines, vec!["{\"event\":\"live\"}".to_string()]);
     }
 
     #[test]
@@ -621,7 +570,7 @@ mod tests {
         }
         // Only the 3 newest lines are retained; a reader starting from
         // 0 learns exactly how many it missed.
-        let (next, lines, _) = job.events_since(0, Duration::from_millis(1));
+        let (next, lines, _) = read_raw(&job, 0);
         assert_eq!(
             lines[0], "{\"event\":\"truncated\",\"dropped\":5}",
             "{lines:?}"
@@ -629,10 +578,10 @@ mod tests {
         assert_eq!(&lines[1..], &["{\"n\":5}", "{\"n\":6}", "{\"n\":7}"]);
         assert_eq!(next, 8);
         // A caught-up reader sees no marker.
-        let (_, lines, _) = job.events_since(6, Duration::from_millis(1));
+        let (_, lines, _) = read_raw(&job, 6);
         assert_eq!(lines, vec!["{\"n\":6}".to_string(), "{\"n\":7}".into()]);
         // A reader mid-ring gets only the partial drop count.
-        let (_, lines, _) = job.events_since(4, Duration::from_millis(1));
+        let (_, lines, _) = read_raw(&job, 4);
         assert_eq!(lines[0], "{\"event\":\"truncated\",\"dropped\":1}");
         assert_eq!(lines.len(), 4);
     }
@@ -647,12 +596,12 @@ mod tests {
         }
         // Cursor at the gap start (position 0): every dropped line is
         // counted for THIS cursor.
-        let (next, lines, _) = job.events_since(0, Duration::ZERO);
+        let (next, lines, _) = read_raw(&job, 0);
         assert_eq!(lines[0], "{\"event\":\"truncated\",\"dropped\":5}");
         assert_eq!(next, 8);
         // Cursor mid-gap (position 3): only the lines this reader
         // actually missed — not the count from the ring's own start.
-        let (next, lines, _) = job.events_since(3, Duration::ZERO);
+        let (next, lines, _) = read_raw(&job, 3);
         assert_eq!(
             lines[0], "{\"event\":\"truncated\",\"dropped\":2}",
             "mid-gap cursor counts 3..5, not 0..5"
@@ -661,7 +610,7 @@ mod tests {
         assert_eq!(next, 8);
         // Cursor exactly at the ring head (position 5 = first retained
         // line): nothing was missed, no marker is synthesized.
-        let (next, lines, _) = job.events_since(5, Duration::ZERO);
+        let (next, lines, _) = read_raw(&job, 5);
         assert_eq!(lines, vec!["{\"n\":5}", "{\"n\":6}", "{\"n\":7}"]);
         assert_eq!(next, 8);
     }
@@ -674,11 +623,11 @@ mod tests {
         }
         // First read from a stale cursor: one marker, cursor advances
         // past the gap.
-        let (next, lines, _) = job.events_since(1, Duration::ZERO);
+        let (next, lines, _) = read_raw(&job, 1);
         assert_eq!(lines[0], "{\"event\":\"truncated\",\"dropped\":2}");
         assert_eq!(next, 5);
         // Resuming from the returned cursor never replays the marker.
-        let (next2, lines, _) = job.events_since(next, Duration::ZERO);
+        let (next2, lines, _) = read_raw(&job, next);
         assert!(lines.is_empty(), "{lines:?}");
         assert_eq!(next2, 5);
         // A *new* gap (the ring rolled again past this cursor) is a
@@ -686,11 +635,11 @@ mod tests {
         for i in 5..9 {
             job.push_event(format!("{{\"n\":{i}}}"));
         }
-        let (next3, lines, _) = job.events_since(next2, Duration::ZERO);
+        let (next3, lines, _) = read_raw(&job, next2);
         assert_eq!(lines[0], "{\"event\":\"truncated\",\"dropped\":2}");
         assert_eq!(&lines[1..], &["{\"n\":7}", "{\"n\":8}"]);
         assert_eq!(next3, 9);
-        let (_, lines, _) = job.events_since(next3, Duration::ZERO);
+        let (_, lines, _) = read_raw(&job, next3);
         assert!(lines.is_empty(), "exactly once: {lines:?}");
     }
 

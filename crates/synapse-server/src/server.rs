@@ -115,8 +115,8 @@ pub const DEFAULT_STREAM_HIGH_WATER: usize = 256 * 1024;
 /// dead and reclaimed.
 pub const DEFAULT_WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Default for [`ServerConfig::batch_points`]: how many landed points
-/// a lease stream packs into one `batch` frame before writing. 64
+/// How many landed points a lease stream packs into one `batch` frame
+/// before writing (a protocol constant, see `docs/PROTOCOL.md` §4). 64
 /// turns a warm 55k-point grid from 55k line writes into ~900 while
 /// keeping first-result latency in the low milliseconds on a cold
 /// sweep (the tail flushes whatever is pending at lease end). The
@@ -165,10 +165,6 @@ pub struct ServerConfig {
     /// Reclaim a connection whose unsent output made no progress for
     /// this long (the peer stopped reading and never came back).
     pub write_stall_timeout: Duration,
-    /// Points per `batch` frame on lease streams (`--batch-points`);
-    /// `0` or `1` disables batching and emits the legacy per-point
-    /// `point` events.
-    pub batch_points: usize,
 }
 
 impl Default for ServerConfig {
@@ -184,7 +180,6 @@ impl Default for ServerConfig {
             request_timeout: DEFAULT_REQUEST_TIMEOUT,
             stream_high_water: DEFAULT_STREAM_HIGH_WATER,
             write_stall_timeout: DEFAULT_WRITE_STALL_TIMEOUT,
-            batch_points: DEFAULT_BATCH_POINTS,
         }
     }
 }
@@ -200,7 +195,6 @@ pub(crate) struct ServerState {
     shutdown: AtomicBool,
     job_workers: usize,
     event_buffer: usize,
-    batch_points: usize,
     max_connections: usize,
     active_connections: AtomicUsize,
     /// The reactor's wakeup handle, set once `run()` starts; jobs
@@ -544,7 +538,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             job_workers: config.job_workers,
             event_buffer: config.event_buffer,
-            batch_points: config.batch_points,
             max_connections: config.max_connections,
             active_connections: AtomicUsize::new(0),
             reactor_waker: OnceLock::new(),
@@ -1004,9 +997,8 @@ fn run_distributed_job(state: &ServerState, job: &Arc<Job>) {
 }
 
 /// Sweep one lease (a contiguous slice of the grid) on behalf of a
-/// coordinator: landed points travel back as `batch` frames (or
-/// legacy per-point `point` events when `batch_points <= 1`), each
-/// carrying full serialized results, and the terminal event reports
+/// coordinator: landed points travel back as `batch` frames carrying
+/// full serialized results, and the terminal event reports
 /// lease-relative counters. No report is assembled — merging is the
 /// coordinator's job.
 fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) {
@@ -1018,7 +1010,6 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
     let config = RunConfig {
         workers: job.workers,
     };
-    let batch_cap = state.batch_points;
     // The engine observer is called from every sweep thread, so the
     // pending batch lives behind a mutex; frames are built and pushed
     // under it, keeping frame order = landing order.
@@ -1033,7 +1024,7 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
         doc
     };
     let pending: Mutex<Vec<(Arc<synapse_campaign::PointResult>, bool)>> =
-        Mutex::new(Vec::with_capacity(batch_cap.min(4096)));
+        Mutex::new(Vec::with_capacity(DEFAULT_BATCH_POINTS));
     let flush = |buf: &mut Vec<(Arc<synapse_campaign::PointResult>, bool)>| {
         if !buf.is_empty() {
             job.push_event(lease_batch_line(buf, trace));
@@ -1054,7 +1045,7 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
             result,
             cached,
             done,
-            total,
+            ..
         } => {
             job.with_progress(|p| {
                 p.done = done;
@@ -1063,25 +1054,10 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
             // The lease keeps its own live view so its terminal event
             // can ship a mergeable digest back to the coordinator.
             job.live().record(&result);
-            if batch_cap > 1 {
-                let mut buf = pending.lock().unwrap_or_else(|e| e.into_inner());
-                buf.push((result, cached));
-                if buf.len() >= batch_cap {
-                    flush(&mut buf);
-                }
-            } else {
-                job.push_event(ndjson(&with_trace(json!({
-                    "event": "point",
-                    "index": result.point.index,
-                    "cached": cached,
-                    "done": done,
-                    "total": total,
-                    // The coordinator reconstructs PointResult from
-                    // this field; f64s round-trip exactly through the
-                    // JSON layer, so merged reports stay byte-stable.
-                    // lint:allow(no-panic-hot-path, reason = "serializing owned in-memory data; Value/string serialization is infallible")
-                    "result": serde_json::to_value(&*result).expect("result serializes"),
-                }))));
+            let mut buf = pending.lock().unwrap_or_else(|e| e.into_inner());
+            buf.push((result, cached));
+            if buf.len() >= DEFAULT_BATCH_POINTS {
+                flush(&mut buf);
             }
         }
         PointEvent::Finished { .. } | PointEvent::Cancelled { .. } => {}
@@ -1311,7 +1287,8 @@ fn route(request: &Request, state: &ServerState) -> Reply {
         )),
         (_, ["healthz" | "shutdown" | "leases" | "metrics"])
         | (_, ["store", "stats"])
-        | (_, ["campaigns", ..]) => json_reply(
+        | (_, ["campaigns"] | ["campaigns", _])
+        | (_, ["campaigns", _, "events" | "report" | "trace" | "aggregates"]) => json_reply(
             405,
             "Method Not Allowed",
             &json!({"error": format!("{} not allowed on {}", request.method, path)}),
@@ -2323,8 +2300,9 @@ mod tests {
         .unwrap();
         let points = synapse_campaign::expand(&spec);
         let cache = ResultCache::in_memory();
-        let (results, _) =
-            synapse_campaign::runner::run_points(&points, &cache, &RunConfig::default()).unwrap();
+        let (results, _) = CampaignEngine::new(&points, &cache, &RunConfig::default())
+            .run(&|_| {}, &synapse_campaign::CancelToken::new())
+            .unwrap();
         for (i, result) in results.iter().enumerate() {
             let tree = ndjson(&json!({
                 "event": "point",

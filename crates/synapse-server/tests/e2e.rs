@@ -451,6 +451,24 @@ fn malformed_submissions_get_4xx_not_jobs() {
     // Unknown endpoints and wrong methods are 404/405, not hangs.
     let missing = client.status("j999").unwrap_err();
     assert!(missing.to_string().contains("404"), "{missing}");
+    for (method, path, status) in [
+        ("PUT", "/healthz", "405"),
+        ("POST", "/campaigns/j999/events", "405"),
+        ("GET", "/campaigns/j999/bogus", "404"),
+    ] {
+        let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        write!(
+            raw,
+            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n"
+        )
+        .unwrap();
+        let mut response = String::new();
+        raw.read_to_string(&mut response).unwrap();
+        assert!(
+            response.starts_with(&format!("HTTP/1.1 {status}")),
+            "{method} {path}: {response:?}"
+        );
+    }
     handle.shutdown();
     join.join().unwrap();
 }
@@ -549,9 +567,8 @@ fn lease_endpoint_sweeps_a_slice_with_full_results() {
     assert_eq!(summary["event"].as_str(), Some("completed"));
     assert_eq!(summary["points"].as_u64(), Some(4));
     let lines = lines.into_inner().unwrap();
-    // Lease streams batch their point results: with the default
-    // `batch_points` (64) this 4-point lease lands as batch frames,
-    // not per-point events (docs/PROTOCOL.md §4).
+    // Lease streams batch their point results: this 4-point lease
+    // lands as batch frames, not per-point events (docs/PROTOCOL.md §4).
     assert!(
         !lines.iter().any(|l| l["event"].as_str() == Some("point")),
         "batched lease streams carry no per-point events"
@@ -600,49 +617,6 @@ fn lease_endpoint_sweeps_a_slice_with_full_results() {
             .unwrap_err();
         assert!(err.to_string().contains("400"), "{start}..{end}: {err}");
     }
-    handle.shutdown();
-    join.join().unwrap();
-}
-
-#[test]
-fn batch_points_one_keeps_the_legacy_per_point_stream() {
-    let (client, handle, join) = boot(ServerConfig {
-        batch_points: 1,
-        ..Default::default()
-    });
-    let spec = synapse_campaign::CampaignSpec::from_toml(small_spec()).unwrap();
-    let lease = synapse_server::LeaseRequest {
-        spec,
-        start: 0,
-        end: 3,
-    };
-    let reply = client
-        .submit_lease(&serde_json::to_string(&lease).unwrap())
-        .unwrap();
-    let id = reply["id"].as_str().unwrap().to_string();
-    let lines = Mutex::new(Vec::<Value>::new());
-    let summary = client
-        .watch(&id, |line| {
-            lines
-                .lock()
-                .unwrap()
-                .push(serde_json::from_str(line).unwrap());
-            true
-        })
-        .unwrap();
-    assert_eq!(summary["event"].as_str(), Some("completed"));
-    let lines = lines.into_inner().unwrap();
-    assert!(
-        !lines.iter().any(|l| l["event"].as_str() == Some("batch")),
-        "batch-points 1 disables frame batching"
-    );
-    let mut indices: Vec<u64> = lines
-        .iter()
-        .filter(|l| l["event"].as_str() == Some("point"))
-        .map(|p| p["index"].as_u64().unwrap())
-        .collect();
-    indices.sort_unstable();
-    assert_eq!(indices, vec![0, 1, 2]);
     handle.shutdown();
     join.join().unwrap();
 }

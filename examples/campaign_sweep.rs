@@ -10,7 +10,9 @@
 //! cargo run --release --example campaign_sweep
 //! ```
 
-use synapse_repro::synapse_campaign::{run_campaign, CampaignSpec, RunConfig, WorkloadSpec};
+use synapse_repro::synapse_campaign::{
+    run_campaign_on, CampaignSpec, CancelToken, ResultCache, RunConfig, WorkloadSpec,
+};
 
 fn main() {
     let spec = CampaignSpec::from_toml(
@@ -40,8 +42,14 @@ fn main() {
 
     let cache_dir = std::env::temp_dir().join("synapse-campaign-example");
     let config = RunConfig::default();
+    // Each run re-opens the cache directory, as a separate invocation
+    // of the CLI would.
+    let run = || {
+        let cache = ResultCache::open(&cache_dir).expect("cache opens");
+        run_campaign_on(&spec, &config, &cache, &|_| {}, &CancelToken::new())
+    };
 
-    let first = run_campaign(&spec, &config, Some(&cache_dir)).expect("campaign runs");
+    let first = run().expect("campaign runs");
     println!("{}", first.report.render_summary());
     println!(
         "first run : {} points in {:.3}s ({:.0} points/s), {} simulated",
@@ -51,7 +59,7 @@ fn main() {
         first.stats.simulated,
     );
 
-    let second = run_campaign(&spec, &config, Some(&cache_dir)).expect("campaign repeats");
+    let second = run().expect("campaign repeats");
     println!(
         "second run: {} points in {:.3}s ({:.0} points/s), {} simulated, {:.0}% cache hits",
         second.stats.points,
