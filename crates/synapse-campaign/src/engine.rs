@@ -23,7 +23,7 @@ use crate::cache::{fingerprint, ResultCache};
 use crate::error::CampaignError;
 use crate::grid::ScenarioPoint;
 use crate::metrics::EngineMetrics;
-use crate::runner::{simulate_point, PointResult, RunConfig, RunStats};
+use crate::runner::{simulate_point_keyed, PointResult, RunConfig, RunStats};
 
 /// A shared cooperative-cancellation flag.
 ///
@@ -176,9 +176,9 @@ impl<'a> CampaignEngine<'a> {
                     simulated.fetch_add(1, Ordering::Relaxed);
                     metrics.cache_misses.inc();
                     let sim_started = Instant::now();
-                    let fresh = simulate_point(point).and_then(|r| {
+                    let fresh = simulate_point_keyed(point, fp).and_then(|r| {
                         metrics.simulate_seconds.observe_since(sim_started);
-                        self.cache.put(&fp, &r)?;
+                        self.cache.put(&r.fingerprint, &r)?;
                         Ok(r)
                     });
                     (fresh, false)

@@ -166,13 +166,24 @@ pub fn emulation_plan(point: &ScenarioPoint) -> Result<EmulationPlan, CampaignEr
 
 /// Simulate one scenario point (no cache involved).
 ///
-/// The pipeline per point mirrors the paper's workflow: synthesize the
-/// workload's profile on the profiling machine at the requested sample
-/// rate, then replay it through the emulator on the target machine
-/// with the requested kernel/parallelism/I/O plan. The application's
-/// own modelled runtime on the target machine is computed alongside as
-/// the fidelity baseline.
+/// The pipeline per point mirrors the paper's workflow — profile the
+/// workload on the profiling machine at the requested sample rate,
+/// replay the profile through the emulator on the target machine with
+/// the requested kernel/parallelism/I/O plan — as one streaming pass:
+/// each sample's demands are synthesized and priced in collection
+/// order and then dropped, so no profile is ever materialized. The
+/// application's own modelled runtime on the target machine is
+/// computed alongside as the fidelity baseline.
 pub fn simulate_point(point: &ScenarioPoint) -> Result<PointResult, CampaignError> {
+    simulate_point_keyed(point, fingerprint(point))
+}
+
+/// [`simulate_point`] for a caller that already holds the point's
+/// [`fingerprint`] (the engine computes it for the cache probe).
+pub(crate) fn simulate_point_keyed(
+    point: &ScenarioPoint,
+    fingerprint: String,
+) -> Result<PointResult, CampaignError> {
     let app = app_by_name(&point.workload)
         .ok_or_else(|| CampaignError::UnknownWorkload(point.workload.clone()))?;
     let profile_machine = synapse_sim::machine_by_name(&point.profile_machine)
@@ -183,14 +194,13 @@ pub fn simulate_point(point: &ScenarioPoint) -> Result<PointResult, CampaignErro
     let mode = plan.mode;
 
     let mut profile_noise = Noise::new(point.seed, point.noise_cv);
-    let profile = app.simulate_profile(
+    let samples = app.profile_samples(
         &profile_machine,
         point.steps,
         point.sample_rate,
         &mut profile_noise,
     );
-
-    let report = Emulator::new(plan).simulate(&profile, &machine);
+    let report = Emulator::new(plan).simulate_stream(samples.demands(), &machine);
 
     // Application baseline on the target machine, with its own noise
     // stream (decorrelated from the profiling noise).
@@ -202,7 +212,7 @@ pub fn simulate_point(point: &ScenarioPoint) -> Result<PointResult, CampaignErro
     };
 
     Ok(PointResult {
-        fingerprint: fingerprint(point),
+        fingerprint,
         point: point.clone(),
         tx: report.tx,
         app_tx: app_run.tx,

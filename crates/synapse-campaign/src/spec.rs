@@ -13,6 +13,16 @@ use serde::{Deserialize, Serialize};
 use crate::error::CampaignError;
 use crate::toml::toml_to_value;
 
+/// Highest profiling sample rate a spec may ask for, in Hz. Together
+/// with [`MAX_STEPS`] it bounds the samples one point can synthesize:
+/// specs arrive from the network (`POST /campaigns`), and an unbounded
+/// rate or step count is an effectively endless per-point loop.
+pub const MAX_SAMPLE_RATE_HZ: f64 = 1000.0;
+
+/// Highest iteration count a workload may sweep (see
+/// [`MAX_SAMPLE_RATE_HZ`]).
+pub const MAX_STEPS: u64 = 1_000_000_000;
+
 /// One workload axis entry: an application model plus step counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
@@ -221,6 +231,22 @@ impl CampaignSpec {
                 ))
             })?;
         }
+        for &rate in &self.sample_rates {
+            // Written so that NaN fails the range test too.
+            if !(rate > 0.0 && rate <= MAX_SAMPLE_RATE_HZ) {
+                return Err(CampaignError::Spec(format!(
+                    "sample rate must be in (0, {MAX_SAMPLE_RATE_HZ}] Hz, got {rate}"
+                )));
+            }
+        }
+        for w in &self.workloads {
+            if let Some(steps) = w.steps.iter().find(|&&s| s > MAX_STEPS) {
+                return Err(CampaignError::Spec(format!(
+                    "workload {:?}: steps must be <= {MAX_STEPS}, got {steps}",
+                    w.app
+                )));
+            }
+        }
         if !self.noise_cv.is_finite() || self.noise_cv < 0.0 {
             return Err(CampaignError::Spec(format!(
                 "noise_cv must be finite and >= 0, got {}",
@@ -411,6 +437,55 @@ mod tests {
         assert!(matches!(
             CampaignSpec::from_toml(&bad),
             Err(CampaignError::UnknownSampleOrder(_))
+        ));
+    }
+
+    #[test]
+    fn unbounded_sample_counts_are_rejected() {
+        let ok = CampaignSpec::from_toml(minimal_toml()).unwrap();
+        let with_rates = |rates: &[f64]| {
+            let mut spec = ok.clone();
+            spec.sample_rates = rates.to_vec();
+            spec.validated()
+        };
+        for bad in [
+            1e9,
+            MAX_SAMPLE_RATE_HZ * 1.001,
+            0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            assert!(
+                matches!(with_rates(&[10.0, bad]), Err(CampaignError::Spec(_))),
+                "rate {bad} must be rejected"
+            );
+        }
+        assert!(with_rates(&[0.001, MAX_SAMPLE_RATE_HZ]).is_ok());
+
+        let with_steps = |steps: u64| {
+            let mut spec = ok.clone();
+            spec.workloads[0].steps.push(steps);
+            spec.validated()
+        };
+        assert!(matches!(
+            with_steps(1_000_000_000_000_000_000),
+            Err(CampaignError::Spec(_))
+        ));
+        assert!(matches!(
+            with_steps(MAX_STEPS + 1),
+            Err(CampaignError::Spec(_))
+        ));
+        assert!(with_steps(MAX_STEPS).is_ok());
+
+        // The same bound holds on the wire format the server parses.
+        let json = serde_json::to_string(&ok)
+            .unwrap()
+            .replace("\"sample_rates\":[10.0]", "\"sample_rates\":[1e9]");
+        assert!(json.contains("1e9"), "{json}");
+        assert!(matches!(
+            CampaignSpec::from_json(&json),
+            Err(CampaignError::Spec(_))
         ));
     }
 

@@ -437,6 +437,9 @@ fn malformed_submissions_get_4xx_not_jobs() {
         ("unknown machine", "name = \"x\"\nmachines = [\"frontier\"]\nkernels = [\"asm\"]\n\n[[workloads]]\napp = \"gromacs\"\nsteps = [1000]\n"),
         ("unknown fs", "name = \"x\"\nfilesystems = [\"gpfs\"]\nmachines = [\"thinkie\"]\nkernels = [\"asm\"]\n\n[[workloads]]\napp = \"gromacs\"\nsteps = [1000]\n"),
         ("empty axis", "name = \"x\"\nmachines = [\"thinkie\"]\nkernels = []\n\n[[workloads]]\napp = \"gromacs\"\nsteps = [1000]\n"),
+        // Unbounded per-point sample counts never reach a worker.
+        ("unbounded sample rate", "{\"name\":\"x\",\"machines\":[\"thinkie\"],\"kernels\":[\"asm\"],\"sample_rates\":[1e9],\"workloads\":[{\"app\":\"gromacs\",\"steps\":[1000]}]}"),
+        ("unbounded steps", "name = \"x\"\nmachines = [\"thinkie\"]\nkernels = [\"asm\"]\n\n[[workloads]]\napp = \"gromacs\"\nsteps = [1000000000000000000]\n"),
     ] {
         let err = client.submit(body).unwrap_err();
         assert!(

@@ -193,12 +193,16 @@ impl MachineModel {
         bytes as f64 / self.net_bandwidth.max(1.0)
     }
 
+    /// The filesystem model I/O on `kind` is priced with: this
+    /// machine's model of that kind, or its default filesystem when it
+    /// has none.
+    pub fn fs_or_default(&self, kind: FsKind) -> &FsModel {
+        self.fs(kind).unwrap_or_else(|| self.default_fs_model())
+    }
+
     /// Seconds of storage I/O on a chosen filesystem.
     pub fn io_time(&self, bytes: u64, block: u64, op: IoOp, fs: FsKind) -> f64 {
-        match self.fs(fs) {
-            Some(model) => model.io_time(bytes, block, op),
-            None => self.default_fs_model().io_time(bytes, block, op),
-        }
+        self.fs_or_default(fs).io_time(bytes, block, op)
     }
 
     /// Scaling model for a parallel mode.

@@ -8,10 +8,8 @@
 //! output scale with the iteration count, disk input and memory stay
 //! constant.
 
-use synapse_model::{
-    ComputeSample, MemorySample, Profile, ProfileKey, Sample, StorageSample, Tags,
-};
-use synapse_sim::{IoOp, KernelClass, MachineModel, Noise, ParallelMode};
+use synapse_model::{Profile, ProfileKey, Sample, StorageSample, Tags};
+use synapse_sim::{IoOp, KernelClass, KernelProfile, MachineModel, Noise, ParallelMode};
 
 /// Parameters of the modelled application.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -161,7 +159,10 @@ impl AppModel {
     }
 
     /// Simulate profiling this application on a machine at a sampling
-    /// rate, producing the [`Profile`] the emulator will replay.
+    /// rate, as a lazy stream of the samples the profiler would have
+    /// collected — the one place that knows how a profile is
+    /// synthesized. The run's noise is drawn here, once; the stream
+    /// itself is deterministic and owns everything it needs.
     ///
     /// Faithful to the paper's sampling semantics (§4.1, §4.4):
     ///
@@ -175,6 +176,32 @@ impl AppModel {
     /// * memory gauges are read at the interval *start* (the first one
     ///   shortly after spawn, ~5 ms), which is what makes single-sample
     ///   profiles underestimate the resident set (Fig. 6 bottom).
+    pub fn profile_samples(
+        &self,
+        machine: &MachineModel,
+        steps: u64,
+        rate_hz: f64,
+        noise: &mut Noise,
+    ) -> ProfileSamples {
+        let run = self.execute(machine, steps, noise);
+        let dt = 1.0 / rate_hz.max(1e-3);
+        let frames = steps.checked_div(self.frame_interval).unwrap_or(0);
+        ProfileSamples {
+            app: *self,
+            kernel: machine.kernel(KernelClass::Application),
+            run,
+            dt,
+            nsamples: ((run.tx / dt).ceil() as usize).max(1),
+            next: 0,
+            cycles_left: run.cycles,
+            frames,
+            frames_done: 0,
+            next_frame: frame_time(run.tx, frames, 0),
+        }
+    }
+
+    /// Materialize [`AppModel::profile_samples`] into the [`Profile`]
+    /// the emulator (or a store) takes.
     pub fn simulate_profile(
         &self,
         machine: &MachineModel,
@@ -182,79 +209,155 @@ impl AppModel {
         rate_hz: f64,
         noise: &mut Noise,
     ) -> Profile {
-        let run = self.execute(machine, steps, noise);
-        let app = machine.kernel(KernelClass::Application);
-        let dt = 1.0 / rate_hz.max(1e-3);
-        let nsamples = ((run.tx / dt).ceil() as usize).max(1);
+        let samples = self.profile_samples(machine, steps, rate_hz, noise);
         let mut profile = Profile::new(self.key(steps), machine.system_info(), rate_hz);
-        profile.runtime = run.tx;
-
-        let frames = steps.checked_div(self.frame_interval).unwrap_or(0);
-        // Frame j completes at a fraction (j+1)/frames of the runtime.
-        let mut frame_times: Vec<f64> = (0..frames)
-            .map(|j| run.tx * (j + 1) as f64 / frames.max(1) as f64)
-            .collect();
-        // Make the final frame land strictly inside the last interval.
-        if let Some(last) = frame_times.last_mut() {
-            *last = (*last).min(run.tx * 0.999);
-        }
-
-        let mut cycles_left = run.cycles;
-        let mut frame_idx = 0usize;
-        for i in 0..nsamples {
-            let t0 = i as f64 * dt;
-            let t1 = t0 + dt;
-            // Active fraction of this interval.
-            let active = ((run.tx.min(t1) - t0).max(0.0)) / run.tx.max(1e-9);
-            let cycles = if i + 1 == nsamples {
-                cycles_left
-            } else {
-                let c = (run.cycles as f64 * active) as u64;
-                c.min(cycles_left)
-            };
-            cycles_left -= cycles;
-            let stalled =
-                (cycles as f64 * (1.0 - app.efficiency) / app.efficiency.max(1e-6)) as u64;
-            let mut storage = StorageSample::default();
-            if i == 0 {
-                storage.bytes_read = run.bytes_read;
-                storage.read_ops = run.bytes_read.div_ceil(1 << 20);
-            }
-            while frame_idx < frame_times.len() && frame_times[frame_idx] < t1 {
-                storage.bytes_written += self.frame_bytes;
-                storage.write_ops += 1;
-                frame_idx += 1;
-            }
-            // Memory gauge at interval start; the very first reading
-            // happens just after spawn.
-            let gauge_t = if i == 0 { 0.005 } else { t0.min(run.tx) };
-            let rss = self.rss_at(gauge_t);
-            let memory = MemorySample {
-                allocated: if i == 0 { self.rss_max } else { 0 },
-                freed: if i + 1 == nsamples { self.rss_max } else { 0 },
-                rss,
-                peak: rss,
-            };
-            let sample = Sample {
-                t: t0,
-                dt,
-                compute: ComputeSample {
-                    cycles,
-                    instructions: (cycles as f64 * app.ipc) as u64,
-                    stalled_frontend: stalled / 4,
-                    stalled_backend: stalled - stalled / 4,
-                    flops: (cycles as f64 * self.flops_per_cycle) as u64,
-                    threads: 1,
-                },
-                memory,
-                storage,
-                network: Default::default(),
-            };
+        profile.runtime = samples.runtime();
+        profile.samples.reserve(samples.len());
+        for sample in samples {
             profile.push(sample).expect("samples generated in order");
         }
         profile
     }
 }
+
+/// Completion time of frame `j` of `frames` in a run of `tx` seconds:
+/// a fraction `(j+1)/frames` of the runtime, with the final frame
+/// landing strictly inside the last interval.
+fn frame_time(tx: f64, frames: u64, j: u64) -> f64 {
+    let t = tx * (j + 1) as f64 / frames.max(1) as f64;
+    if j + 1 == frames {
+        t.min(tx * 0.999)
+    } else {
+        t
+    }
+}
+
+/// The samples of one simulated profiling run, synthesized on demand
+/// in collection order with O(1) state ([`AppModel::profile_samples`]).
+///
+/// Iterating yields full [`Sample`]s; [`ProfileSamples::demands`]
+/// yields only what an emulation replays. Both views run the same
+/// arithmetic in the same order as the materialized
+/// [`AppModel::simulate_profile`] (which is this stream, collected), so
+/// a consumer may switch between them without changing a bit of any
+/// result derived from the demand fields.
+#[derive(Debug, Clone)]
+pub struct ProfileSamples {
+    app: AppModel,
+    /// The application's execution characteristics on the profiled
+    /// machine.
+    kernel: KernelProfile,
+    run: SimRun,
+    dt: f64,
+    nsamples: usize,
+    /// Index of the next sample to yield.
+    next: usize,
+    cycles_left: u64,
+    /// Trajectory frames the run writes, and how many are attributed.
+    frames: u64,
+    frames_done: u64,
+    /// Completion time of frame `frames_done`. Cached: it changes only
+    /// when a frame is attributed, not on every sample.
+    next_frame: f64,
+}
+
+impl ProfileSamples {
+    /// The profiled run's wall-clock execution time Tx in seconds
+    /// (what [`Profile::runtime`] records).
+    pub fn runtime(&self) -> f64 {
+        self.run.tx
+    }
+
+    /// The replay demands only: samples carrying `t`/`dt`, compute
+    /// cycles, storage bytes and ops, and memory allocated/freed, with
+    /// every observation an emulation never replays (instructions,
+    /// stalls, flops, thread and resident-set gauges) left at zero and
+    /// never computed.
+    pub fn demands(mut self) -> impl ExactSizeIterator<Item = Sample> {
+        (self.next..self.nsamples).map(move |_| self.step())
+    }
+
+    /// Synthesize the demand fields of sample `self.next` and advance.
+    /// Callers guarantee `self.next < self.nsamples`.
+    #[inline]
+    fn step(&mut self) -> Sample {
+        let i = self.next;
+        self.next += 1;
+        let run = &self.run;
+        let t0 = i as f64 * self.dt;
+        let t1 = t0 + self.dt;
+        // Active fraction of this interval.
+        let active = ((run.tx.min(t1) - t0).max(0.0)) / run.tx.max(1e-9);
+        let cycles = if i + 1 == self.nsamples {
+            self.cycles_left
+        } else {
+            let c = (run.cycles as f64 * active) as u64;
+            c.min(self.cycles_left)
+        };
+        self.cycles_left -= cycles;
+        let mut storage = StorageSample::default();
+        if i == 0 {
+            storage.bytes_read = run.bytes_read;
+            storage.read_ops = run.bytes_read.div_ceil(1 << 20);
+        }
+        while self.frames_done < self.frames && self.next_frame < t1 {
+            storage.bytes_written += self.app.frame_bytes;
+            storage.write_ops += 1;
+            self.frames_done += 1;
+            self.next_frame = frame_time(run.tx, self.frames, self.frames_done);
+        }
+        let mut sample = Sample::at(t0, self.dt);
+        sample.compute.cycles = cycles;
+        sample.storage = storage;
+        if i == 0 {
+            sample.memory.allocated = self.app.rss_max;
+        }
+        if i + 1 == self.nsamples {
+            sample.memory.freed = self.app.rss_max;
+        }
+        sample
+    }
+}
+
+impl Iterator for ProfileSamples {
+    type Item = Sample;
+
+    /// The demand step plus the observations a profiler would also
+    /// have read in that interval.
+    #[inline]
+    fn next(&mut self) -> Option<Sample> {
+        if self.next == self.nsamples {
+            return None;
+        }
+        let i = self.next;
+        let mut sample = self.step();
+        let cycles = sample.compute.cycles;
+        let efficiency = self.kernel.efficiency;
+        let stalled = (cycles as f64 * (1.0 - efficiency) / efficiency.max(1e-6)) as u64;
+        sample.compute.instructions = (cycles as f64 * self.kernel.ipc) as u64;
+        sample.compute.stalled_frontend = stalled / 4;
+        sample.compute.stalled_backend = stalled - stalled / 4;
+        sample.compute.flops = (cycles as f64 * self.app.flops_per_cycle) as u64;
+        sample.compute.threads = 1;
+        // Memory gauge at interval start; the very first reading
+        // happens just after spawn.
+        let gauge_t = if i == 0 {
+            0.005
+        } else {
+            sample.t.min(self.run.tx)
+        };
+        sample.memory.rss = self.app.rss_at(gauge_t);
+        sample.memory.peak = sample.memory.rss;
+        Some(sample)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.nsamples - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for ProfileSamples {}
 
 #[cfg(test)]
 mod tests {

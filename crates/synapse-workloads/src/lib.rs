@@ -28,6 +28,6 @@ pub mod appmodel;
 pub mod mdsim;
 pub mod synthetic;
 
-pub use appmodel::{AppModel, SimRun};
+pub use appmodel::{AppModel, ProfileSamples, SimRun};
 pub use mdsim::{MdConfig, MdReport, MdSim};
 pub use synthetic::{busy_flops, PhaseOp, PhaseScript};

@@ -18,6 +18,7 @@
 //!   this is how the cross-resource experiments run without the
 //!   original testbeds (substitution documented in DESIGN.md).
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -220,18 +221,18 @@ impl Emulator {
         &self.plan
     }
 
-    /// Prepare the sample sequence for replay: ordered as profiled, or
-    /// merged into one all-concurrent sample when order preservation
-    /// is disabled (ablation).
-    fn replay_samples(&self, profile: &Profile) -> Vec<Sample> {
-        if self.plan.preserve_sample_order || profile.samples.len() <= 1 {
-            profile.samples.clone()
+    /// The sample sequence the real backend replays: the profile's own
+    /// samples, borrowed, or one all-concurrent merged sample when
+    /// order preservation is disabled (ablation).
+    fn replay_samples<'p>(&self, profile: &'p Profile) -> Cow<'p, [Sample]> {
+        if self.plan.preserve_sample_order {
+            Cow::Borrowed(&profile.samples)
         } else {
-            let mut merged = profile.samples[0];
-            for s in &profile.samples[1..] {
-                merged = merged.absorb(s);
-            }
-            vec![merged]
+            Cow::Owned(
+                merged(profile.samples.iter().copied())
+                    .into_iter()
+                    .collect(),
+            )
         }
     }
 
@@ -261,7 +262,7 @@ impl Emulator {
         let samples = self.replay_samples(profile);
         let mut consumed = ConsumedTotals::default();
 
-        for sample in &samples {
+        for sample in samples.iter() {
             // Per-sample demands, gated by the plan's enable flags.
             let cycles = if self.plan.emulate_compute {
                 sample.compute.cycles
@@ -357,32 +358,83 @@ impl Emulator {
 
     /// Replay a profile on the **simulated backend**: price every
     /// demand against a machine model and advance a virtual clock.
+    ///
+    /// A thin adapter over [`Emulator::simulate_stream`], which see for
+    /// the bit-identity contract: streaming a profile's samples and
+    /// simulating the materialized profile give equal reports.
     pub fn simulate(&self, profile: &Profile, machine: &MachineModel) -> EmulationReport {
-        let class = self.plan.kernel.class();
+        self.simulate_stream(profile.samples.iter().copied(), machine)
+    }
+
+    /// Replay a stream of samples on the **simulated backend** in one
+    /// ordered pass with O(1) memory — "feeds all samples ... to the
+    /// emulation atoms in the order in which the samples have been
+    /// collected" (§4). With `preserve_sample_order` off, the stream is
+    /// first folded into one all-concurrent sample.
+    ///
+    /// Only the replay demands of a sample are read (compute cycles,
+    /// storage bytes, memory allocated/freed, network bytes), so a
+    /// stream that leaves the other fields unset prices identically.
+    ///
+    /// **Bit-identity contract.** Everything constant over a run — the
+    /// kernel profile, the cycle rate, the filesystem model, the memory
+    /// and network bandwidths, the contention factor — is resolved once
+    /// before the loop, but every float operation keeps the operands
+    /// and order it has in the [`MachineModel`] pricing methods (a
+    /// divisor is hoisted, never turned into a multiplication by its
+    /// reciprocal). Reports are therefore bit-for-bit what pricing each
+    /// sample through those methods gives, which is what lets cached
+    /// campaign results, recorded traces and the golden digest survive
+    /// changes to this loop without an engine version bump.
+    pub fn simulate_stream(
+        &self,
+        samples: impl Iterator<Item = Sample>,
+        machine: &MachineModel,
+    ) -> EmulationReport {
+        if self.plan.preserve_sample_order {
+            self.price(samples, machine)
+        } else {
+            self.price(merged(samples).into_iter(), machine)
+        }
+    }
+
+    /// The one pricing loop of the simulated backend.
+    fn price(
+        &self,
+        samples: impl Iterator<Item = Sample>,
+        machine: &MachineModel,
+    ) -> EmulationReport {
+        let plan = &self.plan;
+        let class = plan.kernel.class();
         let kprofile = machine.kernel(class);
-        let fs = self.plan.target_fs.unwrap_or(machine.default_fs);
-        let workers = self.plan.threads.max(1);
-        let pmodel = machine.parallel(self.plan.mode);
+        // `MachineModel::compute_time`'s divisor.
+        let cycle_rate = machine.cpu.effective_freq_hz * kprofile.efficiency.max(1e-6);
+        let fs = machine.fs_or_default(plan.target_fs.unwrap_or(machine.default_fs));
+        // `MachineModel::{mem_time, net_time}`'s divisors.
+        let mem_bandwidth = machine.mem_bandwidth.max(1.0);
+        let net_bandwidth = machine.net_bandwidth.max(1.0);
+        let workers = plan.threads.max(1);
+        let pmodel = machine.parallel(plan.mode);
+        let contention = pmodel.contention * (workers as f64 - 1.0) / machine.cpu.ncores as f64;
 
         let mut clock = VirtualClock::new();
-        clock.advance(self.plan.sim_startup_seconds);
+        clock.advance(plan.sim_startup_seconds);
         if workers > 1 {
             // Worker pool launch cost, once per emulation.
             clock.advance(pmodel.startup_fixed + pmodel.startup_per_worker * workers as f64);
         }
 
-        let samples = self.replay_samples(profile);
         let mut consumed = ConsumedTotals::default();
+        let mut replayed = 0usize;
 
-        for sample in &samples {
+        for sample in samples {
+            replayed += 1;
             let mut durations = [0.0f64; 4];
-            if self.plan.emulate_compute && sample.compute.cycles > 0 {
+            if plan.emulate_compute && sample.compute.cycles > 0 {
                 let directed = sample.compute.cycles;
                 let actual = kprofile.consumed_cycles(directed);
-                let serial = machine.compute_time(actual, class);
+                let serial = actual as f64 / cycle_rate;
                 let t = if workers > 1 {
-                    let contention =
-                        pmodel.contention * (workers as f64 - 1.0) / machine.cpu.ncores as f64;
                     (serial / workers as f64) * (1.0 + contention)
                 } else {
                     serial
@@ -392,23 +444,23 @@ impl Emulator {
                 consumed.cycles += actual;
                 consumed.instructions += (actual as f64 * kprofile.ipc) as u64;
             }
-            if self.plan.emulate_storage {
+            if plan.emulate_storage {
                 let rd = sample.storage.bytes_read;
                 let wr = sample.storage.bytes_written;
-                durations[1] = machine.io_time(rd, self.plan.io_read_block, IoOp::Read, fs)
-                    + machine.io_time(wr, self.plan.io_write_block, IoOp::Write, fs);
+                durations[1] = fs.io_time(rd, plan.io_read_block, IoOp::Read)
+                    + fs.io_time(wr, plan.io_write_block, IoOp::Write);
                 consumed.bytes_read += rd;
                 consumed.bytes_written += wr;
             }
-            if self.plan.emulate_memory {
+            if plan.emulate_memory {
                 let bytes = sample.memory.allocated + sample.memory.freed;
-                durations[2] = machine.mem_time(bytes);
+                durations[2] = bytes as f64 / mem_bandwidth;
                 consumed.mem_allocated += sample.memory.allocated;
                 consumed.mem_freed += sample.memory.freed;
             }
-            if self.plan.emulate_network {
+            if plan.emulate_network {
                 let bytes = sample.network.bytes_sent + sample.network.bytes_recv;
-                durations[3] = machine.net_time(bytes);
+                durations[3] = bytes as f64 / net_bandwidth;
                 consumed.net_sent += sample.network.bytes_sent;
                 consumed.net_recv += sample.network.bytes_recv;
             }
@@ -419,11 +471,17 @@ impl Emulator {
 
         EmulationReport {
             tx: clock.now(),
-            samples: samples.len(),
+            samples: replayed,
             consumed,
             backend: format!("sim:{}", machine.name),
         }
     }
+}
+
+/// Merge a sample sequence into one all-concurrent sample (the
+/// ordering ablation of Fig. 2); `None` for an empty sequence.
+fn merged(samples: impl Iterator<Item = Sample>) -> Option<Sample> {
+    samples.reduce(|merged, sample| merged.absorb(&sample))
 }
 
 impl Default for Emulator {
