@@ -72,41 +72,52 @@ pub struct AxisSlice {
     pub error_pct: Percentiles,
 }
 
-type AxisKeyFn = fn(&PointResult) -> String;
+/// How an axis reads its value off a result, as text: a string axis
+/// lends the field itself, a numeric one formats into `buf` and lends
+/// that — either way the caller allocates only if it keeps the value.
+pub type AxisKeyFn = for<'a> fn(&'a PointResult, &'a mut String) -> &'a str;
+
+fn numeric(buf: &mut String, value: impl std::fmt::Display) -> &str {
+    use std::fmt::Write as _;
+    buf.clear();
+    let _ = write!(buf, "{value}");
+    buf
+}
 
 /// The slice-keying table: every report axis with its value renderer,
 /// in alphabetical (= report) order. Offline reports
 /// ([`axis_slices`]) and the live plane ([`crate::live`]) both key
 /// from this one table, so their slice coordinates can never drift.
 pub const AXES: [(&str, AxisKeyFn); 11] = [
-    ("atoms", |r| r.point.atoms.clone()),
-    ("fs", |r| r.point.fs.clone()),
-    ("io_block", |r| r.point.io_block.to_string()),
-    ("kernel", |r| r.point.kernel.clone()),
-    ("machine", |r| r.point.machine.clone()),
-    ("mode", |r| r.point.mode.clone()),
-    ("sample_order", |r| r.point.sample_order.clone()),
-    ("sample_rate", |r| format!("{}", r.point.sample_rate)),
-    ("steps", |r| r.point.steps.to_string()),
-    ("threads", |r| r.point.threads.to_string()),
-    ("workload", |r| r.point.workload.clone()),
+    ("atoms", |r, _| &r.point.atoms),
+    ("fs", |r, _| &r.point.fs),
+    ("io_block", |r, buf| numeric(buf, r.point.io_block)),
+    ("kernel", |r, _| &r.point.kernel),
+    ("machine", |r, _| &r.point.machine),
+    ("mode", |r, _| &r.point.mode),
+    ("sample_order", |r, _| &r.point.sample_order),
+    ("sample_rate", |r, buf| numeric(buf, r.point.sample_rate)),
+    ("steps", |r, buf| numeric(buf, r.point.steps)),
+    ("threads", |r, buf| numeric(buf, r.point.threads)),
+    ("workload", |r, _| &r.point.workload),
 ];
-
-/// The `(axis, value)` coordinates of one result, one per [`AXES`]
-/// entry.
-pub fn axis_keys(r: &PointResult) -> [(&'static str, String); 11] {
-    AXES.map(|(axis, key_of)| (axis, key_of(r)))
-}
 
 /// Slice results along every axis: one [`AxisSlice`] per axis value,
 /// sorted by `(axis, value)` for deterministic reports.
 pub fn axis_slices(results: &[PointResult]) -> Vec<AxisSlice> {
     let mut slices = Vec::new();
+    let mut buf = String::new();
     for (axis, key_of) in AXES {
         let mut groups: std::collections::BTreeMap<String, Vec<&PointResult>> =
             std::collections::BTreeMap::new();
         for r in results {
-            groups.entry(key_of(r)).or_default().push(r);
+            let value = key_of(r, &mut buf);
+            match groups.get_mut(value) {
+                Some(group) => group.push(r),
+                None => {
+                    groups.insert(value.to_string(), vec![r]);
+                }
+            }
         }
         for (value, group) in groups {
             let tx: Vec<f64> = group.iter().map(|r| r.tx).collect();

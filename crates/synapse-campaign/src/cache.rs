@@ -8,8 +8,10 @@
 //! last save, and a manifest records the layout — so a million-point
 //! campaign pays for the points it adds, not for the points it has.
 
+use std::fmt::Write as _;
 use std::path::Path;
 
+use serde::Serialize as _;
 use synapse_store::{Document, ShardedDb, DEFAULT_DOC_LIMIT};
 
 use crate::error::CampaignError;
@@ -35,20 +37,30 @@ pub fn engine_tag() -> String {
 /// Content fingerprint of a scenario point (hex, stable across runs
 /// and platforms).
 pub fn fingerprint(point: &ScenarioPoint) -> String {
-    // The index is display-only; exclude it so reordering axes or
-    // growing the grid never changes a point's identity.
-    let mut canonical = point.clone();
-    canonical.index = 0;
-    let json = serde_json::to_string(&canonical).expect("point serializes");
+    // The hash input is the point's canonical JSON, written straight
+    // into the buffer that gets hashed.
+    let mut json = String::with_capacity(512);
+    point.write_json(&mut json);
+    // The index is display-only; it is hashed as 0 so reordering axes
+    // or growing the grid never changes a point's identity. Splicing
+    // the digits out of the text costs nothing next to cloning the
+    // whole point (eight strings) to zero one field. No string value
+    // can hold this key text: the escaper writes a `"` inside a string
+    // as `\"`.
+    const INDEX_KEY: &str = ",\"index\":";
+    let at = json
+        .find(INDEX_KEY)
+        .expect("a serialized point carries its index")
+        + INDEX_KEY.len();
+    let digits = json[at..].bytes().take_while(u8::is_ascii_digit).count();
+    json.replace_range(at..at + digits, "0");
     // The engine version is folded in twice: as the FNV seed *and* as
     // hashed bytes. Seeding alone only XORs the version into the
     // initial state, which a crafted (or unlucky) byte stream could
     // cancel back out — hashing the version bytes makes a version bump
     // irreversibly part of the digest.
-    let mut bytes = json.into_bytes();
-    bytes.extend_from_slice(b"|engine=");
-    bytes.extend_from_slice(ENGINE_VERSION.to_string().as_bytes());
-    format!("{:016x}", fnv1a(&bytes, ENGINE_VERSION as u64))
+    let _ = write!(json, "|engine={ENGINE_VERSION}");
+    format!("{:016x}", fnv1a(json.as_bytes(), ENGINE_VERSION as u64))
 }
 
 /// Deterministic causality id for a campaign: the same spec (seed
@@ -104,8 +116,12 @@ impl ResultCache {
     /// since, and folds that save's shard file in before answering —
     /// cluster workers pick up each other's results mid-campaign, not
     /// only at the next open. See [`synapse_store::ShardedDb::get`].
+    ///
+    /// The stored document is decoded where it lies, under the store's
+    /// read lock — a hit costs the strings of the result it returns,
+    /// not a copy of the document first.
     pub fn get(&self, fingerprint: &str) -> Option<PointResult> {
-        self.db.get(fingerprint).and_then(|doc| doc.decode().ok())
+        self.db.read(fingerprint, |doc| doc.decode().ok()).flatten()
     }
 
     /// Store a result under its fingerprint (idempotent).
@@ -210,6 +226,30 @@ mod tests {
         let mut reseeded = ps[0].clone();
         reseeded.seed ^= 1;
         assert_ne!(fingerprint(&reseeded), fingerprint(&ps[0]), "seed included");
+    }
+
+    #[test]
+    fn fingerprints_are_pinned_across_codec_changes() {
+        // Computed at commit 45ca1a9, when `fingerprint` cloned the
+        // point and rendered it through the `Value` tree. A change to
+        // the JSON writer that moves one byte of a point's canonical
+        // text silently invalidates every cache on disk; this fails
+        // instead. Re-pin only together with an `ENGINE_VERSION` bump.
+        let ps = points();
+        assert_eq!(fingerprint(&ps[0]), "a997b4c959216dd9");
+        let mut late = ps[1].clone();
+        late.index = 123_456;
+        assert_eq!(fingerprint(&late), "5c58a5d9d9d4f670");
+        // Escapes, non-ASCII, an integral float, the largest seed, and
+        // a string value spelling the very key the index splice looks
+        // for.
+        let mut odd = ps[0].clone();
+        odd.index = 7;
+        odd.workload = "we\"ird\\app,\"index\":9 é\n".to_string();
+        odd.sample_rate = 2.0;
+        odd.noise_cv = 0.025;
+        odd.seed = u64::MAX;
+        assert_eq!(fingerprint(&odd), "53d59abc83909c1d");
     }
 
     #[test]

@@ -29,9 +29,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use serde_json::{json, Value};
 use synapse_telemetry::{global, Counter, Histogram, SIZE_BUCKETS};
 
-use crate::aggregate::axis_keys;
+use crate::aggregate::AXES;
 use crate::runner::PointResult;
-use crate::sketch::QuantileSketch;
+use crate::sketch::{key_of, QuantileSketch};
 
 /// Version stamped on snapshot deltas and worker digests (`"v"` key).
 /// Consumers accept any version ≤ theirs and must ignore unknown
@@ -50,10 +50,30 @@ struct SliceNode {
     version: u64,
 }
 
+/// One point's two metric values, each with its sketch bucket key: a
+/// point lands in a dozen nodes, and the key (a logarithm) is the same
+/// in all of them.
+#[derive(Clone, Copy)]
+struct Observation {
+    tx: (f64, i64),
+    error_pct: (f64, i64),
+}
+
+impl Observation {
+    fn of(result: &PointResult) -> Observation {
+        let keyed = |v: f64| (v, key_of(v));
+        Observation {
+            tx: keyed(result.tx),
+            error_pct: keyed(result.error_pct()),
+        }
+    }
+}
+
 impl SliceNode {
-    fn observe(&mut self, tx: f64, error_pct: f64, version: u64) {
-        self.tx.observe(tx);
-        self.error_pct.observe(error_pct);
+    fn observe(&mut self, seen: Observation, version: u64) {
+        self.tx.observe_keyed(seen.tx.0, seen.tx.1);
+        self.error_pct
+            .observe_keyed(seen.error_pct.0, seen.error_pct.1);
         self.version = version;
     }
 
@@ -110,13 +130,40 @@ fn stats_value(sketch: &QuantileSketch) -> Value {
 }
 
 struct Inner {
-    /// `(axis, value)` → sketches; BTreeMap order is render order.
-    slices: BTreeMap<(String, String), SliceNode>,
+    /// One `value → sketches` map per report axis, indexed like
+    /// [`AXES`] (which is in axis-name order), so walking the array and
+    /// then each map visits slices in `(axis, value)` order — render
+    /// order. Keyed per axis so a point finds its slices by `&str`.
+    slices: [BTreeMap<String, SliceNode>; AXES.len()],
     /// The campaign-wide node (all points, no slicing).
     overall: SliceNode,
     /// Bumped once per mutation; slices remember the version of their
     /// last change, enabling delta reads.
     version: u64,
+    /// Where numeric axis values are formatted for lookup.
+    scratch: String,
+}
+
+/// Run `f` on the node under `value`, found by `&str`: the key is
+/// copied only when the slice is seen for the first time.
+fn with_node(
+    values: &mut BTreeMap<String, SliceNode>,
+    value: &str,
+    f: impl FnOnce(&mut SliceNode),
+) {
+    match values.get_mut(value) {
+        Some(node) => f(node),
+        None => f(values.entry(value.to_string()).or_default()),
+    }
+}
+
+impl Inner {
+    /// Every slice as `(axis, value, node)`, in render order.
+    fn slices(&self) -> impl Iterator<Item = (&'static str, &String, &SliceNode)> {
+        AXES.iter()
+            .zip(&self.slices)
+            .flat_map(|((axis, _), values)| values.iter().map(|(value, node)| (*axis, value, node)))
+    }
 }
 
 /// Shared live aggregates for one campaign. All methods are
@@ -137,30 +184,33 @@ impl LiveAggregates {
     pub fn new() -> LiveAggregates {
         LiveAggregates {
             inner: Mutex::new(Inner {
-                slices: BTreeMap::new(),
+                slices: Default::default(),
                 overall: SliceNode::default(),
                 version: 0,
+                scratch: String::new(),
             }),
         }
     }
 
     /// Fold one finished point in: the overall node plus one slice per
     /// report axis. O(axes · log slices) per point, independent of how
-    /// many points came before.
+    /// many points came before — and, held under the job-wide lock as
+    /// it is, allocation-free once the point's slices exist.
     pub fn record(&self, result: &PointResult) {
-        let tx = result.tx;
-        let err = result.error_pct();
-        let keys = axis_keys(result);
-        let mut inner = self.inner.lock().expect("live aggregates lock");
-        inner.version += 1;
-        let version = inner.version;
-        inner.overall.observe(tx, err, version);
-        for (axis, value) in keys {
-            inner
-                .slices
-                .entry((axis.to_string(), value))
-                .or_default()
-                .observe(tx, err, version);
+        let seen = Observation::of(result);
+        let mut guard = self.inner.lock().expect("live aggregates lock");
+        let Inner {
+            slices,
+            overall,
+            version,
+            scratch,
+        } = &mut *guard;
+        *version += 1;
+        overall.observe(seen, *version);
+        for (values, (_, key_of)) in slices.iter_mut().zip(AXES) {
+            with_node(values, key_of(result, scratch), |node| {
+                node.observe(seen, *version)
+            });
         }
         AggregateMetrics::get().updates.inc();
     }
@@ -199,10 +249,9 @@ impl LiveAggregates {
     pub fn delta_since(&self, since: u64) -> (Vec<Value>, u64) {
         let inner = self.inner.lock().expect("live aggregates lock");
         let slices = inner
-            .slices
-            .iter()
-            .filter(|(_, node)| node.version > since)
-            .map(|((axis, value), node)| {
+            .slices()
+            .filter(|(_, _, node)| node.version > since)
+            .map(|(axis, value, node)| {
                 json!({
                     "axis": axis,
                     "metrics": node.metrics_value(None),
@@ -220,10 +269,9 @@ impl LiveAggregates {
     pub fn render(&self, axis: Option<&str>, metric: Option<&str>) -> Value {
         let inner = self.inner.lock().expect("live aggregates lock");
         let slices: Vec<Value> = inner
-            .slices
-            .iter()
-            .filter(|((a, _), _)| axis.is_none_or(|want| want == a))
-            .map(|((a, value), node)| {
+            .slices()
+            .filter(|(a, _, _)| axis.is_none_or(|want| want == *a))
+            .map(|(a, value, node)| {
                 json!({
                     "axis": a,
                     "metrics": node.metrics_value(metric),
@@ -244,9 +292,8 @@ impl LiveAggregates {
     pub fn digest(&self) -> Value {
         let inner = self.inner.lock().expect("live aggregates lock");
         let slices: Vec<Value> = inner
-            .slices
-            .iter()
-            .map(|((axis, value), node)| {
+            .slices()
+            .map(|(axis, value, node)| {
                 let mut map = serde_json::Map::new();
                 map.insert("axis".into(), json!(axis));
                 map.insert("value".into(), json!(value));
@@ -271,11 +318,16 @@ impl LiveAggregates {
             return None;
         }
         let overall = SliceNode::from_digest(v.get("overall")?)?;
-        let mut parsed: Vec<((String, String), SliceNode)> = Vec::new();
+        let mut parsed: Vec<(usize, &str, SliceNode)> = Vec::new();
         for slice in v.get("slices")?.as_array()? {
-            let axis = slice.get("axis")?.as_str()?.to_string();
-            let value = slice.get("value")?.as_str()?.to_string();
-            parsed.push(((axis, value), SliceNode::from_digest(slice)?));
+            let axis = slice.get("axis")?.as_str()?;
+            let value = slice.get("value")?.as_str()?;
+            let node = SliceNode::from_digest(slice)?;
+            // An axis this build does not report is, like any unknown
+            // key, ignored.
+            if let Some(at) = AXES.iter().position(|(known, _)| *known == axis) {
+                parsed.push((at, value, node));
+            }
         }
         // Everything parsed: now mutate, under one version bump.
         let merged = parsed.len();
@@ -283,8 +335,10 @@ impl LiveAggregates {
         inner.version += 1;
         let version = inner.version;
         inner.overall.merge(&overall, version);
-        for (key, node) in parsed {
-            inner.slices.entry(key).or_default().merge(&node, version);
+        for (at, value, node) in parsed {
+            with_node(&mut inner.slices[at], value, |mine| {
+                mine.merge(&node, version)
+            });
         }
         Some(merged)
     }
@@ -335,7 +389,7 @@ impl AggregateMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{axis_slices, AXES};
+    use crate::aggregate::axis_slices;
     use crate::cache::ResultCache;
     use crate::engine::{CampaignEngine, CancelToken};
     use crate::grid::expand;

@@ -12,15 +12,13 @@
 //! MIN_MAG))` with γ = [`GAMMA`], negative values mirror into negative
 //! bucket keys, and `|v| ≤ MIN_MAG` collapses into bucket 0. Bucket
 //! keys ascend with value, so a rank walk over the sparse
-//! `BTreeMap<i64, u64>` yields nearest-rank quantiles whose relative
+//! `(key, count)` vector yields nearest-rank quantiles whose relative
 //! error is at most [`RELATIVE_ERROR`] = (γ−1)/(γ+1) (< 1 %), plus
 //! [`MIN_MAG`] of absolute slack around zero. Merging is bucket-wise
 //! counter addition — exactly commutative, and associative up to f64
 //! summation order in the exact moments carried alongside
 //! (count/sum/min/max are tracked exactly; only quantiles are
 //! approximate).
-
-use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
 
@@ -41,9 +39,13 @@ pub const MIN_MAG: f64 = 1e-9;
 /// error of the nearest-rank order statistic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
-    /// Sparse log-γ buckets: key ascends with value, so iteration
-    /// order is value order.
-    buckets: BTreeMap<i64, u64>,
+    /// Sparse log-γ buckets as `(key, count)`, sorted by key: key
+    /// ascends with value, so iteration order is value order. A flat
+    /// sorted vector because the hot operation is "bump the count
+    /// under this key" two dozen times per landed point — a binary
+    /// search over contiguous memory — while a new bucket (an insert
+    /// in the middle) is rare and bounded by the value range.
+    buckets: Vec<(i64, u64)>,
     count: u64,
     sum: f64,
     abs_sum: f64,
@@ -52,8 +54,10 @@ pub struct QuantileSketch {
 }
 
 /// Bucket key for a value: 0 for near-zero, else the γ-log magnitude
-/// index signed by the value.
-fn key_of(v: f64) -> i64 {
+/// index signed by the value. The same in every sketch, so a caller
+/// folding one value into many ([`crate::live`]: a slice per axis)
+/// works it out once and uses [`QuantileSketch::observe_keyed`].
+pub(crate) fn key_of(v: f64) -> i64 {
     let mag = v.abs();
     if mag <= MIN_MAG {
         return 0;
@@ -91,7 +95,7 @@ impl QuantileSketch {
     /// An empty sketch.
     pub fn new() -> QuantileSketch {
         QuantileSketch {
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
             count: 0,
             sum: 0.0,
             abs_sum: 0.0,
@@ -103,10 +107,16 @@ impl QuantileSketch {
     /// Record one observation. O(log buckets); buckets are bounded by
     /// the value range, not the observation count.
     pub fn observe(&mut self, v: f64) {
+        self.observe_keyed(v, key_of(v));
+    }
+
+    /// [`observe`](QuantileSketch::observe) with `key = key_of(v)`
+    /// already in hand.
+    pub(crate) fn observe_keyed(&mut self, v: f64, key: i64) {
         if !v.is_finite() {
             return; // simulator metrics are finite; never poison the sketch
         }
-        *self.buckets.entry(key_of(v)).or_insert(0) += 1;
+        self.add(key, 1);
         self.count += 1;
         self.sum += v;
         self.abs_sum += v.abs();
@@ -114,12 +124,20 @@ impl QuantileSketch {
         self.max = self.max.max(v);
     }
 
+    /// Add `n` to the bucket under `key`, creating it in key order.
+    fn add(&mut self, key: i64, n: u64) {
+        match self.buckets.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(at) => self.buckets[at].1 += n,
+            Err(at) => self.buckets.insert(at, (key, n)),
+        }
+    }
+
     /// Fold another sketch into this one. Bucket-wise addition:
     /// exactly commutative, and independent of how observations were
     /// split across the inputs.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        for (&k, &n) in &other.buckets {
-            *self.buckets.entry(k).or_insert(0) += n;
+        for &(k, n) in &other.buckets {
+            self.add(k, n);
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -171,7 +189,7 @@ impl QuantileSketch {
             return Some(self.max);
         }
         let mut seen = 0u64;
-        for (&k, &n) in &self.buckets {
+        for &(k, n) in &self.buckets {
             seen += n;
             if seen >= rank {
                 // The exact min/max are known: clamping costs nothing
@@ -204,7 +222,7 @@ impl QuantileSketch {
         let pairs: Vec<Value> = self
             .buckets
             .iter()
-            .map(|(&k, &n)| Value::Array(vec![json!(k), json!(n)]))
+            .map(|&(k, n)| Value::Array(vec![json!(k), json!(n)]))
             .collect();
         let (min, max) = if self.count > 0 {
             (self.min, self.max)
@@ -229,7 +247,7 @@ impl QuantileSketch {
         if count == 0 {
             return Some(QuantileSketch::new());
         }
-        let mut buckets = BTreeMap::new();
+        let mut buckets: Vec<(i64, u64)> = Vec::new();
         let mut total = 0u64;
         for pair in v.get("buckets")?.as_array()? {
             let pair = pair.as_array()?;
@@ -238,9 +256,14 @@ impl QuantileSketch {
             }
             let k = pair[0].as_i64()?;
             let n = pair[1].as_u64()?;
-            if n == 0 || buckets.insert(k, n).is_some() {
+            // Pairs may come in any order; a repeated key may not.
+            let Err(at) = buckets.binary_search_by_key(&k, |&(k, _)| k) else {
+                return None;
+            };
+            if n == 0 {
                 return None;
             }
+            buckets.insert(at, (k, n));
             total = total.checked_add(n)?;
         }
         if total != count {

@@ -21,7 +21,7 @@
 //! sweeps the remaining leases through its own engine — a cluster
 //! degrades to a single process, never to a hung job.
 
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use synapse_campaign::{
@@ -72,6 +72,47 @@ impl Default for ClusterConfig {
 /// points — the speculative re-run would cost more in lease dispatch
 /// than it saves in makespan.
 const MIN_SPLIT_POINTS: usize = 4;
+
+/// How long an idle driver waits before looking at the lease table
+/// again on its own — the cadence at which it re-probes stragglers for
+/// a tail worth splitting. Anything that changes what it could claim
+/// wakes it sooner through [`Progress`].
+const IDLE_POLL: Duration = Duration::from_millis(25);
+
+/// Wakes idle drivers the moment there may be something for them to
+/// do — a lease completed, released or split, or the grid finished —
+/// instead of leaving them to sleep out their poll interval while the
+/// job waits on them to exit.
+#[derive(Default)]
+struct Progress {
+    /// Counts wake-worthy changes. A driver reads it *before* it looks
+    /// for work and waits only while it still reads the same, so a
+    /// change between the look and the wait is not slept through.
+    epoch: Mutex<u64>,
+    changed: Condvar,
+}
+
+impl Progress {
+    fn epoch(&self) -> u64 {
+        *self.epoch.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn bump(&self) {
+        *self.epoch.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        self.changed.notify_all();
+    }
+
+    /// Block until the epoch moves past `seen`, or `timeout` passes.
+    fn wait_past(&self, seen: u64, timeout: Duration) {
+        let guard = self.epoch.lock().unwrap_or_else(|e| e.into_inner());
+        // A poisoned wait still returns the guard; either way the
+        // caller re-checks everything it cares about.
+        drop(
+            self.changed
+                .wait_timeout_while(guard, timeout, |epoch| *epoch == seen),
+        );
+    }
+}
 
 /// The distributed-execution backend a coordinator-mode server plugs
 /// into [`synapse_server::Server::with_cluster`].
@@ -149,6 +190,7 @@ impl Coordinator {
         collector: &Collector,
         live: &LiveAggregates,
         coverage: &Mutex<Vec<bool>>,
+        progress: &Progress,
         observer: &(dyn Fn(PointEvent) + Sync),
         cancel: &CancelToken,
     ) -> LeaseRun {
@@ -179,6 +221,7 @@ impl Coordinator {
                     // grid can finish while this stream is mid-lease;
                     // hang up instead of waiting out the straggler.
                     if collector.is_complete() {
+                        progress.bump();
                         return false;
                     }
                 }
@@ -243,6 +286,7 @@ impl Coordinator {
         &self,
         table: &Mutex<LeaseTable>,
         collector: &Collector,
+        progress: &Progress,
         worker_id: &str,
         recorder: Option<&TraceRecorder>,
     ) -> bool {
@@ -268,6 +312,7 @@ impl Coordinator {
         let mut table = table.lock().unwrap_or_else(|e| e.into_inner());
         match table.split_tail(lease.id, mid) {
             Some(_) => {
+                progress.bump();
                 ClusterMetrics::get().leases_split.inc();
                 if let Some(recorder) = recorder {
                     recorder.record_lease("split", worker_id, mid, lease.end);
@@ -293,6 +338,7 @@ impl Coordinator {
         collector: &Collector,
         live: &LiveAggregates,
         coverage: &Mutex<Vec<bool>>,
+        progress: &Progress,
         fatal: &Mutex<Option<String>>,
         observer: &(dyn Fn(PointEvent) + Sync),
         recorder: Option<&TraceRecorder>,
@@ -312,6 +358,9 @@ impl Coordinator {
             client = client.with_trace(recorder.trace_id());
         }
         loop {
+            // Read before anything below is looked at, so that a change
+            // after the look cannot be slept through.
+            let seen = progress.epoch();
             if cancel.is_cancelled() || fatal.lock().unwrap_or_else(|e| e.into_inner()).is_some() {
                 return;
             }
@@ -337,9 +386,9 @@ impl Coordinator {
                 // them is straggling, speculatively re-offer its
                 // unlanded tail as a fresh lease (claimed on the next
                 // iteration — by this idle driver, in practice);
-                // otherwise poll cheaply.
-                if !self.split_straggler_tail(table, collector, worker_id, recorder) {
-                    std::thread::sleep(Duration::from_millis(25));
+                // otherwise wait for the table or the grid to change.
+                if !self.split_straggler_tail(table, collector, progress, worker_id, recorder) {
+                    progress.wait_past(seen, IDLE_POLL);
                 }
                 continue;
             };
@@ -357,13 +406,14 @@ impl Coordinator {
             }
             let lease_started = Instant::now();
             match self.run_lease(
-                &client, spec, &lease, collector, live, coverage, observer, cancel,
+                &client, spec, &lease, collector, live, coverage, progress, observer, cancel,
             ) {
                 LeaseRun::Completed => {
                     table
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .complete(lease.id);
+                    progress.bump();
                     self.registry.credit_lease(worker_id);
                     metrics.leases_completed.inc();
                     if let Some(recorder) = recorder {
@@ -380,6 +430,7 @@ impl Coordinator {
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .release(lease.id);
+                    progress.bump();
                     return;
                 }
                 LeaseRun::Failed(reason) => {
@@ -388,6 +439,7 @@ impl Coordinator {
                         table.release(lease.id);
                         table.attempts(lease.id)
                     };
+                    progress.bump();
                     self.registry.record_failure(worker_id);
                     metrics.leases_failed.inc();
                     if let Some(recorder) = recorder {
@@ -459,16 +511,17 @@ impl ClusterBackend for Coordinator {
         // live view counts every point exactly once.
         let coverage: Mutex<Vec<bool>> = Mutex::new(vec![false; total]);
         let fatal: Mutex<Option<String>> = Mutex::new(None);
+        let progress = Progress::default();
 
         if !workers.is_empty() {
             std::thread::scope(|scope| {
                 for (worker_id, addr) in &workers {
                     let (table, collector, fatal) = (&table, &collector, &fatal);
-                    let coverage = &coverage;
+                    let (coverage, progress) = (&coverage, &progress);
                     scope.spawn(move || {
                         self.drive_worker(
-                            worker_id, addr, spec, table, collector, live, coverage, fatal,
-                            observer, recorder, cancel,
+                            worker_id, addr, spec, table, collector, live, coverage, progress,
+                            fatal, observer, recorder, cancel,
                         )
                     });
                 }

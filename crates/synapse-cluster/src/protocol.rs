@@ -13,7 +13,7 @@
 
 use serde_json::Value;
 use synapse_campaign::{CampaignSpec, Lease, PointResult};
-use synapse_server::{LeaseRequest, BATCH_FRAME_VERSION};
+use synapse_server::{BatchFrame, LeaseRequest, BATCH_FRAME_VERSION};
 
 /// Serialize the `POST /leases` body for one lease of a spec.
 pub fn lease_request_json(spec: &CampaignSpec, lease: &Lease) -> String {
@@ -71,10 +71,19 @@ pub enum WorkerEvent {
 /// (a malformed stream is treated as a transport failure by the
 /// caller when the terminal event never arrives).
 pub fn parse_event(line: &str) -> Option<WorkerEvent> {
+    // Batch frames are nearly every byte of a lease stream: a sound
+    // one decodes straight into results. Anything else — including a
+    // frame that fails a check — takes the tree below, which tells a
+    // line that is not JSON at all (`None`) from a bad frame.
+    if opens_as_batch(line) {
+        if let event @ WorkerEvent::Batch(_) = parse_batch(line) {
+            return Some(event);
+        }
+    }
     let value: Value = serde_json::from_str(line).ok()?;
     let event = match value["event"].as_str()? {
         "started" => WorkerEvent::Started,
-        "batch" => parse_batch(line, &value),
+        "batch" => parse_batch(line),
         "completed" => WorkerEvent::Completed,
         "cancelled" => WorkerEvent::Cancelled,
         "failed" => WorkerEvent::Failed {
@@ -91,28 +100,49 @@ pub fn parse_event(line: &str) -> Option<WorkerEvent> {
     Some(event)
 }
 
+/// Whether the line's first member is `"event":"batch"` — where
+/// [`synapse_server::lease_batch_line`] puts it.
+fn opens_as_batch(line: &str) -> bool {
+    let mut parser = serde_json::Parser::new(line);
+    let Ok(mut first) = parser.begin_object() else {
+        return false;
+    };
+    matches!(parser.next_key(&mut first), Ok(Some(key)) if key == "event")
+        && matches!(parser.parse_str(), Ok(name) if name == "batch")
+}
+
 /// Validate and unpack one `batch` frame. Every failure is
 /// [`WorkerEvent::Malformed`], never a silent drop: a batch that
 /// doesn't check out may have carried results, and the coordinator
 /// must fail the lease rather than merge a hole into the grid.
-fn parse_batch(line: &str, value: &Value) -> WorkerEvent {
-    let malformed = |reason: &str| WorkerEvent::Malformed {
-        reason: reason.to_string(),
-    };
-    match value["v"].as_u64() {
-        Some(BATCH_FRAME_VERSION) => {}
-        Some(v) => {
-            return WorkerEvent::Malformed {
-                reason: format!("unsupported batch frame version {v}"),
-            }
+fn parse_batch(line: &str) -> WorkerEvent {
+    let malformed = |reason: String| WorkerEvent::Malformed { reason };
+    let unsupported = |v: u64| malformed(format!("unsupported batch frame version {v}"));
+    let frame = match serde_json::from_str::<BatchFrame>(line) {
+        Ok(frame) if frame.event == "batch" => frame,
+        Ok(frame) => return malformed(format!("{:?} event is not a batch frame", frame.event)),
+        Err(e) => {
+            // A newer worker's frame may not fit this layout at all:
+            // when that is why it does not decode, say so.
+            let version = serde_json::from_str::<Value>(line)
+                .ok()
+                .and_then(|value| value["v"].as_u64());
+            return match version {
+                Some(v) if v != BATCH_FRAME_VERSION => unsupported(v),
+                _ => malformed(format!("batch frame does not decode: {e}")),
+            };
         }
-        None => return malformed("batch frame missing version"),
-    }
-    let Some(count) = value["n"].as_u64() else {
-        return malformed("batch frame missing point count");
     };
-    let Some(declared_len) = value["len"].as_u64() else {
-        return malformed("batch frame missing length prefix");
+    match frame.v {
+        Some(BATCH_FRAME_VERSION) => {}
+        Some(v) => return unsupported(v),
+        None => return malformed("batch frame missing version".into()),
+    }
+    let Some(count) = frame.n else {
+        return malformed("batch frame missing point count".into());
+    };
+    let Some(declared_len) = frame.len else {
+        return malformed("batch frame missing length prefix".into());
     };
     // `points` is by construction the frame's final key, so its array
     // text occupies exactly the last `len + 1` bytes before the
@@ -120,43 +150,34 @@ fn parse_batch(line: &str, value: &Value) -> WorkerEvent {
     // declared length and checking the structure around it catches
     // truncated, spliced, or re-framed lines.
     let line = line.trim_end();
-    let declared_len = declared_len as usize;
-    let arr_start = match (line.len() - 1).checked_sub(declared_len) {
+    let arr_start = match usize::try_from(declared_len)
+        .ok()
+        .and_then(|len| (line.len() - 1).checked_sub(len))
+    {
         Some(start) if line.ends_with('}') => start,
-        _ => return malformed("batch length prefix exceeds frame"),
+        _ => return malformed("batch length prefix exceeds frame".into()),
     };
     let prefix_ok = line.is_char_boundary(arr_start)
         && line[arr_start..].starts_with('[')
         && line[..arr_start].ends_with("\"points\":");
     if !prefix_ok {
-        return malformed("batch length prefix does not match frame");
+        return malformed("batch length prefix does not match frame".into());
     }
-    let Some(entries) = value["points"].as_array() else {
-        return malformed("batch frame missing points array");
+    let Some(entries) = frame.points else {
+        return malformed("batch frame missing points array".into());
     };
     if entries.len() as u64 != count {
-        return WorkerEvent::Malformed {
-            reason: format!(
-                "batch frame declares {count} points but carries {}",
-                entries.len()
-            ),
-        };
+        return malformed(format!(
+            "batch frame declares {count} points but carries {}",
+            entries.len()
+        ));
     }
-    let mut points = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        let Some(cached) = entry["cached"].as_bool() else {
-            return WorkerEvent::Malformed {
-                reason: format!("batch point {i} missing cached flag"),
-            };
-        };
-        let Ok(result) = serde_json::from_value::<PointResult>(entry["result"].clone()) else {
-            return WorkerEvent::Malformed {
-                reason: format!("batch point {i} does not parse as a result"),
-            };
-        };
-        points.push((result, cached));
-    }
-    WorkerEvent::Batch(points)
+    WorkerEvent::Batch(
+        entries
+            .into_iter()
+            .map(|entry| (entry.result, entry.cached))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -280,6 +301,75 @@ mod tests {
         // A *truncated* line stops being JSON at all → transport-level
         // noise (`None`); the missing terminal event fails the lease.
         assert!(parse_event(&good[..good.len() / 2]).is_none());
+    }
+
+    #[test]
+    fn batch_frames_skip_unknown_keys_and_catch_consistent_lies() {
+        use std::sync::Arc;
+        let s = spec();
+        let packed: Vec<(Arc<PointResult>, bool)> = expand(&s)
+            .iter()
+            .map(|p| (Arc::new(synapse_campaign::simulate_point(p).unwrap()), true))
+            .collect();
+        let one = synapse_server::lease_batch_line(&packed[..1], Some("t0123456789abcdef"));
+        let two = synapse_server::lease_batch_line(&packed[..2], Some("t0123456789abcdef"));
+        let points_of = |line: &str| match parse_event(line) {
+            Some(WorkerEvent::Batch(points)) => points,
+            other => panic!("expected Batch, got {other:?} for {line}"),
+        };
+        let reason_of = |line: &str| match parse_event(line) {
+            Some(WorkerEvent::Malformed { reason }) => reason,
+            other => panic!("expected Malformed, got {other:?} for {line}"),
+        };
+        let results = |n: usize| -> Vec<(PointResult, bool)> {
+            packed[..n]
+                .iter()
+                .map(|(r, c)| ((**r).clone(), *c))
+                .collect()
+        };
+
+        // The `trace` echo and a key from some later minor revision
+        // are stepped over, nested values and all — as long as
+        // `points` stays the final key.
+        assert!(two.contains(",\"trace\":\"t0123456789abcdef\","));
+        assert_eq!(points_of(&two), results(2));
+        let extended = two.replacen(
+            ",\"points\":",
+            ",\"shard\":{\"of\":[3,\"x\\\"y\"],\"points\":null},\"points\":",
+            1,
+        );
+        assert_eq!(points_of(&extended), results(2));
+        let trailing = format!("{},\"late\":1}}", &two[..two.len() - 1]);
+        assert!(reason_of(&trailing).contains("length prefix"));
+
+        // A header whose `n` and `len` agree with each other — they are
+        // another frame's — but not with the payload behind them.
+        let header_end = one.find(",\"trace\"").unwrap();
+        let grafted = format!(
+            "{}{}",
+            &one[..header_end],
+            &two[two.find(",\"trace\"").unwrap()..]
+        );
+        assert!(grafted.contains("\"n\":1,"));
+        assert!(reason_of(&grafted).contains("length prefix"));
+        // ... and the other way round: too much declared for the payload.
+        let starved = format!(
+            "{}{}",
+            &two[..two.find(",\"trace\"").unwrap()],
+            &one[header_end..]
+        );
+        assert!(reason_of(&starved).contains("length prefix"));
+
+        // A repeated `event` key keeps its last value, as in any JSON
+        // object this codec reads: this is a `started` line.
+        let renamed = format!("{},\"event\":\"started\"}}", &two[..two.len() - 1]);
+        assert!(matches!(parse_event(&renamed), Some(WorkerEvent::Started)));
+        // A frame from a newer worker names its version even when the
+        // rest of it no longer fits this layout.
+        let future = two
+            .replacen("\"v\":1", "\"v\":7", 1)
+            .replace("\"cached\":true", "\"hit\":1");
+        assert_eq!(reason_of(&future), "unsupported batch frame version 7");
     }
 
     #[test]

@@ -1,0 +1,154 @@
+//! Allocation budgets for the per-point wire and cache path, as a
+//! deterministic gate: a counting global allocator (this test binary
+//! only) and a fixed number of allocator calls allowed per call on a
+//! warm path. Counts repeat exactly from run to run, so unlike a
+//! timing this does not depend on how noisy the machine is — a `Value`
+//! tree or a deep clone creeping back onto one of these paths fails
+//! here by a factor of several, not by a few percent.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use synapse_campaign::{
+    expand, fingerprint, simulate_point, CampaignSpec, LiveAggregates, PointResult, ResultCache,
+};
+use synapse_cluster::protocol::{parse_event, WorkerEvent};
+use synapse_server::{lease_batch_line, DEFAULT_BATCH_POINTS};
+
+thread_local! {
+    /// Allocator calls made by this thread (`const`-initialized: reading
+    /// it never allocates).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every call that hands out or grows a
+/// block — `alloc`, `alloc_zeroed`, `realloc` — per thread, so the
+/// harness's other threads cannot disturb a measurement.
+struct Counting;
+
+fn count() {
+    // `try_with`: a thread tearing down its locals may still free.
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// allocator state and does not allocate.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller's `layout` goes to `System` as is.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    // SAFETY: the caller's `layout` goes to `System` as is.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    // SAFETY: `ptr` came from this allocator, that is from `System`,
+    // with `layout`; both go back to it as they are.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    // SAFETY: as for `realloc`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls `f` makes on this thread. Run twice: the first pass
+/// is the warm-up (lazy statics, metric registration), and the two
+/// counts after it must agree — the gate is only as good as its
+/// repeatability.
+fn calls<R>(mut f: impl FnMut() -> R) -> u64 {
+    let mut measure = || {
+        let before = CALLS.with(Cell::get);
+        let out = f();
+        let spent = CALLS.with(Cell::get) - before;
+        drop(out);
+        spent
+    };
+    measure();
+    let (first, second) = (measure(), measure());
+    assert_eq!(first, second, "allocation counts must repeat exactly");
+    first
+}
+
+fn results() -> Vec<PointResult> {
+    let spec = CampaignSpec::from_toml(
+        r#"
+        name = "budget"
+        seed = 3
+        machines = ["thinkie", "comet", "stampede", "titan"]
+        kernels = ["asm", "c"]
+        threads = [1, 8]
+        io_blocks = [65536, 1048576]
+
+        [[workloads]]
+        app = "gromacs"
+        steps = [1000, 2000]
+        "#,
+    )
+    .unwrap();
+    let results: Vec<_> = expand(&spec)
+        .iter()
+        .map(|p| simulate_point(p).unwrap())
+        .collect();
+    assert_eq!(results.len(), DEFAULT_BATCH_POINTS, "one full frame");
+    results
+}
+
+#[test]
+fn warm_per_point_paths_stay_within_their_allocation_budgets() {
+    let results = results();
+    let one = &results[0];
+
+    // The hash input buffer and the hex digest.
+    assert!(calls(|| fingerprint(&one.point)) <= 2);
+
+    // The text, grown at most once.
+    assert!(calls(|| serde_json::to_string(one).unwrap()) <= 2);
+
+    // A hit costs the nine strings of the result it returns (plus
+    // slack), not a copy of the stored document first.
+    let cache = ResultCache::in_memory();
+    for r in &results {
+        cache.put(&r.fingerprint, r).unwrap();
+    }
+    assert!(calls(|| cache.get(&one.fingerprint).unwrap()) <= 12);
+
+    // A frame is its payload buffer and its line, however many points
+    // it packs: nothing per point.
+    let packed: Vec<(Arc<PointResult>, bool)> = results
+        .iter()
+        .map(|r| (Arc::new(r.clone()), true))
+        .collect();
+    let per_frame = |n: usize| calls(|| lease_batch_line(&packed[..n], Some("t0123456789abcdef")));
+    assert!(per_frame(1) <= 4);
+    assert!(per_frame(DEFAULT_BATCH_POINTS) <= 4);
+
+    // Decoding one: the strings of each result and the two vectors
+    // they sit in — no document tree.
+    let frame = lease_batch_line(&packed, None);
+    let decode = || match parse_event(&frame) {
+        Some(WorkerEvent::Batch(points)) => points,
+        other => panic!("frame decoded as {other:?}"),
+    };
+    assert_eq!(decode().len(), DEFAULT_BATCH_POINTS);
+    assert!(calls(decode) <= 12 * DEFAULT_BATCH_POINTS as u64);
+
+    // Once a point's slices exist, folding it in allocates nothing.
+    let live = LiveAggregates::new();
+    for r in &results {
+        live.record(r);
+    }
+    assert_eq!(calls(|| results.iter().for_each(|r| live.record(r))), 0);
+}

@@ -28,6 +28,17 @@ const SOCKET_TIMEOUT: Duration = Duration::from_secs(60);
 pub const STREAM_SILENCE_TIMEOUT: Duration =
     Duration::from_secs(2 * crate::server::HEARTBEAT_EVERY.as_secs() + 1);
 
+/// What a line callback tells [`Client::drain_chunked`] about the line
+/// it was handed.
+#[derive(Clone, Copy)]
+struct Seen {
+    /// Keep reading (`false` hangs up).
+    proceed: bool,
+    /// The line is a job event, so it may turn out to be the stream's
+    /// last word — which a heartbeat or a submit ack may not.
+    event: bool,
+}
+
 /// A client bound to one server address.
 #[derive(Debug, Clone)]
 pub struct Client {
@@ -204,53 +215,88 @@ impl Client {
             let mut on_line = |line: &str| {
                 body.push_str(line);
                 body.push('\n');
-                true
+                Seen {
+                    proceed: true,
+                    event: false,
+                }
             };
-            Self::drain_chunked(&mut reader, &mut on_line)?;
+            Self::drain_chunked(&mut reader, &mut String::new(), &mut on_line)?;
         } else {
             reader.read_to_string(&mut body)?;
         }
         Ok(Response { status, body })
     }
 
-    /// De-frame a chunked body, invoking `on_line` per complete line.
-    /// `on_line` returning `false` aborts the drain (the connection is
-    /// simply dropped — chunked streams need no clean goodbye).
+    /// De-frame a chunked body, invoking `on_line` per complete line
+    /// and leaving in `last` the final line it called an event.
+    /// `on_line` answering `proceed: false` aborts the drain (the
+    /// connection is simply dropped — chunked streams need no clean
+    /// goodbye).
+    ///
+    /// Lines are handed out as slices of one reused buffer: a chunk is
+    /// appended behind whatever partial line the previous one left,
+    /// walked once, and the consumed front dropped once — per chunk,
+    /// not per line — which is also how often `last` is copied.
     fn drain_chunked(
         reader: &mut BufReader<TcpStream>,
-        on_line: &mut dyn FnMut(&str) -> bool,
+        last: &mut String,
+        on_line: &mut dyn FnMut(&str) -> Seen,
     ) -> Result<(), ServerError> {
-        let mut pending = String::new();
+        let non_utf8 = |_| ServerError::Protocol("non-UTF-8 chunk".into());
+        let mut buf: Vec<u8> = Vec::new();
+        let mut size_line = String::new();
         loop {
-            let mut size_line = String::new();
+            size_line.clear();
             if reader.read_line(&mut size_line)? == 0 {
                 break; // abrupt close: surface what arrived
             }
             let size = usize::from_str_radix(size_line.trim(), 16)
                 .map_err(|_| ServerError::Protocol(format!("bad chunk size {size_line:?}")))?;
             if size == 0 {
-                let _ = reader.read_line(&mut String::new()); // trailing CRLF
+                let _ = reader.read_line(&mut size_line); // trailing CRLF
                 break;
             }
-            let mut chunk = vec![0u8; size];
-            reader.read_exact(&mut chunk)?;
+            let held = buf.len();
+            // Grows as bytes arrive, never on the size line's say-so.
+            if reader.by_ref().take(size as u64).read_to_end(&mut buf)? != size {
+                return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+            }
             let mut crlf = [0u8; 2];
             reader.read_exact(&mut crlf)?;
-            pending.push_str(
-                std::str::from_utf8(&chunk)
-                    .map_err(|_| ServerError::Protocol("non-UTF-8 chunk".into()))?,
-            );
-            while let Some(nl) = pending.find('\n') {
-                let line: String = pending.drain(..=nl).collect();
-                let line = line.trim_end();
-                if !line.is_empty() && !on_line(line) {
-                    return Ok(());
+            // Everything up to the chunk's last newline is whole lines.
+            let Some(complete) = buf[held..].iter().rposition(|&b| b == b'\n') else {
+                continue;
+            };
+            let complete = held + complete + 1;
+            let text = std::str::from_utf8(&buf[..complete]).map_err(non_utf8)?;
+            let mut final_event = None;
+            let mut proceed = true;
+            for line in text.split('\n').map(str::trim_end) {
+                if line.is_empty() {
+                    continue;
+                }
+                let seen = on_line(line);
+                if seen.event {
+                    final_event = Some(line);
+                }
+                if !seen.proceed {
+                    proceed = false;
+                    break;
                 }
             }
+            if let Some(line) = final_event {
+                last.clear();
+                last.push_str(line);
+            }
+            if !proceed {
+                return Ok(());
+            }
+            buf.drain(..complete);
         }
-        let rest = pending.trim_end();
-        if !rest.is_empty() {
-            on_line(rest);
+        let rest = std::str::from_utf8(&buf).map_err(non_utf8)?.trim_end();
+        if !rest.is_empty() && on_line(rest).event {
+            last.clear();
+            last.push_str(rest);
         }
         Ok(())
     }
@@ -491,37 +537,38 @@ impl Client {
         reader
             .get_ref()
             .set_read_timeout(Some(self.stream_silence))?;
-        let mut last: Option<String> = None;
+        let mut last = String::new();
         let mut on_line = |line: &str| {
             if let Some(slot) = &mut ack {
                 if slot.is_none() {
-                    match serde_json::from_str(line) {
-                        Ok(value) => **slot = Some(value),
-                        Err(_) => return false,
-                    }
-                    return on_event(line);
+                    let proceed = match serde_json::from_str(line) {
+                        Ok(value) => {
+                            **slot = Some(value);
+                            on_event(line)
+                        }
+                        Err(_) => false,
+                    };
+                    return Seen {
+                        proceed,
+                        event: false,
+                    };
                 }
             }
             // Heartbeats are transport keepalive, not job events:
             // they never become the stream's outcome, and by default
             // they never reach callers either.
             if line == "{\"event\":\"heartbeat\"}" {
-                return if keepalive_to_callback {
-                    on_event(line)
-                } else {
-                    true
+                return Seen {
+                    proceed: !keepalive_to_callback || on_event(line),
+                    event: false,
                 };
             }
-            match &mut last {
-                Some(slot) => {
-                    slot.clear();
-                    slot.push_str(line);
-                }
-                None => last = Some(line.to_string()),
+            Seen {
+                proceed: on_event(line),
+                event: true,
             }
-            on_event(line)
         };
-        match Self::drain_chunked(reader, &mut on_line) {
+        match Self::drain_chunked(reader, &mut last, &mut on_line) {
             Ok(()) => {}
             // A read timeout here is not a transport hiccup: the
             // server heartbeats every HEARTBEAT_EVERY, so this much
@@ -542,8 +589,11 @@ impl Client {
             }
             Err(e) => return Err(e),
         }
-        let last =
-            last.ok_or_else(|| ServerError::Protocol("event stream ended without events".into()))?;
+        if last.is_empty() {
+            return Err(ServerError::Protocol(
+                "event stream ended without events".into(),
+            ));
+        }
         serde_json::from_str(&last)
             .map_err(|e| ServerError::Protocol(format!("non-JSON terminal event: {e}")))
     }

@@ -36,6 +36,36 @@ pub struct LeaseRequest {
     pub end: usize,
 }
 
+/// Reader's view of one lease-stream `batch` frame (written by
+/// [`lease_batch_line`](crate::lease_batch_line), laid out in
+/// `docs/PROTOCOL.md`). Deriving it is what lets a coordinator decode
+/// a frame straight into results, with no document tree in between.
+/// The header fields are optional here so that the consumer, not the
+/// codec, words what a frame without them is missing; keys this
+/// version does not know (`trace`, anything newer) are skipped.
+#[derive(Debug, Deserialize)]
+pub struct BatchFrame {
+    /// `"batch"` for a batch frame.
+    pub event: String,
+    /// Frame layout version ([`BATCH_FRAME_VERSION`](crate::BATCH_FRAME_VERSION)).
+    pub v: Option<u64>,
+    /// Declared number of points.
+    pub n: Option<u64>,
+    /// Declared byte length of the `points` array text.
+    pub len: Option<u64>,
+    /// The landed points.
+    pub points: Option<Vec<BatchEntry>>,
+}
+
+/// One point of a [`BatchFrame`].
+#[derive(Debug, Deserialize)]
+pub struct BatchEntry {
+    /// Whether the worker's cache satisfied the point.
+    pub cached: bool,
+    /// The full result.
+    pub result: synapse_campaign::PointResult,
+}
+
 /// How a submitted job executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {

@@ -83,7 +83,7 @@ mod reactor;
 pub mod server;
 
 pub use client::{Client, Response, STREAM_SILENCE_TIMEOUT};
-pub use job::{EventRing, Job, JobKind, JobState, LeaseRequest};
+pub use job::{BatchEntry, BatchFrame, EventRing, Job, JobKind, JobState, LeaseRequest};
 pub use server::{
     lease_batch_line, Server, ServerConfig, ServerHandle, BATCH_FRAME_VERSION,
     DEFAULT_BATCH_POINTS, DEFAULT_EVENT_BUFFER, DEFAULT_HANDLER_THREADS, DEFAULT_MAX_CONNECTIONS,

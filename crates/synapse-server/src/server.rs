@@ -702,40 +702,30 @@ fn run_job(state: &ServerState, job: &Arc<Job>) {
 /// Serialize the hot per-point event by hand: at ~100k points/s the
 /// `json!` Value tree (a dozen allocations per event, built on the
 /// sweep thread) was the single biggest observer cost. Keys are in
-/// the same sorted order the tree serializer emits, strings go
-/// through the vendored serde_json escaper, and floats mirror its
-/// formatting rules exactly, so the wire shape is indistinguishable.
+/// the same sorted order the tree serializer emits, and strings and
+/// floats go through the codec's own escaper and float rule, so the
+/// wire shape is indistinguishable.
 fn point_event_line(
     result: &synapse_campaign::PointResult,
     cached: bool,
     done: usize,
     total: usize,
 ) -> String {
+    use serde_json::{write_escaped, write_f64};
     use std::fmt::Write as _;
-    fn push_f64(out: &mut String, value: f64) {
-        if !value.is_finite() {
-            out.push_str("null");
-        } else if value == value.trunc() && value.abs() < 1e16 {
-            let _ = write!(out, "{value:.1}");
-        } else {
-            let _ = write!(out, "{value}");
-        }
-    }
     let mut line = String::with_capacity(416);
     line.push_str("{\"app_tx\":");
-    push_f64(&mut line, result.app_tx);
+    write_f64(&mut line, result.app_tx);
     line.push_str(",\"cached\":");
     line.push_str(if cached { "true" } else { "false" });
     let _ = write!(line, ",\"done\":{done},\"error_pct\":");
-    push_f64(&mut line, result.error_pct());
+    write_f64(&mut line, result.error_pct());
     line.push_str(",\"event\":\"point\",\"fingerprint\":");
-    // lint:allow(no-panic-hot-path, reason = "serializing owned in-memory data; Value/string serialization is infallible")
-    line.push_str(&serde_json::to_string(&result.fingerprint).expect("fingerprint serializes"));
+    write_escaped(&mut line, &result.fingerprint);
     let _ = write!(line, ",\"index\":{},\"label\":", result.point.index);
-    // lint:allow(no-panic-hot-path, reason = "serializing owned in-memory data; Value/string serialization is infallible")
-    line.push_str(&serde_json::to_string(&result.point.label()).expect("label serializes"));
+    write_escaped(&mut line, &result.point.label());
     let _ = write!(line, ",\"total\":{total},\"tx\":");
-    push_f64(&mut line, result.tx);
+    write_f64(&mut line, result.tx);
     line.push('}');
     line
 }
@@ -765,8 +755,11 @@ pub fn lease_batch_line(
     points: &[(Arc<synapse_campaign::PointResult>, bool)],
     trace: Option<&str>,
 ) -> String {
+    use serde::Serialize as _;
     use std::fmt::Write as _;
-    let mut payload = String::with_capacity(points.len() * 512 + 2);
+    // A result renders to ~560 bytes; room for 640 each keeps a full
+    // frame to one allocation per buffer.
+    let mut payload = String::with_capacity(points.len() * 640 + 2);
     payload.push('[');
     for (i, (result, cached)) in points.iter().enumerate() {
         if i > 0 {
@@ -775,12 +768,11 @@ pub fn lease_batch_line(
         payload.push_str("{\"cached\":");
         payload.push_str(if *cached { "true" } else { "false" });
         payload.push_str(",\"result\":");
-        // lint:allow(no-panic-hot-path, reason = "serializing owned in-memory data; Value/string serialization is infallible")
-        payload.push_str(&serde_json::to_string(&**result).expect("result serializes"));
+        result.write_json(&mut payload);
         payload.push('}');
     }
     payload.push(']');
-    let mut line = String::with_capacity(payload.len() + 96);
+    let mut line = String::with_capacity(payload.len() + 96 + trace.map_or(0, str::len));
     let _ = write!(
         line,
         "{{\"event\":\"batch\",\"v\":{BATCH_FRAME_VERSION},\"n\":{},\"len\":{}",
@@ -788,14 +780,12 @@ pub fn lease_batch_line(
         payload.len(),
     );
     if let Some(trace) = trace {
-        let _ = write!(
-            line,
-            ",\"trace\":{}",
-            // lint:allow(no-panic-hot-path, reason = "serializing owned in-memory data; Value/string serialization is infallible")
-            serde_json::to_string(trace).expect("trace id serializes")
-        );
+        line.push_str(",\"trace\":");
+        serde_json::write_escaped(&mut line, trace);
     }
-    let _ = write!(line, ",\"points\":{payload}}}");
+    line.push_str(",\"points\":");
+    line.push_str(&payload);
+    line.push('}');
     line
 }
 
@@ -876,16 +866,20 @@ fn emit_snapshot_delta(job: &Arc<Job>, force: bool) {
     let Some(slices) = slices else {
         return;
     };
-    let line = ndjson(&json!({
+    let mut doc = json!({
         "event": "snapshot",
         "done": done,
         "total": job.total,
         "cache_hits": cache_hits,
         "simulated": done - cache_hits,
         "mean_abs_error_pct": live.mean_abs_error_pct().unwrap_or(0.0),
-        "slices": serde_json::Value::Array(slices),
         "v": AGGREGATES_VERSION,
-    }));
+    });
+    // Moved in, not passed through `json!`, which would copy the tree.
+    if let serde_json::Value::Object(obj) = &mut doc {
+        obj.insert("slices".into(), serde_json::Value::Array(slices));
+    }
+    let line = ndjson(&doc);
     let metrics = AggregateMetrics::get();
     metrics.snapshots_emitted.inc();
     metrics.snapshot_bytes.observe(line.len() as f64);
@@ -1079,7 +1073,7 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
                 p.state = JobState::Completed;
                 p.stats = Some(stats);
             });
-            job.push_event(ndjson(&with_trace(json!({
+            let mut doc = with_trace(json!({
                 "event": "completed",
                 "id": job.public_id(),
                 "name": job.spec.name,
@@ -1090,13 +1084,17 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
                 "cache_hit_rate": stats.hit_rate(),
                 "wall_secs": stats.wall_secs,
                 "timings": stats.timings_json(),
-                // The lease's aggregates as a mergeable digest: the
-                // coordinator folds it into the campaign's live view,
-                // so cluster-wide aggregates agree with a
-                // single-process sweep within sketch error. Old
-                // coordinators ignore the extra key.
-                "aggregates": job.live().digest(),
-            }))));
+            }));
+            // The lease's aggregates as a mergeable digest: the
+            // coordinator folds it into the campaign's live view, so
+            // cluster-wide aggregates agree with a single-process
+            // sweep within sketch error. Old coordinators ignore the
+            // extra key. Moved in, not passed through `json!`, which
+            // would copy the (large) tree.
+            if let serde_json::Value::Object(obj) = &mut doc {
+                obj.insert("aggregates".into(), job.live().digest());
+            }
+            job.push_event(ndjson(&doc));
         }
         Err(e) => publish_outcome(job, Err(e)),
     }

@@ -1062,13 +1062,19 @@ fn a_thousand_idle_watchers_cost_fds_not_threads() {
         job_workers: 1,
         ..Default::default()
     });
-    // One long-running hog occupies the single queue worker; the
-    // watched job sits queued behind it, so its stream carries only
-    // heartbeats — the watchers are genuinely idle.
-    let hog = client.submit(huge_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    // Long-running hogs occupy the single queue worker; the watched
+    // job sits queued behind them, so its stream carries only
+    // heartbeats — the watchers are genuinely idle. Two hogs, not one:
+    // attaching a thousand sockets takes seconds on a small box, and
+    // a faster engine must not drain the queue in the meantime.
+    let hogs: Vec<String> = (0..2)
+        .map(|_| {
+            client.submit(huge_spec()).unwrap()["id"]
+                .as_str()
+                .unwrap()
+                .to_string()
+        })
+        .collect();
     let quiet = client.submit(small_spec()).unwrap()["id"]
         .as_str()
         .unwrap()
@@ -1123,7 +1129,9 @@ fn a_thousand_idle_watchers_cost_fds_not_threads() {
         assert!(text.ends_with("0\r\n\r\n"), "watcher {i} terminator");
     }
     drop(sockets);
-    client.cancel(&hog).unwrap();
+    for hog in hogs.iter().rev() {
+        client.cancel(hog).unwrap();
+    }
     // Every slot is reclaimed.
     await_gauge(&client, |active| active <= 1, 60, "slots reclaimed");
 

@@ -30,10 +30,9 @@ impl Document {
     /// Serialized size of the body in bytes (what counts against the
     /// document limit, mirroring BSON document size).
     pub fn size(&self) -> usize {
-        // `to_string` on a Value cannot fail.
-        serde_json::to_string(&self.body)
-            .map(|s| s.len())
-            .unwrap_or(0)
+        let mut text = String::new();
+        self.body.write_json(&mut text);
+        text.len()
     }
 
     /// Check the body against a size limit.
@@ -48,7 +47,7 @@ impl Document {
 
     /// Deserialize the body into a concrete type.
     pub fn decode<T: for<'de> Deserialize<'de>>(&self) -> Result<T, StoreError> {
-        Ok(serde_json::from_value(self.body.clone())?)
+        T::deserialize(&self.body).map_err(|e| StoreError::Serde(e.into()))
     }
 }
 

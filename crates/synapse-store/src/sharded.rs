@@ -525,7 +525,9 @@ impl ShardedDb {
         self.doc_limit
     }
 
-    /// Fetch a document by key (cloned out of the lock).
+    /// Fetch a document by key (cloned out of the lock). A caller that
+    /// only decodes or inspects the document should use
+    /// [`read`](ShardedDb::read) and skip the clone.
     ///
     /// On-disk stores are cross-process readable: when the in-memory
     /// image misses, the store checks (one `stat`) whether another
@@ -537,11 +539,21 @@ impl ShardedDb {
     /// manifest generation, so a miss storm on an unchanged directory
     /// costs one `stat` per miss and no reads.
     pub fn get(&self, key: &str) -> Option<Document> {
+        self.read(key, Document::clone)
+    }
+
+    /// Run `f` on the document under `key`, borrowed in place under
+    /// the store's read lock — keep `f` short. Same lookup as
+    /// [`get`](ShardedDb::get), cross-process fold on a miss included.
+    pub fn read<R>(&self, key: &str, f: impl FnOnce(&Document) -> R) -> Option<R> {
         let shard = shard_of(key);
         if let Some(doc) = self.state.read().shards[shard as usize].get(key) {
-            return Some(doc.clone());
+            return Some(f(doc));
         }
-        self.reload_on_miss(key, shard)
+        if !self.reload_on_miss(key, shard) {
+            return None;
+        }
+        self.state.read().shards[shard as usize].get(key).map(f)
     }
 
     /// The miss path of [`get`](ShardedDb::get): fold the missed
@@ -550,9 +562,14 @@ impl ShardedDb {
     /// race saves without the directory lock (data files are replaced
     /// by atomic rename, so a read sees a complete old or new file,
     /// never a torn one), and any read failure just stays a miss.
-    fn reload_on_miss(&self, key: &str, shard: u8) -> Option<Document> {
-        let dir = self.dir.as_deref()?;
-        let stamp = manifest_stamp(dir)?;
+    /// Returns whether `key` is present afterwards.
+    fn reload_on_miss(&self, key: &str, shard: u8) -> bool {
+        let Some(dir) = self.dir.as_deref() else {
+            return false;
+        };
+        let Some(stamp) = manifest_stamp(dir) else {
+            return false;
+        };
         let generation = {
             let mut probe = self.reload.lock().expect("reload probe lock");
             if probe.stamp != Some(stamp) {
@@ -560,7 +577,7 @@ impl ShardedDb {
                 probe.generation += 1;
             }
             if probe.shard_synced[shard as usize] >= probe.generation {
-                return None; // this shard already reflects the disk
+                return false; // this shard already reflects the disk
             }
             probe.generation
         };
@@ -602,13 +619,13 @@ impl ShardedDb {
                     let synced = &mut probe.shard_synced[*s as usize];
                     *synced = (*synced).max(generation);
                 }
-                state.shards[shard as usize].get(key).cloned()
+                state.shards[shard as usize].contains_key(key)
             }
             // No group covers the shard, or the racing save replaced
             // the file under us: stay a miss, but don't retry until
             // the manifest moves again (a hot-loop of disk reads on a
             // permanent miss would be worse than staleness).
-            None => None,
+            None => false,
         };
         let synced = &mut probe.shard_synced[shard as usize];
         *synced = (*synced).max(generation);

@@ -47,7 +47,7 @@
 
 mod metrics;
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -238,23 +238,10 @@ fn point_line_index(line: &str) -> Option<usize> {
     Some(index)
 }
 
-/// Annotation float formatting, mirroring the vendored `serde_json`
-/// rendering (`0.0` for integral values, `Display` otherwise — never
-/// scientific for the magnitudes traces hold).
-fn fmt_f64(f: f64) -> String {
-    if !f.is_finite() {
-        "null".to_string()
-    } else if f == f.trunc() && f.abs() < 1e16 {
-        format!("{f:.1}")
-    } else {
-        format!("{f}")
-    }
-}
-
-/// Minimal JSON string quoting for annotation fields (worker addrs and
-/// endpoint labels never need exotic escapes, but stay correct).
-fn json_string(s: &str) -> String {
-    serde_json::to_string(&s.to_string()).expect("string serializes")
+/// One annotation field as JSON text, through the workspace's one
+/// codec — its float rule for `f64`s, its escaper for strings.
+fn json<T: serde::Serialize + ?Sized>(field: &T) -> String {
+    serde_json::to_string(field).expect("scalar serializes")
 }
 
 /// Mutable recording state behind the recorder's one lock.
@@ -340,8 +327,10 @@ impl TraceRecorder {
             }
             PointEvent::PointDone { result, .. } => {
                 let index = result.point.index;
-                let body = serde_json::to_string(result.as_ref()).expect("point result serializes");
-                let line = format!("{POINT_PREFIX}{index},\"result\":{body}}}");
+                let mut line = String::with_capacity(640);
+                let _ = write!(line, "{POINT_PREFIX}{index},\"result\":");
+                result.write_json(&mut line);
+                line.push('}');
                 let mut inner = self.inner.lock().expect("trace lock");
                 if index < inner.points.len() {
                     inner.points[index] = Some(line);
@@ -368,13 +357,13 @@ impl TraceRecorder {
             "{{\"kind\":\"timing\",\"t\":\"stages\",\"expansion_secs\":{},\"sweep_secs\":{},\
              \"aggregation_secs\":{},\"wall_secs\":{},\"simulated\":{},\"cache_hits\":{},\
              \"off_secs\":{}}}",
-            fmt_f64(stats.expand_secs),
-            fmt_f64(stats.sweep_secs),
-            fmt_f64(stats.aggregate_secs),
-            fmt_f64(stats.wall_secs),
+            json(&stats.expand_secs),
+            json(&stats.sweep_secs),
+            json(&stats.aggregate_secs),
+            json(&stats.wall_secs),
             stats.simulated,
             stats.cache_hits,
-            fmt_f64(self.off_secs()),
+            json(&self.off_secs()),
         ));
     }
 
@@ -385,9 +374,9 @@ impl TraceRecorder {
         self.push_annotation(format!(
             "{{\"kind\":\"lease\",\"phase\":{},\"worker\":{},\"start\":{start},\
              \"end\":{end},\"off_secs\":{},\"trace\":\"{}\"}}",
-            json_string(phase),
-            json_string(worker),
-            fmt_f64(self.off_secs()),
+            json(phase),
+            json(worker),
+            json(&self.off_secs()),
             self.trace_id,
         ));
     }
@@ -398,9 +387,9 @@ impl TraceRecorder {
         self.push_annotation(format!(
             "{{\"kind\":\"span\",\"endpoint\":{},\"secs\":{},\"off_secs\":{},\
              \"trace\":\"{}\"}}",
-            json_string(endpoint),
-            fmt_f64(secs),
-            fmt_f64(self.off_secs()),
+            json(endpoint),
+            json(&secs),
+            json(&self.off_secs()),
             self.trace_id,
         ));
     }
