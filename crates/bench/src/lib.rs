@@ -19,7 +19,6 @@
 //! | `e4`      | Fig 12 — parallel emulation; Figs 13–14 — Gromacs scaling |
 //! | `e5`      | Fig 15 — I/O granularity across filesystems |
 
-pub mod campaign_bench;
 pub mod e1;
 pub mod e2;
 pub mod e3;

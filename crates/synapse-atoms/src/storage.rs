@@ -11,6 +11,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::atom::AtomReport;
@@ -47,7 +48,12 @@ impl StorageAtom {
     ) -> std::io::Result<Self> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("synapse-storage-{}.dat", std::process::id()));
+        // Unique per atom, not per process: emulations running
+        // concurrently in one process must not share, truncate or
+        // clean up each other's scratch file.
+        static NEXT_SCRATCH: AtomicU64 = AtomicU64::new(0);
+        let seq = NEXT_SCRATCH.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("synapse-storage-{}-{seq}.dat", std::process::id()));
         Ok(StorageAtom {
             path,
             write_block: write_block.max(1),
@@ -252,6 +258,35 @@ mod tests {
         let rl = large.write(bytes).unwrap();
         assert_eq!(rs.operations, 1024);
         assert_eq!(rl.operations, 1);
+    }
+
+    #[test]
+    fn two_atoms_in_one_dir_keep_separate_scratch_files() {
+        let d = dir("pair");
+        let barrier = std::sync::Barrier::new(2);
+        let emulate = |bytes: u64, cleans_up: bool| {
+            let (d, barrier) = (&d, &barrier);
+            move || {
+                let mut a = StorageAtom::with_config(d, 4096, 4096, 1 << 24).unwrap();
+                a.write(bytes).unwrap();
+                barrier.wait(); // both have written
+                assert_eq!(std::fs::metadata(a.path()).unwrap().len(), bytes);
+                if cleans_up {
+                    a.cleanup();
+                }
+                barrier.wait(); // one has cleaned up
+                if !cleans_up {
+                    assert_eq!(a.read(3 * bytes).unwrap().bytes_processed, 3 * bytes);
+                    // The file was still there: read() did not have
+                    // to re-materialize it.
+                    assert_eq!(a.written_total(), bytes);
+                }
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(emulate(10_000, true));
+            s.spawn(emulate(30_000, false));
+        });
     }
 
     #[test]

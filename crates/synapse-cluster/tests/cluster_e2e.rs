@@ -468,20 +468,18 @@ fn frozen_worker_stream_fails_fast_and_reassigns() {
                         if frozen.load(Ordering::SeqCst) {
                             break; // stop answering entirely: worker is gone
                         }
-                        let _ = synapse_server::http::write_json(
-                            &mut out,
+                        let _ = out.write_all(&synapse_server::http::json_bytes(
                             200,
                             "OK",
                             &serde_json::json!({"status": "ok"}),
-                        );
+                        ));
                     }
                     ("POST", "/leases") => {
-                        let _ = synapse_server::http::write_json(
-                            &mut out,
+                        let _ = out.write_all(&synapse_server::http::json_bytes(
                             202,
                             "Accepted",
                             &serde_json::json!({"id": "j1", "status": "queued"}),
-                        );
+                        ));
                     }
                     (_, path) if path.ends_with("/events") => {
                         // Stream head + one started event, then
@@ -495,12 +493,11 @@ fn frozen_worker_stream_fails_fast_and_reassigns() {
                         held_open.push(out);
                     }
                     _ => {
-                        let _ = synapse_server::http::write_json(
-                            &mut out,
+                        let _ = out.write_all(&synapse_server::http::json_bytes(
                             200,
                             "OK",
                             &serde_json::json!({}),
-                        );
+                        ));
                     }
                 }
             }
@@ -620,12 +617,11 @@ fn straggling_lease_tail_splits_and_fast_workers_set_the_makespan() {
                                 .to_vec();
                             let id = format!("s{}", next_id.fetch_add(1, Ordering::SeqCst) + 1);
                             leases.lock().unwrap().insert(id.clone(), slice);
-                            let _ = synapse_server::http::write_json(
-                                &mut out,
+                            let _ = out.write_all(&synapse_server::http::json_bytes(
                                 202,
                                 "Accepted",
                                 &serde_json::json!({"id": id, "status": "queued"}),
-                            );
+                            ));
                         }
                         ("GET", p) if p.contains("/events") => {
                             let id = p.split('/').nth(2).unwrap_or_default().to_string();
@@ -663,20 +659,18 @@ fn straggling_lease_tail_splits_and_fast_workers_set_the_makespan() {
                         }
                         ("DELETE", p) if p.starts_with("/campaigns/") => {
                             cancelled.store(true, Ordering::SeqCst);
-                            let _ = synapse_server::http::write_json(
-                                &mut out,
+                            let _ = out.write_all(&synapse_server::http::json_bytes(
                                 200,
                                 "OK",
                                 &serde_json::json!({"status": "cancelled"}),
-                            );
+                            ));
                         }
                         _ => {
-                            let _ = synapse_server::http::write_json(
-                                &mut out,
+                            let _ = out.write_all(&synapse_server::http::json_bytes(
                                 200,
                                 "OK",
                                 &serde_json::json!({"status": "ok"}),
-                            );
+                            ));
                         }
                     }
                 });

@@ -1,5 +1,5 @@
 //! `no-panic-hot-path`: the reactor loop, the server's connection
-//! state machines, and the cluster lease drivers are the paths where a
+//! state machines and request handlers, and the cluster lease drivers are the paths where a
 //! panic takes down every connection (or strands a lease) instead of
 //! failing one request. Runtime code there must not call
 //! `unwrap`/`expect`/`panic!`-family macros or use panicking
@@ -15,6 +15,7 @@ pub struct NoPanicHotPath;
 /// The audited hot-path files.
 const HOT_PATHS: &[&str] = &[
     "crates/synapse-server/src/reactor.rs",
+    "crates/synapse-server/src/routes.rs",
     "crates/synapse-server/src/server.rs",
     "crates/synapse-cluster/src/coordinator.rs",
 ];
@@ -31,8 +32,8 @@ impl Rule for NoPanicHotPath {
     }
 
     fn describe(&self) -> &'static str {
-        "no unwrap/expect/panic!/indexing in reactor.rs, server.rs, and the cluster lease \
-         drivers (non-test code); each allowed site documents its invariant"
+        "no unwrap/expect/panic!/indexing in reactor.rs, routes.rs, server.rs, and the cluster \
+         lease drivers (non-test code); each allowed site documents its invariant"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {

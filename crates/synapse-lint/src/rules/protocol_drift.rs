@@ -1,19 +1,21 @@
 //! `protocol-drift`: docs/PROTOCOL.md is the normative wire spec. Its
-//! §1 endpoint table must agree with the server's route table (the
-//! normalized `ENDPOINTS` list in `synapse-server/src/metrics.rs` and
-//! the dispatch arms in `server.rs`), and its pinned-constants table
+//! §1 endpoint table must equal, as a set of (method, shape, role)
+//! triples, the `const ROUTES` table in `synapse-server/src/routes.rs`
+//! that the server dispatches from, and its pinned-constants table
 //! must agree with the named constants in code (versions, heartbeat /
 //! silence / snapshot cadence, probe and split bounds, lease retry
 //! policy). docs/TRACE.md's headline format version is checked against
 //! `TRACE_VERSION` the same way.
 
 use crate::diag::Diagnostic;
-use crate::rules::{backtick_spans, token_positions, Rule};
+use crate::lexer::Class;
+use crate::rules::{backtick_spans, line_of_offset, token_positions, Rule};
 use crate::workspace::{SourceFile, Workspace};
 
 pub struct ProtocolDrift;
 
 const PROTOCOL: &str = "docs/PROTOCOL.md";
+const ROUTES_RS: &str = "crates/synapse-server/src/routes.rs";
 
 impl Rule for ProtocolDrift {
     fn id(&self) -> &'static str {
@@ -21,8 +23,9 @@ impl Rule for ProtocolDrift {
     }
 
     fn describe(&self) -> &'static str {
-        "docs/PROTOCOL.md endpoint table and pinned constants (versions, heartbeat/silence/backoff, \
-         snapshot cadence) match the code; docs/TRACE.md version matches TRACE_VERSION"
+        "docs/PROTOCOL.md endpoint table equals the server's ROUTES table on (method, shape, \
+         role) and its pinned constants (versions, heartbeat/silence/backoff, snapshot cadence) \
+         match the code; docs/TRACE.md version matches TRACE_VERSION"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
@@ -90,75 +93,54 @@ impl ProtocolDrift {
         }
     }
 
+    /// Two-way set diff of the spec's §1 rows against `const ROUTES`.
     fn check_routes(&self, ws: &Workspace, protocol: &str, out: &mut Vec<Diagnostic>) {
-        let spec_routes = parse_route_table(protocol);
-        if spec_routes.is_empty() {
-            out.push(Diagnostic::new(
-                PROTOCOL,
-                0,
-                self.id(),
-                "no endpoint table found in docs/PROTOCOL.md §1".to_string(),
-            ));
-            return;
-        }
-        let metrics_rel = "crates/synapse-server/src/metrics.rs";
-        let server_rel = "crates/synapse-server/src/server.rs";
-        let endpoints = ws
-            .file(metrics_rel)
-            .map(parse_endpoints_list)
+        let spec = parse_route_table(protocol);
+        let served = ws
+            .file(ROUTES_RS)
+            .and_then(parse_routes_const)
             .unwrap_or_default();
-
-        for (path, line) in &spec_routes {
-            let normalized = normalize_route(path);
-            if !endpoints.iter().any(|e| e == &normalized) {
+        for (rows, file, what) in [
+            (&spec, PROTOCOL, "§1 endpoint table"),
+            (
+                &served,
+                ROUTES_RS,
+                "`const ROUTES` table (method, shape, role, label per row)",
+            ),
+        ] {
+            if rows.is_empty() {
                 out.push(Diagnostic::new(
-                    PROTOCOL,
-                    *line,
+                    file,
+                    0,
                     self.id(),
-                    format!(
-                        "spec endpoint `{path}` (normalized `{normalized}`) is missing from the \
-                         ENDPOINTS route table in {metrics_rel}"
-                    ),
+                    format!("no {what} found"),
                 ));
-            }
-            if let Some(server) = ws.file(server_rel) {
-                if !has_dispatch_arm(server, path) {
-                    out.push(Diagnostic::new(
-                        PROTOCOL,
-                        *line,
-                        self.id(),
-                        format!(
-                            "spec endpoint `{path}` has no matching dispatch arm in {server_rel}"
-                        ),
-                    ));
-                }
+                return;
             }
         }
-        for endpoint in &endpoints {
-            if endpoint == "other" {
-                continue;
-            }
-            if !spec_routes
-                .iter()
-                .any(|(p, _)| &normalize_route(p) == endpoint)
-            {
-                out.push(Diagnostic::new(
-                    metrics_rel,
-                    ws.file(metrics_rel)
-                        .and_then(|f| {
-                            f.lexed
-                                .text
-                                .find(&format!("\"{endpoint}\""))
-                                .map(|at| crate::rules::line_of_offset(&f.lexed.text, at))
-                        })
-                        .unwrap_or(0),
-                    self.id(),
-                    format!(
-                        "route shape `{endpoint}` is served but absent from the \
-                         docs/PROTOCOL.md §1 endpoint table"
-                    ),
-                ));
-            }
+        // A `?query` spec row documents a variant of its base row and
+        // may narrow the role: it needs the method and shape served,
+        // and documents no row by itself.
+        let same = |a: &RouteRow, b: &RouteRow| {
+            (&a.method, &a.shape) == (&b.method, &b.shape) && (a.variant || a.role == b.role)
+        };
+        for row in spec
+            .iter()
+            .filter(|row| !served.iter().any(|r| same(row, r)))
+        {
+            let msg = format!(
+                "spec row `{} {}` ({}) has no such row in ROUTES ({ROUTES_RS})",
+                row.method, row.shape, row.role
+            );
+            out.push(Diagnostic::new(PROTOCOL, row.line, self.id(), msg));
+        }
+        let documented = |row: &RouteRow| spec.iter().any(|r| !r.variant && same(r, row));
+        for row in served.iter().filter(|row| !documented(row)) {
+            let msg = format!(
+                "route `{} {}` ({}) is served but absent from the docs/PROTOCOL.md §1 endpoint table",
+                row.method, row.shape, row.role
+            );
+            out.push(Diagnostic::new(ROUTES_RS, row.line, self.id(), msg));
         }
     }
 
@@ -238,135 +220,79 @@ fn parse_pinned_table(protocol: &str) -> Vec<PinnedRow> {
     rows
 }
 
-/// §1 endpoint-table rows: the `METHOD /path` span of each row.
-fn parse_route_table(protocol: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    for (idx, line) in protocol.lines().enumerate() {
-        if !line.trim_start().starts_with('|') {
-            continue;
+/// One (method, shape, role) triple, from the spec or from the code.
+struct RouteRow {
+    method: String,
+    /// `/campaigns/:id/report` — `<…>` spec segments read as `:id`.
+    shape: String,
+    role: String,
+    /// Spec rows only: the path carried a `?query`.
+    variant: bool,
+    line: usize,
+}
+
+/// §1 endpoint-table rows: `| `METHOD /path` | role | … |`.
+fn parse_route_table(protocol: &str) -> Vec<RouteRow> {
+    let row = |(idx, line): (usize, &str)| {
+        let mut cells = line.trim().strip_prefix('|')?.split('|');
+        // Only the first span of the first cell names the route.
+        let span = backtick_spans(cells.next()?).into_iter().next()?;
+        let role = cells.next()?.trim();
+        let (method, target) = span.split_once(' ')?;
+        if !matches!(method, "GET" | "POST" | "DELETE" | "PUT") || !target.starts_with('/') {
+            return None;
         }
-        // Only the first span of a row names the route.
-        if let Some(span) = backtick_spans(line).first() {
-            let mut words = span.split_whitespace();
-            match (words.next(), words.next(), words.next()) {
-                (Some(m), Some(path), None)
-                    if matches!(m, "GET" | "POST" | "DELETE" | "PUT") && path.starts_with('/') =>
-                {
-                    out.push((path.to_string(), idx + 1));
+        let segments = target.split('?').next()?.split('/').skip(1);
+        let shape = segments
+            .map(|s| {
+                if s.starts_with('<') {
+                    "/:id".to_string()
+                } else {
+                    format!("/{s}")
                 }
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
-/// Collapse a spec path onto the server's normalized route shape.
-fn normalize_route(path: &str) -> String {
-    let path = path.split('?').next().unwrap_or(path);
-    let segments: Vec<String> = path
-        .split('/')
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            if s.starts_with('<') && s.ends_with('>') {
-                ":id".to_string()
-            } else {
-                s.to_string()
-            }
+            })
+            .collect();
+        Some(RouteRow {
+            method: method.to_string(),
+            shape,
+            role: role.to_string(),
+            variant: target.contains('?'),
+            line: idx + 1,
         })
-        .collect();
-    if segments.first().map(String::as_str) == Some("cluster") {
-        return "/cluster".to_string();
-    }
-    format!("/{}", segments.join("/"))
+    };
+    protocol.lines().enumerate().filter_map(row).collect()
 }
 
-/// The string literals of `const ENDPOINTS: … = [ … ];`.
-fn parse_endpoints_list(file: &SourceFile) -> Vec<String> {
-    let code = &file.lexed.code;
-    let Some(start) = code.find("const ENDPOINTS") else {
-        return Vec::new();
-    };
-    // The array body is between the `=` and the first `]` after it
-    // (string contents are blanked in the code view, so the type's
-    // `&[&str]` bracket is skipped and no literal can hide a `]`).
-    let Some(eq) = code[start..].find('=').map(|e| start + e) else {
-        return Vec::new();
-    };
-    let Some(end) = code[eq..].find(']').map(|e| eq + e) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut rest = &file.lexed.text[eq..end];
-    while let Some(open) = rest.find('"') {
-        let tail = &rest[open + 1..];
-        let Some(close) = tail.find('"') else { break };
-        out.push(tail[..close].to_string());
-        rest = &tail[close + 1..];
+/// The rows of `const ROUTES: … = &[ … ];`: its string literals, four
+/// to a row — method, shape, role, label. `None` when the table does
+/// not read that way.
+fn parse_routes_const(file: &SourceFile) -> Option<Vec<RouteRow>> {
+    let lexed = &file.lexed;
+    // String contents are blanked in the code view, so the first `]`
+    // after the `=` closes the array (the type's `&[Route]` sits
+    // before it and no literal can hide one).
+    let at = lexed.code.find("const ROUTES")?;
+    let eq = at + lexed.code[at..].find('=')?;
+    let end = eq + lexed.code[eq..].find(']')?;
+    let is_str = |i: &usize| lexed.classes[*i] == Class::Str;
+    let mut literals: Vec<(&str, usize)> = Vec::new();
+    let mut at = eq;
+    while let Some(open) = (at..end).find(is_str) {
+        at = (open..end).find(|i| !is_str(i)).unwrap_or(end);
+        literals.push((lexed.text[open..at].trim_matches('"'), open));
     }
-    out
-}
-
-/// Does `server.rs` contain a match arm for this spec path? Looks for
-/// the segment-array pattern (`["campaigns", id, "report"]`) in the
-/// original text (code-classified positions only), with `<…>` spec
-/// segments matching any identifier binding. Paths under `/cluster/`
-/// are resolved against the nested `cluster_route` arms after the
-/// `["cluster", …]` prefix arm.
-fn has_dispatch_arm(server: &SourceFile, path: &str) -> bool {
-    let path = path.split('?').next().unwrap_or(path);
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    if segments.first() == Some(&"cluster") {
-        return !server.lexed.code_occurrences("[\"cluster\"").is_empty()
-            && (segments.len() == 1 || find_arm(server, &segments[1..]));
+    let rows = literals.chunks_exact(4);
+    if !rows.remainder().is_empty() {
+        return None;
     }
-    find_arm(server, &segments)
-}
-
-/// Scan for `["a", <ident-or-binding>, "c"]` matching `segments`.
-fn find_arm(file: &SourceFile, segments: &[&str]) -> bool {
-    file.lexed
-        .code_occurrences("[")
-        .iter()
-        .any(|&open| match_arm_at(&file.lexed.text, open, segments))
-}
-
-fn match_arm_at(text: &str, open: usize, segments: &[&str]) -> bool {
-    let mut i = open + 1;
-    let b = text.as_bytes();
-    let skip_ws = |i: &mut usize| {
-        while *i < b.len() && (b[*i] as char).is_whitespace() {
-            *i += 1;
-        }
+    let row = |row: &[(&str, usize)]| RouteRow {
+        method: row[0].0.to_string(),
+        shape: row[1].0.to_string(),
+        role: row[2].0.to_string(),
+        variant: false,
+        line: line_of_offset(&lexed.text, row[0].1),
     };
-    for (n, seg) in segments.iter().enumerate() {
-        skip_ws(&mut i);
-        if seg.starts_with('<') {
-            // Any binding: an identifier or `_`.
-            let start = i;
-            while i < b.len() && crate::lexer::is_ident_byte(b[i]) {
-                i += 1;
-            }
-            if i == start {
-                return false;
-            }
-        } else {
-            let want = format!("\"{seg}\"");
-            if !text[i..].starts_with(&want) {
-                return false;
-            }
-            i += want.len();
-        }
-        skip_ws(&mut i);
-        if n + 1 < segments.len() {
-            if i >= b.len() || b[i] != b',' {
-                return false;
-            }
-            i += 1;
-        }
-    }
-    skip_ws(&mut i);
-    i < b.len() && b[i] == b']'
+    Some(rows.map(row).collect())
 }
 
 /// Value of `const NAME: … = <int>;` in `file`'s runtime code.

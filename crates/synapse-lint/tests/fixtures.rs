@@ -178,23 +178,39 @@ const PROTOCOL_MD: &str = "# Fixture protocol\n\n\
     |---|---|---|\n\
     | `FRAME_VERSION` | `3` | `crates/synapse-server/src/server.rs` |\n";
 
-const SERVER_RS: &str = "pub const FRAME_VERSION: u64 = 3;\n\
-    pub fn route(segments: &[&str]) -> bool {\n\
-        match segments {\n\
-            [\"healthz\"] => true,\n\
-            _ => false,\n\
-        }\n\
-    }\n";
+const SERVER_RS: &str = "pub const FRAME_VERSION: u64 = 3;\n";
 
-const METRICS_RS: &str = "pub const ENDPOINTS: &[&str] = &[\"/healthz\", \"other\"];\n";
+const ROUTES_RS: &str = "pub(crate) const ROUTES: &[Route] = &[\n\
+    \x20   // the \"liveness\" probe\n\
+    \x20   (\"GET\", \"/healthz\", \"both\", \"/healthz\", healthz),\n\
+    ];\n";
+
+/// `PROTOCOL_MD` with extra §1 rows, against `ROUTES_RS` with extra rows.
+fn check_routes(name: &str, spec_rows: &str, code_rows: &str) -> Vec<Diagnostic> {
+    let fx = Fixture::new(name);
+    let spec = PROTOCOL_MD.replace("liveness |\n", &format!("liveness |\n{spec_rows}"));
+    fx.write("docs/PROTOCOL.md", &spec);
+    fx.write("crates/synapse-server/src/server.rs", SERVER_RS);
+    fx.write(
+        "crates/synapse-server/src/routes.rs",
+        &ROUTES_RS.replace("];", &format!("{code_rows}];")),
+    );
+    fx.check_rule("protocol-drift")
+}
 
 #[test]
 fn protocol_drift_accepts_spec_matching_code() {
-    let fx = Fixture::new("proto-neg");
-    fx.write("docs/PROTOCOL.md", PROTOCOL_MD);
-    fx.write("crates/synapse-server/src/server.rs", SERVER_RS);
-    fx.write("crates/synapse-server/src/metrics.rs", METRICS_RS);
-    assert!(fx.check_rule("protocol-drift").is_empty());
+    // A `?query` row is a variant of its base row and may narrow the
+    // role; `<id>` reads as `:id`.
+    let diags = check_routes(
+        "proto-neg",
+        "| `POST /campaigns` | both | submit |\n\
+         | `POST /campaigns?cluster=1` | coordinator | fan out |\n\
+         | `DELETE /campaigns/<id>` | both | cancel |\n",
+        "(\"POST\", \"/campaigns\", \"both\", \"/campaigns\", submit),\n\
+         (\"DELETE\", \"/campaigns/:id\", \"both\", \"/campaigns/:id\", cancel),\n",
+    );
+    assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
@@ -202,7 +218,7 @@ fn protocol_drift_flags_constant_drift() {
     let fx = Fixture::new("proto-const");
     fx.write("docs/PROTOCOL.md", &PROTOCOL_MD.replace("`3`", "`4`"));
     fx.write("crates/synapse-server/src/server.rs", SERVER_RS);
-    fx.write("crates/synapse-server/src/metrics.rs", METRICS_RS);
+    fx.write("crates/synapse-server/src/routes.rs", ROUTES_RS);
     let diags = fx.check_rule("protocol-drift");
     assert_eq!(diags.len(), 1);
     assert_eq!(diags[0].file, "docs/PROTOCOL.md");
@@ -210,26 +226,44 @@ fn protocol_drift_flags_constant_drift() {
 }
 
 #[test]
-fn protocol_drift_flags_missing_dispatch_arm_and_route() {
-    let fx = Fixture::new("proto-route");
-    fx.write("docs/PROTOCOL.md", PROTOCOL_MD);
-    fx.write(
-        "crates/synapse-server/src/server.rs",
-        &SERVER_RS.replace("[\"healthz\"]", "[\"statusz\"]"),
-    );
-    fx.write(
-        "crates/synapse-server/src/metrics.rs",
-        &METRICS_RS.replace("/healthz", "/statusz"),
-    );
-    let diags = fx.check_rule("protocol-drift");
-    let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
-    assert!(msgs
-        .iter()
-        .any(|m| m.contains("missing from the ENDPOINTS route table")));
-    assert!(msgs.iter().any(|m| m.contains("no matching dispatch arm")));
-    assert!(msgs
-        .iter()
-        .any(|m| m.contains("`/statusz` is served but absent")));
+fn protocol_drift_flags_route_method_and_role_drift_in_both_directions() {
+    // (fixture, spec row, served row) — a missing route, a `DELETE`
+    // row documented as `POST`, a `coordinator` row documented `both`.
+    for (name, spec, (method, shape, role)) in [
+        ("proto-route", "GET /statusz", ("GET", "/readyz", "both")),
+        (
+            "proto-method",
+            "POST /campaigns/<id>",
+            ("DELETE", "/campaigns/:id", "both"),
+        ),
+        (
+            "proto-role",
+            "GET /cluster/status",
+            ("GET", "/cluster/status", "coordinator"),
+        ),
+    ] {
+        let diags = check_routes(
+            name,
+            &format!("| `{spec}` | both | drifted |\n"),
+            &format!("(\"{method}\", \"{shape}\", \"{role}\", \"{shape}\", handler),\n"),
+        );
+        assert_eq!(diags.len(), 2, "{diags:?}");
+        // Findings come back sorted by file.
+        assert_eq!(diags[0].file, "crates/synapse-server/src/routes.rs");
+        assert_eq!(diags[0].line, 4);
+        let served = format!("`{method} {shape}` ({role}) is served but absent");
+        assert!(diags[0].message.contains(&served), "{diags:?}");
+        assert_eq!(diags[1].file, "docs/PROTOCOL.md");
+        let documented = format!("`{}` (both) has no such row", spec.replace("<id>", ":id"));
+        assert!(diags[1].message.contains(&documented), "{diags:?}");
+    }
+}
+
+#[test]
+fn protocol_drift_reports_an_unreadable_routes_table() {
+    let diags = check_routes("proto-table", "", "(\"GET\", \"/x\", \"both\", x),\n");
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert!(diags[0].message.contains("no `const ROUTES` table"));
 }
 
 #[test]
@@ -237,7 +271,7 @@ fn protocol_drift_checks_trace_md_headline() {
     let fx = Fixture::new("proto-trace");
     fx.write("docs/PROTOCOL.md", PROTOCOL_MD);
     fx.write("crates/synapse-server/src/server.rs", SERVER_RS);
-    fx.write("crates/synapse-server/src/metrics.rs", METRICS_RS);
+    fx.write("crates/synapse-server/src/routes.rs", ROUTES_RS);
     fx.write("docs/TRACE.md", "# Traces\n\n**Trace format version: 2**\n");
     fx.write(
         "crates/synapse-trace/src/lib.rs",
@@ -392,7 +426,7 @@ fn write_clean_base(fx: &Fixture) {
         "crates/synapse-server/src/server.rs",
         &format!("#![forbid(unsafe_code)]\n{SERVER_RS}"),
     );
-    fx.write("crates/synapse-server/src/metrics.rs", METRICS_RS);
+    fx.write("crates/synapse-server/src/routes.rs", ROUTES_RS);
     fx.write(
         "crates/synapse-foo/src/metrics.rs",
         "pub fn install(r: &Registry) {\n\

@@ -8,7 +8,7 @@
 //! Deliberate non-goals: keep-alive (every response closes the
 //! connection), request pipelining, compression, TLS.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// Cap on the request line + headers (bytes) before `431` is returned.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -337,14 +337,26 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
 /// A complete response (head + `Content-Length` body + close
 /// semantics) as wire bytes, ready for a nonblocking writer.
 pub fn response_bytes(status: u16, reason: &str, content_type: &str, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 128);
-    out.extend_from_slice(
-        format!(
-            "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            body.len()
-        )
-        .as_bytes(),
-    );
+    response_bytes_with(status, reason, &[], content_type, body)
+}
+
+/// [`response_bytes`] with extra head fields (`Allow` on a `405`).
+pub fn response_bytes_with(
+    status: u16,
+    reason: &str,
+    fields: &[(&str, &str)],
+    content_type: &str,
+    body: &[u8],
+) -> Vec<u8> {
+    let fields: String = fields
+        .iter()
+        .map(|(name, value)| format!("{name}: {value}\r\n"))
+        .collect();
+    let mut out = format!(
+        "HTTP/1.1 {status} {reason}\r\n{fields}Content-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
     out.extend_from_slice(body);
     out
 }
@@ -376,30 +388,6 @@ pub fn append_chunk(out: &mut Vec<u8>, data: &[u8]) {
 
 /// The zero-length chunk that terminates a chunked stream.
 pub const CHUNK_TERMINATOR: &[u8] = b"0\r\n\r\n";
-
-/// Write a complete response with a `Content-Length` body and close
-/// semantics.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-) -> std::io::Result<()> {
-    stream.write_all(&response_bytes(status, reason, content_type, body))?;
-    stream.flush()
-}
-
-/// Write a JSON response.
-pub fn write_json(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    value: &serde_json::Value,
-) -> std::io::Result<()> {
-    let body = serde_json::to_string(value).unwrap_or_else(|_| "{}".into());
-    write_response(stream, status, reason, "application/json", body.as_bytes())
-}
 
 #[cfg(test)]
 mod tests {
@@ -633,11 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn response_byte_helpers_mirror_the_writers() {
-        let mut written = Vec::new();
-        write_response(&mut written, 200, "OK", "text/plain", b"hi").unwrap();
-        assert_eq!(written, response_bytes(200, "OK", "text/plain", b"hi"));
-
+    fn stream_head_and_chunks_frame_as_chunked_encoding() {
         let head = stream_head_bytes("application/x-ndjson");
         let text = String::from_utf8(head).unwrap();
         assert!(text.contains("Transfer-Encoding: chunked"));
@@ -652,11 +636,15 @@ mod tests {
 
     #[test]
     fn plain_response_has_content_length() {
-        let mut buf = Vec::new();
-        write_response(&mut buf, 404, "Not Found", "text/plain", b"nope").unwrap();
+        let buf = response_bytes(404, "Not Found", "text/plain", b"nope");
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
         assert!(text.contains("Content-Length: 4\r\n"));
         assert!(text.ends_with("\r\n\r\nnope"));
+        let allowed =
+            response_bytes_with(405, "Method Not Allowed", &[("Allow", "GET")], "a/b", b"");
+        assert!(allowed.starts_with(
+            b"HTTP/1.1 405 Method Not Allowed\r\nAllow: GET\r\nContent-Type: a/b\r\n"
+        ));
     }
 }

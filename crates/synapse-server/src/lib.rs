@@ -19,25 +19,10 @@
 //!
 //! # Endpoints
 //!
-//! | Method + path               | Meaning                                       |
-//! |-----------------------------|-----------------------------------------------|
-//! | `POST /campaigns`           | submit a TOML/JSON spec → `{"id": "j1", ...}` |
-//! | `POST /campaigns?watch=1`   | submit + stream on one connection             |
-//! | `GET /campaigns`            | status of every job                           |
-//! | `GET /campaigns/j1`         | one job's status/summary                      |
-//! | `GET /campaigns/j1/events`  | chunked NDJSON stream of per-point results    |
-//! | `…/events?aggregates=1`     | lifecycle + aggregate snapshot deltas only    |
-//! | `GET /campaigns/j1/aggregates` | live per-(axis, value) stats, mid-sweep too |
-//! | `GET /campaigns/j1/report`  | deterministic report of a completed job       |
-//! | `POST /campaigns?record=1`  | submit + capture a flight-recorder trace      |
-//! | `GET /campaigns/j1/trace`   | recorded trace (NDJSON) of a finished job     |
-//! | `DELETE /campaigns/j1`      | cooperative cancellation                      |
-//! | `GET /healthz`              | liveness + queue depth + connection load      |
-//! | `GET /store/stats`          | shape + lock contention of the shared cache   |
-//! | `POST /shutdown`            | graceful exit                                 |
-//! | `POST /leases`              | sweep a grid slice for a cluster coordinator  |
-//! | `POST /cluster/workers`     | register a worker (coordinator mode)          |
-//! | `GET /cluster/status`       | worker registry + health (coordinator mode)   |
+//! The served routes are one table, `ROUTES` in `routes.rs`: dispatch,
+//! `404`/`405` + `Allow` replies and the `endpoint` metric label all
+//! read it. `docs/PROTOCOL.md` §1 documents each row, and the
+//! `protocol-drift` lint keeps the two equal on method, shape and role.
 //!
 //! # Event stream
 //!
@@ -80,6 +65,7 @@ pub mod http;
 pub mod job;
 mod metrics;
 mod reactor;
+mod routes;
 pub mod server;
 
 pub use client::{Client, Response, STREAM_SILENCE_TIMEOUT};

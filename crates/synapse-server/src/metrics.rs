@@ -12,6 +12,8 @@ use std::sync::{Arc, OnceLock};
 
 use synapse_telemetry::{global, Counter, Gauge, Histogram, DURATION_BUCKETS, SIZE_BUCKETS};
 
+use crate::routes::{OTHER, ROUTES};
+
 /// Reactor, connection-lifecycle and streaming instrumentation.
 pub(crate) struct ServerMetrics {
     /// Connections currently registered with the reactor (scrape-time
@@ -44,28 +46,9 @@ pub(crate) struct ServerMetrics {
     /// Seconds since the server bound, at the last scrape.
     pub uptime_seconds: Arc<Gauge>,
     /// Per-endpoint request latency (dispatch-queue wait + handler
-    /// time), keyed by normalized route shape.
+    /// time), keyed by route label.
     requests: Vec<(&'static str, Arc<Histogram>)>,
 }
-
-/// Every route shape the request-latency family is registered for.
-/// Paths normalize onto these so the label set stays bounded no
-/// matter what clients send.
-const ENDPOINTS: &[&str] = &[
-    "/healthz",
-    "/metrics",
-    "/store/stats",
-    "/campaigns",
-    "/campaigns/:id",
-    "/campaigns/:id/aggregates",
-    "/campaigns/:id/events",
-    "/campaigns/:id/report",
-    "/campaigns/:id/trace",
-    "/leases",
-    "/cluster",
-    "/shutdown",
-    "other",
-];
 
 impl ServerMetrics {
     /// The process-wide handles (registering the series on first use).
@@ -129,9 +112,14 @@ impl ServerMetrics {
                     "synapse_server_uptime_seconds",
                     "Seconds since the server bound (refreshed at scrape).",
                 ),
-                requests: ENDPOINTS
+                // One series per label in the route table plus the
+                // catch-all; rows sharing a label get-or-create the
+                // same series.
+                requests: ROUTES
                     .iter()
-                    .map(|&endpoint| {
+                    .map(|&(_, _, _, label, _)| label)
+                    .chain([OTHER])
+                    .map(|endpoint| {
                         (
                             endpoint,
                             r.histogram_with(
@@ -147,76 +135,13 @@ impl ServerMetrics {
         })
     }
 
-    /// The latency histogram for one normalized endpoint — a lock-free
-    /// scan over the fixed route table.
+    /// The latency histogram for one route label — a lock-free scan
+    /// over the series registered from the route table.
     pub fn request_seconds(&self, endpoint: &'static str) -> &Arc<Histogram> {
         self.requests
             .iter()
             .find(|(e, _)| *e == endpoint)
             .map(|(_, h)| h)
-            .expect("endpoint_label only returns registered endpoints")
-    }
-}
-
-/// Collapse a request path onto its route shape (one of [`ENDPOINTS`])
-/// so per-endpoint series stay bounded under arbitrary client input.
-pub(crate) fn endpoint_label(path: &str) -> &'static str {
-    let trimmed = path.trim_end_matches('/');
-    let path = trimmed.split('?').next().unwrap_or(trimmed);
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match segments.as_slice() {
-        ["healthz"] => "/healthz",
-        ["metrics"] => "/metrics",
-        ["store", "stats"] => "/store/stats",
-        ["campaigns"] => "/campaigns",
-        ["campaigns", _] => "/campaigns/:id",
-        ["campaigns", _, "aggregates"] => "/campaigns/:id/aggregates",
-        ["campaigns", _, "events"] => "/campaigns/:id/events",
-        ["campaigns", _, "report"] => "/campaigns/:id/report",
-        ["campaigns", _, "trace"] => "/campaigns/:id/trace",
-        ["leases"] => "/leases",
-        ["cluster", ..] => "/cluster",
-        ["shutdown"] => "/shutdown",
-        _ => "other",
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn endpoint_labels_normalize_onto_the_registered_table() {
-        assert_eq!(
-            endpoint_label("/campaigns/j42/events"),
-            "/campaigns/:id/events"
-        );
-        assert_eq!(
-            endpoint_label("/campaigns/j42/aggregates?axis=machine"),
-            "/campaigns/:id/aggregates"
-        );
-        assert_eq!(endpoint_label("/campaigns/j42/"), "/campaigns/:id");
-        assert_eq!(endpoint_label("/campaigns?watch=1"), "/campaigns");
-        assert_eq!(endpoint_label("/cluster/workers/w1/heartbeat"), "/cluster");
-        assert_eq!(endpoint_label("/totally/unknown"), "other");
-        for path in [
-            "/healthz",
-            "/metrics",
-            "/store/stats",
-            "/campaigns/j1/report",
-            "/campaigns/j1/trace",
-            "/leases",
-            "/shutdown",
-        ] {
-            assert!(ENDPOINTS.contains(&endpoint_label(path)), "{path}");
-        }
-    }
-
-    #[test]
-    fn every_label_resolves_to_a_registered_histogram() {
-        let metrics = ServerMetrics::get();
-        for endpoint in ENDPOINTS {
-            metrics.request_seconds(endpoint).observe(0.001);
-        }
+            .expect("every label in ROUTES, and OTHER, is registered")
     }
 }

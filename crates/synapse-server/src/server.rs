@@ -1,5 +1,6 @@
-//! The `synapse serve` daemon: epoll reactor front, request routing,
-//! the job queue worker pool and the process-wide result cache.
+//! The `synapse serve` daemon: epoll reactor front, the job queue
+//! worker pool and the process-wide result cache (the route table and
+//! its handlers live in `routes.rs`).
 //!
 //! Concurrency model: ONE reactor thread owns every connection —
 //! nonblocking accept, incremental request parsing, response flushing
@@ -45,9 +46,10 @@ use synapse_campaign::{
 use synapse_trace::TraceRecorder;
 
 use crate::http::{self, HttpError, Request, RequestParser};
-use crate::job::{EventHook, EventRing, Job, JobKind, JobState, LeaseRequest};
-use crate::metrics::{endpoint_label, ServerMetrics};
+use crate::job::{EventHook, EventRing, Job, JobKind, JobState};
+use crate::metrics::ServerMetrics;
 use crate::reactor::{self, Poller, Waker};
+use crate::routes::{self, Reply};
 use crate::{ClusterBackend, ServerError};
 
 /// How many points must land since the last aggregate `snapshot`
@@ -84,7 +86,7 @@ pub const MAX_RETAINED_TERMINAL_LEASES: usize = 2;
 pub const HEARTBEAT_EVERY: Duration = Duration::from_secs(10);
 
 /// Serialize one event document to its NDJSON line.
-fn ndjson(value: &serde_json::Value) -> String {
+pub(crate) fn ndjson(value: &serde_json::Value) -> String {
     // lint:allow(no-panic-hot-path, reason = "serializing owned in-memory data; Value/string serialization is infallible")
     serde_json::to_string(value).expect("event serializes")
 }
@@ -188,31 +190,31 @@ impl Default for ServerConfig {
 /// process-wide cache handle.
 pub(crate) struct ServerState {
     pub(crate) cache: ResultCache,
-    jobs: Mutex<Vec<Arc<Job>>>,
+    pub(crate) jobs: Mutex<Vec<Arc<Job>>>,
     queue: Mutex<VecDeque<Arc<Job>>>,
     queue_ready: Condvar,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     job_workers: usize,
     event_buffer: usize,
-    max_connections: usize,
-    active_connections: AtomicUsize,
+    pub(crate) max_connections: usize,
+    pub(crate) active_connections: AtomicUsize,
     /// The reactor's wakeup handle, set once `run()` starts; jobs
     /// created after that carry it as their event hook.
     reactor_waker: OnceLock<Arc<Waker>>,
     /// Distributed-execution backend (coordinator mode); `None` for a
     /// plain worker/standalone server.
-    cluster: Option<Arc<dyn ClusterBackend>>,
+    pub(crate) cluster: Option<Arc<dyn ClusterBackend>>,
     /// Live flight recorders by causality id, so the handler pool can
     /// stamp per-endpoint spans onto the trace a request belongs to
     /// (via `X-Synapse-Trace` or the `/campaigns/<id>` path). Entries
     /// live from submit until the job's trace is finalized.
     recorders: Mutex<HashMap<String, Arc<TraceRecorder>>>,
-    started: Instant,
+    pub(crate) started: Instant,
 }
 
 impl ServerState {
-    fn job(&self, public_id: &str) -> Option<Arc<Job>> {
+    pub(crate) fn job(&self, public_id: &str) -> Option<Arc<Job>> {
         let id: u64 = public_id.strip_prefix('j')?.parse().ok()?;
         self.jobs
             .lock()
@@ -222,7 +224,7 @@ impl ServerState {
             .cloned()
     }
 
-    fn submit(
+    pub(crate) fn submit(
         &self,
         spec: CampaignSpec,
         total: usize,
@@ -321,7 +323,7 @@ impl ServerState {
     /// captured — completed, cancelled or failed runs all leave a
     /// coherent trace) and retire the live recorder so span stamping
     /// stops. Idempotent; every path that terminates a job calls it.
-    fn finalize_trace(&self, job: &Arc<Job>) {
+    pub(crate) fn finalize_trace(&self, job: &Arc<Job>) {
         if let Some(recorder) = job.recorder() {
             job.set_trace_doc(recorder.render());
             self.recorders
@@ -333,24 +335,19 @@ impl ServerState {
 
     /// Stamp one handled request onto the trace it belongs to, if any:
     /// resolved by `X-Synapse-Trace` header first (cluster clients
-    /// propagate it), else by the `/campaigns/<id>` path through the
-    /// job table. Requests landing after the trace is sealed are not
-    /// recorded — the document is already immutable by then.
-    fn record_span(&self, request: &Request, endpoint: &str, secs: f64) {
+    /// propagate it), else through the job table by the `:id` its
+    /// route matched (worker ids never name a job). Requests landing
+    /// after the trace is sealed are not recorded — the document is
+    /// already immutable by then.
+    fn record_span(&self, request: &Request, endpoint: &str, id: &str, secs: f64) {
         let recorder = match request.header("x-synapse-trace") {
-            Some(id) => self
+            Some(trace) => self
                 .recorders
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .get(id)
+                .get(trace)
                 .cloned(),
-            None => request
-                .path()
-                .trim_start_matches('/')
-                .strip_prefix("campaigns/")
-                .and_then(|rest| rest.split(['/', '?']).next())
-                .and_then(|public_id| self.job(public_id))
-                .and_then(|job| job.recorder().cloned()),
+            None => self.job(id).and_then(|job| job.recorder().cloned()),
         };
         if let Some(recorder) = recorder {
             recorder.record_span(endpoint, secs);
@@ -397,74 +394,9 @@ impl ServerState {
         }
     }
 
-    fn shutting_down(&self) -> bool {
+    pub(crate) fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
-
-    /// Current status document of one job.
-    fn status_json(&self, job: &Job) -> serde_json::Value {
-        job.with_progress(|p| {
-            let hit_rate = if p.done > 0 {
-                p.cache_hits as f64 / p.done as f64
-            } else {
-                0.0
-            };
-            let mut doc = json!({
-                "id": job.public_id(),
-                "name": job.spec.name,
-                "status": p.state.name(),
-                "total": job.total,
-                "done": p.done,
-                "cache_hits": p.cache_hits,
-                "cache_hit_rate": hit_rate,
-            });
-            if let serde_json::Value::Object(obj) = &mut doc {
-                if let Some(stats) = &p.stats {
-                    obj.insert("simulated".into(), json!(stats.simulated));
-                    obj.insert("wall_secs".into(), json!(stats.wall_secs));
-                    obj.insert("points_per_sec".into(), json!(stats.points_per_sec()));
-                }
-                if let Some(error) = &p.error {
-                    obj.insert("error".into(), json!(error));
-                }
-            }
-            doc
-        })
-    }
-}
-
-/// Queue-depth snapshot under the jobs lock: (total, queued, running).
-/// Shared by `/healthz` and the `/metrics` scrape-time gauges so both
-/// views count from the same table at the same instant.
-fn job_counts(state: &ServerState) -> (usize, usize, usize) {
-    let jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
-    let queued = jobs
-        .iter()
-        .filter(|j| j.state() == JobState::Queued)
-        .count();
-    let running = jobs
-        .iter()
-        .filter(|j| j.state() == JobState::Running)
-        .count();
-    (jobs.len(), queued, running)
-}
-
-/// This process's live thread count (Linux `/proc`), surfaced through
-/// `/healthz` so operators — and the CI smoke — can verify the front
-/// holds watchers without spawning a thread per connection.
-fn process_threads() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find(|l| l.starts_with("Threads:"))?
-                .split_whitespace()
-                .nth(1)?
-                .parse()
-                .ok()
-        })
-        .unwrap_or(0)
 }
 
 /// A bound, not-yet-running server.
@@ -1101,493 +1033,6 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
 }
 
 // ---------------------------------------------------------------------------
-// Request routing (runs on the handler pool; returns bytes or a
-// stream handle for the reactor to drive — never touches a socket).
-// ---------------------------------------------------------------------------
-
-/// What a routed request turns into.
-pub(crate) enum Reply {
-    /// A complete response: write, close.
-    Full(Vec<u8>),
-    /// Switch the connection to a live NDJSON event stream, after an
-    /// optional preamble line (the `?watch=1` submit ack). `ring`
-    /// picks which of the job's event rings feeds the stream: raw
-    /// (everything) or aggregates-only (`?aggregates=1`).
-    Stream {
-        job: Arc<Job>,
-        preamble: Option<String>,
-        ring: EventRing,
-    },
-    /// Write the response, then initiate server shutdown.
-    Shutdown(Vec<u8>),
-}
-
-fn json_reply(status: u16, reason: &str, value: &serde_json::Value) -> Reply {
-    Reply::Full(http::json_bytes(status, reason, value))
-}
-
-/// Dispatch one parsed request.
-fn route(request: &Request, state: &ServerState) -> Reply {
-    let path = request.path().trim_end_matches('/').to_string();
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => {
-            let (jobs, queued, running) = job_counts(state);
-            json_reply(
-                200,
-                "OK",
-                &json!({
-                    "status": "ok",
-                    "uptime_secs": state.started.elapsed().as_secs_f64(),
-                    "jobs": jobs,
-                    "queued": queued,
-                    "running": running,
-                    "active_connections": state.active_connections.load(Ordering::Acquire),
-                    "max_connections": state.max_connections,
-                    "threads": process_threads(),
-                    "coordinator": state.cluster.is_some(),
-                }),
-            )
-        }
-        ("GET", ["store", "stats"]) => {
-            let stats = state.cache.stats();
-            json_reply(
-                200,
-                "OK",
-                &json!({
-                    "results": stats.docs,
-                    "data_files": stats.data_files,
-                    "occupied_shards": stats.occupied_shards,
-                    "shard_count": synapse_store::SHARD_COUNT,
-                    "dirty_shards": stats.dirty_shards,
-                    "bytes_on_disk": stats.bytes_on_disk,
-                    "engine": stats.engine,
-                    // Cross-process cache-sharing observability: how
-                    // often this process's saves collided with another
-                    // process on the shared directory, and how many of
-                    // their results were merged back in.
-                    "lock_acquisitions": stats.lock_acquisitions,
-                    "lock_contention": stats.lock_contention,
-                    "reconciled_docs": stats.reconciled_docs,
-                    "active_connections": state.active_connections.load(Ordering::Acquire),
-                }),
-            )
-        }
-        ("GET", ["metrics"]) => {
-            // Refresh the scrape-time gauges from the very sources the
-            // JSON endpoints report — same job table, same connection
-            // counter — so `/healthz` and `/metrics` cannot drift.
-            let metrics = ServerMetrics::get();
-            let (_, queued, running) = job_counts(state);
-            metrics.jobs_queued.set(queued as f64);
-            metrics.jobs_running.set(running as f64);
-            metrics
-                .uptime_seconds
-                .set(state.started.elapsed().as_secs_f64());
-            metrics
-                .connections_active
-                .set(state.active_connections.load(Ordering::Acquire) as f64);
-            Reply::Full(http::response_bytes(
-                200,
-                "OK",
-                "text/plain; version=0.0.4",
-                synapse_telemetry::global().render().as_bytes(),
-            ))
-        }
-        ("POST", ["campaigns"]) => submit_campaign(request, state),
-        ("POST", ["leases"]) => submit_lease(request, state),
-        (_, ["cluster", rest @ ..]) => cluster_route(request, rest, state),
-        ("GET", ["campaigns"]) => {
-            let listing: Vec<serde_json::Value> = state
-                .jobs
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .map(|j| state.status_json(j))
-                .collect();
-            json_reply(200, "OK", &json!({"campaigns": listing}))
-        }
-        ("GET", ["campaigns", id]) => match state.job(id) {
-            Some(job) => json_reply(200, "OK", &state.status_json(&job)),
-            None => not_found(id),
-        },
-        ("GET", ["campaigns", id, "report"]) => match state.job(id) {
-            Some(job) => match job.report_json() {
-                Some(body) => Reply::Full(http::response_bytes(
-                    200,
-                    "OK",
-                    "application/json",
-                    body.as_bytes(),
-                )),
-                None => json_reply(
-                    409,
-                    "Conflict",
-                    &json!({
-                        "error": format!("campaign {id} is {}, report not available",
-                                          job.state().name()),
-                    }),
-                ),
-            },
-            None => not_found(id),
-        },
-        ("GET", ["campaigns", id, "trace"]) => match state.job(id) {
-            Some(job) => match job.trace_doc() {
-                Some(doc) => Reply::Full(http::response_bytes(
-                    200,
-                    "OK",
-                    "application/x-ndjson",
-                    doc.as_bytes(),
-                )),
-                None => json_reply(
-                    409,
-                    "Conflict",
-                    &json!({
-                        "error": if job.recorder().is_some() {
-                            format!("campaign {id} is {}, trace not sealed yet", job.state().name())
-                        } else {
-                            format!("campaign {id} was not recorded (submit with ?record=1)")
-                        },
-                    }),
-                ),
-            },
-            None => not_found(id),
-        },
-        ("GET", ["campaigns", id, "aggregates"]) => match state.job(id) {
-            Some(job) => aggregates_reply(request, &job),
-            None => not_found(id),
-        },
-        ("GET", ["campaigns", id, "events"]) => match state.job(id) {
-            Some(job) => Reply::Stream {
-                job,
-                preamble: None,
-                ring: stream_ring(request),
-            },
-            None => not_found(id),
-        },
-        ("DELETE", ["campaigns", id]) => match state.job(id) {
-            Some(job) => {
-                // A queued job never reaches a worker's cancelled
-                // check promptly; settle it here so DELETE is
-                // immediate for work that never started. (The queue
-                // worker re-checks and skips settled jobs; a running
-                // job just gets its token cancelled.)
-                if job.settle_if_queued() {
-                    state.finalize_trace(&job);
-                }
-                json_reply(200, "OK", &state.status_json(&job))
-            }
-            None => not_found(id),
-        },
-        ("POST", ["shutdown"]) => Reply::Shutdown(http::json_bytes(
-            200,
-            "OK",
-            &json!({"status": "shutting down"}),
-        )),
-        (_, ["healthz" | "shutdown" | "leases" | "metrics"])
-        | (_, ["store", "stats"])
-        | (_, ["campaigns"] | ["campaigns", _])
-        | (_, ["campaigns", _, "events" | "report" | "trace" | "aggregates"]) => json_reply(
-            405,
-            "Method Not Allowed",
-            &json!({"error": format!("{} not allowed on {}", request.method, path)}),
-        ),
-        _ => json_reply(
-            404,
-            "Not Found",
-            &json!({"error": format!("no such endpoint {path:?}")}),
-        ),
-    }
-}
-
-fn not_found(id: &str) -> Reply {
-    json_reply(
-        404,
-        "Not Found",
-        &json!({"error": format!("no such campaign {id:?}")}),
-    )
-}
-
-/// Which job ring a stream request asked for: `?aggregates=1` selects
-/// the lifecycle+snapshot-only ring, anything else the raw ring.
-fn stream_ring(request: &Request) -> EventRing {
-    if request.query_flag("aggregates") {
-        EventRing::Aggregates
-    } else {
-        EventRing::Raw
-    }
-}
-
-/// `GET /campaigns/<id>/aggregates[?axis=...&metric=...]`: the live
-/// per-(axis, value) aggregate table — answerable mid-sweep (whatever
-/// has landed so far) and after completion (the full campaign).
-/// Unknown axis or metric names are a 400, not an empty result, so a
-/// typo cannot read as "no data".
-fn aggregates_reply(request: &Request, job: &Arc<Job>) -> Reply {
-    let axis = request.query_value("axis");
-    if let Some(axis) = axis {
-        if !synapse_campaign::aggregate::AXES
-            .iter()
-            .any(|(name, _)| *name == axis)
-        {
-            let known: Vec<&str> = synapse_campaign::aggregate::AXES
-                .iter()
-                .map(|(name, _)| *name)
-                .collect();
-            return json_reply(
-                400,
-                "Bad Request",
-                &json!({"error": format!("unknown axis {axis:?} (one of {})", known.join(", "))}),
-            );
-        }
-    }
-    let metric = request.query_value("metric");
-    if let Some(metric) = metric {
-        if !synapse_campaign::live::METRICS.contains(&metric) {
-            return json_reply(
-                400,
-                "Bad Request",
-                &json!({
-                    "error": format!(
-                        "unknown metric {metric:?} (one of {})",
-                        synapse_campaign::live::METRICS.join(", ")
-                    ),
-                }),
-            );
-        }
-    }
-    AggregateMetrics::get().queries.inc();
-    let (done, state_name) = job.with_progress(|p| (p.done, p.state.name()));
-    let mut doc = job.live().render(axis, metric);
-    if let serde_json::Value::Object(obj) = &mut doc {
-        obj.insert("id".into(), json!(job.public_id()));
-        obj.insert("name".into(), json!(job.spec.name));
-        obj.insert("status".into(), json!(state_name));
-        obj.insert("done".into(), json!(done));
-        obj.insert("total".into(), json!(job.total));
-    }
-    json_reply(200, "OK", &doc)
-}
-
-/// `POST /campaigns[?cluster=1]`: parse a TOML or JSON spec, enqueue a
-/// job — locally swept, or distributed across the cluster when the
-/// flag is set (coordinator servers only).
-fn submit_campaign(request: &Request, state: &ServerState) -> Reply {
-    if state.shutting_down() {
-        return json_reply(
-            503,
-            "Service Unavailable",
-            &json!({"error": "server is shutting down"}),
-        );
-    }
-    let distributed = request.query_flag("cluster");
-    if distributed && state.cluster.is_none() {
-        return json_reply(
-            400,
-            "Bad Request",
-            &json!({"error": "this server is not a cluster coordinator (start it with `synapse cluster start`)"}),
-        );
-    }
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return json_reply(
-            400,
-            "Bad Request",
-            &json!({"error": "spec body is not UTF-8"}),
-        );
-    };
-    // Dispatch on declared content type, falling back to sniffing:
-    // JSON specs start with '{'.
-    let content_type = request.header("content-type").unwrap_or("");
-    let parsed = if content_type.contains("json") || text.trim_start().starts_with('{') {
-        CampaignSpec::from_json(text)
-    } else {
-        CampaignSpec::from_toml(text)
-    };
-    match parsed {
-        Ok(spec) => {
-            let kind = if distributed {
-                JobKind::Distributed
-            } else {
-                JobKind::Sweep
-            };
-            let total = spec.point_count();
-            // `?record=1` attaches a flight recorder before the job is
-            // queued: the trace id is minted deterministically from the
-            // spec, so a cluster coordinator and a local run of the
-            // same campaign agree on it without coordination.
-            let recorder = request
-                .query_flag("record")
-                .then(|| Arc::new(TraceRecorder::new(&spec)));
-            let job = state.submit(spec, total, kind, recorder, None);
-            let mut ack = json!({
-                "id": job.public_id(),
-                "name": job.spec.name,
-                "status": job.state().name(),
-                "points": job.total,
-                "distributed": distributed,
-            });
-            if let (Some(recorder), serde_json::Value::Object(obj)) = (job.recorder(), &mut ack) {
-                obj.insert("trace".into(), json!(recorder.trace_id()));
-            }
-            // `?watch=1` folds submit + watch into ONE round trip: the
-            // ack becomes the stream's first NDJSON line and the
-            // job's events follow on the same connection — half the
-            // connection churn for the most common client flow.
-            if request.query_flag("watch") {
-                Reply::Stream {
-                    job,
-                    preamble: Some(ndjson(&ack)),
-                    ring: stream_ring(request),
-                }
-            } else {
-                json_reply(202, "Accepted", &ack)
-            }
-        }
-        Err(e) => json_reply(
-            400,
-            "Bad Request",
-            &json!({"error": format!("invalid campaign spec: {e}")}),
-        ),
-    }
-}
-
-/// `POST /leases`: accept a lease (full spec + grid index range) from
-/// a cluster coordinator and enqueue it like any other job. Events
-/// stream through the usual `GET /campaigns/<id>/events`.
-fn submit_lease(request: &Request, state: &ServerState) -> Reply {
-    if state.shutting_down() {
-        return json_reply(
-            503,
-            "Service Unavailable",
-            &json!({"error": "server is shutting down"}),
-        );
-    }
-    let Ok(text) = std::str::from_utf8(&request.body) else {
-        return json_reply(
-            400,
-            "Bad Request",
-            &json!({"error": "lease body is not UTF-8"}),
-        );
-    };
-    let lease: LeaseRequest = match serde_json::from_str(text) {
-        Ok(lease) => lease,
-        Err(e) => {
-            return json_reply(
-                400,
-                "Bad Request",
-                &json!({"error": format!("invalid lease request: {e}")}),
-            )
-        }
-    };
-    // Re-validate after the hop; the range must fit the grid.
-    let spec = match lease.spec.validated() {
-        Ok(spec) => spec,
-        Err(e) => {
-            return json_reply(
-                400,
-                "Bad Request",
-                &json!({"error": format!("invalid campaign spec: {e}")}),
-            )
-        }
-    };
-    let total = spec.point_count();
-    if lease.start >= lease.end || lease.end > total {
-        return json_reply(
-            400,
-            "Bad Request",
-            &json!({
-                "error": format!(
-                    "lease range {}..{} does not fit the {total}-point grid",
-                    lease.start, lease.end
-                ),
-            }),
-        );
-    }
-    // A coordinator propagates its campaign's causality id with the
-    // lease; the worker echoes it in every event and batch frame.
-    let lease_trace = request.header("x-synapse-trace").map(str::to_string);
-    let job = state.submit(
-        spec,
-        lease.end - lease.start,
-        JobKind::Lease {
-            start: lease.start,
-            end: lease.end,
-        },
-        None,
-        lease_trace,
-    );
-    let mut ack = json!({
-        "id": job.public_id(),
-        "name": job.spec.name,
-        "status": job.state().name(),
-        "points": job.total,
-        "lease": {"start": lease.start, "end": lease.end},
-        "grid_points": total,
-    });
-    if let (Some(id), serde_json::Value::Object(obj)) = (job.lease_trace(), &mut ack) {
-        obj.insert("trace".into(), json!(id));
-    }
-    json_reply(202, "Accepted", &ack)
-}
-
-/// `/cluster/*`: the coordinator's worker registry. 404s (with a
-/// pointer) on servers without a cluster backend.
-fn cluster_route(request: &Request, rest: &[&str], state: &ServerState) -> Reply {
-    let Some(backend) = &state.cluster else {
-        return json_reply(
-            404,
-            "Not Found",
-            &json!({"error": "this server is not a cluster coordinator (start it with `synapse cluster start`)"}),
-        );
-    };
-    match (request.method.as_str(), rest) {
-        ("GET", ["status"]) => json_reply(200, "OK", &backend.status()),
-        ("POST", ["workers"]) => {
-            // Accept `{"addr": "host:port"}` or a bare address body.
-            let text = std::str::from_utf8(&request.body).unwrap_or("").trim();
-            let addr = serde_json::from_str::<serde_json::Value>(text)
-                .ok()
-                // lint:allow(no-panic-hot-path, reason = "Value indexing is total; a missing key yields Null, never a panic")
-                .and_then(|v| v["addr"].as_str().map(str::to_string))
-                .or_else(|| (!text.is_empty() && !text.starts_with('{')).then(|| text.to_string()));
-            match addr {
-                Some(addr) => json_reply(201, "Created", &backend.register_worker(&addr)),
-                None => json_reply(
-                    400,
-                    "Bad Request",
-                    &json!({"error": "worker registration needs {\"addr\": \"host:port\"}"}),
-                ),
-            }
-        }
-        ("DELETE", ["workers", id]) => match backend.deregister_worker(id) {
-            Some(doc) => json_reply(200, "OK", &doc),
-            None => json_reply(
-                404,
-                "Not Found",
-                &json!({"error": format!("no such worker {id:?}")}),
-            ),
-        },
-        ("POST", ["workers", id, "heartbeat"]) => match backend.heartbeat(id) {
-            Some(doc) => json_reply(200, "OK", &doc),
-            None => json_reply(
-                404,
-                "Not Found",
-                &json!({"error": format!("no such worker {id:?}")}),
-            ),
-        },
-        (_, ["status"]) | (_, ["workers", ..]) => json_reply(
-            405,
-            "Method Not Allowed",
-            &json!({"error": format!("{} not allowed on /cluster/{}", request.method, rest.join("/"))}),
-        ),
-        _ => json_reply(
-            404,
-            "Not Found",
-            &json!({"error": format!("no such cluster endpoint {:?}", rest.join("/"))}),
-        ),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The reactor: nonblocking accept + per-connection state machines.
 // ---------------------------------------------------------------------------
 
@@ -1629,14 +1074,16 @@ fn handler_worker(state: &ServerState, dispatch: &Dispatch, waker: &Waker) {
         let Some((token, request, dispatched)) = task else {
             return;
         };
-        let endpoint = endpoint_label(request.path());
-        let reply = route(&request, state);
+        let resolved = routes::resolve(&request.method, request.path());
+        let reply = routes::dispatch(&request, state, &resolved);
+        let endpoint = resolved.label;
         ServerMetrics::get()
             .request_seconds(endpoint)
             .observe_since(dispatched);
         // Same wall the histogram just observed, stamped into the
         // flight recorder this request belongs to (if one is live).
-        state.record_span(&request, endpoint, dispatched.elapsed().as_secs_f64());
+        let secs = dispatched.elapsed().as_secs_f64();
+        state.record_span(&request, endpoint, resolved.id, secs);
         dispatch
             .completions
             .lock()

@@ -222,8 +222,10 @@ fn aggregates_endpoint_answers_mid_sweep_and_stream_mode_omits_points() {
     let final_doc = client.aggregates(&id, None, None).unwrap();
     assert_eq!(final_doc["points"].as_u64(), Some(total));
     let lines = Mutex::new(Vec::<Value>::new());
+    let mut aggregate_bytes = 0;
     let last = client
         .watch_aggregates(&id, |line| {
+            aggregate_bytes += line.len() + 1;
             lines
                 .lock()
                 .unwrap()
@@ -236,6 +238,19 @@ fn aggregates_endpoint_answers_mid_sweep_and_stream_mode_omits_points() {
     assert!(
         lines.iter().all(|l| l["event"].as_str() != Some("point")),
         "aggregate stream carries no per-point lines"
+    );
+    // ... which is what makes it O(slices), not O(points): a replay of
+    // the finished job is under half the raw replay's bytes.
+    let mut raw_bytes = 0;
+    client
+        .watch(&id, |line| {
+            raw_bytes += line.len() + 1;
+            true
+        })
+        .unwrap();
+    assert!(
+        aggregate_bytes > 0 && aggregate_bytes * 2 < raw_bytes,
+        "aggregate replay {aggregate_bytes} B vs raw {raw_bytes} B"
     );
     let snapshots: Vec<&Value> = lines
         .iter()
@@ -454,10 +469,10 @@ fn malformed_submissions_get_4xx_not_jobs() {
     // Unknown endpoints and wrong methods are 404/405, not hangs.
     let missing = client.status("j999").unwrap_err();
     assert!(missing.to_string().contains("404"), "{missing}");
-    for (method, path, status) in [
-        ("PUT", "/healthz", "405"),
-        ("POST", "/campaigns/j999/events", "405"),
-        ("GET", "/campaigns/j999/bogus", "404"),
+    for (method, path, status, allow) in [
+        ("PUT", "/healthz", "405", Some("GET")),
+        ("POST", "/campaigns/j999/events", "405", Some("GET")),
+        ("GET", "/campaigns/j999/bogus", "404", None),
     ] {
         let mut raw = TcpStream::connect(handle.addr()).unwrap();
         write!(
@@ -471,6 +486,9 @@ fn malformed_submissions_get_4xx_not_jobs() {
             response.starts_with(&format!("HTTP/1.1 {status}")),
             "{method} {path}: {response:?}"
         );
+        let head = response.split("\r\n\r\n").next().unwrap();
+        let allowed = head.lines().find_map(|l| l.strip_prefix("Allow: "));
+        assert_eq!(allowed, allow, "{method} {path}: {response:?}");
     }
     handle.shutdown();
     join.join().unwrap();

@@ -38,12 +38,11 @@
 //! Replay has two modes: [`ReplayMode::Strict`] (any divergence is an
 //! error — the zero-flake CI gate) and [`ReplayMode::Lenient`]
 //! (divergences are collected and reported — the audit tool).
-//! [`Trace::verify`] is a fast structural scan (no per-point parsing —
-//! orders of magnitude faster than simulation; the `trace_replay`
-//! bench stage measures it); [`Trace::replay_on`] re-drives an
-//! observer with fully parsed events; [`Trace::reconstruct_report`]
-//! rebuilds the byte-identical [`CampaignReport`] without ever
-//! invoking the simulator.
+//! [`Trace::verify`] is a fast structural scan (no per-point parsing);
+//! [`Trace::replay_on`] re-drives an observer with fully parsed
+//! events; [`Trace::reconstruct_report`] rebuilds the byte-identical
+//! [`CampaignReport`]. None of them enters the engine —
+//! `tests/replay_no_resim.rs` pins that.
 
 mod metrics;
 

@@ -1,0 +1,60 @@
+//! Strict replay never enters the engine. One test, its own process:
+//! the telemetry registry is process-global, so the only sweep it ever
+//! sees here is the recording below.
+
+use synapse_campaign::{run_campaign_on, CampaignSpec, CancelToken, ResultCache, RunConfig};
+use synapse_trace::{ReplayMode, Trace, TraceRecorder};
+
+/// One unlabelled sample off the process registry's scrape.
+fn scraped(series: &str) -> u64 {
+    synapse_telemetry::global()
+        .render()
+        .lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{series} not in the scrape"))
+}
+
+#[test]
+fn strict_replay_and_report_reconstruction_never_simulate() {
+    let spec = CampaignSpec::from_toml(
+        r#"
+        name = "replay-no-resim"
+        seed = 7
+        machines = ["thinkie", "comet"]
+        kernels = ["asm", "c"]
+
+        [[workloads]]
+        app = "gromacs"
+        steps = [10000, 50000]
+        "#,
+    )
+    .unwrap();
+    let recorder = TraceRecorder::new(&spec);
+    let outcome = run_campaign_on(
+        &spec,
+        &RunConfig::default(),
+        &ResultCache::in_memory(),
+        &|event| recorder.observe(&event),
+        &CancelToken::new(),
+    )
+    .unwrap();
+    recorder.record_stats(&outcome.stats);
+    let text = recorder.render();
+
+    let engine = || {
+        (
+            scraped("synapse_engine_simulate_seconds_count"),
+            scraped("synapse_engine_points_total"),
+        )
+    };
+    let recorded = engine();
+    assert_eq!(recorded, (8, 8), "the cold recording sweep simulated");
+
+    let trace = Trace::parse(&text).unwrap();
+    let summary = trace.verify(ReplayMode::Strict).unwrap();
+    assert!(summary.is_clean());
+    assert_eq!(summary.points, 8);
+    let report = trace.reconstruct_report().unwrap();
+    assert_eq!(report.to_json().unwrap(), outcome.report.to_json().unwrap());
+    assert_eq!(engine(), recorded, "replay re-entered the engine");
+}
