@@ -1,10 +1,8 @@
 //! E.1 — Profiling overheads and consistency (Figs 4 and 6).
 
-use std::sync::Arc;
-
 use synapse_model::Summary;
 use synapse_sim::{thinkie, Noise};
-use synapse_store::{DbProfileStore, DocumentDb, ProfileStore};
+use synapse_store::{DbProfileStore, ProfileStore, ShardedDb};
 use synapse_workloads::AppModel;
 
 use crate::util::{repeated_runs, summarize, RATES, STEPS_E12};
@@ -50,8 +48,7 @@ pub fn run_fig04() -> String {
     // The Python implementation stores far more verbose documents, so
     // its 16 MB cap binds at ~250 k samples; our compact JSON needs a
     // proportionally smaller cap to exhibit the same truncation.
-    let db = Arc::new(DocumentDb::with_limit(1 << 20));
-    let store = DbProfileStore::new(db);
+    let store = DbProfileStore::new(ShardedDb::in_memory_with_limit(1 << 20));
     let report = store.save(&profile).expect("store profile");
     out.push_str(&format!(
         "\nDB backend note: profile of {} samples stored with a capped document size\n\

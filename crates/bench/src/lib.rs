@@ -3,9 +3,10 @@
 //! paper's evaluation (§5).
 //!
 //! Each module implements one experiment and exposes `run() ->
-//! String`, printing the same rows/series the paper plots; the
-//! `src/bin/*` binaries are thin wrappers, and `run_all` regenerates
-//! everything for EXPERIMENTS.md. All experiments run on the machine
+//! String`, printing the same rows/series the paper plots; the one
+//! binary (`cargo run -p bench [-- <name>]`) walks
+//! [`all_experiments`], regenerating everything for EXPERIMENTS.md
+//! or just the named experiment. All experiments run on the machine
 //! models (substitution documented in DESIGN.md), are deterministic
 //! (seeded noise) and complete in seconds.
 //!

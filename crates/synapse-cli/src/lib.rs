@@ -1432,7 +1432,7 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
         } => {
             let store = FileStore::open(&store).map_err(|e| e.to_string())?;
             let key = synapse_model::ProfileKey::new(command.trim(), tags);
-            let set = ProfileStore::load_set(&store, &key).map_err(|e| e.to_string())?;
+            let set = store.load_set(&key).map_err(|e| e.to_string())?;
             let rt = set.runtime_summary().map_err(|e| e.to_string())?;
             let cycles = set
                 .totals_summary(|t| t.cycles as f64)

@@ -15,8 +15,6 @@ pub enum StoreError {
     },
     /// No document/profile matched the query.
     NotFound(String),
-    /// A document with the same id already exists.
-    DuplicateId(String),
     /// Underlying filesystem failure.
     Io(std::io::Error),
     /// JSON (de)serialization failure.
@@ -35,7 +33,6 @@ impl fmt::Display for StoreError {
                 write!(f, "document of {size} bytes exceeds the {limit}-byte limit")
             }
             StoreError::NotFound(what) => write!(f, "not found: {what}"),
-            StoreError::DuplicateId(id) => write!(f, "duplicate document id: {id}"),
             StoreError::Io(e) => write!(f, "io error: {e}"),
             StoreError::Serde(e) => write!(f, "serialization error: {e}"),
             StoreError::Corrupt(what) => write!(f, "corrupt store: {what}"),
@@ -86,9 +83,6 @@ mod tests {
         assert!(e.to_string().contains("20"));
         assert!(e.to_string().contains("10"));
         assert!(StoreError::NotFound("x".into()).to_string().contains('x'));
-        assert!(StoreError::DuplicateId("d".into())
-            .to_string()
-            .contains('d'));
     }
 
     #[test]

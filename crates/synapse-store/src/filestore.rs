@@ -2,10 +2,11 @@
 //! limit ("File-based storage of profiles is available, which poses no
 //! limit on the number of samples", §4.5).
 
-use std::fs;
+use std::fs::{self, OpenOptions};
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
-use synapse_model::{Profile, ProfileKey, ProfileSet};
+use synapse_model::{Profile, ProfileKey};
 
 use crate::error::StoreError;
 
@@ -39,10 +40,22 @@ impl FileStore {
     pub fn save(&self, profile: &Profile) -> Result<PathBuf, StoreError> {
         let dir = self.key_dir(&profile.key);
         fs::create_dir_all(&dir)?;
-        let seq = existing_seqs(&dir)?.last().map_or(1, |s| s + 1);
-        let path = dir.join(format!("{seq:06}.json"));
-        fs::write(&path, profile.to_json()?)?;
-        Ok(path)
+        let json = profile.to_json()?;
+        let mut seq = existing_seqs(&dir)?.last().map_or(1, |s| s + 1);
+        // Claim the number by creating its file: a concurrent saver
+        // that picked the same one gets `AlreadyExists` and moves on,
+        // instead of overwriting this run.
+        loop {
+            let path = dir.join(format!("{seq:06}.json"));
+            match OpenOptions::new().write(true).create_new(true).open(&path) {
+                Ok(mut file) => {
+                    file.write_all(json.as_bytes())?;
+                    return Ok(path);
+                }
+                Err(e) if e.kind() == ErrorKind::AlreadyExists => seq += 1,
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
 
     /// Load every stored profile whose key *matches* the query key
@@ -69,21 +82,6 @@ impl FileStore {
             }
         }
         Ok(out)
-    }
-
-    /// Load all matching profiles as a [`ProfileSet`] for statistics.
-    /// Requires all matches to share the exact same key; errors when
-    /// nothing matches.
-    pub fn load_set(&self, query: &ProfileKey) -> Result<ProfileSet, StoreError> {
-        let profiles = self.load_matching(query)?;
-        if profiles.is_empty() {
-            return Err(StoreError::NotFound(format!("profiles for {query}")));
-        }
-        let mut set = ProfileSet::new();
-        for p in profiles {
-            set.push(p)?;
-        }
-        Ok(set)
     }
 
     /// All distinct keys with at least one stored profile.
@@ -153,6 +151,7 @@ fn sanitize(id: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProfileStore;
     use synapse_model::{Sample, SystemInfo, Tags};
 
     fn tmp(tag: &str) -> PathBuf {

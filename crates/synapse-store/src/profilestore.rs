@@ -8,16 +8,15 @@
 //! in Fig. 4 ("the largest configuration misses one data sample due to
 //! limitations in the database backend").
 
-use std::sync::Arc;
+use std::sync::Mutex;
 
-use serde_json::json;
+use serde::Deserialize;
 use synapse_model::{Profile, ProfileKey, ProfileSet};
 
-use crate::db::DocumentDb;
 use crate::document::Document;
 use crate::error::StoreError;
 use crate::filestore::FileStore;
-use crate::query::Query;
+use crate::sharded::ShardedDb;
 
 /// Outcome of storing one profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,56 +75,71 @@ impl ProfileStore for FileStore {
     }
 }
 
-/// Database-backed profile storage: one document per profile run in a
-/// `profiles` collection, indexed by the `(command, tags)` key.
+/// Database-backed profile storage: one document per profile run,
+/// stored under `"{key.id()}@{run:06}"` and found again by the
+/// `(command, tags)` key. The [`ShardedDb`] the caller hands over
+/// decides the document limit (16 MB by default, like MongoDB) and
+/// whether anything persists (`db().save()` on an opened directory).
 pub struct DbProfileStore {
-    db: Arc<DocumentDb>,
-    collection: String,
+    db: ShardedDb,
+    /// Held from picking a run number to inserting under it: two
+    /// savers of one key must not pick the same number, because
+    /// [`ShardedDb::upsert`] would silently overwrite the first.
+    saving: Mutex<()>,
 }
 
 impl DbProfileStore {
-    /// Wrap a database, using the conventional `profiles` collection.
-    pub fn new(db: Arc<DocumentDb>) -> Self {
-        Self::with_collection(db, "profiles")
-    }
-
-    /// Wrap a database with a custom collection name.
-    pub fn with_collection(db: Arc<DocumentDb>, collection: impl Into<String>) -> Self {
+    /// Wrap a database.
+    pub fn new(db: ShardedDb) -> Self {
         DbProfileStore {
             db,
-            collection: collection.into(),
+            saving: Mutex::new(()),
         }
     }
 
-    /// The underlying database handle.
-    pub fn db(&self) -> &Arc<DocumentDb> {
+    /// The underlying database.
+    pub fn db(&self) -> &ShardedDb {
         &self.db
     }
+}
 
-    fn key_query(query: &ProfileKey) -> Query {
-        let tags: serde_json::Map<String, serde_json::Value> = query
-            .tags
-            .iter()
-            .map(|(k, v)| (k.to_string(), json!(v)))
-            .collect();
-        let mut q = Query::all().field("key.command", query.command.clone());
-        if !tags.is_empty() {
-            q = q.field("key.tags", serde_json::Value::Object(tags));
-        }
-        q
+/// Split a run's document id into its key id and run number. Commands
+/// may contain `@`, so the *last* one is the separator; an id not of
+/// this store's making sorts as run 0 of itself.
+fn run_of(id: &str) -> (&str, u64) {
+    id.rsplit_once('@')
+        .and_then(|(key, run)| Some((key, run.parse().ok()?)))
+        .unwrap_or((id, 0))
+}
+
+/// Decode a stored run if its key matches the query. The key alone
+/// decides, so the sample series of an unwanted profile is never read.
+fn decode_if_matching(doc: &Document, query: &ProfileKey) -> Result<Option<Profile>, StoreError> {
+    let key = ProfileKey::deserialize(&doc.body["key"]).map_err(|e| StoreError::Serde(e.into()))?;
+    if key.matches(query) {
+        doc.decode().map(Some)
+    } else {
+        Ok(None)
     }
 }
 
 impl ProfileStore for DbProfileStore {
     fn save(&self, profile: &Profile) -> Result<SaveReport, StoreError> {
-        let limit = self.db.doc_limit();
-        let (fitted, dropped) = fit_to_limit(profile, limit)?;
-        let seq = self
-            .db
-            .count(&self.collection, &Self::key_query(&profile.key));
-        let id = format!("{}@{:06}", profile.key.id(), seq + 1);
-        let doc = Document::new(id, &fitted)?;
-        self.db.insert(&self.collection, doc)?;
+        let (fitted, dropped) = fit_to_limit(profile, self.db.doc_limit())?;
+        let body = serde_json::to_value(&fitted)?;
+        let key_id = profile.key.id();
+        let _saving = self.saving.lock().expect("a saver panicked mid-save");
+        let mut last = 0;
+        self.db.for_each(|doc| {
+            let (key, run) = run_of(&doc.id);
+            if key == key_id {
+                last = last.max(run);
+            }
+        });
+        self.db.upsert(Document {
+            id: format!("{key_id}@{:06}", last + 1),
+            body,
+        })?;
         Ok(SaveReport {
             stored_samples: fitted.len(),
             dropped_samples: dropped,
@@ -133,8 +147,20 @@ impl ProfileStore for DbProfileStore {
     }
 
     fn load_matching(&self, query: &ProfileKey) -> Result<Vec<Profile>, StoreError> {
-        let docs = self.db.find(&self.collection, &Self::key_query(query));
-        docs.iter().map(Document::decode).collect()
+        let mut runs = Vec::new();
+        let mut failed = None;
+        self.db
+            .for_each(|doc| match decode_if_matching(doc, query) {
+                Ok(Some(profile)) => runs.push((doc.id.clone(), profile)),
+                Ok(None) => {}
+                Err(e) => failed = Some(e),
+            });
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        // Ids hash to shards, so shard order is not recording order.
+        runs.sort_by(|(a, _), (b, _)| run_of(a).cmp(&run_of(b)));
+        Ok(runs.into_iter().map(|(_, profile)| profile).collect())
     }
 }
 
@@ -201,7 +227,7 @@ mod tests {
 
     #[test]
     fn db_store_roundtrip() {
-        let store = DbProfileStore::new(Arc::new(DocumentDb::new()));
+        let store = DbProfileStore::new(ShardedDb::in_memory());
         let p = profile("app", "steps=10", 5, 5.0);
         let rep = store.save(&p).unwrap();
         assert_eq!(rep.stored_samples, 5);
@@ -213,7 +239,7 @@ mod tests {
 
     #[test]
     fn db_store_multiple_runs_and_representative() {
-        let store = DbProfileStore::new(Arc::new(DocumentDb::new()));
+        let store = DbProfileStore::new(ShardedDb::in_memory());
         for rt in [1.0, 2.0, 9.0] {
             store.save(&profile("app", "steps=10", 2, rt)).unwrap();
         }
@@ -227,7 +253,7 @@ mod tests {
 
     #[test]
     fn db_store_subset_tag_query() {
-        let store = DbProfileStore::new(Arc::new(DocumentDb::new()));
+        let store = DbProfileStore::new(ShardedDb::in_memory());
         store
             .save(&profile("app", "steps=10,host=thinkie", 1, 1.0))
             .unwrap();
@@ -251,8 +277,7 @@ mod tests {
     #[test]
     fn small_doc_limit_truncates_trailing_samples() {
         // A limit that fits the shell plus a few samples only.
-        let db = Arc::new(DocumentDb::with_limit(2000));
-        let store = DbProfileStore::new(db);
+        let store = DbProfileStore::new(ShardedDb::in_memory_with_limit(2000));
         let p = profile("app", "", 100, 100.0);
         let rep = store.save(&p).unwrap();
         assert!(rep.dropped_samples > 0, "expected truncation");
@@ -266,8 +291,7 @@ mod tests {
 
     #[test]
     fn impossible_limit_is_an_error() {
-        let db = Arc::new(DocumentDb::with_limit(10));
-        let store = DbProfileStore::new(db);
+        let store = DbProfileStore::new(ShardedDb::in_memory_with_limit(10));
         let p = profile("app-with-a-reasonably-long-command-name", "", 1, 1.0);
         assert!(matches!(
             store.save(&p),
@@ -277,9 +301,96 @@ mod tests {
 
     #[test]
     fn load_set_missing_key_errors() {
-        let store = DbProfileStore::new(Arc::new(DocumentDb::new()));
+        let store = DbProfileStore::new(ShardedDb::in_memory());
         let q = ProfileKey::new("ghost", Tags::new());
         assert!(matches!(store.load_set(&q), Err(StoreError::NotFound(_))));
+    }
+
+    /// `savers` threads released together, each saving one run of the
+    /// same key: every save must succeed and every run must be there.
+    fn save_one_key_concurrently(store: &(dyn ProfileStore + Sync), savers: usize) {
+        let barrier = std::sync::Barrier::new(savers);
+        std::thread::scope(|scope| {
+            for i in 0..savers {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let p = profile("app", "steps=10", 400, 1.0 + i as f64);
+                    barrier.wait();
+                    store.save(&p).expect("concurrent save");
+                });
+            }
+        });
+        let key = ProfileKey::new("app", Tags::parse("steps=10"));
+        let mut runtimes: Vec<f64> = store
+            .load_matching(&key)
+            .unwrap()
+            .iter()
+            .map(|p| p.runtime)
+            .collect();
+        runtimes.sort_by(f64::total_cmp);
+        let expected: Vec<f64> = (0..savers).map(|i| 1.0 + i as f64).collect();
+        assert_eq!(runtimes, expected);
+    }
+
+    #[test]
+    fn db_store_concurrent_saves_of_one_key_all_land() {
+        save_one_key_concurrently(&DbProfileStore::new(ShardedDb::in_memory()), 8);
+    }
+
+    #[test]
+    fn file_store_concurrent_saves_of_one_key_all_land() {
+        let dir = std::env::temp_dir().join(format!("synapse-ps-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        save_one_key_concurrently(&FileStore::open(&dir).unwrap(), 8);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn db_store_persists_runs_in_recording_order() {
+        let dir = std::env::temp_dir().join(format!("synapse-ps-db-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            let db = ShardedDb::open(&dir, crate::DEFAULT_DOC_LIMIT, "profilestore-test").unwrap();
+            DbProfileStore::new(db)
+        };
+        let runtimes = |store: &DbProfileStore, tags: &str| -> Vec<f64> {
+            let key = ProfileKey::new("app@host", Tags::parse(tags));
+            let runs = store.load_matching(&key).unwrap();
+            runs.iter().map(|p| p.runtime).collect()
+        };
+        let store = open();
+        // Twelve runs of one key land in several shards (ids hash), and
+        // a second key sits between them.
+        for run in 1..=12 {
+            let p = profile("app@host", "steps=10", 3, run as f64);
+            store.save(&p).unwrap();
+            if run % 6 == 0 {
+                let other = profile("app@host", "steps=20", 1, 100.0 + run as f64);
+                store.save(&other).unwrap();
+            }
+        }
+        let shards: std::collections::BTreeSet<u8> = store
+            .db()
+            .keys()
+            .iter()
+            .map(|id| crate::shard_of(id))
+            .collect();
+        assert!(shards.len() > 1, "runs must spread over shards");
+        let before = store.load_matching(&ProfileKey::new("app@host", Tags::new()));
+        store.db().save().unwrap();
+        drop(store);
+
+        let reopened = open();
+        let expected: Vec<f64> = (1..=12).map(f64::from).collect();
+        assert_eq!(runtimes(&reopened, "steps=10"), expected);
+        assert_eq!(runtimes(&reopened, "steps=20"), vec![106.0, 112.0]);
+        let after = reopened.load_matching(&ProfileKey::new("app@host", Tags::new()));
+        assert_eq!(after.unwrap(), before.unwrap());
+        // Numbering resumes after what is on disk.
+        let p = profile("app@host", "steps=10", 3, 13.0);
+        reopened.save(&p).unwrap();
+        assert_eq!(runtimes(&reopened, "steps=10").last(), Some(&13.0));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! A sharded, compacting document store for very large key spaces.
 //!
-//! [`DocumentDb`](crate::DocumentDb) persists each collection as one
-//! JSON file, so every save rewrites the whole collection — quadratic
-//! total write cost as a campaign grows. [`ShardedDb`] splits one
-//! logical keyspace over 256 shard files by key prefix, tracks which
-//! shards were mutated since the last save, and only rewrites those.
-//! A million-point result store then pays for what changed, not for
-//! what exists.
+//! A store kept as one JSON file rewrites everything on every save —
+//! quadratic total write cost as a campaign grows. [`ShardedDb`]
+//! splits one logical keyspace over 256 shard files by key prefix,
+//! tracks which shards were mutated since the last save, and only
+//! rewrites those. A million-point result store then pays for what
+//! changed, not for what exists.
 //!
 //! On-disk layout under the store directory:
 //!

@@ -6,9 +6,7 @@ use synapse::config::ProfilerConfig;
 use synapse::emulator::{EmulationPlan, Emulator, KernelChoice};
 use synapse::{api, Profiler, SynapseError};
 use synapse_model::{ProfileKey, Sample, SystemInfo, Tags};
-use synapse_store::{DbProfileStore, DocumentDb, FileStore, StoreError};
-
-use std::sync::Arc;
+use synapse_store::{DbProfileStore, FileStore, ShardedDb, StoreError};
 
 #[test]
 fn crashing_application_still_produces_a_profile() {
@@ -83,8 +81,7 @@ fn emulation_with_unwritable_io_dir_errors_cleanly() {
 
 #[test]
 fn db_backend_with_hopeless_limit_reports_document_too_large() {
-    let db = Arc::new(DocumentDb::with_limit(8));
-    let store = DbProfileStore::new(db);
+    let store = DbProfileStore::new(ShardedDb::in_memory_with_limit(8));
     let config = ProfilerConfig::with_rate(10.0);
     let err = api::profile("sleep 0.1", None, &store, &config);
     match err {

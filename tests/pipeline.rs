@@ -5,10 +5,8 @@ use synapse::config::ProfilerConfig;
 use synapse::emulator::{EmulationPlan, Emulator, KernelChoice};
 use synapse::{api, Profiler};
 use synapse_model::{ProfileKey, Tags};
-use synapse_store::{DbProfileStore, DocumentDb, FileStore, ProfileStore};
+use synapse_store::{DbProfileStore, FileStore, ProfileStore, ShardedDb};
 use synapse_workloads::{PhaseOp, PhaseScript};
-
-use std::sync::Arc;
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("synapse-it-{tag}-{}", std::process::id()));
@@ -56,8 +54,7 @@ fn profile_fn_captures_synthetic_script_resources() {
 
 #[test]
 fn profile_store_emulate_roundtrip_via_db_backend() {
-    let db = Arc::new(DocumentDb::new());
-    let store = DbProfileStore::new(db);
+    let store = DbProfileStore::new(ShardedDb::in_memory());
     let config = ProfilerConfig::with_rate(10.0);
     let outcome = api::profile("sleep 0.2", Some(Tags::parse("it=db")), &store, &config)
         .expect("profile sleep");
@@ -131,8 +128,7 @@ fn emulation_consumes_comparable_cpu_to_profiled_burn() {
 fn file_and_db_backends_agree_on_content() {
     let dir = tmpdir("agree");
     let fstore = FileStore::open(&dir).unwrap();
-    let db = Arc::new(DocumentDb::new());
-    let dstore = DbProfileStore::new(db);
+    let dstore = DbProfileStore::new(ShardedDb::in_memory());
     let config = ProfilerConfig::with_rate(10.0);
 
     let profiler = Profiler::new(config);

@@ -6,9 +6,7 @@ use synapse_model::{
     Summary, SystemInfo, Tags,
 };
 use synapse_sim::{FsKind, FsModel, IoOp, KernelProfile, VirtualClock};
-use synapse_store::{Collection, DbProfileStore, Document, DocumentDb, ProfileStore, Query};
-
-use std::sync::Arc;
+use synapse_store::{DbProfileStore, FileStore, ProfileStore, ShardedDb};
 
 fn arb_sample(max_t: f64) -> impl Strategy<Value = Sample> {
     (
@@ -66,6 +64,19 @@ fn arb_profile() -> impl Strategy<Value = Profile> {
     })
 }
 
+/// Keys over a small alphabet — three commands (one containing the
+/// `@` the database's ids are split on), three tags each absent or one
+/// of two values — so arbitrary queries match arbitrary subsets.
+fn arb_key() -> impl Strategy<Value = ProfileKey> {
+    (0usize..3, 0u8..3, 0u8..3, 0u8..3).prop_map(|(command, a, b, c)| {
+        let tags = [("a", a), ("b", b), ("c", c)]
+            .into_iter()
+            .filter(|&(_, v)| v > 0)
+            .fold(Tags::new(), |tags, (k, v)| tags.with(k, v));
+        ProfileKey::new(["app", "app@000001", "tool --n 4"][command], tags)
+    })
+}
+
 proptest! {
     #[test]
     fn profile_json_roundtrip(p in arb_profile()) {
@@ -84,7 +95,7 @@ proptest! {
 
     #[test]
     fn db_store_roundtrips_profiles(p in arb_profile()) {
-        let store = DbProfileStore::new(Arc::new(DocumentDb::new()));
+        let store = DbProfileStore::new(ShardedDb::in_memory());
         store.save(&p).unwrap();
         let got = store.load_matching(&p.key).unwrap();
         prop_assert_eq!(got.len(), 1);
@@ -93,7 +104,7 @@ proptest! {
 
     #[test]
     fn db_truncation_preserves_prefix(p in arb_profile(), limit in 512usize..8192) {
-        let store = DbProfileStore::new(Arc::new(DocumentDb::with_limit(limit)));
+        let store = DbProfileStore::new(ShardedDb::in_memory_with_limit(limit));
         match store.save(&p) {
             Ok(report) => {
                 prop_assert_eq!(report.stored_samples + report.dropped_samples, p.len());
@@ -207,23 +218,40 @@ proptest! {
     }
 
     #[test]
-    fn collection_find_returns_only_matches(ns in proptest::collection::vec(0i64..5, 1..50)) {
-        let mut col = Collection::new("prop");
-        for (i, n) in ns.iter().enumerate() {
-            col.insert(Document {
-                id: format!("d{i}"),
-                body: serde_json::json!({"n": n}),
-            }).unwrap();
-        }
-        for target in 0i64..5 {
-            let q = Query::all().field("n", target);
-            let found = col.find(&q);
-            let expected = ns.iter().filter(|&&n| n == target).count();
-            prop_assert_eq!(found.len(), expected);
-            for d in found {
-                prop_assert_eq!(d.body["n"].as_i64().unwrap(), target);
+    fn both_stores_load_exactly_the_matching_runs_in_save_order(
+        keys in proptest::collection::vec(arb_key(), 1..12),
+        query in arb_key(),
+    ) {
+        // Run i carries runtime i, so save order can be read off a result.
+        let saved: Vec<Profile> = keys
+            .into_iter()
+            .enumerate()
+            .map(|(i, key)| {
+                let mut p = Profile::new(key, SystemInfo::default(), 1.0);
+                p.runtime = 1.0 + i as f64;
+                p
+            })
+            .collect();
+        // Runs of one key must come back in save order; the order
+        // *between* keys is the backend's own, so group before comparing.
+        let by_key = |mut runs: Vec<Profile>| {
+            runs.sort_by_key(|p| p.key.id()); // stable
+            runs
+        };
+        let expected = by_key(saved.iter().filter(|p| p.key.matches(&query)).cloned().collect());
+
+        let dir = std::env::temp_dir().join(format!("synapse-prop-stores-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let file = FileStore::open(&dir).unwrap();
+        let db = DbProfileStore::new(ShardedDb::in_memory());
+        let backends: [&dyn ProfileStore; 2] = [&file, &db];
+        for store in backends {
+            for p in &saved {
+                store.save(p).unwrap();
             }
+            prop_assert_eq!(&by_key(store.load_matching(&query).unwrap()), &expected);
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
