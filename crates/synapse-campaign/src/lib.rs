@@ -203,4 +203,34 @@ mod tests {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    #[test]
+    fn equivalent_spellings_share_fingerprints_and_reports() {
+        // Case and aliases are accepted by every catalog lookup, so
+        // they must not reach fingerprints, seeds or report slices.
+        let toml = |[thinkie, comet, kernel, openmp, mpi, app]: [&str; 6]| {
+            format!(
+                "name = \"spelling\"\nseed = 5\nprofile_machine = \"{thinkie}\"\n\
+                 reference_machine = \"{thinkie}\"\nmachines = [\"thinkie\", \"{comet}\"]\n\
+                 kernels = [\"{kernel}\"]\nmodes = [\"{openmp}\", \"{mpi}\"]\n\
+                 [[workloads]]\napp = \"{app}\"\nsteps = [10000]\n"
+            )
+        };
+        let canonical = ["thinkie", "comet", "asm", "openmp", "mpi", "gromacs"];
+        let shouted = ["Thinkie", "Comet", "ASM", "omp", "OpenMPI", "Gromacs"];
+        let a = CampaignSpec::from_toml(&toml(canonical)).unwrap();
+        let b = CampaignSpec::from_toml(&toml(shouted)).unwrap();
+        let fingerprints = |s: &CampaignSpec| expand(s).iter().map(fingerprint).collect::<Vec<_>>();
+        assert_eq!(fingerprints(&a), fingerprints(&b));
+        assert_eq!(
+            run(&a, 1, &ResultCache::in_memory())
+                .report
+                .to_json()
+                .unwrap(),
+            run(&b, 1, &ResultCache::in_memory())
+                .report
+                .to_json()
+                .unwrap(),
+        );
+    }
 }

@@ -117,6 +117,24 @@ impl RunStats {
             "wall_secs": self.wall_secs,
         })
     }
+
+    /// The run-summary block (`points` … `timings`) every surface
+    /// reports in the same shape: `campaign run --summary-json` and
+    /// the server's terminal `completed` events. Callers insert what
+    /// is theirs alone (`event`, `id`, `name`, `lease`, …).
+    pub fn summary_json(&self) -> serde_json::Map<String, serde_json::Value> {
+        use serde_json::json;
+        let entries = [
+            ("points", json!(self.points)),
+            ("simulated", json!(self.simulated)),
+            ("cache_hits", json!(self.cache_hits)),
+            ("cache_hit_rate", json!(self.hit_rate())),
+            ("wall_secs", json!(self.wall_secs)),
+            ("timings", self.timings_json()),
+        ];
+        serde_json::Map::from(entries.map(|(key, value)| (key.to_string(), value)))
+    }
+
     /// Sweep throughput (points per wall-clock second).
     pub fn points_per_sec(&self) -> f64 {
         if self.wall_secs <= 0.0 {

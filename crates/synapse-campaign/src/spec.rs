@@ -128,10 +128,10 @@ impl CampaignSpec {
         }
     }
 
-    /// Apply defaults and validate axis values against the catalogs.
-    /// Idempotent: validating an already-canonical spec changes
-    /// nothing, so specs can safely re-validate after a network hop
-    /// (the cluster lease path does).
+    /// Apply defaults, validate axis values against the catalogs and
+    /// rewrite each to its catalog spelling. Idempotent: validating an
+    /// already-canonical spec changes nothing, so specs can safely
+    /// re-validate after a network hop (the cluster lease path does).
     pub fn validated(mut self) -> Result<Self, CampaignError> {
         if self.modes.is_empty() {
             self.modes = vec!["openmp".into()];
@@ -174,31 +174,39 @@ impl CampaignSpec {
         if self.kernels.is_empty() {
             return Err(CampaignError::EmptyAxis("kernels"));
         }
-        for w in &self.workloads {
+        // Validate *and canonicalize* every named axis: the stored
+        // strings feed fingerprints, per-point seeds and report
+        // slices, so equivalent spellings ("Comet", "ASM", "omp",
+        // "Lustre", "storage+compute") must collapse to one canonical
+        // form or identical scenarios would miss the cache and draw
+        // different noise.
+        for w in &mut self.workloads {
             crate::grid::app_by_name(&w.app)
                 .ok_or_else(|| CampaignError::UnknownWorkload(w.app.clone()))?;
+            w.app.make_ascii_lowercase();
         }
         for m in self
             .machines
-            .iter()
-            .chain([&self.profile_machine, &self.reference_machine])
+            .iter_mut()
+            .chain([&mut self.profile_machine, &mut self.reference_machine])
         {
-            if synapse_sim::machine_by_name(m).is_none() {
-                return Err(CampaignError::UnknownMachine(m.clone()));
-            }
+            *m = synapse_sim::machine_by_name(m)
+                .ok_or_else(|| CampaignError::UnknownMachine(m.clone()))?
+                .name;
         }
-        for k in &self.kernels {
-            crate::grid::kernel_by_name(k)
+        for k in &mut self.kernels {
+            let resolved = crate::grid::kernel_by_name(k)
                 .ok_or_else(|| CampaignError::UnknownKernel(k.clone()))?;
+            *k = resolved.name().into();
         }
-        for m in &self.modes {
-            crate::grid::mode_by_name(m).ok_or_else(|| CampaignError::UnknownMode(m.clone()))?;
+        for m in &mut self.modes {
+            let resolved = crate::grid::mode_by_name(m)
+                .ok_or_else(|| CampaignError::UnknownMode(m.clone()))?;
+            *m = match resolved {
+                synapse_sim::ParallelMode::OpenMp => "openmp".into(),
+                synapse_sim::ParallelMode::Mpi => "mpi".into(),
+            };
         }
-        // Validate *and canonicalize* the fs/atoms axes: the stored
-        // strings feed fingerprints and per-point seeds, so equivalent
-        // spellings ("Lustre", "storage+compute") must collapse to one
-        // canonical form or identical scenarios would miss the cache
-        // and draw different noise.
         for f in &mut self.filesystems {
             let resolved = crate::grid::fs_by_name(f)
                 .ok_or_else(|| CampaignError::UnknownFilesystem(f.clone()))?;

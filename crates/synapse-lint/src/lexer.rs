@@ -41,19 +41,6 @@ pub struct Lexed {
     pub classes: Vec<Class>,
 }
 
-impl Lexed {
-    /// Byte offsets where `needle` occurs in the original text with
-    /// its first byte classified as code (i.e. not inside a comment,
-    /// string, or char literal).
-    pub fn code_occurrences(&self, needle: &str) -> Vec<usize> {
-        self.text
-            .match_indices(needle)
-            .filter(|(at, _)| self.classes.get(*at) == Some(&Class::Code))
-            .map(|(at, _)| at)
-            .collect()
-    }
-}
-
 /// Classify every byte of `text`.
 pub fn classify(text: &str) -> Vec<Class> {
     let b = text.as_bytes();

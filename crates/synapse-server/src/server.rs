@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use serde_json::json;
 use synapse_campaign::{
     expand_range, run_campaign_on, AggregateMetrics, CampaignEngine, CampaignError, CampaignSpec,
-    PointEvent, ResultCache, RunConfig, AGGREGATES_VERSION,
+    PointEvent, ResultCache, RunConfig, RunStats, AGGREGATES_VERSION,
 };
 
 use synapse_trace::TraceRecorder;
@@ -846,18 +846,9 @@ fn publish_outcome(
                 p.state = JobState::Completed;
                 p.stats = Some(stats);
             });
-            job.push_shared_event(ndjson(&json!({
-                "event": "completed",
-                "id": job.public_id(),
-                "name": job.spec.name,
-                "points": stats.points,
-                "simulated": stats.simulated,
-                "cache_hits": stats.cache_hits,
-                "cache_hit_rate": stats.hit_rate(),
-                "wall_secs": stats.wall_secs,
-                "points_per_sec": stats.points_per_sec(),
-                "timings": stats.timings_json(),
-            })));
+            let mut doc = completed_doc(job, &stats);
+            doc.insert("points_per_sec".into(), json!(stats.points_per_sec()));
+            job.push_shared_event(ndjson(&serde_json::Value::Object(doc)));
         }
         Err(CampaignError::Cancelled { done, total }) => {
             job.with_progress(|p| p.state = JobState::Cancelled);
@@ -883,6 +874,16 @@ fn publish_outcome(
             ));
         }
     }
+}
+
+/// The terminal `completed` event both job runners publish: the run
+/// summary plus the job's identity; each runner inserts its own keys.
+fn completed_doc(job: &Job, stats: &RunStats) -> serde_json::Map<String, serde_json::Value> {
+    let mut doc = stats.summary_json();
+    doc.insert("event".into(), json!("completed"));
+    doc.insert("id".into(), json!(job.public_id()));
+    doc.insert("name".into(), json!(job.spec.name));
+    doc
 }
 
 /// Sweep one full-grid job in this process.
@@ -1005,28 +1006,16 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
                 p.state = JobState::Completed;
                 p.stats = Some(stats);
             });
-            let mut doc = with_trace(json!({
-                "event": "completed",
-                "id": job.public_id(),
-                "name": job.spec.name,
-                "lease": {"start": start, "end": end},
-                "points": stats.points,
-                "simulated": stats.simulated,
-                "cache_hits": stats.cache_hits,
-                "cache_hit_rate": stats.hit_rate(),
-                "wall_secs": stats.wall_secs,
-                "timings": stats.timings_json(),
-            }));
+            let mut doc = completed_doc(job, &stats);
+            doc.insert("lease".into(), json!({"start": start, "end": end}));
             // The lease's aggregates as a mergeable digest: the
             // coordinator folds it into the campaign's live view, so
             // cluster-wide aggregates agree with a single-process
             // sweep within sketch error. Old coordinators ignore the
             // extra key. Moved in, not passed through `json!`, which
             // would copy the (large) tree.
-            if let serde_json::Value::Object(obj) = &mut doc {
-                obj.insert("aggregates".into(), job.live().digest());
-            }
-            job.push_event(ndjson(&doc));
+            doc.insert("aggregates".into(), job.live().digest());
+            job.push_event(ndjson(&with_trace(serde_json::Value::Object(doc))));
         }
         Err(e) => publish_outcome(job, Err(e)),
     }

@@ -469,23 +469,6 @@ impl Registry {
         family.series.insert(String::new(), Handle::Counter(handle));
     }
 
-    /// Expose an existing gauge as a registry series (replace-on-bind,
-    /// same semantics as [`bind_counter`](Registry::bind_counter)).
-    pub fn bind_gauge(&self, name: &str, help: &str, handle: Arc<Gauge>) {
-        let mut families = self.families.lock().expect("registry lock");
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind: Kind::Gauge,
-            series: BTreeMap::new(),
-        });
-        assert!(
-            family.kind == Kind::Gauge,
-            "metric `{name}` already registered as {}",
-            family.kind.as_str()
-        );
-        family.series.insert(String::new(), Handle::Gauge(handle));
-    }
-
     /// Number of distinct series (labeled variants counted
     /// separately; histograms count once, not per bucket).
     pub fn series_count(&self) -> usize {

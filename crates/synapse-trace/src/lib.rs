@@ -181,17 +181,6 @@ pub enum ReplayMode {
     Lenient,
 }
 
-impl ReplayMode {
-    /// Parse a CLI mode flag.
-    pub fn from_flag(flag: &str) -> Option<ReplayMode> {
-        match flag {
-            "strict" => Some(ReplayMode::Strict),
-            "lenient" => Some(ReplayMode::Lenient),
-            _ => None,
-        }
-    }
-}
-
 /// What a replay validation pass found.
 #[derive(Debug, Clone)]
 pub struct ReplaySummary {
