@@ -178,6 +178,7 @@ impl<'a> CampaignEngine<'a> {
                     let sim_started = Instant::now();
                     let fresh = simulate_point_keyed(point, fp).and_then(|r| {
                         metrics.simulate_seconds.observe_since(sim_started);
+                        metrics.samples_replayed.add(r.samples as u64);
                         self.cache.put(&r.fingerprint, &r)?;
                         Ok(r)
                     });

@@ -71,41 +71,60 @@ impl ScenarioPoint {
     }
 }
 
+/// The value `table` lists under a spelling of `name`, ignoring ASCII
+/// case. The axis lookups run once per scenario point, so they compare
+/// in place where `to_ascii_lowercase` would allocate.
+fn by_name<T: Clone>(name: &str, table: &[(&str, T)]) -> Option<T> {
+    table
+        .iter()
+        .find(|(spelling, _)| name.eq_ignore_ascii_case(spelling))
+        .map(|(_, value)| value.clone())
+}
+
 /// Resolve a workload name to its application model.
 pub fn app_by_name(name: &str) -> Option<AppModel> {
-    match name.to_ascii_lowercase().as_str() {
-        "gromacs" => Some(AppModel::gromacs()),
-        "amber" => Some(AppModel::amber()),
-        _ => None,
-    }
+    by_name(
+        name,
+        &[
+            ("gromacs", AppModel::gromacs()),
+            ("amber", AppModel::amber()),
+        ],
+    )
 }
 
 /// Resolve a kernel name to a [`KernelChoice`].
 pub fn kernel_by_name(name: &str) -> Option<KernelChoice> {
-    match name.to_ascii_lowercase().as_str() {
-        "asm" => Some(KernelChoice::Asm),
-        "c" => Some(KernelChoice::C),
-        "spin" => Some(KernelChoice::Spin),
-        _ => None,
-    }
+    by_name(
+        name,
+        &[
+            ("asm", KernelChoice::Asm),
+            ("c", KernelChoice::C),
+            ("spin", KernelChoice::Spin),
+        ],
+    )
 }
 
 /// Resolve a parallel-mode name.
 pub fn mode_by_name(name: &str) -> Option<ParallelMode> {
-    match name.to_ascii_lowercase().as_str() {
-        "openmp" | "omp" => Some(ParallelMode::OpenMp),
-        "mpi" | "openmpi" => Some(ParallelMode::Mpi),
-        _ => None,
-    }
+    by_name(
+        name,
+        &[
+            ("openmp", ParallelMode::OpenMp),
+            ("omp", ParallelMode::OpenMp),
+            ("mpi", ParallelMode::Mpi),
+            ("openmpi", ParallelMode::Mpi),
+        ],
+    )
 }
 
 /// Resolve a target-filesystem axis value. `default` (or an empty
 /// string) means "the machine's own default filesystem" and resolves
 /// to `None`; anything else must be a modelled [`FsKind`].
 pub fn fs_by_name(name: &str) -> Option<Option<FsKind>> {
-    match name.to_ascii_lowercase().as_str() {
-        "default" | "" => Some(None),
-        other => FsKind::parse(other).map(Some),
+    if name.is_empty() || name.eq_ignore_ascii_case("default") {
+        Some(None)
+    } else {
+        FsKind::parse(name).map(Some)
     }
 }
 
@@ -162,20 +181,15 @@ impl AtomSet {
 /// `compute`/`memory`/`storage`/`network` (e.g. `compute+storage`), or
 /// `no-<atom>` for all-but-one.
 pub fn atoms_by_name(name: &str) -> Option<AtomSet> {
-    let name = name.to_ascii_lowercase();
-    if name == "all" {
+    if name.eq_ignore_ascii_case("all") {
         return Some(AtomSet::all());
     }
-    if let Some(dropped) = name.strip_prefix("no-") {
-        let mut set = AtomSet::all();
-        match dropped {
-            "compute" => set.compute = false,
-            "memory" => set.memory = false,
-            "storage" => set.storage = false,
-            "network" => set.network = false,
-            _ => return None,
+    if let (Some(prefix), Some(dropped)) = (name.get(..3), name.get(3..)) {
+        if prefix.eq_ignore_ascii_case("no-") {
+            let mut set = AtomSet::all();
+            *atom_flag(&mut set, dropped)? = false;
+            return Some(set);
         }
-        return Some(set);
     }
     let mut set = AtomSet {
         compute: false,
@@ -184,15 +198,23 @@ pub fn atoms_by_name(name: &str) -> Option<AtomSet> {
         network: false,
     };
     for part in name.split('+') {
-        match part.trim() {
-            "compute" => set.compute = true,
-            "memory" => set.memory = true,
-            "storage" => set.storage = true,
-            "network" => set.network = true,
-            _ => return None,
-        }
+        *atom_flag(&mut set, part.trim())? = true;
     }
     Some(set)
+}
+
+/// The flag of `set` that an atom name selects.
+fn atom_flag<'s>(set: &'s mut AtomSet, atom: &str) -> Option<&'s mut bool> {
+    let flags = [
+        ("compute", &mut set.compute),
+        ("memory", &mut set.memory),
+        ("storage", &mut set.storage),
+        ("network", &mut set.network),
+    ];
+    flags
+        .into_iter()
+        .find(|(spelling, _)| atom.eq_ignore_ascii_case(spelling))
+        .map(|(_, flag)| flag)
 }
 
 /// Resolve a sample-order axis value to its canonical spelling:
@@ -201,11 +223,17 @@ pub fn atoms_by_name(name: &str) -> Option<AtomSet> {
 /// all-concurrent sample (the paper's Fig. 2 sample-ordering
 /// ablation, `EmulationPlan::preserve_sample_order = false`).
 pub fn sample_order_by_name(name: &str) -> Option<&'static str> {
-    match name.to_ascii_lowercase().as_str() {
-        "preserve" | "ordered" | "" => Some("preserve"),
-        "shuffle" | "merge" | "unordered" => Some("shuffle"),
-        _ => None,
-    }
+    by_name(
+        name,
+        &[
+            ("preserve", "preserve"),
+            ("ordered", "preserve"),
+            ("", "preserve"),
+            ("shuffle", "shuffle"),
+            ("merge", "shuffle"),
+            ("unordered", "shuffle"),
+        ],
+    )
 }
 
 /// Whether a canonical sample-order value preserves profiled order.

@@ -20,6 +20,10 @@ pub(crate) struct EngineMetrics {
     pub cache_hits: Arc<Counter>,
     /// Points that missed the cache and were simulated.
     pub cache_misses: Arc<Counter>,
+    /// Profile samples replayed by the simulated points: with
+    /// `simulate_seconds`' sum, the ns per sample that tells a sweep of
+    /// long profiles from a slow pricing loop.
+    pub samples_replayed: Arc<Counter>,
     /// Points executed (hits + misses), across all campaigns.
     pub points: Arc<Counter>,
     /// Campaigns run to completion in this process.
@@ -64,6 +68,10 @@ impl EngineMetrics {
                 cache_misses: r.counter(
                     "synapse_engine_cache_misses_total",
                     "Points that missed the cache and were simulated.",
+                ),
+                samples_replayed: r.counter(
+                    "synapse_engine_samples_replayed_total",
+                    "Profile samples replayed by simulated points (cache misses only).",
                 ),
                 points: r.counter(
                     "synapse_engine_points_total",

@@ -214,11 +214,11 @@ impl CampaignReport {
 fn proxy_task(r: &PointResult) -> Result<ProxyTask, CampaignError> {
     let app = app_by_name(&r.point.workload)
         .ok_or_else(|| CampaignError::UnknownWorkload(r.point.workload.clone()))?;
-    let profile_machine = synapse_sim::machine_by_name(&r.point.profile_machine)
+    let profile_machine = synapse_sim::machine_ref(&r.point.profile_machine)
         .ok_or_else(|| CampaignError::UnknownMachine(r.point.profile_machine.clone()))?;
     let mut noise = Noise::new(r.point.seed, r.point.noise_cv);
     let profile = app.simulate_profile(
-        &profile_machine,
+        profile_machine,
         r.point.steps,
         r.point.sample_rate,
         &mut noise,

@@ -204,29 +204,29 @@ pub(crate) fn simulate_point_keyed(
 ) -> Result<PointResult, CampaignError> {
     let app = app_by_name(&point.workload)
         .ok_or_else(|| CampaignError::UnknownWorkload(point.workload.clone()))?;
-    let profile_machine = synapse_sim::machine_by_name(&point.profile_machine)
+    let profile_machine = synapse_sim::machine_ref(&point.profile_machine)
         .ok_or_else(|| CampaignError::UnknownMachine(point.profile_machine.clone()))?;
-    let machine = synapse_sim::machine_by_name(&point.machine)
+    let machine = synapse_sim::machine_ref(&point.machine)
         .ok_or_else(|| CampaignError::UnknownMachine(point.machine.clone()))?;
     let plan = emulation_plan(point)?;
     let mode = plan.mode;
 
     let mut profile_noise = Noise::new(point.seed, point.noise_cv);
     let samples = app.profile_samples(
-        &profile_machine,
+        profile_machine,
         point.steps,
         point.sample_rate,
         &mut profile_noise,
     );
-    let report = Emulator::new(plan).simulate_stream(samples.demands(), &machine);
+    let report = Emulator::new(plan).price(samples.demands(), machine);
 
     // Application baseline on the target machine, with its own noise
     // stream (decorrelated from the profiling noise).
     let mut app_noise = Noise::new(fnv1a(b"app-baseline", point.seed), point.noise_cv);
     let app_run = if point.threads > 1 {
-        app.execute_parallel(&machine, point.steps, point.threads, mode, &mut app_noise)
+        app.execute_parallel(machine, point.steps, point.threads, mode, &mut app_noise)
     } else {
-        app.execute(&machine, point.steps, &mut app_noise)
+        app.execute(machine, point.steps, &mut app_noise)
     };
 
     Ok(PointResult {

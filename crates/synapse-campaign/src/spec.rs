@@ -190,9 +190,10 @@ impl CampaignSpec {
             .iter_mut()
             .chain([&mut self.profile_machine, &mut self.reference_machine])
         {
-            *m = synapse_sim::machine_by_name(m)
+            *m = synapse_sim::machine_ref(m)
                 .ok_or_else(|| CampaignError::UnknownMachine(m.clone()))?
-                .name;
+                .name
+                .clone();
         }
         for k in &mut self.kernels {
             let resolved = crate::grid::kernel_by_name(k)

@@ -1,7 +1,7 @@
-//! Allocation budgets for the per-point wire and cache path, as a
-//! deterministic gate: a counting global allocator (this test binary
-//! only) and a fixed number of allocator calls allowed per call on a
-//! warm path. Counts repeat exactly from run to run, so unlike a
+//! Allocation budgets for the per-point simulate, wire and cache
+//! paths, as a deterministic gate: a counting global allocator (this
+//! test binary only) and a fixed number of allocator calls allowed per
+//! call on a warm path. Counts repeat exactly from run to run, so unlike a
 //! timing this does not depend on how noisy the machine is — a `Value`
 //! tree or a deep clone creeping back onto one of these paths fails
 //! here by a factor of several, not by a few percent.
@@ -113,6 +113,12 @@ fn warm_per_point_paths_stay_within_their_allocation_budgets() {
 
     // The hash input buffer and the hex digest.
     assert!(calls(|| fingerprint(&one.point)) <= 2);
+
+    // Simulating a point costs what it returns — the nine strings of
+    // the result — and the fingerprint's hash input buffer (plus
+    // slack): resolving its machines, plan and kernel builds nothing.
+    let cold = calls(|| simulate_point(&one.point).unwrap());
+    assert!(cold <= 12, "simulate_point made {cold} allocator calls");
 
     // The text, grown at most once.
     assert!(calls(|| serde_json::to_string(one).unwrap()) <= 2);

@@ -28,6 +28,6 @@ pub use analysis::{compare_profiles, io_granularity, IoGranularity, ProfileCompa
 pub use error::ModelError;
 pub use metrics::{Metric, MetricUsage, ResourceClass, Support, METRIC_REGISTRY};
 pub use profile::{DerivedMetrics, Profile, ProfileSet, SystemInfo, Totals};
-pub use sample::{ComputeSample, MemorySample, NetworkSample, Sample, StorageSample};
+pub use sample::{ComputeSample, Demand, MemorySample, NetworkSample, Sample, StorageSample};
 pub use stats::{ci99_halfwidth, error_pct, Summary};
 pub use tags::{ProfileKey, Tags};

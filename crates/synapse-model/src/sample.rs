@@ -222,6 +222,19 @@ impl Sample {
         Ok(())
     }
 
+    /// The quantities of this sample an emulation replays.
+    pub fn demand(&self) -> Demand {
+        Demand {
+            cycles: self.compute.cycles,
+            bytes_read: self.storage.bytes_read,
+            bytes_written: self.storage.bytes_written,
+            allocated: self.memory.allocated,
+            freed: self.memory.freed,
+            sent: self.network.bytes_sent,
+            recv: self.network.bytes_recv,
+        }
+    }
+
     /// Merge another sample's resource consumption into a copy of this
     /// one (used when down-sampling a profile to a coarser rate).
     /// Timing follows this sample's start; the interval is extended to
@@ -234,6 +247,45 @@ impl Sample {
             memory: self.memory.merged(&other.memory),
             storage: self.storage.merged(&other.storage),
             network: self.network.merged(&other.network),
+        }
+    }
+}
+
+/// What one sample asks an emulation to consume: the replayed
+/// quantities of a [`Sample`] and nothing else. Emulation discards
+/// absolute timing (§4.4) and never reads the observations a profiler
+/// records beside the demands (instructions, stalls, gauges), so the
+/// simulated backend prices streams of these seven words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Demand {
+    /// CPU cycles to consume.
+    pub cycles: u64,
+    /// Bytes to read from storage.
+    pub bytes_read: u64,
+    /// Bytes to write to storage.
+    pub bytes_written: u64,
+    /// Bytes to allocate.
+    pub allocated: u64,
+    /// Bytes to free.
+    pub freed: u64,
+    /// Bytes to send over the network.
+    pub sent: u64,
+    /// Bytes to receive over the network.
+    pub recv: u64,
+}
+
+impl Demand {
+    /// Field-wise sum: both demands issued in one sample (the
+    /// all-concurrent merge of the Fig. 2 ordering ablation).
+    pub fn merged(&self, other: &Demand) -> Demand {
+        Demand {
+            cycles: self.cycles + other.cycles,
+            bytes_read: self.bytes_read + other.bytes_read,
+            bytes_written: self.bytes_written + other.bytes_written,
+            allocated: self.allocated + other.allocated,
+            freed: self.freed + other.freed,
+            sent: self.sent + other.sent,
+            recv: self.recv + other.recv,
         }
     }
 }
@@ -311,6 +363,18 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(m.net(), -20);
+    }
+
+    #[test]
+    fn demand_is_the_replayed_fields_and_merges_like_absorb() {
+        let s = busy_sample();
+        let d = s.demand();
+        assert_eq!(
+            (d.cycles, d.bytes_read, d.bytes_written, d.allocated),
+            (1000, 8192, 2048, 4096)
+        );
+        assert_eq!((d.freed, d.sent, d.recv), (1024, 10, 20));
+        assert_eq!(d.merged(&d), s.absorb(&s).demand());
     }
 
     #[test]

@@ -1357,6 +1357,7 @@ fn metrics_scrape_is_valid_exposition_and_spans_subsystems() {
         "synapse_engine_points_total",
         "synapse_engine_cache_misses_total",
         "synapse_engine_simulate_seconds_count",
+        "synapse_engine_samples_replayed_total",
         "synapse_server_connections_active",
         "synapse_server_connections_accepted_total",
         "synapse_server_uptime_seconds",

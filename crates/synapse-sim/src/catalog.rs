@@ -11,6 +11,7 @@
 //! rationale.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::fsmodel::{FsKind, FsModel};
 use crate::machine::{CpuModel, KernelClass, KernelProfile, MachineModel};
@@ -21,17 +22,29 @@ pub const MACHINE_NAMES: [&str; 6] = [
     "thinkie", "stampede", "archer", "supermic", "comet", "titan",
 ];
 
-/// Look a machine model up by (case-insensitive) name.
+/// The process-wide catalog entry for a (case-insensitive) name: the
+/// six models are built once, so resolving a machine per scenario
+/// point costs a name comparison, not a `MachineModel`'s allocations.
+pub fn machine_ref(name: &str) -> Option<&'static MachineModel> {
+    static CATALOG: OnceLock<[MachineModel; 6]> = OnceLock::new();
+    CATALOG
+        .get_or_init(|| {
+            [
+                thinkie(),
+                stampede(),
+                archer(),
+                supermic(),
+                comet(),
+                titan(),
+            ]
+        })
+        .iter()
+        .find(|m| m.name.eq_ignore_ascii_case(name))
+}
+
+/// An owned copy of [`machine_ref`]'s model, for callers that edit it.
 pub fn machine_by_name(name: &str) -> Option<MachineModel> {
-    match name.to_ascii_lowercase().as_str() {
-        "thinkie" => Some(thinkie()),
-        "stampede" => Some(stampede()),
-        "archer" => Some(archer()),
-        "supermic" => Some(supermic()),
-        "comet" => Some(comet()),
-        "titan" => Some(titan()),
-        _ => None,
-    }
+    machine_ref(name).cloned()
 }
 
 fn kernels(
@@ -437,6 +450,26 @@ mod tests {
         }
         assert!(machine_by_name("THINKIE").is_some());
         assert!(machine_by_name("frontier").is_none());
+    }
+
+    #[test]
+    fn the_shared_catalog_holds_what_the_constructors_build() {
+        let built = [
+            thinkie(),
+            stampede(),
+            archer(),
+            supermic(),
+            comet(),
+            titan(),
+        ];
+        for (name, model) in MACHINE_NAMES.iter().zip(&built) {
+            assert_eq!(machine_ref(name), Some(model));
+            assert!(std::ptr::eq(
+                machine_ref(name).unwrap(),
+                machine_ref(&name.to_uppercase()).unwrap()
+            ));
+        }
+        assert!(machine_ref("frontier").is_none());
     }
 
     #[test]

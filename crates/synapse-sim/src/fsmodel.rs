@@ -45,11 +45,15 @@ impl FsKind {
 
     /// Parse a name (CLI/bench argument).
     pub fn parse(s: &str) -> Option<FsKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "local" | "tmp" | "/tmp" => Some(FsKind::Local),
-            "lustre" => Some(FsKind::Lustre),
-            "nfs" => Some(FsKind::Nfs),
-            _ => None,
+        let is = |name: &str| s.eq_ignore_ascii_case(name);
+        if is("local") || is("tmp") || is("/tmp") {
+            Some(FsKind::Local)
+        } else if is("lustre") {
+            Some(FsKind::Lustre)
+        } else if is("nfs") {
+            Some(FsKind::Nfs)
+        } else {
+            None
         }
     }
 }

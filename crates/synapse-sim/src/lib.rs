@@ -37,7 +37,7 @@ pub mod parallel;
 pub mod vclock;
 
 pub use catalog::{
-    archer, comet, machine_by_name, stampede, supermic, thinkie, titan, MACHINE_NAMES,
+    archer, comet, machine_by_name, machine_ref, stampede, supermic, thinkie, titan, MACHINE_NAMES,
 };
 pub use fsmodel::{FsKind, FsModel, IoOp};
 pub use machine::{CpuModel, KernelClass, KernelProfile, MachineModel};

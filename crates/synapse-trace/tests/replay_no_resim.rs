@@ -2,7 +2,11 @@
 //! the telemetry registry is process-global, so the only sweep it ever
 //! sees here is the recording below.
 
-use synapse_campaign::{run_campaign_on, CampaignSpec, CancelToken, ResultCache, RunConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use synapse_campaign::{
+    run_campaign_on, CampaignSpec, CancelToken, PointEvent, ResultCache, RunConfig,
+};
 use synapse_trace::{ReplayMode, Trace, TraceRecorder};
 
 /// One unlabelled sample off the process registry's scrape.
@@ -30,11 +34,17 @@ fn strict_replay_and_report_reconstruction_never_simulate() {
     )
     .unwrap();
     let recorder = TraceRecorder::new(&spec);
+    let samples = AtomicU64::new(0);
     let outcome = run_campaign_on(
         &spec,
         &RunConfig::default(),
         &ResultCache::in_memory(),
-        &|event| recorder.observe(&event),
+        &|event| {
+            if let PointEvent::PointDone { result, .. } = &event {
+                samples.fetch_add(result.samples as u64, Ordering::Relaxed);
+            }
+            recorder.observe(&event)
+        },
         &CancelToken::new(),
     )
     .unwrap();
@@ -45,10 +55,17 @@ fn strict_replay_and_report_reconstruction_never_simulate() {
         (
             scraped("synapse_engine_simulate_seconds_count"),
             scraped("synapse_engine_points_total"),
+            scraped("synapse_engine_samples_replayed_total"),
         )
     };
     let recorded = engine();
-    assert_eq!(recorded, (8, 8), "the cold recording sweep simulated");
+    let samples = samples.into_inner();
+    assert!(samples > 8, "every point replays at least one sample");
+    assert_eq!(
+        recorded,
+        (8, 8, samples),
+        "the cold recording sweep simulated, and counted what it replayed"
+    );
 
     let trace = Trace::parse(&text).unwrap();
     let summary = trace.verify(ReplayMode::Strict).unwrap();

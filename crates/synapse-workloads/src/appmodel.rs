@@ -8,7 +8,7 @@
 //! output scale with the iteration count, disk input and memory stay
 //! constant.
 
-use synapse_model::{Profile, ProfileKey, Sample, StorageSample, Tags};
+use synapse_model::{Demand, Profile, ProfileKey, Sample, StorageSample, Tags};
 use synapse_sim::{IoOp, KernelClass, KernelProfile, MachineModel, Noise, ParallelMode};
 
 /// Parameters of the modelled application.
@@ -111,7 +111,8 @@ impl AppModel {
     /// Resident set size at `t` seconds into the run.
     pub fn rss_at(&self, t: f64) -> u64 {
         let ramp = (t / self.rss_ramp_secs.max(1e-9)).clamp(0.0, 1.0);
-        self.rss_base + ((self.rss_max - self.rss_base) as f64 * ramp) as u64
+        let growth = self.rss_max.saturating_sub(self.rss_base);
+        self.rss_base.saturating_add((growth as f64 * ramp) as u64)
     }
 
     /// Simulate an application execution on a machine. Noise perturbs
@@ -223,6 +224,7 @@ impl AppModel {
 /// Completion time of frame `j` of `frames` in a run of `tx` seconds:
 /// a fraction `(j+1)/frames` of the runtime, with the final frame
 /// landing strictly inside the last interval.
+#[inline]
 fn frame_time(tx: f64, frames: u64, j: u64) -> f64 {
     let t = tx * (j + 1) as f64 / frames.max(1) as f64;
     if j + 1 == frames {
@@ -236,8 +238,8 @@ fn frame_time(tx: f64, frames: u64, j: u64) -> f64 {
 /// in collection order with O(1) state ([`AppModel::profile_samples`]).
 ///
 /// Iterating yields full [`Sample`]s; [`ProfileSamples::demands`]
-/// yields only what an emulation replays. Both views run the same
-/// arithmetic in the same order as the materialized
+/// yields only the [`Demand`] an emulation replays. Both views run the
+/// same arithmetic in the same order as the materialized
 /// [`AppModel::simulate_profile`] (which is this stream, collected), so
 /// a consumer may switch between them without changing a bit of any
 /// result derived from the demand fields.
@@ -268,19 +270,20 @@ impl ProfileSamples {
         self.run.tx
     }
 
-    /// The replay demands only: samples carrying `t`/`dt`, compute
-    /// cycles, storage bytes and ops, and memory allocated/freed, with
-    /// every observation an emulation never replays (instructions,
-    /// stalls, flops, thread and resident-set gauges) left at zero and
-    /// never computed.
-    pub fn demands(mut self) -> impl ExactSizeIterator<Item = Sample> {
+    /// The replay demands only, one lean [`Demand`] per sample: what
+    /// an emulation consumes (compute cycles, storage bytes, memory
+    /// allocated/freed; this model has no network traffic), with the
+    /// timestamps, operation counts and every observation an emulation
+    /// never replays (instructions, stalls, flops, thread and
+    /// resident-set gauges) never computed.
+    pub fn demands(mut self) -> impl ExactSizeIterator<Item = Demand> {
         (self.next..self.nsamples).map(move |_| self.step())
     }
 
-    /// Synthesize the demand fields of sample `self.next` and advance.
+    /// Synthesize the demands of sample `self.next` and advance.
     /// Callers guarantee `self.next < self.nsamples`.
     #[inline]
-    fn step(&mut self) -> Sample {
+    fn step(&mut self) -> Demand {
         let i = self.next;
         self.next += 1;
         let run = &self.run;
@@ -295,43 +298,51 @@ impl ProfileSamples {
             c.min(self.cycles_left)
         };
         self.cycles_left -= cycles;
-        let mut storage = StorageSample::default();
+        let mut demand = Demand {
+            cycles,
+            ..Demand::default()
+        };
         if i == 0 {
-            storage.bytes_read = run.bytes_read;
-            storage.read_ops = run.bytes_read.div_ceil(1 << 20);
+            demand.bytes_read = run.bytes_read;
+            demand.allocated = self.app.rss_max;
         }
         while self.frames_done < self.frames && self.next_frame < t1 {
-            storage.bytes_written += self.app.frame_bytes;
-            storage.write_ops += 1;
+            demand.bytes_written += self.app.frame_bytes;
             self.frames_done += 1;
             self.next_frame = frame_time(run.tx, self.frames, self.frames_done);
         }
-        let mut sample = Sample::at(t0, self.dt);
-        sample.compute.cycles = cycles;
-        sample.storage = storage;
-        if i == 0 {
-            sample.memory.allocated = self.app.rss_max;
-        }
         if i + 1 == self.nsamples {
-            sample.memory.freed = self.app.rss_max;
+            demand.freed = self.app.rss_max;
         }
-        sample
+        demand
     }
 }
 
 impl Iterator for ProfileSamples {
     type Item = Sample;
 
-    /// The demand step plus the observations a profiler would also
-    /// have read in that interval.
+    /// The demand step plus the timestamps, operation counts and
+    /// observations a profiler would also have read in that interval.
     #[inline]
     fn next(&mut self) -> Option<Sample> {
         if self.next == self.nsamples {
             return None;
         }
         let i = self.next;
-        let mut sample = self.step();
-        let cycles = sample.compute.cycles;
+        let frames_before = self.frames_done;
+        let demand = self.step();
+        let cycles = demand.cycles;
+        let mut sample = Sample::at(i as f64 * self.dt, self.dt);
+        sample.compute.cycles = cycles;
+        sample.storage = StorageSample {
+            bytes_read: demand.bytes_read,
+            bytes_written: demand.bytes_written,
+            read_ops: demand.bytes_read.div_ceil(1 << 20),
+            // One write per trajectory frame attributed to the interval.
+            write_ops: self.frames_done - frames_before,
+        };
+        sample.memory.allocated = demand.allocated;
+        sample.memory.freed = demand.freed;
         let efficiency = self.kernel.efficiency;
         let stalled = (cycles as f64 * (1.0 - efficiency) / efficiency.max(1e-6)) as u64;
         sample.compute.instructions = (cycles as f64 * self.kernel.ipc) as u64;
@@ -445,6 +456,39 @@ mod tests {
         );
         assert!(rss_fast >= app.rss_max * 9 / 10);
         assert!(rss_slow <= app.rss_base * 11 / 10);
+    }
+
+    #[test]
+    fn rss_is_monotone_and_never_below_base_for_any_field_values() {
+        // `rss_max < rss_base` used to underflow: a panic in debug, a
+        // wrap to ~1.8e19 in release.
+        let fields = [
+            (2_000_000, 6_000_000),
+            (6_000_000, 2_000_000),
+            (5, 5),
+            (0, u64::MAX),
+            (1, u64::MAX),
+            (u64::MAX, 0),
+        ];
+        for (rss_base, rss_max) in fields {
+            for rss_ramp_secs in [0.5, 0.0, -1.0, f64::NAN] {
+                let app = AppModel {
+                    rss_base,
+                    rss_max,
+                    rss_ramp_secs,
+                    ..AppModel::default()
+                };
+                let mut last = rss_base;
+                for t in [-1.0, 0.0, 0.005, 0.1, 0.25, 0.5, 1.0, 1e9, f64::INFINITY] {
+                    let rss = app.rss_at(t);
+                    assert!(rss >= last, "{app:?} at {t}: {rss} < {last}");
+                    last = rss;
+                }
+                assert!(last <= rss_max.max(rss_base), "{app:?}: {last}");
+                assert_eq!(app.rss_at(f64::NAN), rss_base);
+            }
+        }
+        assert_eq!(AppModel::default().rss_at(0.25), 4_000_000);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The lazy sample stream and the materialized profile are one
 //! synthesis: collected, the stream *is* the profile, and its
-//! demand-only view differs from the full view only in the fields it
-//! promises to leave unset.
+//! demand-only view carries exactly the replayed fields of the full
+//! view.
 
 use proptest::prelude::*;
-use synapse_model::Sample;
+use synapse_model::Demand;
 use synapse_sim::{machine_by_name, Noise, MACHINE_NAMES};
 use synapse_workloads::AppModel;
 
@@ -32,21 +32,32 @@ proptest! {
         prop_assert_eq!(partly.len(), profile.len() - 1, "len() tracks consumption");
         prop_assert_eq!(&stream().collect::<Vec<_>>(), &profile.samples);
 
-        // The demand view: same replayed quantities, nothing else.
+        // The demand view: the replayed quantities of each full sample,
+        // field by field (this model has no network traffic).
         let demands = stream().demands();
         prop_assert_eq!(demands.len(), profile.len());
-        let expected: Vec<Sample> = profile
+        let expected: Vec<Demand> = profile
             .samples
             .iter()
-            .map(|full| {
-                let mut demand = Sample::at(full.t, full.dt);
-                demand.compute.cycles = full.compute.cycles;
-                demand.storage = full.storage;
-                demand.memory.allocated = full.memory.allocated;
-                demand.memory.freed = full.memory.freed;
-                demand
+            .map(|full| Demand {
+                cycles: full.compute.cycles,
+                bytes_read: full.storage.bytes_read,
+                bytes_written: full.storage.bytes_written,
+                allocated: full.memory.allocated,
+                freed: full.memory.freed,
+                sent: full.network.bytes_sent,
+                recv: full.network.bytes_recv,
             })
             .collect();
         prop_assert_eq!(&demands.collect::<Vec<_>>(), &expected);
+        prop_assert!(expected.iter().all(|d| d.sent == 0 && d.recv == 0));
+
+        // What the full view adds to the storage demand: one write per
+        // frame, reads in 1 MiB operations.
+        let frame_bytes = app.frame_bytes;
+        for full in &profile.samples {
+            prop_assert_eq!(full.storage.write_ops * frame_bytes, full.storage.bytes_written);
+            prop_assert_eq!(full.storage.read_ops, full.storage.bytes_read.div_ceil(1 << 20));
+        }
     }
 }

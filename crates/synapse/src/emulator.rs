@@ -18,7 +18,6 @@
 //!   this is how the cross-resource experiments run without the
 //!   original testbeds (substitution documented in DESIGN.md).
 
-use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,8 +26,10 @@ use synapse_atoms::{
     CMatmulKernel, ComputeKernel, InCacheAsmKernel, MemoryAtom, NetworkAtom, SpinKernel,
     StorageAtom,
 };
-use synapse_model::{Profile, Sample};
-use synapse_sim::{FsKind, IoOp, KernelClass, MachineModel, ParallelMode, VirtualClock};
+use synapse_model::{Demand, Profile, Sample};
+use synapse_sim::{
+    FsKind, FsModel, IoOp, KernelClass, KernelProfile, MachineModel, ParallelMode, VirtualClock,
+};
 
 use crate::error::SynapseError;
 
@@ -94,8 +95,9 @@ pub struct EmulationPlan {
     /// Parallel mode used when pricing parallel emulation on a model.
     pub mode: ParallelMode,
     /// Directory for the storage atom's scratch file ("any available
-    /// filesystem", E.5).
-    pub io_dir: PathBuf,
+    /// filesystem", E.5); `None` is the system temporary directory,
+    /// looked up when the real backend starts.
+    pub io_dir: Option<PathBuf>,
     /// Write block size (E.5's granularity dimension).
     pub io_write_block: u64,
     /// Read block size.
@@ -134,7 +136,7 @@ impl Default for EmulationPlan {
             kernel: KernelChoice::Asm,
             threads: 1,
             mode: ParallelMode::OpenMp,
-            io_dir: std::env::temp_dir(),
+            io_dir: None,
             io_write_block: 1 << 20,
             io_read_block: 1 << 20,
             mem_block: 1 << 20,
@@ -205,6 +207,19 @@ pub struct EmulationReport {
     pub backend: String,
 }
 
+/// What pricing a demand stream on the simulated backend yields: an
+/// [`EmulationReport`] without the backend tag (a `String` a sweep
+/// would build and drop once per point).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Priced {
+    /// Emulated execution time Tx in virtual seconds.
+    pub tx: f64,
+    /// Samples replayed.
+    pub samples: usize,
+    /// Resource consumption totals.
+    pub consumed: ConsumedTotals,
+}
+
 /// The emulation engine.
 pub struct Emulator {
     plan: EmulationPlan,
@@ -221,18 +236,15 @@ impl Emulator {
         &self.plan
     }
 
-    /// The sample sequence the real backend replays: the profile's own
-    /// samples, borrowed, or one all-concurrent merged sample when
-    /// order preservation is disabled (ablation).
-    fn replay_samples<'p>(&self, profile: &'p Profile) -> Cow<'p, [Sample]> {
+    /// The demand sequence the real backend replays: one per profiled
+    /// sample, or one all-concurrent merged demand when order
+    /// preservation is disabled (ablation).
+    fn replay_demands(&self, profile: &Profile) -> Vec<Demand> {
+        let demands = profile.samples.iter().map(Sample::demand);
         if self.plan.preserve_sample_order {
-            Cow::Borrowed(&profile.samples)
+            demands.collect()
         } else {
-            Cow::Owned(
-                merged(profile.samples.iter().copied())
-                    .into_iter()
-                    .collect(),
-            )
+            merged(demands).into_iter().collect()
         }
     }
 
@@ -242,49 +254,46 @@ impl Emulator {
         let start = Instant::now();
         let kernel = self.plan.kernel.build();
         let mut memory = MemoryAtom::with_config(self.plan.mem_block, 1 << 30);
+        let io_dir = self.plan.io_dir.clone().unwrap_or_else(std::env::temp_dir);
         let mut storage = StorageAtom::with_config(
-            &self.plan.io_dir,
+            &io_dir,
             self.plan.io_write_block,
             self.plan.io_read_block,
             256 << 20,
         )?;
-        let needs_network = self.plan.emulate_network
-            && profile
-                .samples
-                .iter()
-                .any(|s| s.network.bytes_sent > 0 || s.network.bytes_recv > 0);
+        let demands = self.replay_demands(profile);
+        let needs_network =
+            self.plan.emulate_network && demands.iter().any(|d| d.sent > 0 || d.recv > 0);
         let mut network = if needs_network {
             Some(NetworkAtom::new()?)
         } else {
             None
         };
 
-        let samples = self.replay_samples(profile);
         let mut consumed = ConsumedTotals::default();
 
-        for sample in samples.iter() {
+        for demand in &demands {
             // Per-sample demands, gated by the plan's enable flags.
             let cycles = if self.plan.emulate_compute {
-                sample.compute.cycles
+                demand.cycles
             } else {
                 0
             };
             let (alloc, free) = if self.plan.emulate_memory {
-                (sample.memory.allocated, sample.memory.freed)
+                (demand.allocated, demand.freed)
             } else {
                 (0, 0)
             };
             let (rd, wr) = if self.plan.emulate_storage {
-                (sample.storage.bytes_read, sample.storage.bytes_written)
+                (demand.bytes_read, demand.bytes_written)
             } else {
                 (0, 0)
             };
             let (sent, recv) = if self.plan.emulate_network {
-                (sample.network.bytes_sent, sample.network.bytes_recv)
+                (demand.sent, demand.recv)
             } else {
                 (0, 0)
             };
-
             // All atoms start concurrently; the sample ends when the
             // last one finishes (scope join = the paper's barrier).
             let kernel_ref = kernel.as_ref();
@@ -350,7 +359,7 @@ impl Emulator {
 
         Ok(EmulationReport {
             tx: start.elapsed().as_secs_f64(),
-            samples: samples.len(),
+            samples: demands.len(),
             consumed,
             backend: "real".into(),
         })
@@ -372,50 +381,88 @@ impl Emulator {
     /// collected" (§4). With `preserve_sample_order` off, the stream is
     /// first folded into one all-concurrent sample.
     ///
-    /// Only the replay demands of a sample are read (compute cycles,
-    /// storage bytes, memory allocated/freed, network bytes), so a
-    /// stream that leaves the other fields unset prices identically.
+    /// An adapter over [`Emulator::price`]: only the [`Demand`] of a
+    /// sample is read, so a stream that leaves the other fields unset
+    /// prices identically.
     ///
-    /// **Bit-identity contract.** Everything constant over a run — the
-    /// kernel profile, the cycle rate, the filesystem model, the memory
-    /// and network bandwidths, the contention factor — is resolved once
-    /// before the loop, but every float operation keeps the operands
-    /// and order it has in the [`MachineModel`] pricing methods (a
-    /// divisor is hoisted, never turned into a multiplication by its
-    /// reciprocal). Reports are therefore bit-for-bit what pricing each
-    /// sample through those methods gives, which is what lets cached
-    /// campaign results, recorded traces and the golden digest survive
-    /// changes to this loop without an engine version bump.
+    /// **Bit-identity contract.** Reports are bit-for-bit what pricing
+    /// each sample through the [`MachineModel`] methods
+    /// (`compute_time` of `consumed_cycles`, `io_time`, `mem_time`,
+    /// `net_time`) and advancing the clock by the largest of the four
+    /// gives — which is what lets cached campaign results, recorded
+    /// traces and the golden digest survive changes to the pricing loop
+    /// without an engine version bump. The loop may take three
+    /// shortcuts and no others:
+    ///
+    /// * **Hoist** what is constant over a run (the kernel profile, the
+    ///   cycle rate, the filesystem model, the bandwidths, the
+    ///   contention factor), keeping each float operation's operands
+    ///   and order: a divisor is hoisted, never turned into a
+    ///   multiplication by its reciprocal, and no two operations are
+    ///   fused or reassociated.
+    /// * **Reuse** a price only when every input that determines it is
+    ///   equal: the compute price is a function of the quantized budget
+    ///   `ceil(directed / unit) × unit` alone, the storage price of the
+    ///   `(read, written)` byte pair alone; an atom with no demand
+    ///   costs exactly `0.0`.
+    /// * Never skip the clock: it advances once per sample, in
+    ///   collection order, so the float sum that is `tx` keeps its
+    ///   order. (Pricing a run of `n` equal samples as `n × t` would
+    ///   not, and needs an engine version bump.)
     pub fn simulate_stream(
         &self,
         samples: impl Iterator<Item = Sample>,
         machine: &MachineModel,
     ) -> EmulationReport {
-        if self.plan.preserve_sample_order {
-            self.price(samples, machine)
-        } else {
-            self.price(merged(samples).into_iter(), machine)
+        let priced = self.price(samples.map(|sample| sample.demand()), machine);
+        EmulationReport {
+            tx: priced.tx,
+            samples: priced.samples,
+            consumed: priced.consumed,
+            backend: format!("sim:{}", machine.name),
         }
     }
 
-    /// The one pricing loop of the simulated backend.
-    fn price(
+    /// Price a stream of demands on the **simulated backend** — what
+    /// [`Emulator::simulate_stream`] does, without the detour through
+    /// full samples or the report's backend tag. With
+    /// `preserve_sample_order` off, the stream is first folded into one
+    /// all-concurrent demand.
+    pub fn price(&self, demands: impl Iterator<Item = Demand>, machine: &MachineModel) -> Priced {
+        if self.plan.preserve_sample_order {
+            self.price_in_order(demands, machine)
+        } else {
+            self.price_in_order(merged(demands).into_iter(), machine)
+        }
+    }
+
+    /// The one pricing loop of the simulated backend (contract:
+    /// [`Emulator::simulate_stream`]).
+    fn price_in_order(
         &self,
-        samples: impl Iterator<Item = Sample>,
+        demands: impl Iterator<Item = Demand>,
         machine: &MachineModel,
-    ) -> EmulationReport {
+    ) -> Priced {
         let plan = &self.plan;
-        let class = plan.kernel.class();
-        let kprofile = machine.kernel(class);
-        // `MachineModel::compute_time`'s divisor.
-        let cycle_rate = machine.cpu.effective_freq_hz * kprofile.efficiency.max(1e-6);
-        let fs = machine.fs_or_default(plan.target_fs.unwrap_or(machine.default_fs));
+        let workers = plan.threads.max(1);
+        let pmodel = machine.parallel(plan.mode);
+        let mut compute = ComputePrice::new(
+            machine.kernel(plan.kernel.class()),
+            machine,
+            (workers > 1).then(|| {
+                let contention =
+                    pmodel.contention * (workers as f64 - 1.0) / machine.cpu.ncores as f64;
+                (workers as f64, 1.0 + contention)
+            }),
+        );
+        let mut storage = StoragePrice::new(
+            machine.fs_or_default(plan.target_fs.unwrap_or(machine.default_fs)),
+            plan.io_read_block,
+            plan.io_write_block,
+        );
         // `MachineModel::{mem_time, net_time}`'s divisors.
         let mem_bandwidth = machine.mem_bandwidth.max(1.0);
         let net_bandwidth = machine.net_bandwidth.max(1.0);
-        let workers = plan.threads.max(1);
-        let pmodel = machine.parallel(plan.mode);
-        let contention = pmodel.contention * (workers as f64 - 1.0) / machine.cpu.ncores as f64;
 
         let mut clock = VirtualClock::new();
         clock.advance(plan.sim_startup_seconds);
@@ -427,61 +474,174 @@ impl Emulator {
         let mut consumed = ConsumedTotals::default();
         let mut replayed = 0usize;
 
-        for sample in samples {
+        for demand in demands {
             replayed += 1;
-            let mut durations = [0.0f64; 4];
-            if plan.emulate_compute && sample.compute.cycles > 0 {
-                let directed = sample.compute.cycles;
-                let actual = kprofile.consumed_cycles(directed);
-                let serial = actual as f64 / cycle_rate;
-                let t = if workers > 1 {
-                    (serial / workers as f64) * (1.0 + contention)
-                } else {
-                    serial
-                };
-                durations[0] = t;
-                consumed.directed_cycles += directed;
-                consumed.cycles += actual;
-                consumed.instructions += (actual as f64 * kprofile.ipc) as u64;
-            }
-            if plan.emulate_storage {
-                let rd = sample.storage.bytes_read;
-                let wr = sample.storage.bytes_written;
-                durations[1] = fs.io_time(rd, plan.io_read_block, IoOp::Read)
-                    + fs.io_time(wr, plan.io_write_block, IoOp::Write);
-                consumed.bytes_read += rd;
-                consumed.bytes_written += wr;
-            }
-            if plan.emulate_memory {
-                let bytes = sample.memory.allocated + sample.memory.freed;
-                durations[2] = bytes as f64 / mem_bandwidth;
-                consumed.mem_allocated += sample.memory.allocated;
-                consumed.mem_freed += sample.memory.freed;
-            }
-            if plan.emulate_network {
-                let bytes = sample.network.bytes_sent + sample.network.bytes_recv;
-                durations[3] = bytes as f64 / net_bandwidth;
-                consumed.net_sent += sample.network.bytes_sent;
-                consumed.net_recv += sample.network.bytes_recv;
-            }
             // Concurrent atoms: the sample ends when the last one does.
-            let sample_time = durations.iter().cloned().fold(0.0, f64::max);
+            // An atom with no demand takes exactly 0.0 seconds, which
+            // never is the longest, so it is neither priced nor compared.
+            let mut sample_time = 0.0f64;
+            if plan.emulate_compute && demand.cycles > 0 {
+                compute.reprice(demand.cycles);
+                sample_time = sample_time.max(compute.seconds);
+                consumed.directed_cycles += demand.cycles;
+                consumed.cycles += compute.actual;
+                consumed.instructions += compute.instructions;
+            }
+            if plan.emulate_storage && (demand.bytes_read > 0 || demand.bytes_written > 0) {
+                let seconds = storage.seconds(demand.bytes_read, demand.bytes_written);
+                sample_time = sample_time.max(seconds);
+                consumed.bytes_read += demand.bytes_read;
+                consumed.bytes_written += demand.bytes_written;
+            }
+            if plan.emulate_memory && (demand.allocated > 0 || demand.freed > 0) {
+                let bytes = demand.allocated + demand.freed;
+                sample_time = sample_time.max(bytes as f64 / mem_bandwidth);
+                consumed.mem_allocated += demand.allocated;
+                consumed.mem_freed += demand.freed;
+            }
+            if plan.emulate_network && (demand.sent > 0 || demand.recv > 0) {
+                let bytes = demand.sent + demand.recv;
+                sample_time = sample_time.max(bytes as f64 / net_bandwidth);
+                consumed.net_sent += demand.sent;
+                consumed.net_recv += demand.recv;
+            }
             clock.advance(sample_time);
         }
 
-        EmulationReport {
+        Priced {
             tx: clock.now(),
             samples: replayed,
             consumed,
-            backend: format!("sim:{}", machine.name),
         }
     }
 }
 
-/// Merge a sample sequence into one all-concurrent sample (the
+/// The compute atom's price for a directed cycle budget, re-derived
+/// only when the budget leaves the quantization interval the current
+/// price was derived for: every `directed` in `(raw − unit, raw]`
+/// quantizes to the same `raw`, and everything below is a function of
+/// `raw` and per-run constants.
+struct ComputePrice {
+    /// `KernelProfile::consumed_cycles`' `unit`.
+    unit: u64,
+    /// `KernelProfile::consumed_cycles`' `1.0 + overhead_frac.max(0.0)`.
+    overshoot: f64,
+    ipc: f64,
+    /// `MachineModel::compute_time`'s divisor.
+    cycle_rate: f64,
+    /// `(workers as f64, 1.0 + contention)` when the budget is split
+    /// over a worker pool.
+    parallel: Option<(f64, f64)>,
+    /// The current price holds for `directed` in `(above, up_to]`
+    /// (empty before the first budget and after a saturated one).
+    above: u64,
+    up_to: u64,
+    /// Cycles consumed (quantized, with overhead).
+    actual: u64,
+    /// Wall time of `actual` on the machine.
+    seconds: f64,
+    /// Instructions retired.
+    instructions: u64,
+}
+
+impl ComputePrice {
+    fn new(kernel: KernelProfile, machine: &MachineModel, parallel: Option<(f64, f64)>) -> Self {
+        ComputePrice {
+            unit: kernel.unit_cycles.max(1),
+            overshoot: 1.0 + kernel.overhead_frac.max(0.0),
+            ipc: kernel.ipc,
+            cycle_rate: machine.cpu.effective_freq_hz * kernel.efficiency.max(1e-6),
+            parallel,
+            above: 0,
+            up_to: 0,
+            actual: 0,
+            seconds: 0.0,
+            instructions: 0,
+        }
+    }
+
+    /// Make `actual`, `seconds` and `instructions` the price of
+    /// `directed > 0` cycles.
+    #[inline]
+    fn reprice(&mut self, directed: u64) {
+        if self.above < directed && directed <= self.up_to {
+            return;
+        }
+        let units = directed.div_ceil(self.unit);
+        let raw = match units.checked_mul(self.unit) {
+            Some(raw) => {
+                (self.above, self.up_to) = (raw - self.unit, raw);
+                raw
+            }
+            // `consumed_cycles` saturates here; budgets that share this
+            // `units` need not share an interval below `u64::MAX`.
+            None => {
+                (self.above, self.up_to) = (0, 0);
+                u64::MAX
+            }
+        };
+        self.actual = (raw as f64 * self.overshoot) as u64;
+        let serial = self.actual as f64 / self.cycle_rate;
+        self.seconds = match self.parallel {
+            Some((workers, contended)) => (serial / workers) * contended,
+            None => serial,
+        };
+        self.instructions = (self.actual as f64 * self.ipc) as u64;
+    }
+}
+
+/// The storage atom's price for a `(read, written)` byte pair, kept for
+/// the last few distinct pairs: a steady-state profile alternates
+/// between a handful of write sizes (one to three frames a sample).
+struct StoragePrice<'m> {
+    fs: &'m FsModel,
+    read_block: u64,
+    write_block: u64,
+    /// `(read, written, seconds)`, replaced round-robin. The initial
+    /// entries are true: no bytes take `0.0 + 0.0` seconds.
+    memo: [(u64, u64, f64); 4],
+    next: usize,
+}
+
+impl<'m> StoragePrice<'m> {
+    fn new(fs: &'m FsModel, read_block: u64, write_block: u64) -> Self {
+        StoragePrice {
+            fs,
+            read_block,
+            write_block,
+            memo: [(0, 0, 0.0); 4],
+            next: 0,
+        }
+    }
+
+    /// The hit path is a few compares and stays in the pricing loop;
+    /// deriving a price is a call the loop makes once per distinct pair.
+    #[inline(always)]
+    fn seconds(&mut self, read: u64, written: u64) -> f64 {
+        match self
+            .memo
+            .iter()
+            .find(|&&(r, w, _)| r == read && w == written)
+        {
+            Some(&(_, _, seconds)) => seconds,
+            None => self.derive(read, written),
+        }
+    }
+
+    #[cold]
+    fn derive(&mut self, read: u64, written: u64) -> f64 {
+        let seconds = self.fs.io_time(read, self.read_block, IoOp::Read)
+            + self.fs.io_time(written, self.write_block, IoOp::Write);
+        self.memo[self.next] = (read, written, seconds);
+        self.next = (self.next + 1) % self.memo.len();
+        seconds
+    }
+}
+
+/// Merge a demand sequence into one all-concurrent demand (the
 /// ordering ablation of Fig. 2); `None` for an empty sequence.
-fn merged(samples: impl Iterator<Item = Sample>) -> Option<Sample> {
-    samples.reduce(|merged, sample| merged.absorb(&sample))
+fn merged(demands: impl Iterator<Item = Demand>) -> Option<Demand> {
+    demands.reduce(|merged, demand| merged.merged(&demand))
 }
 
 impl Default for Emulator {
@@ -614,7 +774,7 @@ mod tests {
     fn real_emulation_consumes_all_demands() {
         let plan = EmulationPlan {
             kernel: KernelChoice::Spin,
-            io_dir: std::env::temp_dir(),
+            io_dir: Some(std::env::temp_dir()),
             ..Default::default()
         };
         let profile = profile_with(20_000_000, 3);
@@ -681,6 +841,60 @@ mod tests {
         assert!(report.consumed.cycles >= report.consumed.directed_cycles);
         assert!(report.consumed.instructions > 0);
         assert!(report.backend.contains("thinkie"));
+    }
+
+    #[test]
+    fn compute_price_follows_the_kernel_profile_across_interval_and_saturation_edges() {
+        // The pricing loop sums consumed cycles, so a profile cannot
+        // hold two budgets near `u64::MAX`; the memo is walked directly.
+        for machine in [thinkie(), comet(), stampede()] {
+            for (class, coarse) in [
+                (KernelClass::AsmMatmul, false),
+                (KernelClass::CMatmul, false),
+                (KernelClass::CMatmul, true),
+            ] {
+                let mut kernel = machine.kernel(class);
+                if coarse {
+                    // With overhead, every budget this large consumes
+                    // `u64::MAX`; without, only the saturated ones do.
+                    kernel.overhead_frac = 0.0;
+                    kernel.unit_cycles = 1 << 40;
+                }
+                let unit = kernel.unit_cycles;
+                // The largest budget `consumed_cycles` does not saturate on.
+                let top = u64::MAX / unit * unit;
+                let budgets = [
+                    top,
+                    top + 1,
+                    top - 1,
+                    u64::MAX,
+                    top - unit + 1,
+                    u64::MAX - unit + 1,
+                    top - unit,
+                    top + 1,
+                    top,
+                    1,
+                    unit,
+                    unit + 1,
+                    unit,
+                ];
+                let mut price = ComputePrice::new(kernel, &machine, None);
+                for directed in budgets {
+                    price.reprice(directed);
+                    let actual = kernel.consumed_cycles(directed);
+                    assert_eq!(
+                        price.actual, actual,
+                        "{} {class:?} {directed}",
+                        machine.name
+                    );
+                    assert_eq!(
+                        price.seconds.to_bits(),
+                        machine.compute_time(actual, class).to_bits()
+                    );
+                    assert_eq!(price.instructions, (actual as f64 * kernel.ipc) as u64);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The simulated backend's bit-identity contract: the streaming pricer
-//! resolves per-run constants once, yet its reports equal — bit for
-//! bit — pricing every sample through the `MachineModel` methods, and
-//! streaming a profile's samples equals simulating the profile.
+//! The simulated backend's bit-identity contract: the pricing loop
+//! resolves per-run constants once and reuses a price while its inputs
+//! repeat, yet its reports equal — bit for bit — pricing every sample
+//! through the `MachineModel` methods, and streaming a profile's
+//! samples (or only their demands) equals simulating the profile.
 
 use proptest::prelude::*;
 use synapse::emulator::{ConsumedTotals, EmulationPlan, EmulationReport, Emulator, KernelChoice};
@@ -144,6 +145,72 @@ fn assert_contract(profile: &Profile, machine: &MachineModel, plan: EmulationPla
     assert_eq!(simulated, expected, "{:?}", emulator.plan());
     assert_eq!(simulated.tx.to_bits(), expected.tx.to_bits());
     assert_eq!(streamed, simulated, "{:?}", emulator.plan());
+    let priced = emulator.price(profile.samples.iter().map(Sample::demand), machine);
+    assert_eq!(priced.tx.to_bits(), expected.tx.to_bits());
+    assert_eq!(
+        (priced.samples, priced.consumed),
+        (expected.samples, expected.consumed),
+        "{:?}",
+        emulator.plan()
+    );
+}
+
+/// One stretch of a steady-state profile, the input the price memos
+/// exist for: `(shape, length, a, b)` with two free words.
+type Run = (u8, usize, u64, u64);
+
+/// Expand runs into per-sample demands around the quantization
+/// intervals `(raw − unit, raw]` of a kernel with work quantum `unit`.
+fn demands_of_runs(runs: &[Run], unit: u64) -> Vec<Demands> {
+    let mut demands = Vec::new();
+    let mut saturating = None;
+    for &(shape, len, a, b) in runs {
+        let raw = (1 + a % 10_000) * unit;
+        let base: Demands = (
+            raw,
+            b % (2 << 20),
+            (b >> 24) % (1 << 20),
+            a % (1 << 30),
+            b % (1 << 30),
+            (a >> 16) % (4 << 20),
+            (b >> 16) % (4 << 20),
+        );
+        for i in 0..len as u64 {
+            let mut d = base;
+            match shape {
+                // One demand, repeated: every price is reused.
+                0 => {}
+                // Budgets spread over one interval share one price.
+                1 => d.0 = raw - (a ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % unit,
+                // `raw` and `raw + 1` straddle an interval boundary.
+                2 => d.0 = raw + i % 2,
+                // Idle samples between busy ones: every atom skipped.
+                3 if i % 2 == 1 => d = (0, 0, 0, 0, 0, 0, 0),
+                3 => {}
+                // A few alternating write sizes (one to three frames a
+                // sample); six also walks the storage memo's
+                // replacement.
+                4 => d.2 = (1 + i % (1 + b % 6)) * (32 << 10),
+                // Within two units of `u64::MAX`: on either side of
+                // where `consumed_cycles` saturates.
+                _ => {
+                    d.0 = u64::MAX - a % (2 * unit);
+                    saturating = Some(demands.len());
+                }
+            }
+            demands.push(d);
+        }
+    }
+    // The consumed-cycle totals are plain sums: next to a budget near
+    // `u64::MAX` no other sample may direct cycles.
+    if let Some(keep) = saturating {
+        for (i, d) in demands.iter_mut().enumerate() {
+            if i != keep {
+                d.0 = 0;
+            }
+        }
+    }
+    demands
 }
 
 proptest! {
@@ -170,6 +237,30 @@ proptest! {
         let kernel = if c_kernel { KernelChoice::C } else { KernelChoice::Asm };
         let mode = if mpi { ParallelMode::Mpi } else { ParallelMode::OpenMp };
         let profile = profile_of(&demands);
+        for plan in plans(kernel, mode, io_block) {
+            assert_contract(&profile, &machine, plan);
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn runs_of_repeating_demands_price_bit_identically_to_per_sample_model_calls(
+        runs in proptest::collection::vec(
+            (0u8..6, 1usize..7, any::<u64>(), any::<u64>()),
+            1..6,
+        ),
+        machine_idx in 0usize..6,
+        c_kernel in any::<bool>(),
+        mpi in any::<bool>(),
+        io_block in 0u64..(4 << 20),
+    ) {
+        let machine = machine_by_name(MACHINE_NAMES[machine_idx]).unwrap();
+        let kernel = if c_kernel { KernelChoice::C } else { KernelChoice::Asm };
+        let mode = if mpi { ParallelMode::Mpi } else { ParallelMode::OpenMp };
+        let unit = machine.kernel(kernel.class()).unit_cycles;
+        prop_assert!(unit > 1, "the emulation kernels quantize");
+        let profile = profile_of(&demands_of_runs(&runs, unit));
         for plan in plans(kernel, mode, io_block) {
             assert_contract(&profile, &machine, plan);
         }

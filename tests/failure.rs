@@ -72,7 +72,7 @@ fn emulation_with_unwritable_io_dir_errors_cleanly() {
 
     let plan = EmulationPlan {
         kernel: KernelChoice::Spin,
-        io_dir: std::path::PathBuf::from("/proc/definitely-unwritable"),
+        io_dir: Some("/proc/definitely-unwritable".into()),
         ..Default::default()
     };
     let err = Emulator::new(plan).emulate(&profile);
