@@ -117,17 +117,17 @@ impl ResultCache {
     /// cluster workers pick up each other's results mid-campaign, not
     /// only at the next open. See [`synapse_store::ShardedDb::get`].
     ///
-    /// The stored document is decoded where it lies, under the store's
-    /// read lock — a hit costs the strings of the result it returns,
-    /// not a copy of the document first.
+    /// The stored document's text is decoded where it lies, under the
+    /// store's read lock — a hit costs the strings of the result it
+    /// returns, not a copy of the document first.
     pub fn get(&self, fingerprint: &str) -> Option<PointResult> {
         self.db.read(fingerprint, |doc| doc.decode().ok()).flatten()
     }
 
-    /// Store a result under its fingerprint (idempotent).
+    /// Store a result under its fingerprint (idempotent): its
+    /// canonical text is written once and upserted as the document.
     pub fn put(&self, fingerprint: &str, result: &PointResult) -> Result<(), CampaignError> {
-        let doc = Document::new(fingerprint, result)?;
-        self.db.upsert(doc)?;
+        self.db.upsert(Document::new(fingerprint, result)?)?;
         Ok(())
     }
 

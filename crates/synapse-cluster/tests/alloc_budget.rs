@@ -129,7 +129,19 @@ fn warm_per_point_paths_stay_within_their_allocation_budgets() {
     for r in &results {
         cache.put(&r.fingerprint, r).unwrap();
     }
-    assert!(calls(|| cache.get(&one.fingerprint).unwrap()) <= 12);
+    let hit = calls(|| cache.get(&one.fingerprint).unwrap());
+    assert!(hit <= 12, "a hit made {hit} allocator calls");
+
+    // A put of a result the cache has not seen costs its text, the
+    // document's id and the store's copy of that id as the key: no
+    // tree. The keys share one shard whose node already exists, so
+    // the count is the put's own, every time.
+    let cold_cache = ResultCache::in_memory();
+    cold_cache.put("00ffffffffffffff", one).unwrap();
+    let fresh: Vec<String> = (0..3).map(|i| format!("00{i:014x}")).collect();
+    let mut fresh = fresh.iter();
+    let put = calls(|| cold_cache.put(fresh.next().unwrap(), one).unwrap());
+    assert!(put <= 4, "a new put made {put} allocator calls");
 
     // A frame is its payload buffer and its line, however many points
     // it packs: nothing per point.

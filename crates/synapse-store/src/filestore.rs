@@ -2,9 +2,10 @@
 //! limit ("File-based storage of profiles is available, which poses no
 //! limit on the number of samples", §4.5).
 
-use std::fs::{self, OpenOptions};
-use std::io::{ErrorKind, Write};
+use std::fs;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use synapse_model::{Profile, ProfileKey};
 
@@ -37,25 +38,28 @@ impl FileStore {
     }
 
     /// Store a profile; returns the path written.
+    ///
+    /// The JSON is written in full under a temp name no reader lists,
+    /// then hard-linked to the next free `NNNNNN.json`. The link claims
+    /// the number and publishes the whole file in one step: a
+    /// concurrent saver that picked the same number gets
+    /// `AlreadyExists` and moves on, and neither a concurrent reader
+    /// nor a saver killed mid-write can leave a numbered file empty.
     pub fn save(&self, profile: &Profile) -> Result<PathBuf, StoreError> {
+        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = self.key_dir(&profile.key);
         fs::create_dir_all(&dir)?;
         let json = profile.to_json()?;
-        let mut seq = existing_seqs(&dir)?.last().map_or(1, |s| s + 1);
-        // Claim the number by creating its file: a concurrent saver
-        // that picked the same one gets `AlreadyExists` and moves on,
-        // instead of overwriting this run.
-        loop {
-            let path = dir.join(format!("{seq:06}.json"));
-            match OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut file) => {
-                    file.write_all(json.as_bytes())?;
-                    return Ok(path);
-                }
-                Err(e) if e.kind() == ErrorKind::AlreadyExists => seq += 1,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let tmp = dir.join(format!(
+            "{}-{}.json.tmp",
+            std::process::id(),
+            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let published = fs::write(&tmp, json)
+            .map_err(StoreError::from)
+            .and_then(|()| publish(&dir, &tmp));
+        let _ = fs::remove_file(&tmp);
+        published
     }
 
     /// Load every stored profile whose key *matches* the query key
@@ -118,7 +122,22 @@ impl FileStore {
     }
 }
 
-/// Sorted sequence numbers of profile files in a key directory.
+/// Link the finished file `tmp` to the first free sequence number in
+/// `dir`.
+fn publish(dir: &Path, tmp: &Path) -> Result<PathBuf, StoreError> {
+    let mut seq = existing_seqs(dir)?.last().map_or(1, |s| s + 1);
+    loop {
+        let path = dir.join(format!("{seq:06}.json"));
+        match fs::hard_link(tmp, &path) {
+            Ok(()) => return Ok(path),
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => seq += 1,
+            Err(e) => return Err(e.into()),
+        }
+    }
+}
+
+/// Sorted sequence numbers of profile files in a key directory (temp
+/// files, `*.json.tmp`, are not listed).
 fn existing_seqs(dir: &Path) -> Result<Vec<u64>, StoreError> {
     if !dir.exists() {
         return Ok(Vec::new());
@@ -253,6 +272,59 @@ mod tests {
         assert!(store.remove(&p.key).unwrap());
         assert!(!store.remove(&p.key).unwrap());
         assert!(store.load_matching(&p.key).unwrap().is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn loads_racing_saves_of_one_key_never_see_a_partial_file() {
+        let dir = tmp("race-load");
+        let store = FileStore::open(&dir).unwrap();
+        let key = ProfileKey::new("app", Tags::parse("steps=10"));
+        const ROUNDS: usize = 300;
+        let saved = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..ROUNDS {
+                    store.save(&profile("app", "steps=10", i as f64)).unwrap();
+                }
+                saved.store(true, Ordering::Release);
+            });
+            let mut seen = 0;
+            while !saved.load(Ordering::Acquire) {
+                let runs = store.load_matching(&key).expect("load during saves");
+                assert!(runs.len() >= seen, "runs only accumulate");
+                seen = runs.len();
+                store.keys().expect("keys during saves");
+            }
+        });
+        assert_eq!(store.load_matching(&key).unwrap().len(), ROUNDS);
+        let names: Vec<String> = fs::read_dir(store.key_dir(&key))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert!(names.iter().all(|n| n.ends_with(".json")), "{names:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_leftover_temp_file_is_ignored() {
+        let dir = tmp("leftover");
+        let store = FileStore::open(&dir).unwrap();
+        let p = profile("app", "steps=10", 1.0);
+        // A saver killed before publishing: an empty temp in one key's
+        // directory, a half-written one alone in another's.
+        store.save(&p).unwrap();
+        fs::write(store.key_dir(&p.key).join("4242-0.json.tmp"), "").unwrap();
+        let orphan = ProfileKey::new("orphan", Tags::new());
+        fs::create_dir_all(store.key_dir(&orphan)).unwrap();
+        fs::write(store.key_dir(&orphan).join("4242-1.json.tmp"), "{\"key\":").unwrap();
+
+        assert_eq!(store.load_matching(&p.key).unwrap(), vec![p.clone()]);
+        assert!(store.load_matching(&orphan).unwrap().is_empty());
+        assert_eq!(store.keys().unwrap(), vec![p.key.clone()]);
+        // The next save takes the next number, not the temp's.
+        let path = store.save(&p).unwrap();
+        assert!(path.ends_with("000002.json"), "{path:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

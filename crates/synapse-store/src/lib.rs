@@ -10,9 +10,11 @@
 //!
 //! * [`ShardedDb`] — the database: an embedded, thread-safe JSON
 //!   document store with a configurable per-document size limit
-//!   defaulting to 16 MB ([`DEFAULT_DOC_LIMIT`]). One keyspace over
-//!   256 shard files by key prefix, dirty-shard-only saves, a manifest
-//!   recording the layout, and a compaction pass merging small shards.
+//!   defaulting to 16 MB ([`DEFAULT_DOC_LIMIT`]). A [`Document`] holds
+//!   its body as canonical JSON text, and the limit counts that text.
+//!   One keyspace over 256 shard files by key prefix, dirty-shard-only
+//!   saves, a manifest recording the layout, and a compaction pass
+//!   merging small shards.
 //!   On-disk stores are multi-process safe: opens/saves/compactions
 //!   run under an advisory [`FileLock`] and dirty saves merge back
 //!   documents concurrent processes added, so cluster workers can

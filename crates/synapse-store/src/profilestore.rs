@@ -11,6 +11,7 @@
 use std::sync::Mutex;
 
 use serde::Deserialize;
+use serde_json::Parser;
 use synapse_model::{Profile, ProfileKey, ProfileSet};
 
 use crate::document::Document;
@@ -112,21 +113,31 @@ fn run_of(id: &str) -> (&str, u64) {
         .unwrap_or((id, 0))
 }
 
-/// Decode a stored run if its key matches the query. The key alone
-/// decides, so the sample series of an unwanted profile is never read.
+/// Decode a stored run if its key matches the query. Only the
+/// top-level `key` member is read to decide (it sorts first, so nothing
+/// is stepped over to reach it); the sample series of an unwanted
+/// profile is never decoded.
 fn decode_if_matching(doc: &Document, query: &ProfileKey) -> Result<Option<Profile>, StoreError> {
-    let key = ProfileKey::deserialize(&doc.body["key"]).map_err(|e| StoreError::Serde(e.into()))?;
-    if key.matches(query) {
-        doc.decode().map(Some)
-    } else {
-        Ok(None)
+    let json_err = |e: serde::Error| StoreError::Serde(e.into());
+    let mut parser = Parser::new(doc.text());
+    let mut first = parser.begin_object().map_err(json_err)?;
+    while let Some(member) = parser.next_key(&mut first).map_err(json_err)? {
+        if member == "key" {
+            let key = ProfileKey::parse_json(&mut parser).map_err(json_err)?;
+            return if key.matches(query) {
+                doc.decode().map(Some)
+            } else {
+                Ok(None)
+            };
+        }
+        parser.skip_value().map_err(json_err)?;
     }
+    Err(json_err(serde::Error::missing_field("Profile", "key")))
 }
 
 impl ProfileStore for DbProfileStore {
     fn save(&self, profile: &Profile) -> Result<SaveReport, StoreError> {
-        let (fitted, dropped) = fit_to_limit(profile, self.db.doc_limit())?;
-        let body = serde_json::to_value(&fitted)?;
+        let (text, dropped) = fit_to_limit(profile, self.db.doc_limit())?;
         let key_id = profile.key.id();
         let _saving = self.saving.lock().expect("a saver panicked mid-save");
         let mut last = 0;
@@ -136,12 +147,12 @@ impl ProfileStore for DbProfileStore {
                 last = last.max(run);
             }
         });
-        self.db.upsert(Document {
-            id: format!("{key_id}@{:06}", last + 1),
-            body,
-        })?;
+        self.db.upsert(Document::from_canonical(
+            format!("{key_id}@{:06}", last + 1),
+            text,
+        ))?;
         Ok(SaveReport {
-            stored_samples: fitted.len(),
+            stored_samples: profile.len() - dropped,
             dropped_samples: dropped,
         })
     }
@@ -165,26 +176,29 @@ impl ProfileStore for DbProfileStore {
 }
 
 /// Truncate trailing samples until the serialized profile fits the
-/// per-document limit. Returns the (possibly truncated) profile and
-/// the number of dropped samples.
+/// per-document limit. Returns the text of the (possibly truncated)
+/// profile — the stored body, so it is not serialized again — and the
+/// number of dropped samples.
 ///
 /// This reproduces the MongoDB behaviour the paper reports: the sample
 /// *series* is capped, while totals silently lose the tail — which is
 /// why the paper's largest configuration "misses one data sample".
-fn fit_to_limit(profile: &Profile, limit: usize) -> Result<(Profile, usize), StoreError> {
+fn fit_to_limit(profile: &Profile, limit: usize) -> Result<(String, usize), StoreError> {
     let full = serde_json::to_string(profile)?;
     if full.len() <= limit {
-        return Ok((profile.clone(), 0));
+        return Ok((full, 0));
     }
-    // Binary search the largest sample count that fits.
-    let mut lo = 0usize; // always fits (assuming the shell fits)
-    let mut hi = profile.len(); // known not to fit
-    let shell_fits = {
+    let with_samples = |n: usize| {
         let mut p = profile.clone();
-        p.samples.clear();
-        serde_json::to_string(&p)?.len() <= limit
+        p.samples.truncate(n);
+        serde_json::to_string(&p)
     };
-    if !shell_fits {
+    // Binary search the largest sample count that fits, keeping the
+    // text of the best fit so far.
+    let mut lo = 0usize; // always fits (once the shell does)
+    let mut hi = profile.len(); // known not to fit
+    let mut fitted = with_samples(0)?;
+    if fitted.len() > limit {
         return Err(StoreError::DocumentTooLarge {
             size: full.len(),
             limit,
@@ -192,16 +206,14 @@ fn fit_to_limit(profile: &Profile, limit: usize) -> Result<(Profile, usize), Sto
     }
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        let mut p = profile.clone();
-        p.samples.truncate(mid);
-        if serde_json::to_string(&p)?.len() <= limit {
+        let text = with_samples(mid)?;
+        if text.len() <= limit {
             lo = mid;
+            fitted = text;
         } else {
             hi = mid;
         }
     }
-    let mut fitted = profile.clone();
-    fitted.samples.truncate(lo);
     Ok((fitted, profile.len() - lo))
 }
 
@@ -272,6 +284,26 @@ mod tests {
             .load_matching(&ProfileKey::new("app", Tags::new()))
             .unwrap();
         assert_eq!(untagged_query.len(), 2);
+    }
+
+    #[test]
+    fn runs_are_matched_by_their_key_alone() {
+        let store = DbProfileStore::new(ShardedDb::in_memory());
+        let wanted = profile("app", "steps=10", 2, 1.0);
+        store.save(&wanted).unwrap();
+        // Another key's run, whose sample series would not decode.
+        let other = ProfileKey::new("other", Tags::new());
+        let text = format!(
+            r#"{{"key":{},"samples":"not a series"}}"#,
+            serde_json::to_string(&other).unwrap()
+        );
+        let id = format!("{}@000001", other.id());
+        store
+            .db()
+            .upsert(Document::from_canonical(id, text))
+            .unwrap();
+        assert_eq!(store.load_matching(&wanted.key).unwrap(), vec![wanted]);
+        assert!(store.load_matching(&other).is_err(), "a match must decode");
     }
 
     #[test]
@@ -410,13 +442,16 @@ mod tests {
     #[test]
     fn fit_to_limit_is_monotone() {
         let p = profile("a", "", 20, 20.0);
-        let full_len = serde_json::to_string(&p).unwrap().len();
-        let (all, d0) = fit_to_limit(&p, full_len).unwrap();
+        let full = serde_json::to_string(&p).unwrap();
+        let (all, d0) = fit_to_limit(&p, full.len()).unwrap();
         assert_eq!(d0, 0);
-        assert_eq!(all.len(), 20);
-        let (half, dh) = fit_to_limit(&p, full_len / 2).unwrap();
+        assert_eq!(all, full);
+        let (half, dh) = fit_to_limit(&p, full.len() / 2).unwrap();
         assert!(dh > 0);
-        assert!(half.len() < 20);
-        assert!(serde_json::to_string(&half).unwrap().len() <= full_len / 2);
+        assert!(half.len() <= full.len() / 2);
+        // The text is the truncated profile's own serialization.
+        let mut truncated = p.clone();
+        truncated.samples.truncate(20 - dh);
+        assert_eq!(half, serde_json::to_string(&truncated).unwrap());
     }
 }

@@ -1072,14 +1072,15 @@ fn write_atomic(path: &Path, contents: &str) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
     use std::time::SystemTime;
 
     fn doc(id: &str, n: i64) -> Document {
-        Document {
-            id: id.into(),
-            body: json!({"n": n}),
-        }
+        Document::new(id, &n).unwrap()
+    }
+
+    /// The number a [`doc`] holds.
+    fn n(doc: Document) -> i64 {
+        doc.decode().unwrap()
     }
 
     /// A 16-hex-digit key landing in shard `shard` (fingerprint-like).
@@ -1115,7 +1116,7 @@ mod tests {
         db.upsert(doc(&hexkey(0x22, 2), 2)).unwrap();
         assert_eq!(db.len(), 2);
         assert_eq!(db.dirty_shards(), vec![0x11, 0x22]);
-        assert_eq!(db.get(&hexkey(0x11, 1)).unwrap().body["n"], 1);
+        assert_eq!(n(db.get(&hexkey(0x11, 1)).unwrap()), 1);
         assert!(db.get(&hexkey(0x33, 3)).is_none());
         assert!(db.remove(&hexkey(0x11, 1)).is_some());
         assert!(db.remove(&hexkey(0x11, 1)).is_none());
@@ -1125,10 +1126,7 @@ mod tests {
     #[test]
     fn doc_limit_enforced() {
         let db = ShardedDb::in_memory_with_limit(16);
-        let big = Document {
-            id: hexkey(0, 0),
-            body: json!({"p": "x".repeat(64)}),
-        };
+        let big = Document::new(hexkey(0, 0), &"x".repeat(64)).unwrap();
         assert!(matches!(
             db.upsert(big),
             Err(StoreError::DocumentTooLarge { .. })
@@ -1153,7 +1151,7 @@ mod tests {
 
         let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "test-engine").unwrap();
         assert_eq!(back.len(), 9);
-        assert_eq!(back.get(&hexkey(0x7f, 2)).unwrap().body["n"], 2);
+        assert_eq!(n(back.get(&hexkey(0x7f, 2)).unwrap()), 2);
         assert!(back.dirty_shards().is_empty());
         assert_eq!(back.stats().engine, "test-engine");
         fs::remove_dir_all(&dir).unwrap();
@@ -1253,7 +1251,7 @@ mod tests {
         let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         assert_eq!(back.len(), 32 * 4);
         assert_eq!(back.stats().data_files, 4);
-        assert_eq!(back.get(&hexkey(0x1f, 3)).unwrap().body["n"], 3);
+        assert_eq!(n(back.get(&hexkey(0x1f, 3)).unwrap()), 3);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1423,7 +1421,7 @@ mod tests {
         a.upsert(doc(&hexkey(0x42, 1), 1)).unwrap();
         a.save().unwrap();
         let found = b.get(&hexkey(0x42, 1)).expect("miss folds in peer save");
-        assert_eq!(found.body["n"], 1);
+        assert_eq!(n(found), 1);
         assert_eq!(b.len(), 1);
         assert_eq!(b.stats().reconciled_docs, 1);
 
@@ -1460,10 +1458,10 @@ mod tests {
         // k2); a k3 miss on b folds that file back in.
         a.upsert(doc(&k3, 1)).unwrap();
         a.save().unwrap();
-        assert_eq!(b.get(&k3).expect("fresh peer doc folds in").body["n"], 1);
+        assert_eq!(n(b.get(&k3).expect("fresh peer doc folds in")), 1);
         assert!(b.get(&k1).is_none(), "local tombstone wins over the fold");
         assert_eq!(
-            b.get(&k2).unwrap().body["n"],
+            n(b.get(&k2).unwrap()),
             7,
             "local mutation wins over the fold"
         );
