@@ -15,6 +15,15 @@ use serde::{Deserialize, Serialize};
 use crate::runner::PointResult;
 
 /// Order-statistics summary of a series.
+///
+/// The report keeps these exact nearest-rank statistics rather than
+/// reading them off the live plane's [`crate::sketch::QuantileSketch`]:
+/// a sketch quantile is only within
+/// [`RELATIVE_ERROR`](crate::sketch::RELATIVE_ERROR) (< 1 %) of the
+/// order statistic, so it cannot reproduce the report's bytes, and
+/// those bytes are the contract (identical results ⇒ identical report,
+/// live or replayed). A report already holds the whole result set,
+/// which is all the exact sort needs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Percentiles {
     /// Number of observations.

@@ -243,11 +243,13 @@ pub fn sample_order_preserves(canonical: &str) -> bool {
 
 /// Resolve a pilot scheduler policy name.
 pub fn policy_by_name(name: &str) -> Option<SchedulerPolicy> {
-    match name.to_ascii_lowercase().as_str() {
-        "fifo" => Some(SchedulerPolicy::Fifo),
-        "backfill" => Some(SchedulerPolicy::Backfill),
-        _ => None,
-    }
+    by_name(
+        name,
+        &[
+            ("fifo", SchedulerPolicy::Fifo),
+            ("backfill", SchedulerPolicy::Backfill),
+        ],
+    )
 }
 
 /// FNV-1a 64-bit, the workspace-wide stable hash for seeds and

@@ -208,16 +208,21 @@ mod tests {
     fn equivalent_spellings_share_fingerprints_and_reports() {
         // Case and aliases are accepted by every catalog lookup, so
         // they must not reach fingerprints, seeds or report slices.
-        let toml = |[thinkie, comet, kernel, openmp, mpi, app]: [&str; 6]| {
+        let toml = |[thinkie, comet, kernel, openmp, mpi, app, policy]: [&str; 7]| {
             format!(
                 "name = \"spelling\"\nseed = 5\nprofile_machine = \"{thinkie}\"\n\
                  reference_machine = \"{thinkie}\"\nmachines = [\"thinkie\", \"{comet}\"]\n\
                  kernels = [\"{kernel}\"]\nmodes = [\"{openmp}\", \"{mpi}\"]\n\
-                 [[workloads]]\napp = \"{app}\"\nsteps = [10000]\n"
+                 [[workloads]]\napp = \"{app}\"\nsteps = [10000]\n\
+                 [pilot]\npolicy = \"{policy}\"\n"
             )
         };
-        let canonical = ["thinkie", "comet", "asm", "openmp", "mpi", "gromacs"];
-        let shouted = ["Thinkie", "Comet", "ASM", "omp", "OpenMPI", "Gromacs"];
+        let canonical = [
+            "thinkie", "comet", "asm", "openmp", "mpi", "gromacs", "backfill",
+        ];
+        let shouted = [
+            "Thinkie", "Comet", "ASM", "omp", "OpenMPI", "Gromacs", "BackFill",
+        ];
         let a = CampaignSpec::from_toml(&toml(canonical)).unwrap();
         let b = CampaignSpec::from_toml(&toml(shouted)).unwrap();
         let fingerprints = |s: &CampaignSpec| expand(s).iter().map(fingerprint).collect::<Vec<_>>();

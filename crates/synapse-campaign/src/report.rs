@@ -2,12 +2,11 @@
 
 use serde::{Deserialize, Serialize};
 use synapse_pilot::{PilotAgent, ProxyTask};
-use synapse_sim::Noise;
 
 use crate::aggregate::{axis_slices, reference_errors, AxisSlice, ReferenceError};
 use crate::cache::ENGINE_VERSION;
 use crate::error::CampaignError;
-use crate::grid::{app_by_name, policy_by_name};
+use crate::grid::policy_by_name;
 use crate::runner::PointResult;
 use crate::spec::CampaignSpec;
 
@@ -209,75 +208,27 @@ impl CampaignReport {
     }
 }
 
-/// Build the proxy task for one scenario point (profile synthesis is
-/// the expensive part; [`pilot_stage`] fans it out over threads).
-fn proxy_task(r: &PointResult) -> Result<ProxyTask, CampaignError> {
-    let app = app_by_name(&r.point.workload)
-        .ok_or_else(|| CampaignError::UnknownWorkload(r.point.workload.clone()))?;
-    let profile_machine = synapse_sim::machine_ref(&r.point.profile_machine)
-        .ok_or_else(|| CampaignError::UnknownMachine(r.point.profile_machine.clone()))?;
-    let mut noise = Noise::new(r.point.seed, r.point.noise_cv);
-    let profile = app.simulate_profile(
-        profile_machine,
-        r.point.steps,
-        r.point.sample_rate,
-        &mut noise,
-    );
-    // Same axis→plan mapping as the sweep itself (ProxyTask overrides
-    // `plan.threads` with its core request when pricing).
-    let plan = crate::runner::emulation_plan(&r.point)?;
-    Ok(ProxyTask::new(
-        format!("point-{:06}", r.point.index),
-        r.point.threads,
-        profile,
-        plan,
-    ))
-}
-
 /// Pack each machine's scenario points onto a pilot agent as proxy
 /// tasks and report the schedule (use case 2.1 of the paper, at
 /// campaign scale).
 ///
-/// Task synthesis re-creates each point's profile — as expensive as
-/// the sweep's own per-point work — so it runs across a worker pool;
-/// only the (cheap, per-machine) schedule simulation is serial.
+/// A point's task runs for the point's own emulated `tx` on its
+/// `threads` cores: the report is a fold over the sweep's results, so
+/// nothing is simulated again here.
 fn pilot_stage(results: &[PointResult], policy: &str) -> Result<Vec<PilotSummary>, CampaignError> {
     let policy_enum = policy_by_name(policy)
         .ok_or_else(|| CampaignError::Spec(format!("unknown pilot policy {policy:?}")))?;
-
-    // Synthesize every point's task in parallel, keeping result order.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<ProxyTask, CampaignError>>>> = results
-        .iter()
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16)
-        .min(results.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if idx >= results.len() {
-                    return;
-                }
-                *slots[idx].lock().expect("slot lock") = Some(proxy_task(&results[idx]));
-            });
-        }
-    });
     let mut tasks_by_machine: std::collections::BTreeMap<&str, Vec<ProxyTask>> =
         std::collections::BTreeMap::new();
-    for (r, slot) in results.iter().zip(slots) {
-        let task = slot
-            .into_inner()
-            .expect("slot lock")
-            .expect("every slot filled")?;
+    for r in results {
         tasks_by_machine
             .entry(r.point.machine.as_str())
             .or_default()
-            .push(task);
+            .push(ProxyTask::new(
+                format!("point-{:06}", r.point.index),
+                r.point.threads,
+                r.tx,
+            ));
     }
 
     let mut summaries = Vec::new();
@@ -305,7 +256,7 @@ mod tests {
     use crate::grid::expand;
     use crate::runner::RunConfig;
 
-    fn spec(pilot: bool) -> CampaignSpec {
+    fn spec(pilot: Option<&str>) -> CampaignSpec {
         let base = r#"
         name = "report"
         seed = 5
@@ -316,29 +267,28 @@ mod tests {
         app = "gromacs"
         steps = [10000, 100000]
         "#;
-        let text = if pilot {
-            format!("{base}\n[pilot]\npolicy = \"backfill\"\n")
-        } else {
-            base.to_string()
+        let text = match pilot {
+            Some(policy) => format!("{base}\n[pilot]\npolicy = \"{policy}\"\n"),
+            None => base.to_string(),
         };
         CampaignSpec::from_toml(&text).unwrap()
     }
 
-    fn report(pilot: bool) -> CampaignReport {
+    fn sweep(s: &CampaignSpec) -> Vec<PointResult> {
+        CampaignEngine::new(&expand(s), &ResultCache::in_memory(), &RunConfig::default())
+            .run(&|_| {}, &CancelToken::new())
+            .unwrap()
+            .0
+    }
+
+    fn report(pilot: Option<&str>) -> CampaignReport {
         let s = spec(pilot);
-        let (results, _) = CampaignEngine::new(
-            &expand(&s),
-            &ResultCache::in_memory(),
-            &RunConfig::default(),
-        )
-        .run(&|_| {}, &CancelToken::new())
-        .unwrap();
-        CampaignReport::assemble(&s, &results).unwrap()
+        CampaignReport::assemble(&s, &sweep(&s)).unwrap()
     }
 
     #[test]
     fn report_shape_and_grid_order() {
-        let r = report(false);
+        let r = report(None);
         assert_eq!(r.points, 12);
         assert_eq!(r.results.len(), 12);
         for (i, row) in r.results.iter().enumerate() {
@@ -352,8 +302,8 @@ mod tests {
 
     #[test]
     fn json_roundtrip_and_determinism() {
-        let a = report(false);
-        let b = report(false);
+        let a = report(None);
+        let b = report(None);
         let ja = a.to_json().unwrap();
         let jb = b.to_json().unwrap();
         assert_eq!(ja, jb, "byte-identical for identical spec+seed");
@@ -366,7 +316,7 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_all_rows() {
-        let r = report(false);
+        let r = report(None);
         let csv = r.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 13);
@@ -380,7 +330,7 @@ mod tests {
 
     #[test]
     fn pilot_stage_schedules_every_machine() {
-        let r = report(true);
+        let r = report(Some("backfill"));
         assert_eq!(r.pilot.len(), 3);
         for p in &r.pilot {
             assert_eq!(p.policy, "backfill");
@@ -393,8 +343,33 @@ mod tests {
     }
 
     #[test]
+    fn pilot_stage_schedules_each_point_for_its_own_tx() {
+        // Ten-second single-core tasks under FIFO fill the node in
+        // whole waves, so the schedule follows from `tx` alone.
+        let s = spec(Some("fifo"));
+        let mut results = sweep(&s);
+        for r in &mut results {
+            assert_eq!(r.point.threads, 1);
+            r.tx = 10.0;
+        }
+        let r = CampaignReport::assemble(&s, &results).unwrap();
+        assert_eq!(r.pilot.len(), 3);
+        for p in &r.pilot {
+            let ncores = synapse_sim::machine_ref(&p.machine).unwrap().cpu.ncores as usize;
+            let waves = p.tasks.div_ceil(ncores);
+            assert_eq!(p.makespan, waves as f64 * 10.0, "{}", p.machine);
+            assert_eq!(
+                p.utilization,
+                p.tasks as f64 / (waves * ncores) as f64,
+                "{}",
+                p.machine
+            );
+        }
+    }
+
+    #[test]
     fn summary_renders_key_lines() {
-        let r = report(true);
+        let r = report(Some("backfill"));
         let s = r.render_summary();
         assert!(s.contains("campaign \"report\""));
         assert!(s.contains("machine comet"));

@@ -153,8 +153,7 @@ impl RunStats {
 }
 
 /// Resolve a point's axis values into the emulation plan it
-/// prescribes — one place for the axis→`EmulationPlan` mapping, shared
-/// by the sweep path and the pilot stage's proxy tasks.
+/// prescribes — the one place for the axis→`EmulationPlan` mapping.
 pub fn emulation_plan(point: &ScenarioPoint) -> Result<EmulationPlan, CampaignError> {
     let kernel = kernel_by_name(&point.kernel)
         .ok_or_else(|| CampaignError::UnknownKernel(point.kernel.clone()))?;

@@ -34,7 +34,8 @@ pub struct WorkloadSpec {
 }
 
 /// Optional pilot-scheduling stage: after the sweep, each machine's
-/// scenario points are packed onto a pilot agent as proxy tasks.
+/// scenario points are packed onto a pilot agent as proxy tasks, each
+/// running for its point's emulated `tx`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PilotSpec {
     /// Scheduler policy: `fifo` or `backfill`.
@@ -232,13 +233,17 @@ impl CampaignSpec {
                 self.reference_machine
             )));
         }
-        if let Some(pilot) = &self.pilot {
-            crate::grid::policy_by_name(&pilot.policy).ok_or_else(|| {
+        if let Some(pilot) = &mut self.pilot {
+            let resolved = crate::grid::policy_by_name(&pilot.policy).ok_or_else(|| {
                 CampaignError::Spec(format!(
                     "unknown pilot policy {:?} (fifo | backfill)",
                     pilot.policy
                 ))
             })?;
+            pilot.policy = match resolved {
+                synapse_pilot::SchedulerPolicy::Fifo => "fifo".into(),
+                synapse_pilot::SchedulerPolicy::Backfill => "backfill".into(),
+            };
         }
         for &rate in &self.sample_rates {
             // Written so that NaN fails the range test too.

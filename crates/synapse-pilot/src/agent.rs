@@ -55,11 +55,6 @@ impl PilotAgent {
         PilotAgent { machine, policy }
     }
 
-    /// The machine the agent runs on.
-    pub fn machine(&self) -> &MachineModel {
-        &self.machine
-    }
-
     /// Execute a workload; returns the schedule.
     ///
     /// Virtual-time event loop: tasks start when enough cores are
@@ -79,15 +74,14 @@ impl PilotAgent {
             for (slot, (_, task)) in pending.iter().enumerate() {
                 let cores = task.cores.min(total_cores);
                 if cores <= free {
-                    let duration = task.duration_on(&self.machine);
                     records.push(TaskRecord {
                         id: task.id.clone(),
                         cores,
                         start: now,
-                        end: now + duration,
+                        end: now + task.duration,
                     });
                     running.push(Reverse(EndEvent {
-                        time: now + duration,
+                        time: now + task.duration,
                         cores,
                     }));
                     free -= cores;
@@ -136,37 +130,14 @@ impl PilotAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synapse::emulator::EmulationPlan;
-    use synapse_model::{Profile, ProfileKey, Sample, SystemInfo, Tags};
     use synapse_sim::titan;
-
-    fn profile(cycles: u64) -> Profile {
-        let mut p = Profile::new(
-            ProfileKey::new("task", Tags::new()),
-            SystemInfo::default(),
-            1.0,
-        );
-        p.runtime = 1.0;
-        let mut s = Sample::at(0.0, 1.0);
-        s.compute.cycles = cycles;
-        p.push(s).unwrap();
-        p
-    }
-
-    fn task(id: &str, cores: u32, cycles: u64) -> ProxyTask {
-        let plan = EmulationPlan {
-            sim_startup_seconds: 0.1,
-            ..Default::default()
-        };
-        ProxyTask::new(id, cores, profile(cycles), plan)
-    }
 
     #[test]
     fn single_task_runs_alone() {
         let agent = PilotAgent::new(titan(), SchedulerPolicy::Fifo);
-        let report = agent.execute(&[task("only", 4, 10_000_000_000)]);
+        let report = agent.execute(&[ProxyTask::new("only", 4, 10.0)]);
         assert_eq!(report.tasks.len(), 1);
-        assert!(report.makespan > 0.0);
+        assert_eq!(report.makespan, 10.0);
         assert_eq!(report.tasks[0].start, 0.0);
     }
 
@@ -175,7 +146,7 @@ mod tests {
         let agent = PilotAgent::new(titan(), SchedulerPolicy::Fifo);
         // Titan has 16 cores: four 4-core tasks run concurrently.
         let tasks: Vec<ProxyTask> = (0..4)
-            .map(|i| task(&format!("t{i}"), 4, 10_000_000_000))
+            .map(|i| ProxyTask::new(format!("t{i}"), 4, 10.0))
             .collect();
         let report = agent.execute(&tasks);
         assert_eq!(report.tasks.len(), 4);
@@ -189,13 +160,14 @@ mod tests {
         let agent = PilotAgent::new(titan(), SchedulerPolicy::Fifo);
         // Two 16-core tasks cannot overlap on a 16-core node.
         let tasks = [
-            task("first", 16, 10_000_000_000),
-            task("second", 16, 10_000_000_000),
+            ProxyTask::new("first", 16, 10.0),
+            ProxyTask::new("second", 16, 10.0),
         ];
         let report = agent.execute(&tasks);
         let first = report.tasks.iter().find(|t| t.id == "first").unwrap();
         let second = report.tasks.iter().find(|t| t.id == "second").unwrap();
-        assert!(second.start >= first.end - 1e-9);
+        assert_eq!(second.start, first.end);
+        assert_eq!(report.makespan, 20.0);
     }
 
     #[test]
@@ -203,18 +175,13 @@ mod tests {
         // Head-of-queue: a 16-core task after a 12-core task; FIFO
         // blocks the small 4-core task behind it, backfill slots it in.
         let workload = [
-            task("wide", 12, 40_000_000_000),
-            task("full", 16, 40_000_000_000),
-            task("small", 4, 40_000_000_000),
+            ProxyTask::new("wide", 12, 40.0),
+            ProxyTask::new("full", 16, 40.0),
+            ProxyTask::new("small", 4, 40.0),
         ];
         let fifo = PilotAgent::new(titan(), SchedulerPolicy::Fifo).execute(&workload);
         let bf = PilotAgent::new(titan(), SchedulerPolicy::Backfill).execute(&workload);
-        assert!(
-            bf.makespan < fifo.makespan - 1e-9,
-            "backfill {} vs fifo {}",
-            bf.makespan,
-            fifo.makespan
-        );
+        assert_eq!((fifo.makespan, bf.makespan), (120.0, 80.0));
         // Both ran everything.
         assert_eq!(fifo.tasks.len(), 3);
         assert_eq!(bf.tasks.len(), 3);
@@ -223,7 +190,7 @@ mod tests {
     #[test]
     fn requests_wider_than_node_are_clamped() {
         let agent = PilotAgent::new(titan(), SchedulerPolicy::Fifo);
-        let report = agent.execute(&[task("huge", 64, 1_000_000_000)]);
+        let report = agent.execute(&[ProxyTask::new("huge", 64, 1.0)]);
         assert_eq!(report.tasks.len(), 1);
         assert_eq!(report.tasks[0].cores, 16);
     }
@@ -242,10 +209,10 @@ mod tests {
         let agent = PilotAgent::new(titan(), SchedulerPolicy::Backfill);
         let tasks: Vec<ProxyTask> = (0..12)
             .map(|i| {
-                task(
-                    &format!("member-{i}"),
+                ProxyTask::new(
+                    format!("member-{i}"),
                     1 + (i % 4) as u32,
-                    2_000_000_000 * (1 + i % 3),
+                    2.0 * (1 + i % 3) as f64,
                 )
             })
             .collect();

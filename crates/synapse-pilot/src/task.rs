@@ -1,103 +1,37 @@
 //! Proxy tasks: units of work the pilot agent schedules.
 
-use synapse::emulator::{EmulationPlan, Emulator};
-use synapse_model::Profile;
-use synapse_sim::MachineModel;
-
-/// Lifecycle state of a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskState {
-    /// Waiting in the agent queue.
-    Pending,
-    /// Executing on some cores.
-    Running,
-    /// Finished.
-    Done,
-}
-
-/// A Synapse proxy task: a profile replayed with a plan, requesting a
-/// number of cores on the pilot's node.
-#[derive(Clone)]
+/// A Synapse proxy task: a duration requesting a number of cores on
+/// the pilot's node. The caller prices the task (typically an
+/// emulation's simulated Tx on the pilot's machine); the agent only
+/// packs durations onto cores.
+#[derive(Debug, Clone)]
 pub struct ProxyTask {
     /// Task identifier (unique within a workload).
     pub id: String,
     /// Cores the task occupies while running.
     pub cores: u32,
-    /// The profile the task replays.
-    pub profile: Profile,
-    /// How the profile is replayed (kernel, parallelism, I/O tuning).
-    pub plan: EmulationPlan,
+    /// Execution time in virtual seconds.
+    pub duration: f64,
 }
 
 impl ProxyTask {
-    /// Create a task.
-    pub fn new(id: impl Into<String>, cores: u32, profile: Profile, plan: EmulationPlan) -> Self {
+    /// Create a task; a request for zero cores occupies one.
+    pub fn new(id: impl Into<String>, cores: u32, duration: f64) -> Self {
         ProxyTask {
             id: id.into(),
             cores: cores.max(1),
-            profile,
-            plan,
+            duration,
         }
-    }
-
-    /// The task's execution time on a machine model: the simulated
-    /// emulation Tx with the task's plan (threads follow the core
-    /// request, matching how a pilot launches multi-core tasks).
-    pub fn duration_on(&self, machine: &MachineModel) -> f64 {
-        let mut plan = self.plan.clone();
-        plan.threads = self.cores;
-        Emulator::new(plan).simulate(&self.profile, machine).tx
-    }
-}
-
-impl std::fmt::Debug for ProxyTask {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProxyTask")
-            .field("id", &self.id)
-            .field("cores", &self.cores)
-            .field("samples", &self.profile.len())
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synapse_model::{ProfileKey, Sample, SystemInfo, Tags};
-    use synapse_sim::thinkie;
-
-    fn profile(cycles: u64) -> Profile {
-        let mut p = Profile::new(
-            ProfileKey::new("task", Tags::new()),
-            SystemInfo::default(),
-            1.0,
-        );
-        p.runtime = 1.0;
-        let mut s = Sample::at(0.0, 1.0);
-        s.compute.cycles = cycles;
-        p.push(s).unwrap();
-        p
-    }
-
-    #[test]
-    fn duration_scales_with_work() {
-        let small = ProxyTask::new("s", 1, profile(1_000_000_000), EmulationPlan::default());
-        let large = ProxyTask::new("l", 1, profile(20_000_000_000), EmulationPlan::default());
-        let m = thinkie();
-        assert!(large.duration_on(&m) > small.duration_on(&m));
-    }
-
-    #[test]
-    fn more_cores_shorten_compute_heavy_tasks() {
-        let t1 = ProxyTask::new("a", 1, profile(50_000_000_000), EmulationPlan::default());
-        let t4 = ProxyTask::new("b", 4, profile(50_000_000_000), EmulationPlan::default());
-        let m = thinkie();
-        assert!(t4.duration_on(&m) < t1.duration_on(&m));
-    }
 
     #[test]
     fn core_request_clamps_to_one() {
-        let t = ProxyTask::new("z", 0, profile(1), EmulationPlan::default());
+        let t = ProxyTask::new("z", 0, 1.0);
         assert_eq!(t.cores, 1);
     }
 }

@@ -1,6 +1,7 @@
-//! Strict replay never enters the engine. One test, its own process:
-//! the telemetry registry is process-global, so the only sweep it ever
-//! sees here is the recording below.
+//! Strict replay never enters the engine, not even for the pilot
+//! stage. One test, its own process: the telemetry registry is
+//! process-global, so the only sweep it ever sees here is the
+//! recording below.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -30,6 +31,9 @@ fn strict_replay_and_report_reconstruction_never_simulate() {
         [[workloads]]
         app = "gromacs"
         steps = [10000, 50000]
+
+        [pilot]
+        policy = "backfill"
         "#,
     )
     .unwrap();
@@ -71,6 +75,10 @@ fn strict_replay_and_report_reconstruction_never_simulate() {
     let summary = trace.verify(ReplayMode::Strict).unwrap();
     assert!(summary.is_clean());
     assert_eq!(summary.points, 8);
+    assert!(
+        !outcome.report.pilot.is_empty(),
+        "the pilot block is covered"
+    );
     let report = trace.reconstruct_report().unwrap();
     assert_eq!(report.to_json().unwrap(), outcome.report.to_json().unwrap());
     assert_eq!(engine(), recorded, "replay re-entered the engine");

@@ -11,6 +11,7 @@
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
 /// One primitive operation of a synthetic application.
@@ -151,11 +152,16 @@ impl PhaseScript {
 
     /// Execute the script for real on this host.
     pub fn execute(&self) -> std::io::Result<ScriptReport> {
+        // Unique per call, not per process: scripts executing
+        // concurrently in one process must not share, truncate or
+        // clean up each other's scratch file.
+        static NEXT_SCRATCH: AtomicU64 = AtomicU64::new(0);
+        let seq = NEXT_SCRATCH.fetch_add(1, Ordering::Relaxed);
         let scratch = self
             .scratch
             .clone()
             .unwrap_or_else(std::env::temp_dir)
-            .join(format!("synapse-synth-{}.dat", std::process::id()));
+            .join(format!("synapse-synth-{}-{seq}.dat", std::process::id()));
         let mut report = ScriptReport::default();
         let mut held: Vec<Vec<u8>> = Vec::new();
         for (i, phase) in self.phases.iter().enumerate() {
@@ -347,6 +353,35 @@ mod tests {
         }]);
         let r = s.execute().unwrap();
         assert_eq!(r.bytes_read, 16 * 1024);
+    }
+
+    #[test]
+    fn concurrent_scripts_use_separate_scratch_files() {
+        // Scripts executing at once in one process (as tests do) must
+        // never read a file another call truncated or removed.
+        const BYTES: u64 = 256 * 1024;
+        let script = PhaseScript::new(vec![
+            PhaseOp::DiskWrite {
+                bytes: BYTES,
+                block: 4096,
+            },
+            PhaseOp::DiskRead {
+                bytes: BYTES,
+                block: 4096,
+            },
+        ]);
+        let start = std::sync::Barrier::new(8);
+        thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..25 {
+                        let r = script.execute().unwrap();
+                        assert_eq!((r.bytes_written, r.bytes_read), (BYTES, BYTES));
+                    }
+                });
+            }
+        });
     }
 
     #[test]

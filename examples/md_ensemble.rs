@@ -11,7 +11,7 @@
 //! — including durations the real science problem would never produce
 //! (requirement E.3, malleability).
 
-use synapse::emulator::EmulationPlan;
+use synapse::emulator::{EmulationPlan, Emulator};
 use synapse_pilot::{PilotAgent, ProxyTask, SchedulerPolicy};
 use synapse_sim::{supermic, Noise};
 use synapse_workloads::AppModel;
@@ -46,15 +46,14 @@ fn main() {
                 // task instances between different stages").
                 let steps = (*steps as f64 * (1.0 + 0.1 * (i % 3) as f64)) as u64;
                 let profile = app.simulate_profile(&machine, steps, 1.0, &mut noise);
-                ProxyTask::new(
-                    format!("stage{stage}-member{i}"),
-                    *cores,
-                    profile,
-                    EmulationPlan {
-                        sim_startup_seconds: 0.5,
-                        ..Default::default()
-                    },
-                )
+                let duration = Emulator::new(EmulationPlan {
+                    threads: *cores,
+                    sim_startup_seconds: 0.5,
+                    ..Default::default()
+                })
+                .simulate(&profile, &machine)
+                .tx;
+                ProxyTask::new(format!("stage{stage}-member{i}"), *cores, duration)
             })
             .collect();
         let report = agent.execute(&tasks);

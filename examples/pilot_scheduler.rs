@@ -10,7 +10,7 @@
 //! scientific applications" to exercise a pilot agent across task
 //! shapes (single-core/multi-core, short/long).
 
-use synapse::emulator::EmulationPlan;
+use synapse::emulator::{EmulationPlan, Emulator};
 use synapse_pilot::{PilotAgent, ProxyTask, SchedulerPolicy};
 use synapse_sim::{machine_by_name, Noise};
 use synapse_workloads::AppModel;
@@ -27,15 +27,14 @@ fn main() {
             let cores = [1u32, 1, 2, 4, 8, 16][i % 6];
             let steps = [500_000u64, 2_000_000, 8_000_000][i % 3];
             let profile = app.simulate_profile(&machine, steps, 1.0, &mut noise);
-            tasks.push(ProxyTask::new(
-                format!("task-{i:02}"),
-                cores,
-                profile,
-                EmulationPlan {
-                    sim_startup_seconds: 0.5,
-                    ..Default::default()
-                },
-            ));
+            let duration = Emulator::new(EmulationPlan {
+                threads: cores,
+                sim_startup_seconds: 0.5,
+                ..Default::default()
+            })
+            .simulate(&profile, &machine)
+            .tx;
+            tasks.push(ProxyTask::new(format!("task-{i:02}"), cores, duration));
         }
 
         println!("== {} ({} cores) ==", machine.name, machine.cpu.ncores);

@@ -113,15 +113,14 @@ fn pilot_workload_is_machine_sensitive() {
         (0..8)
             .map(|i| {
                 let profile = app.simulate_profile(machine, 1_000_000, 1.0, &mut Noise::none());
-                ProxyTask::new(
-                    format!("t{i}"),
-                    2,
-                    profile,
-                    EmulationPlan {
-                        sim_startup_seconds: 0.2,
-                        ..Default::default()
-                    },
-                )
+                let duration = Emulator::new(EmulationPlan {
+                    threads: 2,
+                    sim_startup_seconds: 0.2,
+                    ..Default::default()
+                })
+                .simulate(&profile, machine)
+                .tx;
+                ProxyTask::new(format!("t{i}"), 2, duration)
             })
             .collect()
     };
