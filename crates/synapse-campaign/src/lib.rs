@@ -75,6 +75,7 @@ pub use grid::{
     atoms_by_name, expand, expand_range, fs_by_name, sample_order_by_name, AtomSet, ScenarioPoint,
 };
 pub use live::{AggregateMetrics, LiveAggregates, AGGREGATES_VERSION};
+pub use metrics::point_latency;
 pub use partition::{
     partition, partition_weighted, plan_leases, Lease, LeaseState, LeaseTable, MAX_PROBE_POINTS,
 };

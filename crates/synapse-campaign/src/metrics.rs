@@ -45,7 +45,7 @@ impl EngineMetrics {
             let stage = |name: &str| {
                 r.histogram_with(
                     "synapse_engine_stage_seconds",
-                    "Wall time of one campaign stage, per campaign run.",
+                    "Wall time of one campaign stage (expansion, sweep, aggregation), per campaign run.",
                     DURATION_BUCKETS,
                     &[("stage", name)],
                 )
@@ -71,7 +71,7 @@ impl EngineMetrics {
                 ),
                 samples_replayed: r.counter(
                     "synapse_engine_samples_replayed_total",
-                    "Profile samples replayed by simulated points (cache misses only).",
+                    "Profile samples replayed by simulated points (cache misses only); synapse_engine_simulate_seconds_sum over this is seconds per sample.",
                 ),
                 points: r.counter(
                     "synapse_engine_points_total",
@@ -87,4 +87,15 @@ impl EngineMetrics {
             }
         })
     }
+}
+
+/// The engine's per-point latency histograms, as `/metrics` exposes
+/// them: `("simulate", …)` over cache misses, `("cache lookup", …)`
+/// over every probe.
+pub fn point_latency() -> [(&'static str, &'static Histogram); 2] {
+    let metrics = EngineMetrics::get();
+    [
+        ("simulate", &metrics.simulate_seconds),
+        ("cache lookup", &metrics.cache_lookup_seconds),
+    ]
 }

@@ -207,20 +207,9 @@ pub(crate) fn run(invocation: Invocation, out: &mut impl Write) -> Result<(), Cl
                     "  stages: expansion {:.3}s, sweep {:.3}s, aggregation {:.3}s",
                     stats.expand_secs, stats.sweep_secs, stats.aggregate_secs,
                 )?;
-                // Per-point latency distributions come from the same
-                // process-wide histograms `/metrics` exposes; the
-                // registry call returns the series the engine already
-                // populated during the run.
-                let registry = synapse_telemetry::global();
-                for (label, name) in [
-                    ("simulate", "synapse_engine_simulate_seconds"),
-                    ("cache lookup", "synapse_engine_cache_lookup_seconds"),
-                ] {
-                    let hist = registry.histogram(
-                        name,
-                        "Per-point latency.",
-                        synapse_telemetry::DURATION_BUCKETS,
-                    );
+                // Per-point latency distributions are the engine's own
+                // histograms, the series `/metrics` exposes.
+                for (label, hist) in synapse_campaign::point_latency() {
                     if hist.count() == 0 {
                         writeln!(out, "  {label}: no observations")?;
                         continue;

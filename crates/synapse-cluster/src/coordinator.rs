@@ -71,7 +71,15 @@ impl Default for ClusterConfig {
 /// Don't bother splitting a straggler's tail below this many unlanded
 /// points — the speculative re-run would cost more in lease dispatch
 /// than it saves in makespan.
-const MIN_SPLIT_POINTS: usize = 4;
+pub const MIN_SPLIT_POINTS: usize = 4;
+
+/// Back-off between retries against a live-but-erring worker: this
+/// step times the lease's attempt count, capped at
+/// [`LEASE_BACKOFF_MAX_STEPS`] steps.
+pub const LEASE_BACKOFF_STEP: Duration = Duration::from_millis(200);
+
+/// Attempt count past which the retry back-off stops growing.
+pub const LEASE_BACKOFF_MAX_STEPS: usize = 5;
 
 /// How long an idle driver waits before looking at the lease table
 /// again on its own — the cadence at which it re-probes stragglers for
@@ -467,7 +475,9 @@ impl Coordinator {
                     // cap, draining for shutdown): back off so a
                     // transient blip cannot burn every attempt in
                     // milliseconds and poison the job.
-                    std::thread::sleep(Duration::from_millis(200 * attempts.min(5) as u64));
+                    std::thread::sleep(
+                        LEASE_BACKOFF_STEP * attempts.min(LEASE_BACKOFF_MAX_STEPS) as u32,
+                    );
                 }
             }
         }

@@ -1,5 +1,6 @@
 //! The coordinator's handles into the process-wide telemetry registry
-//! (`synapse_cluster_<name>` series; catalog in the README).
+//! (`synapse_cluster_<name>` series; the README catalog is rendered
+//! from the registry).
 
 use std::sync::{Arc, OnceLock};
 
@@ -69,11 +70,6 @@ impl ClusterMetrics {
                     "Worker aggregate digests merged into live campaign views.",
                 ),
                 batch_points: r.histogram(
-                    // Count-valued histogram (points per frame): the
-                    // _seconds/_bytes suffix scheme covers time and
-                    // size units only, and the name is pinned in the
-                    // published catalog.
-                    // lint:allow(metric-catalog, reason = "count-valued histogram; unit-suffix scheme covers time/size only")
                     "synapse_cluster_batch_points",
                     "Points per merged lease batch frame.",
                     &exponential_buckets(1.0, 2.0, 12),
@@ -92,7 +88,7 @@ impl ClusterMetrics {
     pub fn worker_throughput(worker: &str) -> Arc<Gauge> {
         global().gauge_with(
             "synapse_cluster_worker_points_per_sec",
-            "Most recent per-lease throughput of one worker.",
+            "Most recent per-lease throughput of one worker; weights the next plan's lease sizes.",
             &[("worker", worker)],
         )
     }

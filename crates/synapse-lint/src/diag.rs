@@ -5,7 +5,7 @@ use crate::workspace::SourceFile;
 /// One finding: a machine-checkable invariant violated at a location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Workspace-relative path (`crates/x/src/lib.rs`, `README.md`).
+    /// Workspace-relative path (`crates/x/src/lib.rs`).
     pub file: String,
     /// 1-based line; 0 when the finding is about a whole file.
     pub line: usize,

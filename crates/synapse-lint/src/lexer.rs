@@ -29,16 +29,12 @@ pub enum Class {
 
 /// A source file run through the lexer.
 pub struct Lexed {
-    /// The original text.
-    pub text: String,
     /// Same length as `text`: non-code bytes blanked to `' '`
     /// (newlines preserved).
     pub code: String,
     /// Same length as `text`: non-comment bytes blanked to `' '`
     /// (newlines preserved).
     pub comments: String,
-    /// Per-byte classification of `text`.
-    pub classes: Vec<Class>,
 }
 
 /// Classify every byte of `text`.
@@ -247,10 +243,8 @@ pub fn lex(text: &str) -> Lexed {
         });
     }
     Lexed {
-        text: text.to_string(),
         code: sanitize_utf8(code),
         comments: sanitize_utf8(comments),
-        classes: class,
     }
 }
 

@@ -2,15 +2,16 @@
 //! `synapse-lint` — the workspace invariant checker.
 //!
 //! Synapse's core claim is *predictability*: emulation must
-//! deterministically reproduce application behaviour, and the specs
-//! that guarantee it live in prose — `docs/TRACE.md` bans wall-clock
-//! from traces, `docs/PROTOCOL.md` pins endpoints and timing
-//! constants, the README pins the metric catalog, and conventions
-//! (SAFETY-commented `unsafe`, panic-free hot paths, observer-pure
-//! libraries) live in review culture. This crate turns those prose
-//! specs into machine-checked gates: an offline, std-only static
-//! analysis pass with a comment/string/raw-string-aware lexer, run in
-//! CI as `cargo run -p synapse-lint -- check`.
+//! deterministically reproduce application behaviour. The doc tables
+//! that restate code (PROTOCOL.md's endpoints and pinned constants,
+//! TRACE.md's version, the README metric catalog) are rendered from
+//! that code and held by tests. What no test can render lives in
+//! prose and review culture: `docs/TRACE.md` bans wall-clock from
+//! traces, `unsafe` needs a SAFETY argument, hot paths must not
+//! panic, libraries must not print. This crate turns those
+//! conventions into machine-checked gates: an offline, std-only
+//! static analysis pass with a comment/string/raw-string-aware lexer,
+//! run in CI as `cargo run -p synapse-lint -- check`.
 //!
 //! Per-site suppressions are spelled
 //! `// lint:allow(<rule>, reason = "…")` on the offending line or the
@@ -59,16 +60,13 @@ pub fn run_check(root: &Path, opts: &CheckOptions) -> std::io::Result<Vec<Diagno
         }
         rule.check(&ws, &mut raw);
     }
-    // Route each file's diagnostics through its suppression pass; doc
-    // findings (README.md, docs/*.md) have no source file and pass
-    // through untouched.
+    // Route each file's diagnostics through its suppression pass.
     let mut out = Vec::new();
     for file in &ws.files {
         let for_file: Vec<Diagnostic> =
             raw.iter().filter(|d| d.file == file.rel).cloned().collect();
         out.extend(diag::apply_allows(file, for_file, opts.rule.as_deref()));
     }
-    out.extend(raw.into_iter().filter(|d| ws.file(&d.file).is_none()));
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out.dedup();
     Ok(out)

@@ -6,11 +6,9 @@
 use crate::diag::Diagnostic;
 use crate::workspace::{SourceFile, Workspace};
 
-mod metric_catalog;
 mod monotonic_time;
 mod no_panic;
 mod observer_purity;
-mod protocol_drift;
 mod unsafe_audit;
 
 /// One invariant checker.
@@ -27,8 +25,6 @@ pub trait Rule {
 pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(monotonic_time::MonotonicTime),
-        Box::new(metric_catalog::MetricCatalog),
-        Box::new(protocol_drift::ProtocolDrift),
         Box::new(unsafe_audit::UnsafeAudit),
         Box::new(no_panic::NoPanicHotPath),
         Box::new(observer_purity::ObserverPurity),
@@ -86,30 +82,4 @@ pub(crate) fn flag_token(
             ));
         }
     }
-}
-
-/// The byte offset's 1-based line number within `text`.
-pub(crate) fn line_of_offset(text: &str, offset: usize) -> usize {
-    text.as_bytes()[..offset.min(text.len())]
-        .iter()
-        .filter(|&&b| b == b'\n')
-        .count()
-        + 1
-}
-
-/// Inline-code spans (`` `…` ``) on one markdown line.
-pub(crate) fn backtick_spans(line: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut rest = line;
-    while let Some(open) = rest.find('`') {
-        let tail = &rest[open + 1..];
-        match tail.find('`') {
-            Some(close) => {
-                out.push(&tail[..close]);
-                rest = &tail[close + 1..];
-            }
-            None => break,
-        }
-    }
-    out
 }

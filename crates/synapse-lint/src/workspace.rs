@@ -1,6 +1,5 @@
-//! Loads the workspace once — every non-vendored Rust source file
-//! (lexed) plus the prose specs the rules cross-check — so each rule
-//! is a pure function of this snapshot.
+//! Loads the workspace once — every non-vendored Rust source file,
+//! lexed — so each rule is a pure function of this snapshot.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -46,17 +45,9 @@ impl SourceFile {
 
 /// The loaded workspace snapshot.
 pub struct Workspace {
-    /// Absolute workspace root.
-    pub root: PathBuf,
     /// Every `.rs` file under `crates/`, `src/`, `tests/` (vendor/ and
     /// target/ excluded), sorted by path.
     pub files: Vec<SourceFile>,
-    /// `README.md`, if present.
-    pub readme: Option<String>,
-    /// `docs/PROTOCOL.md`, if present.
-    pub protocol: Option<String>,
-    /// `docs/TRACE.md`, if present.
-    pub trace_md: Option<String>,
 }
 
 impl Workspace {
@@ -90,13 +81,7 @@ impl Workspace {
                 cfg_test_line,
             });
         }
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-            readme: fs::read_to_string(root.join("README.md")).ok(),
-            protocol: fs::read_to_string(root.join("docs/PROTOCOL.md")).ok(),
-            trace_md: fs::read_to_string(root.join("docs/TRACE.md")).ok(),
-        })
+        Ok(Workspace { files })
     }
 
     /// The file at `rel`, if loaded.

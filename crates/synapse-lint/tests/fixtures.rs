@@ -104,186 +104,6 @@ fn monotonic_time_ignores_instant_comments_and_strings() {
     assert!(fx.check_rule("monotonic-time").is_empty());
 }
 
-// ---------------------------------------------------------------- metric-catalog
-
-const CATALOG_README: &str = "# Fixture\n\n\
-    ## Observability\n\n\
-    | series | kind | meaning |\n\
-    |---|---|---|\n\
-    | `synapse_foo_requests_total` | counter | Requests served. |\n";
-
-#[test]
-fn metric_catalog_flags_unlisted_registration() {
-    let fx = Fixture::new("metric-pos");
-    fx.write("README.md", CATALOG_README);
-    fx.write(
-        "crates/synapse-foo/src/metrics.rs",
-        "pub fn install(r: &Registry) {\n\
-             let _ = r.counter(\"synapse_foo_requests_total\", \"Requests served.\");\n\
-             let _ = r.counter(\"synapse_foo_retries_total\", \"Retries.\");\n\
-         }\n",
-    );
-    let diags = fx.check_rule("metric-catalog");
-    assert_eq!(diags.len(), 1);
-    assert_eq!(diags[0].line, 3);
-    assert!(diags[0].message.contains("synapse_foo_retries_total"));
-    assert!(diags[0].message.contains("missing from the README"));
-}
-
-#[test]
-fn metric_catalog_flags_stale_catalog_row_and_bad_suffix() {
-    let fx = Fixture::new("metric-stale");
-    fx.write("README.md", CATALOG_README);
-    fx.write(
-        "crates/synapse-foo/src/metrics.rs",
-        "pub fn install(r: &Registry) {\n\
-             let _ = r.gauge(\"synapse_foo_depth_total\", \"Queue depth.\");\n\
-         }\n",
-    );
-    let diags = fx.check_rule("metric-catalog");
-    let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
-    // The registered gauge is unlisted AND misnamed; the catalog row
-    // has no registration behind it.
-    assert_eq!(diags.len(), 3, "{msgs:?}");
-    assert!(msgs
-        .iter()
-        .any(|m| m.contains("must not use the counter suffix")));
-    assert!(msgs
-        .iter()
-        .any(|m| m.contains("no registration for it exists")));
-}
-
-#[test]
-fn metric_catalog_accepts_matching_catalog() {
-    let fx = Fixture::new("metric-neg");
-    fx.write("README.md", CATALOG_README);
-    fx.write(
-        "crates/synapse-foo/src/metrics.rs",
-        "pub fn install(r: &Registry) {\n\
-             let _ = r.counter(\"synapse_foo_requests_total\", \"Requests served.\");\n\
-         }\n",
-    );
-    assert!(fx.check_rule("metric-catalog").is_empty());
-}
-
-// ---------------------------------------------------------------- protocol-drift
-
-const PROTOCOL_MD: &str = "# Fixture protocol\n\n\
-    ## 1. Endpoints\n\n\
-    | endpoint | role | meaning |\n\
-    |---|---|---|\n\
-    | `GET /healthz` | both | liveness |\n\n\
-    ## 2. Pinned constants\n\n\
-    | Name | Pinned value | Source |\n\
-    |---|---|---|\n\
-    | `FRAME_VERSION` | `3` | `crates/synapse-server/src/server.rs` |\n";
-
-const SERVER_RS: &str = "pub const FRAME_VERSION: u64 = 3;\n";
-
-const ROUTES_RS: &str = "pub(crate) const ROUTES: &[Route] = &[\n\
-    \x20   // the \"liveness\" probe\n\
-    \x20   (\"GET\", \"/healthz\", \"both\", \"/healthz\", healthz),\n\
-    ];\n";
-
-/// `PROTOCOL_MD` with extra §1 rows, against `ROUTES_RS` with extra rows.
-fn check_routes(name: &str, spec_rows: &str, code_rows: &str) -> Vec<Diagnostic> {
-    let fx = Fixture::new(name);
-    let spec = PROTOCOL_MD.replace("liveness |\n", &format!("liveness |\n{spec_rows}"));
-    fx.write("docs/PROTOCOL.md", &spec);
-    fx.write("crates/synapse-server/src/server.rs", SERVER_RS);
-    fx.write(
-        "crates/synapse-server/src/routes.rs",
-        &ROUTES_RS.replace("];", &format!("{code_rows}];")),
-    );
-    fx.check_rule("protocol-drift")
-}
-
-#[test]
-fn protocol_drift_accepts_spec_matching_code() {
-    // A `?query` row is a variant of its base row and may narrow the
-    // role; `<id>` reads as `:id`.
-    let diags = check_routes(
-        "proto-neg",
-        "| `POST /campaigns` | both | submit |\n\
-         | `POST /campaigns?cluster=1` | coordinator | fan out |\n\
-         | `DELETE /campaigns/<id>` | both | cancel |\n",
-        "(\"POST\", \"/campaigns\", \"both\", \"/campaigns\", submit),\n\
-         (\"DELETE\", \"/campaigns/:id\", \"both\", \"/campaigns/:id\", cancel),\n",
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn protocol_drift_flags_constant_drift() {
-    let fx = Fixture::new("proto-const");
-    fx.write("docs/PROTOCOL.md", &PROTOCOL_MD.replace("`3`", "`4`"));
-    fx.write("crates/synapse-server/src/server.rs", SERVER_RS);
-    fx.write("crates/synapse-server/src/routes.rs", ROUTES_RS);
-    let diags = fx.check_rule("protocol-drift");
-    assert_eq!(diags.len(), 1);
-    assert_eq!(diags[0].file, "docs/PROTOCOL.md");
-    assert!(diags[0].message.contains("`FRAME_VERSION` drifted"));
-}
-
-#[test]
-fn protocol_drift_flags_route_method_and_role_drift_in_both_directions() {
-    // (fixture, spec row, served row) — a missing route, a `DELETE`
-    // row documented as `POST`, a `coordinator` row documented `both`.
-    for (name, spec, (method, shape, role)) in [
-        ("proto-route", "GET /statusz", ("GET", "/readyz", "both")),
-        (
-            "proto-method",
-            "POST /campaigns/<id>",
-            ("DELETE", "/campaigns/:id", "both"),
-        ),
-        (
-            "proto-role",
-            "GET /cluster/status",
-            ("GET", "/cluster/status", "coordinator"),
-        ),
-    ] {
-        let diags = check_routes(
-            name,
-            &format!("| `{spec}` | both | drifted |\n"),
-            &format!("(\"{method}\", \"{shape}\", \"{role}\", \"{shape}\", handler),\n"),
-        );
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        // Findings come back sorted by file.
-        assert_eq!(diags[0].file, "crates/synapse-server/src/routes.rs");
-        assert_eq!(diags[0].line, 4);
-        let served = format!("`{method} {shape}` ({role}) is served but absent");
-        assert!(diags[0].message.contains(&served), "{diags:?}");
-        assert_eq!(diags[1].file, "docs/PROTOCOL.md");
-        let documented = format!("`{}` (both) has no such row", spec.replace("<id>", ":id"));
-        assert!(diags[1].message.contains(&documented), "{diags:?}");
-    }
-}
-
-#[test]
-fn protocol_drift_reports_an_unreadable_routes_table() {
-    let diags = check_routes("proto-table", "", "(\"GET\", \"/x\", \"both\", x),\n");
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].message.contains("no `const ROUTES` table"));
-}
-
-#[test]
-fn protocol_drift_checks_trace_md_headline() {
-    let fx = Fixture::new("proto-trace");
-    fx.write("docs/PROTOCOL.md", PROTOCOL_MD);
-    fx.write("crates/synapse-server/src/server.rs", SERVER_RS);
-    fx.write("crates/synapse-server/src/routes.rs", ROUTES_RS);
-    fx.write("docs/TRACE.md", "# Traces\n\n**Trace format version: 2**\n");
-    fx.write(
-        "crates/synapse-trace/src/lib.rs",
-        "pub const TRACE_VERSION: u32 = 1;\n",
-    );
-    let diags = fx.check_rule("protocol-drift");
-    assert_eq!(diags.len(), 1);
-    assert_eq!(diags[0].file, "docs/TRACE.md");
-    assert!(diags[0].message.contains("version 2"));
-    assert!(diags[0].message.contains("is 1"));
-}
-
 // ---------------------------------------------------------------- unsafe-audit
 
 #[test]
@@ -412,26 +232,12 @@ fn observer_purity_permits_cli_bin_and_main() {
     assert!(fx.check_rule("observer-seam-purity").is_empty());
 }
 
-/// Write the minimal doc + source set that satisfies every rule, so
+/// Write the minimal source set that satisfies every rule, so
 /// `check_all` fixtures start from a clean tree.
 fn write_clean_base(fx: &Fixture) {
-    fx.write("README.md", CATALOG_README);
-    fx.write("docs/PROTOCOL.md", PROTOCOL_MD);
-    fx.write("docs/TRACE.md", "# Traces\n\n**Trace format version: 1**\n");
-    fx.write(
-        "crates/synapse-trace/src/lib.rs",
-        "#![forbid(unsafe_code)]\npub const TRACE_VERSION: u32 = 1;\n",
-    );
     fx.write(
         "crates/synapse-server/src/server.rs",
-        &format!("#![forbid(unsafe_code)]\n{SERVER_RS}"),
-    );
-    fx.write("crates/synapse-server/src/routes.rs", ROUTES_RS);
-    fx.write(
-        "crates/synapse-foo/src/metrics.rs",
-        "pub fn install(r: &Registry) {\n\
-             let _ = r.counter(\"synapse_foo_requests_total\", \"Requests served.\");\n\
-         }\n",
+        "#![forbid(unsafe_code)]\npub const FRAME_VERSION: u64 = 3;\n",
     );
     fx.write("crates/synapse-foo/src/lib.rs", "#![forbid(unsafe_code)]\n");
 }

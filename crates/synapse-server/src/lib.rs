@@ -21,8 +21,8 @@
 //!
 //! The served routes are one table, `ROUTES` in `routes.rs`: dispatch,
 //! `404`/`405` + `Allow` replies and the `endpoint` metric label all
-//! read it. `docs/PROTOCOL.md` §1 documents each row, and the
-//! `protocol-drift` lint keeps the two equal on method, shape and role.
+//! read it, and so does `docs/PROTOCOL.md` §1: [`endpoint_table`]
+//! renders it, and a test fails while the doc block differs.
 //!
 //! # Event stream
 //!
@@ -70,6 +70,7 @@ pub mod server;
 
 pub use client::{Client, Response, STREAM_SILENCE_TIMEOUT};
 pub use job::{BatchEntry, BatchFrame, EventRing, Job, JobKind, JobState, LeaseRequest};
+pub use routes::endpoint_table;
 pub use server::{
     lease_batch_line, Server, ServerConfig, ServerHandle, BATCH_FRAME_VERSION,
     DEFAULT_BATCH_POINTS, DEFAULT_EVENT_BUFFER, DEFAULT_HANDLER_THREADS, DEFAULT_MAX_CONNECTIONS,

@@ -83,11 +83,6 @@ impl ServerMetrics {
                     DURATION_BUCKETS,
                 ),
                 wake_batch: r.histogram(
-                    // Count-valued histogram (events per wake): the
-                    // _seconds/_bytes suffix scheme covers time and
-                    // size units only, and the name is pinned in the
-                    // published catalog.
-                    // lint:allow(metric-catalog, reason = "count-valued histogram; unit-suffix scheme covers time/size only")
                     "synapse_server_wake_batch_size",
                     "Readiness events delivered per non-empty epoll_wait.",
                     SIZE_BUCKETS,
@@ -117,7 +112,7 @@ impl ServerMetrics {
                 // same series.
                 requests: ROUTES
                     .iter()
-                    .map(|&(_, _, _, label, _)| label)
+                    .map(|&(_, _, _, label, _, _)| label)
                     .chain([OTHER])
                     .map(|endpoint| {
                         (

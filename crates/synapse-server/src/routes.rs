@@ -1,10 +1,11 @@
 //! The served route set, spelled once: [`ROUTES`] is the table that
 //! dispatch, `404`/`405` + `Allow` replies, the `endpoint` label of
 //! `synapse_server_request_seconds` and of trace `span` annotations,
-//! and the `protocol-drift` lint (which diffs the table's string
-//! literals against `docs/PROTOCOL.md` §1) all read. The handlers live
-//! here too; they run on the handler pool and return bytes or a stream
-//! handle for the reactor to drive — never touching a socket.
+//! and the `docs/PROTOCOL.md` §1 endpoint table ([`endpoint_table`]
+//! renders it; a test fails while the doc block differs) all read.
+//! The handlers live here too; they run on the handler pool and return
+//! bytes or a stream handle for the reactor to drive — never touching
+//! a socket.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -26,13 +27,15 @@ type Handler = fn(&Request, &ServerState, &str) -> Reply;
 /// matching any one segment); role — `both` | `worker` |
 /// `coordinator`, the last answering `404` on a server without a
 /// cluster backend; `endpoint` label on the request histogram and
-/// trace spans; handler.
+/// trace spans; handler; purpose, the row's `docs/PROTOCOL.md` §1 text
+/// (which names the row's query variants).
 pub(crate) type Route = (
     &'static str,
     &'static str,
     &'static str,
     &'static str,
     Handler,
+    &'static str,
 );
 
 /// Label of every request no row's shape matches.
@@ -41,24 +44,53 @@ pub(crate) const OTHER: &str = "other";
 /// Every route the server answers.
 #[rustfmt::skip]
 pub(crate) const ROUTES: &[Route] = &[
-    ("GET",    "/healthz",                       "both",        "/healthz",                  healthz),
-    ("GET",    "/metrics",                       "both",        "/metrics",                  metrics),
-    ("GET",    "/store/stats",                   "both",        "/store/stats",              store_stats),
-    ("POST",   "/campaigns",                     "both",        "/campaigns",                submit_campaign),
-    ("GET",    "/campaigns",                     "both",        "/campaigns",                list_campaigns),
-    ("GET",    "/campaigns/:id",                 "both",        "/campaigns/:id",            campaign_status),
-    ("DELETE", "/campaigns/:id",                 "both",        "/campaigns/:id",            cancel_campaign),
-    ("GET",    "/campaigns/:id/events",          "both",        "/campaigns/:id/events",     campaign_events),
-    ("GET",    "/campaigns/:id/aggregates",      "both",        "/campaigns/:id/aggregates", campaign_aggregates),
-    ("GET",    "/campaigns/:id/report",          "both",        "/campaigns/:id/report",     campaign_report),
-    ("GET",    "/campaigns/:id/trace",           "both",        "/campaigns/:id/trace",      campaign_trace),
-    ("POST",   "/leases",                        "worker",      "/leases",                   submit_lease),
-    ("POST",   "/cluster/workers",               "coordinator", "/cluster",                  register_worker),
-    ("DELETE", "/cluster/workers/:id",           "coordinator", "/cluster",                  deregister_worker),
-    ("POST",   "/cluster/workers/:id/heartbeat", "coordinator", "/cluster",                  worker_heartbeat),
-    ("GET",    "/cluster/status",                "coordinator", "/cluster",                  cluster_status),
-    ("POST",   "/shutdown",                      "both",        "/shutdown",                 shutdown),
+    ("GET",    "/healthz",                       "both",        "/healthz",                  healthz,
+        r#"Liveness probe. `200 {"status":"ok", ...}`."#),
+    ("GET",    "/metrics",                       "both",        "/metrics",                  metrics,
+        "Prometheus text exposition of the process registry."),
+    ("GET",    "/store/stats",                   "both",        "/store/stats",              store_stats,
+        "Shape and counters of the shared result cache."),
+    ("POST",   "/campaigns",                     "both",        "/campaigns",                submit_campaign,
+        r#"Submit a spec (TOML or JSON body). `202 {"id","points",...}`. `?watch=1` streams the job's events on the same connection. `?cluster=1` (coordinator only) fans the grid out over the registered workers. `?record=1` arms the flight recorder: the ack carries the `"trace"` causality id ([TRACE.md](TRACE.md)); it composes with `cluster=1`."#),
+    ("GET",    "/campaigns",                     "both",        "/campaigns",                list_campaigns,
+        "Status of every retained job."),
+    ("GET",    "/campaigns/:id",                 "both",        "/campaigns/:id",            campaign_status,
+        "One job's status document."),
+    ("DELETE", "/campaigns/:id",                 "both",        "/campaigns/:id",            cancel_campaign,
+        "Cooperative cancellation."),
+    ("GET",    "/campaigns/:id/events",          "both",        "/campaigns/:id/events",     campaign_events,
+        "The job's NDJSON event stream (chunked). `?aggregates=1` is the aggregate-mode stream: lifecycle + `snapshot` deltas, no per-point lines (§5.2)."),
+    ("GET",    "/campaigns/:id/aggregates",      "both",        "/campaigns/:id/aggregates", campaign_aggregates,
+        "Live per-(axis, value) aggregate view, answerable mid-sweep (§5.1). `?axis=` / `?metric=` narrow it; unknown names are `400` listing the valid ones."),
+    ("GET",    "/campaigns/:id/report",          "both",        "/campaigns/:id/report",     campaign_report,
+        "Deterministic report; `409` for lease jobs (merging is the coordinator's)."),
+    ("GET",    "/campaigns/:id/trace",           "both",        "/campaigns/:id/trace",      campaign_trace,
+        "The sealed `.jsonl` trace of a recorded job ([TRACE.md](TRACE.md)); `409` while the job runs, `409` with a hint if it was not recorded."),
+    ("POST",   "/leases",                        "worker",      "/leases",                   submit_lease,
+        r#"Offer the worker a lease (§2). `202 {"id","status","points","lease","grid_points"}`."#),
+    ("POST",   "/cluster/workers",               "coordinator", "/cluster",                  register_worker,
+        r#"Register a worker: body `{"addr":"host:port"}`; probed before admission."#),
+    ("DELETE", "/cluster/workers/:id",           "coordinator", "/cluster",                  deregister_worker,
+        "Deregister."),
+    ("POST",   "/cluster/workers/:id/heartbeat", "coordinator", "/cluster",                  worker_heartbeat,
+        "Record worker liveness (push side)."),
+    ("GET",    "/cluster/status",                "coordinator", "/cluster",                  cluster_status,
+        "Registry document: per-worker liveness, lease credits."),
+    ("POST",   "/shutdown",                      "both",        "/shutdown",                 shutdown,
+        "Drain and stop."),
 ];
+
+/// The `docs/PROTOCOL.md` §1 endpoint table: one Markdown row per
+/// `ROUTES` row, in table order — method and path (`:id` shown as
+/// `<id>`), role, purpose.
+pub fn endpoint_table() -> String {
+    let mut out = String::from("| Method & path | Role | Purpose |\n|---|---|---|\n");
+    for &(method, shape, role, _, _, purpose) in ROUTES {
+        let path = shape.replace(":id", "<id>");
+        out.push_str(&format!("| `{method} {path}` | {role} | {purpose} |\n"));
+    }
+    out
+}
 
 /// Whether `segments` fit `shape`; yields the `:id`.
 fn shape_matches<'a>(shape: &str, segments: &[&'a str]) -> Option<&'a str> {
@@ -99,7 +131,7 @@ pub(crate) fn resolve<'a>(method: &str, path: &'a str) -> Resolved<'a> {
         label: OTHER,
         id: "",
     };
-    for &(row_method, shape, role, label, handler) in ROUTES {
+    for &(row_method, shape, role, label, handler, _) in ROUTES {
         let Some(id) = shape_matches(shape, &segments) else {
             continue;
         };
@@ -453,8 +485,13 @@ fn aggregates_reply(request: &Request, job: &Job) -> Reply {
         }
     }
     AggregateMetrics::get().queries.inc();
-    let (done, state_name) = job.with_progress(|p| (p.done, p.state.name()));
+    // State, then view, then `done`: the sweep sets `done` before it
+    // folds the point into the view, so a `done` read last is never
+    // below the view's point count, and a state read first that says
+    // `completed` still vouches for a complete view.
+    let state_name = job.with_progress(|p| p.state.name());
     let mut doc = job.live().render(axis, metric);
+    let done = job.with_progress(|p| p.done);
     if let serde_json::Value::Object(obj) = &mut doc {
         obj.insert("id".into(), json!(job.public_id()));
         obj.insert("name".into(), json!(job.spec.name));
@@ -637,7 +674,7 @@ mod tests {
     #[test]
     fn every_row_resolves_labels_and_rejects_other_methods() {
         let metrics = ServerMetrics::get();
-        for &(method, shape, role, label, _) in ROUTES {
+        for &(method, shape, role, label, _, _) in ROUTES {
             assert!(["both", "worker", "coordinator"].contains(&role));
             let path = shape.replace(":id", "j42");
             let hit = resolve(method, &path);

@@ -34,6 +34,10 @@
 //! (seconds, bytes) and the usual `_total` suffix on counters:
 //! `synapse_engine_simulate_seconds`,
 //! `synapse_server_connections_accepted_total`, …
+//! [`Registry::naming_violations`] holds every family to it (gauges
+//! never end `_total`; two count-valued histograms are named
+//! exceptions to the unit suffix), and [`Registry::catalog`] renders
+//! the README's metric catalog from the families' HELP text.
 //!
 //! ```
 //! use synapse_telemetry::{global, DURATION_BUCKETS};
@@ -334,9 +338,69 @@ enum Handle {
 struct Family {
     help: String,
     kind: Kind,
+    /// The first registration's label keys as a catalog selector
+    /// (`{stage=…}`; `""` for unlabeled).
+    selector: String,
     /// Keyed by the rendered label set (`""` for unlabeled,
     /// `key="value",key2="v2"` otherwise) so render order is stable.
     series: BTreeMap<String, Handle>,
+}
+
+impl Family {
+    fn new(help: &str, kind: Kind, labels: &[(&str, &str)]) -> Family {
+        let mut keys: Vec<String> = labels.iter().map(|(k, _)| format!("{k}=…")).collect();
+        keys.sort_unstable();
+        let selector = if keys.is_empty() {
+            String::new()
+        } else {
+            format!("{{{}}}", keys.join(","))
+        };
+        Family {
+            help: help.to_string(),
+            kind,
+            selector,
+            series: BTreeMap::new(),
+        }
+    }
+}
+
+/// Count-valued histograms, exempt from the base-unit suffix: the
+/// `_seconds`/`_bytes` scheme covers time and size only, and these
+/// names are pinned in the published catalog.
+const UNITLESS_HISTOGRAMS: &[(&str, &str)] = &[
+    (
+        "synapse_cluster_batch_points",
+        "points per merged lease batch frame",
+    ),
+    (
+        "synapse_server_wake_batch_size",
+        "readiness events per epoll wake",
+    ),
+];
+
+/// Why `name` breaks the naming scheme for a `kind` family, if it
+/// does: names are `synapse_<subsystem>_<name>`, counters end
+/// `_total`, histograms end `_seconds` or `_bytes` (bar
+/// [`UNITLESS_HISTOGRAMS`]), gauges never end `_total`.
+fn naming_violation(name: &str, kind: Kind) -> Option<String> {
+    if !name.starts_with("synapse_") || name.splitn(3, '_').count() < 3 {
+        return Some(format!("`{name}` is not `synapse_<subsystem>_<name>`"));
+    }
+    let unit = name.ends_with("_seconds")
+        || name.ends_with("_bytes")
+        || UNITLESS_HISTOGRAMS.iter().any(|(n, _)| *n == name);
+    match kind {
+        Kind::Counter if !name.ends_with("_total") => {
+            Some(format!("counter `{name}` must end `_total`"))
+        }
+        Kind::Histogram if !unit => Some(format!(
+            "histogram `{name}` must end `_seconds` or `_bytes`"
+        )),
+        Kind::Gauge if name.ends_with("_total") => {
+            Some(format!("gauge `{name}` must not end `_total`"))
+        }
+        _ => None,
+    }
 }
 
 /// A named collection of metric families.
@@ -379,11 +443,9 @@ impl Registry {
     {
         let key = render_labels(labels);
         let mut families = self.families.lock().expect("registry lock");
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind,
-            series: BTreeMap::new(),
-        });
+        let family = families
+            .entry(name.to_string())
+            .or_insert_with(|| Family::new(help, kind, labels));
         assert!(
             family.kind == kind,
             "metric `{name}` already registered as {}, requested as {}",
@@ -456,11 +518,9 @@ impl Registry {
     /// which is what a process that reopens its cache wants.
     pub fn bind_counter(&self, name: &str, help: &str, handle: Arc<Counter>) {
         let mut families = self.families.lock().expect("registry lock");
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind: Kind::Counter,
-            series: BTreeMap::new(),
-        });
+        let family = families
+            .entry(name.to_string())
+            .or_insert_with(|| Family::new(help, Kind::Counter, &[]));
         assert!(
             family.kind == Kind::Counter,
             "metric `{name}` already registered as {}",
@@ -474,6 +534,32 @@ impl Registry {
     pub fn series_count(&self) -> usize {
         let families = self.families.lock().expect("registry lock");
         families.values().map(|f| f.series.len()).sum()
+    }
+
+    /// The README metric catalog: a Markdown table with one row per
+    /// family, in name order — name with its label keys
+    /// (`{stage=…}`), kind, HELP text.
+    pub fn catalog(&self) -> String {
+        let families = self.families.lock().expect("registry lock");
+        let mut out = String::from("| series | kind | meaning |\n| --- | --- | --- |\n");
+        for (name, family) in families.iter() {
+            out.push_str(&format!(
+                "| `{name}{}` | {} | {} |\n",
+                family.selector,
+                family.kind.as_str(),
+                family.help,
+            ));
+        }
+        out
+    }
+
+    /// Every family whose name breaks the naming scheme, with why.
+    pub fn naming_violations(&self) -> Vec<String> {
+        let families = self.families.lock().expect("registry lock");
+        families
+            .iter()
+            .filter_map(|(name, family)| naming_violation(name, family.kind))
+            .collect()
     }
 
     /// Render every family in Prometheus text exposition format
@@ -812,6 +898,85 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
+    }
+
+    #[test]
+    fn catalog_has_one_row_per_family_with_label_keys_and_help() {
+        let r = Registry::new();
+        for stage in ["sweep", "expansion"] {
+            r.histogram_with(
+                "synapse_engine_stage_seconds",
+                "Stage wall time.",
+                &[1.0],
+                &[("stage", stage)],
+            );
+        }
+        r.counter("synapse_engine_points_total", "Points swept.");
+        r.gauge_with("synapse_x_y", "Two keys.", &[("b", "1"), ("a", "2")]);
+        assert_eq!(
+            r.catalog(),
+            "| series | kind | meaning |\n\
+             | --- | --- | --- |\n\
+             | `synapse_engine_points_total` | counter | Points swept. |\n\
+             | `synapse_engine_stage_seconds{stage=…}` | histogram | Stage wall time. |\n\
+             | `synapse_x_y{a=…,b=…}` | gauge | Two keys. |\n"
+        );
+    }
+
+    #[test]
+    fn naming_scheme_suffixes_by_kind() {
+        for (name, kind) in [
+            ("synapse_foo_requests_total", Kind::Counter),
+            ("synapse_foo_depth", Kind::Gauge),
+            ("synapse_foo_latency_seconds", Kind::Histogram),
+            ("synapse_foo_frame_bytes", Kind::Histogram),
+            ("synapse_cluster_batch_points", Kind::Histogram),
+            ("synapse_server_wake_batch_size", Kind::Histogram),
+        ] {
+            assert_eq!(naming_violation(name, kind), None, "{name}");
+        }
+        for (name, kind, why) in [
+            ("synapse_foo_retries", Kind::Counter, "must end `_total`"),
+            (
+                "synapse_foo_depth_total",
+                Kind::Gauge,
+                "must not end `_total`",
+            ),
+            (
+                "synapse_foo_latency",
+                Kind::Histogram,
+                "`_seconds` or `_bytes`",
+            ),
+            (
+                "synapse_foo_batch_points",
+                Kind::Histogram,
+                "`_seconds` or `_bytes`",
+            ),
+            ("synapse_depth", Kind::Gauge, "synapse_<subsystem>_<name>"),
+            (
+                "foo_requests_total",
+                Kind::Counter,
+                "synapse_<subsystem>_<name>",
+            ),
+        ] {
+            let violation = naming_violation(name, kind).unwrap_or_default();
+            assert!(violation.contains(why), "{name}: {violation:?}");
+        }
+    }
+
+    #[test]
+    fn naming_violations_lists_each_misnamed_family() {
+        let r = Registry::new();
+        r.counter("synapse_foo_requests_total", "Requests served.");
+        r.gauge("synapse_foo_depth_total", "Queue depth.");
+        r.histogram("synapse_foo_latency", "Latency.", &[1.0]);
+        assert_eq!(
+            r.naming_violations(),
+            [
+                "gauge `synapse_foo_depth_total` must not end `_total`",
+                "histogram `synapse_foo_latency` must end `_seconds` or `_bytes`",
+            ]
+        );
     }
 
     #[test]
