@@ -2,6 +2,13 @@
 //! [`bench::all_experiments`] table: no argument runs every experiment
 //! in paper order (the data source for EXPERIMENTS.md), one argument
 //! runs the experiment of that name.
+
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool: it prints the tables and figures"
+)]
+
 fn main() {
     let experiments = bench::all_experiments();
     let Some(wanted) = std::env::args().nth(1) else {

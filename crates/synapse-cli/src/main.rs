@@ -1,5 +1,10 @@
 //! `synapse` — command-line wrapper around the profile/emulate API.
 
+#![expect(
+    clippy::print_stderr,
+    reason = "the binary reports a failed command on stderr"
+)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

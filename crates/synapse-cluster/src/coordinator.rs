@@ -21,9 +21,21 @@
 //! sweeps the remaining leases through its own engine — a cluster
 //! degrades to a single process, never to a hung job.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use serde_json::Value;
 use synapse_campaign::{
     expand_range, plan_leases, CampaignEngine, CampaignError, CampaignOutcome, CampaignReport,
     CampaignSpec, CancelToken, Lease, LeaseTable, LiveAggregates, PointEvent, ResultCache,
@@ -147,12 +159,18 @@ fn merge_lease_digest(
     let Some(digest) = digest else { return };
     let mut covered = coverage.lock().unwrap_or_else(|e| e.into_inner());
     let end = lease.end.min(covered.len());
-    // lint:allow(no-panic-hot-path, reason = "end is clamped to covered.len() and start >= end returns first")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "end is clamped to covered.len() and start >= end returns first"
+    )]
     if lease.start >= end || covered[lease.start..end].iter().any(|c| *c) {
         return;
     }
     if live.merge_digest(digest).is_some() {
-        // lint:allow(no-panic-hot-path, reason = "same bounds as the guard above: start < end <= covered.len()")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "same bounds as the guard above: start < end <= covered.len()"
+        )]
         covered[lease.start..end].iter_mut().for_each(|c| *c = true);
         ClusterMetrics::get().sketch_merges.inc();
     }
@@ -189,7 +207,10 @@ impl Coordinator {
     /// collector as they stream in. A clean completion ships the
     /// lease's aggregate digest, folded into `live` via
     /// [`merge_lease_digest`].
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one lease's run needs the campaign's shared state, borrowed from run_distributed's frame"
+    )]
     fn run_lease(
         &self,
         client: &Client,
@@ -207,8 +228,7 @@ impl Coordinator {
             Ok(reply) => reply,
             Err(e) => return LeaseRun::Failed(format!("lease submit: {e}")),
         };
-        // lint:allow(no-panic-hot-path, reason = "Value indexing is total; a missing key yields Null, never a panic")
-        let Some(id) = reply["id"].as_str().map(str::to_string) else {
+        let Some(id) = reply.get("id").and_then(Value::as_str).map(str::to_string) else {
             return LeaseRun::Failed("lease submit reply carries no job id".into());
         };
         let mut worker_error: Option<String> = None;
@@ -269,15 +289,16 @@ impl Coordinator {
             return LeaseRun::Failed(error);
         }
         match watched {
-            // lint:allow(no-panic-hot-path, reason = "Value indexing is total; a missing key yields Null, never a panic")
-            Ok(summary) if summary["event"].as_str() == Some("completed") => {
+            Ok(summary) if summary.get("event").and_then(Value::as_str) == Some("completed") => {
                 merge_lease_digest(live, coverage, lease, summary.get("aggregates"));
                 LeaseRun::Completed
             }
             Ok(summary) => LeaseRun::Failed(format!(
                 "lease stream ended with {:?}",
-                // lint:allow(no-panic-hot-path, reason = "Value indexing is total; a missing key yields Null, never a panic")
-                summary["event"].as_str().unwrap_or("nothing")
+                summary
+                    .get("event")
+                    .and_then(Value::as_str)
+                    .unwrap_or("nothing")
             )),
             Err(e) => LeaseRun::Failed(format!("lease stream: {e}")),
         }
@@ -336,7 +357,10 @@ impl Coordinator {
     /// One worker's driver loop: claim, run, complete/release, until
     /// the table drains, the campaign cancels, a lease poisons the
     /// job, or this worker dies.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one worker's loop needs the campaign's shared state, borrowed from run_distributed's frame"
+    )]
     fn drive_worker(
         &self,
         worker_id: &str,

@@ -6,6 +6,11 @@
 //! tree or a deep clone creeping back onto one of these paths fails
 //! here by a factor of several, not by a few percent.
 
+#![expect(
+    unsafe_code,
+    reason = "the counting allocator implements the unsafe GlobalAlloc trait over System"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;

@@ -8,6 +8,8 @@
 //! definition `efficiency = cycles_used / (cycles_used +
 //! cycles_stalled)` solved for the stall count.
 
+#![expect(unsafe_code, reason = "sysconf is an FFI call")]
+
 use std::fs;
 
 use crate::calibration::calibrate_frequency;

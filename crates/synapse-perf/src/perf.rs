@@ -6,6 +6,11 @@
 //! observed process are included — matching `perf stat`'s default
 //! process-tree accounting.
 
+#![expect(
+    unsafe_code,
+    reason = "perf_event_open, ioctl, read and close on the counter fd are FFI calls"
+)]
+
 use std::io;
 
 use crate::error::PerfError;

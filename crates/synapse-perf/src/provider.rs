@@ -59,6 +59,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[expect(unsafe_code, reason = "gettid is a raw syscall")]
 mod tid_tests {
     use super::*;
 

@@ -1,5 +1,7 @@
 //! `/proc/<pid>/stat` parsing: CPU time, thread count and state.
 
+#![expect(unsafe_code, reason = "sysconf is an FFI call")]
+
 use std::fs;
 
 use crate::error::ProcError;

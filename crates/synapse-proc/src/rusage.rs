@@ -5,6 +5,8 @@
 //! `wait4` variant that atomically reaps a child while collecting its
 //! resource usage (what the `time -v` wrapper relies on).
 
+#![expect(unsafe_code, reason = "getrusage and wait4 are FFI calls")]
+
 use std::time::Duration;
 
 use crate::error::ProcError;

@@ -1,6 +1,8 @@
 //! Host-level facts for the "System" block of Table 1: core count,
 //! maximum CPU frequency, total memory and load averages.
 
+#![expect(unsafe_code, reason = "gethostname is an FFI call")]
+
 use std::fs;
 
 use synapse_model::SystemInfo;

@@ -9,6 +9,8 @@
 //! is taken immediately around `fork/exec`, so the measured `Tx` does
 //! not include profiler start-up.
 
+#![expect(unsafe_code, reason = "waitid is an FFI call")]
+
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 

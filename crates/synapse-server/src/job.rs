@@ -263,7 +263,10 @@ impl Job {
 
     /// [`Job::new`], plus an [`EventHook`] fired on every publish and
     /// on close (the server wires the reactor's waker in here).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the job's fixed fields plus its hook; Job::new is the short form"
+    )]
     pub fn with_hook(
         id: u64,
         spec: CampaignSpec,

@@ -8,6 +8,21 @@
 //! blocked `epoll_wait`, and nonblocking-mode toggles for accepted
 //! sockets ([`set_nonblocking`]).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![expect(
+    unsafe_code,
+    reason = "epoll, eventfd, fcntl, read, write and close are FFI calls"
+)]
+
 use std::io;
 use std::os::unix::io::RawFd;
 

@@ -7,6 +7,17 @@
 //! bytes or a stream handle for the reactor to drive — never touching
 //! a socket.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -640,8 +651,11 @@ fn register_worker(request: &Request, state: &ServerState, _: &str) -> Reply {
     let text = std::str::from_utf8(&request.body).unwrap_or("").trim();
     let addr = serde_json::from_str::<serde_json::Value>(text)
         .ok()
-        // lint:allow(no-panic-hot-path, reason = "Value indexing is total; a missing key yields Null, never a panic")
-        .and_then(|v| v["addr"].as_str().map(str::to_string))
+        .and_then(|v| {
+            v.get("addr")
+                .and_then(serde_json::Value::as_str)
+                .map(str::to_string)
+        })
         .or_else(|| (!text.is_empty() && !text.starts_with('{')).then(|| text.to_string()));
     match addr {
         Some(addr) => json_reply(201, "Created", &backend.register_worker(&addr)),

@@ -28,6 +28,17 @@
 //!                                 (pump pauses at the high-water mark)
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -86,8 +97,11 @@ pub const MAX_RETAINED_TERMINAL_LEASES: usize = 2;
 pub const HEARTBEAT_EVERY: Duration = Duration::from_secs(10);
 
 /// Serialize one event document to its NDJSON line.
+#[expect(
+    clippy::expect_used,
+    reason = "serializing owned in-memory data; Value/string serialization is infallible"
+)]
 pub(crate) fn ndjson(value: &serde_json::Value) -> String {
-    // lint:allow(no-panic-hot-path, reason = "serializing owned in-memory data; Value/string serialization is infallible")
     serde_json::to_string(value).expect("event serializes")
 }
 
@@ -490,10 +504,12 @@ impl Server {
     pub fn with_cluster(mut self, backend: Arc<dyn ClusterBackend>) -> Server {
         // The state Arc has not been shared yet (no handle, no run), so
         // the mutation is safe — enforce that by consuming self.
-        Arc::get_mut(&mut self.state)
-            // lint:allow(no-panic-hot-path, reason = "builder runs before the state Arc is shared; get_mut cannot fail")
-            .expect("with_cluster before handles exist")
-            .cluster = Some(backend);
+        #[expect(
+            clippy::expect_used,
+            reason = "builder runs before the state Arc is shared; get_mut cannot fail"
+        )]
+        let state = Arc::get_mut(&mut self.state).expect("with_cluster before handles exist");
+        state.cluster = Some(backend);
         self
     }
 
@@ -531,10 +547,13 @@ impl Server {
         let served: std::io::Result<()> = std::thread::scope(|scope| {
             for worker in 0..config.queue_workers.max(1) {
                 let state = &state;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "thread spawn at server startup; failing fast before serving is intended"
+                )]
                 std::thread::Builder::new()
                     .name(format!("synapse-queue-{worker}"))
                     .spawn_scoped(scope, move || queue_worker(state))
-                    // lint:allow(no-panic-hot-path, reason = "thread spawn at server startup; failing fast before serving is intended")
                     .expect("spawn queue worker");
             }
             let handlers = match config.handler_threads {
@@ -543,10 +562,13 @@ impl Server {
             };
             for handler in 0..handlers {
                 let (state, dispatch, waker) = (&state, &dispatch, &*waker);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "thread spawn at server startup; failing fast before serving is intended"
+                )]
                 std::thread::Builder::new()
                     .name(format!("synapse-handler-{handler}"))
                     .spawn_scoped(scope, move || handler_worker(state, dispatch, waker))
-                    // lint:allow(no-panic-hot-path, reason = "thread spawn at server startup; failing fast before serving is intended")
                     .expect("spawn handler");
             }
             let served = (|| {
@@ -1167,8 +1189,12 @@ fn read_conn(conn: &mut Conn) -> ReadOutcome {
             }
             Ok(n) => {
                 if let ConnState::Reading(parser) = &mut conn.state {
-                    // lint:allow(no-panic-hot-path, reason = "n was just returned by read(), so n <= buf.len()")
-                    match parser.feed(&buf[..n]) {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "n was just returned by read(), so n <= buf.len()"
+                    )]
+                    let read = &buf[..n];
+                    match parser.feed(read) {
                         Ok(Some(request)) => return ReadOutcome::Complete(request),
                         Ok(None) => {}
                         Err(e) => return ReadOutcome::Fail(e),
@@ -1260,7 +1286,10 @@ impl Reactor<'_> {
                 // Settled jobs closed their rings: pump the terminal
                 // events out so watchers end cleanly.
                 self.pump_all_streams();
-                // lint:allow(no-panic-hot-path, reason = "the shutdown arm above sets the grace deadline unconditionally")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the shutdown arm above sets the grace deadline unconditionally"
+                )]
                 let grace = shutdown_grace.expect("grace set above");
                 if self.conns.is_empty() || Instant::now() >= grace {
                     return Ok(());
@@ -1561,8 +1590,12 @@ impl Reactor<'_> {
                 if conn.written == conn.out.len() {
                     break;
                 }
-                // lint:allow(no-panic-hot-path, reason = "written only advances by counts write() reported, so written <= out.len()")
-                match conn.stream.write(&conn.out[conn.written..]) {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "written only advances by counts write() reported, so written <= out.len()"
+                )]
+                let pending = &conn.out[conn.written..];
+                match conn.stream.write(pending) {
                     Ok(0) => {
                         close = true;
                         break;

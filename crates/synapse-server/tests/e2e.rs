@@ -1,6 +1,11 @@
 //! End-to-end tests: a real server on an ephemeral port, driven
 //! through the real client over real sockets.
 
+#![expect(
+    unsafe_code,
+    reason = "setsockopt and the RLIMIT_NOFILE calls are FFI calls"
+)]
+
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};

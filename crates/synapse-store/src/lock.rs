@@ -14,6 +14,8 @@
 //! and `/store/stats` reports it — the number that says whether a
 //! shared cache directory is a win or a bottleneck.
 
+#![expect(unsafe_code, reason = "flock is an FFI call")]
+
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::Path;

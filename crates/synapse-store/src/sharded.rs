@@ -27,7 +27,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::SystemTime;
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -205,7 +204,7 @@ struct State {
 /// folds that shard's data file in and re-arms the cheap path.
 struct ReloadProbe {
     /// Last observed manifest stamp (mtime + length).
-    stamp: Option<(SystemTime, u64)>,
+    stamp: Option<ManifestStamp>,
     /// Bumped every time the stamp changes.
     generation: u64,
     /// Generation each shard was last folded at (0 = never).
@@ -285,10 +284,17 @@ pub struct StoreCounters {
 /// recorded document count.
 type DiskManifest = (Vec<Group>, BTreeMap<String, u64>);
 
+/// A manifest's mtime and length.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a file mtime is compared for change only; it never reaches a result or a trace"
+)]
+type ManifestStamp = (std::time::SystemTime, u64);
+
 /// The manifest's change stamp (mtime + length): saves rewrite the
 /// manifest atomically, so a changed stamp means another process
 /// saved. `None` when no manifest exists (nothing saved yet).
-fn manifest_stamp(dir: &Path) -> Option<(SystemTime, u64)> {
+fn manifest_stamp(dir: &Path) -> Option<ManifestStamp> {
     let meta = fs::metadata(dir.join(MANIFEST_FILE)).ok()?;
     Some((meta.modified().ok()?, meta.len()))
 }
@@ -1072,7 +1078,6 @@ fn write_atomic(path: &Path, contents: &str) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::SystemTime;
 
     fn doc(id: &str, n: i64) -> Document {
         Document::new(id, &n).unwrap()
@@ -1170,13 +1175,13 @@ mod tests {
         let first = db.save().unwrap();
         assert_eq!(first.data_files_written, 256);
 
-        let mtime = |name: &str| -> SystemTime {
+        let mtime = |name: &str| {
             fs::metadata(dir.join(SHARD_DIR).join(name))
                 .unwrap()
                 .modified()
                 .unwrap()
         };
-        let before: Vec<(String, SystemTime)> = (0..256)
+        let before: Vec<(String, _)> = (0..256)
             .map(|s| {
                 let name = format!("{s:02x}.json");
                 let t = mtime(&name);

@@ -9,6 +9,12 @@
 //! The profiler observes this process exactly like the paper observes
 //! `gromacs mdrun`: it only sees `/proc` counters and CPU activity.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool: its output and usage errors go to the terminal"
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

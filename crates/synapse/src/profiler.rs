@@ -6,6 +6,8 @@
 //! analogue so the measured `Tx` starts at spawn, correcting the small
 //! offset before the first watcher sample.
 
+#![expect(unsafe_code, reason = "gettid is a raw syscall")]
+
 use std::process::Command;
 
 use synapse_model::{Profile, ProfileKey, Tags};

@@ -10,6 +10,11 @@
 //! cargo run --release --example campaign_sweep
 //! ```
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it demonstrates"
+)]
+
 use synapse_repro::synapse_campaign::{
     run_campaign_on, CampaignSpec, CancelToken, ResultCache, RunConfig, WorkloadSpec,
 };

@@ -9,6 +9,11 @@
 //! Titan models, printing the Tx offsets the paper reports in Fig. 7
 //! (emulation ~40 % faster on Stampede, ~33 % slower on Archer).
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it demonstrates"
+)]
+
 use synapse::emulator::{EmulationPlan, Emulator};
 use synapse_model::stats::diff_pct;
 use synapse_sim::{machine_by_name, thinkie, Noise};

@@ -10,6 +10,11 @@
 //! block-size sweep through the storage atom on this host's temp
 //! filesystem.
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it demonstrates"
+)]
+
 use synapse_atoms::StorageAtom;
 use synapse_sim::{machine_by_name, FsKind, IoOp};
 

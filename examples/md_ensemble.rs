@@ -11,6 +11,11 @@
 //! — including durations the real science problem would never produce
 //! (requirement E.3, malleability).
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it demonstrates"
+)]
+
 use synapse::emulator::{EmulationPlan, Emulator};
 use synapse_pilot::{PilotAgent, ProxyTask, SchedulerPolicy};
 use synapse_sim::{supermic, Noise};

@@ -10,6 +10,11 @@
 //! scientific applications" to exercise a pilot agent across task
 //! shapes (single-core/multi-core, short/long).
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it demonstrates"
+)]
+
 use synapse::emulator::{EmulationPlan, Emulator};
 use synapse_pilot::{PilotAgent, ProxyTask, SchedulerPolicy};
 use synapse_sim::{machine_by_name, Noise};

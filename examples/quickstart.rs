@@ -10,6 +10,11 @@
 //! emulator replays it through the real atoms — consuming roughly the
 //! same resources the original command consumed.
 
+#![expect(
+    clippy::print_stdout,
+    reason = "an example prints what it demonstrates"
+)]
+
 use synapse::api;
 use synapse::config::ProfilerConfig;
 use synapse::emulator::{EmulationPlan, KernelChoice};
