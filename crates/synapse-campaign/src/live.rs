@@ -16,12 +16,14 @@
 //! that remembers the version of its last emission gets back only the
 //! slices that changed since ([`LiveAggregates::delta_since`]).
 //!
-//! For distributed runs, workers ship their lease's aggregates as a
-//! wire digest ([`LiveAggregates::digest`]); the coordinator folds
-//! them in with [`LiveAggregates::merge_digest`]. Sketch merging is
-//! bucket-count addition, so the merged view agrees with a
-//! single-process run on every exact moment and within sketch error
-//! on quantiles, no matter how the grid was leased.
+//! One path fills the view for every job kind: the server's point
+//! observer records each landed point. On a distributed run the
+//! coordinator's merge collector calls that observer once per grid
+//! index, so a cluster job's view advances point by point, exactly as
+//! a local sweep's does. [`LiveAggregates::digest`] and
+//! [`LiveAggregates::merge_digest`] serialize and merge whole views
+//! (sketch merging is bucket-count addition); no wire path carries a
+//! digest.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -33,7 +35,7 @@ use crate::aggregate::AXES;
 use crate::runner::PointResult;
 use crate::sketch::{key_of, QuantileSketch};
 
-/// Version stamped on snapshot deltas and worker digests (`"v"` key).
+/// Version stamped on snapshot deltas and digests (`"v"` key).
 /// Consumers accept any version ≤ theirs and must ignore unknown
 /// keys; the version bumps only when an existing key changes meaning.
 pub const AGGREGATES_VERSION: u64 = 1;
@@ -287,8 +289,9 @@ impl LiveAggregates {
         })
     }
 
-    /// Wire digest of the whole view, for worker → coordinator
-    /// shipment on lease completion.
+    /// Lossless digest of the whole view, which
+    /// [`merge_digest`](LiveAggregates::merge_digest) folds into
+    /// another.
     pub fn digest(&self) -> Value {
         let inner = self.inner.lock().expect("live aggregates lock");
         let slices: Vec<Value> = inner
@@ -310,7 +313,7 @@ impl LiveAggregates {
         })
     }
 
-    /// Fold a worker digest in. Returns the number of slices merged,
+    /// Fold a digest in. Returns the number of slices merged,
     /// or `None` — with this view untouched — on any shape mismatch
     /// or an unsupported (newer) version.
     pub fn merge_digest(&self, v: &Value) -> Option<usize> {

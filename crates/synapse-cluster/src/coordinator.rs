@@ -20,6 +20,11 @@
 //! makespan. When *every* remote worker is gone the coordinator
 //! sweeps the remaining leases through its own engine — a cluster
 //! degrades to a single process, never to a hung job.
+//!
+//! The collector hands each grid index to the job observer exactly
+//! once, whichever worker (or the local fallback) delivered it. That
+//! observer also feeds the job's live aggregates, so the coordinator
+//! keeps no aggregation state of its own.
 
 #![deny(
     clippy::unwrap_used,
@@ -38,8 +43,7 @@ use std::time::{Duration, Instant};
 use serde_json::Value;
 use synapse_campaign::{
     expand_range, plan_leases, CampaignEngine, CampaignError, CampaignOutcome, CampaignReport,
-    CampaignSpec, CancelToken, Lease, LeaseTable, LiveAggregates, PointEvent, ResultCache,
-    RunConfig, RunStats,
+    CampaignSpec, CancelToken, Lease, LeaseTable, PointEvent, ResultCache, RunConfig, RunStats,
 };
 use synapse_server::{Client, ClusterBackend};
 use synapse_trace::TraceRecorder;
@@ -52,15 +56,6 @@ use crate::registry::WorkerRegistry;
 /// Coordinator tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Leases per live worker: >1 gives reassignment granularity and
-    /// lets fast workers steal work from slow ones.
-    pub leases_per_worker: usize,
-    /// A lease claimed this many times without completing poisons the
-    /// job (prevents a spec that crashes every worker from spinning
-    /// forever).
-    pub max_lease_attempts: usize,
-    /// Worker threads for locally-executed leases (0 ⇒ auto).
-    pub local_workers: usize,
     /// Silence threshold on a worker's lease stream before the worker
     /// is presumed dead and the lease reassigned. Workers heartbeat
     /// every [`synapse_server::HEARTBEAT_EVERY`], so the default (two
@@ -72,13 +67,18 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            leases_per_worker: 4,
-            max_lease_attempts: 6,
-            local_workers: 0,
             stream_silence: synapse_server::STREAM_SILENCE_TIMEOUT,
         }
     }
 }
+
+/// Leases planned per live worker: >1 gives reassignment granularity
+/// and lets fast workers steal work from slow ones.
+pub const LEASES_PER_WORKER: usize = 4;
+
+/// A lease claimed this many times without completing poisons the job
+/// (prevents a spec that crashes every worker from spinning forever).
+pub const MAX_LEASE_ATTEMPTS: usize = 6;
 
 /// Don't bother splitting a straggler's tail below this many unlanded
 /// points — the speculative re-run would cost more in lease dispatch
@@ -141,41 +141,6 @@ pub struct Coordinator {
     registry: WorkerRegistry,
 }
 
-/// Fold one completed lease's shipped aggregate digest into the
-/// campaign's live view — only if no earlier digest covered any index
-/// of the lease's range. Split tails overlap their parent lease and a
-/// replayed lease re-ships every point, so merging two digests whose
-/// ranges intersect would double-count; first complete digest per
-/// range wins, decided under the coverage lock so racing drivers
-/// cannot both claim an overlap. A malformed digest leaves the view
-/// untouched *and* the range unclaimed — the end-of-run catch-up
-/// records those points directly.
-fn merge_lease_digest(
-    live: &LiveAggregates,
-    coverage: &Mutex<Vec<bool>>,
-    lease: &Lease,
-    digest: Option<&serde_json::Value>,
-) {
-    let Some(digest) = digest else { return };
-    let mut covered = coverage.lock().unwrap_or_else(|e| e.into_inner());
-    let end = lease.end.min(covered.len());
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "end is clamped to covered.len() and start >= end returns first"
-    )]
-    if lease.start >= end || covered[lease.start..end].iter().any(|c| *c) {
-        return;
-    }
-    if live.merge_digest(digest).is_some() {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "same bounds as the guard above: start < end <= covered.len()"
-        )]
-        covered[lease.start..end].iter_mut().for_each(|c| *c = true);
-        ClusterMetrics::get().sketch_merges.inc();
-    }
-}
-
 /// How one lease run on one worker ended.
 enum LeaseRun {
     /// Every point of the lease arrived (or the grid finished while
@@ -204,9 +169,7 @@ impl Coordinator {
     }
 
     /// Drive one lease on one worker, feeding points into the
-    /// collector as they stream in. A clean completion ships the
-    /// lease's aggregate digest, folded into `live` via
-    /// [`merge_lease_digest`].
+    /// collector as they stream in.
     #[allow(
         clippy::too_many_arguments,
         reason = "one lease's run needs the campaign's shared state, borrowed from run_distributed's frame"
@@ -217,8 +180,6 @@ impl Coordinator {
         spec: &CampaignSpec,
         lease: &Lease,
         collector: &Collector,
-        live: &LiveAggregates,
-        coverage: &Mutex<Vec<bool>>,
         progress: &Progress,
         observer: &(dyn Fn(PointEvent) + Sync),
         cancel: &CancelToken,
@@ -290,7 +251,6 @@ impl Coordinator {
         }
         match watched {
             Ok(summary) if summary.get("event").and_then(Value::as_str) == Some("completed") => {
-                merge_lease_digest(live, coverage, lease, summary.get("aggregates"));
                 LeaseRun::Completed
             }
             Ok(summary) => LeaseRun::Failed(format!(
@@ -368,8 +328,6 @@ impl Coordinator {
         spec: &CampaignSpec,
         table: &Mutex<LeaseTable>,
         collector: &Collector,
-        live: &LiveAggregates,
-        coverage: &Mutex<Vec<bool>>,
         progress: &Progress,
         fatal: &Mutex<Option<String>>,
         observer: &(dyn Fn(PointEvent) + Sync),
@@ -437,9 +395,7 @@ impl Coordinator {
                 recorder.record_lease(phase, worker_id, lease.start, lease.end);
             }
             let lease_started = Instant::now();
-            match self.run_lease(
-                &client, spec, &lease, collector, live, coverage, progress, observer, cancel,
-            ) {
+            match self.run_lease(&client, spec, &lease, collector, progress, observer, cancel) {
                 LeaseRun::Completed => {
                     table
                         .lock()
@@ -477,7 +433,7 @@ impl Coordinator {
                     if let Some(recorder) = recorder {
                         recorder.record_lease("failed", worker_id, lease.start, lease.end);
                     }
-                    if attempts >= self.config.max_lease_attempts {
+                    if attempts >= MAX_LEASE_ATTEMPTS {
                         *fatal.lock().unwrap_or_else(|e| e.into_inner()) = Some(format!(
                             "lease {} ({}..{}) failed {attempts} times, last: {reason}",
                             lease.id, lease.start, lease.end
@@ -513,7 +469,6 @@ impl ClusterBackend for Coordinator {
         &self,
         spec: &CampaignSpec,
         cache: &ResultCache,
-        live: &LiveAggregates,
         observer: &(dyn Fn(PointEvent) + Sync),
         recorder: Option<&TraceRecorder>,
         cancel: &CancelToken,
@@ -523,7 +478,7 @@ impl ClusterBackend for Coordinator {
         observer(PointEvent::Started { total });
 
         let workers = self.registry.live();
-        let lease_count = workers.len().max(1) * self.config.leases_per_worker;
+        let lease_count = workers.len().max(1) * LEASES_PER_WORKER;
         // Throughput-aware plan: per-worker rates observed on earlier
         // campaigns weight the main lease sizes (largest first); every
         // worker with no history yet gets a small probe lease up front
@@ -540,22 +495,18 @@ impl ClusterBackend for Coordinator {
             &weights,
         )));
         let collector = Collector::new(total);
-        // Which grid indices a merged worker digest already covers:
-        // the catch-up after fan-out records only the rest, so the
-        // live view counts every point exactly once.
-        let coverage: Mutex<Vec<bool>> = Mutex::new(vec![false; total]);
         let fatal: Mutex<Option<String>> = Mutex::new(None);
         let progress = Progress::default();
 
         if !workers.is_empty() {
             std::thread::scope(|scope| {
                 for (worker_id, addr) in &workers {
-                    let (table, collector, fatal) = (&table, &collector, &fatal);
-                    let (coverage, progress) = (&coverage, &progress);
+                    let (table, collector, progress, fatal) =
+                        (&table, &collector, &progress, &fatal);
                     scope.spawn(move || {
                         self.drive_worker(
-                            worker_id, addr, spec, table, collector, live, coverage, progress,
-                            fatal, observer, recorder, cancel,
+                            worker_id, addr, spec, table, collector, progress, fatal, observer,
+                            recorder, cancel,
                         )
                     });
                 }
@@ -576,9 +527,7 @@ impl ClusterBackend for Coordinator {
             .unwrap_or_else(|e| e.into_inner())
             .drain_incomplete();
         if !leftover.is_empty() && !cancel.is_cancelled() && !collector.is_complete() {
-            let config = RunConfig {
-                workers: self.config.local_workers,
-            };
+            let config = RunConfig::default();
             let shim = |event: PointEvent| {
                 if let PointEvent::PointDone { result, cached, .. } = event {
                     collector.record(result, cached, observer);
@@ -625,22 +574,6 @@ impl ClusterBackend for Coordinator {
         let sweep_secs = started.elapsed().as_secs_f64();
         let aggregate_started = Instant::now();
         let results = collector.into_results()?;
-        // Catch-up for the live view: indices no merged digest covers
-        // (local-fallback sweeps, leases finished by overlapping split
-        // tails, streams that broke before their terminal event) are
-        // recorded point by point from the merged results. Together
-        // with the coverage rule above, every grid point lands in the
-        // live aggregates exactly once — which is why a cluster run's
-        // `/aggregates` agrees with a single-process sweep within
-        // sketch error.
-        {
-            let covered = coverage.lock().unwrap_or_else(|e| e.into_inner());
-            for (result, covered) in results.iter().zip(covered.iter()) {
-                if !covered {
-                    live.record(result);
-                }
-            }
-        }
         let report = CampaignReport::assemble(spec, &results)?;
         let stats = RunStats {
             points: total,

@@ -22,10 +22,6 @@ pub(crate) struct ClusterMetrics {
     /// Straggler tails speculatively re-offered as brand-new leases
     /// by an idle driver.
     pub leases_split: Arc<Counter>,
-    /// Worker-shipped aggregate sketch digests folded into the
-    /// campaign's live view (one per completed lease whose range no
-    /// earlier digest covered).
-    pub sketch_merges: Arc<Counter>,
     /// Points per merged `batch` frame — the transport-efficiency
     /// signal (a warm cluster should sit near `DEFAULT_BATCH_POINTS`;
     /// a cold one is spread by landing jitter).
@@ -64,10 +60,6 @@ impl ClusterMetrics {
                 leases_split: r.counter(
                     "synapse_cluster_leases_split_total",
                     "Straggler lease tails re-offered as new speculative leases.",
-                ),
-                sketch_merges: r.counter(
-                    "synapse_cluster_sketch_merges_total",
-                    "Worker aggregate digests merged into live campaign views.",
                 ),
                 batch_points: r.histogram(
                     "synapse_cluster_batch_points",

@@ -111,27 +111,65 @@ fn single_process_report(spec: &str) -> (String, Value) {
     (serde_json::to_string(&report).unwrap(), aggregates)
 }
 
-/// Assert two aggregate stats objects agree: counts and extrema
-/// exactly, mean and sketch quantiles within the sketch's relative
-/// error (merging per-worker sketches regroups f64 additions and must
-/// not change what a dashboard reads).
+/// Assert two aggregate stats objects agree as `docs/PROTOCOL.md`
+/// §5 promises: count, extrema and sketch quantiles exactly, the mean
+/// up to f64 regrouping (points fold in landing order, which differs
+/// between runs).
 fn assert_stats_close(cluster: &Value, local: &Value, what: &str) {
-    assert_eq!(cluster["n"], local["n"], "{what}: count");
+    for key in ["n", "min", "max", "p50", "p95", "p99"] {
+        assert_eq!(cluster[key], local[key], "{what}: {key}");
+    }
     if cluster["n"].as_u64() == Some(0) {
         return;
     }
-    for key in ["min", "max"] {
-        assert_eq!(cluster[key], local[key], "{what}: {key}");
-    }
-    for key in ["mean", "p50", "p95", "p99"] {
-        let c = cluster[key].as_f64().unwrap();
-        let l = local[key].as_f64().unwrap();
-        let tolerance = 0.02 * l.abs().max(1e-9);
-        assert!(
-            (c - l).abs() <= tolerance,
-            "{what}: {key} diverged: cluster {c} vs local {l}"
-        );
-    }
+    let c = cluster["mean"].as_f64().unwrap();
+    let l = local["mean"].as_f64().unwrap();
+    assert!(
+        (c - l).abs() <= 1e-12 * l.abs(),
+        "{what}: mean diverged: cluster {c} vs local {l}"
+    );
+}
+
+/// Frame one NDJSON line as an HTTP/1.1 chunk.
+fn chunk(line: &str) -> Vec<u8> {
+    let payload = format!("{line}\n");
+    format!("{:x}\r\n{payload}\r\n", payload.len()).into_bytes()
+}
+
+/// The response head a worker opens a chunked event stream with.
+const STREAM_HEAD: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+    Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
+
+/// Serve a scripted worker on an ephemeral port and return its
+/// address. `handle` answers each request on its own thread, so
+/// liveness probes and DELETEs are answered while a lease stream is
+/// held open.
+fn fake_worker(
+    handle: impl Fn(synapse_server::http::Request, std::net::TcpStream) + Send + Sync + 'static,
+) -> String {
+    use std::io::BufReader;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let handle = Arc::new(handle);
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(stream) = conn else { break };
+            let handle = handle.clone();
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                if let Ok(request) = synapse_server::http::read_request(&mut reader) {
+                    handle(request, stream);
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// Write a JSON reply on a fake worker's connection.
+fn respond(mut out: std::net::TcpStream, status: u16, reason: &str, body: &Value) {
+    use std::io::Write;
+    let _ = out.write_all(&synapse_server::http::json_bytes(status, reason, body));
 }
 
 #[test]
@@ -180,9 +218,9 @@ fn distributed_run_merges_streams_and_reports_byte_stably() {
     let (baseline_report, baseline_aggregates) = single_process_report(medium_spec());
     assert_eq!(merged, baseline_report);
 
-    // The live aggregate view assembled from worker-shipped sketch
-    // digests agrees with the single-process one: same coverage, same
-    // slice keys, stats within sketch error.
+    // The live aggregate view, folded from the merged point stream,
+    // agrees with the single-process one: same points, same slice
+    // keys, same stats.
     let aggregates = client.aggregates(&id, None, None).unwrap();
     assert_eq!(aggregates["points"].as_u64(), Some(16));
     assert_stats_close(
@@ -246,16 +284,6 @@ fn distributed_run_merges_streams_and_reports_byte_stably() {
     assert!(value("synapse_cluster_batch_points_count") >= 8.0);
     assert!(value("synapse_cluster_batch_points_sum") >= 16.0);
     assert!(value("synapse_cluster_leases_split_total") >= 0.0);
-    // Remotely-run leases shipped aggregate digests home and the
-    // coordinator folded them into the campaign's live view. Not all 8
-    // necessarily merge: a lease whose stream is still open when the
-    // grid completes hangs up before its terminal event (and the
-    // catch-up records its points directly), so the floor is most-of,
-    // not all-of.
-    assert!(
-        value("synapse_cluster_sketch_merges_total") >= 4.0,
-        "worker sketch digests merged: {metrics}"
-    );
     assert!(value("synapse_server_connections_accepted_total") >= 1.0);
     assert!(value("synapse_store_lock_acquisitions_total") >= 0.0);
     assert!(
@@ -338,48 +366,108 @@ fn coordinator_without_workers_falls_back_to_local_execution() {
 
 #[test]
 fn distributed_jobs_cancel_cooperatively() {
-    let worker_config = || ServerConfig {
-        job_workers: 1,
-        ..Default::default()
-    };
-    let (addr1, _c1, h1, j1) = boot_worker(worker_config());
-    let (client, handle, join) = boot_coordinator(&[&addr1], ServerConfig::default());
+    use std::io::Write;
+    use std::sync::Condvar;
 
-    let reply = client.submit_distributed(wide_spec()).unwrap();
+    // A fake worker that streams `started` and the first point of its
+    // lease, then holds the stream open — heartbeating, as a real
+    // worker does on a quiet stream — until the coordinator's DELETE
+    // for that lease arrives. The sweep is mid-flight for as long as
+    // the test needs, with no timing assumption.
+    let deleted: Arc<(Mutex<Option<String>>, Condvar)> = Arc::default();
+    let lease: Mutex<Option<synapse_campaign::ScenarioPoint>> = Mutex::new(None);
+    let addr = fake_worker({
+        let deleted = deleted.clone();
+        move |request, mut out| match (request.method.as_str(), request.path()) {
+            ("POST", "/leases") => {
+                let body = String::from_utf8(request.body.clone()).expect("utf8 body");
+                let request: synapse_server::LeaseRequest =
+                    serde_json::from_str(&body).expect("lease body");
+                *lease.lock().unwrap() =
+                    Some(synapse_campaign::expand(&request.spec)[request.start].clone());
+                respond(
+                    out,
+                    202,
+                    "Accepted",
+                    &serde_json::json!({"id": "c1", "status": "queued"}),
+                );
+            }
+            ("GET", "/campaigns/c1/events") => {
+                let point = lease.lock().unwrap().clone().expect("lease posted first");
+                let result = synapse_campaign::simulate_point(&point).expect("simulate point");
+                let line = synapse_server::lease_batch_line(&[(Arc::new(result), false)], None);
+                let _ = out.write_all(STREAM_HEAD);
+                let _ = out.write_all(&chunk("{\"event\":\"started\"}"));
+                let _ = out.write_all(&chunk(&line));
+                let (path, arrived) = &*deleted;
+                let mut path = path.lock().unwrap();
+                while path.is_none() {
+                    path = arrived
+                        .wait_timeout(path, Duration::from_millis(10))
+                        .unwrap()
+                        .0;
+                    if path.is_none() && out.write_all(&chunk("{\"event\":\"heartbeat\"}")).is_err()
+                    {
+                        return;
+                    }
+                }
+                let _ = out.write_all(&chunk("{\"event\":\"cancelled\"}"));
+                let _ = out.write_all(b"0\r\n\r\n");
+            }
+            ("DELETE", p) => {
+                *deleted.0.lock().unwrap() = Some(p.to_string());
+                deleted.1.notify_all();
+                respond(out, 200, "OK", &serde_json::json!({"status": "cancelled"}));
+            }
+            _ => respond(out, 200, "OK", &serde_json::json!({"status": "ok"})),
+        }
+    });
+    let (client, handle, join) = boot_coordinator(&[&addr], ServerConfig::default());
+
+    let reply = client.submit_distributed(medium_spec()).unwrap();
     let total = reply["points"].as_u64().unwrap();
     let id = reply["id"].as_str().unwrap().to_string();
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        if client.status(&id).unwrap()["done"].as_u64().unwrap() >= 1 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "no point ever landed");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    client.cancel(&id).unwrap();
-    let status = await_terminal(&client, &id);
-    assert_eq!(status["status"].as_str(), Some("cancelled"));
-    assert!(status["done"].as_u64().unwrap() < total);
-    // The worker's own lease jobs settle too (nothing keeps sweeping).
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let jobs = Client::new(addr1.clone()).list().unwrap();
-        let busy = jobs["campaigns"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .any(|j| matches!(j["status"].as_str(), Some("queued") | Some("running")));
-        if !busy {
-            break;
-        }
-        assert!(Instant::now() < deadline, "worker still sweeping: {jobs:?}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+
+    // On the first merged point, the coordinator's live view already
+    // holds it: cluster aggregates advance point by point, not when a
+    // lease completes. Then cancel while the lease is still open.
+    let mut mid_sweep: Option<(u64, Value)> = None;
+    let summary = client
+        .watch(&id, |line| {
+            let event: Value = serde_json::from_str(line).unwrap();
+            if mid_sweep.is_none() && event["event"].as_str() == Some("point") {
+                let aggregates = client.aggregates(&id, None, None).unwrap();
+                mid_sweep = Some((event["done"].as_u64().unwrap(), aggregates));
+                client.cancel(&id).unwrap();
+            }
+            true
+        })
+        .unwrap();
+    let (done, aggregates) = mid_sweep.expect("no point event before the terminal");
+    assert_eq!(done, 1);
+    assert_eq!(
+        aggregates["points"].as_u64(),
+        Some(done),
+        "mid-sweep aggregates: {aggregates:?}"
+    );
+    assert_eq!(
+        aggregates["overall"]["metrics"]["tx"]["n"].as_u64(),
+        Some(done)
+    );
+
+    assert_eq!(summary["event"].as_str(), Some("cancelled"), "{summary:?}");
+    assert!(summary["done"].as_u64().unwrap() < total, "{summary:?}");
+    let status = client.status(&id).unwrap();
+    assert_eq!(status["status"].as_str(), Some("cancelled"), "{status:?}");
+    // The coordinator stopped the worker-side sweep of its open lease.
+    assert_eq!(
+        deleted.0.lock().unwrap().as_deref(),
+        Some("/campaigns/c1"),
+        "the fake worker never received the lease DELETE"
+    );
 
     handle.shutdown();
     join.join().unwrap();
-    h1.shutdown();
-    j1.join().unwrap();
 }
 
 #[test]
@@ -468,37 +556,23 @@ fn frozen_worker_stream_fails_fast_and_reassigns() {
                         if frozen.load(Ordering::SeqCst) {
                             break; // stop answering entirely: worker is gone
                         }
-                        let _ = out.write_all(&synapse_server::http::json_bytes(
-                            200,
-                            "OK",
-                            &serde_json::json!({"status": "ok"}),
-                        ));
+                        respond(out, 200, "OK", &serde_json::json!({"status": "ok"}));
                     }
-                    ("POST", "/leases") => {
-                        let _ = out.write_all(&synapse_server::http::json_bytes(
-                            202,
-                            "Accepted",
-                            &serde_json::json!({"id": "j1", "status": "queued"}),
-                        ));
-                    }
+                    ("POST", "/leases") => respond(
+                        out,
+                        202,
+                        "Accepted",
+                        &serde_json::json!({"id": "j1", "status": "queued"}),
+                    ),
                     (_, path) if path.ends_with("/events") => {
                         // Stream head + one started event, then
                         // silence with the socket held open.
-                        let _ = out.write_all(
-                            b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-                              Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n\
-                              14\r\n{\"event\":\"started\"}\n\r\n",
-                        );
+                        let _ = out.write_all(STREAM_HEAD);
+                        let _ = out.write_all(&chunk("{\"event\":\"started\"}"));
                         frozen.store(true, Ordering::SeqCst);
                         held_open.push(out);
                     }
-                    _ => {
-                        let _ = out.write_all(&synapse_server::http::json_bytes(
-                            200,
-                            "OK",
-                            &serde_json::json!({}),
-                        ));
-                    }
+                    _ => respond(out, 200, "OK", &serde_json::json!({})),
                 }
             }
         })
@@ -508,7 +582,6 @@ fn frozen_worker_stream_fails_fast_and_reassigns() {
     // is 2× the 10 s heartbeat interval; tests cannot wait that long).
     let coordinator = Arc::new(Coordinator::new(ClusterConfig {
         stream_silence: Duration::from_millis(400),
-        ..Default::default()
     }));
     coordinator.registry().register(&addr);
     let config = ServerConfig {
@@ -558,7 +631,7 @@ fn frozen_worker_stream_fails_fast_and_reassigns() {
 #[test]
 fn straggling_lease_tail_splits_and_fast_workers_set_the_makespan() {
     use std::collections::HashMap;
-    use std::io::{BufReader, Write};
+    use std::io::Write;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     // 64 points across 2 workers: 8 main leases of ~8 points (plus a
@@ -576,107 +649,64 @@ fn straggling_lease_tail_splits_and_fast_workers_set_the_makespan() {
     steps = [10000, 20000, 50000, 100000]
     "#;
 
-    fn chunk(line: &str) -> Vec<u8> {
-        let payload = format!("{line}\n");
-        format!("{:x}\r\n{payload}\r\n", payload.len()).into_bytes()
-    }
-
     // A fake worker that serves CORRECT lease results but crawls: on
     // any multi-point lease it sleeps ~3 s before each point, so a
     // full 8-point lease would take ~24 s on its own. Probe leases
     // (1 point) run at full speed so this worker measures healthy and
-    // promptly claims a big main lease. Thread-per-connection keeps
-    // liveness probes answered while a lease stream crawls.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
+    // promptly claims a big main lease.
     let cancelled = Arc::new(AtomicBool::new(false));
-    let leases: Arc<Mutex<HashMap<String, Vec<synapse_campaign::ScenarioPoint>>>> =
-        Arc::new(Mutex::new(HashMap::new()));
-    let next_id = Arc::new(AtomicUsize::new(0));
-    let fake = {
-        let (cancelled, leases, next_id) = (cancelled.clone(), leases.clone(), next_id.clone());
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                let Ok(stream) = conn else { break };
-                let (cancelled, leases, next_id) =
-                    (cancelled.clone(), leases.clone(), next_id.clone());
-                std::thread::spawn(move || {
-                    let mut reader = BufReader::new(stream.try_clone().unwrap());
-                    let Ok(request) = synapse_server::http::read_request(&mut reader) else {
-                        return;
-                    };
-                    let mut out = stream;
-                    let path = request.path().to_string();
-                    match (request.method.as_str(), path.as_str()) {
-                        ("POST", "/leases") => {
-                            let body = String::from_utf8(request.body.clone()).expect("utf8 body");
-                            let lease: synapse_server::LeaseRequest =
-                                serde_json::from_str(&body).expect("lease body");
-                            let slice = synapse_campaign::expand(&lease.spec)
-                                [lease.start..lease.end]
-                                .to_vec();
-                            let id = format!("s{}", next_id.fetch_add(1, Ordering::SeqCst) + 1);
-                            leases.lock().unwrap().insert(id.clone(), slice);
-                            let _ = out.write_all(&synapse_server::http::json_bytes(
-                                202,
-                                "Accepted",
-                                &serde_json::json!({"id": id, "status": "queued"}),
-                            ));
-                        }
-                        ("GET", p) if p.contains("/events") => {
-                            let id = p.split('/').nth(2).unwrap_or_default().to_string();
-                            let slice =
-                                leases.lock().unwrap().get(&id).cloned().unwrap_or_default();
-                            let _ = out.write_all(
-                                b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-                                  Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
-                            );
-                            let _ = out.write_all(&chunk("{\"event\":\"started\"}"));
-                            let slow = slice.len() > 1;
-                            'points: for point in &slice {
-                                if slow {
-                                    for _ in 0..30 {
-                                        if cancelled.load(Ordering::SeqCst) {
-                                            break 'points;
-                                        }
-                                        std::thread::sleep(Duration::from_millis(100));
-                                    }
-                                }
-                                let result = synapse_campaign::simulate_point(point)
-                                    .expect("simulate point");
-                                let line = synapse_server::lease_batch_line(
-                                    &[(Arc::new(result), false)],
-                                    None,
-                                );
-                                if out.write_all(&chunk(&line)).is_err() {
-                                    break;
-                                }
+    let leases: Mutex<HashMap<String, Vec<synapse_campaign::ScenarioPoint>>> =
+        Mutex::new(HashMap::new());
+    let next_id = AtomicUsize::new(0);
+    let addr = fake_worker({
+        let cancelled = cancelled.clone();
+        move |request, mut out| match (request.method.as_str(), request.path()) {
+            ("POST", "/leases") => {
+                let body = String::from_utf8(request.body.clone()).expect("utf8 body");
+                let lease: synapse_server::LeaseRequest =
+                    serde_json::from_str(&body).expect("lease body");
+                let slice = synapse_campaign::expand(&lease.spec)[lease.start..lease.end].to_vec();
+                let id = format!("s{}", next_id.fetch_add(1, Ordering::SeqCst) + 1);
+                leases.lock().unwrap().insert(id.clone(), slice);
+                respond(
+                    out,
+                    202,
+                    "Accepted",
+                    &serde_json::json!({"id": id, "status": "queued"}),
+                );
+            }
+            ("GET", p) if p.contains("/events") => {
+                let id = p.split('/').nth(2).unwrap_or_default().to_string();
+                let slice = leases.lock().unwrap().get(&id).cloned().unwrap_or_default();
+                let _ = out.write_all(STREAM_HEAD);
+                let _ = out.write_all(&chunk("{\"event\":\"started\"}"));
+                let slow = slice.len() > 1;
+                'points: for point in &slice {
+                    if slow {
+                        for _ in 0..30 {
+                            if cancelled.load(Ordering::SeqCst) {
+                                break 'points;
                             }
-                            let done =
-                                format!("{{\"event\":\"completed\",\"points\":{}}}", slice.len());
-                            let _ = out.write_all(&chunk(&done));
-                            let _ = out.write_all(b"0\r\n\r\n");
-                        }
-                        ("DELETE", p) if p.starts_with("/campaigns/") => {
-                            cancelled.store(true, Ordering::SeqCst);
-                            let _ = out.write_all(&synapse_server::http::json_bytes(
-                                200,
-                                "OK",
-                                &serde_json::json!({"status": "cancelled"}),
-                            ));
-                        }
-                        _ => {
-                            let _ = out.write_all(&synapse_server::http::json_bytes(
-                                200,
-                                "OK",
-                                &serde_json::json!({"status": "ok"}),
-                            ));
+                            std::thread::sleep(Duration::from_millis(100));
                         }
                     }
-                });
+                    let result = synapse_campaign::simulate_point(point).expect("simulate point");
+                    let line = synapse_server::lease_batch_line(&[(Arc::new(result), false)], None);
+                    if out.write_all(&chunk(&line)).is_err() {
+                        break;
+                    }
+                }
+                let done = format!("{{\"event\":\"completed\",\"points\":{}}}", slice.len());
+                let _ = out.write_all(&chunk(&done));
+                let _ = out.write_all(b"0\r\n\r\n");
             }
-        })
-    };
+            ("DELETE", p) if p.starts_with("/campaigns/") => {
+                cancelled.store(true, Ordering::SeqCst);
+                respond(out, 200, "OK", &serde_json::json!({"status": "cancelled"}));
+            }
+            _ => respond(out, 200, "OK", &serde_json::json!({"status": "ok"})),
+        }
+    });
 
     let (fast_addr, _fc, fh, fj) = boot_worker(ServerConfig::default());
     let (client, handle, join) = boot_coordinator(&[&fast_addr, &addr], ServerConfig::default());
@@ -718,11 +748,23 @@ fn straggling_lease_tail_splits_and_fast_workers_set_the_makespan() {
         .expect("split counter missing from scrape");
     assert!(split >= 1.0, "no lease was ever split: {metrics}");
 
+    // Exactly-once aggregation under overlap: the split tail and its
+    // parent both streamed the shared indices, yet the live view
+    // counts each grid point once.
+    let aggregates = client.aggregates(&id, Some("machine"), None).unwrap();
+    assert_eq!(aggregates["points"].as_u64(), Some(64), "{aggregates:?}");
+    let per_machine: u64 = aggregates["slices"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|s| s["metrics"]["tx"]["n"].as_u64().unwrap())
+        .sum();
+    assert_eq!(per_machine, 64, "machine slices: {aggregates:?}");
+
     handle.shutdown();
     join.join().unwrap();
     fh.shutdown();
     fj.join().unwrap();
-    drop(fake);
 }
 
 #[test]

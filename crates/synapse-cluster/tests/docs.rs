@@ -55,9 +55,10 @@ fn pinned_constants() -> Vec<(&'static str, String)> {
         synapse_server::STREAM_SILENCE_TIMEOUT,
         synapse_server::SNAPSHOT_EVERY,
         synapse_server::SNAPSHOT_MIN_INTERVAL,
+        synapse_cluster::coordinator::LEASES_PER_WORKER,
         synapse_campaign::MAX_PROBE_POINTS,
         synapse_cluster::coordinator::MIN_SPLIT_POINTS,
-        synapse_cluster::ClusterConfig::default().max_lease_attempts,
+        synapse_cluster::coordinator::MAX_LEASE_ATTEMPTS,
         synapse_cluster::coordinator::LEASE_BACKOFF_STEP,
         synapse_cluster::coordinator::LEASE_BACKOFF_MAX_STEPS,
     ]

@@ -78,8 +78,7 @@ pub use server::{
 };
 
 use synapse_campaign::{
-    CampaignError, CampaignOutcome, CampaignSpec, CancelToken, LiveAggregates, PointEvent,
-    ResultCache,
+    CampaignError, CampaignOutcome, CampaignSpec, CancelToken, PointEvent, ResultCache,
 };
 use synapse_trace::TraceRecorder;
 
@@ -103,15 +102,13 @@ pub trait ClusterBackend: Send + Sync {
     /// lease lifecycle (assigned/completed/failed/reassigned/split/
     /// local) and propagates its causality id to workers as the
     /// `X-Synapse-Trace` request header.
-    /// `live` is the campaign's shared aggregate view: the backend
-    /// folds worker-shipped sketch digests into it as leases complete
-    /// (and records locally-executed points directly), so mid-sweep
-    /// `GET /campaigns/<id>/aggregates` works for distributed runs too.
+    /// Each grid index reaches `observer` exactly once, which is what
+    /// lets the server fold the merged stream into the job's live
+    /// aggregates as it does for a local sweep.
     fn run_distributed(
         &self,
         spec: &CampaignSpec,
         cache: &ResultCache,
-        live: &LiveAggregates,
         observer: &(dyn Fn(PointEvent) + Sync),
         recorder: Option<&TraceRecorder>,
         cancel: &CancelToken,

@@ -744,8 +744,10 @@ pub fn lease_batch_line(
 }
 
 /// The progress observer shared by local sweeps and distributed runs:
-/// per-point NDJSON events with running counters and periodic
-/// aggregate snapshots.
+/// per-point NDJSON events with running counters, the job's live
+/// aggregates, and periodic aggregate snapshots. It is the only thing
+/// that fills the live view; a distributed run's collector calls it
+/// once per grid index, so no point counts twice.
 fn point_observer(job: &Arc<Job>) -> impl Fn(PointEvent) + Sync + '_ {
     move |event: PointEvent| {
         // The flight recorder sees the identical event stream the
@@ -772,12 +774,7 @@ fn point_observer(job: &Arc<Job>) -> impl Fn(PointEvent) + Sync + '_ {
                     p.done = done;
                     p.cache_hits += usize::from(cached);
                 });
-                // Distributed runs fold worker-shipped digests into the
-                // live view at lease completion; recording the merged
-                // point stream here too would double-count every point.
-                if !matches!(job.kind, JobKind::Distributed) {
-                    job.live().record(&result);
-                }
+                job.live().record(&result);
                 job.push_event(point_event_line(&result, cached, done, total));
                 // The final point's delta travels with the terminal
                 // snapshot instead (publish_outcome), so a watcher
@@ -850,7 +847,7 @@ fn publish_outcome(
     // back since the last delta lands before the terminal event, so
     // an aggregate-mode watcher always ends holding the complete
     // view. Leases skip it — their stream is the coordinator merge
-    // protocol, and the digest rides the `completed` event instead.
+    // protocol, and they keep no live view.
     if !matches!(job.kind, JobKind::Lease { .. }) {
         emit_snapshot_delta(job, true);
     }
@@ -934,14 +931,8 @@ fn run_distributed_job(state: &ServerState, job: &Arc<Job>) {
     };
     let observer = point_observer(job);
     let recorder = job.recorder().map(|r| &**r);
-    let outcome = backend.run_distributed(
-        &job.spec,
-        &state.cache,
-        job.live(),
-        &observer,
-        recorder,
-        &job.cancel,
-    );
+    let outcome =
+        backend.run_distributed(&job.spec, &state.cache, &observer, recorder, &job.cancel);
     publish_outcome(job, outcome);
 }
 
@@ -1000,9 +991,6 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
                 p.done = done;
                 p.cache_hits += usize::from(cached);
             });
-            // The lease keeps its own live view so its terminal event
-            // can ship a mergeable digest back to the coordinator.
-            job.live().record(&result);
             let mut buf = pending.lock().unwrap_or_else(|e| e.into_inner());
             buf.push((result, cached));
             if buf.len() >= DEFAULT_BATCH_POINTS {
@@ -1030,13 +1018,6 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
             });
             let mut doc = completed_doc(job, &stats);
             doc.insert("lease".into(), json!({"start": start, "end": end}));
-            // The lease's aggregates as a mergeable digest: the
-            // coordinator folds it into the campaign's live view, so
-            // cluster-wide aggregates agree with a single-process
-            // sweep within sketch error. Old coordinators ignore the
-            // extra key. Moved in, not passed through `json!`, which
-            // would copy the (large) tree.
-            doc.insert("aggregates".into(), job.live().digest());
             job.push_event(ndjson(&with_trace(serde_json::Value::Object(doc))));
         }
         Err(e) => publish_outcome(job, Err(e)),
