@@ -8,9 +8,9 @@
 //! arrive packed in `batch` frames — into the merge [`Collector`]).
 //! The table itself is planned by [`plan_leases`]: workers with no
 //! throughput history get a small probe lease first, and main leases
-//! are sized proportionally to the per-worker rates observed on
-//! earlier campaigns (the `worker_points_per_sec` gauges), largest
-//! first. The claim loop is work-stealing: fast workers naturally
+//! are sized proportionally to the per-worker rates this coordinator
+//! observed on earlier campaigns (kept in its [`WorkerRegistry`]),
+//! largest first. The claim loop is work-stealing: fast workers naturally
 //! take more leases, a dying worker's released lease is picked up by
 //! whoever claims next, and an *idle* driver facing one straggling
 //! lease speculatively re-runs its unlanded tail
@@ -20,6 +20,11 @@
 //! makespan. When *every* remote worker is gone the coordinator
 //! sweeps the remaining leases through its own engine — a cluster
 //! degrades to a single process, never to a hung job.
+//!
+//! Drivers reach workers, and wait, only through the coordinator's
+//! [`Transport`]: HTTP in production, an in-process fake whose
+//! back-off returns at once under the fault harness
+//! (`tests/faults.rs`).
 //!
 //! The collector hands each grid index to the job observer exactly
 //! once, whichever worker (or the local fallback) delivered it. That
@@ -37,7 +42,7 @@
     clippy::unimplemented
 )]
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use serde_json::Value;
@@ -45,7 +50,7 @@ use synapse_campaign::{
     expand_range, plan_leases, CampaignEngine, CampaignError, CampaignOutcome, CampaignReport,
     CampaignSpec, CancelToken, Lease, LeaseTable, PointEvent, ResultCache, RunConfig, RunStats,
 };
-use synapse_server::{Client, ClusterBackend};
+use synapse_server::{Client, ClusterBackend, ServerError};
 use synapse_trace::TraceRecorder;
 
 use crate::merge::Collector;
@@ -53,22 +58,91 @@ use crate::metrics::ClusterMetrics;
 use crate::protocol::{self, WorkerEvent};
 use crate::registry::WorkerRegistry;
 
-/// Coordinator tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Silence threshold on a worker's lease stream before the worker
-    /// is presumed dead and the lease reassigned. Workers heartbeat
-    /// every [`synapse_server::HEARTBEAT_EVERY`], so the default (two
-    /// missed heartbeats) detects a frozen or partitioned worker in
-    /// ~20 s instead of hanging on a flat socket timeout.
-    pub stream_silence: Duration,
+/// Coordinator configuration. It has no settable field: every
+/// coordinator knob is a pinned constant of this module.
+#[derive(Debug, Clone, Default)]
+pub struct ClusterConfig {}
+
+/// How the coordinator reaches its workers and how its drivers wait:
+/// the one seam between the lease logic and the network and clock.
+/// The production value speaks HTTP to `synapse serve` workers; an
+/// in-process fake can stand in for a whole cluster, and skip the
+/// back-off.
+pub trait Transport: Send + Sync {
+    /// A link to the worker at `addr`. Every request it makes carries
+    /// `trace`, when given, as the campaign's causality id.
+    fn link<'a>(&'a self, addr: &str, trace: Option<&str>) -> Box<dyn Link + 'a>;
+
+    /// Block the calling driver for `pause` (the retry back-off).
+    fn sleep(&self, pause: Duration);
 }
 
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            stream_silence: synapse_server::STREAM_SILENCE_TIMEOUT,
-        }
+/// One worker as a lease driver sees it: the four calls a lease run
+/// makes, with the meaning of the same-named [`Client`] methods.
+pub trait Link {
+    /// `POST /leases`: queue a lease job, returning the ack.
+    fn submit_lease(&self, body: &str) -> Result<Value, ServerError>;
+
+    /// Stream the job's events, heartbeats included, into `on_line`
+    /// until the job ends or `on_line` returns `false`; returns the
+    /// last event.
+    fn watch_with_keepalive(
+        &self,
+        id: &str,
+        on_line: &mut dyn FnMut(&str) -> bool,
+    ) -> Result<Value, ServerError>;
+
+    /// `DELETE /campaigns/<id>`: stop the job's sweep.
+    fn cancel(&self, id: &str) -> Result<Value, ServerError>;
+
+    /// `GET /healthz`: the liveness probe.
+    fn healthz(&self) -> Result<Value, ServerError>;
+}
+
+/// Socket timeout on a worker's plain request/response round trips:
+/// a frozen worker whose kernel still accepts connections must fail
+/// the liveness probe promptly, or the local-fallback sweep waits a
+/// whole socket timeout. Established lease streams use
+/// [`synapse_server::STREAM_SILENCE_TIMEOUT`] instead.
+pub const PROBE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The production [`Transport`]: HTTP through [`Client`] and real
+/// sleeps.
+struct HttpTransport;
+
+impl Transport for HttpTransport {
+    fn link<'a>(&'a self, addr: &str, trace: Option<&str>) -> Box<dyn Link + 'a> {
+        let client = Client::new(addr).with_socket_timeout(PROBE_TIMEOUT);
+        Box::new(match trace {
+            Some(trace) => client.with_trace(trace),
+            None => client,
+        })
+    }
+
+    fn sleep(&self, pause: Duration) {
+        std::thread::sleep(pause);
+    }
+}
+
+impl Link for Client {
+    fn submit_lease(&self, body: &str) -> Result<Value, ServerError> {
+        Client::submit_lease(self, body)
+    }
+
+    fn watch_with_keepalive(
+        &self,
+        id: &str,
+        on_line: &mut dyn FnMut(&str) -> bool,
+    ) -> Result<Value, ServerError> {
+        Client::watch_with_keepalive(self, id, on_line)
+    }
+
+    fn cancel(&self, id: &str) -> Result<Value, ServerError> {
+        Client::cancel(self, id)
+    }
+
+    fn healthz(&self) -> Result<Value, ServerError> {
+        Client::healthz(self)
     }
 }
 
@@ -137,8 +211,36 @@ impl Progress {
 /// The distributed-execution backend a coordinator-mode server plugs
 /// into [`synapse_server::Server::with_cluster`].
 pub struct Coordinator {
-    config: ClusterConfig,
+    transport: Arc<dyn Transport>,
     registry: WorkerRegistry,
+}
+
+/// One distributed run's shared state, borrowed by every driver.
+struct Run<'a> {
+    spec: &'a CampaignSpec,
+    table: Mutex<LeaseTable>,
+    collector: Collector,
+    progress: Progress,
+    /// Why the job is poisoned, once a lease fails
+    /// [`MAX_LEASE_ATTEMPTS`] times.
+    fatal: OnceLock<String>,
+    observer: &'a (dyn Fn(PointEvent) + Sync),
+    recorder: Option<&'a TraceRecorder>,
+    cancel: &'a CancelToken,
+}
+
+impl Run<'_> {
+    /// Whether drivers must stop: the campaign was cancelled or a
+    /// lease poisoned it. Open lease streams hang up on either.
+    fn stopped(&self) -> bool {
+        self.cancel.is_cancelled() || self.fatal.get().is_some()
+    }
+
+    fn record_lease(&self, phase: &str, worker_id: &str, lease: &Lease) {
+        if let Some(recorder) = self.recorder {
+            recorder.record_lease(phase, worker_id, lease.start, lease.end);
+        }
+    }
 }
 
 /// How one lease run on one worker ended.
@@ -146,7 +248,7 @@ enum LeaseRun {
     /// Every point of the lease arrived (or the grid finished while
     /// it streamed); lease is done.
     Completed,
-    /// The campaign's cancel token fired mid-lease; stop driving.
+    /// The campaign was cancelled or poisoned mid-lease; stop driving.
     Stopped,
     /// Transport broke or the worker reported failure; retry
     /// elsewhere.
@@ -154,10 +256,17 @@ enum LeaseRun {
 }
 
 impl Coordinator {
-    /// A coordinator with an empty worker registry.
-    pub fn new(config: ClusterConfig) -> Coordinator {
+    /// A coordinator with an empty worker registry that reaches its
+    /// workers over HTTP.
+    pub fn new(_: ClusterConfig) -> Coordinator {
+        Coordinator::with_transport(Arc::new(HttpTransport))
+    }
+
+    /// A coordinator with an empty worker registry that reaches its
+    /// workers, and waits, through `transport`.
+    pub fn with_transport(transport: Arc<dyn Transport>) -> Coordinator {
         Coordinator {
-            config,
+            transport,
             registry: WorkerRegistry::new(),
         }
     }
@@ -168,100 +277,133 @@ impl Coordinator {
         &self.registry
     }
 
+    /// Liveness probe of one worker, timed into the probe histogram.
+    fn probe(link: &dyn Link) -> bool {
+        let started = Instant::now();
+        let alive = link.healthz().is_ok();
+        ClusterMetrics::get().probe_seconds.observe_since(started);
+        alive
+    }
+
     /// Drive one lease on one worker, feeding points into the
-    /// collector as they stream in.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "one lease's run needs the campaign's shared state, borrowed from run_distributed's frame"
-    )]
-    fn run_lease(
-        &self,
-        client: &Client,
-        spec: &CampaignSpec,
-        lease: &Lease,
-        collector: &Collector,
-        progress: &Progress,
-        observer: &(dyn Fn(PointEvent) + Sync),
-        cancel: &CancelToken,
-    ) -> LeaseRun {
-        let body = protocol::lease_request_json(spec, lease);
-        let reply = match client.submit_lease(&body) {
-            Ok(reply) => reply,
-            Err(e) => return LeaseRun::Failed(format!("lease submit: {e}")),
+    /// collector as they stream in. Also returns whether the worker
+    /// is still alive.
+    ///
+    /// Every run leaves through one exit. A worker whose call failed,
+    /// or whose lease failed, is probed. Then a worker-side job this
+    /// coordinator hung up on, or lost the stream of, is cancelled —
+    /// after a failed call only if the probe found the worker alive,
+    /// so a frozen worker never costs a socket timeout twice.
+    fn run_lease(&self, link: &dyn Link, lease: &Lease, run: &Run) -> (LeaseRun, bool) {
+        let body = protocol::lease_request_json(run.spec, lease);
+        let reply = link.submit_lease(&body);
+        let job = reply
+            .as_ref()
+            .ok()
+            .and_then(|reply| reply.get("id"))
+            .and_then(Value::as_str)
+            .map(str::to_string);
+        let (outcome, hung_up, broke) = match (reply, &job) {
+            (Err(e), _) => (LeaseRun::Failed(format!("lease submit: {e}")), false, true),
+            (Ok(_), None) => (
+                LeaseRun::Failed("lease submit reply carries no job id".into()),
+                false,
+                false,
+            ),
+            (Ok(_), Some(id)) => Self::watch_lease(link, id, run),
         };
-        let Some(id) = reply.get("id").and_then(Value::as_str).map(str::to_string) else {
-            return LeaseRun::Failed("lease submit reply carries no job id".into());
-        };
+        let alive = !(broke || matches!(outcome, LeaseRun::Failed(_))) || Self::probe(link);
+        if alive && (hung_up || broke) {
+            if let Some(job) = &job {
+                let _ = link.cancel(job);
+            }
+        }
+        (outcome, alive)
+    }
+
+    /// Watch one submitted lease job to its end: how the lease ended,
+    /// whether this coordinator hung up on the stream, and whether the
+    /// stream itself failed.
+    fn watch_lease(link: &dyn Link, id: &str, run: &Run) -> (LeaseRun, bool, bool) {
         let mut worker_error: Option<String> = None;
+        let mut hung_up = false;
         // Keepalive delivery matters: a lease queued behind a busy
-        // worker emits only heartbeats, and the cancel check below
-        // must still run on each one.
-        let watched = client.watch_with_keepalive(&id, |line| {
-            if cancel.is_cancelled() {
-                return false; // hang up; the job is cancelled below
-            }
-            match protocol::parse_event(line) {
-                Some(WorkerEvent::Batch(points)) => {
-                    ClusterMetrics::get()
-                        .batch_points
-                        .observe(points.len() as f64);
-                    collector.record_batch(points, observer);
-                    // Split tails overlap their parent lease, so the
-                    // grid can finish while this stream is mid-lease;
-                    // hang up instead of waiting out the straggler.
-                    if collector.is_complete() {
-                        progress.bump();
-                        return false;
+        // worker emits only heartbeats, and the stop check below must
+        // still run on each one.
+        let watched = link.watch_with_keepalive(id, &mut |line| {
+            // Split tails overlap their parent lease, so the grid can
+            // finish while this stream is mid-lease, or only
+            // heartbeating; hang up instead of waiting out the
+            // straggler.
+            let proceed = !run.stopped()
+                && !run.collector.is_complete()
+                && match protocol::parse_event(line) {
+                    Some(WorkerEvent::Batch(points)) => {
+                        ClusterMetrics::get()
+                            .batch_points
+                            .observe(points.len() as f64);
+                        run.collector.record_batch(points, run.observer);
+                        let complete = run.collector.is_complete();
+                        if complete {
+                            run.progress.bump();
+                        }
+                        !complete
                     }
-                }
-                Some(WorkerEvent::Malformed { reason }) => {
-                    // The frame may have carried results; merging past
-                    // it could leave holes. Fail the lease and re-run.
-                    worker_error = Some(format!("malformed batch frame: {reason}"));
-                    return false;
-                }
-                Some(WorkerEvent::Failed { error }) => worker_error = Some(error),
-                Some(WorkerEvent::Truncated { dropped }) => {
+                    // A line that is not JSON, or a frame that does not
+                    // check out, may have carried results; merging past
+                    // it could leave holes. Fail the lease and re-run it.
+                    None => {
+                        worker_error = Some("lease stream line is not JSON".into());
+                        false
+                    }
+                    Some(WorkerEvent::Malformed { reason }) => {
+                        worker_error = Some(format!("malformed batch frame: {reason}"));
+                        false
+                    }
+                    Some(WorkerEvent::Failed { error }) => {
+                        worker_error = Some(error);
+                        true
+                    }
                     // Should be impossible (lease rings are unbounded)
-                    // but dropped lines were results: abort and re-run
-                    // the lease rather than silently losing points.
-                    worker_error = Some(format!("lease stream truncated ({dropped} lines lost)"));
-                    return false;
-                }
-                _ => {}
-            }
-            true
+                    // but dropped lines were results.
+                    Some(WorkerEvent::Truncated { dropped }) => {
+                        worker_error =
+                            Some(format!("lease stream truncated ({dropped} lines lost)"));
+                        false
+                    }
+                    _ => true,
+                };
+            hung_up |= !proceed;
+            proceed
         });
-        if cancel.is_cancelled() {
-            // Points already collected stay collected; stop the
-            // worker-side sweep cooperatively.
-            let _ = client.cancel(&id);
-            return LeaseRun::Stopped;
-        }
-        if collector.is_complete() {
+        let broke = watched.is_err();
+        let outcome = if run.stopped() {
+            // Points already collected stay collected.
+            LeaseRun::Stopped
+        } else if run.collector.is_complete() {
             // Every grid point landed (this lease's tail may have
-            // finished on another worker). Stop the worker-side sweep
-            // if it is still running and count the lease done — its
-            // range is covered.
-            let _ = client.cancel(&id);
-            return LeaseRun::Completed;
-        }
-        if let Some(error) = worker_error {
-            return LeaseRun::Failed(error);
-        }
-        match watched {
-            Ok(summary) if summary.get("event").and_then(Value::as_str) == Some("completed") => {
-                LeaseRun::Completed
+            // finished on another worker): its range is covered.
+            LeaseRun::Completed
+        } else if let Some(error) = worker_error {
+            LeaseRun::Failed(error)
+        } else {
+            match watched {
+                Ok(summary)
+                    if summary.get("event").and_then(Value::as_str) == Some("completed") =>
+                {
+                    LeaseRun::Completed
+                }
+                Ok(summary) => LeaseRun::Failed(format!(
+                    "lease stream ended with {:?}",
+                    summary
+                        .get("event")
+                        .and_then(Value::as_str)
+                        .unwrap_or("nothing")
+                )),
+                Err(e) => LeaseRun::Failed(format!("lease stream: {e}")),
             }
-            Ok(summary) => LeaseRun::Failed(format!(
-                "lease stream ended with {:?}",
-                summary
-                    .get("event")
-                    .and_then(Value::as_str)
-                    .unwrap_or("nothing")
-            )),
-            Err(e) => LeaseRun::Failed(format!("lease stream: {e}")),
-        }
+        };
+        (outcome, hung_up, broke)
     }
 
     /// Pick the assigned lease with the most unlanded points and
@@ -271,21 +413,15 @@ impl Coordinator {
     /// first-arrival-wins merge resolves the race; each lease splits
     /// at most once, and tails below [`MIN_SPLIT_POINTS`] are left
     /// alone, so speculation is bounded.
-    fn split_straggler_tail(
-        &self,
-        table: &Mutex<LeaseTable>,
-        collector: &Collector,
-        progress: &Progress,
-        worker_id: &str,
-        recorder: Option<&TraceRecorder>,
-    ) -> bool {
-        let candidates = table
+    fn split_straggler_tail(&self, run: &Run, worker_id: &str) -> bool {
+        let candidates = run
+            .table
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .split_candidates();
         let mut best: Option<(Lease, usize)> = None;
         for lease in candidates {
-            let missing = collector.missing_in(lease.start, lease.end);
+            let missing = run.collector.missing_in(lease.start, lease.end);
             if missing >= MIN_SPLIT_POINTS && best.is_none_or(|(_, m)| missing > m) {
                 best = Some((lease, missing));
             }
@@ -298,14 +434,12 @@ impl Coordinator {
         // points; out-of-order landings only mean the tail overlaps a
         // little more than it had to.
         let mid = lease.end - missing;
-        let mut table = table.lock().unwrap_or_else(|e| e.into_inner());
+        let mut table = run.table.lock().unwrap_or_else(|e| e.into_inner());
         match table.split_tail(lease.id, mid) {
-            Some(_) => {
-                progress.bump();
+            Some(tail) => {
+                run.progress.bump();
                 ClusterMetrics::get().leases_split.inc();
-                if let Some(recorder) = recorder {
-                    recorder.record_lease("split", worker_id, mid, lease.end);
-                }
+                run.record_lease("split", worker_id, &tail);
                 true
             }
             // Raced: the lease completed, released, or split since the
@@ -317,52 +451,26 @@ impl Coordinator {
     /// One worker's driver loop: claim, run, complete/release, until
     /// the table drains, the campaign cancels, a lease poisons the
     /// job, or this worker dies.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "one worker's loop needs the campaign's shared state, borrowed from run_distributed's frame"
-    )]
-    fn drive_worker(
-        &self,
-        worker_id: &str,
-        addr: &str,
-        spec: &CampaignSpec,
-        table: &Mutex<LeaseTable>,
-        collector: &Collector,
-        progress: &Progress,
-        fatal: &Mutex<Option<String>>,
-        observer: &(dyn Fn(PointEvent) + Sync),
-        recorder: Option<&TraceRecorder>,
-        cancel: &CancelToken,
-    ) {
-        // Both timeouts bounded by the silence threshold (probe cap
-        // 5 s): a frozen worker whose kernel still accepts connections
-        // must fail the post-disconnect liveness probe promptly, or
-        // the local-fallback sweep waits a whole socket timeout.
-        let mut client = Client::new(addr.to_string())
-            .with_stream_silence(self.config.stream_silence)
-            .with_socket_timeout(self.config.stream_silence.min(Duration::from_secs(5)));
+    fn drive_worker(&self, worker_id: &str, addr: &str, run: &Run) {
         // Propagate the campaign's causality id on every request this
         // driver makes (`X-Synapse-Trace`): workers echo it in lease
         // events and batch frames, tying their streams to the trace.
-        if let Some(recorder) = recorder {
-            client = client.with_trace(recorder.trace_id());
-        }
+        let link = self
+            .transport
+            .link(addr, run.recorder.map(TraceRecorder::trace_id));
         loop {
             // Read before anything below is looked at, so that a change
             // after the look cannot be slept through.
-            let seen = progress.epoch();
-            if cancel.is_cancelled() || fatal.lock().unwrap_or_else(|e| e.into_inner()).is_some() {
-                return;
-            }
+            let seen = run.progress.epoch();
             // Completion is point-wise: once every grid index landed
             // (wherever it ran), this driver is done even if some
             // lease is still nominally assigned to a straggler.
-            if collector.is_complete() {
+            if run.stopped() || run.collector.is_complete() {
                 return;
             }
             let metrics = ClusterMetrics::get();
             let claimed = {
-                let mut table = table.lock().unwrap_or_else(|e| e.into_inner());
+                let mut table = run.table.lock().unwrap_or_else(|e| e.into_inner());
                 if table.is_complete() {
                     return;
                 }
@@ -377,8 +485,8 @@ impl Coordinator {
                 // unlanded tail as a fresh lease (claimed on the next
                 // iteration — by this idle driver, in practice);
                 // otherwise wait for the table or the grid to change.
-                if !self.split_straggler_tail(table, collector, progress, worker_id, recorder) {
-                    progress.wait_past(seen, IDLE_POLL);
+                if !self.split_straggler_tail(run, worker_id) {
+                    run.progress.wait_past(seen, IDLE_POLL);
                 }
                 continue;
             };
@@ -386,79 +494,71 @@ impl Coordinator {
             if attempts_now > 1 {
                 metrics.leases_reassigned.inc();
             }
-            if let Some(recorder) = recorder {
-                let phase = if attempts_now > 1 {
-                    "reassigned"
-                } else {
-                    "assigned"
-                };
-                recorder.record_lease(phase, worker_id, lease.start, lease.end);
-            }
+            let phase = if attempts_now > 1 {
+                "reassigned"
+            } else {
+                "assigned"
+            };
+            run.record_lease(phase, worker_id, &lease);
             let lease_started = Instant::now();
-            match self.run_lease(&client, spec, &lease, collector, progress, observer, cancel) {
+            let (outcome, alive) = self.run_lease(&*link, &lease, run);
+            let backoff = match outcome {
                 LeaseRun::Completed => {
-                    table
+                    run.table
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .complete(lease.id);
-                    progress.bump();
-                    self.registry.credit_lease(worker_id);
+                    run.progress.bump();
                     metrics.leases_completed.inc();
-                    if let Some(recorder) = recorder {
-                        recorder.record_lease("completed", worker_id, lease.start, lease.end);
-                    }
+                    run.record_lease("completed", worker_id, &lease);
                     let secs = lease_started.elapsed().as_secs_f64();
-                    if secs > 0.0 {
-                        ClusterMetrics::worker_throughput(worker_id)
-                            .set((lease.end - lease.start) as f64 / secs);
+                    let rate = (secs > 0.0).then(|| lease.len() as f64 / secs);
+                    self.registry.credit_lease(worker_id, rate);
+                    if let Some(rate) = rate {
+                        ClusterMetrics::worker_throughput(worker_id).set(rate);
                     }
+                    None
                 }
                 LeaseRun::Stopped => {
-                    table
+                    run.table
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .release(lease.id);
-                    progress.bump();
-                    return;
+                    run.progress.bump();
+                    None
                 }
                 LeaseRun::Failed(reason) => {
                     let attempts = {
-                        let mut table = table.lock().unwrap_or_else(|e| e.into_inner());
+                        let mut table = run.table.lock().unwrap_or_else(|e| e.into_inner());
                         table.release(lease.id);
                         table.attempts(lease.id)
                     };
-                    progress.bump();
                     self.registry.record_failure(worker_id);
                     metrics.leases_failed.inc();
-                    if let Some(recorder) = recorder {
-                        recorder.record_lease("failed", worker_id, lease.start, lease.end);
-                    }
+                    run.record_lease("failed", worker_id, &lease);
                     if attempts >= MAX_LEASE_ATTEMPTS {
-                        *fatal.lock().unwrap_or_else(|e| e.into_inner()) = Some(format!(
+                        let _ = run.fatal.set(format!(
                             "lease {} ({}..{}) failed {attempts} times, last: {reason}",
                             lease.id, lease.start, lease.end
                         ));
-                        return;
                     }
-                    // Worker death vs. transient failure: probe. A dead
-                    // worker retires this driver; its released lease
-                    // reassigns to the survivors (or the local
-                    // fallback).
-                    let probe_started = Instant::now();
-                    let probe = client.healthz();
-                    metrics.probe_seconds.observe_since(probe_started);
-                    if probe.is_err() {
-                        self.registry.mark_dead(worker_id);
-                        return;
-                    }
+                    run.progress.bump();
                     // Alive but failing (momentarily at its connection
                     // cap, draining for shutdown): back off so a
                     // transient blip cannot burn every attempt in
                     // milliseconds and poison the job.
-                    std::thread::sleep(
-                        LEASE_BACKOFF_STEP * attempts.min(LEASE_BACKOFF_MAX_STEPS) as u32,
-                    );
+                    Some(LEASE_BACKOFF_STEP * attempts.min(LEASE_BACKOFF_MAX_STEPS) as u32)
                 }
+            };
+            // Worker death vs. transient failure: the lease run probed
+            // it. A dead worker retires this driver; its released
+            // lease reassigns to the survivors (or the local fallback).
+            if !alive {
+                self.registry.mark_dead(worker_id);
+                return;
+            }
+            if let Some(pause) = backoff.filter(|_| !run.stopped()) {
+                self.transport.sleep(pause);
             }
         }
     }
@@ -479,40 +579,47 @@ impl ClusterBackend for Coordinator {
 
         let workers = self.registry.live();
         let lease_count = workers.len().max(1) * LEASES_PER_WORKER;
-        // Throughput-aware plan: per-worker rates observed on earlier
-        // campaigns weight the main lease sizes (largest first); every
-        // worker with no history yet gets a small probe lease up front
-        // so its first assignment measures it cheaply.
+        // Throughput-aware plan: the per-worker rates this coordinator
+        // observed on earlier campaigns weight the main lease sizes
+        // (largest first); every worker with no history yet gets a
+        // small probe lease up front so its first assignment measures
+        // it cheaply.
         let weights: Vec<f64> = workers
             .iter()
-            .map(|(id, _)| ClusterMetrics::worker_throughput(id).get())
+            .map(|(id, _)| self.registry.rate(id))
             .collect();
         let probes = weights.iter().filter(|w| **w <= 0.0 || w.is_nan()).count();
-        let table = Mutex::new(LeaseTable::from_leases(plan_leases(
-            total,
-            lease_count,
-            probes,
-            &weights,
-        )));
-        let collector = Collector::new(total);
-        let fatal: Mutex<Option<String>> = Mutex::new(None);
-        let progress = Progress::default();
+        let run = Run {
+            spec,
+            table: Mutex::new(LeaseTable::from_leases(plan_leases(
+                total,
+                lease_count,
+                probes,
+                &weights,
+            ))),
+            collector: Collector::new(total),
+            progress: Progress::default(),
+            fatal: OnceLock::new(),
+            observer,
+            recorder,
+            cancel,
+        };
 
         if !workers.is_empty() {
             std::thread::scope(|scope| {
                 for (worker_id, addr) in &workers {
-                    let (table, collector, progress, fatal) =
-                        (&table, &collector, &progress, &fatal);
-                    scope.spawn(move || {
-                        self.drive_worker(
-                            worker_id, addr, spec, table, collector, progress, fatal, observer,
-                            recorder, cancel,
-                        )
-                    });
+                    let run = &run;
+                    scope.spawn(move || self.drive_worker(worker_id, addr, run));
                 }
             });
         }
-        if let Some(reason) = fatal.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        let Run {
+            table,
+            collector,
+            fatal,
+            ..
+        } = run;
+        if let Some(reason) = fatal.into_inner() {
             return Err(CampaignError::Cluster(reason));
         }
 
@@ -523,7 +630,7 @@ impl ClusterBackend for Coordinator {
         // moment the grid is point-complete, which can leave leases
         // nominally assigned even though their ranges are covered.
         let leftover = table
-            .lock()
+            .into_inner()
             .unwrap_or_else(|e| e.into_inner())
             .drain_incomplete();
         if !leftover.is_empty() && !cancel.is_cancelled() && !collector.is_complete() {
@@ -603,11 +710,7 @@ impl ClusterBackend for Coordinator {
     fn status(&self) -> serde_json::Value {
         // The status probe doubles as the pull-side heartbeat: every
         // `synapse cluster status` refreshes liveness for real.
-        self.registry.status_json(|addr| {
-            let started = Instant::now();
-            let alive = Client::new(addr.to_string()).healthz().is_ok();
-            ClusterMetrics::get().probe_seconds.observe_since(started);
-            alive
-        })
+        self.registry
+            .status_json(|addr| Self::probe(&*self.transport.link(addr, None)))
     }
 }

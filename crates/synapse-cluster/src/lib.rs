@@ -44,6 +44,6 @@ mod metrics;
 pub mod protocol;
 pub mod registry;
 
-pub use coordinator::{ClusterConfig, Coordinator};
+pub use coordinator::{ClusterConfig, Coordinator, Link, Transport};
 pub use merge::Collector;
 pub use registry::WorkerRegistry;

@@ -67,9 +67,9 @@ pub enum WorkerEvent {
     Other,
 }
 
-/// Parse one NDJSON line of a lease stream. `None` for non-JSON lines
-/// (a malformed stream is treated as a transport failure by the
-/// caller when the terminal event never arrives).
+/// Parse one NDJSON line of a lease stream. `None` only for a line
+/// that is not JSON (a torn frame), which fails the lease; JSON
+/// without a known string `event` is [`WorkerEvent::Other`].
 pub fn parse_event(line: &str) -> Option<WorkerEvent> {
     // Batch frames are nearly every byte of a lease stream: a sound
     // one decodes straight into results. Anything else — including a
@@ -81,7 +81,7 @@ pub fn parse_event(line: &str) -> Option<WorkerEvent> {
         }
     }
     let value: Value = serde_json::from_str(line).ok()?;
-    let event = match value["event"].as_str()? {
+    let event = match value["event"].as_str().unwrap_or_default() {
         "started" => WorkerEvent::Started,
         "batch" => parse_batch(line),
         "completed" => WorkerEvent::Completed,
@@ -298,9 +298,12 @@ mod tests {
         );
         assert_malformed(&broken, "unparseable point");
 
-        // A *truncated* line stops being JSON at all → transport-level
-        // noise (`None`); the missing terminal event fails the lease.
+        // A *truncated* line stops being JSON at all (`None`), which
+        // fails the lease; JSON without a string `event` is ignored.
         assert!(parse_event(&good[..good.len() / 2]).is_none());
+        for line in ["{}", r#"{"event":7}"#, "[1]"] {
+            assert!(matches!(parse_event(line), Some(WorkerEvent::Other)));
+        }
     }
 
     #[test]

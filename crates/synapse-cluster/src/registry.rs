@@ -21,6 +21,9 @@ struct WorkerEntry {
     alive: bool,
     leases_completed: u64,
     failures: u64,
+    /// Points per second of the last lease this worker completed; 0
+    /// until one is measured.
+    rate: f64,
     last_seen: Instant,
     registered: Instant,
 }
@@ -74,6 +77,7 @@ impl WorkerRegistry {
             alive: true,
             leases_completed: 0,
             failures: 0,
+            rate: 0.0,
             last_seen: Instant::now(),
             registered: Instant::now(),
         };
@@ -122,8 +126,9 @@ impl WorkerRegistry {
         }
     }
 
-    /// Credit one completed lease to a worker.
-    pub fn credit_lease(&self, public_id: &str) {
+    /// Credit one completed lease to a worker, remembering the rate it
+    /// was measured at, if any.
+    pub fn credit_lease(&self, public_id: &str, points_per_sec: Option<f64>) {
         if let Some(entry) = self
             .workers
             .lock()
@@ -133,7 +138,22 @@ impl WorkerRegistry {
         {
             entry.leases_completed += 1;
             entry.last_seen = Instant::now();
+            if let Some(rate) = points_per_sec {
+                entry.rate = rate;
+            }
         }
+    }
+
+    /// Points per second of the last lease `public_id` completed; 0
+    /// for a worker never measured (or not registered). The weights
+    /// of this coordinator's next lease plan.
+    pub fn rate(&self, public_id: &str) -> f64 {
+        self.workers
+            .lock()
+            .expect("registry lock")
+            .iter()
+            .find(|w| w.public_id() == public_id)
+            .map_or(0.0, |w| w.rate)
     }
 
     /// Record one failed lease attempt against a worker.
@@ -228,8 +248,14 @@ mod tests {
         assert!(registry.heartbeat(&id).is_some());
         assert!(registry.heartbeat("w999").is_none());
 
-        registry.credit_lease(&id);
-        registry.credit_lease(&id);
+        registry.credit_lease(&id, Some(40.0));
+        registry.credit_lease(&id, None);
+        assert_eq!(
+            registry.rate(&id),
+            40.0,
+            "an unmeasured lease keeps the last rate"
+        );
+        assert_eq!(registry.rate("w999"), 0.0);
         registry.record_failure(&id);
         let status = registry.status_json(|_| true);
         assert_eq!(status["live"].as_u64(), Some(1));

@@ -1,12 +1,19 @@
-//! End-to-end cluster tests: real coordinator + worker servers on
-//! ephemeral ports, leases over real sockets, worker death mid-sweep.
+//! End-to-end cluster tests: a real coordinator and real worker
+//! servers on ephemeral ports, leases over real sockets. Failure
+//! scenes — dead, frozen, straggling and lying workers — run in
+//! process under the seeded fault harness (`faults.rs`).
 
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::io::{BufReader, Write};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
-use serde_json::Value;
+use serde_json::{json, Value};
+use synapse_campaign::{expand_range, simulate_point};
 use synapse_cluster::{ClusterConfig, Coordinator};
-use synapse_server::{Client, Server, ServerConfig, ServerHandle};
+use synapse_server::{
+    http, lease_batch_line, Client, LeaseRequest, Server, ServerConfig, ServerError, ServerHandle,
+};
+use synapse_trace::{ReplayMode, Trace};
 
 /// Boot a plain worker server; returns its address, client, handle.
 fn boot_worker(
@@ -56,41 +63,9 @@ fn medium_spec() -> &'static str {
     "#
 }
 
-/// A wide grid that takes a while on single-threaded workers — long
-/// enough to kill a worker mid-sweep.
-fn wide_spec() -> &'static str {
-    r#"
-    name = "cluster-wide"
-    seed = 31
-    machines = ["thinkie", "stampede", "archer", "supermic", "comet", "titan"]
-    kernels = ["asm", "c", "spin"]
-    modes = ["openmp", "mpi"]
-    threads = [1, 4]
-
-    [[workloads]]
-    app = "gromacs"
-    steps = [10000, 50000, 100000]
-
-    [[workloads]]
-    app = "amber"
-    steps = [10000, 50000, 100000]
-    "#
-}
-
-fn await_terminal(client: &Client, id: &str) -> Value {
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let status = client.status(id).expect("status");
-        let state = status["status"]
-            .as_str()
-            .expect("status string")
-            .to_string();
-        if ["completed", "cancelled", "failed"].contains(&state.as_str()) {
-            return status;
-        }
-        assert!(Instant::now() < deadline, "job {id} stuck in {state}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+/// The job id in a submit ack.
+fn id_of(ack: Result<Value, ServerError>) -> String {
+    ack.unwrap()["id"].as_str().unwrap().to_string()
 }
 
 /// Submit a spec plainly (no cluster) and return its compact report
@@ -98,10 +73,7 @@ fn await_terminal(client: &Client, id: &str) -> Value {
 /// plus its final `/aggregates` document (the live-view baseline).
 fn single_process_report(spec: &str) -> (String, Value) {
     let (_, client, handle, join) = boot_worker(ServerConfig::default());
-    let id = client.submit(spec).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let id = id_of(client.submit(spec));
     let summary = client.watch(&id, |_| true).unwrap();
     assert_eq!(summary["event"].as_str(), Some("completed"));
     let report = client.report(&id).unwrap();
@@ -111,65 +83,33 @@ fn single_process_report(spec: &str) -> (String, Value) {
     (serde_json::to_string(&report).unwrap(), aggregates)
 }
 
-/// Assert two aggregate stats objects agree as `docs/PROTOCOL.md`
-/// §5 promises: count, extrema and sketch quantiles exactly, the mean
-/// up to f64 regrouping (points fold in landing order, which differs
-/// between runs).
-fn assert_stats_close(cluster: &Value, local: &Value, what: &str) {
-    for key in ["n", "min", "max", "p50", "p95", "p99"] {
-        assert_eq!(cluster[key], local[key], "{what}: {key}");
-    }
-    if cluster["n"].as_u64() == Some(0) {
-        return;
-    }
-    let c = cluster["mean"].as_f64().unwrap();
-    let l = local["mean"].as_f64().unwrap();
-    assert!(
-        (c - l).abs() <= 1e-12 * l.abs(),
-        "{what}: mean diverged: cluster {c} vs local {l}"
-    );
-}
-
-/// Frame one NDJSON line as an HTTP/1.1 chunk.
-fn chunk(line: &str) -> Vec<u8> {
-    let payload = format!("{line}\n");
-    format!("{:x}\r\n{payload}\r\n", payload.len()).into_bytes()
-}
-
-/// The response head a worker opens a chunked event stream with.
-const STREAM_HEAD: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-    Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
-
-/// Serve a scripted worker on an ephemeral port and return its
-/// address. `handle` answers each request on its own thread, so
-/// liveness probes and DELETEs are answered while a lease stream is
-/// held open.
-fn fake_worker(
-    handle: impl Fn(synapse_server::http::Request, std::net::TcpStream) + Send + Sync + 'static,
-) -> String {
-    use std::io::BufReader;
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let handle = Arc::new(handle);
-    std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            let Ok(stream) = conn else { break };
-            let handle = handle.clone();
-            std::thread::spawn(move || {
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                if let Ok(request) = synapse_server::http::read_request(&mut reader) {
-                    handle(request, stream);
+/// Assert a cluster job's `/aggregates` document agrees with the
+/// single-process one as `docs/PROTOCOL.md` §5 promises: the same
+/// slices and metrics, counts, extrema and sketch quantiles exactly,
+/// each `mean` up to f64 regrouping (points fold in landing order,
+/// which differs between runs).
+fn assert_view_close(cluster: &Value, local: &Value, at: &str) {
+    match (cluster, local) {
+        (Value::Object(c), Value::Object(l)) => {
+            assert_eq!(c.len(), l.len(), "{at}: {cluster:?} vs {local:?}");
+            for (key, cv) in c {
+                let (at, lv) = (format!("{at}.{key}"), &local[key.as_str()]);
+                match (key.as_str(), cv.as_f64(), lv.as_f64()) {
+                    ("mean", Some(c), Some(l)) => {
+                        assert!((c - l).abs() <= 1e-12 * l.abs(), "{at}: {c} vs {l}")
+                    }
+                    _ => assert_view_close(cv, lv, &at),
                 }
-            });
+            }
         }
-    });
-    addr
-}
-
-/// Write a JSON reply on a fake worker's connection.
-fn respond(mut out: std::net::TcpStream, status: u16, reason: &str, body: &Value) {
-    use std::io::Write;
-    let _ = out.write_all(&synapse_server::http::json_bytes(status, reason, body));
+        (Value::Array(c), Value::Array(l)) => {
+            assert_eq!(c.len(), l.len(), "{at}: {cluster:?} vs {local:?}");
+            for (i, (c, l)) in c.iter().zip(l).enumerate() {
+                assert_view_close(c, l, &format!("{at}[{i}]"));
+            }
+        }
+        _ => assert_eq!(cluster, local, "{at}"),
+    }
 }
 
 #[test]
@@ -178,26 +118,23 @@ fn distributed_run_merges_streams_and_reports_byte_stably() {
     let (addr2, _c2, h2, j2) = boot_worker(ServerConfig::default());
     let (client, handle, join) = boot_coordinator(&[&addr1, &addr2], ServerConfig::default());
 
-    let reply = client.submit_distributed(medium_spec()).unwrap();
+    // Recorded, so the trace checks below run on the same job.
+    let reply = client.submit_recorded(medium_spec(), true).unwrap();
     assert_eq!(reply["distributed"].as_bool(), Some(true));
     assert_eq!(reply["points"].as_u64(), Some(16));
     let id = reply["id"].as_str().unwrap().to_string();
 
     // The merged stream has the same contract as a local sweep: one
     // point event per grid index, `done` monotone 1..=N, one terminal.
-    let lines = Mutex::new(Vec::<Value>::new());
+    let mut lines = Vec::<Value>::new();
     let summary = client
         .watch(&id, |line| {
-            lines
-                .lock()
-                .unwrap()
-                .push(serde_json::from_str(line).unwrap());
+            lines.push(serde_json::from_str(line).unwrap());
             true
         })
         .unwrap();
     assert_eq!(summary["event"].as_str(), Some("completed"));
     assert_eq!(summary["points"].as_u64(), Some(16));
-    let lines = lines.into_inner().unwrap();
     let points: Vec<&Value> = lines
         .iter()
         .filter(|l| l["event"].as_str() == Some("point"))
@@ -218,39 +155,39 @@ fn distributed_run_merges_streams_and_reports_byte_stably() {
     let (baseline_report, baseline_aggregates) = single_process_report(medium_spec());
     assert_eq!(merged, baseline_report);
 
-    // The live aggregate view, folded from the merged point stream,
-    // agrees with the single-process one: same points, same slice
-    // keys, same stats.
-    let aggregates = client.aggregates(&id, None, None).unwrap();
+    // The served live view, folded from the merged point stream by the
+    // job observer, agrees with the single-process one slice by slice
+    // (the job ids aside).
+    let mut aggregates = client.aggregates(&id, None, None).unwrap();
     assert_eq!(aggregates["points"].as_u64(), Some(16));
-    assert_stats_close(
-        &aggregates["overall"]["metrics"]["error_pct"],
-        &baseline_aggregates["overall"]["metrics"]["error_pct"],
-        "overall error_pct",
-    );
-    let slice_key = |s: &Value| {
-        (
-            s["axis"].as_str().unwrap().to_string(),
-            s["value"].as_str().unwrap().to_string(),
-        )
-    };
-    let cluster_slices = aggregates["slices"].as_array().unwrap();
-    let local_slices = baseline_aggregates["slices"].as_array().unwrap();
-    assert_eq!(
-        cluster_slices.iter().map(slice_key).collect::<Vec<_>>(),
-        local_slices.iter().map(slice_key).collect::<Vec<_>>(),
-        "identical slice keys"
-    );
-    for (c, l) in cluster_slices.iter().zip(local_slices) {
-        let (axis, value) = slice_key(c);
-        for metric in ["error_pct", "tx"] {
-            assert_stats_close(
-                &c["metrics"][metric],
-                &l["metrics"][metric],
-                &format!("{axis}={value} {metric}"),
-            );
-        }
+    if let Value::Object(doc) = &mut aggregates {
+        doc.insert("id".into(), baseline_aggregates["id"].clone());
     }
+    assert_view_close(&aggregates, &baseline_aggregates, "aggregates");
+
+    // The trace is sealed before the job reports its end. It carries
+    // the ack's causality id, strict-replays to the single-process
+    // report's bytes, and attributes the completed leases to both
+    // workers.
+    let text = client.trace(&id).unwrap();
+    let trace = Trace::parse(&text).unwrap();
+    assert_eq!(reply["trace"].as_str(), Some(&*trace.header.trace_id));
+    assert_eq!(trace.verify(ReplayMode::Strict).unwrap().points, 16);
+    let replayed = trace.reconstruct_report().unwrap().to_json_pretty();
+    let replayed: Value = serde_json::from_str(&replayed.unwrap()).unwrap();
+    assert_eq!(serde_json::to_string(&replayed).unwrap(), baseline_report);
+    let leases: Vec<Value> = text
+        .lines()
+        .filter(|l| l.starts_with("{\"kind\":\"lease\""))
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    let phase = |phase: &'static str| leases.iter().filter(move |l| l["phase"] == phase);
+    assert!(phase("assigned").count() >= 8, "{leases:?}");
+    assert!(phase("completed").count() >= 8, "{leases:?}");
+    let workers: std::collections::BTreeSet<&str> = phase("completed")
+        .map(|l| l["worker"].as_str().unwrap())
+        .collect();
+    assert_eq!(workers.len(), 2, "lease annotations attribute both workers");
 
     // Both workers carried leases.
     let status = client.cluster_status().unwrap();
@@ -300,61 +237,9 @@ fn distributed_run_merges_streams_and_reports_byte_stably() {
 }
 
 #[test]
-fn worker_death_mid_sweep_reassigns_leases_and_completes() {
-    // Single-threaded workers make the wide grid slow enough to kill
-    // one mid-sweep.
-    let worker_config = || ServerConfig {
-        job_workers: 1,
-        ..Default::default()
-    };
-    let (addr1, _c1, h1, j1) = boot_worker(worker_config());
-    let (addr2, _c2, h2, j2) = boot_worker(worker_config());
-    let (client, handle, join) = boot_coordinator(&[&addr1, &addr2], ServerConfig::default());
-
-    let reply = client.submit_distributed(wide_spec()).unwrap();
-    let total = reply["points"].as_u64().unwrap();
-    assert_eq!(total, 6 * 3 * 2 * 2 * 6);
-    let id = reply["id"].as_str().unwrap().to_string();
-
-    // Wait until the sweep is visibly running, then kill worker 2.
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let status = client.status(&id).unwrap();
-        if status["done"].as_u64().unwrap() >= 8 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "distributed sweep never started");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    h2.shutdown();
-    j2.join().unwrap();
-
-    // The grid still completes: worker 2's leases reassign to worker 1
-    // (or the coordinator's local fallback).
-    let status = await_terminal(&client, &id);
-    assert_eq!(status["status"].as_str(), Some("completed"), "{status:?}");
-    assert_eq!(status["done"].as_u64(), Some(total));
-
-    // The merged report is still byte-identical to a single-process
-    // run — lease replay and reassignment leave no trace.
-    let merged = serde_json::to_string(&client.report(&id).unwrap()).unwrap();
-    assert_eq!(merged, single_process_report(wide_spec()).0);
-
-    // The registry knows worker 2 is gone.
-    let cluster = client.cluster_status().unwrap();
-    assert_eq!(cluster["live"].as_u64(), Some(1), "{cluster:?}");
-
-    handle.shutdown();
-    join.join().unwrap();
-    h1.shutdown();
-    j1.join().unwrap();
-}
-
-#[test]
 fn coordinator_without_workers_falls_back_to_local_execution() {
     let (client, handle, join) = boot_coordinator(&[], ServerConfig::default());
-    let reply = client.submit_distributed(medium_spec()).unwrap();
-    let id = reply["id"].as_str().unwrap().to_string();
+    let id = id_of(client.submit_distributed(medium_spec()));
     let summary = client.watch(&id, |_| true).unwrap();
     assert_eq!(summary["event"].as_str(), Some("completed"));
     assert_eq!(summary["points"].as_u64(), Some(16));
@@ -364,64 +249,76 @@ fn coordinator_without_workers_falls_back_to_local_execution() {
     join.join().unwrap();
 }
 
-#[test]
-fn distributed_jobs_cancel_cooperatively() {
-    use std::io::Write;
-    use std::sync::Condvar;
+/// The lease `DELETE` path a scripted worker received, and its signal.
+type Deleted = Arc<(Mutex<Option<String>>, Condvar)>;
 
-    // A fake worker that streams `started` and the first point of its
-    // lease, then holds the stream open — heartbeating, as a real
-    // worker does on a quiet stream — until the coordinator's DELETE
-    // for that lease arrives. The sweep is mid-flight for as long as
-    // the test needs, with no timing assumption.
-    let deleted: Arc<(Mutex<Option<String>>, Condvar)> = Arc::default();
-    let lease: Mutex<Option<synapse_campaign::ScenarioPoint>> = Mutex::new(None);
-    let addr = fake_worker({
-        let deleted = deleted.clone();
-        move |request, mut out| match (request.method.as_str(), request.path()) {
-            ("POST", "/leases") => {
-                let body = String::from_utf8(request.body.clone()).expect("utf8 body");
-                let request: synapse_server::LeaseRequest =
-                    serde_json::from_str(&body).expect("lease body");
-                *lease.lock().unwrap() =
-                    Some(synapse_campaign::expand(&request.spec)[request.start].clone());
-                respond(
-                    out,
-                    202,
-                    "Accepted",
-                    &serde_json::json!({"id": "c1", "status": "queued"}),
-                );
-            }
-            ("GET", "/campaigns/c1/events") => {
-                let point = lease.lock().unwrap().clone().expect("lease posted first");
-                let result = synapse_campaign::simulate_point(&point).expect("simulate point");
-                let line = synapse_server::lease_batch_line(&[(Arc::new(result), false)], None);
-                let _ = out.write_all(STREAM_HEAD);
-                let _ = out.write_all(&chunk("{\"event\":\"started\"}"));
-                let _ = out.write_all(&chunk(&line));
-                let (path, arrived) = &*deleted;
-                let mut path = path.lock().unwrap();
-                while path.is_none() {
-                    path = arrived
-                        .wait_timeout(path, Duration::from_millis(10))
-                        .unwrap()
-                        .0;
-                    if path.is_none() && out.write_all(&chunk("{\"event\":\"heartbeat\"}")).is_err()
-                    {
-                        return;
+/// A scripted socket worker: its lease stream sends `started` and the
+/// lease's first point, then heartbeats — as a real worker does on a
+/// quiet stream — until the coordinator's `DELETE` for the lease
+/// arrives, so the sweep stays mid-flight with no timing assumption.
+/// Returns its address and the DELETE path it received.
+fn held_lease_worker() -> (String, Deleted) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let deleted: Deleted = Arc::default();
+    let lease: Arc<Mutex<Option<LeaseRequest>>> = Arc::default();
+    let seen = deleted.clone();
+    std::thread::spawn(move || {
+        for mut out in listener.incoming().map_while(Result::ok) {
+            let (deleted, lease) = (seen.clone(), lease.clone());
+            // Each request on its own thread: probes and the DELETE
+            // are answered while the lease stream is held open.
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(out.try_clone().unwrap());
+                let Ok(request) = http::read_request(&mut reader) else {
+                    return;
+                };
+                let mut reply = json!({"status": "ok"});
+                match (request.method.as_str(), request.path()) {
+                    ("POST", "/leases") => {
+                        let body = std::str::from_utf8(&request.body).unwrap();
+                        *lease.lock().unwrap() = serde_json::from_str(body).ok();
+                        reply = json!({"id": "c1", "status": "queued"});
                     }
+                    ("GET", "/campaigns/c1/events") => {
+                        let lease = lease.lock().unwrap().clone().expect("lease posted first");
+                        let point = &expand_range(&lease.spec, lease.start, lease.start + 1)[0];
+                        let result = Arc::new(simulate_point(point).unwrap());
+                        let batch = lease_batch_line(&[(result, false)], None);
+                        let mut bytes = http::stream_head_bytes("application/x-ndjson");
+                        let chunk = |bytes: &mut Vec<u8>, line: &str| {
+                            http::append_chunk(bytes, format!("{line}\n").as_bytes());
+                        };
+                        chunk(&mut bytes, "{\"event\":\"started\"}");
+                        chunk(&mut bytes, &batch);
+                        let (path, arrived) = &*deleted;
+                        let mut path = path.lock().unwrap();
+                        while path.is_none() && out.write_all(&bytes).is_ok() {
+                            bytes.clear();
+                            chunk(&mut bytes, "{\"event\":\"heartbeat\"}");
+                            path = arrived
+                                .wait_timeout(path, Duration::from_millis(10))
+                                .unwrap()
+                                .0;
+                        }
+                        return; // the coordinator hung up before its DELETE
+                    }
+                    ("DELETE", path) => {
+                        *deleted.0.lock().unwrap() = Some(path.to_string());
+                        deleted.1.notify_all();
+                    }
+                    _ => {}
                 }
-                let _ = out.write_all(&chunk("{\"event\":\"cancelled\"}"));
-                let _ = out.write_all(b"0\r\n\r\n");
-            }
-            ("DELETE", p) => {
-                *deleted.0.lock().unwrap() = Some(p.to_string());
-                deleted.1.notify_all();
-                respond(out, 200, "OK", &serde_json::json!({"status": "cancelled"}));
-            }
-            _ => respond(out, 200, "OK", &serde_json::json!({"status": "ok"})),
+                let _ = out.write_all(&http::json_bytes(200, "OK", &reply));
+            });
         }
     });
+    (addr, deleted)
+}
+
+#[test]
+fn distributed_jobs_cancel_cooperatively() {
+    let (addr, deleted) = held_lease_worker();
     let (client, handle, join) = boot_coordinator(&[&addr], ServerConfig::default());
 
     let reply = client.submit_distributed(medium_spec()).unwrap();
@@ -445,11 +342,7 @@ fn distributed_jobs_cancel_cooperatively() {
         .unwrap();
     let (done, aggregates) = mid_sweep.expect("no point event before the terminal");
     assert_eq!(done, 1);
-    assert_eq!(
-        aggregates["points"].as_u64(),
-        Some(done),
-        "mid-sweep aggregates: {aggregates:?}"
-    );
+    assert_eq!(aggregates["points"].as_u64(), Some(done), "{aggregates:?}");
     assert_eq!(
         aggregates["overall"]["metrics"]["tx"]["n"].as_u64(),
         Some(done)
@@ -459,7 +352,8 @@ fn distributed_jobs_cancel_cooperatively() {
     assert!(summary["done"].as_u64().unwrap() < total, "{summary:?}");
     let status = client.status(&id).unwrap();
     assert_eq!(status["status"].as_str(), Some("cancelled"), "{status:?}");
-    // The coordinator stopped the worker-side sweep of its open lease.
+    // The coordinator stopped the worker-side sweep of its open lease
+    // with a DELETE over the socket.
     assert_eq!(
         deleted.0.lock().unwrap().as_deref(),
         Some("/campaigns/c1"),
@@ -485,10 +379,7 @@ fn workers_sharing_one_cache_dir_assemble_the_full_grid() {
     let (addr2, _c2, h2, j2) = boot_worker(shared());
     let (client, handle, join) = boot_coordinator(&[&addr1, &addr2], ServerConfig::default());
 
-    let id = client.submit_distributed(medium_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let id = id_of(client.submit_distributed(medium_spec()));
     let summary = client.watch(&id, |_| true).unwrap();
     assert_eq!(summary["event"].as_str(), Some("completed"));
     assert_eq!(summary["cache_hit_rate"].as_f64(), Some(0.0), "cold run");
@@ -510,10 +401,7 @@ fn workers_sharing_one_cache_dir_assemble_the_full_grid() {
 
     // A fresh process over the same directory sees the whole grid.
     let (_, c3, h3, j3) = boot_worker(shared());
-    let id = c3.submit(medium_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let id = id_of(c3.submit(medium_spec()));
     let summary = c3.watch(&id, |_| true).unwrap();
     assert_eq!(
         summary["cache_hit_rate"].as_f64(),
@@ -523,248 +411,6 @@ fn workers_sharing_one_cache_dir_assemble_the_full_grid() {
     h3.shutdown();
     j3.join().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn frozen_worker_stream_fails_fast_and_reassigns() {
-    use std::io::{BufReader, Write};
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    // A fake worker that accepts a lease, establishes its event
-    // stream, then freezes — no events, no heartbeats, socket held
-    // open. From the coordinator's side this is a hung or partitioned
-    // worker, the case a flat 60 s socket timeout used to sit on.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let frozen = Arc::new(AtomicBool::new(false));
-    let fake = {
-        let frozen = frozen.clone();
-        std::thread::spawn(move || {
-            let mut held_open = Vec::new();
-            for conn in listener.incoming() {
-                let Ok(stream) = conn else { break };
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let Ok(request) = synapse_server::http::read_request(&mut reader) else {
-                    continue;
-                };
-                let mut out = stream;
-                match (request.method.as_str(), request.path()) {
-                    // Healthy until the freeze: registration and the
-                    // first post-failure probe must see it alive or
-                    // dead respectively.
-                    ("GET", "/healthz") => {
-                        if frozen.load(Ordering::SeqCst) {
-                            break; // stop answering entirely: worker is gone
-                        }
-                        respond(out, 200, "OK", &serde_json::json!({"status": "ok"}));
-                    }
-                    ("POST", "/leases") => respond(
-                        out,
-                        202,
-                        "Accepted",
-                        &serde_json::json!({"id": "j1", "status": "queued"}),
-                    ),
-                    (_, path) if path.ends_with("/events") => {
-                        // Stream head + one started event, then
-                        // silence with the socket held open.
-                        let _ = out.write_all(STREAM_HEAD);
-                        let _ = out.write_all(&chunk("{\"event\":\"started\"}"));
-                        frozen.store(true, Ordering::SeqCst);
-                        held_open.push(out);
-                    }
-                    _ => respond(out, 200, "OK", &serde_json::json!({})),
-                }
-            }
-        })
-    };
-
-    // A coordinator with an aggressive silence threshold (the default
-    // is 2× the 10 s heartbeat interval; tests cannot wait that long).
-    let coordinator = Arc::new(Coordinator::new(ClusterConfig {
-        stream_silence: Duration::from_millis(400),
-    }));
-    coordinator.registry().register(&addr);
-    let config = ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        ..Default::default()
-    };
-    let server = Server::bind(config)
-        .expect("bind coordinator")
-        .with_cluster(coordinator);
-    let handle = server.handle().expect("handle");
-    let coord_addr = server.local_addr().expect("addr").to_string();
-    let join = std::thread::spawn(move || server.run().expect("run"));
-    let client = Client::new(coord_addr);
-
-    // The distributed job must complete despite the frozen worker: the
-    // stalled stream surfaces as a retriable disconnect well inside
-    // the old 60 s socket timeout, the worker probe fails, and the
-    // lease reassigns to the coordinator's local fallback.
-    let started = Instant::now();
-    let reply = client.submit_distributed(medium_spec()).unwrap();
-    let id = reply["id"].as_str().unwrap().to_string();
-    let status = await_terminal(&client, &id);
-    assert_eq!(status["status"].as_str(), Some("completed"), "{status:?}");
-    assert_eq!(status["done"].as_u64(), Some(16));
-    assert!(
-        started.elapsed() < Duration::from_secs(30),
-        "freeze detected promptly, not after a flat socket timeout: {:?}",
-        started.elapsed()
-    );
-
-    // The merged report is still byte-identical to a single-process
-    // run — the aborted lease left no trace.
-    let merged = serde_json::to_string(&client.report(&id).unwrap()).unwrap();
-    assert_eq!(merged, single_process_report(medium_spec()).0);
-
-    // The registry observed the death.
-    let cluster = client.cluster_status().unwrap();
-    assert_eq!(cluster["live"].as_u64(), Some(0), "{cluster:?}");
-
-    handle.shutdown();
-    join.join().unwrap();
-    // The fake's accept loop ends when its listener errors (process
-    // teardown) or the frozen healthz probe breaks it out.
-    drop(fake);
-}
-
-#[test]
-fn straggling_lease_tail_splits_and_fast_workers_set_the_makespan() {
-    use std::collections::HashMap;
-    use std::io::Write;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-    // 64 points across 2 workers: 8 main leases of ~8 points (plus a
-    // 1-point probe per unmeasured worker) — big enough tails for the
-    // MIN_SPLIT_POINTS=4 splitting floor.
-    let spec_text = r#"
-    name = "cluster-straggler"
-    seed = 41
-    machines = ["thinkie", "comet", "stampede", "titan"]
-    kernels = ["asm", "c"]
-    modes = ["openmp", "mpi"]
-
-    [[workloads]]
-    app = "gromacs"
-    steps = [10000, 20000, 50000, 100000]
-    "#;
-
-    // A fake worker that serves CORRECT lease results but crawls: on
-    // any multi-point lease it sleeps ~3 s before each point, so a
-    // full 8-point lease would take ~24 s on its own. Probe leases
-    // (1 point) run at full speed so this worker measures healthy and
-    // promptly claims a big main lease.
-    let cancelled = Arc::new(AtomicBool::new(false));
-    let leases: Mutex<HashMap<String, Vec<synapse_campaign::ScenarioPoint>>> =
-        Mutex::new(HashMap::new());
-    let next_id = AtomicUsize::new(0);
-    let addr = fake_worker({
-        let cancelled = cancelled.clone();
-        move |request, mut out| match (request.method.as_str(), request.path()) {
-            ("POST", "/leases") => {
-                let body = String::from_utf8(request.body.clone()).expect("utf8 body");
-                let lease: synapse_server::LeaseRequest =
-                    serde_json::from_str(&body).expect("lease body");
-                let slice = synapse_campaign::expand(&lease.spec)[lease.start..lease.end].to_vec();
-                let id = format!("s{}", next_id.fetch_add(1, Ordering::SeqCst) + 1);
-                leases.lock().unwrap().insert(id.clone(), slice);
-                respond(
-                    out,
-                    202,
-                    "Accepted",
-                    &serde_json::json!({"id": id, "status": "queued"}),
-                );
-            }
-            ("GET", p) if p.contains("/events") => {
-                let id = p.split('/').nth(2).unwrap_or_default().to_string();
-                let slice = leases.lock().unwrap().get(&id).cloned().unwrap_or_default();
-                let _ = out.write_all(STREAM_HEAD);
-                let _ = out.write_all(&chunk("{\"event\":\"started\"}"));
-                let slow = slice.len() > 1;
-                'points: for point in &slice {
-                    if slow {
-                        for _ in 0..30 {
-                            if cancelled.load(Ordering::SeqCst) {
-                                break 'points;
-                            }
-                            std::thread::sleep(Duration::from_millis(100));
-                        }
-                    }
-                    let result = synapse_campaign::simulate_point(point).expect("simulate point");
-                    let line = synapse_server::lease_batch_line(&[(Arc::new(result), false)], None);
-                    if out.write_all(&chunk(&line)).is_err() {
-                        break;
-                    }
-                }
-                let done = format!("{{\"event\":\"completed\",\"points\":{}}}", slice.len());
-                let _ = out.write_all(&chunk(&done));
-                let _ = out.write_all(b"0\r\n\r\n");
-            }
-            ("DELETE", p) if p.starts_with("/campaigns/") => {
-                cancelled.store(true, Ordering::SeqCst);
-                respond(out, 200, "OK", &serde_json::json!({"status": "cancelled"}));
-            }
-            _ => respond(out, 200, "OK", &serde_json::json!({"status": "ok"})),
-        }
-    });
-
-    let (fast_addr, _fc, fh, fj) = boot_worker(ServerConfig::default());
-    let (client, handle, join) = boot_coordinator(&[&fast_addr, &addr], ServerConfig::default());
-
-    let started = Instant::now();
-    let reply = client.submit_distributed(spec_text).unwrap();
-    assert_eq!(reply["points"].as_u64(), Some(64));
-    let id = reply["id"].as_str().unwrap().to_string();
-    let status = await_terminal(&client, &id);
-    assert_eq!(status["status"].as_str(), Some("completed"), "{status:?}");
-    assert_eq!(status["done"].as_u64(), Some(64));
-
-    // The makespan is set by the fast worker, not the straggler: an
-    // idle driver re-offered the crawling lease's tail as a new
-    // (overlapping) lease, swept it, and the coordinator hung up on
-    // the straggler the moment the grid was point-complete. Unsplit,
-    // the straggler's ~8-point lease alone needs ~24 s.
-    assert!(
-        started.elapsed() < Duration::from_secs(20),
-        "straggler tail was not split: {:?}",
-        started.elapsed()
-    );
-    assert!(
-        cancelled.load(Ordering::SeqCst),
-        "the straggler's sweep was never cancelled, so its lease ran to the end"
-    );
-
-    // Speculation left no trace in the merged result.
-    let merged = serde_json::to_string(&client.report(&id).unwrap()).unwrap();
-    assert_eq!(merged, single_process_report(spec_text).0);
-
-    // The split shows up on the coordinator's own scrape.
-    let metrics = client.metrics().unwrap();
-    let split: f64 = metrics
-        .lines()
-        .filter_map(|l| l.split_once(' '))
-        .find(|(n, _)| *n == "synapse_cluster_leases_split_total")
-        .and_then(|(_, v)| v.parse().ok())
-        .expect("split counter missing from scrape");
-    assert!(split >= 1.0, "no lease was ever split: {metrics}");
-
-    // Exactly-once aggregation under overlap: the split tail and its
-    // parent both streamed the shared indices, yet the live view
-    // counts each grid point once.
-    let aggregates = client.aggregates(&id, Some("machine"), None).unwrap();
-    assert_eq!(aggregates["points"].as_u64(), Some(64), "{aggregates:?}");
-    let per_machine: u64 = aggregates["slices"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|s| s["metrics"]["tx"]["n"].as_u64().unwrap())
-        .sum();
-    assert_eq!(per_machine, 64, "machine slices: {aggregates:?}");
-
-    handle.shutdown();
-    join.join().unwrap();
-    fh.shutdown();
-    fj.join().unwrap();
 }
 
 #[test]
@@ -810,90 +456,4 @@ fn registry_endpoints_roundtrip_over_http() {
 
     handle.shutdown();
     join.join().unwrap();
-}
-
-#[test]
-fn cluster_recorded_trace_replays_to_the_single_process_report() {
-    use synapse_trace::{ReplayMode, Trace};
-    let (addr1, _c1, h1, j1) = boot_worker(ServerConfig::default());
-    let (addr2, _c2, h2, j2) = boot_worker(ServerConfig::default());
-    let (client, handle, join) = boot_coordinator(&[&addr1, &addr2], ServerConfig::default());
-
-    let ack = client.submit_recorded(medium_spec(), true).unwrap();
-    assert_eq!(ack["distributed"].as_bool(), Some(true));
-    let id = ack["id"].as_str().unwrap().to_string();
-    let trace_id = ack["trace"]
-        .as_str()
-        .expect("ack carries trace id")
-        .to_string();
-    await_terminal(&client, &id);
-
-    // Fetch the sealed trace (small window between terminal status
-    // and the queue worker rendering the document).
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let text = loop {
-        match client.trace(&id) {
-            Ok(text) => break text,
-            Err(e) => assert!(Instant::now() < deadline, "trace never sealed: {e}"),
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-
-    let trace = Trace::parse(&text).unwrap();
-    assert_eq!(trace.header.trace_id, trace_id);
-    let summary = trace.verify(ReplayMode::Strict).unwrap();
-    assert!(summary.is_clean());
-    assert_eq!(summary.points, 16);
-
-    // The lease lifecycle is in the trace: every lease was recorded
-    // as assigned and completed, attributed to a worker address.
-    let leases: Vec<&str> = text
-        .lines()
-        .filter(|l| l.starts_with("{\"kind\":\"lease\""))
-        .collect();
-    let assigned = leases
-        .iter()
-        .filter(|l| l.contains("\"phase\":\"assigned\""))
-        .count();
-    let completed = leases
-        .iter()
-        .filter(|l| l.contains("\"phase\":\"completed\""))
-        .count();
-    assert!(assigned >= 8, "expected >= 8 assigned leases: {assigned}");
-    assert!(
-        completed >= 8,
-        "expected >= 8 completed leases: {completed}"
-    );
-    let worker_ids: std::collections::BTreeSet<String> = leases
-        .iter()
-        .filter_map(|l| {
-            serde_json::from_str::<Value>(l)
-                .ok()
-                .and_then(|v| v["worker"].as_str().map(str::to_string))
-        })
-        .collect();
-    assert!(
-        worker_ids.len() >= 2,
-        "lease annotations attribute both workers: {worker_ids:?}"
-    );
-
-    // Replaying the cluster-recorded trace reconstructs the exact
-    // bytes of the single-process report — the acceptance gate.
-    let pretty = trace
-        .reconstruct_report()
-        .unwrap()
-        .to_json_pretty()
-        .unwrap();
-    let reconstructed: Value = serde_json::from_str(&pretty).unwrap();
-    assert_eq!(
-        serde_json::to_string(&reconstructed).unwrap(),
-        single_process_report(medium_spec()).0
-    );
-
-    handle.shutdown();
-    join.join().unwrap();
-    h1.shutdown();
-    j1.join().unwrap();
-    h2.shutdown();
-    j2.join().unwrap();
 }

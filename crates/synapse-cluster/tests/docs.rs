@@ -61,6 +61,7 @@ fn pinned_constants() -> Vec<(&'static str, String)> {
         synapse_cluster::coordinator::MAX_LEASE_ATTEMPTS,
         synapse_cluster::coordinator::LEASE_BACKOFF_STEP,
         synapse_cluster::coordinator::LEASE_BACKOFF_MAX_STEPS,
+        synapse_cluster::coordinator::PROBE_TIMEOUT,
     ]
 }
 

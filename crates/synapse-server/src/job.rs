@@ -331,10 +331,18 @@ impl Job {
         self.recorder.get()
     }
 
-    /// Store the finished job's rendered trace document (idempotent —
-    /// first render wins, matching the determinism contract).
-    pub fn set_trace_doc(&self, doc: String) {
-        let _ = self.trace_doc.set(doc);
+    /// Seal a recorded job's trace: render the document from whatever
+    /// was captured (completed, cancelled and failed runs all leave a
+    /// coherent trace). Every path that ends a job calls it before
+    /// the job's state turns terminal, so a client that sees the job
+    /// end can fetch the trace at once. Idempotent — the first render
+    /// wins, matching the determinism contract.
+    pub fn seal_trace(&self) {
+        if let Some(recorder) = self.recorder() {
+            if self.trace_doc.get().is_none() {
+                let _ = self.trace_doc.set(recorder.render());
+            }
+        }
     }
 
     /// The finished job's rendered trace, if it was recorded.
@@ -465,6 +473,7 @@ impl Job {
         self.cancel.cancel();
         let settled = self.with_progress(|p| {
             if p.state == JobState::Queued {
+                self.seal_trace();
                 p.state = JobState::Cancelled;
                 true
             } else {

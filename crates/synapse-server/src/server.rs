@@ -333,13 +333,11 @@ impl ServerState {
         job
     }
 
-    /// Seal a recorded job's trace: render the document (whatever was
-    /// captured — completed, cancelled or failed runs all leave a
-    /// coherent trace) and retire the live recorder so span stamping
-    /// stops. Idempotent; every path that terminates a job calls it.
+    /// Retire a finished job's live recorder so span stamping stops
+    /// (its trace was sealed before the job turned terminal).
+    /// Idempotent; every path that terminates a job calls it.
     pub(crate) fn finalize_trace(&self, job: &Arc<Job>) {
         if let Some(recorder) = job.recorder() {
-            job.set_trace_doc(recorder.render());
             self.recorders
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -616,6 +614,7 @@ fn run_job(state: &ServerState, job: &Arc<Job>) {
             if p.state.is_terminal() {
                 true
             } else {
+                job.seal_trace();
                 p.state = JobState::Cancelled;
                 false
             }
@@ -837,8 +836,8 @@ fn emit_snapshot_delta(job: &Arc<Job>, force: bool) {
     job.push_shared_event(line);
 }
 
-/// Publish a finished (or failed) outcome: final state, report, and
-/// exactly one terminal event.
+/// Publish a finished (or failed) outcome: sealed trace, final state,
+/// report, and exactly one terminal event.
 fn publish_outcome(
     job: &Arc<Job>,
     outcome: Result<synapse_campaign::CampaignOutcome, CampaignError>,
@@ -851,15 +850,17 @@ fn publish_outcome(
     if !matches!(job.kind, JobKind::Lease { .. }) {
         emit_snapshot_delta(job, true);
     }
+    // Stage timings land in the trace here, not in the engine's
+    // Finished event — expand/aggregate walls are only known once the
+    // full run returns. Then the trace is sealed, before the state
+    // turns terminal.
+    if let (Ok(outcome), Some(recorder)) = (&outcome, job.recorder()) {
+        recorder.record_stats(&outcome.stats);
+    }
+    job.seal_trace();
     match outcome {
         Ok(outcome) => {
             let stats = outcome.stats;
-            // Stage timings land in the trace here, not in the engine's
-            // Finished event — expand/aggregate walls are only known
-            // once the full run returns.
-            if let Some(recorder) = job.recorder() {
-                recorder.record_stats(&stats);
-            }
             job.set_report(outcome.report);
             job.with_progress(|p| {
                 p.state = JobState::Completed;

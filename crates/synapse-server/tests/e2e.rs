@@ -11,7 +11,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use serde_json::Value;
-use synapse_server::{Client, Server, ServerConfig, ServerHandle};
+use synapse_server::{Client, Server, ServerConfig, ServerError, ServerHandle};
 
 /// Boot a server with the given config (addr forced ephemeral),
 /// returning a client bound to it and the shutdown handle.
@@ -43,21 +43,26 @@ fn small_spec() -> &'static str {
     "#
 }
 
-/// Wait until the job reaches a terminal status, returning it.
+/// The job id in a submit ack.
+fn id_of(ack: Result<Value, ServerError>) -> String {
+    ack.unwrap()["id"].as_str().unwrap().to_string()
+}
+
+/// Block until the job ends, returning its terminal status: the
+/// server sets the terminal state before it pushes the terminal event.
+/// The stream's heartbeats bound the wait: a job still running after
+/// 120 s fails the test, named.
 fn await_terminal(client: &Client, id: &str) -> Value {
     let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let status = client.status(id).expect("status");
-        let state = status["status"]
-            .as_str()
-            .expect("status string")
-            .to_string();
-        if ["completed", "cancelled", "failed"].contains(&state.as_str()) {
-            return status;
-        }
-        assert!(Instant::now() < deadline, "job {id} stuck in {state}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    let in_time = |_: &str| Instant::now() < deadline;
+    client.watch_with_keepalive(id, in_time).expect("watch");
+    let status = client.status(id).expect("status");
+    let state = status["status"].as_str().unwrap_or_default();
+    assert!(
+        ["completed", "cancelled", "failed"].contains(&state),
+        "job {id} stuck in {state}"
+    );
+    status
 }
 
 #[test]
@@ -423,10 +428,7 @@ fn cancelling_a_queued_job_settles_immediately() {
 #[test]
 fn watch_callback_can_hang_up_early() {
     let (client, handle, join) = boot(ServerConfig::default());
-    let id = client.submit(&example_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let id = id_of(client.submit(&example_spec()));
     // Stop after the first `point` event: watch must return promptly
     // with that event instead of draining the remaining grid.
     let mut seen = 0;
@@ -537,10 +539,7 @@ fn persistent_cache_dir_survives_server_restarts() {
         ..Default::default()
     };
     let (client, handle, join) = boot(config());
-    let id = client.submit(small_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let id = id_of(client.submit(small_spec()));
     let summary = client.watch(&id, |_| true).unwrap();
     assert_eq!(summary["simulated"].as_u64(), Some(8));
     handle.shutdown();
@@ -549,10 +548,7 @@ fn persistent_cache_dir_survives_server_restarts() {
     // A new process-analogue (fresh server, same dir) serves the same
     // spec without simulating anything.
     let (client2, handle2, join2) = boot(config());
-    let id2 = client2.submit(small_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let id2 = id_of(client2.submit(small_spec()));
     let summary2 = client2.watch(&id2, |_| true).unwrap();
     assert_eq!(summary2["cache_hit_rate"].as_f64(), Some(1.0));
     assert_eq!(summary2["simulated"].as_u64(), Some(0));
@@ -693,8 +689,7 @@ fn event_ring_truncates_replay_for_late_watchers() {
         event_buffer: 16,
         ..Default::default()
     });
-    let reply = client.submit(&example_spec()).unwrap();
-    let id = reply["id"].as_str().unwrap().to_string();
+    let id = id_of(client.submit(&example_spec()));
     await_terminal(&client, &id);
 
     let lines = Mutex::new(Vec::<Value>::new());
@@ -800,10 +795,7 @@ fn half_closing_clients_still_get_their_responses() {
 
     // Event stream: half-close right after the GET, then receive the
     // whole job history through the terminal event.
-    let id = client.submit(small_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let id = id_of(client.submit(small_spec()));
     let mut watcher = TcpStream::connect(handle.addr()).unwrap();
     write!(
         watcher,
@@ -1090,18 +1082,8 @@ fn a_thousand_idle_watchers_cost_fds_not_threads() {
     // heartbeats — the watchers are genuinely idle. Two hogs, not one:
     // attaching a thousand sockets takes seconds on a small box, and
     // a faster engine must not drain the queue in the meantime.
-    let hogs: Vec<String> = (0..2)
-        .map(|_| {
-            client.submit(huge_spec()).unwrap()["id"]
-                .as_str()
-                .unwrap()
-                .to_string()
-        })
-        .collect();
-    let quiet = client.submit(small_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let hogs: Vec<String> = (0..2).map(|_| id_of(client.submit(huge_spec()))).collect();
+    let quiet = id_of(client.submit(small_spec()));
 
     // The server reports its own live thread count through /healthz
     // (it runs in this test process, so this is the same number the
@@ -1171,14 +1153,8 @@ fn mid_stream_disconnect_reclaims_the_connection_slot() {
         ..Default::default()
     });
     // A queued job's stream stays open indefinitely (heartbeats only).
-    let hog = client.submit(huge_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
-    let quiet = client.submit(small_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let hog = id_of(client.submit(huge_spec()));
+    let quiet = id_of(client.submit(small_spec()));
     let watcher = raw_get(handle.addr(), &format!("/campaigns/{quiet}/events"));
     await_gauge(&client, |active| active >= 2, 30, "watcher attached");
 
@@ -1344,10 +1320,7 @@ fn metric_value(text: &str, name: &str) -> f64 {
 fn metrics_scrape_is_valid_exposition_and_spans_subsystems() {
     let (client, handle, join) = boot(ServerConfig::default());
     // One completed sweep populates the engine-side series.
-    let id = client.submit(small_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let id = id_of(client.submit(small_spec()));
     await_terminal(&client, &id);
     let text = client.metrics().unwrap();
     let series = assert_valid_exposition(&text);
@@ -1389,10 +1362,7 @@ fn metrics_scrape_is_valid_exposition_and_spans_subsystems() {
 #[test]
 fn metrics_counters_are_monotone_under_concurrent_scrapes_of_a_live_job() {
     let (client, handle, join) = boot(ServerConfig::default());
-    let id = client.submit(huge_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let id = id_of(client.submit(huge_spec()));
     // Let the sweep actually start moving before scraping.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
@@ -1444,19 +1414,13 @@ fn metrics_counters_are_monotone_under_concurrent_scrapes_of_a_live_job() {
 #[test]
 fn warm_resubmit_moves_the_cache_hit_counter() {
     let (client, handle, join) = boot(ServerConfig::default());
-    let id = client.submit(small_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let id = id_of(client.submit(small_spec()));
     let total = await_terminal(&client, &id)["total"].as_u64().unwrap();
     let cold = metric_value(
         &client.metrics().unwrap(),
         "synapse_engine_cache_hits_total",
     );
-    let id2 = client.submit(small_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let id2 = id_of(client.submit(small_spec()));
     let warm_status = await_terminal(&client, &id2);
     assert_eq!(warm_status["cache_hits"].as_u64(), Some(total));
     let warm = metric_value(
@@ -1473,58 +1437,35 @@ fn warm_resubmit_moves_the_cache_hit_counter() {
     join.join().unwrap();
 }
 
-/// Poll for the sealed trace: there is a small window where the job's
-/// status is terminal but the queue worker has not yet rendered the
-/// trace document.
-fn await_trace(client: &Client, id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match client.trace(id) {
-            Ok(text) => return text,
-            Err(e) => assert!(
-                Instant::now() < deadline,
-                "trace for {id} never sealed: {e}"
-            ),
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 #[test]
 fn recorded_job_serves_a_strict_replayable_trace() {
     use synapse_trace::{ReplayMode, Trace};
     let (client, handle, join) = boot(ServerConfig::default());
 
-    let ack = client.submit_recorded(small_spec(), false).unwrap();
-    let id = ack["id"].as_str().unwrap().to_string();
-    let trace_id = ack["trace"]
-        .as_str()
-        .expect("ack carries trace id")
-        .to_string();
-    await_terminal(&client, &id);
-
-    let text = await_trace(&client, &id);
+    // The trace is sealed before the job reports its end: a fetch
+    // straight after `watch` returns finds it every time, no retry.
+    let spec = example_spec();
+    let (mut id, mut ack, mut text) = (String::new(), Value::Null, String::new());
+    for _ in 0..60 {
+        ack = client.submit_recorded(&spec, false).unwrap();
+        id = ack["id"].as_str().unwrap().to_string();
+        client.watch(&id, |_| true).unwrap();
+        text = client.trace(&id).unwrap();
+    }
     let trace = Trace::parse(&text).unwrap();
-    assert_eq!(trace.header.trace_id, trace_id);
+    assert_eq!(Some(trace.header.trace_id.as_str()), ack["trace"].as_str());
     let summary = trace.verify(ReplayMode::Strict).unwrap();
     assert!(summary.is_clean());
-    assert_eq!(summary.points, 8);
+    assert_eq!(summary.points, 192);
 
     // The reconstructed report equals the one the server assembled
     // from the live sweep — the simulator never re-ran.
-    let pretty = trace
-        .reconstruct_report()
-        .unwrap()
-        .to_json_pretty()
-        .unwrap();
-    let reconstructed: Value = serde_json::from_str(&pretty).unwrap();
+    let pretty = trace.reconstruct_report().unwrap().to_json_pretty();
+    let reconstructed: Value = serde_json::from_str(&pretty.unwrap()).unwrap();
     assert_eq!(reconstructed, client.report(&id).unwrap());
 
     // A job submitted without ?record=1 has no trace to serve.
-    let plain = client.submit(small_spec()).unwrap()["id"]
-        .as_str()
-        .unwrap()
-        .to_string();
+    let plain = id_of(client.submit(small_spec()));
     await_terminal(&client, &plain);
     let err = client.trace(&plain).unwrap_err();
     assert!(
