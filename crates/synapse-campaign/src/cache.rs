@@ -9,9 +9,10 @@
 //! campaign pays for the points it adds, not for the points it has.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::path::Path;
 
-use serde::Serialize as _;
+use serde::{Serialize, Value};
 use synapse_store::{Document, ShardedDb, DEFAULT_DOC_LIMIT};
 
 use crate::error::CampaignError;
@@ -44,16 +45,9 @@ pub fn fingerprint(point: &ScenarioPoint) -> String {
     // The index is display-only; it is hashed as 0 so reordering axes
     // or growing the grid never changes a point's identity. Splicing
     // the digits out of the text costs nothing next to cloning the
-    // whole point (eight strings) to zero one field. No string value
-    // can hold this key text: the escaper writes a `"` inside a string
-    // as `\"`.
-    const INDEX_KEY: &str = ",\"index\":";
-    let at = json
-        .find(INDEX_KEY)
-        .expect("a serialized point carries its index")
-        + INDEX_KEY.len();
-    let digits = json[at..].bytes().take_while(u8::is_ascii_digit).count();
-    json.replace_range(at..at + digits, "0");
+    // whole point (eight strings) to zero one field.
+    let digits = index_digits(&json).expect("a serialized point carries its index");
+    json.replace_range(digits, "0");
     // The engine version is folded in twice: as the FNV seed *and* as
     // hashed bytes. Seeding alone only XORs the version into the
     // initial state, which a crafted (or unlucky) byte stream could
@@ -61,6 +55,45 @@ pub fn fingerprint(point: &ScenarioPoint) -> String {
     // irreversibly part of the digest.
     let _ = write!(json, "|engine={ENGINE_VERSION}");
     format!("{:016x}", fnv1a(json.as_bytes(), ENGINE_VERSION as u64))
+}
+
+/// Where the grid index's digits sit in the canonical text of a point,
+/// or of a result holding one; `None` if the text has no index key. No
+/// string value can hold the key text: the escaper writes a `"` inside
+/// a string as `\"`. A result's own keys sort around `point`, and none
+/// is `index`, so the first match is the point's.
+fn index_digits(json: &str) -> Option<Range<usize>> {
+    const INDEX_KEY: &str = ",\"index\":";
+    let at = json.find(INDEX_KEY)? + INDEX_KEY.len();
+    let digits = json[at..].bytes().take_while(u8::is_ascii_digit).count();
+    Some(at..at + digits)
+}
+
+/// A result as the cache stores it: its canonical JSON text, the bytes
+/// `serde_json::to_string(&PointResult)` writes. It serializes as that
+/// text, verbatim, so a landed hit crosses the wire without ever being
+/// decoded.
+#[derive(Debug, Clone)]
+pub struct ResultText(String);
+
+impl ResultText {
+    /// The text of `result`.
+    pub fn of(result: &PointResult) -> ResultText {
+        // A result renders to ~560 bytes: one allocation.
+        let mut text = String::with_capacity(640);
+        result.write_json(&mut text);
+        ResultText(text)
+    }
+}
+
+impl Serialize for ResultText {
+    fn serialize_value(&self) -> Value {
+        serde_json::from_str(&self.0).expect("a stored result text parses")
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.0);
+    }
 }
 
 /// Deterministic causality id for a campaign: the same spec (seed
@@ -104,8 +137,15 @@ impl ResultCache {
     /// files across `workers` threads (0 ⇒ one per core, capped at 16)
     /// so cache warm-up scales with the machine instead of a single
     /// reader.
+    ///
+    /// A stored document that does not decode as a [`PointResult`] is
+    /// dropped as it loads (and as a peer's save folds in later), so it
+    /// is a miss: [`get_text`](ResultCache::get_text) can then hand out
+    /// stored text without decoding it.
     pub fn open_with_workers(dir: impl AsRef<Path>, workers: usize) -> Result<Self, CampaignError> {
-        let db = ShardedDb::open_with_workers(dir, DEFAULT_DOC_LIMIT, engine_tag(), workers)?;
+        let db = ShardedDb::open_checked(dir, DEFAULT_DOC_LIMIT, engine_tag(), workers, |doc| {
+            doc.decode::<PointResult>().is_ok()
+        })?;
         Ok(ResultCache { db })
     }
 
@@ -122,6 +162,28 @@ impl ResultCache {
     /// returns, not a copy of the document first.
     pub fn get(&self, fingerprint: &str) -> Option<PointResult> {
         self.db.read(fingerprint, |doc| doc.decode().ok()).flatten()
+    }
+
+    /// The cached result for a fingerprint as its stored text, rebound
+    /// to grid position `index` — the same lookup as
+    /// [`get`](ResultCache::get), with no decode: the text is copied
+    /// once, under the store's read lock, with the index digits
+    /// replaced. Every stored text decodes (`put` writes canonical
+    /// text, and an open drops any that does not), so this answers
+    /// exactly where `get` does.
+    pub fn get_text(&self, fingerprint: &str, index: usize) -> Option<ResultText> {
+        self.db
+            .read(fingerprint, |doc| {
+                let text = doc.text();
+                let digits = index_digits(text)?;
+                let width = index.checked_ilog10().map_or(1, |d| d as usize + 1);
+                let mut out = String::with_capacity(text.len() - digits.len() + width);
+                out.push_str(&text[..digits.start]);
+                let _ = write!(out, "{index}");
+                out.push_str(&text[digits.end..]);
+                Some(ResultText(out))
+            })
+            .flatten()
     }
 
     /// Store a result under its fingerprint (idempotent): its
@@ -281,6 +343,47 @@ mod tests {
         // Idempotent.
         cache.put(&r.fingerprint, &r).unwrap();
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_text_hit_is_the_decoded_hit_written_back() {
+        let cache = ResultCache::in_memory();
+        let mut r = result_for(&points()[1]);
+        r.point.index = 42;
+        cache.put(&r.fingerprint, &r).unwrap();
+        for index in [42, 0, 7, 43, 99_999] {
+            r.point.index = index;
+            let text = cache.get_text(&r.fingerprint, index).unwrap();
+            assert_eq!(text.0, serde_json::to_string(&r).unwrap());
+            assert_eq!(text.0, ResultText::of(&r).0);
+        }
+        assert!(cache.get_text("0000000000000000", 0).is_none());
+        assert_eq!(index_digits(r#"{"app_tx":1.0}"#), None);
+    }
+
+    #[test]
+    fn a_stored_document_that_is_not_a_result_is_a_miss_after_reopen() {
+        let dir = tmpdir("undecodable");
+        let ps = points();
+        let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, engine_tag()).unwrap();
+        let good = result_for(&ps[0]);
+        db.upsert(Document::new(good.fingerprint.as_str(), &good).unwrap())
+            .unwrap();
+        // The index key is there; the numbers are not.
+        let mut bad = serde_json::to_value(result_for(&ps[1])).unwrap();
+        if let Value::Object(fields) = &mut bad {
+            fields.insert("tx".into(), Value::Str("slow".into()));
+        }
+        db.upsert(Document::new(fingerprint(&ps[1]), &bad).unwrap())
+            .unwrap();
+        db.save().unwrap();
+
+        let cache = ResultCache::open(&dir).unwrap();
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(&fingerprint(&ps[1])).is_none());
+        assert!(cache.get_text(&fingerprint(&ps[1]), 1).is_none());
+        assert_eq!(cache.get(&good.fingerprint).unwrap(), good);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -14,12 +14,18 @@
 //! The observer runs on worker threads: it must be `Sync`, and it
 //! should be cheap (push to a buffer, send on a channel) — a slow
 //! observer backpressures the sweep.
+//!
+//! A landed point takes the form its consumer needs ([`PointForm`]):
+//! a decoded [`PointResult`] for a local sweep, or the cache's stored
+//! text ([`ResultText`]) for a consumer that only forwards it. The
+//! caller's type picks the form; there is one sweep loop for both.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::cache::{fingerprint, ResultCache};
+use crate::cache::{fingerprint, ResultCache, ResultText};
 use crate::error::CampaignError;
 use crate::grid::ScenarioPoint;
 use crate::metrics::EngineMetrics;
@@ -54,9 +60,45 @@ impl CancelToken {
     }
 }
 
-/// What the engine tells its observer while a sweep runs.
+/// The form a landed point takes: what the engine keeps, hands its
+/// observer and returns.
+pub trait PointForm: Clone + Send + Sync {
+    /// The cached result under `fingerprint`, rebound to grid position
+    /// `index`, or `None` on a miss. The fingerprint excludes the grid
+    /// index, so a hit may come from a differently-shaped grid (a grown
+    /// campaign).
+    fn cached(cache: &ResultCache, fingerprint: &str, index: usize) -> Option<Self>;
+
+    /// A freshly simulated result (already in the cache).
+    fn simulated(result: PointResult) -> Self;
+}
+
+impl PointForm for PointResult {
+    fn cached(cache: &ResultCache, fingerprint: &str, index: usize) -> Option<Self> {
+        let mut hit = cache.get(fingerprint)?;
+        hit.point.index = index;
+        Some(hit)
+    }
+
+    fn simulated(result: PointResult) -> Self {
+        result
+    }
+}
+
+impl PointForm for ResultText {
+    fn cached(cache: &ResultCache, fingerprint: &str, index: usize) -> Option<Self> {
+        cache.get_text(fingerprint, index)
+    }
+
+    fn simulated(result: PointResult) -> Self {
+        ResultText::of(&result)
+    }
+}
+
+/// What the engine tells its observer while a sweep runs; a landed
+/// point arrives in the engine's [`PointForm`].
 #[derive(Debug, Clone)]
-pub enum PointEvent {
+pub enum PointEvent<T = PointResult> {
     /// The sweep is about to start executing points.
     Started {
         /// Total points in the grid.
@@ -67,7 +109,7 @@ pub enum PointEvent {
         /// The point's result, shared with the engine's own collection
         /// (an `Arc` so emitting costs no copy; it also keeps this
         /// variant pointer-sized).
-        result: Arc<PointResult>,
+        result: Arc<T>,
         /// Whether the result came from the cache.
         cached: bool,
         /// Points completed so far, this one included.
@@ -91,39 +133,55 @@ pub enum PointEvent {
 
 /// The point-execution core: a worker pool over one scenario grid,
 /// memoizing through a [`ResultCache`] and reporting progress through
-/// an observer callback.
-pub struct CampaignEngine<'a> {
+/// an observer callback. Points land as `T` (see [`PointForm`]).
+pub struct CampaignEngine<'a, T = PointResult> {
     points: &'a [ScenarioPoint],
     cache: &'a ResultCache,
     config: &'a RunConfig,
+    form: PhantomData<fn() -> T>,
 }
 
 impl<'a> CampaignEngine<'a> {
-    /// An engine over `points`, memoizing through `cache`.
+    /// An engine over `points`, memoizing through `cache`, landing
+    /// decoded [`PointResult`]s.
     pub fn new(
         points: &'a [ScenarioPoint],
         cache: &'a ResultCache,
         config: &'a RunConfig,
     ) -> CampaignEngine<'a> {
+        CampaignEngine::landing(points, cache, config)
+    }
+}
+
+impl<'a, T: PointForm> CampaignEngine<'a, T> {
+    /// An engine over `points`, memoizing through `cache`, landing
+    /// points as `T` — named by the caller's type, e.g.
+    /// `CampaignEngine::<ResultText>::landing(..)`.
+    pub fn landing(
+        points: &'a [ScenarioPoint],
+        cache: &'a ResultCache,
+        config: &'a RunConfig,
+    ) -> CampaignEngine<'a, T> {
         CampaignEngine {
             points,
             cache,
             config,
+            form: PhantomData,
         }
     }
 
     /// Run the sweep to completion (or cancellation), emitting a
     /// [`PointEvent`] per landed point. Results return in grid order
-    /// regardless of completion order.
+    /// regardless of completion order, in the form they landed in.
     ///
     /// Returns [`CampaignError::Cancelled`] when `cancel` fired before
     /// the grid drained; partial results are dropped (they are still
     /// in the cache, so a re-run pays nothing for them).
     pub fn run(
         &self,
-        observer: &(dyn Fn(PointEvent) + Sync),
+        observer: &(dyn Fn(PointEvent<T>) + Sync),
         cancel: &CancelToken,
-    ) -> Result<(Vec<PointResult>, RunStats), CampaignError> {
+    ) -> Result<(Vec<T>, RunStats), CampaignError> {
         let points = self.points;
         let started = Instant::now();
         let next = AtomicUsize::new(0);
@@ -134,7 +192,7 @@ impl<'a> CampaignEngine<'a> {
         let done: Mutex<usize> = Mutex::new(0);
         let simulated = AtomicUsize::new(0);
         let cache_hits = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<Arc<PointResult>>>> = Mutex::new(vec![None; points.len()]);
+        let results: Mutex<Vec<Option<Arc<T>>>> = Mutex::new(vec![None; points.len()]);
         let first_error: Mutex<Option<CampaignError>> = Mutex::new(None);
 
         observer(PointEvent::Started {
@@ -158,18 +216,13 @@ impl<'a> CampaignEngine<'a> {
             let point = &points[idx];
             let fp = fingerprint(point);
             let lookup_started = Instant::now();
-            let probed = self.cache.get(&fp);
+            let probed = T::cached(self.cache, &fp, point.index);
             metrics.cache_lookup_seconds.observe_since(lookup_started);
             metrics.points.inc();
             let (outcome, cached) = match probed {
-                Some(mut hit) => {
+                Some(hit) => {
                     cache_hits.fetch_add(1, Ordering::Relaxed);
                     metrics.cache_hits.inc();
-                    // The fingerprint excludes the grid index,
-                    // so a hit may come from a differently-
-                    // shaped grid (a grown campaign): rebind it
-                    // to this run's position.
-                    hit.point.index = point.index;
                     (Ok(hit), true)
                 }
                 None => {
@@ -180,7 +233,7 @@ impl<'a> CampaignEngine<'a> {
                         metrics.simulate_seconds.observe_since(sim_started);
                         metrics.samples_replayed.add(r.samples as u64);
                         self.cache.put(&r.fingerprint, &r)?;
-                        Ok(r)
+                        Ok(T::simulated(r))
                     });
                     (fresh, false)
                 }

@@ -68,8 +68,8 @@ pub mod spec;
 pub mod toml;
 
 pub use aggregate::{AxisSlice, Percentiles, ReferenceError};
-pub use cache::{campaign_trace_id, fingerprint, ResultCache, ENGINE_VERSION};
-pub use engine::{CampaignEngine, CancelToken, PointEvent};
+pub use cache::{campaign_trace_id, fingerprint, ResultCache, ResultText, ENGINE_VERSION};
+pub use engine::{CampaignEngine, CancelToken, PointEvent, PointForm};
 pub use error::CampaignError;
 pub use grid::{
     atoms_by_name, expand, expand_range, fs_by_name, sample_order_by_name, AtomSet, ScenarioPoint,

@@ -243,7 +243,7 @@ mod tests {
             other => panic!("wrong parse: {other:?}"),
         }
         // An empty batch is legal (a lease can flush nothing).
-        match parse_event(&synapse_server::lease_batch_line(&[], None)) {
+        match parse_event(&synapse_server::lease_batch_line::<PointResult>(&[], None)) {
             Some(WorkerEvent::Batch(points)) => assert!(points.is_empty()),
             other => panic!("wrong parse: {other:?}"),
         }

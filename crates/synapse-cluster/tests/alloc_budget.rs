@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use synapse_campaign::{
     expand, fingerprint, simulate_point, CampaignSpec, LiveAggregates, PointResult, ResultCache,
+    ResultText,
 };
 use synapse_cluster::protocol::{parse_event, WorkerEvent};
 use synapse_server::{lease_batch_line, DEFAULT_BATCH_POINTS};
@@ -137,6 +138,11 @@ fn warm_per_point_paths_stay_within_their_allocation_budgets() {
     let hit = calls(|| cache.get(&one.fingerprint).unwrap());
     assert!(hit <= 12, "a hit made {hit} allocator calls");
 
+    // A hit as stored text, what a lease job lands, is the one copy of
+    // that text with its index replaced: no decode.
+    let text_hit = calls(|| cache.get_text(&one.fingerprint, 1_000_000).unwrap());
+    assert!(text_hit <= 1, "a text hit made {text_hit} allocator calls");
+
     // A put of a result the cache has not seen costs its text, the
     // document's id and the store's copy of that id as the key: no
     // tree. The keys share one shard whose node already exists, so
@@ -157,6 +163,15 @@ fn warm_per_point_paths_stay_within_their_allocation_budgets() {
     let per_frame = |n: usize| calls(|| lease_batch_line(&packed[..n], Some("t0123456789abcdef")));
     assert!(per_frame(1) <= 4);
     assert!(per_frame(DEFAULT_BATCH_POINTS) <= 4);
+    // The same frame over stored texts: each is copied in as it is.
+    let texts: Vec<(Arc<ResultText>, bool)> = results
+        .iter()
+        .map(|r| (Arc::new(ResultText::of(r)), true))
+        .collect();
+    let per_text_frame =
+        |n: usize| calls(|| lease_batch_line(&texts[..n], Some("t0123456789abcdef")));
+    assert!(per_text_frame(1) <= 4);
+    assert!(per_text_frame(DEFAULT_BATCH_POINTS) <= 4);
 
     // Decoding one: the strings of each result and the two vectors
     // they sit in — no document tree.

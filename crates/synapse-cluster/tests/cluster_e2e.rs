@@ -3,16 +3,19 @@
 //! scenes — dead, frozen, straggling and lying workers — run in
 //! process under the seeded fault harness (`faults.rs`).
 
+use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use serde_json::{json, Value};
-use synapse_campaign::{expand_range, simulate_point};
+use synapse_campaign::cache::engine_tag;
+use synapse_campaign::{expand, expand_range, fingerprint, simulate_point, CampaignSpec};
 use synapse_cluster::{ClusterConfig, Coordinator};
 use synapse_server::{
     http, lease_batch_line, Client, LeaseRequest, Server, ServerConfig, ServerError, ServerHandle,
 };
+use synapse_store::{Document, ShardedDb, DEFAULT_DOC_LIMIT};
 use synapse_trace::{ReplayMode, Trace};
 
 /// Boot a plain worker server; returns its address, client, handle.
@@ -410,6 +413,64 @@ fn workers_sharing_one_cache_dir_assemble_the_full_grid() {
     );
     h3.shutdown();
     j3.join().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_undecodable_stored_result_is_simulated_again_on_the_lease_path() {
+    // A warm shared cache where one real fingerprint's document is
+    // valid JSON, and a result's but for one field, yet not a result.
+    // A worker must not ship it: that point is simulated again, and the
+    // merged report is the cold one.
+    let dir = std::env::temp_dir().join(format!("synapse-cluster-bad-doc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let points = expand(&CampaignSpec::from_toml(medium_spec()).unwrap());
+    let bad = points[5].index;
+    {
+        let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, engine_tag()).unwrap();
+        for point in &points {
+            let mut result = serde_json::to_value(simulate_point(point).unwrap()).unwrap();
+            if let (true, Value::Object(fields)) = (point.index == bad, &mut result) {
+                fields.insert("tx".into(), json!("not a number"));
+            }
+            db.upsert(Document::new(fingerprint(point), &result).unwrap())
+                .unwrap();
+        }
+        db.save().unwrap();
+    }
+    let shared = || ServerConfig {
+        cache_dir: Some(dir.clone()),
+        ..Default::default()
+    };
+    let (addr1, _c1, h1, j1) = boot_worker(shared());
+    let (addr2, _c2, h2, j2) = boot_worker(shared());
+    let (client, handle, join) = boot_coordinator(&[&addr1, &addr2], ServerConfig::default());
+
+    let id = id_of(client.submit_distributed(medium_spec()));
+    let mut cached = BTreeMap::new();
+    let summary = client
+        .watch(&id, |line| {
+            let event: Value = serde_json::from_str(line).unwrap();
+            if event["event"].as_str() == Some("point") {
+                cached.insert(event["index"].as_u64().unwrap(), event["cached"].as_bool());
+            }
+            true
+        })
+        .unwrap();
+    assert_eq!(summary["event"].as_str(), Some("completed"), "{summary:?}");
+    assert_eq!(cached.len(), points.len());
+    for (index, cached) in &cached {
+        assert_eq!(*cached, Some(*index != bad as u64), "point {index}");
+    }
+    let merged = serde_json::to_string(&client.report(&id).unwrap()).unwrap();
+    assert_eq!(merged, single_process_report(medium_spec()).0);
+
+    handle.shutdown();
+    join.join().unwrap();
+    h1.shutdown();
+    j1.join().unwrap();
+    h2.shutdown();
+    j2.join().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -7,9 +7,15 @@
 #[path = "../../../vendor/serde_json/tests/support/mod.rs"]
 mod support;
 
+use std::path::Path;
+use std::sync::Arc;
+
 use support::{check_codec, Read, Rng};
-use synapse_campaign::{expand, simulate_point, CampaignReport, CampaignSpec};
-use synapse_server::LeaseRequest;
+use synapse_campaign::{
+    expand, fingerprint, simulate_point, CampaignReport, CampaignSpec, PointResult, ResultCache,
+};
+use synapse_cluster::protocol::{parse_event, WorkerEvent};
+use synapse_server::{lease_batch_line, LeaseRequest};
 use synapse_store::Document;
 
 fn spec() -> CampaignSpec {
@@ -65,4 +71,111 @@ fn wire_types_write_and_read_like_the_tree() {
     let count = |verdict| reads.iter().filter(|r| **r == verdict).count();
     assert!(count(Read::Accepted) > 50, "{reads:?}");
     assert!(count(Read::Rejected) > 50, "{reads:?}");
+}
+
+/// A copy of the committed v4 cache directory (opening one takes its
+/// lock, which creates a file) and the spec it was written by.
+fn fixture_cache(tag: &str) -> (std::path::PathBuf, CampaignSpec) {
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../synapse-campaign/tests/fixtures/cache_v4");
+    let copy = std::env::temp_dir().join(format!("synapse-wire-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&copy);
+    let mut stack = vec![fixture.join("cache")];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                let to = copy.join(path.strip_prefix(fixture.join("cache")).unwrap());
+                std::fs::create_dir_all(to.parent().unwrap()).unwrap();
+                std::fs::copy(&path, to).unwrap();
+            }
+        }
+    }
+    let spec = std::fs::read_to_string(fixture.join("spec.toml")).unwrap();
+    (copy, CampaignSpec::from_toml(&spec).unwrap())
+}
+
+/// A grid index to run a stored result at, in one of five relations to
+/// the index it was stored with: equal, zero, smaller, larger, or with
+/// more digits.
+fn run_index(stored: usize, rng: &mut Rng) -> usize {
+    match rng.below(5) {
+        0 => stored,
+        1 => 0,
+        2 => rng.below(stored.max(1)),
+        3 => stored + 1 + rng.below(3),
+        _ => stored * 1000 + 1000 + rng.below(1000),
+    }
+}
+
+#[test]
+fn stored_text_frames_exactly_like_the_decoded_result() {
+    // The wire spec's results, re-stored each round under a new index,
+    // and the 16 documents of a cache an older build wrote.
+    let wire: Vec<PointResult> = expand(&spec())
+        .iter()
+        .map(|p| simulate_point(p).unwrap())
+        .collect();
+    let memory = ResultCache::in_memory();
+    let (dir, fixture_spec) = fixture_cache("frames");
+    let disk = ResultCache::open(&dir).unwrap();
+    let fixture: Vec<String> = expand(&fixture_spec).iter().map(fingerprint).collect();
+    assert_eq!(disk.len(), 16);
+
+    let mut rng = Rng::new(0xf2a3e);
+    let mut frames = 0;
+    for round in 0..64 {
+        let mut hits: Vec<(&ResultCache, &str, usize)> = Vec::new();
+        for result in &wire {
+            let mut stored = result.clone();
+            stored.point.index = rng.pick(&[0, 7, 42, 977, 123_456]);
+            memory.put(&stored.fingerprint, &stored).unwrap();
+            hits.push((&memory, &result.fingerprint, stored.point.index));
+        }
+        for fp in &fixture {
+            hits.push((&disk, fp, disk.get(fp).unwrap().point.index));
+        }
+        // Shuffled, so frames mix both sources.
+        for i in (1..hits.len()).rev() {
+            hits.swap(i, rng.below(i + 1));
+        }
+        let mut texts = Vec::new();
+        let mut decoded = Vec::new();
+        for (cache, fp, stored) in hits {
+            let index = run_index(stored, &mut rng);
+            let text = cache.get_text(fp, index).unwrap();
+            let mut result = cache.get(fp).unwrap();
+            result.point.index = index;
+            assert_eq!(
+                serde_json::to_string(&text).unwrap(),
+                serde_json::to_string(&result).unwrap()
+            );
+            let cached = rng.chance(1, 2);
+            texts.push((Arc::new(text), cached));
+            decoded.push((Arc::new(result), cached));
+        }
+        let trace = (round % 2 == 0).then_some("t0123456789abcdef");
+        let mut at = 0;
+        while at < texts.len() {
+            let end = (at + 1 + rng.below(64)).min(texts.len());
+            let line = lease_batch_line(&texts[at..end], trace);
+            assert_eq!(line, lease_batch_line(&decoded[at..end], trace));
+            match parse_event(&line) {
+                Some(WorkerEvent::Batch(points)) => {
+                    let want: Vec<(PointResult, bool)> = decoded[at..end]
+                        .iter()
+                        .map(|(r, c)| ((**r).clone(), *c))
+                        .collect();
+                    assert_eq!(points, want);
+                }
+                other => panic!("frame decoded as {other:?}"),
+            }
+            frames += 1;
+            at = end;
+        }
+    }
+    assert!(frames > 64, "{frames} frames");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

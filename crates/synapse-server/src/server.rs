@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use serde_json::json;
 use synapse_campaign::{
     expand_range, run_campaign_on, AggregateMetrics, CampaignEngine, CampaignError, CampaignSpec,
-    PointEvent, ResultCache, RunConfig, RunStats, AGGREGATES_VERSION,
+    PointEvent, ResultCache, ResultText, RunConfig, RunStats, AGGREGATES_VERSION,
 };
 
 use synapse_trace::TraceRecorder;
@@ -693,6 +693,10 @@ fn point_event_line(
 ///   {"cached":false,"result":{…PointResult…}}, …]}
 /// ```
 ///
+/// A point is anything that writes a result's JSON: a decoded
+/// `PointResult`, or the [`ResultText`] a lease job lands, which is
+/// copied in as it is.
+///
 /// `len` is the byte length of the `points` array text (brackets
 /// included) — a length prefix the consumer checks against the frame
 /// it actually received, so a reframed or spliced line fails loudly
@@ -704,11 +708,10 @@ fn point_event_line(
 /// When the lease carries a coordinator causality id (`X-Synapse-Trace`
 /// on the `POST /leases`), the frame echoes it as a `trace` key before
 /// `points`, so merged streams stay attributable to the campaign trace.
-pub fn lease_batch_line(
-    points: &[(Arc<synapse_campaign::PointResult>, bool)],
+pub fn lease_batch_line<T: serde::Serialize>(
+    points: &[(Arc<T>, bool)],
     trace: Option<&str>,
 ) -> String {
-    use serde::Serialize as _;
     use std::fmt::Write as _;
     // A result renders to ~560 bytes; room for 640 each keeps a full
     // frame to one allocation per buffer.
@@ -941,7 +944,8 @@ fn run_distributed_job(state: &ServerState, job: &Arc<Job>) {
 /// coordinator: landed points travel back as `batch` frames carrying
 /// full serialized results, and the terminal event reports
 /// lease-relative counters. No report is assembled — merging is the
-/// coordinator's job.
+/// coordinator's job. Points land as [`ResultText`]: a cache hit goes
+/// into its frame as the stored text, never decoded here.
 fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) {
     // Materialize only the leased slice (points keep their global
     // indices) — a worker serving 8 leases of a huge grid must not
@@ -964,15 +968,15 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
         }
         doc
     };
-    let pending: Mutex<Vec<(Arc<synapse_campaign::PointResult>, bool)>> =
+    let pending: Mutex<Vec<(Arc<ResultText>, bool)>> =
         Mutex::new(Vec::with_capacity(DEFAULT_BATCH_POINTS));
-    let flush = |buf: &mut Vec<(Arc<synapse_campaign::PointResult>, bool)>| {
+    let flush = |buf: &mut Vec<(Arc<ResultText>, bool)>| {
         if !buf.is_empty() {
             job.push_event(lease_batch_line(buf, trace));
             buf.clear();
         }
     };
-    let observer = |event: PointEvent| match event {
+    let observer = |event: PointEvent<ResultText>| match event {
         PointEvent::Started { total } => {
             job.push_event(ndjson(&with_trace(json!({
                 "event": "started",
@@ -1000,7 +1004,7 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
         }
         PointEvent::Finished { .. } | PointEvent::Cancelled { .. } => {}
     };
-    let engine = CampaignEngine::new(slice, &state.cache, &config);
+    let engine = CampaignEngine::landing(slice, &state.cache, &config);
     let outcome = engine.run(&observer, &job.cancel);
     // Whatever landed stays landed: flush the partial tail frame even
     // on error/cancel — the coordinator's merge dedups replays, and a

@@ -55,7 +55,7 @@ impl Document {
     }
 
     /// The body's canonical JSON text.
-    pub(crate) fn text(&self) -> &str {
+    pub fn text(&self) -> &str {
         &self.body.0
     }
 

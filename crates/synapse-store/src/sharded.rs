@@ -265,6 +265,10 @@ pub struct ShardedDb {
     /// *reads*: a miss learns peers' saved results without waiting for
     /// this handle's next save).
     reload: Mutex<ReloadProbe>,
+    /// Which documents read from disk the store keeps: the rest are
+    /// dropped as they load, fold or reconcile in (see
+    /// [`ShardedDb::open_checked`]).
+    admit: fn(&Document) -> bool,
 }
 
 /// Clones of a [`ShardedDb`]'s live stat counters, for exposing in a
@@ -365,6 +369,7 @@ impl ShardedDb {
             lock_contention: Arc::new(Counter::new()),
             reconciled_docs: Arc::new(Counter::new()),
             reload: Mutex::new(ReloadProbe::new()),
+            admit: |_| true,
         }
     }
 
@@ -411,6 +416,23 @@ impl ShardedDb {
         engine: impl Into<String>,
         workers: usize,
     ) -> Result<Self, StoreError> {
+        Self::open_checked(dir, doc_limit, engine, workers, |_| true)
+    }
+
+    /// [`open_with_workers`](ShardedDb::open_with_workers), keeping
+    /// only the documents read from disk that `admit` accepts. The
+    /// check runs once per document, wherever one enters this handle
+    /// from disk: the open itself, the reload-on-miss fold and the
+    /// reconcile of a lock-aware save. A document that fails it is
+    /// dropped, as if the file had never held it; documents handed to
+    /// [`upsert`](ShardedDb::upsert) are not checked.
+    pub fn open_checked(
+        dir: impl AsRef<Path>,
+        doc_limit: usize,
+        engine: impl Into<String>,
+        workers: usize,
+        admit: fn(&Document) -> bool,
+    ) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         let engine = engine.into();
         let db = ShardedDb {
@@ -422,6 +444,7 @@ impl ShardedDb {
             lock_contention: Arc::new(Counter::new()),
             reconciled_docs: Arc::new(Counter::new()),
             reload: Mutex::new(ReloadProbe::new()),
+            admit,
         };
         if !dir.join(MANIFEST_FILE).exists() {
             // Nothing on disk yet: an empty store needs no lock (the
@@ -445,7 +468,9 @@ impl ShardedDb {
                         doc.id, group.file
                     )));
                 }
-                state.shards[shard as usize].insert(doc.id.clone(), doc);
+                if (db.admit)(&doc) {
+                    state.shards[shard as usize].insert(doc.id.clone(), doc);
+                }
             }
         }
         state.groups = groups;
@@ -605,11 +630,13 @@ impl ShardedDb {
                 for doc in docs {
                     let s = shard_of(&doc.id);
                     // Skip documents that don't belong (corrupt file),
-                    // were locally removed (tombstones win), or that we
-                    // already hold (local mutations win).
+                    // were locally removed (tombstones win), that we
+                    // already hold (local mutations win), or that the
+                    // store does not admit.
                     if !group.shards.contains(&s)
                         || state.removed.contains(&doc.id)
                         || state.shards[s as usize].contains_key(&doc.id)
+                        || !(self.admit)(&doc)
                     {
                         continue;
                     }
@@ -779,7 +806,8 @@ impl ShardedDb {
                     )));
                 }
                 let bucket = &mut shards[shard as usize];
-                if !bucket.contains_key(&doc.id) && !removed.contains(&doc.id) {
+                if !bucket.contains_key(&doc.id) && !removed.contains(&doc.id) && (self.admit)(&doc)
+                {
                     bucket.insert(doc.id.clone(), doc);
                     reconciled += 1;
                 }
@@ -1441,6 +1469,46 @@ mod tests {
             1,
             "no rereads while the manifest is unchanged"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_checked_store_drops_what_it_does_not_admit_wherever_disk_enters() {
+        // Admits even numbers only; `upsert` is not checked.
+        let even = |doc: &Document| doc.decode::<i64>().is_ok_and(|n| n % 2 == 0);
+        let k = |tail| hexkey(0x21, tail);
+        let odd = 1;
+        let dir = tmpdir("checked");
+        let writer = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
+        writer.upsert(doc(&k(1), 2)).unwrap();
+        writer.upsert(doc(&k(2), odd)).unwrap();
+        writer.save().unwrap();
+
+        // The open.
+        let checked = ShardedDb::open_checked(&dir, DEFAULT_DOC_LIMIT, "e", 1, even).unwrap();
+        assert_eq!(checked.len(), 1);
+        assert!(checked.get(&k(2)).is_none());
+        checked.upsert(doc(&k(5), odd)).unwrap();
+        assert_eq!(n(checked.get(&k(5)).unwrap()), odd, "upserts are kept");
+
+        // The reload-on-miss fold.
+        writer.upsert(doc(&k(3), 4)).unwrap();
+        writer.upsert(doc(&k(4), odd)).unwrap();
+        writer.save().unwrap();
+        assert_eq!(n(checked.get(&k(3)).expect("the fold admits 4")), 4);
+        assert!(checked.get(&k(4)).is_none());
+
+        // The reconcile of a lock-aware save.
+        writer.upsert(doc(&k(6), odd)).unwrap();
+        writer.upsert(doc(&k(7), 8)).unwrap();
+        writer.save().unwrap();
+        checked.upsert(doc(&k(8), 10)).unwrap();
+        checked.save().unwrap();
+        assert_eq!(n(checked.get(&k(7)).expect("the reconcile admits 8")), 8);
+        assert!(checked.get(&k(6)).is_none());
+        let mut keys = checked.keys();
+        keys.sort();
+        assert_eq!(keys, [k(1), k(3), k(5), k(7), k(8)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
