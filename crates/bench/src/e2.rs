@@ -1,64 +1,34 @@
 //! E.2 — Profiling correctness and emulation portability (Figs 5, 7).
+//!
+//! `examples/paper/e2.toml` profiles Gromacs on Thinkie and emulates
+//! the profile on Thinkie, Stampede and Archer across the step sweep;
+//! each figure is one machine's slice of the campaign's results.
 
-use synapse::emulator::{EmulationPlan, Emulator};
-use synapse_model::stats::diff_pct;
-use synapse_sim::{machine_by_name, thinkie, MachineModel, Noise};
-use synapse_workloads::AppModel;
+use synapse_campaign::PointResult;
 
-use crate::util::{repeated_runs, summarize, STEPS_E12};
-
-/// One row of an emulation-vs-execution comparison.
-struct Row {
-    steps: u64,
-    app_tx: f64,
-    emu_tx: f64,
+/// The `examples/paper/e2.toml` campaign's results, in grid order.
+pub fn results() -> Vec<PointResult> {
+    crate::campaign(include_str!("../../../examples/paper/e2.toml"))
 }
 
-impl Row {
-    fn diff(&self) -> f64 {
-        diff_pct(self.emu_tx, self.app_tx).unwrap_or(f64::NAN)
-    }
-}
-
-/// Emulate the thinkie-profiled application on `target` across the
-/// E.2 step sweep.
-fn sweep(target: &MachineModel) -> Vec<Row> {
-    let app = AppModel::default();
-    let profiling_host = thinkie();
-    let emulator = Emulator::new(EmulationPlan::default());
-    STEPS_E12
+/// One machine's points in step order: one figure's rows.
+pub fn series<'a>(results: &'a [PointResult], machine: &str) -> Vec<&'a PointResult> {
+    results
         .iter()
-        .map(|&steps| {
-            let profile = app.simulate_profile(
-                &profiling_host,
-                steps,
-                1.0,
-                &mut Noise::new(7 ^ steps, 0.01),
-            );
-            let app_tx = summarize(&repeated_runs(&app, target, steps, 5, 50), |r| r.tx).mean;
-            let emu_tx = emulator.simulate(&profile, target).tx;
-            Row {
-                steps,
-                app_tx,
-                emu_tx,
-            }
-        })
+        .filter(|r| r.point.machine == machine)
         .collect()
 }
 
-fn render(title: &str, rows: &[Row]) -> String {
+fn render(title: &str, rows: &[&PointResult]) -> String {
     let mut out = format!("{title}\n\n");
     out.push_str(&format!(
         "{:>10} {:>14} {:>14} {:>10}\n",
         "tag_step", "execution (s)", "emulation (s)", "diff (%)"
     ));
     for r in rows {
+        let (steps, app_tx, tx, diff) = (r.point.steps, r.app_tx, r.tx, r.error_pct());
         out.push_str(&format!(
-            "{:>10} {:>14.2} {:>14.2} {:>+10.1}\n",
-            r.steps,
-            r.app_tx,
-            r.emu_tx,
-            r.diff()
+            "{steps:>10} {app_tx:>14.2} {tx:>14.2} {diff:>+10.1}\n"
         ));
     }
     out
@@ -67,11 +37,10 @@ fn render(title: &str, rows: &[Row]) -> String {
 /// Fig. 5 — Emulation vs execution on the profiling host: agreement
 /// once runtimes exceed the ~1 s emulator startup delay.
 pub fn run_fig05() -> String {
-    let rows = sweep(&thinkie());
     let mut out = render(
         "Fig 5 — Emulation vs Execution (thinkie): emulated runtimes agree with\n\
          application runtimes for runs longer than the Synapse startup delay (~1 s).",
-        &rows,
+        &series(&results(), "thinkie"),
     );
     out.push_str("\n(short runs show large relative diff: the fixed startup dominates)\n");
     out
@@ -80,100 +49,23 @@ pub fn run_fig05() -> String {
 /// Fig. 7 — Emulation vs execution on Stampede (top, converging
 /// ~-40 %) and Archer (bottom, converging ~+33 %).
 pub fn run_fig07() -> String {
+    let results = results();
     let mut out = String::new();
     for (name, note) in [
         (
             "stampede",
-            "emulation consistently faster; difference converges to ~-40 %",
+            "consistently faster; difference converges to ~-40 %",
         ),
         (
             "archer",
-            "emulation consistently slower; difference converges to ~+33 %",
+            "consistently slower; difference converges to ~+33 %",
         ),
     ] {
-        let machine = machine_by_name(name).expect("catalog machine");
-        let rows = sweep(&machine);
         out.push_str(&render(
-            &format!("Fig 7 — Emulation vs Execution ({name}): {note}."),
-            &rows,
+            &format!("Fig 7 — Emulation vs Execution ({name}): emulation {note}."),
+            &series(&results, name),
         ));
         out.push('\n');
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig05_converges_to_agreement_on_thinkie() {
-        let rows = sweep(&thinkie());
-        let last = rows.last().unwrap();
-        assert!(
-            last.diff().abs() < 5.0,
-            "long runs agree on the profiling host: {:+.1}%",
-            last.diff()
-        );
-        // Short runs are startup-dominated: larger relative diff.
-        assert!(rows[0].diff().abs() > last.diff().abs());
-    }
-
-    #[test]
-    fn fig07_stampede_converges_to_minus_forty() {
-        let rows = sweep(&machine_by_name("stampede").unwrap());
-        let last = rows.last().unwrap();
-        assert!(
-            last.diff() < -30.0 && last.diff() > -50.0,
-            "stampede converged diff {:+.1}% (paper ~-40%)",
-            last.diff()
-        );
-        // Faster on every converged row.
-        for r in &rows[3..] {
-            assert!(
-                r.emu_tx < r.app_tx,
-                "steps {}: consistent direction",
-                r.steps
-            );
-        }
-    }
-
-    #[test]
-    fn fig07_archer_converges_to_plus_thirty_three() {
-        let rows = sweep(&machine_by_name("archer").unwrap());
-        let last = rows.last().unwrap();
-        assert!(
-            last.diff() > 25.0 && last.diff() < 45.0,
-            "archer converged diff {:+.1}% (paper ~+33%)",
-            last.diff()
-        );
-        for r in &rows[3..] {
-            assert!(
-                r.emu_tx > r.app_tx,
-                "steps {}: consistent direction",
-                r.steps
-            );
-        }
-    }
-
-    #[test]
-    fn scaling_trend_is_captured_everywhere() {
-        // "the Tx of the application and its emulation resemble the
-        // essential application's execution characteristics".
-        for name in ["thinkie", "stampede", "archer"] {
-            let rows = sweep(&machine_by_name(name).unwrap());
-            for w in rows.windows(2) {
-                assert!(w[1].app_tx > w[0].app_tx);
-                assert!(w[1].emu_tx > w[0].emu_tx);
-            }
-        }
-    }
-
-    #[test]
-    fn outputs_render() {
-        assert!(run_fig05().contains("tag_step"));
-        let f7 = run_fig07();
-        assert!(f7.contains("stampede"));
-        assert!(f7.contains("archer"));
-    }
 }

@@ -1,147 +1,141 @@
 //! E.3 — Emulating with different kernels (Figs 8–11).
 //!
-//! Gromacs is profiled on Comet and Supermic; Synapse then emulates
-//! each run by directing the kernels to consume the measured cycle
-//! count (memory and I/O emulation turned off, as the paper states).
-//! The C (out-of-cache) kernel reproduces cycles, Tx, instruction
-//! counts and instruction rates better than the ASM (in-cache) kernel
-//! on every metric and both machines.
+//! `examples/paper/e3.toml` directs the Gromacs profile's cycles at the
+//! C and ASM kernels on Comet and Supermic, compute atom only (memory
+//! and I/O emulation off, as the paper states). The application's side
+//! of each figure comes from the same point: its cycles are the
+//! profile's `directed_cycles`, and its instruction rate is the
+//! machine's `Application` kernel IPC.
 
-use synapse::emulator::{EmulationPlan, Emulator, KernelChoice};
+use synapse_campaign::runner::emulation_plan;
+use synapse_campaign::PointResult;
 use synapse_model::stats::error_pct;
-use synapse_model::Summary;
-use synapse_sim::{comet, supermic, MachineModel, Noise};
-use synapse_workloads::AppModel;
+use synapse_sim::{machine_ref, KernelClass};
 
-use crate::util::{repeated_runs, summarize, STEPS_E3};
-
-/// Statistics of one series (application or one kernel's emulation)
-/// at one step count.
-pub struct SeriesPoint {
-    /// Used cycles (mean over repeats).
-    pub cycles: Summary,
-    /// Execution time Tx.
-    pub tx: Summary,
-    /// Retired instructions.
-    pub instructions: Summary,
+/// The `examples/paper/e3.toml` campaign's results, in grid order.
+pub fn results() -> Vec<PointResult> {
+    crate::campaign(include_str!("../../../examples/paper/e3.toml"))
 }
 
-impl SeriesPoint {
-    /// Instructions per cycle.
-    pub fn ipc(&self) -> f64 {
-        self.instructions.mean / self.cycles.mean
+/// A quantity the figures plot, read off one point for the
+/// application and for its emulation.
+#[derive(Debug, Clone, Copy)]
+pub enum Metric {
+    /// Used cycles (Fig 8).
+    Cycles,
+    /// Execution time Tx, the emulator's startup included (Fig 9).
+    Tx,
+    /// Tx minus the emulator's fixed startup (Fig 9's plotted error).
+    SteadyTx,
+    /// Retired instructions (Fig 10).
+    Instructions,
+    /// Instructions per cycle (Fig 11).
+    Ipc,
+}
+
+impl Metric {
+    /// The application's value at `r`'s machine and step count.
+    pub fn application(self, r: &PointResult) -> f64 {
+        let ipc = || {
+            machine_ref(&r.point.machine)
+                .expect("catalog machine")
+                .kernel(KernelClass::Application)
+                .ipc
+        };
+        match self {
+            Metric::Cycles => r.directed_cycles as f64,
+            Metric::Tx | Metric::SteadyTx => r.app_tx,
+            Metric::Instructions => r.directed_cycles as f64 * ipc(),
+            Metric::Ipc => ipc(),
+        }
+    }
+
+    /// The emulation's value at `r`.
+    pub fn emulated(self, r: &PointResult) -> f64 {
+        match self {
+            Metric::Cycles => r.consumed_cycles as f64,
+            Metric::Tx => r.tx,
+            Metric::SteadyTx => {
+                r.tx - emulation_plan(&r.point)
+                    .expect("engine-run point")
+                    .sim_startup_seconds
+            }
+            Metric::Instructions => r.instructions as f64,
+            Metric::Ipc => r.instructions as f64 / r.consumed_cycles as f64,
+        }
     }
 }
 
-/// One step count's application + emulation measurements.
-pub struct E3Point {
+/// One figure row: a metric for the application and for each kernel's
+/// emulation at one step count.
+#[derive(Debug, Clone, Copy)]
+pub struct Row {
     /// Step count.
     pub steps: u64,
-    /// Application execution.
-    pub app: SeriesPoint,
+    /// The application.
+    pub app: f64,
     /// Emulation with the C kernel.
-    pub c: SeriesPoint,
+    pub c: f64,
     /// Emulation with the ASM kernel.
-    pub asm: SeriesPoint,
+    pub asm: f64,
 }
 
-fn emulate_point(
-    machine: &MachineModel,
-    directed_cycles: u64,
-    kernel: KernelChoice,
-    seed: u64,
-) -> SeriesPoint {
-    // A single-sample profile directing exactly the measured cycles;
-    // memory and I/O emulation are off for E.3.
-    let app = AppModel::default();
-    let mut profile = app.simulate_profile(machine, 1, 1.0, &mut Noise::none());
-    profile.samples.truncate(1);
-    profile.samples[0].compute.cycles = directed_cycles;
-    let plan = EmulationPlan {
-        kernel,
-        emulate_storage: false,
-        emulate_memory: false,
-        emulate_network: false,
-        sim_startup_seconds: 0.0,
-        ..Default::default()
+impl Row {
+    /// |error| of the C kernel's emulation, in percent.
+    pub fn err_c(&self) -> f64 {
+        error_pct(self.c, self.app).unwrap_or(f64::NAN)
+    }
+
+    /// |error| of the ASM kernel's emulation, in percent.
+    pub fn err_asm(&self) -> f64 {
+        error_pct(self.asm, self.app).unwrap_or(f64::NAN)
+    }
+}
+
+/// One machine's (C, ASM) point pairs, in step order.
+pub fn pairs<'a>(
+    results: &'a [PointResult],
+    machine: &'a str,
+) -> impl Iterator<Item = (&'a PointResult, &'a PointResult)> {
+    let kernel = move |name: &'static str| {
+        results
+            .iter()
+            .filter(move |r| r.point.machine == machine && r.point.kernel == name)
     };
-    let emulator = Emulator::new(plan);
-    // Repeated emulations: "the confidence interval of the average
-    // number of cycles used by emulations is three orders of magnitude
-    // smaller than the corresponding average" — tiny measurement noise.
-    let mut noise = Noise::new(seed, 1e-4);
-    let mut cycles = Vec::new();
-    let mut tx = Vec::new();
-    let mut instr = Vec::new();
-    for _ in 0..5 {
-        let r = emulator.simulate(&profile, machine);
-        cycles.push(noise.apply(r.consumed.cycles as f64));
-        tx.push(noise.apply(r.tx));
-        instr.push(noise.apply(r.consumed.instructions as f64));
-    }
-    SeriesPoint {
-        cycles: Summary::of(&cycles).unwrap(),
-        tx: Summary::of(&tx).unwrap(),
-        instructions: Summary::of(&instr).unwrap(),
-    }
+    kernel("c").zip(kernel("asm"))
 }
 
-/// Run the E.3 sweep on one machine.
-pub fn sweep(machine: &MachineModel) -> Vec<E3Point> {
-    let app = AppModel::default();
-    STEPS_E3
-        .iter()
-        .map(|&steps| {
-            let runs = repeated_runs(&app, machine, steps, 5, 80);
-            let app_point = SeriesPoint {
-                cycles: summarize(&runs, |r| r.cycles as f64),
-                tx: summarize(&runs, |r| r.tx),
-                instructions: summarize(&runs, |r| r.instructions as f64),
-            };
-            let directed = app_point.cycles.mean as u64;
-            let c = emulate_point(machine, directed, KernelChoice::C, 81 ^ steps);
-            let asm = emulate_point(machine, directed, KernelChoice::Asm, 82 ^ steps);
-            E3Point {
-                steps,
-                app: app_point,
-                c,
-                asm,
-            }
+/// One machine's rows of `metric`, in step order.
+pub fn rows(results: &[PointResult], machine: &str, metric: Metric) -> Vec<Row> {
+    pairs(results, machine)
+        .map(|(c, asm)| Row {
+            steps: c.point.steps,
+            app: metric.application(c),
+            c: metric.emulated(c),
+            asm: metric.emulated(asm),
         })
         .collect()
 }
 
-fn render_metric(
-    title: &str,
-    machines: &[(&str, Vec<E3Point>)],
-    metric: impl Fn(&SeriesPoint) -> &Summary,
-) -> String {
+const MACHINES: [&str; 2] = ["comet", "supermic"];
+
+fn render_metric(title: &str, results: &[PointResult], metric: Metric) -> String {
     let mut out = format!("{title}\n");
-    for (name, points) in machines {
+    for name in MACHINES {
         out.push_str(&format!(
             "\n[{name}]\n{:>9} {:>14} {:>14} {:>14} {:>9} {:>9}\n",
             "steps", "application", "C kernel", "ASM kernel", "err C %", "err ASM %"
         ));
-        for p in points {
-            let a = metric(&p.app).mean;
-            let c = metric(&p.c).mean;
-            let asm = metric(&p.asm).mean;
+        for r in rows(results, name, metric) {
+            let (steps, app, c, asm) = (r.steps, r.app, r.c, r.asm);
             out.push_str(&format!(
-                "{:>9} {:>14.4e} {:>14.4e} {:>14.4e} {:>9.1} {:>9.1}\n",
-                p.steps,
-                a,
-                c,
-                asm,
-                error_pct(c, a).unwrap_or(f64::NAN),
-                error_pct(asm, a).unwrap_or(f64::NAN),
+                "{steps:>9} {app:>14.4e} {c:>14.4e} {asm:>14.4e} {:>9.1} {:>9.1}\n",
+                r.err_c(),
+                r.err_asm(),
             ));
         }
     }
     out
-}
-
-fn both_machines() -> Vec<(&'static str, Vec<E3Point>)> {
-    vec![("comet", sweep(&comet())), ("supermic", sweep(&supermic()))]
 }
 
 /// Fig. 8 — cycles used by application and emulations.
@@ -149,19 +143,29 @@ pub fn run_fig08() -> String {
     render_metric(
         "Fig 8 — Cycles used by Gromacs and its emulations (C vs ASM kernels).\n\
          Paper: err converges to ~3.5 %/14.5 % (Comet), ~4.0 %/26.5 % (Supermic).",
-        &both_machines(),
-        |s| &s.cycles,
+        &results(),
+        Metric::Cycles,
     )
 }
 
-/// Fig. 9 — Tx of application and emulations.
+/// Fig. 9 — Tx of application and emulations, raw and without the
+/// emulator's fixed startup.
 pub fn run_fig09() -> String {
-    render_metric(
+    let results = results();
+    let mut out = render_metric(
         "Fig 9 — Tx of Gromacs and its emulations. Error tracks the cycle error\n\
-         (compute-bound workload, consistent clock speeds).",
-        &both_machines(),
-        |s| &s.tx,
-    )
+         (compute-bound workload, consistent clock speeds). Raw Tx, the\n\
+         emulator's fixed startup included:",
+        &results,
+        Metric::Tx,
+    );
+    out.push('\n');
+    out.push_str(&render_metric(
+        "Emulation Tx minus the emulator's startup (sim_startup_seconds):",
+        &results,
+        Metric::SteadyTx,
+    ));
+    out
 }
 
 /// Fig. 10 — instructions executed.
@@ -169,146 +173,26 @@ pub fn run_fig10() -> String {
     render_metric(
         "Fig 10 — Instructions executed. The C kernel's instruction count error\n\
          stays below the ASM kernel's on both machines.",
-        &both_machines(),
-        |s| &s.instructions,
+        &results(),
+        Metric::Instructions,
     )
 }
 
 /// Fig. 11 — instructions per cycle.
 pub fn run_fig11() -> String {
-    let machines = both_machines();
+    let results = results();
     let mut out = String::from(
         "Fig 11 — Instruction rate (instructions/cycle).\n\
          Paper: Comet app ~2.17, C ~2.80, ASM ~3.30; Supermic app ~2.04, C ~2.53, ASM ~2.86.\n",
     );
-    for (name, points) in &machines {
+    for name in MACHINES {
         out.push_str(&format!(
             "\n[{name}]\n{:>9} {:>12} {:>12} {:>12}\n",
             "steps", "application", "C kernel", "ASM kernel"
         ));
-        for p in points {
-            out.push_str(&format!(
-                "{:>9} {:>12.2} {:>12.2} {:>12.2}\n",
-                p.steps,
-                p.app.ipc(),
-                p.c.ipc(),
-                p.asm.ipc()
-            ));
+        for Row { steps, app, c, asm } in rows(&results, name, Metric::Ipc) {
+            out.push_str(&format!("{steps:>9} {app:>12.2} {c:>12.2} {asm:>12.2}\n"));
         }
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn converged_err(points: &[E3Point], f: impl Fn(&E3Point) -> (f64, f64)) -> (f64, f64) {
-        f(points.last().unwrap())
-    }
-
-    #[test]
-    fn fig08_cycle_errors_converge_to_paper_values() {
-        let comet_points = sweep(&comet());
-        let (c, asm) = converged_err(&comet_points, |p| {
-            (
-                error_pct(p.c.cycles.mean, p.app.cycles.mean).unwrap(),
-                error_pct(p.asm.cycles.mean, p.app.cycles.mean).unwrap(),
-            )
-        });
-        assert!((c - 3.5).abs() < 2.0, "comet C err {c} (paper ~3.5)");
-        assert!(
-            (asm - 14.5).abs() < 4.0,
-            "comet ASM err {asm} (paper ~14.5)"
-        );
-
-        let sm_points = sweep(&supermic());
-        let (c, asm) = converged_err(&sm_points, |p| {
-            (
-                error_pct(p.c.cycles.mean, p.app.cycles.mean).unwrap(),
-                error_pct(p.asm.cycles.mean, p.app.cycles.mean).unwrap(),
-            )
-        });
-        assert!((c - 4.0).abs() < 2.0, "supermic C err {c} (paper ~4.0)");
-        assert!(
-            (asm - 26.5).abs() < 5.0,
-            "supermic ASM err {asm} (paper ~26.5)"
-        );
-    }
-
-    #[test]
-    fn c_kernel_beats_asm_on_every_metric_and_machine() {
-        // The smallest configuration is excluded for Tx: there the
-        // application's (un-emulated) startup I/O shifts its Tx enough
-        // that the ASM kernel's overshoot can accidentally compensate
-        // — compare the paper's own noisy first data points.
-        for machine in [comet(), supermic()] {
-            for p in sweep(&machine).into_iter().skip(1) {
-                let err = |s: &SeriesPoint, a: &SeriesPoint, f: fn(&SeriesPoint) -> f64| {
-                    error_pct(f(s), f(a)).unwrap()
-                };
-                let cyc = |s: &SeriesPoint| s.cycles.mean;
-                let tx = |s: &SeriesPoint| s.tx.mean;
-                let ins = |s: &SeriesPoint| s.instructions.mean;
-                assert!(
-                    err(&p.c, &p.app, cyc) <= err(&p.asm, &p.app, cyc) + 1e-6,
-                    "{} steps {}: cycles",
-                    machine.name,
-                    p.steps
-                );
-                assert!(err(&p.c, &p.app, tx) <= err(&p.asm, &p.app, tx) + 1e-6);
-                assert!(err(&p.c, &p.app, ins) <= err(&p.asm, &p.app, ins) + 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    fn error_decreases_with_problem_size() {
-        // Quantization dominates short runs; the error converges from
-        // above (the shape of Figs 8–10).
-        let points = sweep(&comet());
-        let first = error_pct(points[0].asm.cycles.mean, points[0].app.cycles.mean).unwrap();
-        let last = error_pct(
-            points.last().unwrap().asm.cycles.mean,
-            points.last().unwrap().app.cycles.mean,
-        )
-        .unwrap();
-        assert!(first >= last - 1e-6, "err shrinks: {first} -> {last}");
-    }
-
-    #[test]
-    fn fig11_ipc_ordering_matches_paper() {
-        for (machine, app_ipc, c_ipc, asm_ipc) in
-            [(comet(), 2.17, 2.80, 3.30), (supermic(), 2.04, 2.53, 2.86)]
-        {
-            let points = sweep(&machine);
-            let p = points.last().unwrap();
-            assert!((p.app.ipc() - app_ipc).abs() < 0.15, "{}", machine.name);
-            assert!((p.c.ipc() - c_ipc).abs() < 0.15, "{}", machine.name);
-            assert!((p.asm.ipc() - asm_ipc).abs() < 0.15, "{}", machine.name);
-            // Ordering: app < C < ASM.
-            assert!(p.app.ipc() < p.c.ipc() && p.c.ipc() < p.asm.ipc());
-        }
-    }
-
-    #[test]
-    fn confidence_intervals_are_tight() {
-        // Paper: CI width no more than 6.6 % of the value; emulation
-        // cycle CI three orders of magnitude below the mean.
-        for p in sweep(&comet()) {
-            assert!(p.app.tx.ci99_rel().unwrap() < 0.066, "steps {}", p.steps);
-            assert!(
-                p.c.cycles.ci99() < p.c.cycles.mean * 1e-2,
-                "emulation cycles are highly repeatable"
-            );
-        }
-    }
-
-    #[test]
-    fn outputs_render() {
-        assert!(run_fig08().contains("comet"));
-        assert!(run_fig09().contains("supermic"));
-        assert!(run_fig10().contains("err"));
-        assert!(run_fig11().contains("ASM kernel"));
-    }
 }

@@ -1,79 +1,53 @@
 //! E.4 — Emulating parallel execution (Figs 12–14).
 //!
-//! A profile obtained from a *single-threaded* application run is
-//! emulated with thread (OpenMP) or process (OpenMPI) parallelism —
-//! a dimension the profiled run never had (requirement E.3,
-//! malleability). Scaling shows good returns at small core counts and
-//! diminishing returns toward the full node; OpenMP wins on Titan,
-//! OpenMPI wins on Supermic. Figs 13–14 show the *actual* application
-//! scaling on Titan for comparison.
+//! `examples/paper/e4.toml` emulates a profile obtained from a
+//! *single-threaded* application run with thread (OpenMP) or process
+//! (MPI) parallelism — a dimension the profiled run never had
+//! (requirement E.3, malleability). Scaling shows good returns at
+//! small core counts and diminishing returns toward the full node;
+//! OpenMP wins on Titan, MPI wins on Supermic. Figs 13–14 show the
+//! *actual* application scaling on Titan for comparison: each point's
+//! `app_tx`, the application's own run at that width.
 
-use synapse::emulator::{EmulationPlan, Emulator};
-use synapse_model::Summary;
-use synapse_sim::{supermic, titan, MachineModel, Noise, ParallelMode};
-use synapse_workloads::AppModel;
+use synapse_campaign::PointResult;
+use synapse_sim::machine_ref;
 
-/// Steps of the profiled single-threaded Gromacs run.
-const STEPS: u64 = 2_000_000;
-
-fn core_counts(machine: &MachineModel) -> Vec<u32> {
-    let mut counts = vec![1u32, 2, 4, 8, 16];
-    if machine.cpu.ncores > 16 {
-        counts.push(machine.cpu.ncores);
-    }
-    counts
+/// The `examples/paper/e4.toml` campaign's results, in grid order.
+pub fn results() -> Vec<PointResult> {
+    crate::campaign(include_str!("../../../examples/paper/e4.toml"))
 }
 
-/// Emulated Tx for a worker count and mode (mean ±CI over repeats).
-fn emulated_tx(
-    machine: &MachineModel,
-    workers: u32,
-    mode: ParallelMode,
-    profile: &synapse_model::Profile,
-    seed: u64,
-) -> Summary {
-    let plan = EmulationPlan {
-        threads: workers,
-        mode,
-        emulate_storage: false,
-        emulate_memory: false,
-        emulate_network: false,
-        sim_startup_seconds: 1.0,
-        ..Default::default()
-    };
-    let emulator = Emulator::new(plan);
-    let mut noise = Noise::new(seed ^ workers as u64, 0.015);
-    let txs: Vec<f64> = (0..5)
-        .map(|_| noise.apply(emulator.simulate(profile, machine).tx))
-        .collect();
-    Summary::of(&txs).unwrap()
+/// `machine`'s points under `mode` (`openmp` | `mpi`) by worker count,
+/// up to the machine's core count: one scaling curve.
+pub fn scaling<'a>(results: &'a [PointResult], machine: &str, mode: &str) -> Vec<&'a PointResult> {
+    let ncores = machine_ref(machine).expect("catalog machine").cpu.ncores;
+    results
+        .iter()
+        .filter(|r| r.point.machine == machine && r.point.mode == mode && r.point.threads <= ncores)
+        .collect()
 }
 
-/// Fig. 12 — emulated OpenMP vs OpenMPI scaling on Titan and Supermic.
+/// Fig. 12 — emulated OpenMP vs MPI scaling on Titan and Supermic.
 pub fn run_fig12() -> String {
-    let app = AppModel::default();
+    let results = results();
     let mut out = String::from(
         "Fig 12 — Application concurrency: thread (OpenMP) and process (OpenMPI)\n\
          parallelism applied to a single-threaded profile. Good scaling at small\n\
          core counts, diminishing returns near the full node; OpenMP wins on\n\
          Titan, OpenMPI on Supermic.\n",
     );
-    for machine in [titan(), supermic()] {
-        let profile = app.simulate_profile(&machine, STEPS, 1.0, &mut Noise::none());
+    for name in ["titan", "supermic"] {
+        let ncores = machine_ref(name).expect("catalog machine").cpu.ncores;
         out.push_str(&format!(
-            "\n[{} — {} cores]\n{:>7} {:>16} {:>16}\n",
-            machine.name, machine.cpu.ncores, "cores", "OpenMP Tx (s)", "OpenMPI Tx (s)"
+            "\n[{name} — {ncores} cores]\n{:>7} {:>16} {:>16}\n",
+            "cores", "OpenMP Tx (s)", "OpenMPI Tx (s)"
         ));
-        for workers in core_counts(&machine) {
-            let omp = emulated_tx(&machine, workers, ParallelMode::OpenMp, &profile, 120);
-            let mpi = emulated_tx(&machine, workers, ParallelMode::Mpi, &profile, 121);
+        let openmp = scaling(&results, name, "openmp");
+        let mpi = scaling(&results, name, "mpi");
+        for (omp, mpi) in openmp.iter().zip(&mpi) {
             out.push_str(&format!(
-                "{:>7} {:>10.2} ±{:4.2} {:>10.2} ±{:4.2}\n",
-                workers,
-                omp.mean,
-                omp.ci99(),
-                mpi.mean,
-                mpi.ci99()
+                "{:>7} {:>16.2} {:>16.2}\n",
+                omp.point.threads, omp.tx, mpi.tx
             ));
         }
     }
@@ -81,140 +55,28 @@ pub fn run_fig12() -> String {
 }
 
 /// Actual application scaling on Titan for one mode (Figs 13–14).
-fn gromacs_scaling(mode: ParallelMode, seed: u64) -> String {
-    let app = AppModel::default();
-    let machine = titan();
-    let mut noise = Noise::new(seed, 0.02);
-    let mut out = format!("{:>7} {:>14} {:>10}\n", "cores", "Tx (s)", "speedup");
-    let base = app
-        .execute_parallel(&machine, STEPS, 1, mode, &mut Noise::none())
-        .tx;
-    for workers in core_counts(&machine) {
-        let txs: Vec<f64> = (0..5)
-            .map(|_| {
-                app.execute_parallel(&machine, STEPS, workers, mode, &mut noise)
-                    .tx
-            })
-            .collect();
-        let s = Summary::of(&txs).unwrap();
-        out.push_str(&format!(
-            "{:>7} {:>8.2} ±{:4.2} {:>10.2}\n",
-            workers,
-            s.mean,
-            s.ci99(),
-            base / s.mean
-        ));
+fn gromacs_scaling(figure: u32, label: &str, mode: &str) -> String {
+    let results = results();
+    let curve = scaling(&results, "titan", mode);
+    let base = curve[0].app_tx;
+    let mut out = format!(
+        "Fig {figure} — Gromacs scaling on Titan with {label} (application execution).\n\n\
+         {:>7} {:>14} {:>10}\n",
+        "cores", "Tx (s)", "speedup"
+    );
+    for r in curve {
+        let (threads, tx) = (r.point.threads, r.app_tx);
+        out.push_str(&format!("{threads:>7} {tx:>14.2} {:>10.2}\n", base / tx));
     }
     out
 }
 
 /// Fig. 13 — actual Gromacs scaling on Titan with OpenMP.
 pub fn run_fig13() -> String {
-    format!(
-        "Fig 13 — Gromacs scaling on Titan with OpenMP (application execution).\n\n{}",
-        gromacs_scaling(ParallelMode::OpenMp, 130)
-    )
+    gromacs_scaling(13, "OpenMP", "openmp")
 }
 
 /// Fig. 14 — actual Gromacs scaling on Titan with OpenMPI.
 pub fn run_fig14() -> String {
-    format!(
-        "Fig 14 — Gromacs scaling on Titan with OpenMPI (application execution).\n\n{}",
-        gromacs_scaling(ParallelMode::Mpi, 140)
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tx(machine: &MachineModel, workers: u32, mode: ParallelMode) -> f64 {
-        let app = AppModel::default();
-        let profile = app.simulate_profile(machine, STEPS, 1.0, &mut Noise::none());
-        let plan = EmulationPlan {
-            threads: workers,
-            mode,
-            emulate_storage: false,
-            emulate_memory: false,
-            emulate_network: false,
-            sim_startup_seconds: 1.0,
-            ..Default::default()
-        };
-        Emulator::new(plan).simulate(&profile, machine).tx
-    }
-
-    #[test]
-    fn scaling_improves_with_diminishing_returns() {
-        for machine in [titan(), supermic()] {
-            for mode in [ParallelMode::OpenMp, ParallelMode::Mpi] {
-                let t1 = tx(&machine, 1, mode);
-                let t4 = tx(&machine, 4, mode);
-                let tn = tx(&machine, machine.cpu.ncores, mode);
-                assert!(t4 < t1, "{} {:?}", machine.name, mode);
-                assert!(tn < t4, "{} {:?}", machine.name, mode);
-                let speedup = t1 / tn;
-                assert!(
-                    speedup < machine.cpu.ncores as f64,
-                    "{} {:?}: sublinear ({speedup:.1})",
-                    machine.name,
-                    mode
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn openmp_wins_on_titan_mpi_wins_on_supermic() {
-        let t = titan();
-        assert!(
-            tx(&t, 16, ParallelMode::OpenMp) < tx(&t, 16, ParallelMode::Mpi),
-            "OpenMP outperforms OpenMPI on Titan"
-        );
-        let s = supermic();
-        assert!(
-            tx(&s, 20, ParallelMode::Mpi) < tx(&s, 20, ParallelMode::OpenMp),
-            "OpenMPI outperforms OpenMP on Supermic"
-        );
-    }
-
-    #[test]
-    fn supermic_faster_than_titan() {
-        // E.4: "Supermic executes the tasks faster than Titan".
-        assert!(tx(&supermic(), 1, ParallelMode::OpenMp) < tx(&titan(), 1, ParallelMode::OpenMp));
-    }
-
-    #[test]
-    fn emulated_scaling_resembles_application_scaling() {
-        // Figs 12 vs 13: both show monotone improvement with
-        // diminishing returns on Titan/OpenMP.
-        let app = AppModel::default();
-        let machine = titan();
-        let mut last_app = f64::INFINITY;
-        let mut last_emu = f64::INFINITY;
-        for workers in [1u32, 2, 4, 8, 16] {
-            let a = app
-                .execute_parallel(
-                    &machine,
-                    STEPS,
-                    workers,
-                    ParallelMode::OpenMp,
-                    &mut Noise::none(),
-                )
-                .tx;
-            let e = tx(&machine, workers, ParallelMode::OpenMp);
-            assert!(a <= last_app + 1e-9);
-            assert!(e <= last_emu + 1e-9);
-            last_app = a;
-            last_emu = e;
-        }
-    }
-
-    #[test]
-    fn outputs_render() {
-        let f12 = run_fig12();
-        assert!(f12.contains("titan"));
-        assert!(f12.contains("supermic"));
-        assert!(run_fig13().contains("OpenMP"));
-        assert!(run_fig14().contains("OpenMPI"));
-    }
+    gromacs_scaling(14, "OpenMPI", "mpi")
 }

@@ -53,14 +53,6 @@ pub fn sweep() -> Vec<IoPoint> {
     points
 }
 
-fn find(points: &[IoPoint], machine: &str, fs: FsKind, op: IoOp, block: u64) -> f64 {
-    points
-        .iter()
-        .find(|p| p.machine == machine && p.fs == fs && p.op == op && p.block == block)
-        .map(|p| p.seconds)
-        .unwrap_or(f64::NAN)
-}
-
 /// Fig. 15 — the I/O granularity table.
 pub fn run_fig15() -> String {
     let points = sweep();
@@ -83,24 +75,13 @@ pub fn run_fig15() -> String {
         ));
     }
     out.push('\n');
-    let mut seen: Vec<(String, FsKind, IoOp)> = Vec::new();
-    for p in &points {
-        let key = (p.machine.clone(), p.fs, p.op);
-        if seen.contains(&key) {
-            continue;
-        }
-        seen.push(key);
-        out.push_str(&format!(
-            "{:<10} {:<8} {:<6}",
-            p.machine,
-            p.fs.name(),
-            if p.op == IoOp::Read { "read" } else { "write" }
-        ));
-        for b in BLOCKS {
-            out.push_str(&format!(
-                "{:>10.2}",
-                find(&points, &p.machine, p.fs, p.op, b)
-            ));
+    // `sweep` walks the blocks innermost: each chunk is one table row.
+    for row in points.chunks(BLOCKS.len()) {
+        let p = &row[0];
+        let op = if p.op == IoOp::Read { "read" } else { "write" };
+        out.push_str(&format!("{:<10} {:<8} {op:<6}", p.machine, p.fs.name()));
+        for q in row {
+            out.push_str(&format!("{:>10.2}", q.seconds));
         }
         out.push('\n');
     }
@@ -110,6 +91,14 @@ pub fn run_fig15() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn find(points: &[IoPoint], machine: &str, fs: FsKind, op: IoOp, block: u64) -> f64 {
+        points
+            .iter()
+            .find(|p| p.machine == machine && p.fs == fs && p.op == op && p.block == block)
+            .map(|p| p.seconds)
+            .unwrap_or(f64::NAN)
+    }
 
     #[test]
     fn writes_slower_than_reads_everywhere() {

@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures from the
 //! [`bench::all_experiments`] table: no argument runs every experiment
-//! in paper order (the data source for EXPERIMENTS.md), one argument
-//! runs the experiment of that name.
+//! in paper order (README, "Paper experiments"), one argument runs the
+//! experiment of that name.
 
 #![expect(
     clippy::print_stdout,

@@ -11,8 +11,9 @@
 //!
 //! where `+` means supported, `-` unsupported, `(+)` partially
 //! supported and `(-)` planned. The registry below is the programmatic
-//! source of truth; the `table1_metrics` bench target renders it in the
-//! paper's layout and the profiler/emulator consult it to decide which
+//! source of truth; [`render_table1`] renders it in the paper's layout
+//! (`synapse table1`, and the `table1_metrics` row of `cargo run -p
+//! bench`) and the profiler/emulator consult it to decide which
 //! quantities to collect and replay.
 
 use serde::{Deserialize, Serialize};
@@ -415,6 +416,9 @@ mod tests {
             assert!(table.contains(c.name()));
         }
         assert!(table.contains("Emul."));
+        // The paper's partial/planned notation appears in the table.
+        assert!(table.contains("(+)"));
+        assert!(table.contains("(-)"));
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //!   kernel permission (`perf_event_paranoid`); many containers deny
 //!   it.
 //! * [`calibrated::CalibratedProvider`] — a documented **substitution**
-//!   (see DESIGN.md): when hardware counters are unavailable, cycles
-//!   are modelled as `cpu_time × calibrated_frequency` and
-//!   instructions as `cycles × ipc`, with the frequency measured by a
-//!   timed spin loop at startup. The model preserves the relationships
-//!   the paper's experiments rely on (cycles ≈ Tx·f for compute-bound
-//!   code; per-kernel IPC differences).
+//!   (see the README's "Paper experiments" section): when hardware
+//!   counters are unavailable, cycles are modelled as `cpu_time ×
+//!   calibrated_frequency` and instructions as `cycles × ipc`, with
+//!   the frequency measured by a timed spin loop at startup. The model
+//!   preserves the relationships the paper's experiments rely on
+//!   (cycles ≈ Tx·f for compute-bound code; per-kernel IPC
+//!   differences).
 //!
 //! [`provider::default_provider`] picks the perf backend when the
 //! kernel permits it and falls back to the calibrated model otherwise,

@@ -7,8 +7,8 @@
 //! the paper itself reports — e.g. the measured ~2.88–2.90 GHz clock on
 //! Comet, the per-kernel IPC rates of Fig. 11, the converged error
 //! fractions of Figs 8–10, and the E.2 portability offsets (~-40 % on
-//! Stampede, ~+33 % on Archer). See DESIGN.md §1 for the substitution
-//! rationale.
+//! Stampede, ~+33 % on Archer). The README's "Paper experiments"
+//! section gives the substitution's rationale.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;

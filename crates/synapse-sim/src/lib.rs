@@ -7,7 +7,8 @@
 //! laptop), Stampede, Archer, Supermic, Comet and Titan — and three
 //! filesystem classes (node-local disks, Lustre, NFS). None of those
 //! testbeds are available to this reproduction, so this crate models
-//! them parametrically (the substitution is documented in DESIGN.md):
+//! them parametrically (the substitution is described in the README's
+//! "Paper experiments" section):
 //!
 //! * [`machine`] — CPU models (nominal and effective clock, core
 //!   count, per-kernel IPC and cycle-overhead characteristics) and

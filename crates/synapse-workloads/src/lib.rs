@@ -7,7 +7,8 @@
 //! dynamics code whose CPU consumption and disk *output* scale with
 //! the configured iteration count while disk input and memory stay
 //! constant (§5, "Application"). Gromacs itself is not available here,
-//! so this crate provides (substitution documented in DESIGN.md):
+//! so this crate provides (the substitution is described in the
+//! README's "Paper experiments" section):
 //!
 //! * [`mdsim`] — a real, runnable mini molecular-dynamics application
 //!   (Lennard-Jones particles, velocity-Verlet integration, trajectory

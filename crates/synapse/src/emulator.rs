@@ -16,7 +16,8 @@
 //! * [`Emulator::simulate`] — the **simulated backend**: prices every
 //!   demand against a [`MachineModel`] and advances a virtual clock;
 //!   this is how the cross-resource experiments run without the
-//!   original testbeds (substitution documented in DESIGN.md).
+//!   original testbeds (the substitution is described in the README's
+//!   "Paper experiments" section).
 
 use std::path::PathBuf;
 use std::sync::Arc;
