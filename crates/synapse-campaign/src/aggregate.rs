@@ -12,6 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::grid::Name;
 use crate::runner::PointResult;
 
 /// Order-statistics summary of a series.
@@ -98,17 +99,17 @@ fn numeric(buf: &mut String, value: impl std::fmt::Display) -> &str {
 /// ([`axis_slices`]) and the live plane ([`crate::live`]) both key
 /// from this one table, so their slice coordinates can never drift.
 pub const AXES: [(&str, AxisKeyFn); 11] = [
-    ("atoms", |r, _| &r.point.atoms),
-    ("fs", |r, _| &r.point.fs),
+    ("atoms", |r, _| r.point.atoms.as_str()),
+    ("fs", |r, _| r.point.fs.as_str()),
     ("io_block", |r, buf| numeric(buf, r.point.io_block)),
-    ("kernel", |r, _| &r.point.kernel),
-    ("machine", |r, _| &r.point.machine),
-    ("mode", |r, _| &r.point.mode),
-    ("sample_order", |r, _| &r.point.sample_order),
+    ("kernel", |r, _| r.point.kernel.as_str()),
+    ("machine", |r, _| r.point.machine.as_str()),
+    ("mode", |r, _| r.point.mode.as_str()),
+    ("sample_order", |r, _| r.point.sample_order.as_str()),
     ("sample_rate", |r, buf| numeric(buf, r.point.sample_rate)),
     ("steps", |r, buf| numeric(buf, r.point.steps)),
     ("threads", |r, buf| numeric(buf, r.point.threads)),
-    ("workload", |r, _| &r.point.workload),
+    ("workload", |r, _| r.point.workload.as_str()),
 ];
 
 /// Slice results along every axis: one [`AxisSlice`] per axis value,
@@ -161,27 +162,27 @@ pub fn reference_errors(results: &[PointResult], reference: &str) -> Vec<Referen
     use std::collections::BTreeMap;
     // Key a point by every axis except the machine.
     let key_of = |r: &PointResult| {
-        format!(
-            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
-            r.point.workload,
-            r.point.steps,
-            r.point.kernel,
-            r.point.mode,
-            r.point.threads,
-            r.point.io_block,
-            r.point.sample_rate,
-            r.point.fs,
-            r.point.atoms,
-            r.point.sample_order,
+        let p = &r.point;
+        (
+            p.workload,
+            p.steps,
+            p.kernel,
+            p.mode,
+            p.threads,
+            p.io_block,
+            p.sample_rate.to_bits(),
+            p.fs,
+            p.atoms,
+            p.sample_order,
         )
     };
-    let mut ref_tx: BTreeMap<String, f64> = BTreeMap::new();
+    let mut ref_tx = BTreeMap::new();
     for r in results {
         if r.point.machine == reference {
             ref_tx.insert(key_of(r), r.tx);
         }
     }
-    let mut diffs: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    let mut diffs: BTreeMap<Name, Vec<f64>> = BTreeMap::new();
     for r in results {
         if r.point.machine == reference {
             continue;
@@ -189,7 +190,7 @@ pub fn reference_errors(results: &[PointResult], reference: &str) -> Vec<Referen
         if let Some(&base) = ref_tx.get(&key_of(r)) {
             if base > 0.0 {
                 diffs
-                    .entry(r.point.machine.clone())
+                    .entry(r.point.machine)
                     .or_default()
                     .push((r.tx - base) / base * 100.0);
             }
@@ -199,7 +200,7 @@ pub fn reference_errors(results: &[PointResult], reference: &str) -> Vec<Referen
         .into_iter()
         .filter_map(|(machine, d)| {
             Percentiles::of(&d).map(|rel_diff_pct| ReferenceError {
-                machine,
+                machine: machine.to_string(),
                 pairs: d.len(),
                 rel_diff_pct,
             })

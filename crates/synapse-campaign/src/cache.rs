@@ -39,15 +39,11 @@ pub fn engine_tag() -> String {
 /// and platforms).
 pub fn fingerprint(point: &ScenarioPoint) -> String {
     // The hash input is the point's canonical JSON, written straight
-    // into the buffer that gets hashed.
+    // into the buffer that gets hashed. The index is display-only; it
+    // is hashed as 0 so reordering axes or growing the grid never
+    // changes a point's identity.
     let mut json = String::with_capacity(512);
-    point.write_json(&mut json);
-    // The index is display-only; it is hashed as 0 so reordering axes
-    // or growing the grid never changes a point's identity. Splicing
-    // the digits out of the text costs nothing next to cloning the
-    // whole point (eight strings) to zero one field.
-    let digits = index_digits(&json).expect("a serialized point carries its index");
-    json.replace_range(digits, "0");
+    ScenarioPoint { index: 0, ..*point }.write_json(&mut json);
     // The engine version is folded in twice: as the FNV seed *and* as
     // hashed bytes. Seeding alone only XORs the version into the
     // initial state, which a crafted (or unlucky) byte stream could
@@ -57,10 +53,9 @@ pub fn fingerprint(point: &ScenarioPoint) -> String {
     format!("{:016x}", fnv1a(json.as_bytes(), ENGINE_VERSION as u64))
 }
 
-/// Where the grid index's digits sit in the canonical text of a point,
-/// or of a result holding one; `None` if the text has no index key. No
-/// string value can hold the key text: the escaper writes a `"` inside
-/// a string as `\"`. A result's own keys sort around `point`, and none
+/// Where the grid index's digits sit in the canonical text of a result;
+/// `None` if the text has no index key. No string value can hold the
+/// key text: the escaper writes a `"` inside a string as `\"`. A result's own keys sort around `point`, and none
 /// is `index`, so the first match is the point's.
 fn index_digits(json: &str) -> Option<Range<usize>> {
     const INDEX_KEY: &str = ",\"index\":";
@@ -256,7 +251,7 @@ mod tests {
 
     fn result_for(point: &ScenarioPoint) -> PointResult {
         PointResult {
-            point: point.clone(),
+            point: *point,
             fingerprint: fingerprint(point),
             tx: 1.5,
             app_tx: 1.0,
@@ -280,12 +275,12 @@ mod tests {
     #[test]
     fn fingerprints_are_stable_and_index_independent() {
         let ps = points();
-        let mut a = ps[0].clone();
+        let mut a = ps[0];
         assert_eq!(fingerprint(&a), fingerprint(&ps[0]));
         a.index = 999;
         assert_eq!(fingerprint(&a), fingerprint(&ps[0]), "index excluded");
         assert_ne!(fingerprint(&ps[0]), fingerprint(&ps[1]));
-        let mut reseeded = ps[0].clone();
+        let mut reseeded = ps[0];
         reseeded.seed ^= 1;
         assert_ne!(fingerprint(&reseeded), fingerprint(&ps[0]), "seed included");
     }
@@ -299,15 +294,14 @@ mod tests {
         // instead. Re-pin only together with an `ENGINE_VERSION` bump.
         let ps = points();
         assert_eq!(fingerprint(&ps[0]), "a997b4c959216dd9");
-        let mut late = ps[1].clone();
+        let mut late = ps[1];
         late.index = 123_456;
         assert_eq!(fingerprint(&late), "5c58a5d9d9d4f670");
         // Escapes, non-ASCII, an integral float, the largest seed, and
-        // a string value spelling the very key the index splice looks
-        // for.
-        let mut odd = ps[0].clone();
+        // a string value spelling the index key.
+        let mut odd = ps[0];
         odd.index = 7;
-        odd.workload = "we\"ird\\app,\"index\":9 é\n".to_string();
+        odd.workload = "we\"ird\\app,\"index\":9 é\n".into();
         odd.sample_rate = 2.0;
         odd.noise_cv = 0.025;
         odd.seed = u64::MAX;
@@ -320,7 +314,7 @@ mod tests {
         // the initial state; the digest must also *hash* the version
         // bytes so a version bump can never collide back.
         let ps = points();
-        let mut canonical = ps[0].clone();
+        let mut canonical = ps[0];
         canonical.index = 0;
         let json = serde_json::to_string(&canonical).unwrap();
         let seed_only = format!("{:016x}", fnv1a(json.as_bytes(), ENGINE_VERSION as u64));
@@ -376,9 +370,16 @@ mod tests {
         }
         db.upsert(Document::new(fingerprint(&ps[1]), &bad).unwrap())
             .unwrap();
+        // A name outside the catalogs is not a point either.
+        let mut unknown = result_for(&ps[0]);
+        unknown.point.machine = "frontier".into();
+        let unknown_key = "00000000deadbeef";
+        db.upsert(Document::new(unknown_key, &unknown).unwrap())
+            .unwrap();
         db.save().unwrap();
 
         let cache = ResultCache::open(&dir).unwrap();
+        assert!(cache.get(unknown_key).is_none());
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&fingerprint(&ps[1])).is_none());
         assert!(cache.get_text(&fingerprint(&ps[1]), 1).is_none());
@@ -422,7 +423,7 @@ mod tests {
         assert_eq!(idle.data_files_written, 0);
         assert!(!idle.manifest_written);
         // One new point ⇒ at most one data file (+ manifest).
-        let mut extra = ps[0].clone();
+        let mut extra = ps[0];
         extra.seed ^= 0xdead;
         let r = result_for(&extra);
         cache.put(&r.fingerprint, &r).unwrap();

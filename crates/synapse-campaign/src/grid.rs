@@ -1,32 +1,181 @@
 //! Cartesian expansion of campaign axes into concrete scenario points.
 
-use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::ops::Deref;
+
+use serde::json::Parser;
+use serde::{Deserialize, Serialize, Value};
 use synapse::emulator::KernelChoice;
 use synapse_pilot::SchedulerPolicy;
-use synapse_sim::{FsKind, ParallelMode};
+use synapse_sim::{FsKind, ParallelMode, MACHINE_NAMES};
 use synapse_workloads::AppModel;
 
 use crate::spec::CampaignSpec;
+
+/// Canonical application names ([`app_by_name`]).
+const APPS: [&str; 2] = ["gromacs", "amber"];
+/// Canonical kernel names ([`KernelChoice::name`]).
+const KERNELS: [&str; 3] = ["asm", "c", "spin"];
+/// Canonical parallel-mode names ([`mode_by_name`]).
+const MODES: [&str; 2] = ["openmp", "mpi"];
+/// Canonical filesystem axis values: `default`, then [`FsKind::name`].
+const FILESYSTEMS: [&str; 4] = ["default", "local", "lustre", "nfs"];
+/// Canonical [`AtomSet`] spellings, indexed by [`AtomSet::bits`] − 1
+/// (the empty set enables nothing and has no spelling).
+const ATOM_SETS: [&str; 15] = [
+    "compute",
+    "memory",
+    "compute+memory",
+    "storage",
+    "compute+storage",
+    "memory+storage",
+    "no-network",
+    "network",
+    "compute+network",
+    "memory+network",
+    "no-storage",
+    "storage+network",
+    "no-memory",
+    "no-compute",
+    "all",
+];
+/// Canonical sample-order values ([`sample_order_by_name`]).
+const SAMPLE_ORDERS: [&str; 2] = ["preserve", "shuffle"];
+
+/// Every spelling a [`Name`] decodes from: the canonical catalogs of
+/// the eight name axes.
+const CATALOGS: [&[&str]; 7] = [
+    &MACHINE_NAMES,
+    &APPS,
+    &KERNELS,
+    &MODES,
+    &FILESYSTEMS,
+    &ATOM_SETS,
+    &SAMPLE_ORDERS,
+];
+
+/// A scenario point's name-axis value: a catalog spelling (a machine,
+/// an application, a kernel, a mode, a filesystem, an atom set or a
+/// sample order), held as a `&'static str` so a point is `Copy` and
+/// building, copying, decoding and dropping one allocates nothing.
+///
+/// It reads as the `str` it holds (`Deref`, `==` with `&str` and
+/// `String`) and serializes as that string, so every byte on the wire,
+/// in the cache and in the report is the text a `String` would write.
+/// Decoding looks the spelling up in the catalogs and fails on any
+/// other: a document naming something the engine does not model is
+/// not a point.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Name(&'static str);
+
+impl Name {
+    /// The catalog name spelled exactly `spelling` (case-sensitive —
+    /// [`CampaignSpec::validated`] rewrites axis values to these
+    /// spellings), or `None`.
+    pub fn resolve(spelling: &str) -> Option<Name> {
+        CATALOGS
+            .iter()
+            .flat_map(|catalog| catalog.iter())
+            .find(|name| **name == spelling)
+            .map(|name| Name(name))
+    }
+
+    /// The spelling.
+    pub fn as_str(self) -> &'static str {
+        self.0
+    }
+}
+
+/// Any static spelling, catalog or not: for points built in code
+/// (tests probe odd names this way). Only catalog spellings decode.
+impl From<&'static str> for Name {
+    fn from(spelling: &'static str) -> Name {
+        Name(spelling)
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.0, f)
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0, f)
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.0 == *other
+    }
+}
+
+impl PartialEq<String> for Name {
+    fn eq(&self, other: &String) -> bool {
+        self.0 == other
+    }
+}
+
+impl Serialize for Name {
+    fn serialize_value(&self) -> Value {
+        Value::Str(self.0.to_string())
+    }
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_escaped(out, self.0);
+    }
+    fn as_map_key(&self) -> Option<&str> {
+        Some(self.0)
+    }
+}
+
+fn unknown_name(spelling: &str) -> serde::Error {
+    serde::Error::new(format!("unknown name {spelling:?}"))
+}
+
+impl<'de> Deserialize<'de> for Name {
+    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
+        let spelling = value
+            .as_str()
+            .ok_or_else(|| serde::Error::new(format!("expected string, found {}", value.kind())))?;
+        Name::resolve(spelling).ok_or_else(|| unknown_name(spelling))
+    }
+    fn parse_json(parser: &mut Parser<'_>) -> Result<Self, serde::Error> {
+        if parser.peek() != Some(b'"') {
+            return Self::deserialize(&parser.parse_value()?);
+        }
+        let spelling = parser.parse_str()?;
+        Name::resolve(&spelling).ok_or_else(|| unknown_name(&spelling))
+    }
+}
 
 /// One concrete scenario: a fully-bound combination of axis values.
 ///
 /// The point carries everything that determines its simulation outcome
 /// (including campaign-level knobs like the profiling machine and the
 /// noise level), so its content fingerprint is a sound memoization key.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioPoint {
     /// Position in deterministic grid order.
     pub index: usize,
     /// Workload/application name.
-    pub workload: String,
+    pub workload: Name,
     /// Iteration count.
     pub steps: u64,
     /// Target machine (catalog name).
-    pub machine: String,
+    pub machine: Name,
     /// Compute kernel (`asm` | `c` | `spin`).
-    pub kernel: String,
+    pub kernel: Name,
     /// Parallel mode (`openmp` | `mpi`).
-    pub mode: String,
+    pub mode: Name,
     /// Worker width.
     pub threads: u32,
     /// I/O block size in bytes.
@@ -34,15 +183,15 @@ pub struct ScenarioPoint {
     /// Profiling sample rate in Hz.
     pub sample_rate: f64,
     /// Target filesystem (`default` ⇒ the machine's own default).
-    pub fs: String,
+    pub fs: Name,
     /// Atom-enable ablation set (`all`, `compute+storage`, `no-network`,
     /// ... — see [`atoms_by_name`]).
-    pub atoms: String,
+    pub atoms: Name,
     /// Sample-ordering mode (`preserve` | `shuffle` — the Fig. 2
     /// ordering ablation, see [`sample_order_by_name`]).
-    pub sample_order: String,
+    pub sample_order: Name,
     /// Machine the synthetic profile is taken on.
-    pub profile_machine: String,
+    pub profile_machine: Name,
     /// Measurement-noise coefficient of variation.
     pub noise_cv: f64,
     /// Per-point seed, derived deterministically from the campaign
@@ -54,7 +203,16 @@ pub struct ScenarioPoint {
 impl ScenarioPoint {
     /// Human-readable one-line label.
     pub fn label(&self) -> String {
-        format!(
+        let mut label = String::new();
+        let _ = self.write_label(&mut label);
+        label
+    }
+
+    /// Write [`label`](ScenarioPoint::label)'s text into `out` (an
+    /// escaping writer puts it straight into a JSON string).
+    pub fn write_label(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            out,
             "{}/{}steps on {} [{}･{}×{} io={} rate={} fs={} atoms={} order={}]",
             self.workload,
             self.steps,
@@ -83,12 +241,10 @@ fn by_name<T: Clone>(name: &str, table: &[(&str, T)]) -> Option<T> {
 
 /// Resolve a workload name to its application model.
 pub fn app_by_name(name: &str) -> Option<AppModel> {
+    let [gromacs, amber] = APPS;
     by_name(
         name,
-        &[
-            ("gromacs", AppModel::gromacs()),
-            ("amber", AppModel::amber()),
-        ],
+        &[(gromacs, AppModel::gromacs()), (amber, AppModel::amber())],
     )
 }
 
@@ -157,23 +313,29 @@ impl AtomSet {
     /// The canonical spelling of this set — the one stored in
     /// [`ScenarioPoint::atoms`], so that every equivalent input
     /// spelling (`ALL`, `storage+compute`, ...) produces the same
-    /// fingerprint and per-point seed.
-    pub fn canonical(self) -> String {
-        let on = [
-            (self.compute, "compute"),
-            (self.memory, "memory"),
-            (self.storage, "storage"),
-            (self.network, "network"),
-        ];
-        let enabled: Vec<&str> = on.iter().filter(|(e, _)| *e).map(|(_, n)| *n).collect();
-        match enabled.len() {
-            4 => "all".into(),
-            3 => {
-                let off = on.iter().find(|(e, _)| !e).expect("one disabled").1;
-                format!("no-{off}")
-            }
-            _ => enabled.join("+"),
-        }
+    /// fingerprint and per-point seed: `all`, `no-<atom>` for all but
+    /// one, else the enabled atoms `+`-joined in compute, memory,
+    /// storage, network order.
+    ///
+    /// # Panics
+    ///
+    /// On the empty set, which [`atoms_by_name`] never returns: a
+    /// point that emulates nothing has no spelling.
+    pub fn canonical(self) -> Name {
+        let index = self
+            .bits()
+            .checked_sub(1)
+            .expect("an atom set enables an atom");
+        Name(ATOM_SETS[index])
+    }
+
+    /// The set as a bit mask: compute, memory, storage, network from
+    /// the lowest bit up.
+    fn bits(self) -> usize {
+        usize::from(self.compute)
+            | usize::from(self.memory) << 1
+            | usize::from(self.storage) << 2
+            | usize::from(self.network) << 3
     }
 }
 
@@ -278,45 +440,81 @@ pub fn expand(spec: &CampaignSpec) -> Vec<ScenarioPoint> {
 /// `index` — but only the requested range is materialized and the
 /// walk stops at `end`, so serving a lease costs the lease, not the
 /// grid.
+///
+/// Each axis value resolves to its [`Name`] once per grid, and every
+/// point's seed input is written into one reused buffer: a grid costs
+/// the returned vector, that buffer and the resolved names, not
+/// strings per point.
+///
+/// # Panics
+///
+/// If a named axis holds a value outside the catalogs — `spec` must
+/// have passed [`CampaignSpec::validated`], which spells every value
+/// canonically.
 pub fn expand_range(spec: &CampaignSpec, start: usize, end: usize) -> Vec<ScenarioPoint> {
+    use std::fmt::Write as _;
+    let name = |spelling: &str| {
+        Name::resolve(spelling).unwrap_or_else(|| {
+            panic!("axis value {spelling:?} is not canonical: validate the spec")
+        })
+    };
     let total = spec.point_count();
     let mut points = Vec::with_capacity(end.min(total).saturating_sub(start.min(total)));
+    // A seed input is ~100 bytes; one allocation covers every point.
+    let mut axes = String::with_capacity(256);
+    let profile_machine = name(&spec.profile_machine);
+    let named = [
+        &spec.machines,
+        &spec.kernels,
+        &spec.modes,
+        &spec.filesystems,
+        &spec.atoms,
+        &spec.sample_order,
+    ];
+    let mut names = Vec::with_capacity(named.iter().map(|axis| axis.len()).sum());
+    names.extend(named.iter().flat_map(|axis| axis.iter()).map(|v| name(v)));
+    let (machines, rest) = names.split_at(spec.machines.len());
+    let (kernels, rest) = rest.split_at(spec.kernels.len());
+    let (modes, rest) = rest.split_at(spec.modes.len());
+    let (filesystems, rest) = rest.split_at(spec.filesystems.len());
+    let (atom_sets, orders) = rest.split_at(spec.atoms.len());
     let mut index = 0usize;
     'grid: for workload in &spec.workloads {
+        let app = name(&workload.app);
         for &steps in &workload.steps {
-            for machine in &spec.machines {
-                for kernel in &spec.kernels {
-                    for mode in &spec.modes {
+            for &machine in machines {
+                for &kernel in kernels {
+                    for &mode in modes {
                         for &threads in &spec.threads {
                             for &io_block in &spec.io_blocks {
                                 for &sample_rate in &spec.sample_rates {
-                                    for fs in &spec.filesystems {
-                                        for atoms in &spec.atoms {
-                                            for order in &spec.sample_order {
+                                    for &fs in filesystems {
+                                        for &atoms in atom_sets {
+                                            for &order in orders {
                                                 if index >= end {
                                                     break 'grid;
                                                 }
                                                 if index >= start {
-                                                    let axes = format!(
-                                                        "{}|{steps}|{machine}|{kernel}|{mode}|{threads}|{io_block}|{sample_rate}|{fs}|{atoms}|{order}|{}|{}",
-                                                        workload.app, spec.profile_machine, spec.noise_cv,
+                                                    axes.clear();
+                                                    let _ = write!(
+                                                        axes,
+                                                        "{app}|{steps}|{machine}|{kernel}|{mode}|{threads}|{io_block}|{sample_rate}|{fs}|{atoms}|{order}|{profile_machine}|{}",
+                                                        spec.noise_cv,
                                                     );
                                                     points.push(ScenarioPoint {
                                                         index,
-                                                        workload: workload.app.clone(),
+                                                        workload: app,
                                                         steps,
-                                                        machine: machine.clone(),
-                                                        kernel: kernel.clone(),
-                                                        mode: mode.clone(),
+                                                        machine,
+                                                        kernel,
+                                                        mode,
                                                         threads,
                                                         io_block,
                                                         sample_rate,
-                                                        fs: fs.clone(),
-                                                        atoms: atoms.clone(),
-                                                        sample_order: order.clone(),
-                                                        profile_machine: spec
-                                                            .profile_machine
-                                                            .clone(),
+                                                        fs,
+                                                        atoms,
+                                                        sample_order: order,
+                                                        profile_machine,
                                                         noise_cv: spec.noise_cv,
                                                         seed: fnv1a(axes.as_bytes(), spec.seed),
                                                     });
@@ -506,6 +704,90 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 4, "fs/atoms feed the per-point seed");
+    }
+
+    #[test]
+    fn names_are_exactly_the_canonical_catalogs() {
+        let mut canonical: Vec<String> = MACHINE_NAMES
+            .iter()
+            .map(|m| {
+                // Validation spells a machine as its model's name.
+                assert_eq!(synapse_sim::machine_ref(m).unwrap().name, *m);
+                m.to_string()
+            })
+            .collect();
+        canonical.extend(APPS.iter().map(|a| {
+            assert!(app_by_name(a).is_some(), "{a}");
+            a.to_string()
+        }));
+        for kernel in [KernelChoice::Asm, KernelChoice::C, KernelChoice::Spin] {
+            canonical.push(kernel.name().into());
+        }
+        canonical.extend(["openmp".to_string(), "mpi".into(), "default".into()]);
+        for fs in [FsKind::Local, FsKind::Lustre, FsKind::Nfs] {
+            canonical.push(fs.name().into());
+        }
+        for bits in 1..16usize {
+            let set = AtomSet {
+                compute: bits & 1 != 0,
+                memory: bits & 2 != 0,
+                storage: bits & 4 != 0,
+                network: bits & 8 != 0,
+            };
+            let name = set.canonical();
+            assert_eq!(atoms_by_name(&name), Some(set), "{name} round-trips");
+            canonical.push(name.to_string());
+        }
+        canonical.extend(["preserve", "shuffle"].map(|o| {
+            assert_eq!(sample_order_by_name(o), Some(o));
+            o.to_string()
+        }));
+
+        let catalog: Vec<&str> = CATALOGS.iter().flat_map(|c| c.iter().copied()).collect();
+        assert_eq!(catalog, canonical);
+        for spelling in &canonical {
+            assert_eq!(Name::resolve(spelling).unwrap(), *spelling);
+        }
+        // Exact spellings only: validation canonicalizes first.
+        for other in [
+            "Comet",
+            "ASM",
+            "omp",
+            "/tmp",
+            "storage+compute",
+            "",
+            "frontier",
+        ] {
+            assert_eq!(Name::resolve(other), None, "{other}");
+        }
+    }
+
+    #[test]
+    fn names_round_trip_as_their_strings_and_unknown_ones_do_not_decode() {
+        let point = expand(&spec())[5];
+        let json = serde_json::to_string(&point).unwrap();
+        assert!(json.contains(r#""machine":"thinkie""#), "{json}");
+        assert_eq!(serde_json::from_str::<ScenarioPoint>(&json).unwrap(), point);
+        let tree = serde_json::to_value(point).unwrap();
+        assert_eq!(
+            serde_json::from_value::<ScenarioPoint>(tree).unwrap(),
+            point
+        );
+
+        let bogus = json.replace(r#""thinkie""#, r#""frontier""#);
+        let err = serde_json::from_str::<ScenarioPoint>(&bogus).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown name \"frontier\""),
+            "{err}"
+        );
+        // An escaped spelling of a catalog name is that name.
+        let escaped = json.replace(r#""thinkie""#, r#""thinki\u0065""#);
+        assert_eq!(
+            serde_json::from_str::<ScenarioPoint>(&escaped).unwrap(),
+            point
+        );
+        let number = json.replace(r#""thinkie""#, "7");
+        assert!(serde_json::from_str::<ScenarioPoint>(&number).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use synapse_pilot::{PilotAgent, ProxyTask};
 use crate::aggregate::{axis_slices, reference_errors, AxisSlice, ReferenceError};
 use crate::cache::ENGINE_VERSION;
 use crate::error::CampaignError;
-use crate::grid::policy_by_name;
+use crate::grid::{policy_by_name, Name};
 use crate::runner::PointResult;
 use crate::spec::CampaignSpec;
 
@@ -17,15 +17,15 @@ pub struct PointRow {
     /// Grid index.
     pub index: usize,
     /// Workload name.
-    pub workload: String,
+    pub workload: Name,
     /// Iteration count.
     pub steps: u64,
     /// Target machine.
-    pub machine: String,
+    pub machine: Name,
     /// Compute kernel.
-    pub kernel: String,
+    pub kernel: Name,
     /// Parallel mode.
-    pub mode: String,
+    pub mode: Name,
     /// Worker width.
     pub threads: u32,
     /// I/O block size.
@@ -33,11 +33,11 @@ pub struct PointRow {
     /// Sample rate in Hz.
     pub sample_rate: f64,
     /// Target filesystem axis value.
-    pub fs: String,
+    pub fs: Name,
     /// Atom-ablation axis value.
-    pub atoms: String,
+    pub atoms: Name,
     /// Sample-ordering axis value (`preserve` | `shuffle`).
-    pub sample_order: String,
+    pub sample_order: Name,
     /// Emulated runtime (virtual seconds).
     pub tx: f64,
     /// Application baseline runtime.
@@ -99,17 +99,17 @@ impl CampaignReport {
             .iter()
             .map(|r| PointRow {
                 index: r.point.index,
-                workload: r.point.workload.clone(),
+                workload: r.point.workload,
                 steps: r.point.steps,
-                machine: r.point.machine.clone(),
-                kernel: r.point.kernel.clone(),
-                mode: r.point.mode.clone(),
+                machine: r.point.machine,
+                kernel: r.point.kernel,
+                mode: r.point.mode,
                 threads: r.point.threads,
                 io_block: r.point.io_block,
                 sample_rate: r.point.sample_rate,
-                fs: r.point.fs.clone(),
-                atoms: r.point.atoms.clone(),
-                sample_order: r.point.sample_order.clone(),
+                fs: r.point.fs,
+                atoms: r.point.atoms,
+                sample_order: r.point.sample_order,
                 tx: r.tx,
                 app_tx: r.app_tx,
                 error_pct: r.error_pct(),

@@ -156,15 +156,15 @@ impl RunStats {
 /// prescribes — the one place for the axis→`EmulationPlan` mapping.
 pub fn emulation_plan(point: &ScenarioPoint) -> Result<EmulationPlan, CampaignError> {
     let kernel = kernel_by_name(&point.kernel)
-        .ok_or_else(|| CampaignError::UnknownKernel(point.kernel.clone()))?;
-    let mode =
-        mode_by_name(&point.mode).ok_or_else(|| CampaignError::UnknownMode(point.mode.clone()))?;
-    let target_fs =
-        fs_by_name(&point.fs).ok_or_else(|| CampaignError::UnknownFilesystem(point.fs.clone()))?;
+        .ok_or_else(|| CampaignError::UnknownKernel(point.kernel.to_string()))?;
+    let mode = mode_by_name(&point.mode)
+        .ok_or_else(|| CampaignError::UnknownMode(point.mode.to_string()))?;
+    let target_fs = fs_by_name(&point.fs)
+        .ok_or_else(|| CampaignError::UnknownFilesystem(point.fs.to_string()))?;
     let atoms = atoms_by_name(&point.atoms)
-        .ok_or_else(|| CampaignError::UnknownAtomSet(point.atoms.clone()))?;
+        .ok_or_else(|| CampaignError::UnknownAtomSet(point.atoms.to_string()))?;
     let order = sample_order_by_name(&point.sample_order)
-        .ok_or_else(|| CampaignError::UnknownSampleOrder(point.sample_order.clone()))?;
+        .ok_or_else(|| CampaignError::UnknownSampleOrder(point.sample_order.to_string()))?;
     Ok(EmulationPlan {
         kernel,
         threads: point.threads,
@@ -202,11 +202,11 @@ pub(crate) fn simulate_point_keyed(
     fingerprint: String,
 ) -> Result<PointResult, CampaignError> {
     let app = app_by_name(&point.workload)
-        .ok_or_else(|| CampaignError::UnknownWorkload(point.workload.clone()))?;
+        .ok_or_else(|| CampaignError::UnknownWorkload(point.workload.to_string()))?;
     let profile_machine = synapse_sim::machine_ref(&point.profile_machine)
-        .ok_or_else(|| CampaignError::UnknownMachine(point.profile_machine.clone()))?;
+        .ok_or_else(|| CampaignError::UnknownMachine(point.profile_machine.to_string()))?;
     let machine = synapse_sim::machine_ref(&point.machine)
-        .ok_or_else(|| CampaignError::UnknownMachine(point.machine.clone()))?;
+        .ok_or_else(|| CampaignError::UnknownMachine(point.machine.to_string()))?;
     let plan = emulation_plan(point)?;
     let mode = plan.mode;
 
@@ -230,7 +230,7 @@ pub(crate) fn simulate_point_keyed(
 
     Ok(PointResult {
         fingerprint,
-        point: point.clone(),
+        point: *point,
         tx: report.tx,
         app_tx: app_run.tx,
         samples: report.samples,
@@ -372,7 +372,7 @@ mod tests {
         let base = &points[0];
 
         // Compute-only ablation drops storage/memory/network time.
-        let mut compute_only = base.clone();
+        let mut compute_only = *base;
         compute_only.atoms = "compute".into();
         let full = simulate_point(base).unwrap();
         let ablated = simulate_point(&compute_only).unwrap();
@@ -381,7 +381,7 @@ mod tests {
         assert!(full.bytes_written > 0);
 
         // A no-compute ablation consumes no cycles.
-        let mut no_compute = base.clone();
+        let mut no_compute = *base;
         no_compute.atoms = "no-compute".into();
         let nc = simulate_point(&no_compute).unwrap();
         assert_eq!(nc.consumed_cycles, 0);
@@ -391,14 +391,13 @@ mod tests {
         // Storage-only ablation makes the I/O time the sample time, so
         // the repricing is visible in tx even when compute would
         // otherwise dominate the per-sample max.
-        let mut titan = points
+        let mut titan = *points
             .iter()
             .find(|p| p.machine == "titan")
-            .expect("titan on the axis")
-            .clone();
+            .expect("titan on the axis");
         titan.atoms = "storage".into();
         let on_lustre = simulate_point(&titan).unwrap();
-        let mut local = titan.clone();
+        let mut local = titan;
         local.fs = "local".into();
         let on_local = simulate_point(&local).unwrap();
         assert_ne!(on_local.tx, on_lustre.tx, "fs retarget reprices I/O");
@@ -412,7 +411,7 @@ mod tests {
         let points = expand(&small_spec());
         let base = &points[0];
         let preserved = simulate_point(base).unwrap();
-        let mut shuffled_point = base.clone();
+        let mut shuffled_point = *base;
         shuffled_point.sample_order = "shuffle".into();
         let shuffled = simulate_point(&shuffled_point).unwrap();
         assert_eq!(

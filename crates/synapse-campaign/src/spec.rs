@@ -220,7 +220,7 @@ impl CampaignSpec {
         for a in &mut self.atoms {
             let resolved = crate::grid::atoms_by_name(a)
                 .ok_or_else(|| CampaignError::UnknownAtomSet(a.clone()))?;
-            *a = resolved.canonical();
+            *a = resolved.canonical().to_string();
         }
         for o in &mut self.sample_order {
             let resolved = crate::grid::sample_order_by_name(o)

@@ -88,23 +88,26 @@ fn calls<R>(mut f: impl FnMut() -> R) -> u64 {
     first
 }
 
-fn results() -> Vec<PointResult> {
-    let spec = CampaignSpec::from_toml(
+/// A 16-point grid, grown by the TOML lines in `axes`.
+fn spec(axes: &str) -> CampaignSpec {
+    CampaignSpec::from_toml(&format!(
         r#"
         name = "budget"
         seed = 3
         machines = ["thinkie", "comet", "stampede", "titan"]
         kernels = ["asm", "c"]
-        threads = [1, 8]
-        io_blocks = [65536, 1048576]
+        {axes}
 
         [[workloads]]
         app = "gromacs"
         steps = [1000, 2000]
         "#,
-    )
-    .unwrap();
-    let results: Vec<_> = expand(&spec)
+    ))
+    .unwrap()
+}
+
+fn results() -> Vec<PointResult> {
+    let results: Vec<_> = expand(&spec("threads = [1, 8]\nio_blocks = [65536, 1048576]"))
         .iter()
         .map(|p| simulate_point(p).unwrap())
         .collect();
@@ -117,26 +120,39 @@ fn warm_per_point_paths_stay_within_their_allocation_budgets() {
     let results = results();
     let one = &results[0];
 
+    // A grid is its vector of points and the one buffer their seed
+    // inputs are written into: a point's names are catalog names.
+    let grid = spec("");
+    let points = calls(|| expand(&grid));
+    assert_eq!(expand(&grid).len(), 16);
+    assert!(
+        points <= 3,
+        "expanding 16 points made {points} allocator calls"
+    );
+    // ... so a point is `Copy`, and copying one copies no string.
+    assert_eq!(calls(|| one.point), 0);
+
     // The hash input buffer and the hex digest.
     assert!(calls(|| fingerprint(&one.point)) <= 2);
 
-    // Simulating a point costs what it returns — the nine strings of
-    // the result — and the fingerprint's hash input buffer (plus
-    // slack): resolving its machines, plan and kernel builds nothing.
+    // Simulating a point costs its fingerprint (plus slack): resolving
+    // its machines, plan and kernel builds nothing, and the result's
+    // point is a copy.
     let cold = calls(|| simulate_point(&one.point).unwrap());
-    assert!(cold <= 12, "simulate_point made {cold} allocator calls");
+    assert!(cold <= 3, "simulate_point made {cold} allocator calls");
 
     // The text, grown at most once.
     assert!(calls(|| serde_json::to_string(one).unwrap()) <= 2);
 
-    // A hit costs the nine strings of the result it returns (plus
-    // slack), not a copy of the stored document first.
+    // A hit costs the one string of the result it returns, its
+    // fingerprint (plus slack), not a copy of the stored document
+    // first.
     let cache = ResultCache::in_memory();
     for r in &results {
         cache.put(&r.fingerprint, r).unwrap();
     }
     let hit = calls(|| cache.get(&one.fingerprint).unwrap());
-    assert!(hit <= 12, "a hit made {hit} allocator calls");
+    assert!(hit <= 2, "a hit made {hit} allocator calls");
 
     // A hit as stored text, what a lease job lands, is the one copy of
     // that text with its index replaced: no decode.
@@ -173,15 +189,19 @@ fn warm_per_point_paths_stay_within_their_allocation_budgets() {
     assert!(per_text_frame(1) <= 4);
     assert!(per_text_frame(DEFAULT_BATCH_POINTS) <= 4);
 
-    // Decoding one: the strings of each result and the two vectors
-    // they sit in — no document tree.
+    // Decoding one: each result's fingerprint and shared handle, and
+    // the vectors they sit in — no document tree.
     let frame = lease_batch_line(&packed, None);
     let decode = || match parse_event(&frame) {
         Some(WorkerEvent::Batch(points)) => points,
         other => panic!("frame decoded as {other:?}"),
     };
     assert_eq!(decode().len(), DEFAULT_BATCH_POINTS);
-    assert!(calls(decode) <= 12 * DEFAULT_BATCH_POINTS as u64);
+    let decoded = calls(decode);
+    assert!(
+        decoded <= 2 * DEFAULT_BATCH_POINTS as u64,
+        "a {DEFAULT_BATCH_POINTS}-point frame decode made {decoded} allocator calls"
+    );
 
     // Once a point's slices exist, folding it in allocates nothing.
     let live = LiveAggregates::new();

@@ -159,19 +159,25 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> Result<BufReader<TcpStream>, ServerError> {
+        use std::fmt::Write as _;
         let mut stream = self.connect()?;
         let body = body.unwrap_or("");
-        let trace_header = match &self.trace {
-            Some(id) => format!("X-Synapse-Trace: {id}\r\n"),
-            None => String::new(),
-        };
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n{trace_header}Connection: close\r\n\r\n{body}",
+        // The whole request goes out in one write: with TCP_NODELAY,
+        // each piece of a `write!` straight to the socket would be a
+        // segment of its own.
+        let mut request = String::with_capacity(128 + path.len() + body.len());
+        let _ = write!(
+            request,
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n",
             self.addr,
             body.len(),
-        )?;
-        stream.flush()?;
+        );
+        if let Some(id) = &self.trace {
+            let _ = write!(request, "X-Synapse-Trace: {id}\r\n");
+        }
+        request.push_str("Connection: close\r\n\r\n");
+        request.push_str(body);
+        stream.write_all(request.as_bytes())?;
         Ok(BufReader::new(stream))
     }
 

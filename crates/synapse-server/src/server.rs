@@ -90,6 +90,39 @@ pub const MAX_RETAINED_TERMINAL_JOBS: usize = 64;
 /// result sets.
 pub const MAX_RETAINED_TERMINAL_LEASES: usize = 2;
 
+/// Bounded retention: take the oldest terminal jobs beyond the caps
+/// out of `jobs` (kept in submission order) and return them. Finished
+/// leases go first and fastest — their rings hold full per-point
+/// results — then terminal jobs of any kind beyond
+/// [`MAX_RETAINED_TERMINAL_JOBS`]. Live jobs are never evicted, and an
+/// attached streamer keeps an evicted job alive through its `Arc`
+/// until it hangs up.
+fn evict_terminal(jobs: &mut Vec<Arc<Job>>) -> Vec<Arc<Job>> {
+    let mut evicted = take_oldest(jobs, MAX_RETAINED_TERMINAL_LEASES, |j| {
+        matches!(j.kind, JobKind::Lease { .. }) && j.state().is_terminal()
+    });
+    evicted.extend(take_oldest(jobs, MAX_RETAINED_TERMINAL_JOBS, |j| {
+        j.state().is_terminal()
+    }));
+    evicted
+}
+
+/// Take out of `jobs` the oldest of those `pick` selects, all but the
+/// newest `keep` of them.
+fn take_oldest(
+    jobs: &mut Vec<Arc<Job>>,
+    keep: usize,
+    pick: impl Fn(&Job) -> bool,
+) -> Vec<Arc<Job>> {
+    let mut over = jobs.iter().filter(|j| pick(j)).count().saturating_sub(keep);
+    jobs.extract_if(.., |j| {
+        let take = over > 0 && pick(j);
+        over -= usize::from(take);
+        take
+    })
+    .collect()
+}
+
 /// How long an event stream may stay silent before a `heartbeat`
 /// event is pulsed, keeping client read-timeouts satisfiable while a
 /// job sits queued behind a long sweep. Public so clients can derive
@@ -283,41 +316,11 @@ impl ServerState {
         if let Some(trace_id) = lease_trace {
             job.set_lease_trace(trace_id);
         }
-        {
+        let evicted = {
             let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
             jobs.push(job.clone());
-            // Bounded retention: the daemon must not grow without limit
-            // across weeks of submissions. Oldest *terminal* jobs fall
-            // off first (attached streamers keep theirs alive through
-            // the Arc until they hang up); live jobs are never evicted.
-            // Finished leases go first and fastest — their rings hold
-            // full per-point results.
-            let is_lease = |j: &Arc<Job>| matches!(j.kind, JobKind::Lease { .. });
-            let mut terminal_leases = jobs
-                .iter()
-                .filter(|j| is_lease(j) && j.state().is_terminal())
-                .count();
-            jobs.retain(|j| {
-                if terminal_leases > MAX_RETAINED_TERMINAL_LEASES
-                    && is_lease(j)
-                    && j.state().is_terminal()
-                {
-                    terminal_leases -= 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            let mut terminal = jobs.iter().filter(|j| j.state().is_terminal()).count();
-            jobs.retain(|j| {
-                if terminal > MAX_RETAINED_TERMINAL_JOBS && j.state().is_terminal() {
-                    terminal -= 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+            evict_terminal(&mut jobs)
+        };
         self.queue
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -330,6 +333,10 @@ impl ServerState {
         if self.shutting_down() && job.settle_if_queued() {
             self.finalize_trace(&job);
         }
+        // Freeing a finished job's event ring (a full sweep's point
+        // lines) is the table's last reference going: it happens here,
+        // after the new job is queued, and outside the jobs lock.
+        drop(evicted);
         job
     }
 
@@ -664,7 +671,7 @@ fn point_event_line(
     done: usize,
     total: usize,
 ) -> String {
-    use serde_json::{write_escaped, write_f64};
+    use serde_json::{write_escaped, write_f64, Escaping};
     use std::fmt::Write as _;
     let mut line = String::with_capacity(416);
     line.push_str("{\"app_tx\":");
@@ -675,9 +682,9 @@ fn point_event_line(
     write_f64(&mut line, result.error_pct());
     line.push_str(",\"event\":\"point\",\"fingerprint\":");
     write_escaped(&mut line, &result.fingerprint);
-    let _ = write!(line, ",\"index\":{},\"label\":", result.point.index);
-    write_escaped(&mut line, &result.point.label());
-    let _ = write!(line, ",\"total\":{total},\"tx\":");
+    let _ = write!(line, ",\"index\":{},\"label\":\"", result.point.index);
+    let _ = result.point.write_label(&mut Escaping(&mut line));
+    let _ = write!(line, "\",\"total\":{total},\"tx\":");
     write_f64(&mut line, result.tx);
     line.push('}');
     line
@@ -1737,9 +1744,8 @@ impl Reactor<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn hand_rolled_point_line_matches_the_tree_serializer() {
-        let spec = CampaignSpec::from_toml(
+    fn spec() -> CampaignSpec {
+        CampaignSpec::from_toml(
             r#"
             name = "fmt"
             machines = ["thinkie"]
@@ -1750,8 +1756,12 @@ mod tests {
             steps = [10000]
             "#,
         )
-        .unwrap();
-        let points = synapse_campaign::expand(&spec);
+        .unwrap()
+    }
+
+    #[test]
+    fn hand_rolled_point_line_matches_the_tree_serializer() {
+        let points = synapse_campaign::expand(&spec());
         let cache = ResultCache::in_memory();
         let (results, _) = CampaignEngine::new(&points, &cache, &RunConfig::default())
             .run(&|_| {}, &synapse_campaign::CancelToken::new())
@@ -1772,5 +1782,49 @@ mod tests {
             let fast = point_event_line(result, i % 2 == 0, i + 1, results.len());
             assert_eq!(fast, tree, "hot-path serializer must be byte-identical");
         }
+    }
+
+    #[test]
+    fn retention_evicts_the_oldest_terminal_jobs_and_never_a_live_one() {
+        let lease = JobKind::Lease { start: 0, end: 1 };
+        let spec = spec();
+        let mut jobs: Vec<Arc<Job>> = Vec::new();
+        let mut submit = |id: u64, kind: JobKind, live: bool| {
+            let job = Arc::new(Job::new(id, spec.clone(), 1, 1, kind, 0));
+            if !live {
+                assert!(job.settle_if_queued(), "a queued job settles");
+            }
+            jobs.push(job);
+            let evicted = evict_terminal(&mut jobs);
+            assert!(evicted.iter().all(|j| j.state().is_terminal()));
+            let terminal = |lease_only: bool| {
+                jobs.iter()
+                    .filter(|j| j.state().is_terminal())
+                    .filter(|j| !lease_only || matches!(j.kind, JobKind::Lease { .. }))
+                    .count()
+            };
+            assert!(terminal(true) <= MAX_RETAINED_TERMINAL_LEASES);
+            assert!(terminal(false) <= MAX_RETAINED_TERMINAL_JOBS);
+            jobs.iter().map(|j| j.id).collect::<Vec<_>>()
+        };
+        submit(0, JobKind::Sweep, true);
+        submit(1, lease, true);
+        let mut table = Vec::new();
+        for id in 2..100 {
+            let kind = if id % 10 == 0 { lease } else { JobKind::Sweep };
+            table = submit(id, kind, false);
+            if id == 30 {
+                // The third finished lease pushes out the first; no
+                // sweep has reached its cap yet.
+                assert!(!table.contains(&10) && table.contains(&20));
+                assert_eq!(table.len(), 30);
+            }
+        }
+        // Live jobs stay; the two newest finished leases stay; of the
+        // rest, the newest finished jobs fill the cap.
+        let mut kept = vec![0, 1];
+        kept.extend((32..100).filter(|id| ![40, 50, 60, 70].contains(id)));
+        assert_eq!(table, kept);
+        assert_eq!(table.len() - 2, MAX_RETAINED_TERMINAL_JOBS);
     }
 }

@@ -867,13 +867,13 @@ fn raw_get(addr: std::net::SocketAddr, path: &str) -> TcpStream {
     stream
 }
 
-/// Clamp a socket's kernel receive buffer so TCP flow control pushes
-/// back on the sender after a few KB instead of absorbing megabytes —
+/// Set a socket's kernel receive buffer. Clamped to a few KB, TCP flow
+/// control pushes back on the sender instead of absorbing megabytes —
 /// the only way to make a "watcher that stopped reading" observable
-/// to the server under test.
-fn shrink_rcvbuf(stream: &TcpStream) {
+/// to the server under test; a small window also caps how fast the
+/// watcher can drain afterwards, so it is raised again before a drain.
+fn set_rcvbuf(stream: &TcpStream, size: libc::c_int) {
     use std::os::unix::io::AsRawFd;
-    let size: libc::c_int = 4096;
     // SAFETY: passes a pointer to `size` (alive for the call) with the
     // matching c_int length; the fd belongs to the borrowed stream.
     let rc = unsafe {
@@ -976,7 +976,7 @@ fn stalled_watcher_gets_backpressure_then_truncated_tail() {
 
     // Attach with a clamped receive window, then stall (never read).
     let mut watcher = TcpStream::connect(handle.addr()).unwrap();
-    shrink_rcvbuf(&watcher);
+    set_rcvbuf(&watcher, 4096);
     write!(
         watcher,
         "GET /campaigns/{id}/events HTTP/1.1\r\nHost: t\r\n\r\n"
@@ -1002,7 +1002,10 @@ fn stalled_watcher_gets_backpressure_then_truncated_tail() {
     };
     client.cancel(&id).unwrap();
 
-    // Resume: drain the stream to its end.
+    // Resume: drain the stream to its end, through a window wide
+    // enough that the megabytes the kernel buffered arrive in well
+    // under a second rather than at a 4 KiB window's pace.
+    set_rcvbuf(&watcher, 1 << 20);
     watcher
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();

@@ -12,10 +12,15 @@
 //! * **Emulation cycle overshoot** (E.3): a compute kernel executes in
 //!   whole work units (one matrix multiplication) of `unit_cycles`
 //!   cycles, each carrying a fractional loop/bookkeeping overhead.
-//!   Consumed cycles are `ceil(directed/unit) × unit × (1+overhead)` —
-//!   for short runs quantization dominates (large error), for long
-//!   runs the error converges to the overhead fraction, exactly the
-//!   convergence shape of Figs 8–10.
+//!   Consumed cycles are `ceil(directed/unit) × unit × (1+overhead)`,
+//!   applied per profile sample (about a second of the run each), so
+//!   the error is the overhead fraction plus each sample's round-up to
+//!   a whole unit. It does not shrink with run length: on
+//!   `examples/paper/e3.toml` (1 Hz samples) Comet's cycle error is
+//!   3.5 % (C) / 14.5 % (ASM) at 1,000 steps and 3.7 % / 14.6 % at
+//!   100,000, Supermic's 4.0 % / 26.5 % and 4.2 % / 26.6 % (Fig 8).
+//!   The shortest runs are one sample of a whole number of units, so
+//!   they carry the overhead alone; longer runs add a little rounding.
 //! * **Cross-machine Tx offsets** (E.2): wall time of a cycle budget is
 //!   `cycles / (freq × efficiency)`. The application and each kernel
 //!   have machine-specific efficiencies (compile-time optimization,
