@@ -10,6 +10,8 @@
 //!   designated reference machine, the cross-resource portability view
 //!   of E.2.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::grid::Name;
@@ -17,14 +19,13 @@ use crate::runner::PointResult;
 
 /// Order-statistics summary of a series.
 ///
-/// The report keeps these exact nearest-rank statistics rather than
-/// reading them off the live plane's [`crate::sketch::QuantileSketch`]:
-/// a sketch quantile is only within
-/// [`RELATIVE_ERROR`](crate::sketch::RELATIVE_ERROR) (< 1 %) of the
-/// order statistic, so it cannot reproduce the report's bytes, and
-/// those bytes are the contract (identical results ⇒ identical report,
-/// live or replayed). A report already holds the whole result set,
-/// which is all the exact sort needs.
+/// The one estimator of the workspace: the report and the live view
+/// ([`crate::live`]) both keep each slice's raw values and summarise
+/// them here, exactly (nearest-rank over the sorted series, the mean
+/// summed in sorted order). So a finished job's live view equals its
+/// report in every field, and neither depends on the order in which
+/// points landed — at 8 bytes per value per slice, the price of
+/// holding the values.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Percentiles {
     /// Number of observations.
@@ -46,11 +47,15 @@ pub struct Percentiles {
 impl Percentiles {
     /// Summarize a series (`None` for an empty one).
     pub fn of(values: &[f64]) -> Option<Percentiles> {
-        if values.is_empty() {
-            return None;
-        }
         let mut sorted: Vec<f64> = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite metric"));
+        sort(&mut sorted);
+        Percentiles::of_sorted(&sorted)
+    }
+
+    /// Summarize a series already in [`sort`] order (`None` for an
+    /// empty one).
+    pub(crate) fn of_sorted(sorted: &[f64]) -> Option<Percentiles> {
+        let (&min, &max) = (sorted.first()?, sorted.last()?);
         let rank = |p: f64| -> f64 {
             // Nearest-rank percentile: ceil(p/100 · n), 1-indexed.
             let idx = ((p / 100.0 * sorted.len() as f64).ceil() as usize).max(1);
@@ -62,9 +67,68 @@ impl Percentiles {
             p50: rank(50.0),
             p95: rank(95.0),
             p99: rank(99.0),
-            min: sorted[0],
-            max: sorted[sorted.len() - 1],
+            min,
+            max,
         })
+    }
+}
+
+/// Sort a series ascending, stably. Panics on a NaN, which no checked
+/// result carries ([`PointResult::times_are_valid`]).
+pub(crate) fn sort(values: &mut [f64]) {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("finite metric"));
+}
+
+/// One metric's raw values in one slice, summarised on read: the fold
+/// appends to `values` (which keeps the sorted prefix a prefix), and a
+/// read sorts what arrived since the last read and merges it in.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Series {
+    values: Vec<f64>,
+    /// Length of the sorted prefix of `values`.
+    sorted: usize,
+}
+
+impl Series {
+    /// The values as they stand, sorted or not.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The values in [`sort`] order: the sort of their arrival order.
+    pub(crate) fn sorted(&mut self) -> &[f64] {
+        if self.sorted == 0 {
+            sort(&mut self.values);
+        } else if self.sorted < self.values.len() {
+            let mut tail = self.values.split_off(self.sorted);
+            sort(&mut tail);
+            merge(&mut self.values, &tail);
+        }
+        self.sorted = self.values.len();
+        &self.values
+    }
+
+    pub(crate) fn summary(&mut self) -> Option<Percentiles> {
+        Percentiles::of_sorted(self.sorted())
+    }
+}
+
+/// Append the sorted `tail` to the sorted `values` and merge the two,
+/// from the back, so only what sorts after the tail's least value
+/// moves. On a tie the element of `values` stays first, as in a stable
+/// sort of the two in sequence.
+fn merge(values: &mut Vec<f64>, tail: &[f64]) {
+    let (mut i, mut j) = (values.len(), tail.len());
+    values.extend_from_slice(tail);
+    while j > 0 {
+        let at = i + j - 1;
+        if i > 0 && values[i - 1] > tail[j - 1] {
+            values[at] = values[i - 1];
+            i -= 1;
+        } else {
+            values[at] = tail[j - 1];
+            j -= 1;
+        }
     }
 }
 
@@ -95,9 +159,9 @@ fn numeric(buf: &mut String, value: impl std::fmt::Display) -> &str {
 }
 
 /// The slice-keying table: every report axis with its value renderer,
-/// in alphabetical (= report) order. Offline reports
-/// ([`axis_slices`]) and the live plane ([`crate::live`]) both key
-/// from this one table, so their slice coordinates can never drift.
+/// in alphabetical (= report) order. One slice table keys from it,
+/// and both the report ([`axis_slices`]) and the live plane
+/// ([`crate::live`]) fold results through that table.
 pub const AXES: [(&str, AxisKeyFn); 11] = [
     ("atoms", |r, _| r.point.atoms.as_str()),
     ("fs", |r, _| r.point.fs.as_str()),
@@ -112,35 +176,105 @@ pub const AXES: [(&str, AxisKeyFn); 11] = [
     ("workload", |r, _| r.point.workload.as_str()),
 ];
 
+/// One slice's (or the campaign-wide node's) series, one per metric.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SliceNode {
+    pub(crate) error_pct: Series,
+    pub(crate) tx: Series,
+    /// [`SliceTable::version`] at this node's last change.
+    pub(crate) version: u64,
+}
+
+/// Results folded by slice: one [`SliceNode`] per `(axis, value)` of
+/// [`AXES`], plus the campaign-wide node.
+#[derive(Debug, Default)]
+pub(crate) struct SliceTable {
+    /// One `value → node` map per axis, indexed like [`AXES`] (which is
+    /// in axis-name order), so walking the array and then each map
+    /// visits slices in `(axis, value)` order — report order. Keyed
+    /// per axis so a point finds its slices by `&str`.
+    slices: [BTreeMap<String, SliceNode>; AXES.len()],
+    /// The campaign-wide node (all points, no slicing).
+    pub(crate) overall: SliceNode,
+    /// Bumped once per change. Nodes remember the version of their
+    /// last change, so a live reader can ask what changed since.
+    pub(crate) version: u64,
+    /// Where numeric axis values are formatted for lookup.
+    scratch: String,
+}
+
+/// A node's `(error_pct, tx)` values, as one view hands them to another.
+pub(crate) type NodeValues = (Vec<f64>, Vec<f64>);
+
+impl SliceTable {
+    /// Fold one result in: the overall node plus one slice per axis.
+    /// Once the point's slices exist this only appends to their series.
+    pub(crate) fn record(&mut self, result: &PointResult) {
+        self.version += 1;
+        let (error_pct, tx) = (result.error_pct(), result.tx);
+        let push = |node: &mut SliceNode| {
+            node.error_pct.values.push(error_pct);
+            node.tx.values.push(tx);
+            node.version = self.version;
+        };
+        push(&mut self.overall);
+        for (nodes, (_, key_of)) in self.slices.iter_mut().zip(AXES) {
+            with_node(nodes, key_of(result, &mut self.scratch), push);
+        }
+    }
+
+    /// Append another table's values, as one change: its overall node's,
+    /// and each of its slices' as `(index into AXES, value, values)`.
+    pub(crate) fn append(&mut self, overall: &NodeValues, slices: &[(usize, &str, NodeValues)]) {
+        self.version += 1;
+        let append = |node: &mut SliceNode, (error_pct, tx): &NodeValues| {
+            node.error_pct.values.extend_from_slice(error_pct);
+            node.tx.values.extend_from_slice(tx);
+            node.version = self.version;
+        };
+        append(&mut self.overall, overall);
+        for (axis, value, values) in slices {
+            with_node(&mut self.slices[*axis], value, |node| append(node, values));
+        }
+    }
+
+    /// Every slice as `(axis, value, node)`, in report order.
+    pub(crate) fn slices_mut(
+        &mut self,
+    ) -> impl Iterator<Item = (&'static str, &String, &mut SliceNode)> {
+        AXES.iter()
+            .zip(&mut self.slices)
+            .flat_map(|((axis, _), nodes)| {
+                nodes.iter_mut().map(|(value, node)| (*axis, value, node))
+            })
+    }
+}
+
+/// Run `f` on the node under `value`, found by `&str`: the key is
+/// copied only when the slice is seen for the first time.
+fn with_node(nodes: &mut BTreeMap<String, SliceNode>, value: &str, f: impl FnOnce(&mut SliceNode)) {
+    match nodes.get_mut(value) {
+        Some(node) => f(node),
+        None => f(nodes.entry(value.to_string()).or_default()),
+    }
+}
+
 /// Slice results along every axis: one [`AxisSlice`] per axis value,
 /// sorted by `(axis, value)` for deterministic reports.
 pub fn axis_slices(results: &[PointResult]) -> Vec<AxisSlice> {
-    let mut slices = Vec::new();
-    let mut buf = String::new();
-    for (axis, key_of) in AXES {
-        let mut groups: std::collections::BTreeMap<String, Vec<&PointResult>> =
-            std::collections::BTreeMap::new();
-        for r in results {
-            let value = key_of(r, &mut buf);
-            match groups.get_mut(value) {
-                Some(group) => group.push(r),
-                None => {
-                    groups.insert(value.to_string(), vec![r]);
-                }
-            }
-        }
-        for (value, group) in groups {
-            let tx: Vec<f64> = group.iter().map(|r| r.tx).collect();
-            let err: Vec<f64> = group.iter().map(|r| r.error_pct()).collect();
-            slices.push(AxisSlice {
-                axis: axis.to_string(),
-                value,
-                tx: Percentiles::of(&tx).expect("non-empty group"),
-                error_pct: Percentiles::of(&err).expect("non-empty group"),
-            });
-        }
+    let mut table = SliceTable::default();
+    for r in results {
+        table.record(r);
     }
-    slices
+    table
+        .slices_mut()
+        .map(|(axis, value, node)| AxisSlice {
+            axis: axis.to_string(),
+            value: value.clone(),
+            tx: node.tx.summary().expect("a slice holds a point"),
+            error_pct: node.error_pct.summary().expect("a slice holds a point"),
+        })
+        .collect()
 }
 
 /// Per-machine runtime deviation against the reference machine.
@@ -159,7 +293,6 @@ pub struct ReferenceError {
 /// Compare every machine's runtimes against the reference machine on
 /// otherwise-identical scenario points.
 pub fn reference_errors(results: &[PointResult], reference: &str) -> Vec<ReferenceError> {
-    use std::collections::BTreeMap;
     // Key a point by every axis except the machine.
     let key_of = |r: &PointResult| {
         let p = &r.point;
@@ -216,6 +349,29 @@ mod tests {
     use crate::grid::expand;
     use crate::runner::RunConfig;
     use crate::spec::CampaignSpec;
+
+    proptest::proptest! {
+        /// Read as it grows, a series sorts exactly as a stable sort of
+        /// its arrival order would, ties (and ±0) included.
+        #[test]
+        fn a_series_read_as_it_grows_is_the_stable_sort_of_its_arrivals(
+            values in proptest::collection::vec(-20f64..20.0, 1..200),
+            reads in proptest::collection::vec(0usize..200, 0..6),
+        ) {
+            // Rounded, so that values tie.
+            let mut want: Vec<f64> = values.iter().map(|v| v.round()).collect();
+            let mut series = Series::default();
+            for (i, v) in want.iter().enumerate() {
+                series.values.push(*v);
+                if reads.contains(&i) {
+                    series.sorted();
+                }
+            }
+            sort(&mut want);
+            let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            proptest::prop_assert_eq!(bits(series.sorted()), bits(&want));
+        }
+    }
 
     #[test]
     fn percentiles_of_known_series() {

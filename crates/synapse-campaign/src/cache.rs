@@ -133,13 +133,15 @@ impl ResultCache {
     /// so cache warm-up scales with the machine instead of a single
     /// reader.
     ///
-    /// A stored document that does not decode as a [`PointResult`] is
-    /// dropped as it loads (and as a peer's save folds in later), so it
-    /// is a miss: [`get_text`](ResultCache::get_text) can then hand out
-    /// stored text without decoding it.
+    /// A stored document that does not decode as a [`PointResult`]
+    /// with [valid times](PointResult::times_are_valid) is dropped as
+    /// it loads (and as a peer's save folds in later), so it is a miss:
+    /// [`get_text`](ResultCache::get_text) can then hand out stored
+    /// text without decoding it.
     pub fn open_with_workers(dir: impl AsRef<Path>, workers: usize) -> Result<Self, CampaignError> {
         let db = ShardedDb::open_checked(dir, DEFAULT_DOC_LIMIT, engine_tag(), workers, |doc| {
-            doc.decode::<PointResult>().is_ok()
+            doc.decode::<PointResult>()
+                .is_ok_and(|result| result.times_are_valid())
         })?;
         Ok(ResultCache { db })
     }
@@ -376,10 +378,24 @@ mod tests {
         let unknown_key = "00000000deadbeef";
         db.upsert(Document::new(unknown_key, &unknown).unwrap())
             .unwrap();
+        // Nor is a result whose times are negative or not finite (an
+        // infinite one is stored as `null`).
+        let mut negative = result_for(&ps[0]);
+        negative.tx = -1.0;
+        let mut infinite = result_for(&ps[0]);
+        infinite.app_tx = f64::INFINITY;
+        let bad_times = ["000000000000000a", "000000000000000b"];
+        for (key, result) in bad_times.iter().zip([&negative, &infinite]) {
+            db.upsert(Document::new(*key, result).unwrap()).unwrap();
+        }
         db.save().unwrap();
 
         let cache = ResultCache::open(&dir).unwrap();
         assert!(cache.get(unknown_key).is_none());
+        for key in bad_times {
+            assert!(cache.get(key).is_none(), "{key}");
+            assert!(cache.get_text(key, 0).is_none(), "{key}");
+        }
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&fingerprint(&ps[1])).is_none());
         assert!(cache.get_text(&fingerprint(&ps[1]), 1).is_none());

@@ -63,7 +63,6 @@ mod metrics;
 pub mod partition;
 pub mod report;
 pub mod runner;
-pub mod sketch;
 pub mod spec;
 pub mod toml;
 
@@ -81,7 +80,6 @@ pub use partition::{
 };
 pub use report::{CampaignReport, PilotSummary, PointRow};
 pub use runner::{simulate_point, PointResult, RunConfig, RunStats};
-pub use sketch::QuantileSketch;
 pub use spec::{CampaignSpec, PilotSpec, WorkloadSpec};
 
 /// A finished campaign: the deterministic report plus this run's

@@ -46,6 +46,16 @@ pub struct PointResult {
 }
 
 impl PointResult {
+    /// Whether both times are finite and non-negative, as every
+    /// simulated result's are. Result bytes that come from outside
+    /// the process (a worker's batch frame, a cache file) are checked
+    /// with this before anything sums or sorts them.
+    pub fn times_are_valid(&self) -> bool {
+        [self.tx, self.app_tx]
+            .iter()
+            .all(|t| t.is_finite() && *t >= 0.0)
+    }
+
     /// Relative emulation error vs. the application baseline, in
     /// percent (positive ⇒ emulation slower).
     pub fn error_pct(&self) -> f64 {

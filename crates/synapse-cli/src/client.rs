@@ -204,7 +204,8 @@ pub(crate) fn run(
 /// Render a `GET /campaigns/<id>/aggregates` document as the human
 /// table `campaign aggregates` prints: a header line with job identity
 /// and sweep progress, then one row per (axis, value, metric) slice —
-/// overall first — with count, mean and the sketch quantiles.
+/// overall first — with count, mean, the exact quantiles and the
+/// extrema.
 fn render_aggregates_table(doc: &Value) -> String {
     use std::fmt::Write as _;
     let mut text = String::new();

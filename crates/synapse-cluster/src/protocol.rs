@@ -37,8 +37,8 @@ pub enum WorkerEvent {
     /// cache satisfied it.
     Batch(Vec<(PointResult, bool)>),
     /// A frame that *claimed* to be a batch but failed validation —
-    /// unknown version, count/length-prefix mismatch, or an
-    /// unparseable point. The coordinator must treat the lease as
+    /// unknown version, count/length-prefix mismatch, an unparseable
+    /// point, or one whose times are not finite and non-negative. The coordinator must treat the lease as
     /// failed (results may have been lost), unlike [`WorkerEvent::Other`]
     /// noise which is safely ignorable.
     Malformed {
@@ -170,6 +170,11 @@ fn parse_batch(line: &str) -> WorkerEvent {
         return malformed(format!(
             "batch frame declares {count} points but carries {}",
             entries.len()
+        ));
+    }
+    if let Some(at) = entries.iter().position(|e| !e.result.times_are_valid()) {
+        return malformed(format!(
+            "batch point {at} has a time that is not finite and non-negative"
         ));
     }
     WorkerEvent::Batch(

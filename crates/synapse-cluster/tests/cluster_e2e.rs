@@ -86,33 +86,19 @@ fn single_process_report(spec: &str) -> (String, Value) {
     (serde_json::to_string(&report).unwrap(), aggregates)
 }
 
-/// Assert a cluster job's `/aggregates` document agrees with the
-/// single-process one as `docs/PROTOCOL.md` §5 promises: the same
-/// slices and metrics, counts, extrema and sketch quantiles exactly,
-/// each `mean` up to f64 regrouping (points fold in landing order,
-/// which differs between runs).
-fn assert_view_close(cluster: &Value, local: &Value, at: &str) {
-    match (cluster, local) {
-        (Value::Object(c), Value::Object(l)) => {
-            assert_eq!(c.len(), l.len(), "{at}: {cluster:?} vs {local:?}");
-            for (key, cv) in c {
-                let (at, lv) = (format!("{at}.{key}"), &local[key.as_str()]);
-                match (key.as_str(), cv.as_f64(), lv.as_f64()) {
-                    ("mean", Some(c), Some(l)) => {
-                        assert!((c - l).abs() <= 1e-12 * l.abs(), "{at}: {c} vs {l}")
-                    }
-                    _ => assert_view_close(cv, lv, &at),
-                }
-            }
+/// Live-view slices (a pulled view's, or every snapshot delta's in
+/// order, a later one replacing an earlier) in the report's shape.
+fn report_slices<'a>(slices: impl IntoIterator<Item = &'a Value>) -> Value {
+    let mut rows = std::collections::BTreeMap::new();
+    for slice in slices {
+        let mut row = slice["metrics"].clone();
+        if let Value::Object(row) = &mut row {
+            row.insert("axis".into(), slice["axis"].clone());
+            row.insert("value".into(), slice["value"].clone());
         }
-        (Value::Array(c), Value::Array(l)) => {
-            assert_eq!(c.len(), l.len(), "{at}: {cluster:?} vs {local:?}");
-            for (i, (c, l)) in c.iter().zip(l).enumerate() {
-                assert_view_close(c, l, &format!("{at}[{i}]"));
-            }
-        }
-        _ => assert_eq!(cluster, local, "{at}"),
+        rows.insert((slice["axis"].as_str(), slice["value"].as_str()), row);
     }
+    Value::Array(rows.into_values().collect())
 }
 
 #[test]
@@ -159,14 +145,22 @@ fn distributed_run_merges_streams_and_reports_byte_stably() {
     assert_eq!(merged, baseline_report);
 
     // The served live view, folded from the merged point stream by the
-    // job observer, agrees with the single-process one slice by slice
-    // (the job ids aside).
+    // job observer, equals the single-process one (the job ids aside),
+    // and its slices are the report's, field for field.
     let mut aggregates = client.aggregates(&id, None, None).unwrap();
     assert_eq!(aggregates["points"].as_u64(), Some(16));
     if let Value::Object(doc) = &mut aggregates {
         doc.insert("id".into(), baseline_aggregates["id"].clone());
     }
-    assert_view_close(&aggregates, &baseline_aggregates, "aggregates");
+    assert_eq!(aggregates, baseline_aggregates);
+    let report: Value = serde_json::from_str(&merged).unwrap();
+    let pulled = aggregates["slices"].as_array().unwrap();
+    assert_eq!(report_slices(pulled), report["slices"]);
+    // So are the slices a watcher holds after folding in every
+    // `snapshot` delta, the terminal one last.
+    let deltas = lines.iter().filter(|l| l["event"] == "snapshot");
+    let deltas = deltas.flat_map(|s| s["slices"].as_array().unwrap());
+    assert_eq!(report_slices(deltas), report["slices"]);
 
     // The trace is sealed before the job reports its end. It carries
     // the ack's causality id, strict-replays to the single-process

@@ -325,28 +325,6 @@ fn cluster(seed: usize, workers: usize, rate: usize) -> (Arc<Coordinator>, Arc<N
     (Arc::new(coordinator), net)
 }
 
-/// Whether a live view matches the single-process one: equal
-/// structure, stats equal except `mean`, which may differ by f64
-/// regrouping (points fold in landing order).
-fn same_view(cluster: &Value, local: &Value) -> bool {
-    match (cluster, local) {
-        (Value::Object(c), Value::Object(l)) => {
-            c.len() == l.len()
-                && c.iter().all(|(key, cv)| match (l.get(key), cv.as_f64()) {
-                    (Some(lv), Some(c)) if key == "mean" => lv
-                        .as_f64()
-                        .is_some_and(|l| (c - l).abs() <= 1e-12 * l.abs()),
-                    (Some(lv), _) => same_view(cv, lv),
-                    (None, _) => false,
-                })
-        }
-        (Value::Array(c), Value::Array(l)) => {
-            c.len() == l.len() && c.iter().zip(l).all(|(c, l)| same_view(c, l))
-        }
-        _ => cluster == local,
-    }
-}
-
 /// What the job observer of one run folds: the flight recorder, the
 /// live view, and whether each index arrived, the last `done` and the
 /// breaches it saw.
@@ -409,7 +387,7 @@ fn run_seed(seed: usize, (coordinator, net): &(Arc<Coordinator>, Arc<Net>)) -> &
             if outcome.report.to_json_pretty().unwrap() != base.report {
                 breach("report differs from the single-process report".into());
             }
-            if !same_view(&watch.live.render(None, None), &base.view) {
+            if watch.live.render(None, None) != base.view {
                 breach("live view differs from the single-process view".into());
             }
             if indices.contains(&false) {

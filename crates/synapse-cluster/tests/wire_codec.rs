@@ -179,3 +179,41 @@ fn stored_text_frames_exactly_like_the_decoded_result() {
     assert!(frames > 64, "{frames} frames");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn a_frame_whose_times_are_not_finite_and_non_negative_is_malformed() {
+    let mut result = simulate_point(&expand(&spec())[0]).unwrap();
+    (result.tx, result.app_tx) = (1234.5, 678.25);
+    let text = serde_json::to_string(&result).unwrap();
+    // A frame around one point's result text, its count and length
+    // prefix consistent with it.
+    let frame = |text: &str| {
+        let points = format!("[{{\"cached\":false,\"result\":{text}}}]");
+        format!(
+            "{{\"event\":\"batch\",\"v\":1,\"n\":1,\"len\":{},\"points\":{points}}}",
+            points.len()
+        )
+    };
+    match parse_event(&frame(&text)) {
+        Some(WorkerEvent::Batch(points)) => assert_eq!(points, vec![(result, false)]),
+        other => panic!("sound frame decoded as {other:?}"),
+    }
+    for times in [
+        "\"tx\":-1e999,\"app_tx\":1e999",
+        "\"tx\":-1e999,\"app_tx\":678.25",
+        "\"tx\":1234.5,\"app_tx\":1e999",
+        "\"tx\":-1.0,\"app_tx\":678.25",
+    ] {
+        let (tx, app_tx) = times.split_once(',').unwrap();
+        let bad = text
+            .replacen("\"tx\":1234.5", tx, 1)
+            .replacen("\"app_tx\":678.25", app_tx, 1);
+        assert_ne!(bad, text);
+        match parse_event(&frame(&bad)) {
+            Some(WorkerEvent::Malformed { reason }) => {
+                assert!(reason.contains("finite and non-negative"), "{reason}")
+            }
+            other => panic!("{times}: expected Malformed, got {other:?}"),
+        }
+    }
+}

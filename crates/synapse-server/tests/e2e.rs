@@ -146,6 +146,21 @@ fn example_campaign_streams_every_point_and_summary_is_byte_stable() {
     join.join().unwrap();
 }
 
+/// Live-view slices (a pulled view's, or every snapshot delta's in
+/// order, a later one replacing an earlier) in the report's shape.
+fn report_slices<'a>(slices: impl IntoIterator<Item = &'a Value>) -> Value {
+    let mut rows = std::collections::BTreeMap::new();
+    for slice in slices {
+        let mut row = slice["metrics"].clone();
+        if let Value::Object(row) = &mut row {
+            row.insert("axis".into(), slice["axis"].clone());
+            row.insert("value".into(), slice["value"].clone());
+        }
+        rows.insert((slice["axis"].as_str(), slice["value"].as_str()), row);
+    }
+    Value::Array(rows.into_values().collect())
+}
+
 #[test]
 fn aggregates_endpoint_answers_mid_sweep_and_stream_mode_omits_points() {
     // A wide grid on a single slow worker so the sweep is reliably
@@ -275,6 +290,17 @@ fn aggregates_endpoint_answers_mid_sweep_and_stream_mode_omits_points() {
         .collect();
     assert!(dones.windows(2).all(|w| w[0] <= w[1]), "{dones:?}");
     assert_eq!(*dones.last().unwrap(), total);
+
+    // The finished view's slices are the report's, field for field —
+    // both as pulled and as a watcher holds them after folding in every
+    // snapshot delta.
+    let report = client.report(&id).unwrap();
+    let pulled = final_doc["slices"].as_array().unwrap();
+    assert_eq!(report_slices(pulled), report["slices"]);
+    let deltas = snapshots
+        .iter()
+        .flat_map(|s| s["slices"].as_array().unwrap());
+    assert_eq!(report_slices(deltas), report["slices"]);
 
     // /aggregates on an unknown job is a 404.
     let err = client.aggregates("j999", None, None).unwrap_err();
@@ -1226,6 +1252,7 @@ fn a_silent_server_is_detected_as_dead_within_the_heartbeat_budget() {
     // network, from the client's point of view.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
+    let (release, held) = std::sync::mpsc::channel::<()>();
     let mute = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
         let mut scratch = [0u8; 1024];
@@ -1235,14 +1262,15 @@ fn a_silent_server_is_detected_as_dead_within_the_heartbeat_budget() {
               Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n\
               14\r\n{\"event\":\"started\"}\n\r\n",
         );
-        // Hold the socket open, silently, longer than the client's
-        // patience.
-        std::thread::sleep(Duration::from_secs(8));
+        // Hold the socket open, silently, until the client has given
+        // up on it.
+        let _ = held.recv();
     });
 
     let client = Client::new(addr.to_string()).with_stream_silence(Duration::from_millis(400));
     let started = Instant::now();
     let err = client.watch("j1", |_| true).unwrap_err();
+    release.send(()).unwrap();
     assert!(err.is_disconnect(), "{err}");
     assert!(
         err.to_string().contains("presumed dead"),
