@@ -8,15 +8,16 @@
 //! last save, and a manifest records the layout — so a million-point
 //! campaign pays for the points it adds, not for the points it has.
 
-use std::fmt::Write as _;
-use std::ops::Range;
+use std::fmt::{self, Write as _};
+use std::ops::{Deref, Range};
 use std::path::Path;
 
-use serde::{Serialize, Value};
+use serde::json::Parser;
+use serde::{Deserialize, Serialize, Value};
 use synapse_store::{Document, ShardedDb, DEFAULT_DOC_LIMIT};
 
 use crate::error::CampaignError;
-use crate::grid::{fnv1a, ScenarioPoint};
+use crate::grid::{fnv1a, Fnv, ScenarioPoint};
 use crate::runner::PointResult;
 
 /// Bump when simulation semantics change: stale cached results from an
@@ -35,33 +36,251 @@ pub fn engine_tag() -> String {
     format!("synapse-campaign/engine-v{ENGINE_VERSION}")
 }
 
-/// Content fingerprint of a scenario point (hex, stable across runs
-/// and platforms).
-pub fn fingerprint(point: &ScenarioPoint) -> String {
-    // The hash input is the point's canonical JSON, written straight
-    // into the buffer that gets hashed. The index is display-only; it
-    // is hashed as 0 so reordering axes or growing the grid never
-    // changes a point's identity.
-    let mut json = String::with_capacity(512);
-    ScenarioPoint { index: 0, ..*point }.write_json(&mut json);
-    // The engine version is folded in twice: as the FNV seed *and* as
-    // hashed bytes. Seeding alone only XORs the version into the
-    // initial state, which a crafted (or unlucky) byte stream could
-    // cancel back out — hashing the version bytes makes a version bump
-    // irreversibly part of the digest.
-    let _ = write!(json, "|engine={ENGINE_VERSION}");
-    format!("{:016x}", fnv1a(json.as_bytes(), ENGINE_VERSION as u64))
+/// A scenario point's content fingerprint: the key its result is cached
+/// under, stable across runs and platforms.
+///
+/// It is the [`fnv1a`] hash of the point's canonical JSON text, written
+/// with index 0 (the index is display-only, so reordering axes or
+/// growing the grid never changes a point's identity), followed by
+/// `|engine=` and [`ENGINE_VERSION`]. The version is folded in twice:
+/// as the FNV seed *and* as hashed bytes. Seeding alone only XORs the
+/// version into the initial state, which a crafted (or unlucky) byte
+/// stream could cancel back out — hashing the version bytes makes a
+/// version bump irreversibly part of the digest.
+///
+/// It is written (`Display`, JSON) as 16 lowercase hex digits,
+/// `{:016x}`, and read back only from exactly that spelling.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Fingerprint(u64);
+
+impl Fingerprint {
+    /// The fingerprint of `point`.
+    pub fn of(point: &ScenarioPoint) -> Fingerprint {
+        Probe::new().write(point)
+    }
+
+    /// The fingerprint spelled `hex`: exactly 16 lowercase hex digits,
+    /// what `{:016x}` writes; `None` for anything else.
+    pub fn parse(hex: &str) -> Option<Fingerprint> {
+        if hex.len() != 16 || !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+            return None;
+        }
+        u64::from_str_radix(hex, 16).ok().map(Fingerprint)
+    }
+
+    /// The 16 hex digits as a stack string: a key for the by-key calls
+    /// ([`ResultCache::get`], [`ResultCache::put`]) that allocates
+    /// nothing.
+    pub fn hex(self) -> FingerprintHex {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [0u8; 16];
+        for (i, digit) in out.iter_mut().enumerate() {
+            *digit = DIGITS[(self.0 >> (60 - 4 * i) & 0xf) as usize];
+        }
+        FingerprintHex(out)
+    }
 }
 
-/// Where the grid index's digits sit in the canonical text of a result;
-/// `None` if the text has no index key. No string value can hold the
-/// key text: the escaper writes a `"` inside a string as `\"`. A result's own keys sort around `point`, and none
-/// is `index`, so the first match is the point's.
-fn index_digits(json: &str) -> Option<Range<usize>> {
-    const INDEX_KEY: &str = ",\"index\":";
-    let at = json.find(INDEX_KEY)? + INDEX_KEY.len();
-    let digits = json[at..].bytes().take_while(u8::is_ascii_digit).count();
-    Some(at..at + digits)
+impl fmt::Display for Fingerprint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(&self.hex())
+    }
+}
+
+impl fmt::Debug for Fingerprint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Fingerprint({self})")
+    }
+}
+
+impl Serialize for Fingerprint {
+    fn serialize_value(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        out.push_str(&self.hex());
+        out.push('"');
+    }
+}
+
+fn not_a_fingerprint(text: &str) -> serde::Error {
+    serde::Error::new(format!("{text:?} is not 16 lowercase hex digits"))
+}
+
+impl<'de> Deserialize<'de> for Fingerprint {
+    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
+        let text = value
+            .as_str()
+            .ok_or_else(|| serde::Error::new(format!("expected string, found {}", value.kind())))?;
+        Fingerprint::parse(text).ok_or_else(|| not_a_fingerprint(text))
+    }
+
+    fn parse_json(parser: &mut Parser<'_>) -> Result<Self, serde::Error> {
+        if parser.peek() != Some(b'"') {
+            return Self::deserialize(&parser.parse_value()?);
+        }
+        let text = parser.parse_str()?;
+        Fingerprint::parse(&text).ok_or_else(|| not_a_fingerprint(&text))
+    }
+}
+
+/// A [`Fingerprint`]'s 16 hex digits, held on the stack; reads as a
+/// `&str`.
+#[derive(Clone, Copy)]
+pub struct FingerprintHex([u8; 16]);
+
+impl fmt::Debug for FingerprintHex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl Deref for FingerprintHex {
+    type Target = str;
+    fn deref(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("hex digits are ASCII")
+    }
+}
+
+/// Content fingerprint of a scenario point as its hex text — see
+/// [`Fingerprint`], which is what the engine carries.
+pub fn fingerprint(point: &ScenarioPoint) -> String {
+    Fingerprint::of(point).to_string()
+}
+
+/// A sweep worker's scratch for probing the cache: the point being
+/// probed, its canonical text (index written as 0) in a buffer reused
+/// from point to point, and the [`Fingerprint`] hashed from that text.
+/// A cache hit is checked against the same text
+/// ([`ResultCache::hit`]), so one point's text is written once.
+#[derive(Debug, Clone)]
+pub struct Probe {
+    point: ScenarioPoint,
+    text: String,
+    /// Where the index digit (`0`) sits in `text`.
+    index_at: usize,
+    fingerprint: Fingerprint,
+    /// `fingerprint`'s hex digits: the store key, written once.
+    key: FingerprintHex,
+}
+
+impl Default for Probe {
+    fn default() -> Probe {
+        Probe::new()
+    }
+}
+
+impl Probe {
+    /// A probe holding no point yet (a placeholder until the first
+    /// [`write`](Probe::write)). Its buffer is allocated once, here: a
+    /// point's text is ~330 bytes.
+    pub fn new() -> Probe {
+        Probe {
+            point: ScenarioPoint {
+                index: 0,
+                workload: "".into(),
+                steps: 0,
+                machine: "".into(),
+                kernel: "".into(),
+                mode: "".into(),
+                threads: 0,
+                io_block: 0,
+                sample_rate: 0.0,
+                fs: "".into(),
+                atoms: "".into(),
+                sample_order: "".into(),
+                profile_machine: "".into(),
+                noise_cv: 0.0,
+                seed: 0,
+            },
+            text: String::with_capacity(512),
+            index_at: 0,
+            fingerprint: Fingerprint(0),
+            key: Fingerprint(0).hex(),
+        }
+    }
+
+    /// Take `point` on: write its canonical text and hash it. Returns
+    /// its fingerprint.
+    pub fn write(&mut self, point: &ScenarioPoint) -> Fingerprint {
+        self.point = *point;
+        self.text.clear();
+        ScenarioPoint { index: 0, ..*point }.write_json(&mut self.text);
+        // No string value can hold the key text: the escaper writes a
+        // `"` inside a string as `\"`.
+        const INDEX_KEY: &str = ",\"index\":";
+        self.index_at = self
+            .text
+            .find(INDEX_KEY)
+            .expect("a point's text has an index")
+            + INDEX_KEY.len();
+        let mut hash = Fnv::new(ENGINE_VERSION as u64);
+        hash.fold(self.text.as_bytes());
+        let _ = write!(hash, "|engine={ENGINE_VERSION}");
+        self.fingerprint = Fingerprint(hash.finish());
+        self.key = self.fingerprint.hex();
+        self.fingerprint
+    }
+}
+
+/// A stored result text that is the result of a probe's point, its
+/// seven numbers still text (see [`verified`]).
+struct Verified<'t> {
+    app_tx: &'t str,
+    bytes_written: &'t str,
+    consumed_cycles: &'t str,
+    directed_cycles: &'t str,
+    instructions: &'t str,
+    samples: &'t str,
+    tx: &'t str,
+    /// Where the stored grid index's digits sit in the text.
+    index: Range<usize>,
+}
+
+/// Read a stored result text as the result of `probe`'s point, or
+/// `None` if it is not exactly that: its `fingerprint` is the probe's
+/// and its `point` is the text the probe wrote, apart from the index
+/// digits. A stored text is a result's canonical text,
+/// `{"app_tx":<n>,"bytes_written":<n>,"consumed_cycles":<n>,"directed_cycles":<n>,"fingerprint":"<hex>","instructions":<n>,"point":{…},"samples":<n>,"tx":<n>}`,
+/// and a number holds no comma, so it is read back from its end with
+/// no search; the point is compared, never lexed.
+fn verified<'t>(text: &'t str, probe: &Probe) -> Option<Verified<'t>> {
+    let (before, after) = probe.text.split_at(probe.index_at);
+    // `after` starts with the probe's own index digit, `0`.
+    let after = &after[1..];
+    let (rest, tx) = text.strip_suffix('}')?.rsplit_once(',')?;
+    let (rest, samples) = rest.rsplit_once(',')?;
+    let rest = rest.strip_suffix(after)?;
+    let digits = rest.bytes().rev().take_while(u8::is_ascii_digit).count();
+    let index = rest.len() - digits..rest.len();
+    let rest = rest[..index.start].strip_suffix(before)?;
+    let (rest, instructions) = rest.strip_suffix(",\"point\":")?.rsplit_once(',')?;
+    let rest = rest
+        .strip_suffix('"')?
+        .strip_suffix(&*probe.key)?
+        .strip_suffix(",\"fingerprint\":\"")?;
+    let (app_tx, rest) = rest.strip_prefix("{\"app_tx\":")?.split_once(',')?;
+    let (bytes_written, rest) = rest.strip_prefix("\"bytes_written\":")?.split_once(',')?;
+    let (consumed_cycles, rest) = rest.strip_prefix("\"consumed_cycles\":")?.split_once(',')?;
+    (!index.is_empty()).then_some(Verified {
+        app_tx,
+        bytes_written,
+        consumed_cycles,
+        directed_cycles: rest.strip_prefix("\"directed_cycles\":")?,
+        instructions: instructions.strip_prefix("\"instructions\":")?,
+        samples: samples.strip_prefix("\"samples\":")?,
+        tx: tx.strip_prefix("\"tx\":")?,
+        index,
+    })
+}
+
+/// One number's text read as decoding reads it.
+fn number<T: for<'de> Deserialize<'de>>(text: &str) -> Option<T> {
+    let mut parser = Parser::new(text);
+    let value = T::parse_json(&mut parser).ok()?;
+    parser.end().ok().map(|()| value)
 }
 
 /// A result as the cache stores it: its canonical JSON text, the bytes
@@ -72,6 +291,17 @@ fn index_digits(json: &str) -> Option<Range<usize>> {
 pub struct ResultText(String);
 
 impl ResultText {
+    /// `text` with the digits at `digits` replaced by `index`: one
+    /// allocation.
+    fn rebound(text: &str, digits: Range<usize>, index: usize) -> ResultText {
+        let width = index.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let mut out = String::with_capacity(text.len() - digits.len() + width);
+        out.push_str(&text[..digits.start]);
+        let _ = write!(out, "{index}");
+        out.push_str(&text[digits.end..]);
+        ResultText(out)
+    }
+
     /// The text of `result`.
     pub fn of(result: &PointResult) -> ResultText {
         // A result renders to ~560 bytes: one allocation.
@@ -136,7 +366,7 @@ impl ResultCache {
     /// A stored document that does not decode as a [`PointResult`]
     /// with [valid times](PointResult::times_are_valid) is dropped as
     /// it loads (and as a peer's save folds in later), so it is a miss:
-    /// [`get_text`](ResultCache::get_text) can then hand out stored
+    /// [`hit_text`](ResultCache::hit_text) can then hand out stored
     /// text without decoding it.
     pub fn open_with_workers(dir: impl AsRef<Path>, workers: usize) -> Result<Self, CampaignError> {
         let db = ShardedDb::open_checked(dir, DEFAULT_DOC_LIMIT, engine_tag(), workers, |doc| {
@@ -146,7 +376,9 @@ impl ResultCache {
         Ok(ResultCache { db })
     }
 
-    /// Cached result for a fingerprint, if any.
+    /// Cached result for a fingerprint, if any, decoded in full — the
+    /// by-key lookup, for a caller that holds no point. The engine
+    /// probes with [`hit`](ResultCache::hit) instead.
     ///
     /// For on-disk caches this read is cross-process: a miss checks
     /// (one `stat`) whether a peer sharing the directory has saved
@@ -155,30 +387,46 @@ impl ResultCache {
     /// only at the next open. See [`synapse_store::ShardedDb::get`].
     ///
     /// The stored document's text is decoded where it lies, under the
-    /// store's read lock — a hit costs the strings of the result it
-    /// returns, not a copy of the document first.
+    /// store's read lock.
     pub fn get(&self, fingerprint: &str) -> Option<PointResult> {
         self.db.read(fingerprint, |doc| doc.decode().ok()).flatten()
     }
 
-    /// The cached result for a fingerprint as its stored text, rebound
-    /// to grid position `index` — the same lookup as
-    /// [`get`](ResultCache::get), with no decode: the text is copied
-    /// once, under the store's read lock, with the index digits
-    /// replaced. Every stored text decodes (`put` writes canonical
-    /// text, and an open drops any that does not), so this answers
-    /// exactly where `get` does.
-    pub fn get_text(&self, fingerprint: &str, index: usize) -> Option<ResultText> {
+    /// The cached result of `probe`'s point, rebound to its grid index,
+    /// or `None` on a miss. The stored text must be that point's result
+    /// (see [`Probe`]): only its numbers are read, and the point and
+    /// fingerprint come from the probe, so a hit allocates nothing. A
+    /// document whose point is another's (a 64-bit key collision, an
+    /// edited file) is a miss, and the engine's `put` replaces it.
+    /// The same cross-process lookup as [`get`](ResultCache::get).
+    pub fn hit(&self, probe: &Probe) -> Option<PointResult> {
         self.db
-            .read(fingerprint, |doc| {
-                let text = doc.text();
-                let digits = index_digits(text)?;
-                let width = index.checked_ilog10().map_or(1, |d| d as usize + 1);
-                let mut out = String::with_capacity(text.len() - digits.len() + width);
-                out.push_str(&text[..digits.start]);
-                let _ = write!(out, "{index}");
-                out.push_str(&text[digits.end..]);
-                Some(ResultText(out))
+            .read(&probe.key, |doc| {
+                let stored = verified(doc.text(), probe)?;
+                Some(PointResult {
+                    point: probe.point,
+                    fingerprint: probe.fingerprint,
+                    tx: number(stored.tx)?,
+                    app_tx: number(stored.app_tx)?,
+                    samples: number(stored.samples)?,
+                    directed_cycles: number(stored.directed_cycles)?,
+                    consumed_cycles: number(stored.consumed_cycles)?,
+                    instructions: number(stored.instructions)?,
+                    bytes_written: number(stored.bytes_written)?,
+                })
+            })
+            .flatten()
+    }
+
+    /// [`hit`](ResultCache::hit) as the stored text: the same check,
+    /// then the text copied once, under the store's read lock, with the
+    /// index digits replaced by the probe's point's index — no number
+    /// is read.
+    pub fn hit_text(&self, probe: &Probe) -> Option<ResultText> {
+        self.db
+            .read(&probe.key, |doc| {
+                let index = verified(doc.text(), probe)?.index;
+                Some(ResultText::rebound(doc.text(), index, probe.point.index))
             })
             .flatten()
     }
@@ -254,7 +502,7 @@ mod tests {
     fn result_for(point: &ScenarioPoint) -> PointResult {
         PointResult {
             point: *point,
-            fingerprint: fingerprint(point),
+            fingerprint: Fingerprint::of(point),
             tx: 1.5,
             app_tx: 1.0,
             samples: 3,
@@ -332,29 +580,110 @@ mod tests {
         let cache = ResultCache::in_memory();
         let ps = points();
         let r = result_for(&ps[0]);
-        assert!(cache.get(&r.fingerprint).is_none());
-        cache.put(&r.fingerprint, &r).unwrap();
-        assert_eq!(cache.get(&r.fingerprint).unwrap(), r);
+        assert!(cache.get(&r.fingerprint.hex()).is_none());
+        cache.put(&r.fingerprint.hex(), &r).unwrap();
+        assert_eq!(cache.get(&r.fingerprint.hex()).unwrap(), r);
         assert_eq!(cache.len(), 1);
         // Idempotent.
-        cache.put(&r.fingerprint, &r).unwrap();
+        cache.put(&r.fingerprint.hex(), &r).unwrap();
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn a_text_hit_is_the_decoded_hit_written_back() {
+    fn a_verified_hit_is_the_decoded_result_in_both_forms() {
         let cache = ResultCache::in_memory();
         let mut r = result_for(&points()[1]);
         r.point.index = 42;
-        cache.put(&r.fingerprint, &r).unwrap();
+        cache.put(&r.fingerprint.hex(), &r).unwrap();
+        let mut probe = Probe::new();
         for index in [42, 0, 7, 43, 99_999] {
             r.point.index = index;
-            let text = cache.get_text(&r.fingerprint, index).unwrap();
+            assert_eq!(probe.write(&r.point), r.fingerprint);
+            assert_eq!(cache.hit(&probe).unwrap(), r);
+            let text = cache.hit_text(&probe).unwrap();
             assert_eq!(text.0, serde_json::to_string(&r).unwrap());
             assert_eq!(text.0, ResultText::of(&r).0);
         }
-        assert!(cache.get_text("0000000000000000", 0).is_none());
-        assert_eq!(index_digits(r#"{"app_tx":1.0}"#), None);
+        probe.write(&points()[0]);
+        assert!(cache.hit(&probe).is_none());
+        assert!(cache.hit_text(&probe).is_none());
+    }
+
+    #[test]
+    fn a_stored_point_that_is_not_the_probes_is_a_miss_and_is_replaced() {
+        use crate::engine::{CampaignEngine, CancelToken};
+        use crate::runner::RunConfig;
+        let ps = points();
+        let key = Fingerprint::of(&ps[0]).hex();
+        let fresh = crate::runner::simulate_point(&ps[0]).unwrap();
+        let mut probe = Probe::new();
+        probe.write(&ps[0]);
+        // The same result under the probe's key, but for a point one
+        // field away: what a 64-bit key collision or an edited file
+        // leaves.
+        let mut reseeded = fresh.clone();
+        reseeded.point.seed ^= 1;
+        let mut moved = fresh.clone();
+        moved.point.machine = ps[1].machine;
+        for planted in [&reseeded, &moved] {
+            for text_form in [false, true] {
+                let cache = ResultCache::in_memory();
+                cache.put(&key, planted).unwrap();
+                assert!(cache.hit(&probe).is_none());
+                assert!(cache.hit_text(&probe).is_none());
+                // The by-key lookup has no point to check against.
+                assert_eq!(cache.get(&key).as_ref(), Some(planted));
+                let config = RunConfig { workers: 1 };
+                let simulated = if text_form {
+                    CampaignEngine::<ResultText>::landing(&ps[..1], &cache, &config)
+                        .run(&|_| {}, &CancelToken::new())
+                        .unwrap()
+                        .1
+                        .simulated
+                } else {
+                    CampaignEngine::new(&ps[..1], &cache, &config)
+                        .run(&|_| {}, &CancelToken::new())
+                        .unwrap()
+                        .1
+                        .simulated
+                };
+                assert_eq!(simulated, 1, "a planted point is re-simulated");
+                assert_eq!(cache.get(&key), Some(fresh.clone()), "and replaced");
+                assert_eq!(cache.hit(&probe), Some(fresh.clone()));
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprints_read_back_only_as_sixteen_lowercase_hex_digits() {
+        let print = Fingerprint::of(&points()[0]);
+        let hex = print.to_string();
+        assert_eq!(hex, "a997b4c959216dd9");
+        assert_eq!(&*print.hex(), hex);
+        assert_eq!(Fingerprint::parse(&hex), Some(print));
+        assert_eq!(format!("{:?}", print), "Fingerprint(a997b4c959216dd9)");
+        let json = serde_json::to_string(&print).unwrap();
+        assert_eq!(json, format!("\"{hex}\""));
+        assert_eq!(serde_json::from_str::<Fingerprint>(&json).unwrap(), print);
+        assert_eq!(Fingerprint(0).to_string(), "0000000000000000");
+        assert_eq!(&*Fingerprint(u64::MAX).hex(), "ffffffffffffffff");
+        for bad in [
+            "xyz",
+            "a997b4c959216dd",
+            "a997b4c959216dd90",
+            "A997B4C959216DD9",
+            "a997b4c959216dD9",
+            "+997b4c959216dd9",
+            "",
+        ] {
+            assert_eq!(Fingerprint::parse(bad), None, "{bad}");
+            let quoted = format!("\"{bad}\"");
+            assert!(
+                serde_json::from_str::<Fingerprint>(&quoted).is_err(),
+                "{bad}"
+            );
+        }
+        assert!(serde_json::from_str::<Fingerprint>("7").is_err());
     }
 
     #[test]
@@ -363,7 +692,7 @@ mod tests {
         let ps = points();
         let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, engine_tag()).unwrap();
         let good = result_for(&ps[0]);
-        db.upsert(Document::new(good.fingerprint.as_str(), &good).unwrap())
+        db.upsert(Document::new(&*good.fingerprint.hex(), &good).unwrap())
             .unwrap();
         // The index key is there; the numbers are not.
         let mut bad = serde_json::to_value(result_for(&ps[1])).unwrap();
@@ -388,18 +717,38 @@ mod tests {
         for (key, result) in bad_times.iter().zip([&negative, &infinite]) {
             db.upsert(Document::new(*key, result).unwrap()).unwrap();
         }
+        // Nor is one whose fingerprint is not 16 lowercase hex digits.
+        let text = serde_json::to_string(&good).unwrap();
+        let hex = good.fingerprint.to_string();
+        let bad_prints = [
+            "000000000000000c",
+            "000000000000000d",
+            "000000000000000e",
+            "000000000000000f",
+        ];
+        for (key, print) in bad_prints.iter().zip([
+            "xyz".to_string(),
+            hex[1..].to_string(),
+            format!("{hex}0"),
+            hex.to_uppercase(),
+        ]) {
+            let body: Value = serde_json::from_str(&text.replace(&hex, &print)).unwrap();
+            db.upsert(Document::new(*key, &body).unwrap()).unwrap();
+        }
         db.save().unwrap();
 
         let cache = ResultCache::open(&dir).unwrap();
         assert!(cache.get(unknown_key).is_none());
-        for key in bad_times {
+        for key in bad_times.iter().chain(&bad_prints) {
             assert!(cache.get(key).is_none(), "{key}");
-            assert!(cache.get_text(key, 0).is_none(), "{key}");
         }
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&fingerprint(&ps[1])).is_none());
-        assert!(cache.get_text(&fingerprint(&ps[1]), 1).is_none());
-        assert_eq!(cache.get(&good.fingerprint).unwrap(), good);
+        let mut probe = Probe::new();
+        probe.write(&ps[1]);
+        assert!(cache.hit(&probe).is_none());
+        assert!(cache.hit_text(&probe).is_none());
+        assert_eq!(cache.get(&good.fingerprint.hex()).unwrap(), good);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -410,7 +759,7 @@ mod tests {
             let cache = ResultCache::open(&dir).unwrap();
             for p in &points() {
                 let r = result_for(p);
-                cache.put(&r.fingerprint, &r).unwrap();
+                cache.put(&r.fingerprint.hex(), &r).unwrap();
             }
             cache.persist().unwrap();
         }
@@ -431,7 +780,7 @@ mod tests {
         let ps = points();
         for p in &ps {
             let r = result_for(p);
-            cache.put(&r.fingerprint, &r).unwrap();
+            cache.put(&r.fingerprint.hex(), &r).unwrap();
         }
         cache.persist().unwrap();
         // Nothing new ⇒ nothing written.
@@ -442,7 +791,7 @@ mod tests {
         let mut extra = ps[0];
         extra.seed ^= 0xdead;
         let r = result_for(&extra);
-        cache.put(&r.fingerprint, &r).unwrap();
+        cache.put(&r.fingerprint.hex(), &r).unwrap();
         let incr = cache.persist().unwrap();
         assert_eq!(incr.data_files_written, 1, "{incr:?}");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -467,7 +816,7 @@ mod tests {
         let ps = points();
         for p in &ps {
             let r = result_for(p);
-            cache.put(&r.fingerprint, &r).unwrap();
+            cache.put(&r.fingerprint.hex(), &r).unwrap();
         }
         cache.persist().unwrap();
         let before = cache.stats();

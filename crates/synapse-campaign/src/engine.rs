@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::cache::{fingerprint, ResultCache, ResultText};
+use crate::cache::{Probe, ResultCache, ResultText};
 use crate::error::CampaignError;
 use crate::grid::ScenarioPoint;
 use crate::metrics::EngineMetrics;
@@ -63,21 +63,19 @@ impl CancelToken {
 /// The form a landed point takes: what the engine keeps, hands its
 /// observer and returns.
 pub trait PointForm: Clone + Send + Sync {
-    /// The cached result under `fingerprint`, rebound to grid position
-    /// `index`, or `None` on a miss. The fingerprint excludes the grid
-    /// index, so a hit may come from a differently-shaped grid (a grown
-    /// campaign).
-    fn cached(cache: &ResultCache, fingerprint: &str, index: usize) -> Option<Self>;
+    /// The cached result of `probe`'s point, rebound to its grid
+    /// position, or `None` on a miss (see [`ResultCache::hit`]). The
+    /// fingerprint excludes the grid index, so a hit may come from a
+    /// differently-shaped grid (a grown campaign).
+    fn cached(cache: &ResultCache, probe: &Probe) -> Option<Self>;
 
     /// A freshly simulated result (already in the cache).
     fn simulated(result: PointResult) -> Self;
 }
 
 impl PointForm for PointResult {
-    fn cached(cache: &ResultCache, fingerprint: &str, index: usize) -> Option<Self> {
-        let mut hit = cache.get(fingerprint)?;
-        hit.point.index = index;
-        Some(hit)
+    fn cached(cache: &ResultCache, probe: &Probe) -> Option<Self> {
+        cache.hit(probe)
     }
 
     fn simulated(result: PointResult) -> Self {
@@ -86,8 +84,8 @@ impl PointForm for PointResult {
 }
 
 impl PointForm for ResultText {
-    fn cached(cache: &ResultCache, fingerprint: &str, index: usize) -> Option<Self> {
-        cache.get_text(fingerprint, index)
+    fn cached(cache: &ResultCache, probe: &Probe) -> Option<Self> {
+        cache.hit_text(probe)
     }
 
     fn simulated(result: PointResult) -> Self {
@@ -202,58 +200,63 @@ impl<'a, T: PointForm> CampaignEngine<'a, T> {
         // per-point updates below are plain relaxed atomics.
         let metrics = EngineMetrics::get();
         let workers = self.config.effective_workers(points.len());
-        let sweep = || loop {
-            if cancel.is_cancelled() {
-                return;
-            }
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            if idx >= points.len() {
-                return;
-            }
-            if first_error.lock().expect("error lock").is_some() {
-                return;
-            }
-            let point = &points[idx];
-            let fp = fingerprint(point);
-            let lookup_started = Instant::now();
-            let probed = T::cached(self.cache, &fp, point.index);
-            metrics.cache_lookup_seconds.observe_since(lookup_started);
-            metrics.points.inc();
-            let (outcome, cached) = match probed {
-                Some(hit) => {
-                    cache_hits.fetch_add(1, Ordering::Relaxed);
-                    metrics.cache_hits.inc();
-                    (Ok(hit), true)
-                }
-                None => {
-                    simulated.fetch_add(1, Ordering::Relaxed);
-                    metrics.cache_misses.inc();
-                    let sim_started = Instant::now();
-                    let fresh = simulate_point_keyed(point, fp).and_then(|r| {
-                        metrics.simulate_seconds.observe_since(sim_started);
-                        metrics.samples_replayed.add(r.samples as u64);
-                        self.cache.put(&r.fingerprint, &r)?;
-                        Ok(T::simulated(r))
-                    });
-                    (fresh, false)
-                }
-            };
-            match outcome {
-                Ok(result) => {
-                    let shared = Arc::new(result);
-                    results.lock().expect("results lock")[idx] = Some(shared.clone());
-                    let mut done_guard = done.lock().expect("done lock");
-                    *done_guard += 1;
-                    observer(PointEvent::PointDone {
-                        result: shared,
-                        cached,
-                        done: *done_guard,
-                        total: points.len(),
-                    });
-                }
-                Err(e) => {
-                    first_error.lock().expect("error lock").get_or_insert(e);
+        let sweep = || {
+            // One probe per worker: a point's text is written into the
+            // buffer the previous point's text left behind.
+            let mut probe = Probe::new();
+            loop {
+                if cancel.is_cancelled() {
                     return;
+                }
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                if idx >= points.len() {
+                    return;
+                }
+                if first_error.lock().expect("error lock").is_some() {
+                    return;
+                }
+                let point = &points[idx];
+                let fp = probe.write(point);
+                let lookup_started = Instant::now();
+                let probed = T::cached(self.cache, &probe);
+                metrics.cache_lookup_seconds.observe_since(lookup_started);
+                metrics.points.inc();
+                let (outcome, cached) = match probed {
+                    Some(hit) => {
+                        cache_hits.fetch_add(1, Ordering::Relaxed);
+                        metrics.cache_hits.inc();
+                        (Ok(hit), true)
+                    }
+                    None => {
+                        simulated.fetch_add(1, Ordering::Relaxed);
+                        metrics.cache_misses.inc();
+                        let sim_started = Instant::now();
+                        let fresh = simulate_point_keyed(point, fp).and_then(|r| {
+                            metrics.simulate_seconds.observe_since(sim_started);
+                            metrics.samples_replayed.add(r.samples as u64);
+                            self.cache.put(&r.fingerprint.hex(), &r)?;
+                            Ok(T::simulated(r))
+                        });
+                        (fresh, false)
+                    }
+                };
+                match outcome {
+                    Ok(result) => {
+                        let shared = Arc::new(result);
+                        results.lock().expect("results lock")[idx] = Some(shared.clone());
+                        let mut done_guard = done.lock().expect("done lock");
+                        *done_guard += 1;
+                        observer(PointEvent::PointDone {
+                            result: shared,
+                            cached,
+                            done: *done_guard,
+                            total: points.len(),
+                        });
+                    }
+                    Err(e) => {
+                        first_error.lock().expect("error lock").get_or_insert(e);
+                        return;
+                    }
                 }
             }
         };

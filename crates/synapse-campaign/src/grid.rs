@@ -418,12 +418,59 @@ pub fn policy_by_name(name: &str) -> Option<SchedulerPolicy> {
 /// fingerprints (no `DefaultHasher` — its output may change between
 /// Rust releases, which would silently invalidate caches).
 pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64 ^ seed;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
+    let mut hash = Fnv::new(seed);
+    hash.fold(bytes);
+    hash.finish()
+}
+
+/// A running [`fnv1a`] state. FNV folds one byte at a time from the
+/// left, so hashing a text in pieces gives the hash of the whole text:
+/// a state can be carried past a common prefix and copied, and as a
+/// [`fmt::Write`] it folds formatted values in with no buffer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    /// The state before any byte, under `seed`.
+    pub fn new(seed: u64) -> Fnv {
+        Fnv(0xcbf29ce484222325 ^ seed)
     }
-    hash
+
+    /// Fold `bytes` in.
+    pub fn fold(&mut self, bytes: &[u8]) {
+        let mut hash = self.0;
+        for &b in bytes {
+            hash ^= b as u64;
+            hash = hash.wrapping_mul(0x100000001b3);
+        }
+        self.0 = hash;
+    }
+
+    /// This state with `args`' text folded in.
+    fn then(mut self, args: fmt::Arguments<'_>) -> Fnv {
+        let _ = fmt::Write::write_fmt(&mut self, args);
+        self
+    }
+
+    /// This state with `name` and a `|` folded in: what
+    /// `then(format_args!("{name}|"))` folds, without the formatter.
+    fn field(mut self, name: Name) -> Fnv {
+        self.fold(name.as_bytes());
+        self.fold(b"|");
+        self
+    }
+
+    /// The hash of everything folded in so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.fold(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Expand a validated spec into its full scenario grid, in
@@ -441,10 +488,12 @@ pub fn expand(spec: &CampaignSpec) -> Vec<ScenarioPoint> {
 /// walk stops at `end`, so serving a lease costs the lease, not the
 /// grid.
 ///
-/// Each axis value resolves to its [`Name`] once per grid, and every
-/// point's seed input is written into one reused buffer: a grid costs
-/// the returned vector, that buffer and the resolved names, not
-/// strings per point.
+/// Each axis value resolves to its [`Name`] once per grid. A point's
+/// seed is the [`fnv1a`] hash of its axis values joined by `|`, and
+/// the walk carries that hash down the loop nest: each value is folded
+/// in once per loop level, so a point costs the fold of its last few
+/// values, and a grid costs the returned vector and the resolved
+/// names, nothing per point.
 ///
 /// # Panics
 ///
@@ -452,7 +501,6 @@ pub fn expand(spec: &CampaignSpec) -> Vec<ScenarioPoint> {
 /// have passed [`CampaignSpec::validated`], which spells every value
 /// canonically.
 pub fn expand_range(spec: &CampaignSpec, start: usize, end: usize) -> Vec<ScenarioPoint> {
-    use std::fmt::Write as _;
     let name = |spelling: &str| {
         Name::resolve(spelling).unwrap_or_else(|| {
             panic!("axis value {spelling:?} is not canonical: validate the spec")
@@ -460,9 +508,8 @@ pub fn expand_range(spec: &CampaignSpec, start: usize, end: usize) -> Vec<Scenar
     };
     let total = spec.point_count();
     let mut points = Vec::with_capacity(end.min(total).saturating_sub(start.min(total)));
-    // A seed input is ~100 bytes; one allocation covers every point.
-    let mut axes = String::with_capacity(256);
     let profile_machine = name(&spec.profile_machine);
+    let noise_cv = spec.noise_cv;
     let named = [
         &spec.machines,
         &spec.kernels,
@@ -478,29 +525,38 @@ pub fn expand_range(spec: &CampaignSpec, start: usize, end: usize) -> Vec<Scenar
     let (modes, rest) = rest.split_at(spec.modes.len());
     let (filesystems, rest) = rest.split_at(spec.filesystems.len());
     let (atom_sets, orders) = rest.split_at(spec.atoms.len());
+    let seeded = Fnv::new(spec.seed);
     let mut index = 0usize;
     'grid: for workload in &spec.workloads {
         let app = name(&workload.app);
+        let h_app = seeded.field(app);
         for &steps in &workload.steps {
+            let h_steps = h_app.then(format_args!("{steps}|"));
             for &machine in machines {
+                let h_machine = h_steps.field(machine);
                 for &kernel in kernels {
+                    let h_kernel = h_machine.field(kernel);
                     for &mode in modes {
+                        let h_mode = h_kernel.field(mode);
                         for &threads in &spec.threads {
+                            let h_threads = h_mode.then(format_args!("{threads}|"));
                             for &io_block in &spec.io_blocks {
+                                let h_io = h_threads.then(format_args!("{io_block}|"));
                                 for &sample_rate in &spec.sample_rates {
+                                    let h_rate = h_io.then(format_args!("{sample_rate}|"));
                                     for &fs in filesystems {
+                                        let h_fs = h_rate.field(fs);
                                         for &atoms in atom_sets {
+                                            let h_atoms = h_fs.field(atoms);
                                             for &order in orders {
                                                 if index >= end {
                                                     break 'grid;
                                                 }
                                                 if index >= start {
-                                                    axes.clear();
-                                                    let _ = write!(
-                                                        axes,
-                                                        "{app}|{steps}|{machine}|{kernel}|{mode}|{threads}|{io_block}|{sample_rate}|{fs}|{atoms}|{order}|{profile_machine}|{}",
-                                                        spec.noise_cv,
-                                                    );
+                                                    let seed = h_atoms
+                                                        .field(order)
+                                                        .field(profile_machine)
+                                                        .then(format_args!("{noise_cv}"));
                                                     points.push(ScenarioPoint {
                                                         index,
                                                         workload: app,
@@ -515,8 +571,8 @@ pub fn expand_range(spec: &CampaignSpec, start: usize, end: usize) -> Vec<Scenar
                                                         atoms,
                                                         sample_order: order,
                                                         profile_machine,
-                                                        noise_cv: spec.noise_cv,
-                                                        seed: fnv1a(axes.as_bytes(), spec.seed),
+                                                        noise_cv,
+                                                        seed: seed.finish(),
                                                     });
                                                 }
                                                 index += 1;
@@ -537,7 +593,7 @@ pub fn expand_range(spec: &CampaignSpec, start: usize, end: usize) -> Vec<Scenar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::CampaignSpec;
+    use crate::spec::{CampaignSpec, WorkloadSpec};
 
     fn spec() -> CampaignSpec {
         CampaignSpec::from_toml(
@@ -788,6 +844,147 @@ mod tests {
         );
         let number = json.replace(r#""thinkie""#, "7");
         assert!(serde_json::from_str::<ScenarioPoint>(&number).is_err());
+    }
+
+    /// The expansion as it was before seeds were carried down the
+    /// loop nest: every point's seed input written out whole, then
+    /// hashed.
+    fn write_then_hash(spec: &CampaignSpec, start: usize, end: usize) -> Vec<ScenarioPoint> {
+        use std::fmt::Write as _;
+        let name = |spelling: &str| Name::resolve(spelling).unwrap();
+        let mut points = Vec::new();
+        let mut axes = String::new();
+        let profile_machine = name(&spec.profile_machine);
+        let mut index = 0usize;
+        for workload in &spec.workloads {
+            let app = name(&workload.app);
+            for &steps in &workload.steps {
+                for machine in spec.machines.iter().map(|v| name(v)) {
+                    for kernel in spec.kernels.iter().map(|v| name(v)) {
+                        for mode in spec.modes.iter().map(|v| name(v)) {
+                            for &threads in &spec.threads {
+                                for &io_block in &spec.io_blocks {
+                                    for &sample_rate in &spec.sample_rates {
+                                        for fs in spec.filesystems.iter().map(|v| name(v)) {
+                                            for atoms in spec.atoms.iter().map(|v| name(v)) {
+                                                for order in
+                                                    spec.sample_order.iter().map(|v| name(v))
+                                                {
+                                                    if (start..end).contains(&index) {
+                                                        axes.clear();
+                                                        let _ = write!(
+                                                            axes,
+                                                            "{app}|{steps}|{machine}|{kernel}|{mode}|{threads}|{io_block}|{sample_rate}|{fs}|{atoms}|{order}|{profile_machine}|{}",
+                                                            spec.noise_cv,
+                                                        );
+                                                        points.push(ScenarioPoint {
+                                                            index,
+                                                            workload: app,
+                                                            steps,
+                                                            machine,
+                                                            kernel,
+                                                            mode,
+                                                            threads,
+                                                            io_block,
+                                                            sample_rate,
+                                                            fs,
+                                                            atoms,
+                                                            sample_order: order,
+                                                            profile_machine,
+                                                            noise_cv: spec.noise_cv,
+                                                            seed: fnv1a(axes.as_bytes(), spec.seed),
+                                                        });
+                                                    }
+                                                    index += 1;
+                                                }
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        points
+    }
+
+    /// xorshift64*: a seeded, dependency-free stream of choices.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545f4914f6cdd1d) >> 33) as usize % n
+        }
+
+        /// 1-3 distinct values of `pool`, in a shuffled order.
+        fn names(&mut self, pool: &[&str]) -> Vec<String> {
+            let mut left = pool.to_vec();
+            let n = 1 + self.below(3.min(left.len()));
+            (0..n)
+                .map(|_| left.remove(self.below(left.len())).to_string())
+                .collect()
+        }
+
+        /// 1-3 values of `pool`, repeats allowed.
+        fn numbers<T: Copy>(&mut self, pool: &[T]) -> Vec<T> {
+            (0..1 + self.below(3))
+                .map(|_| pool[self.below(pool.len())])
+                .collect()
+        }
+    }
+
+    #[test]
+    fn carried_seeds_equal_the_write_then_hash_expansion() {
+        let mut rng = Rng(0x9e3779b97f4a7c15);
+        for case in 0..200 {
+            let profile_machine = rng.names(&MACHINE_NAMES).swap_remove(0);
+            let workloads = rng
+                .names(&APPS)
+                .into_iter()
+                .map(|app| WorkloadSpec {
+                    app,
+                    steps: rng.numbers(&[1000, 10_000, 123_457, 2_000_000]),
+                })
+                .collect();
+            let spec = CampaignSpec {
+                name: format!("case {case}"),
+                seed: rng.0,
+                workloads,
+                machines: rng.names(&MACHINE_NAMES),
+                kernels: rng.names(&KERNELS),
+                modes: rng.names(&MODES),
+                threads: rng.numbers(&[1, 2, 8, 64]),
+                io_blocks: rng.numbers(&[4096, 65536, 1_048_576]),
+                // Integral rates print without a fraction (`2`), the
+                // others with one: both reach the seed as `Display`
+                // writes them.
+                sample_rates: rng.numbers(&[1.0, 2.0, 10.5, 0.25, 1000.0]),
+                filesystems: rng.names(&FILESYSTEMS),
+                atoms: rng.names(&ATOM_SETS),
+                sample_order: rng.names(&SAMPLE_ORDERS),
+                profile_machine: profile_machine.clone(),
+                reference_machine: profile_machine,
+                noise_cv: rng.numbers(&[0.0, 0.02, 1.0, 0.125])[0],
+                pilot: None,
+            };
+            let total = spec.point_count();
+            let full = expand(&spec);
+            assert_eq!(full.len(), total);
+            assert_eq!(full, write_then_hash(&spec, 0, usize::MAX), "case {case}");
+            // A range whose ends fall inside loop subtrees.
+            let (a, b) = (rng.below(total + 1), rng.below(total + 1));
+            let (start, end) = (a.min(b), a.max(b));
+            assert_eq!(
+                expand_range(&spec, start, end),
+                write_then_hash(&spec, start, end),
+                "case {case}: {start}..{end}"
+            );
+        }
     }
 
     #[test]

@@ -67,7 +67,9 @@ pub mod spec;
 pub mod toml;
 
 pub use aggregate::{AxisSlice, Percentiles, ReferenceError};
-pub use cache::{campaign_trace_id, fingerprint, ResultCache, ResultText, ENGINE_VERSION};
+pub use cache::{
+    campaign_trace_id, fingerprint, Fingerprint, Probe, ResultCache, ResultText, ENGINE_VERSION,
+};
 pub use engine::{CampaignEngine, CancelToken, PointEvent, PointForm};
 pub use error::CampaignError;
 pub use grid::{

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use synapse::emulator::{EmulationPlan, Emulator};
 use synapse_sim::Noise;
 
-use crate::cache::fingerprint;
+use crate::cache::Fingerprint;
 use crate::error::CampaignError;
 use crate::grid::{
     app_by_name, atoms_by_name, fnv1a, fs_by_name, kernel_by_name, mode_by_name,
@@ -26,7 +26,7 @@ pub struct PointResult {
     /// The scenario this result belongs to.
     pub point: ScenarioPoint,
     /// Content fingerprint the result is cached under.
-    pub fingerprint: String,
+    pub fingerprint: Fingerprint,
     /// Emulated execution time Tx on the target machine (virtual
     /// seconds).
     pub tx: f64,
@@ -202,14 +202,14 @@ pub fn emulation_plan(point: &ScenarioPoint) -> Result<EmulationPlan, CampaignEr
 /// application's own modelled runtime on the target machine is
 /// computed alongside as the fidelity baseline.
 pub fn simulate_point(point: &ScenarioPoint) -> Result<PointResult, CampaignError> {
-    simulate_point_keyed(point, fingerprint(point))
+    simulate_point_keyed(point, Fingerprint::of(point))
 }
 
 /// [`simulate_point`] for a caller that already holds the point's
-/// [`fingerprint`] (the engine computes it for the cache probe).
+/// [`Fingerprint`] (the engine computes it for the cache probe).
 pub(crate) fn simulate_point_keyed(
     point: &ScenarioPoint,
-    fingerprint: String,
+    fingerprint: Fingerprint,
 ) -> Result<PointResult, CampaignError> {
     let app = app_by_name(&point.workload)
         .ok_or_else(|| CampaignError::UnknownWorkload(point.workload.to_string()))?;

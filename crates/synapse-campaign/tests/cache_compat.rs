@@ -9,7 +9,10 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use synapse_campaign::{expand, fingerprint, simulate_point, CampaignSpec, ResultCache};
+use synapse_campaign::{
+    expand, fingerprint, simulate_point, CampaignEngine, CampaignSpec, CancelToken, ResultCache,
+    ResultText, RunConfig,
+};
 use synapse_store::{Document, LOCK_FILE};
 
 fn fixture() -> PathBuf {
@@ -66,6 +69,24 @@ fn a_v4_cache_directory_opens_serves_every_point_and_is_rewritten_byte_for_byte(
         let served = cache.get(&fingerprint(point));
         assert_eq!(served.as_ref(), Some(result), "point {}", point.index);
     }
+    // The engine's verified hits serve every point too, in both of the
+    // forms it lands them in.
+    let config = RunConfig { workers: 2 };
+    let (decoded, stats) = CampaignEngine::new(&points, &cache, &config)
+        .run(&|_| {}, &CancelToken::new())
+        .unwrap();
+    assert_eq!((stats.cache_hits, stats.simulated), (16, 0));
+    assert_eq!(decoded, fresh);
+    let (texts, stats) = CampaignEngine::<ResultText>::landing(&points, &cache, &config)
+        .run(&|_| {}, &CancelToken::new())
+        .unwrap();
+    assert_eq!((stats.cache_hits, stats.simulated), (16, 0));
+    for (text, result) in texts.iter().zip(&fresh) {
+        assert_eq!(
+            serde_json::to_string(text).unwrap(),
+            serde_json::to_string(result).unwrap()
+        );
+    }
 
     // A shard file read and written back is the same file: loading
     // gives each document exactly the text it was stored with.
@@ -84,7 +105,7 @@ fn a_v4_cache_directory_opens_serves_every_point_and_is_rewritten_byte_for_byte(
     let rewritten = scratch("rewrite");
     let cache = ResultCache::open(&rewritten).unwrap();
     for result in &fresh {
-        cache.put(&result.fingerprint, result).unwrap();
+        cache.put(&result.fingerprint.hex(), result).unwrap();
     }
     cache.persist().unwrap();
     let mut written = files(&rewritten);

@@ -16,8 +16,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use synapse_campaign::{
-    expand, fingerprint, simulate_point, CampaignSpec, LiveAggregates, PointResult, ResultCache,
-    ResultText,
+    expand, fingerprint, simulate_point, CampaignEngine, CampaignSpec, CancelToken, Fingerprint,
+    LiveAggregates, PointResult, Probe, ResultCache, ResultText, RunConfig, ScenarioPoint,
 };
 use synapse_cluster::protocol::{parse_event, WorkerEvent};
 use synapse_server::{lease_batch_line, DEFAULT_BATCH_POINTS};
@@ -120,44 +120,90 @@ fn warm_per_point_paths_stay_within_their_allocation_budgets() {
     let results = results();
     let one = &results[0];
 
-    // A grid is its vector of points and the one buffer their seed
-    // inputs are written into: a point's names are catalog names.
+    // A grid is its vector of points and the resolved names: a point's
+    // names are catalog names, and its seed is folded, not written out.
     let grid = spec("");
     let points = calls(|| expand(&grid));
     assert_eq!(expand(&grid).len(), 16);
     assert!(
-        points <= 3,
+        points <= 2,
         "expanding 16 points made {points} allocator calls"
     );
     // ... so a point is `Copy`, and copying one copies no string.
     assert_eq!(calls(|| one.point), 0);
 
-    // The hash input buffer and the hex digest.
+    // A fingerprint is a `u64` hashed from the point's text, written
+    // into one buffer; the by-key `String` form adds its hex text.
+    assert!(calls(|| Fingerprint::of(&one.point)) <= 1);
     assert!(calls(|| fingerprint(&one.point)) <= 2);
 
-    // Simulating a point costs its fingerprint (plus slack): resolving
-    // its machines, plan and kernel builds nothing, and the result's
-    // point is a copy.
+    // Simulating a point costs its fingerprint's buffer: resolving its
+    // machines, plan and kernel builds nothing, and the result's point
+    // and fingerprint are copies.
     let cold = calls(|| simulate_point(&one.point).unwrap());
-    assert!(cold <= 3, "simulate_point made {cold} allocator calls");
+    assert!(cold <= 1, "simulate_point made {cold} allocator calls");
 
     // The text, grown at most once.
     assert!(calls(|| serde_json::to_string(one).unwrap()) <= 2);
 
-    // A hit costs the one string of the result it returns, its
-    // fingerprint (plus slack), not a copy of the stored document
-    // first.
     let cache = ResultCache::in_memory();
     for r in &results {
-        cache.put(&r.fingerprint, r).unwrap();
+        cache.put(&r.fingerprint.hex(), r).unwrap();
     }
-    let hit = calls(|| cache.get(&one.fingerprint).unwrap());
-    assert!(hit <= 2, "a hit made {hit} allocator calls");
+    // A sweep worker's probe, once its buffer is warm, plus a verified
+    // hit: the point's text is written into that buffer, the stored
+    // text's numbers are read where they lie, and the point and
+    // fingerprint are copies. Nothing is allocated.
+    let mut probe = Probe::new();
+    let mut moved = one.point;
+    moved.index = 1_000_000;
+    let hit = calls(|| {
+        probe.write(&moved);
+        cache.hit(&probe).unwrap()
+    });
+    assert_eq!(
+        hit, 0,
+        "a probe and a verified hit made {hit} allocator calls"
+    );
+    // The by-key lookup decodes the whole document: a result's
+    // strings are catalog names and a `u64`, so it allocates nothing
+    // either.
+    let by_key = calls(|| cache.get(&one.fingerprint.hex()).unwrap());
+    assert_eq!(by_key, 0, "a by-key hit made {by_key} allocator calls");
 
     // A hit as stored text, what a lease job lands, is the one copy of
     // that text with its index replaced: no decode.
-    let text_hit = calls(|| cache.get_text(&one.fingerprint, 1_000_000).unwrap());
+    let text_hit = calls(|| cache.hit_text(&probe).unwrap());
     assert!(text_hit <= 1, "a text hit made {text_hit} allocator calls");
+
+    // A warm sweep, run inline on this thread (one worker), costs per
+    // point the `Arc` its result is shared through, and nothing more:
+    // the per-run vectors cancel out between a 64- and a 16-point run.
+    let wide = expand(&spec("threads = [1, 8]\nio_blocks = [65536, 1048576]"));
+    let narrow = expand(&grid);
+    let warm = ResultCache::in_memory();
+    for point in wide.iter().chain(&narrow) {
+        let result = simulate_point(point).unwrap();
+        warm.put(&result.fingerprint.hex(), &result).unwrap();
+    }
+    let config = RunConfig { workers: 1 };
+    let sweep = |points: &[ScenarioPoint]| {
+        calls(|| {
+            let (results, stats) = CampaignEngine::new(points, &warm, &config)
+                .run(&|_| {}, &CancelToken::new())
+                .unwrap();
+            assert_eq!(stats.cache_hits, points.len());
+            results
+        })
+    };
+    let (wide_calls, narrow_calls) = (sweep(&wide), sweep(&narrow));
+    let per_point = (wide_calls - narrow_calls) as f64 / (wide.len() - narrow.len()) as f64;
+    assert!(
+        per_point <= 1.0,
+        "a warm sweep made {per_point} allocator calls per point ({wide_calls} for {}, {narrow_calls} for {})",
+        wide.len(),
+        narrow.len()
+    );
 
     // A put of a result the cache has not seen costs its text, the
     // document's id and the store's copy of that id as the key: no
@@ -189,8 +235,9 @@ fn warm_per_point_paths_stay_within_their_allocation_budgets() {
     assert!(per_text_frame(1) <= 4);
     assert!(per_text_frame(DEFAULT_BATCH_POINTS) <= 4);
 
-    // Decoding one: each result's fingerprint and shared handle, and
-    // the vectors they sit in — no document tree.
+    // Decoding one: the vectors the results sit in, grown by doubling
+    // — a result's fingerprint is a `u64` and its names are catalog
+    // names, so no result allocates — and no document tree.
     let frame = lease_batch_line(&packed, None);
     let decode = || match parse_event(&frame) {
         Some(WorkerEvent::Batch(points)) => points,
@@ -199,7 +246,7 @@ fn warm_per_point_paths_stay_within_their_allocation_budgets() {
     assert_eq!(decode().len(), DEFAULT_BATCH_POINTS);
     let decoded = calls(decode);
     assert!(
-        decoded <= 2 * DEFAULT_BATCH_POINTS as u64,
+        decoded <= 8,
         "a {DEFAULT_BATCH_POINTS}-point frame decode made {decoded} allocator calls"
     );
 

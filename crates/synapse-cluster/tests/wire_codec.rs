@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use support::{check_codec, Read, Rng};
 use synapse_campaign::{
-    expand, fingerprint, simulate_point, CampaignReport, CampaignSpec, PointResult, ResultCache,
+    expand, simulate_point, CampaignReport, CampaignSpec, PointResult, Probe, ResultCache,
+    ScenarioPoint,
 };
 use synapse_cluster::protocol::{parse_event, WorkerEvent};
 use synapse_server::{lease_batch_line, LeaseRequest};
@@ -59,7 +60,7 @@ fn wire_types_write_and_read_like_the_tree() {
     for (point, result) in points.iter().zip(&results).step_by(5) {
         reads.extend(check_codec(point, &mut rng, 12));
         reads.extend(check_codec(result, &mut rng, 12));
-        let doc = Document::new(result.fingerprint.as_str(), result).unwrap();
+        let doc = Document::new(&*result.fingerprint.hex(), result).unwrap();
         reads.extend(check_codec(&doc, &mut rng, 12));
     }
     reads.extend(check_codec(&spec, &mut rng, 48));
@@ -121,21 +122,23 @@ fn stored_text_frames_exactly_like_the_decoded_result() {
     let memory = ResultCache::in_memory();
     let (dir, fixture_spec) = fixture_cache("frames");
     let disk = ResultCache::open(&dir).unwrap();
-    let fixture: Vec<String> = expand(&fixture_spec).iter().map(fingerprint).collect();
+    let fixture = expand(&fixture_spec);
     assert_eq!(disk.len(), 16);
 
     let mut rng = Rng::new(0xf2a3e);
     let mut frames = 0;
+    let mut probe = Probe::new();
     for round in 0..64 {
-        let mut hits: Vec<(&ResultCache, &str, usize)> = Vec::new();
+        let mut hits: Vec<(&ResultCache, ScenarioPoint, usize)> = Vec::new();
         for result in &wire {
             let mut stored = result.clone();
             stored.point.index = rng.pick(&[0, 7, 42, 977, 123_456]);
-            memory.put(&stored.fingerprint, &stored).unwrap();
-            hits.push((&memory, &result.fingerprint, stored.point.index));
+            memory.put(&stored.fingerprint.hex(), &stored).unwrap();
+            hits.push((&memory, result.point, stored.point.index));
         }
-        for fp in &fixture {
-            hits.push((&disk, fp, disk.get(fp).unwrap().point.index));
+        for point in &fixture {
+            let key = probe.write(point).hex();
+            hits.push((&disk, *point, disk.get(&key).unwrap().point.index));
         }
         // Shuffled, so frames mix both sources.
         for i in (1..hits.len()).rev() {
@@ -143,11 +146,15 @@ fn stored_text_frames_exactly_like_the_decoded_result() {
         }
         let mut texts = Vec::new();
         let mut decoded = Vec::new();
-        for (cache, fp, stored) in hits {
-            let index = run_index(stored, &mut rng);
-            let text = cache.get_text(fp, index).unwrap();
-            let mut result = cache.get(fp).unwrap();
-            result.point.index = index;
+        for (cache, mut point, stored) in hits {
+            point.index = run_index(stored, &mut rng);
+            let key = probe.write(&point).hex();
+            let text = cache.hit_text(&probe).unwrap();
+            let result = cache.hit(&probe).unwrap();
+            // The verified hit is the full decode, rebound.
+            let mut decoded_in_full = cache.get(&key).unwrap();
+            decoded_in_full.point.index = point.index;
+            assert_eq!(result, decoded_in_full);
             assert_eq!(
                 serde_json::to_string(&text).unwrap(),
                 serde_json::to_string(&result).unwrap()
@@ -214,6 +221,39 @@ fn a_frame_whose_times_are_not_finite_and_non_negative_is_malformed() {
                 assert!(reason.contains("finite and non-negative"), "{reason}")
             }
             other => panic!("{times}: expected Malformed, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_frame_whose_fingerprint_is_not_sixteen_lowercase_hex_digits_is_malformed() {
+    let result = simulate_point(&expand(&spec())[0]).unwrap();
+    let text = serde_json::to_string(&result).unwrap();
+    let hex = result.fingerprint.to_string();
+    let frame = |text: &str| {
+        let points = format!("[{{\"cached\":true,\"result\":{text}}}]");
+        format!(
+            "{{\"event\":\"batch\",\"v\":1,\"n\":1,\"len\":{},\"points\":{points}}}",
+            points.len()
+        )
+    };
+    assert!(matches!(
+        parse_event(&frame(&text)),
+        Some(WorkerEvent::Batch(_))
+    ));
+    for print in [
+        "xyz".to_string(),
+        hex[1..].to_string(),
+        format!("{hex}0"),
+        hex.to_uppercase(),
+    ] {
+        let bad = text.replacen(&hex, &print, 1);
+        assert_ne!(bad, text);
+        match parse_event(&frame(&bad)) {
+            Some(WorkerEvent::Malformed { reason }) => {
+                assert!(reason.contains("does not decode"), "{reason}")
+            }
+            other => panic!("{print}: expected Malformed, got {other:?}"),
         }
     }
 }

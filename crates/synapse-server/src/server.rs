@@ -671,7 +671,7 @@ fn point_event_line(
     done: usize,
     total: usize,
 ) -> String {
-    use serde_json::{write_escaped, write_f64, Escaping};
+    use serde_json::{write_f64, Escaping};
     use std::fmt::Write as _;
     let mut line = String::with_capacity(416);
     line.push_str("{\"app_tx\":");
@@ -680,9 +680,11 @@ fn point_event_line(
     line.push_str(if cached { "true" } else { "false" });
     let _ = write!(line, ",\"done\":{done},\"error_pct\":");
     write_f64(&mut line, result.error_pct());
-    line.push_str(",\"event\":\"point\",\"fingerprint\":");
-    write_escaped(&mut line, &result.fingerprint);
-    let _ = write!(line, ",\"index\":{},\"label\":\"", result.point.index);
+    let _ = write!(
+        line,
+        ",\"event\":\"point\",\"fingerprint\":\"{}\",\"index\":{},\"label\":\"",
+        result.fingerprint, result.point.index
+    );
     let _ = result.point.write_label(&mut Escaping(&mut line));
     let _ = write!(line, "\",\"total\":{total},\"tx\":");
     write_f64(&mut line, result.tx);

@@ -288,19 +288,24 @@ pub struct StoreCounters {
 /// recorded document count.
 type DiskManifest = (Vec<Group>, BTreeMap<String, u64>);
 
-/// A manifest's mtime and length.
+/// A manifest's inode number, mtime and length.
 #[expect(
     clippy::disallowed_types,
     reason = "a file mtime is compared for change only; it never reaches a result or a trace"
 )]
-type ManifestStamp = (std::time::SystemTime, u64);
+type ManifestStamp = (u64, std::time::SystemTime, u64);
 
-/// The manifest's change stamp (mtime + length): saves rewrite the
-/// manifest atomically, so a changed stamp means another process
-/// saved. `None` when no manifest exists (nothing saved yet).
+/// The manifest's change stamp (inode + mtime + length): a changed
+/// stamp means another process saved. Every save renames a fresh temp
+/// file over the manifest, made while the manifest it replaces still
+/// exists, so each save's inode differs from the last one's even when
+/// two saves of an equal-length manifest land within one tick of a
+/// coarse filesystem clock. `None` when no manifest exists (nothing
+/// saved yet).
 fn manifest_stamp(dir: &Path) -> Option<ManifestStamp> {
+    use std::os::unix::fs::MetadataExt as _;
     let meta = fs::metadata(dir.join(MANIFEST_FILE)).ok()?;
-    Some((meta.modified().ok()?, meta.len()))
+    Some((meta.ino(), meta.modified().ok()?, meta.len()))
 }
 
 /// Read and validate the on-disk manifest, if one exists: the groups
@@ -1491,10 +1496,22 @@ mod tests {
         checked.upsert(doc(&k(5), odd)).unwrap();
         assert_eq!(n(checked.get(&k(5)).unwrap()), odd, "upserts are kept");
 
-        // The reload-on-miss fold.
+        // The reload-on-miss fold. The manifest's mtime is set back to
+        // what the checked store last saw, and the manifest keeps its
+        // length: what two saves within one tick of a coarse clock
+        // leave. The fold must happen all the same.
+        let manifest = dir.join(MANIFEST_FILE);
+        let seen = fs::metadata(&manifest).unwrap();
         writer.upsert(doc(&k(3), 4)).unwrap();
         writer.upsert(doc(&k(4), odd)).unwrap();
         writer.save().unwrap();
+        assert_eq!(fs::metadata(&manifest).unwrap().len(), seen.len());
+        fs::File::options()
+            .write(true)
+            .open(&manifest)
+            .unwrap()
+            .set_modified(seen.modified().unwrap())
+            .unwrap();
         assert_eq!(n(checked.get(&k(3)).expect("the fold admits 4")), 4);
         assert!(checked.get(&k(4)).is_none());
 

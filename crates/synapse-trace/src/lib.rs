@@ -226,6 +226,20 @@ fn point_line_index(line: &str) -> Option<usize> {
     Some(index)
 }
 
+/// The result a per-point line carries, checked as every result that
+/// comes from outside the process is: it decodes, and its
+/// [times are valid](PointResult::times_are_valid). A trace is a file
+/// anyone can edit; nothing downstream (the report's sums and sorts)
+/// meets a result this has not admitted.
+fn point_result(line: &str) -> Result<PointResult, String> {
+    let parsed: PointLine =
+        serde_json::from_str(line).map_err(|e| format!("point does not deserialize: {e}"))?;
+    if !parsed.result.times_are_valid() {
+        return Err("point has a time that is not finite and non-negative".to_string());
+    }
+    Ok(parsed.result)
+}
+
 /// One annotation field as JSON text, through the workspace's one
 /// codec — its float rule for `f64`s, its escaper for strings.
 fn json<T: serde::Serialize + ?Sized>(field: &T) -> String {
@@ -501,9 +515,10 @@ impl Trace {
         out
     }
 
-    /// Validate the causal stream without parsing per-point payloads —
-    /// the fast replay scan (line framing, canonical grid order, index
-    /// coverage, terminal completeness).
+    /// Validate the causal stream — the replay scan: line framing,
+    /// canonical grid order, index coverage, terminal completeness, and
+    /// every point's result as [`replay_on`](Trace::replay_on) admits
+    /// it (decodable, with valid times).
     ///
     /// Strict mode returns the first divergence as an error; lenient
     /// mode collects all of them into the summary. Both count every
@@ -535,6 +550,9 @@ impl Trace {
                         &mut divergences,
                         format!("line {line_no}: expected point {next}, found {index}"),
                     )?;
+                }
+                if let Err(reason) = point_result(line) {
+                    diverge(mode, &mut divergences, format!("line {line_no}: {reason}"))?;
                 }
                 next = index + 1;
                 points += 1;
@@ -636,12 +654,11 @@ impl Trace {
                         results.len()
                     )));
                 }
-                let parsed: PointLine =
-                    serde_json::from_str(line).map_err(|e| TraceError::Corrupt {
-                        line: line_no,
-                        reason: format!("point does not deserialize: {e}"),
-                    })?;
-                let shared = Arc::new(parsed.result);
+                let result = point_result(line).map_err(|reason| TraceError::Corrupt {
+                    line: line_no,
+                    reason,
+                })?;
+                let shared = Arc::new(result);
                 observer(PointEvent::PointDone {
                     result: shared.clone(),
                     cached: true,
@@ -884,6 +901,60 @@ mod tests {
         assert_eq!(events[1], "point:0:true:1");
         assert_eq!(events[8], "point:7:true:8");
         assert_eq!(events[9], "finished");
+    }
+
+    #[test]
+    fn a_point_whose_times_are_not_finite_and_non_negative_is_corrupt_and_a_divergence() {
+        let (text, _) = record_run(2);
+        // Point 3's line, its times rewritten as a hand edit would.
+        let line_no = text
+            .lines()
+            .position(|l| l.starts_with("{\"kind\":\"event\",\"t\":\"point\",\"index\":3,"))
+            .unwrap()
+            + 1;
+        let line = text.lines().nth(line_no - 1).unwrap();
+        let field = |key: &str| {
+            let at = line.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+            let len = line[at..].find([',', '}']).unwrap();
+            format!("\"{key}\":{}", &line[at..at + len])
+        };
+        let (tx, app_tx) = (field("tx"), field("app_tx"));
+        for edit in [
+            vec![
+                (tx.clone(), "\"tx\":-1e999"),
+                (app_tx.clone(), "\"app_tx\":1e999"),
+            ],
+            vec![(tx.clone(), "\"tx\":-1e999")],
+            vec![(app_tx.clone(), "\"app_tx\":1e999")],
+        ] {
+            let edited_line = edit
+                .iter()
+                .fold(line.to_string(), |l, (from, to)| l.replacen(from, to, 1));
+            assert_ne!(edited_line, line);
+            let edited = text.replacen(line, &edited_line, 1);
+            let trace = Trace::parse(&edited).unwrap();
+            match trace.replay_on(&|_| {}) {
+                Err(TraceError::Corrupt { line, reason }) => {
+                    assert_eq!(line, line_no);
+                    assert!(reason.contains("finite and non-negative"), "{reason}");
+                }
+                other => panic!("{edit:?}: expected Corrupt, got {other:?}"),
+            }
+            assert!(matches!(
+                trace.reconstruct_report(),
+                Err(TraceError::Corrupt { .. })
+            ));
+            match trace.verify(ReplayMode::Strict) {
+                Err(TraceError::Divergence(msg)) => {
+                    assert!(msg.starts_with(&format!("line {line_no}:")), "{msg}")
+                }
+                other => panic!("{edit:?}: expected a divergence, got {other:?}"),
+            }
+            let lenient = trace.verify(ReplayMode::Lenient).unwrap();
+            assert_eq!(lenient.points, 8);
+            assert_eq!(lenient.divergences.len(), 1, "{:?}", lenient.divergences);
+            assert!(lenient.divergences[0].contains("finite and non-negative"));
+        }
     }
 
     #[test]
