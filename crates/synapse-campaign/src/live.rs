@@ -5,13 +5,16 @@
 //! [`PointResult`] lands, read concurrently by every watcher and by
 //! `GET /campaigns/<id>/aggregates`.
 //!
-//! It folds results through the report's own slice table: each
-//! `(axis, value)` slice keeps its raw `tx` and `error_pct` values, a
-//! record appends to them, and a read summarises them with the
-//! report's [`Percentiles`](crate::aggregate::Percentiles), sorting
-//! only what arrived since the last read. So every stat is exact, none
-//! depends on arrival order, and a finished job's view equals its
-//! report's `slices` in every field. A monotone version counter stamps
+//! It folds results through the report's own slice table
+//! ([`crate::aggregate`]): a record appends one row (the point's
+//! `error_pct`, its `tx` and its slice per axis), and a read sorts each
+//! metric's rows once — only the rows that came since the last read,
+//! merged into the sorted rest — and summarises every slice from that
+//! order with the report's [`Percentiles`]. So every stat is exact,
+//! none depends on arrival order, and a finished job's view equals its
+//! report's `slices` in every field. A read keeps its summaries until
+//! the next change, so the reads of one snapshot (its delta, then its
+//! `mean_abs_error_pct`) sort once. A monotone version counter stamps
 //! every slice on update, which is what makes **delta** snapshots
 //! possible: a caller that remembers the version of its last emission
 //! gets back only the slices that changed since
@@ -22,15 +25,16 @@
 //! coordinator's merge collector calls that observer once per grid
 //! index, so a cluster job's view advances point by point, exactly as
 //! a local sweep's does. [`LiveAggregates::digest`] and
-//! [`LiveAggregates::merge_digest`] carry whole views as their raw
-//! values (a merge appends them); no wire path carries a digest.
+//! [`LiveAggregates::merge_digest`] carry whole views as their rows
+//! (each row's metrics, and each slice's row numbers; a merge appends
+//! them); no wire path carries a digest.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
 use serde_json::{json, Value};
 use synapse_telemetry::{global, Counter, Histogram, SIZE_BUCKETS};
 
-use crate::aggregate::{NodeValues, SliceNode, SliceTable, AXES};
+use crate::aggregate::{Percentiles, Read, SliceSummary, SliceTable, AXES};
 use crate::runner::PointResult;
 
 /// Version stamped on snapshot deltas and digests (`"v"` key).
@@ -42,14 +46,13 @@ pub const AGGREGATES_VERSION: u64 = 1;
 pub const METRICS: [&str; 2] = ["error_pct", "tx"];
 
 /// `{"error_pct": {...stats...}, "tx": {...}}`, optionally restricted
-/// to one metric. A stats object is the metric's
-/// [`Percentiles`](crate::aggregate::Percentiles), or
+/// to one metric. A stats object is the metric's [`Percentiles`], or
 /// `{"n": 0}` for an empty series.
-fn metrics_value(node: &mut SliceNode, metric: Option<&str>) -> Value {
+fn metrics_value(metrics: [Option<Percentiles>; 2], metric: Option<&str>) -> Value {
     let mut map = serde_json::Map::new();
-    for (name, series) in [("error_pct", &mut node.error_pct), ("tx", &mut node.tx)] {
+    for (name, summary) in METRICS.into_iter().zip(metrics) {
         if metric.is_none_or(|m| m == name) {
-            let stats = match series.summary() {
+            let stats = match summary {
                 Some(p) => serde_json::to_value(p).expect("percentiles serialize"),
                 None => json!({"n": 0}),
             };
@@ -61,31 +64,38 @@ fn metrics_value(node: &mut SliceNode, metric: Option<&str>) -> Value {
 
 /// The slices `keep` selects, each as `{"axis", "metrics", "value"}`.
 fn slices_value(
-    table: &mut SliceTable,
+    read: &Read<'_>,
     metric: Option<&str>,
-    keep: impl Fn(&str, &SliceNode) -> bool,
+    keep: impl Fn(&SliceSummary<'_>) -> bool,
 ) -> Vec<Value> {
-    table
-        .slices_mut()
-        .filter(|(axis, _, node)| keep(axis, node))
-        .map(|(axis, value, node)| {
-            json!({"axis": axis, "metrics": metrics_value(node, metric), "value": value})
+    read.slices()
+        .filter(|slice| keep(slice))
+        .map(|slice| {
+            json!({
+                "axis": slice.axis,
+                "metrics": metrics_value(slice.metrics.map(Some), metric),
+                "value": slice.value,
+            })
         })
         .collect()
 }
 
-/// A digest node's values: `None` unless both metrics are arrays of
-/// finite numbers, one per point.
-fn node_values(v: &Value) -> Option<NodeValues> {
-    let series = |key: &str| -> Option<Vec<f64>> {
-        v.get(key)?
-            .as_array()?
-            .iter()
-            .map(|x| x.as_f64().filter(|x| x.is_finite()))
-            .collect()
-    };
-    let (error_pct, tx) = (series("error_pct")?, series("tx")?);
-    (error_pct.len() == tx.len()).then_some((error_pct, tx))
+/// `v[key]` as an array of finite numbers, else `None`.
+fn finite_numbers(v: &Value, key: &str) -> Option<Vec<f64>> {
+    v.get(key)?
+        .as_array()?
+        .iter()
+        .map(|x| x.as_f64().filter(|x| x.is_finite()))
+        .collect()
+}
+
+/// `v["rows"]` as an array of row numbers, else `None`.
+fn row_numbers(v: &Value) -> Option<Vec<usize>> {
+    v.get("rows")?
+        .as_array()?
+        .iter()
+        .map(|x| usize::try_from(x.as_u64()?).ok())
+        .collect()
 }
 
 /// Shared live aggregates for one campaign. All methods are
@@ -106,10 +116,10 @@ impl LiveAggregates {
         self.table.lock().expect("live aggregates lock")
     }
 
-    /// Fold one finished point in: the overall node plus one slice per
-    /// report axis. O(axes · log slices) per point, independent of how
+    /// Fold one finished point in: one row, naming its slice on every
+    /// report axis. O(axes · log values) per point, independent of how
     /// many points came before; once the point's slices exist it only
-    /// appends to their series.
+    /// appends the row.
     pub fn record(&self, result: &PointResult) {
         self.lock().record(result);
         AggregateMetrics::get().updates.inc();
@@ -124,16 +134,13 @@ impl LiveAggregates {
 
     /// Points folded in so far.
     pub fn points(&self) -> u64 {
-        self.lock().overall.tx.values().len() as u64
+        self.lock().points() as u64
     }
 
     /// Mean of `|error_pct|` across all recorded points, summed in
-    /// sorted order like every other mean here.
+    /// ascending `error_pct` order like every other mean here.
     pub fn mean_abs_error_pct(&self) -> Option<f64> {
-        let mut table = self.lock();
-        let sorted = table.overall.error_pct.sorted();
-        (!sorted.is_empty())
-            .then(|| sorted.iter().map(|v| v.abs()).sum::<f64>() / sorted.len() as f64)
+        self.lock().read().mean_abs_error_pct()
     }
 
     /// The slices that changed after version `since`, rendered for the
@@ -141,7 +148,7 @@ impl LiveAggregates {
     /// the next call. `since = 0` returns everything.
     pub fn delta_since(&self, since: u64) -> (Vec<Value>, u64) {
         let mut table = self.lock();
-        let slices = slices_value(&mut table, None, |_, node| node.version > since);
+        let slices = slices_value(&table.read(), None, |slice| slice.version > since);
         (slices, table.version)
     }
 
@@ -151,35 +158,37 @@ impl LiveAggregates {
     /// [`crate::aggregate::AXES`] / [`METRICS`].
     pub fn render(&self, axis: Option<&str>, metric: Option<&str>) -> Value {
         let mut table = self.lock();
-        let slices = slices_value(&mut table, metric, |a, _| axis.is_none_or(|want| want == a));
-        let overall = &mut table.overall;
+        let read = table.read();
+        let slices = slices_value(&read, metric, |slice| {
+            axis.is_none_or(|want| want == slice.axis)
+        });
         json!({
-            "overall": {"metrics": metrics_value(overall, metric)},
-            "points": overall.tx.values().len(),
+            "overall": {"metrics": metrics_value(read.overall(), metric)},
+            "points": read.points(),
             "slices": Value::Array(slices),
             "v": AGGREGATES_VERSION,
         })
     }
 
-    /// The whole view as each slice's raw values, which
+    /// The whole view as its rows — every row's metrics under
+    /// `overall`, and every slice's row numbers — which
     /// [`merge_digest`](LiveAggregates::merge_digest) appends to
     /// another view's.
     pub fn digest(&self) -> Value {
-        let mut table = self.lock();
+        let table = self.lock();
+        let mut rows = table.rows_by_slice();
         let slices: Vec<Value> = table
-            .slices_mut()
-            .map(|(axis, value, node)| {
-                json!({
-                    "axis": axis,
-                    "error_pct": node.error_pct.values(),
-                    "tx": node.tx.values(),
-                    "value": value,
-                })
+            .slices()
+            .map(|(s, axis, value, _)| {
+                json!({"axis": axis, "rows": std::mem::take(&mut rows[s]), "value": value})
             })
             .collect();
-        let overall = &table.overall;
+        let (error_pct, tx): (Vec<f64>, Vec<f64>) = table
+            .values()
+            .map(|[error_pct, tx]| (error_pct, tx))
+            .unzip();
         json!({
-            "overall": {"error_pct": overall.error_pct.values(), "tx": overall.tx.values()},
+            "overall": {"error_pct": error_pct, "tx": tx},
             "slices": Value::Array(slices),
             "v": AGGREGATES_VERSION,
         })
@@ -188,26 +197,36 @@ impl LiveAggregates {
     /// Fold a digest in, exactly: the view then equals one that
     /// recorded both sides' points. Returns the number of slices
     /// merged, or `None` — with this view untouched — on any shape
-    /// mismatch or an unsupported (newer) version.
+    /// mismatch (a metric that is not finite, a row that is not in
+    /// exactly one slice of every axis) or an unsupported (newer)
+    /// version.
     pub fn merge_digest(&self, v: &Value) -> Option<usize> {
         if v.get("v")?.as_u64()? > AGGREGATES_VERSION {
             return None;
         }
-        let overall = node_values(v.get("overall")?)?;
+        let overall = v.get("overall")?;
+        let (error_pct, tx) = (
+            finite_numbers(overall, "error_pct")?,
+            finite_numbers(overall, "tx")?,
+        );
+        if error_pct.len() != tx.len() {
+            return None;
+        }
+        let values: Vec<[f64; 2]> = error_pct.into_iter().zip(tx).map(Into::into).collect();
         let mut parsed = Vec::new();
         for slice in v.get("slices")?.as_array()? {
             let axis = slice.get("axis")?.as_str()?;
             let value = slice.get("value")?.as_str()?;
-            let values = node_values(slice)?;
+            let rows = row_numbers(slice)?;
             // An axis this build does not report is, like any unknown
             // key, ignored.
             if let Some(at) = AXES.iter().position(|(known, _)| *known == axis) {
-                parsed.push((at, value, values));
+                parsed.push((at, value, rows));
             }
         }
-        // Everything parsed: now mutate, as one change.
-        self.lock().append(&overall, &parsed);
-        Some(parsed.len())
+        // Everything parsed: the table checks the rows, then appends
+        // them as one change.
+        self.lock().append(&values, &parsed).then_some(parsed.len())
     }
 }
 
@@ -384,6 +403,31 @@ mod tests {
         // One point touches exactly one value per axis.
         assert_eq!(delta.len(), AXES.len());
         assert!(delta.len() < all.len(), "a delta, not a full snapshot");
+    }
+
+    /// `tx = -0.0` is a valid time, and so is `0.0`: whichever of the
+    /// two lands first, the view and the report read the same, `-0.0`
+    /// as the least.
+    #[test]
+    fn signed_zeros_read_the_same_in_either_arrival_order() {
+        let base = &results()[0];
+        let negative = PointResult {
+            tx: -0.0,
+            ..base.clone()
+        };
+        let positive = PointResult {
+            tx: 0.0,
+            ..base.clone()
+        };
+        assert!(negative.times_are_valid() && positive.times_are_valid());
+        let one_way = [negative.clone(), positive.clone()];
+        let other_way = [positive, negative];
+        assert_eq!(bytes(&live_of(&one_way)), bytes(&live_of(&other_way)));
+        let report = |rs: &[PointResult]| serde_json::to_string(&axis_slices(rs)).unwrap();
+        assert_eq!(report(&one_way), report(&other_way));
+        let atoms = &axis_slices(&one_way)[0];
+        assert_eq!(atoms.axis, "atoms");
+        assert!(atoms.tx.min.is_sign_negative() && atoms.tx.max.is_sign_positive());
     }
 
     proptest! {

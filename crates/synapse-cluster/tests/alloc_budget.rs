@@ -249,23 +249,66 @@ fn warm_per_point_paths_stay_within_their_allocation_budgets() {
         decoded <= 8,
         "a {DEFAULT_BATCH_POINTS}-point frame decode made {decoded} allocator calls"
     );
+}
 
-    // Once a point's slices exist, folding it in appends its two
-    // values to a dozen series, whose `Vec` doubling keeps that
-    // amortized: 16,384 records stay under one allocator call per 16
-    // points, a bound that one call per point would break 16-fold.
-    // (Not `calls`: a growing view does not repeat its counts.)
-    let live = LiveAggregates::new();
-    for r in &results {
-        live.record(r);
-    }
+/// Allocator calls one run of `f` makes on this thread: for paths that
+/// do not repeat their counts, like a growing view's.
+fn once<R>(f: impl FnOnce() -> R) -> u64 {
     let before = CALLS.with(Cell::get);
-    for r in results.iter().cycle().take(16_384) {
-        live.record(r);
-    }
-    let folded = CALLS.with(Cell::get) - before;
+    let out = f();
+    let spent = CALLS.with(Cell::get) - before;
+    drop(out);
+    spent
+}
+
+#[test]
+fn a_live_view_allocates_for_growth_and_per_slice_only() {
+    let results = results();
+    let fold = |points: usize| {
+        let live = LiveAggregates::new();
+        let folded = once(|| {
+            for r in results.iter().cycle().take(points) {
+                live.record(r);
+            }
+        });
+        (live, folded)
+    };
+    // Warm-up: the metric handles register on first use.
+    fold(1);
+
+    // Recording a point whose slices exist, into room the view has,
+    // writes one row: nothing is formatted, nothing allocated.
+    let (live, _) = fold(1000);
+    let one = once(|| live.record(&results[0]));
+    assert_eq!(one, 0, "a record made {one} allocator calls");
+
+    // Folding 1536 points allocates for its 18 slices (each one's
+    // text, and the tables that find it) and for the row vector's
+    // doublings: 48 calls, under a bound that one call per point
+    // would break 25-fold.
+    let (small, folded) = fold(1536);
+    assert!(folded <= 60, "1536 records made {folded} allocator calls");
+
+    // A read of a finished view summarises it once: per metric, a sort
+    // of the rows into runs of 512 — one allocation per run, not per
+    // point — and the summaries, kept until the next change. A second
+    // read renders the same document from them. The document's tree
+    // allocates per slice, so a 16,384-point view renders with exactly
+    // as many calls as a 1,536-point one.
+    let (big, _) = fold(16_384);
+    let read = |live: &LiveAggregates| {
+        let first = once(|| live.render(None, None));
+        let again = once(|| live.render(None, None));
+        (first - again, again)
+    };
+    let ((small_read, small_render), (big_read, big_render)) = (read(&small), read(&big));
+    assert_eq!(small_render, big_render, "a render allocates per slice");
     assert!(
-        folded <= 16_384 / 16,
-        "16384 records made {folded} allocator calls"
+        small_read <= 16,
+        "summarising 1536 points made {small_read} allocator calls"
+    );
+    assert!(
+        big_read <= small_read + 2 * 16_384 / 512,
+        "summarising 16384 points made {big_read} allocator calls ({small_read} for 1536)"
     );
 }
