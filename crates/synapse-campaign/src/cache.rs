@@ -8,17 +8,25 @@
 //! last save, and a manifest records the layout — so a million-point
 //! campaign pays for the points it adds, not for the points it has.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::ops::{Deref, Range};
 use std::path::Path;
 
-use serde::json::Parser;
+use serde::json::{plain_f64, plain_u64, write_u64, Parser};
 use serde::{Deserialize, Serialize, Value};
 use synapse_store::{Document, ShardedDb, DEFAULT_DOC_LIMIT};
 
 use crate::error::CampaignError;
 use crate::grid::{fnv1a, Fnv, ScenarioPoint};
 use crate::runner::PointResult;
+
+/// [`ENGINE_VERSION`] as a literal, so [`ENGINE_TAG`] is spelled at
+/// compile time.
+macro_rules! engine_version {
+    () => {
+        4
+    };
+}
 
 /// Bump when simulation semantics change: stale cached results from an
 /// older engine must not satisfy a newer campaign.
@@ -29,7 +37,11 @@ use crate::runner::PointResult;
 /// v4: the `sample_order` ablation (Fig. 2) became a grid axis — a new
 /// `ScenarioPoint` field and a new term in the per-point seed
 /// derivation, so every fingerprint changed again.
-pub const ENGINE_VERSION: u32 = 4;
+pub const ENGINE_VERSION: u32 = engine_version!();
+
+/// What every fingerprint folds in after the point's text (see
+/// [`Fingerprint`]).
+const ENGINE_TAG: &str = concat!("|engine=", engine_version!());
 
 /// Engine tag recorded in the sharded store's manifest.
 pub fn engine_tag() -> String {
@@ -218,7 +230,7 @@ impl Probe {
             + INDEX_KEY.len();
         let mut hash = Fnv::new(ENGINE_VERSION as u64);
         hash.fold(self.text.as_bytes());
-        let _ = write!(hash, "|engine={ENGINE_VERSION}");
+        hash.fold(ENGINE_TAG.as_bytes());
         self.fingerprint = Fingerprint(hash.finish());
         self.key = self.fingerprint.hex();
         self.fingerprint
@@ -276,6 +288,22 @@ fn verified<'t>(text: &'t str, probe: &Probe) -> Option<Verified<'t>> {
     })
 }
 
+/// An integer's text: plain digits, as the writer emits them, read in
+/// a loop; any other text as decoding reads it.
+fn integer<T: TryFrom<u64> + for<'de> Deserialize<'de>>(text: &str) -> Option<T> {
+    match plain_u64(text) {
+        Some(n) => T::try_from(n).ok(),
+        None => number(text),
+    }
+}
+
+/// A float's text: `-?digits.digits`, as the writer emits a finite
+/// value below 10^16, read by `str::parse`; any other text as decoding
+/// reads it.
+fn float(text: &str) -> Option<f64> {
+    plain_f64(text).or_else(|| number(text))
+}
+
 /// One number's text read as decoding reads it.
 fn number<T: for<'de> Deserialize<'de>>(text: &str) -> Option<T> {
     let mut parser = Parser::new(text);
@@ -297,7 +325,7 @@ impl ResultText {
         let width = index.checked_ilog10().map_or(1, |d| d as usize + 1);
         let mut out = String::with_capacity(text.len() - digits.len() + width);
         out.push_str(&text[..digits.start]);
-        let _ = write!(out, "{index}");
+        write_u64(&mut out, index as u64);
         out.push_str(&text[digits.end..]);
         ResultText(out)
     }
@@ -406,13 +434,13 @@ impl ResultCache {
                 Some(PointResult {
                     point: probe.point,
                     fingerprint: probe.fingerprint,
-                    tx: number(stored.tx)?,
-                    app_tx: number(stored.app_tx)?,
-                    samples: number(stored.samples)?,
-                    directed_cycles: number(stored.directed_cycles)?,
-                    consumed_cycles: number(stored.consumed_cycles)?,
-                    instructions: number(stored.instructions)?,
-                    bytes_written: number(stored.bytes_written)?,
+                    tx: float(stored.tx)?,
+                    app_tx: float(stored.app_tx)?,
+                    samples: integer(stored.samples)?,
+                    directed_cycles: integer(stored.directed_cycles)?,
+                    consumed_cycles: integer(stored.consumed_cycles)?,
+                    instructions: integer(stored.instructions)?,
+                    bytes_written: integer(stored.bytes_written)?,
                 })
             })
             .flatten()
@@ -573,6 +601,7 @@ mod tests {
             seed_only,
             "engine version must be part of the hashed bytes"
         );
+        assert_eq!(ENGINE_TAG, format!("|engine={ENGINE_VERSION}"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::Deref;
 
-use serde::json::Parser;
+use serde::json::{write_shortest, write_u64, Parser};
 use serde::{Deserialize, Serialize, Value};
 use synapse::emulator::KernelChoice;
 use synapse_pilot::SchedulerPolicy;
@@ -204,28 +204,38 @@ impl ScenarioPoint {
     /// Human-readable one-line label.
     pub fn label(&self) -> String {
         let mut label = String::new();
-        let _ = self.write_label(&mut label);
+        self.write_label(&mut label);
         label
     }
 
-    /// Write [`label`](ScenarioPoint::label)'s text into `out` (an
-    /// escaping writer puts it straight into a JSON string).
-    pub fn write_label(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        write!(
-            out,
-            "{}/{}steps on {} [{}･{}×{} io={} rate={} fs={} atoms={} order={}]",
-            self.workload,
-            self.steps,
-            self.machine,
-            self.kernel,
-            self.mode,
-            self.threads,
-            self.io_block,
-            self.sample_rate,
-            self.fs,
-            self.atoms,
-            self.sample_order,
-        )
+    /// Append [`label`](ScenarioPoint::label)'s text to `out`:
+    /// `gromacs/10000steps on thinkie [asm･openmp×1 io=65536 rate=10
+    /// fs=default atoms=all order=preserve]`, the numbers as `Display`
+    /// writes them. A catalog spelling needs no JSON escape, so the
+    /// point event writes the label straight into its JSON string.
+    pub fn write_label(&self, out: &mut String) {
+        out.push_str(&self.workload);
+        out.push('/');
+        write_u64(out, self.steps);
+        out.push_str("steps on ");
+        out.push_str(&self.machine);
+        out.push_str(" [");
+        out.push_str(&self.kernel);
+        out.push('･');
+        out.push_str(&self.mode);
+        out.push('×');
+        write_u64(out, u64::from(self.threads));
+        out.push_str(" io=");
+        write_u64(out, self.io_block);
+        out.push_str(" rate=");
+        write_shortest(out, self.sample_rate);
+        out.push_str(" fs=");
+        out.push_str(&self.fs);
+        out.push_str(" atoms=");
+        out.push_str(&self.atoms);
+        out.push_str(" order=");
+        out.push_str(&self.sample_order);
+        out.push(']');
     }
 }
 
@@ -844,6 +854,63 @@ mod tests {
         );
         let number = json.replace(r#""thinkie""#, "7");
         assert!(serde_json::from_str::<ScenarioPoint>(&number).is_err());
+    }
+
+    #[test]
+    fn catalog_spellings_need_no_json_escape() {
+        // The point event writes a label into its JSON string as it is.
+        for spelling in CATALOGS.iter().flat_map(|catalog| catalog.iter()) {
+            let mut quoted = String::new();
+            serde::json::write_escaped(&mut quoted, spelling);
+            assert_eq!(quoted, format!("\"{spelling}\""));
+        }
+    }
+
+    #[test]
+    fn labels_are_the_formatted_label() {
+        // The label as it was written with the formatter.
+        fn formatted(p: &ScenarioPoint) -> String {
+            format!(
+                "{}/{}steps on {} [{}･{}×{} io={} rate={} fs={} atoms={} order={}]",
+                p.workload,
+                p.steps,
+                p.machine,
+                p.kernel,
+                p.mode,
+                p.threads,
+                p.io_block,
+                p.sample_rate,
+                p.fs,
+                p.atoms,
+                p.sample_order,
+            )
+        }
+        let spec = CampaignSpec::from_toml(
+            r#"
+            name = "labels"
+            machines = ["thinkie", "titan"]
+            kernels = ["asm", "spin"]
+            threads = [1, 64]
+            io_blocks = [4096, 1099511627776]
+            sample_rates = [0.25, 2.0, 10.5, 123.456]
+            atoms = ["all", "no-network"]
+
+            [[workloads]]
+            app = "amber"
+            steps = [1, 1000000000]
+            "#,
+        )
+        .unwrap();
+        let mut points = expand(&spec);
+        let extremes = [f64::NAN, f64::INFINITY, -0.0, 1e21, 5e-324, -1.5, f64::MAX];
+        for (point, rate) in points.iter_mut().zip(extremes) {
+            point.sample_rate = rate;
+            point.steps = u64::MAX;
+            point.threads = u32::MAX;
+        }
+        for point in &points {
+            assert_eq!(point.label(), formatted(point));
+        }
     }
 
     /// The expansion as it was before seeds were carried down the

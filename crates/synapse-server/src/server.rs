@@ -662,31 +662,36 @@ fn run_job(state: &ServerState, job: &Arc<Job>) {
 /// Serialize the hot per-point event by hand: at ~100k points/s the
 /// `json!` Value tree (a dozen allocations per event, built on the
 /// sweep thread) was the single biggest observer cost. Keys are in
-/// the same sorted order the tree serializer emits, and strings and
-/// floats go through the codec's own escaper and float rule, so the
-/// wire shape is indistinguishable.
+/// the same sorted order the tree serializer emits, and numbers go
+/// through the codec's own kernels, so the wire shape is
+/// indistinguishable. The label goes into its JSON string unescaped:
+/// a point's names are catalog spellings, which hold nothing the
+/// escaper would change.
 fn point_event_line(
     result: &synapse_campaign::PointResult,
     cached: bool,
     done: usize,
     total: usize,
 ) -> String {
-    use serde_json::{write_f64, Escaping};
-    use std::fmt::Write as _;
+    use serde_json::{write_f64, write_u64};
     let mut line = String::with_capacity(416);
     line.push_str("{\"app_tx\":");
     write_f64(&mut line, result.app_tx);
     line.push_str(",\"cached\":");
     line.push_str(if cached { "true" } else { "false" });
-    let _ = write!(line, ",\"done\":{done},\"error_pct\":");
+    line.push_str(",\"done\":");
+    write_u64(&mut line, done as u64);
+    line.push_str(",\"error_pct\":");
     write_f64(&mut line, result.error_pct());
-    let _ = write!(
-        line,
-        ",\"event\":\"point\",\"fingerprint\":\"{}\",\"index\":{},\"label\":\"",
-        result.fingerprint, result.point.index
-    );
-    let _ = result.point.write_label(&mut Escaping(&mut line));
-    let _ = write!(line, "\",\"total\":{total},\"tx\":");
+    line.push_str(",\"event\":\"point\",\"fingerprint\":\"");
+    line.push_str(&result.fingerprint.hex());
+    line.push_str("\",\"index\":");
+    write_u64(&mut line, result.point.index as u64);
+    line.push_str(",\"label\":\"");
+    result.point.write_label(&mut line);
+    line.push_str("\",\"total\":");
+    write_u64(&mut line, total as u64);
+    line.push_str(",\"tx\":");
     write_f64(&mut line, result.tx);
     line.push('}');
     line
@@ -721,7 +726,7 @@ pub fn lease_batch_line<T: serde::Serialize>(
     points: &[(Arc<T>, bool)],
     trace: Option<&str>,
 ) -> String {
-    use std::fmt::Write as _;
+    use serde_json::write_u64;
     // A result renders to ~560 bytes; room for 640 each keeps a full
     // frame to one allocation per buffer.
     let mut payload = String::with_capacity(points.len() * 640 + 2);
@@ -738,12 +743,12 @@ pub fn lease_batch_line<T: serde::Serialize>(
     }
     payload.push(']');
     let mut line = String::with_capacity(payload.len() + 96 + trace.map_or(0, str::len));
-    let _ = write!(
-        line,
-        "{{\"event\":\"batch\",\"v\":{BATCH_FRAME_VERSION},\"n\":{},\"len\":{}",
-        points.len(),
-        payload.len(),
-    );
+    line.push_str("{\"event\":\"batch\",\"v\":");
+    write_u64(&mut line, BATCH_FRAME_VERSION);
+    line.push_str(",\"n\":");
+    write_u64(&mut line, points.len() as u64);
+    line.push_str(",\"len\":");
+    write_u64(&mut line, payload.len() as u64);
     if let Some(trace) = trace {
         line.push_str(",\"trace\":");
         serde_json::write_escaped(&mut line, trace);
@@ -1761,29 +1766,115 @@ mod tests {
         .unwrap()
     }
 
+    /// A point event as the tree serializer writes it.
+    fn tree_point_line(
+        result: &synapse_campaign::PointResult,
+        cached: bool,
+        done: usize,
+        total: usize,
+    ) -> String {
+        ndjson(&json!({
+            "event": "point",
+            "index": result.point.index,
+            "label": result.point.label(),
+            "fingerprint": result.fingerprint,
+            "tx": result.tx,
+            "app_tx": result.app_tx,
+            "error_pct": result.error_pct(),
+            "cached": cached,
+            "done": done,
+            "total": total,
+        }))
+    }
+
     #[test]
     fn hand_rolled_point_line_matches_the_tree_serializer() {
+        use synapse_campaign::grid::Name;
+        use synapse_campaign::{Fingerprint, PointResult, ScenarioPoint};
         let points = synapse_campaign::expand(&spec());
         let cache = ResultCache::in_memory();
         let (results, _) = CampaignEngine::new(&points, &cache, &RunConfig::default())
             .run(&|_| {}, &synapse_campaign::CancelToken::new())
             .unwrap();
         for (i, result) in results.iter().enumerate() {
-            let tree = ndjson(&json!({
-                "event": "point",
-                "index": result.point.index,
-                "label": result.point.label(),
-                "fingerprint": result.fingerprint,
-                "tx": result.tx,
-                "app_tx": result.app_tx,
-                "error_pct": result.error_pct(),
-                "cached": i % 2 == 0,
-                "done": i + 1,
-                "total": results.len(),
-            }));
             let fast = point_event_line(result, i % 2 == 0, i + 1, results.len());
+            let tree = tree_point_line(result, i % 2 == 0, i + 1, results.len());
             assert_eq!(fast, tree, "hot-path serializer must be byte-identical");
         }
+
+        // Results built by hand: every catalog name, non-integral and
+        // extreme numbers, and negative errors.
+        let catalogs: [&[&str]; 7] = [
+            &["gromacs", "amber"],
+            &[
+                "thinkie", "stampede", "archer", "supermic", "comet", "titan",
+            ],
+            &["asm", "c", "spin"],
+            &["openmp", "mpi"],
+            &["default", "local", "lustre", "nfs"],
+            &[
+                "compute",
+                "memory",
+                "compute+memory",
+                "storage",
+                "compute+storage",
+                "memory+storage",
+                "no-network",
+                "network",
+                "compute+network",
+                "memory+network",
+                "no-storage",
+                "storage+network",
+                "no-memory",
+                "no-compute",
+                "all",
+            ],
+            &["preserve", "shuffle"],
+        ];
+        let [apps, machines, kernels, modes, filesystems, atom_sets, orders] = catalogs;
+        let counts = [0, 1, 9, 10, 99_999, 1 << 40, u64::MAX];
+        let rates = [0.1, 2.5, 10.0, 1e-7, 123_456.789, 1e21, 0.1 + 0.2];
+        let times = [0.5, 1234.5678, 3.0, 1e-9, 2e17, 0.0];
+        let mut negative = 0;
+        for i in 0..90 {
+            let pick = |catalog: &[&str], step: usize| {
+                Name::resolve(catalog[i / step % catalog.len()]).expect("a catalog spelling")
+            };
+            let point = ScenarioPoint {
+                index: i * 1_000_003,
+                workload: pick(apps, 1),
+                steps: counts[i % counts.len()],
+                machine: pick(machines, 1),
+                kernel: pick(kernels, 2),
+                mode: pick(modes, 3),
+                threads: [1, 7, u32::MAX][i % 3],
+                io_block: counts[(i + 3) % counts.len()],
+                sample_rate: rates[i % rates.len()],
+                fs: pick(filesystems, 5),
+                atoms: pick(atom_sets, 1),
+                sample_order: pick(orders, 7),
+                profile_machine: pick(machines, 11),
+                noise_cv: 0.02,
+                seed: i as u64,
+            };
+            let result = PointResult {
+                point,
+                fingerprint: Fingerprint::of(&point),
+                tx: times[i % times.len()],
+                app_tx: times[(i / 2 + 1) % times.len()],
+                samples: i,
+                directed_cycles: 0,
+                consumed_cycles: 0,
+                instructions: 0,
+                bytes_written: 0,
+            };
+            let (done, total) = (i + 1, usize::MAX - i);
+            let fast = point_event_line(&result, i % 2 == 1, done, total);
+            let tree = tree_point_line(&result, i % 2 == 1, done, total);
+            assert_eq!(fast, tree, "point {i}");
+            negative += usize::from(result.error_pct() < 0.0);
+        }
+        assert!(negative > 0);
     }
 
     #[test]

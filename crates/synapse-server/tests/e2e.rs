@@ -428,25 +428,30 @@ fn cancellation_stops_a_running_job_mid_grid() {
 
 #[test]
 fn cancelling_a_queued_job_settles_immediately() {
-    // One queue worker busy with a long job; a second job queued
-    // behind it is DELETEd before it ever runs.
+    // One queue worker held by a job that cannot finish first (the
+    // ~55k-point grid); a second job queued behind it is DELETEd
+    // before it ever runs.
     let (client, handle, join) = boot(ServerConfig {
         queue_workers: 1,
         job_workers: 1,
         ..Default::default()
     });
-    let busy = client.submit(&example_spec()).unwrap();
-    let queued = client.submit(small_spec()).unwrap();
-    let queued_id = queued["id"].as_str().unwrap().to_string();
+    let busy_id = id_of(client.submit(huge_spec()));
+    let queued_id = id_of(client.submit(small_spec()));
+    let before = client.status(&queued_id).unwrap();
+    assert_eq!(before["status"].as_str(), Some("queued"));
     let settled = client.cancel(&queued_id).unwrap();
     assert_eq!(settled["status"].as_str(), Some("cancelled"));
     assert_eq!(settled["done"].as_u64(), Some(0));
     let last = client.watch(&queued_id, |_| true).unwrap();
     assert_eq!(last["event"].as_str(), Some("cancelled"));
-    // The busy job is unaffected.
-    let busy_id = busy["id"].as_str().unwrap().to_string();
+    // The busy job is unaffected: live until it is cancelled.
+    let status = client.status(&busy_id).unwrap();
+    let state = status["status"].as_str().unwrap();
+    assert!(["queued", "running"].contains(&state), "{state}");
+    client.cancel(&busy_id).unwrap();
     let status = await_terminal(&client, &busy_id);
-    assert_eq!(status["status"].as_str(), Some("completed"));
+    assert_eq!(status["status"].as_str(), Some("cancelled"));
     handle.shutdown();
     join.join().unwrap();
 }
