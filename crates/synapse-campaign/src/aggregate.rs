@@ -611,6 +611,18 @@ impl<'a> Read<'a> {
             })
     }
 
+    /// Every slice as the report holds it, in report order.
+    pub(crate) fn axis_slices(&self) -> Vec<AxisSlice> {
+        self.slices()
+            .map(|s| AxisSlice {
+                axis: s.axis.to_string(),
+                value: s.value.to_string(),
+                tx: s.metrics[TX],
+                error_pct: s.metrics[ERROR_PCT],
+            })
+            .collect()
+    }
+
     /// Per metric, over every point (`None` while there is none).
     pub(crate) fn overall(&self) -> [Option<Percentiles>; 2] {
         self.table.read.overall.map(|m| m.finish())
@@ -635,16 +647,7 @@ pub fn axis_slices(results: &[PointResult]) -> Vec<AxisSlice> {
     for r in results {
         table.record(r);
     }
-    table
-        .read()
-        .slices()
-        .map(|s| AxisSlice {
-            axis: s.axis.to_string(),
-            value: s.value.to_string(),
-            tx: s.metrics[TX],
-            error_pct: s.metrics[ERROR_PCT],
-        })
-        .collect()
+    table.read().axis_slices()
 }
 
 /// Per-machine runtime deviation against the reference machine.

@@ -33,6 +33,14 @@ pub enum CampaignError {
         /// Total points in the grid.
         total: usize,
     },
+    /// The live view a report reads its slices from holds another
+    /// number of points than the sweep landed.
+    ViewMismatch {
+        /// Points the view recorded.
+        view: u64,
+        /// Points the sweep landed.
+        results: usize,
+    },
     /// Result-cache persistence failed.
     Store(synapse_store::StoreError),
     /// Reading the spec file failed.
@@ -75,6 +83,10 @@ impl fmt::Display for CampaignError {
             CampaignError::Cancelled { done, total } => {
                 write!(f, "campaign cancelled after {done}/{total} points")
             }
+            CampaignError::ViewMismatch { view, results } => write!(
+                f,
+                "the live view recorded {view} points but the sweep landed {results}: no report"
+            ),
             CampaignError::Store(e) => write!(f, "result cache: {e}"),
             CampaignError::Io(e) => write!(f, "spec file: {e}"),
         }

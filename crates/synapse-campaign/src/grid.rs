@@ -1,5 +1,6 @@
 //! Cartesian expansion of campaign axes into concrete scenario points.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::ops::Deref;
 
@@ -435,8 +436,7 @@ pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
 
 /// A running [`fnv1a`] state. FNV folds one byte at a time from the
 /// left, so hashing a text in pieces gives the hash of the whole text:
-/// a state can be carried past a common prefix and copied, and as a
-/// [`fmt::Write`] it folds formatted values in with no buffer.
+/// a state can be carried past a common prefix and copied.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Fnv(u64);
 
@@ -456,14 +456,24 @@ impl Fnv {
         self.0 = hash;
     }
 
-    /// This state with `args`' text folded in.
-    fn then(mut self, args: fmt::Arguments<'_>) -> Fnv {
-        let _ = fmt::Write::write_fmt(&mut self, args);
+    /// This state with the number `write` spells and then `end` folded
+    /// in. The number is written by the JSON layer's writers (`{n}`'s
+    /// and `{f}`'s text) into one buffer per thread, reused from grid
+    /// to grid.
+    fn number(mut self, write: impl FnOnce(&mut String), end: &[u8]) -> Fnv {
+        thread_local! {
+            static TEXT: RefCell<String> = const { RefCell::new(String::new()) };
+        }
+        TEXT.with_borrow_mut(|text| {
+            text.clear();
+            write(text);
+            self.fold(text.as_bytes());
+        });
+        self.fold(end);
         self
     }
 
-    /// This state with `name` and a `|` folded in: what
-    /// `then(format_args!("{name}|"))` folds, without the formatter.
+    /// This state with `name` and a `|` folded in.
     fn field(mut self, name: Name) -> Fnv {
         self.fold(name.as_bytes());
         self.fold(b"|");
@@ -473,13 +483,6 @@ impl Fnv {
     /// The hash of everything folded in so far.
     pub fn finish(self) -> u64 {
         self.0
-    }
-}
-
-impl fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.fold(s.as_bytes());
-        Ok(())
     }
 }
 
@@ -503,7 +506,8 @@ pub fn expand(spec: &CampaignSpec) -> Vec<ScenarioPoint> {
 /// the walk carries that hash down the loop nest: each value is folded
 /// in once per loop level, so a point costs the fold of its last few
 /// values, and a grid costs the returned vector and the resolved
-/// names, nothing per point.
+/// names (and, on a thread's first grid, the buffer numbers are
+/// written into), nothing per point.
 ///
 /// # Panics
 ///
@@ -541,7 +545,7 @@ pub fn expand_range(spec: &CampaignSpec, start: usize, end: usize) -> Vec<Scenar
         let app = name(&workload.app);
         let h_app = seeded.field(app);
         for &steps in &workload.steps {
-            let h_steps = h_app.then(format_args!("{steps}|"));
+            let h_steps = h_app.number(|t| write_u64(t, steps), b"|");
             for &machine in machines {
                 let h_machine = h_steps.field(machine);
                 for &kernel in kernels {
@@ -549,11 +553,12 @@ pub fn expand_range(spec: &CampaignSpec, start: usize, end: usize) -> Vec<Scenar
                     for &mode in modes {
                         let h_mode = h_kernel.field(mode);
                         for &threads in &spec.threads {
-                            let h_threads = h_mode.then(format_args!("{threads}|"));
+                            let h_threads = h_mode.number(|t| write_u64(t, threads.into()), b"|");
                             for &io_block in &spec.io_blocks {
-                                let h_io = h_threads.then(format_args!("{io_block}|"));
+                                let h_io = h_threads.number(|t| write_u64(t, io_block), b"|");
                                 for &sample_rate in &spec.sample_rates {
-                                    let h_rate = h_io.then(format_args!("{sample_rate}|"));
+                                    let h_rate =
+                                        h_io.number(|t| write_shortest(t, sample_rate), b"|");
                                     for &fs in filesystems {
                                         let h_fs = h_rate.field(fs);
                                         for &atoms in atom_sets {
@@ -566,7 +571,10 @@ pub fn expand_range(spec: &CampaignSpec, start: usize, end: usize) -> Vec<Scenar
                                                     let seed = h_atoms
                                                         .field(order)
                                                         .field(profile_machine)
-                                                        .then(format_args!("{noise_cv}"));
+                                                        .number(
+                                                            |t| write_shortest(t, noise_cv),
+                                                            b"",
+                                                        );
                                                     points.push(ScenarioPoint {
                                                         index,
                                                         workload: app,

@@ -75,7 +75,7 @@ pub use error::CampaignError;
 pub use grid::{
     atoms_by_name, expand, expand_range, fs_by_name, sample_order_by_name, AtomSet, ScenarioPoint,
 };
-pub use live::{AggregateMetrics, LiveAggregates, AGGREGATES_VERSION};
+pub use live::{AggregateMetrics, LiveAggregates, Overall, Slice, View, AGGREGATES_VERSION};
 pub use metrics::point_latency;
 pub use partition::{
     partition, partition_weighted, plan_leases, Lease, LeaseState, LeaseTable, MAX_PROBE_POINTS,
@@ -104,11 +104,37 @@ pub struct CampaignOutcome {
 /// campaigns, with per-point progress streamed out as it happens.
 /// Mutated shards are persisted before returning (also on
 /// cancellation, so landed points survive).
+///
+/// The in-process form of [`run_campaign_live`]: each landed point is
+/// recorded into a fresh view before `observer` sees it.
 pub fn run_campaign_on(
     spec: &CampaignSpec,
     config: &RunConfig,
     cache: &ResultCache,
     observer: &(dyn Fn(PointEvent) + Sync),
+    cancel: &CancelToken,
+) -> Result<CampaignOutcome, CampaignError> {
+    let live = LiveAggregates::new();
+    let recording = |event: PointEvent| {
+        if let PointEvent::PointDone { result, .. } = &event {
+            live.record(result);
+        }
+        observer(event);
+    };
+    run_campaign_live(spec, config, cache, &recording, &live, cancel)
+}
+
+/// [`run_campaign_on`] for a caller that keeps the campaign's live
+/// view: `observer` records every landed point into `live`, once, and
+/// the report reads its slices from it
+/// ([`CampaignReport::assemble_from_view`]) — one fold per campaign,
+/// so a finished view equals its report's slices by construction.
+pub fn run_campaign_live(
+    spec: &CampaignSpec,
+    config: &RunConfig,
+    cache: &ResultCache,
+    observer: &(dyn Fn(PointEvent) + Sync),
+    live: &LiveAggregates,
     cancel: &CancelToken,
 ) -> Result<CampaignOutcome, CampaignError> {
     let engine_metrics = crate::metrics::EngineMetrics::get();
@@ -120,7 +146,7 @@ pub fn run_campaign_on(
     let aggregate_started = std::time::Instant::now();
     cache.persist()?;
     let (results, mut stats) = swept?;
-    let report = CampaignReport::assemble(spec, &results)?;
+    let report = CampaignReport::assemble_from_view(spec, &results, live)?;
     stats.expand_secs = expand_secs;
     stats.aggregate_secs = aggregate_started.elapsed().as_secs_f64();
     stats.wall_secs = run_started.elapsed().as_secs_f64();
@@ -185,6 +211,26 @@ mod tests {
         reseeded.seed = 100;
         let c = run(&reseeded, 0, &ResultCache::in_memory());
         assert_ne!(a.report.to_json().unwrap(), c.report.to_json().unwrap());
+    }
+
+    #[test]
+    fn a_view_that_misses_a_point_is_refused() {
+        let (s, live) = (spec(), LiveAggregates::new());
+        let skipping = |event: PointEvent| match event {
+            PointEvent::PointDone { result, done, .. } if done != 2 => live.record(&result),
+            _ => {}
+        };
+        let (cache, config) = (ResultCache::in_memory(), RunConfig { workers: 2 });
+        let err = run_campaign_live(&s, &config, &cache, &skipping, &live, &CancelToken::new())
+            .unwrap_err();
+        let n = s.point_count();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "the live view recorded {} points but the sweep landed {n}: no report",
+                n - 1
+            )
+        );
     }
 
     #[test]

@@ -24,17 +24,26 @@
 //! observer records each landed point. On a distributed run the
 //! coordinator's merge collector calls that observer once per grid
 //! index, so a cluster job's view advances point by point, exactly as
-//! a local sweep's does. [`LiveAggregates::digest`] and
+//! a local sweep's does. The job's report then reads its `slices` from
+//! the same view ([`LiveAggregates::slices`]): a served job folds each
+//! point once, and its terminal snapshot, its `/aggregates` document
+//! and its report come out of one read.
+//!
+//! A read comes out as owned, serializable parts ([`View`], [`Slice`]),
+//! which the streaming writer writes straight to text, their keys
+//! sorted by the derive. [`LiveAggregates::digest`] and
 //! [`LiveAggregates::merge_digest`] carry whole views as their rows
 //! (each row's metrics, and each slice's row numbers; a merge appends
-//! them); no wire path carries a digest.
+//! them) as `Value` trees; no wire path carries a digest.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
+use serde::json::write_escaped;
+use serde::Serialize;
 use serde_json::{json, Value};
 use synapse_telemetry::{global, Counter, Histogram, SIZE_BUCKETS};
 
-use crate::aggregate::{Percentiles, Read, SliceSummary, SliceTable, AXES};
+use crate::aggregate::{AxisSlice, Percentiles, SliceSummary, SliceTable, AXES};
 use crate::runner::PointResult;
 
 /// Version stamped on snapshot deltas and digests (`"v"` key).
@@ -45,39 +54,90 @@ pub const AGGREGATES_VERSION: u64 = 1;
 /// Metric names carried per slice, in render (alphabetical) order.
 pub const METRICS: [&str; 2] = ["error_pct", "tx"];
 
-/// `{"error_pct": {...stats...}, "tx": {...}}`, optionally restricted
-/// to one metric. A stats object is the metric's [`Percentiles`], or
-/// `{"n": 0}` for an empty series.
-fn metrics_value(metrics: [Option<Percentiles>; 2], metric: Option<&str>) -> Value {
-    let mut map = serde_json::Map::new();
-    for (name, summary) in METRICS.into_iter().zip(metrics) {
-        if metric.is_none_or(|m| m == name) {
-            let stats = match summary {
-                Some(p) => serde_json::to_value(p).expect("percentiles serialize"),
-                None => json!({"n": 0}),
-            };
-            map.insert(name.to_string(), stats);
-        }
+/// One read's metrics: `{"error_pct": stats, "tx": stats}`, or the one
+/// a filter kept. A stats object is the metric's [`Percentiles`], or
+/// `{"n": 0}` for an empty series. Indexed like [`METRICS`]: the outer
+/// `None` is a metric the filter dropped, the inner one an empty series.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Metrics([Option<Option<Percentiles>>; 2]);
+
+impl Metrics {
+    /// `summaries`, indexed like [`METRICS`], restricted to `metric`.
+    fn of(summaries: [Option<Percentiles>; 2], metric: Option<&str>) -> Metrics {
+        Metrics(std::array::from_fn(|at| {
+            metric
+                .is_none_or(|m| m == METRICS[at])
+                .then_some(summaries[at])
+        }))
     }
-    Value::Object(map)
 }
 
-/// The slices `keep` selects, each as `{"axis", "metrics", "value"}`.
-fn slices_value(
-    read: &Read<'_>,
-    metric: Option<&str>,
-    keep: impl Fn(&SliceSummary<'_>) -> bool,
-) -> Vec<Value> {
-    read.slices()
-        .filter(|slice| keep(slice))
-        .map(|slice| {
-            json!({
-                "axis": slice.axis,
-                "metrics": metrics_value(slice.metrics.map(Some), metric),
-                "value": slice.value,
-            })
-        })
-        .collect()
+// Written by hand: a derived struct cannot leave out a dropped key.
+impl Serialize for Metrics {
+    fn serialize_value(&self) -> Value {
+        serde_json::from_str(&serde_json::to_string(self).expect("metrics write"))
+            .expect("metrics parse")
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        let start = out.len();
+        for (name, summary) in METRICS.into_iter().zip(self.0) {
+            let Some(summary) = summary else { continue };
+            if out.len() > start {
+                out.push(',');
+            }
+            write_escaped(out, name);
+            out.push(':');
+            match summary {
+                Some(p) => p.write_json(out),
+                None => out.push_str(r#"{"n":0}"#),
+            }
+        }
+        out.push('}');
+    }
+}
+
+/// One slice of a read: `{"axis", "metrics", "value"}`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Slice {
+    /// The report axis.
+    pub axis: &'static str,
+    /// The slice's metrics.
+    pub metrics: Metrics,
+    /// The axis value, as text.
+    pub value: String,
+}
+
+impl Slice {
+    fn of(slice: SliceSummary<'_>, metric: Option<&str>) -> Slice {
+        Slice {
+            axis: slice.axis,
+            metrics: Metrics::of(slice.metrics.map(Some), metric),
+            value: slice.value.to_string(),
+        }
+    }
+}
+
+/// The view's `overall` node: `{"metrics": …}` over every point.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Overall {
+    /// Every point's metrics.
+    pub metrics: Metrics,
+}
+
+/// One read of the whole view, as [`LiveAggregates::view`] returns it.
+/// Serialized, it is the pull-mode document.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct View {
+    /// Summaries over every point.
+    pub overall: Overall,
+    /// Points folded in.
+    pub points: usize,
+    /// The slices the axis filter kept, in report order.
+    pub slices: Vec<Slice>,
+    /// [`AGGREGATES_VERSION`].
+    pub v: u64,
 }
 
 /// `v[key]` as an array of finite numbers, else `None`.
@@ -143,31 +203,41 @@ impl LiveAggregates {
         self.lock().read().mean_abs_error_pct()
     }
 
-    /// The slices that changed after version `since`, rendered for the
+    /// Every slice as the report holds it, in report order: a finished
+    /// job's report `slices`. Reads what the last read summarised, if
+    /// nothing changed since.
+    pub fn slices(&self) -> Vec<AxisSlice> {
+        self.lock().read().axis_slices()
+    }
+
+    /// The slices that changed after version `since`, for the
     /// snapshot-delta wire format, plus the version to remember for
     /// the next call. `since = 0` returns everything.
-    pub fn delta_since(&self, since: u64) -> (Vec<Value>, u64) {
+    pub fn delta_since(&self, since: u64) -> (Vec<Slice>, u64) {
         let mut table = self.lock();
-        let slices = slices_value(&table.read(), None, |slice| slice.version > since);
+        let slices = table.read().slices().filter(|slice| slice.version > since);
+        let slices = slices.map(|slice| Slice::of(slice, None)).collect();
         (slices, table.version)
     }
 
-    /// Full pull-mode render for `GET /campaigns/<id>/aggregates`,
+    /// Full pull-mode read for `GET /campaigns/<id>/aggregates`,
     /// optionally filtered to one axis and/or one metric. Axis and
     /// metric names are validated by the caller against
     /// [`crate::aggregate::AXES`] / [`METRICS`].
-    pub fn render(&self, axis: Option<&str>, metric: Option<&str>) -> Value {
+    pub fn view(&self, axis: Option<&str>, metric: Option<&str>) -> View {
         let mut table = self.lock();
         let read = table.read();
-        let slices = slices_value(&read, metric, |slice| {
-            axis.is_none_or(|want| want == slice.axis)
-        });
-        json!({
-            "overall": {"metrics": metrics_value(read.overall(), metric)},
-            "points": read.points(),
-            "slices": Value::Array(slices),
-            "v": AGGREGATES_VERSION,
-        })
+        let slices = read
+            .slices()
+            .filter(|slice| axis.is_none_or(|want| want == slice.axis));
+        View {
+            overall: Overall {
+                metrics: Metrics::of(read.overall(), metric),
+            },
+            points: read.points(),
+            slices: slices.map(|slice| Slice::of(slice, metric)).collect(),
+            v: AGGREGATES_VERSION,
+        }
     }
 
     /// The whole view as its rows — every row's metrics under
@@ -279,7 +349,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::aggregate::{axis_slices, Percentiles};
+    use crate::aggregate::axis_slices;
     use crate::cache::ResultCache;
     use crate::engine::{CampaignEngine, CancelToken};
     use crate::grid::expand;
@@ -331,32 +401,18 @@ mod tests {
     }
 
     fn bytes(live: &LiveAggregates) -> String {
-        serde_json::to_string(&live.render(None, None)).unwrap()
-    }
-
-    /// The report's slices in the live view's slice shape.
-    fn report_view(results: &[PointResult]) -> Value {
-        let slices: Vec<Value> = axis_slices(results)
-            .into_iter()
-            .map(|s| {
-                json!({
-                    "axis": s.axis,
-                    "metrics": {"error_pct": s.error_pct, "tx": s.tx},
-                    "value": s.value,
-                })
-            })
-            .collect();
-        Value::Array(slices)
+        serde_json::to_string(&live.view(None, None)).unwrap()
     }
 
     #[test]
-    fn render_is_the_report_slices_plus_the_overall_node() {
+    fn the_view_is_the_report_slices_plus_the_overall_node() {
         let rs = results();
         let live = live_of(rs);
         assert_eq!(live.points(), rs.len() as u64);
-        let doc = live.render(None, None);
+        assert_eq!(live.slices(), axis_slices(rs));
+        let doc: Value = serde_json::from_str(&bytes(&live)).unwrap();
         assert_eq!(doc["v"].as_u64(), Some(AGGREGATES_VERSION));
-        assert_eq!(doc["slices"], report_view(rs));
+        assert_eq!(doc["slices"], live.delta_since(0).0.serialize_value());
         let overall = |f: fn(&PointResult) -> f64| {
             let values: Vec<f64> = rs.iter().map(f).collect();
             serde_json::to_value(Percentiles::of(&values)).unwrap()
@@ -367,22 +423,22 @@ mod tests {
             overall(PointResult::error_pct)
         );
         assert_eq!(
-            LiveAggregates::new().render(None, None)["overall"]["metrics"]["tx"],
-            json!({"n": 0})
+            bytes(&LiveAggregates::new()),
+            r#"{"overall":{"metrics":{"error_pct":{"n":0},"tx":{"n":0}}},"points":0,"slices":[],"v":1}"#
         );
     }
 
     #[test]
     fn filters_restrict_axis_and_metric() {
         let live = live_of(results());
-        let doc = live.render(Some("machine"), Some("tx"));
-        let slices = doc["slices"].as_array().unwrap();
-        assert_eq!(slices.len(), 3, "three machines");
-        for s in slices {
-            assert_eq!(s["axis"].as_str(), Some("machine"));
-            assert!(s["metrics"]["tx"].as_object().is_some());
+        let doc = live.view(Some("machine"), Some("tx"));
+        assert_eq!(doc.slices.len(), 3, "three machines");
+        for s in doc.slices {
+            assert_eq!(s.axis, "machine");
+            let metrics = s.metrics.serialize_value();
+            assert!(metrics["tx"].as_object().is_some());
             assert!(
-                s["metrics"].get("error_pct").is_none(),
+                metrics.get("error_pct").is_none(),
                 "metric filter drops the other metric"
             );
         }
@@ -433,8 +489,8 @@ mod tests {
     proptest! {
         /// However the points arrive — in any order, read mid-sweep or
         /// not, or split into views whose digests merge in any order —
-        /// the view renders the same bytes (whose slices are the
-        /// report's, as the test above shows).
+        /// the view writes the same bytes (whose slices are the
+        /// report's, as the first test shows).
         #[test]
         fn arrival_order_and_digest_splits_do_not_change_the_view(
             keys in proptest::collection::vec(any::<u64>(), POINTS..POINTS + 1),
@@ -453,7 +509,7 @@ mod tests {
             for (at, r) in arrived.iter().enumerate() {
                 permuted.record(r);
                 if cuts.contains(&at) {
-                    permuted.render(None, None);
+                    permuted.view(None, None);
                 }
             }
             prop_assert_eq!(bytes(&permuted), want.clone());

@@ -7,6 +7,7 @@ use crate::aggregate::{axis_slices, reference_errors, AxisSlice, ReferenceError}
 use crate::cache::ENGINE_VERSION;
 use crate::error::CampaignError;
 use crate::grid::{policy_by_name, Name};
+use crate::live::LiveAggregates;
 use crate::runner::PointResult;
 use crate::spec::CampaignSpec;
 
@@ -90,10 +91,39 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Assemble a report from a finished sweep.
+    /// Assemble a report from a finished sweep, folding its slices
+    /// afresh.
     pub fn assemble(
         spec: &CampaignSpec,
         results: &[PointResult],
+    ) -> Result<CampaignReport, CampaignError> {
+        CampaignReport::with_slices(spec, results, axis_slices(results))
+    }
+
+    /// Assemble a report from a finished sweep whose points `live`
+    /// recorded, one record each: its slices are the view's, read, not
+    /// folded again. Refused with [`CampaignError::ViewMismatch`] when
+    /// the view holds another number of points than `results`, so a
+    /// report never carries slices of other points.
+    pub fn assemble_from_view(
+        spec: &CampaignSpec,
+        results: &[PointResult],
+        live: &LiveAggregates,
+    ) -> Result<CampaignReport, CampaignError> {
+        let view = live.points();
+        if view != results.len() as u64 {
+            return Err(CampaignError::ViewMismatch {
+                view,
+                results: results.len(),
+            });
+        }
+        CampaignReport::with_slices(spec, results, live.slices())
+    }
+
+    fn with_slices(
+        spec: &CampaignSpec,
+        results: &[PointResult],
+        slices: Vec<AxisSlice>,
     ) -> Result<CampaignReport, CampaignError> {
         let rows = results
             .iter()
@@ -125,7 +155,7 @@ impl CampaignReport {
             seed: spec.seed,
             points: results.len(),
             reference_machine: spec.reference_machine.clone(),
-            slices: axis_slices(results),
+            slices,
             reference_errors: reference_errors(results, &spec.reference_machine),
             pilot,
             results: rows,

@@ -5,7 +5,10 @@
 //! axis, duplicate metrics, `-0.0` next to `0.0`, random arrival
 //! orders, reads mid-sweep, and views assembled from digests — and the
 //! report's slices, the live view's bytes and its mean |error| must
-//! come out the same, bit for bit.
+//! come out the same, bit for bit. The view's bytes are held to the
+//! `Value`-tree renderer the live plane used before it wrote its own
+//! JSON, copied here too: every view filter, and deltas at random
+//! cursors.
 //!
 //! The old fold sorted with `partial_cmp`, under which `-0.0 == 0.0`:
 //! with both in one slice its output depended on which arrived first.
@@ -160,70 +163,107 @@ fn summary(values: &[f64], cmp: Cmp) -> Option<Percentiles> {
     of_sorted(&sorted)
 }
 
-/// The old fold's output for `arrived`: the report's slices, the full
-/// render, `delta_since(0)`'s slices and the mean |error_pct|.
+/// The old fold's output for `arrived`: the report's slices, each with
+/// the arrival (1-based) of its last point, the overall summaries and
+/// the mean |error_pct|.
 struct Reference {
     slices: Vec<AxisSlice>,
-    render: Value,
-    delta: Value,
+    last: Vec<usize>,
+    overall: [Option<Percentiles>; 2],
     mean_abs_error_pct: Option<f64>,
 }
 
+/// The live plane's metric names, in render order.
+const METRICS: [&str; 2] = ["error_pct", "tx"];
+
+impl Reference {
+    /// `{"error_pct": stats, "tx": stats}` (or one of them) as the
+    /// tree renderer built it: a stats object is the [`Percentiles`],
+    /// or `{"n": 0}` for an empty series.
+    fn metrics(metrics: [Option<Percentiles>; 2], metric: Option<&str>) -> Value {
+        let mut map = serde_json::Map::new();
+        for (name, summary) in METRICS.into_iter().zip(metrics) {
+            if metric.is_none_or(|m| m == name) {
+                let stats = match summary {
+                    Some(p) => serde_json::to_value(p).unwrap(),
+                    None => json!({"n": 0}),
+                };
+                map.insert(name.to_string(), stats);
+            }
+        }
+        Value::Object(map)
+    }
+
+    /// The slices `keep` selects, each as `{"axis", "metrics", "value"}`.
+    fn slices_value(&self, metric: Option<&str>, keep: impl Fn(usize) -> bool) -> Value {
+        let slices = self.slices.iter().enumerate().filter(|&(at, _)| keep(at));
+        Value::Array(
+            slices
+                .map(|(_, s)| {
+                    json!({
+                        "axis": s.axis,
+                        "metrics": Reference::metrics([Some(s.error_pct), Some(s.tx)], metric),
+                        "value": s.value,
+                    })
+                })
+                .collect(),
+        )
+    }
+
+    /// The pull-mode document.
+    fn render(&self, axis: Option<&str>, metric: Option<&str>) -> Value {
+        json!({
+            "overall": {"metrics": Reference::metrics(self.overall, metric)},
+            "points": self.overall[1].map_or(0, |p| p.n),
+            "slices": self.slices_value(metric, |at| {
+                axis.is_none_or(|want| want == self.slices[at].axis)
+            }),
+            "v": AGGREGATES_VERSION,
+        })
+    }
+
+    /// The slices whose last point arrived after the first `since`.
+    fn delta(&self, since: usize) -> Value {
+        self.slices_value(None, |at| self.last[at] > since)
+    }
+}
+
 fn reference(arrived: &[&PointResult], cmp: Cmp) -> Reference {
-    // (axis, value text) → (error_pct values, tx values), in arrival order.
-    let mut slices: BTreeMap<(&str, String), Metrics> = BTreeMap::new();
+    // (axis, value text) → (error_pct values, tx values, last arrival),
+    // in arrival order.
+    let mut slices: BTreeMap<(&str, String), (Metrics, usize)> = BTreeMap::new();
     let (mut errors, mut txs) = (Vec::new(), Vec::new());
-    for r in arrived {
+    for (at, r) in arrived.iter().enumerate() {
         errors.push(r.error_pct());
         txs.push(r.tx);
         for (axis, value) in old_keys(r) {
-            let node = slices.entry((axis, value)).or_default();
+            let (node, last) = slices.entry((axis, value)).or_default();
             node.0.push(r.error_pct());
             node.1.push(r.tx);
+            *last = at + 1;
         }
     }
-    let stats = |p: Option<Percentiles>| match p {
-        Some(p) => serde_json::to_value(p).unwrap(),
-        None => json!({"n": 0}),
-    };
-    let slices: Vec<AxisSlice> = slices
+    let (slices, last) = slices
         .into_iter()
-        .map(|((axis, value), (error_pct, tx))| AxisSlice {
-            axis: axis.to_string(),
-            value,
-            tx: summary(&tx, cmp).unwrap(),
-            error_pct: summary(&error_pct, cmp).unwrap(),
+        .map(|((axis, value), ((error_pct, tx), last))| {
+            let slice = AxisSlice {
+                axis: axis.to_string(),
+                value,
+                tx: summary(&tx, cmp).unwrap(),
+                error_pct: summary(&error_pct, cmp).unwrap(),
+            };
+            (slice, last)
         })
-        .collect();
-    let delta = Value::Array(
-        slices
-            .iter()
-            .map(|s| {
-                json!({
-                    "axis": s.axis,
-                    "metrics": {"error_pct": s.error_pct, "tx": s.tx},
-                    "value": s.value,
-                })
-            })
-            .collect(),
-    );
-    let render = json!({
-        "overall": {"metrics": {
-            "error_pct": stats(summary(&errors, cmp)),
-            "tx": stats(summary(&txs, cmp)),
-        }},
-        "points": arrived.len(),
-        "slices": delta.clone(),
-        "v": AGGREGATES_VERSION,
-    });
+        .unzip();
+    let overall = [summary(&errors, cmp), summary(&txs, cmp)];
     let mut sorted = errors;
     sorted.sort_by(cmp);
     let mean_abs_error_pct = (!sorted.is_empty())
         .then(|| sorted.iter().map(|v| v.abs()).sum::<f64>() / sorted.len() as f64);
     Reference {
         slices,
-        render,
-        delta,
+        last,
+        overall,
         mean_abs_error_pct,
     }
 }
@@ -255,22 +295,43 @@ fn base() -> PointResult {
     results.into_iter().next().unwrap()
 }
 
-/// The view's outputs in the reference's shapes.
+/// The view's outputs in the reference's shapes, byte for byte: the
+/// report's slices, the view under every filter, `delta_since(0)`
+/// and the mean |error_pct|.
 fn assert_view_is(live: &LiveAggregates, want: &Reference, case: usize) {
     assert_eq!(
-        text(&live.render(None, None)),
-        text(&want.render),
-        "case {case}: render"
+        text(&live.slices()),
+        text(&want.slices),
+        "case {case}: slices"
     );
+    for axis in [None, Some("machine"), Some("sample_rate")] {
+        for metric in [None, Some("error_pct"), Some("tx")] {
+            assert_eq!(
+                text(&live.view(axis, metric)),
+                text(&want.render(axis, metric)),
+                "case {case}: view({axis:?}, {metric:?})"
+            );
+        }
+    }
     assert_eq!(
         text(&live.delta_since(0).0),
-        text(&want.delta),
+        text(&want.delta(0)),
         "case {case}: delta_since(0)"
     );
     assert_eq!(
         live.mean_abs_error_pct().map(f64::to_bits),
         want.mean_abs_error_pct.map(f64::to_bits),
         "case {case}: mean_abs_error_pct"
+    );
+}
+
+#[test]
+fn an_empty_view_reads_as_the_tree_renderer_wrote_it() {
+    let (live, want) = (LiveAggregates::new(), reference(&[], f64::total_cmp));
+    assert_view_is(&live, &want, 0);
+    assert_eq!(
+        text(&live.view(None, Some("tx"))),
+        r#"{"overall":{"metrics":{"tx":{"n":0}}},"points":0,"slices":[],"v":1}"#
     );
 }
 
@@ -297,18 +358,30 @@ fn the_slice_table_reads_exactly_as_the_per_slice_fold_did() {
                 "case {case}: axis_slices"
             );
 
-            // Recorded point by point, read at random moments on the way.
+            // Recorded point by point, read at random moments on the way:
+            // a version is the number of points recorded, so a delta at
+            // a random cursor holds the slices a later point landed in.
             let live = LiveAggregates::new();
             for r in &arrived {
                 live.record(r);
                 match rng.below(8) {
-                    0 => drop(live.render(None, None)),
+                    0 => drop(live.view(None, None)),
                     1 => drop(live.delta_since(rng.next() % (live.version() + 1))),
                     2 => drop(live.mean_abs_error_pct()),
                     _ => {}
                 }
             }
             assert_view_is(&live, &want, case);
+            // Drawn from their own stream, so the cases stay the same.
+            let mut cursors = Rng(case as u64);
+            for _ in 0..3 {
+                let since = cursors.below(arrived.len() + 1);
+                assert_eq!(
+                    text(&live.delta_since(since as u64).0),
+                    text(&want.delta(since)),
+                    "case {case}: delta_since({since})"
+                );
+            }
 
             // Split into views, some read mid-way, whose digests (as
             // text, as a wire would carry them) merge into one that
@@ -330,7 +403,7 @@ fn the_slice_table_reads_exactly_as_the_per_slice_fold_did() {
                         view.record(r);
                     }
                     if rng.below(2) == 0 {
-                        view.render(None, None);
+                        view.view(None, None);
                     }
                     text(&view.digest())
                 })

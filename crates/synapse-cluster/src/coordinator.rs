@@ -28,8 +28,9 @@
 //!
 //! The collector hands each grid index to the job observer exactly
 //! once, whichever worker (or the local fallback) delivered it. That
-//! observer also feeds the job's live aggregates, so the coordinator
-//! keeps no aggregation state of its own.
+//! observer also feeds the job's live aggregates, and the report reads
+//! its slices from them, so the coordinator keeps no aggregation state
+//! of its own.
 
 #![deny(
     clippy::unwrap_used,
@@ -48,7 +49,8 @@ use std::time::{Duration, Instant};
 use serde_json::Value;
 use synapse_campaign::{
     expand_range, plan_leases, CampaignEngine, CampaignError, CampaignOutcome, CampaignReport,
-    CampaignSpec, CancelToken, Lease, LeaseTable, PointEvent, ResultCache, RunConfig, RunStats,
+    CampaignSpec, CancelToken, Lease, LeaseTable, LiveAggregates, PointEvent, ResultCache,
+    RunConfig, RunStats,
 };
 use synapse_server::{Client, ClusterBackend, ServerError};
 use synapse_trace::TraceRecorder;
@@ -570,6 +572,7 @@ impl ClusterBackend for Coordinator {
         spec: &CampaignSpec,
         cache: &ResultCache,
         observer: &(dyn Fn(PointEvent) + Sync),
+        live: &LiveAggregates,
         recorder: Option<&TraceRecorder>,
         cancel: &CancelToken,
     ) -> Result<CampaignOutcome, CampaignError> {
@@ -681,7 +684,7 @@ impl ClusterBackend for Coordinator {
         let sweep_secs = started.elapsed().as_secs_f64();
         let aggregate_started = Instant::now();
         let results = collector.into_results()?;
-        let report = CampaignReport::assemble(spec, &results)?;
+        let report = CampaignReport::assemble_from_view(spec, &results, live)?;
         let stats = RunStats {
             points: total,
             simulated,

@@ -21,10 +21,11 @@
 //!
 //! * one ordered NDJSON event stream (globally monotone `done`
 //!   counter, same event shapes as a local sweep), and
-//! * one byte-stable report — `CampaignReport::assemble` over results
-//!   collected in grid order is bit-identical to a single-process run,
-//!   because per-point results are deterministic and `f64`s round-trip
-//!   exactly through the JSON layer.
+//! * one byte-stable report — results collected in grid order, with
+//!   the slices of the job's live view, are bit-identical to a
+//!   single-process run, because per-point results are deterministic,
+//!   `f64`s round-trip exactly through the JSON layer, and a view's
+//!   summaries do not depend on the order points arrived in.
 //!
 //! Failure model: a worker dying mid-lease breaks its event stream;
 //! the driver releases the lease back to the table, marks the worker

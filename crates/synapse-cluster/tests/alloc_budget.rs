@@ -292,17 +292,29 @@ fn a_live_view_allocates_for_growth_and_per_slice_only() {
     // A read of a finished view summarises it once: per metric, a sort
     // of the rows into runs of 512 — one allocation per run, not per
     // point — and the summaries, kept until the next change. A second
-    // read renders the same document from them. The document's tree
-    // allocates per slice, so a 16,384-point view renders with exactly
-    // as many calls as a 1,536-point one.
+    // read writes the same document from them, straight to text: its
+    // slice vector, each slice's value text and the text's buffer,
+    // whatever the view's size. The report's slices, read right after,
+    // summarise nothing again: one vector and each slice's two texts.
     let (big, _) = fold(16_384);
+    let render = |live: &LiveAggregates| serde_json::to_string(&live.view(None, None));
     let read = |live: &LiveAggregates| {
-        let first = once(|| live.render(None, None));
-        let again = once(|| live.render(None, None));
-        (first - again, again)
+        let first = once(|| render(live));
+        let again = once(|| render(live));
+        let slices = once(|| live.slices());
+        (first - again, again, slices)
     };
-    let ((small_read, small_render), (big_read, big_render)) = (read(&small), read(&big));
-    assert_eq!(small_render, big_render, "a render allocates per slice");
+    let ((small_read, small_render, small_slices), (big_read, big_render, big_slices)) =
+        (read(&small), read(&big));
+    assert_eq!(small.slices().len(), 18);
+    assert!(
+        small_render <= 64 && big_render <= 64,
+        "a render of 18 slices made {small_render} and {big_render} allocator calls"
+    );
+    assert!(
+        small_slices == big_slices && small_slices <= 1 + 2 * 18,
+        "reading 18 slices made {small_slices} and {big_slices} allocator calls"
+    );
     assert!(
         small_read <= 16,
         "summarising 1536 points made {small_read} allocator calls"

@@ -20,7 +20,7 @@ use std::time::Duration;
 use serde_json::{json, Value};
 use synapse_campaign::{
     run_campaign_on, CampaignError, CampaignSpec, CancelToken, LiveAggregates, PointEvent,
-    PointResult, ResultCache, RunConfig,
+    PointResult, ResultCache, RunConfig, View,
 };
 use synapse_cluster::coordinator::{MAX_LEASE_ATTEMPTS, MIN_SPLIT_POINTS};
 use synapse_cluster::{Coordinator, Link, Transport};
@@ -74,7 +74,7 @@ struct Baseline {
     spec: CampaignSpec,
     results: Vec<(Arc<PointResult>, bool)>,
     report: String,
-    view: Value,
+    view: View,
     cache: ResultCache,
 }
 
@@ -106,7 +106,7 @@ fn baseline() -> &'static Baseline {
         Baseline {
             report: outcome.unwrap().report.to_json_pretty().unwrap(),
             results: slots.into_inner().unwrap().into_iter().flatten().collect(),
-            view: live.render(None, None),
+            view: live.view(None, None),
             spec,
             cache,
         }
@@ -362,7 +362,14 @@ fn run_seed(seed: usize, (coordinator, net): &(Arc<Coordinator>, Arc<Net>)) -> &
             }
         };
         let recorder = Some(&w.recorder);
-        let outcome = c.run_distributed(&base.spec, &base.cache, &observer, recorder, &n.cancel);
+        let outcome = c.run_distributed(
+            &base.spec,
+            &base.cache,
+            &observer,
+            &w.live,
+            recorder,
+            &n.cancel,
+        );
         let _ = tx.send(());
         outcome
     });
@@ -387,7 +394,7 @@ fn run_seed(seed: usize, (coordinator, net): &(Arc<Coordinator>, Arc<Net>)) -> &
             if outcome.report.to_json_pretty().unwrap() != base.report {
                 breach("report differs from the single-process report".into());
             }
-            if watch.live.render(None, None) != base.view {
+            if watch.live.view(None, None) != base.view {
                 breach("live view differs from the single-process view".into());
             }
             if indices.contains(&false) {
@@ -471,4 +478,27 @@ fn each_coordinator_plans_from_its_own_worker_rates() {
     assert!(first_lease_len(&first) > 1);
     let second = cluster(1, 1, 0);
     assert_eq!(first_lease_len(&second), 1, "the second coordinator probes");
+}
+
+#[test]
+fn a_view_that_misses_a_point_fails_the_run() {
+    let base = baseline();
+    let (coordinator, net) = cluster(7, 2, 0);
+    let live = LiveAggregates::new();
+    let observer = |event: PointEvent| {
+        if let PointEvent::PointDone { result, done, .. } = event {
+            if done != 1 {
+                live.record(&result);
+            }
+        }
+    };
+    let outcome =
+        coordinator.run_distributed(&base.spec, &base.cache, &observer, &live, None, &net.cancel);
+    let total = base.results.len();
+    match outcome.err() {
+        Some(CampaignError::ViewMismatch { view, results }) => {
+            assert_eq!((view, results), (total as u64 - 1, total));
+        }
+        other => panic!("the run ended with {other:?}"),
+    }
 }

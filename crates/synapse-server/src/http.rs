@@ -362,7 +362,7 @@ pub fn response_bytes_with(
 }
 
 /// A complete JSON response as wire bytes.
-pub fn json_bytes(status: u16, reason: &str, value: &serde_json::Value) -> Vec<u8> {
+pub fn json_bytes(status: u16, reason: &str, value: &impl serde::Serialize) -> Vec<u8> {
     let body = serde_json::to_string(value).unwrap_or_else(|_| "{}".into());
     response_bytes(status, reason, "application/json", body.as_bytes())
 }

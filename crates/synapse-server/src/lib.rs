@@ -78,7 +78,8 @@ pub use server::{
 };
 
 use synapse_campaign::{
-    CampaignError, CampaignOutcome, CampaignSpec, CancelToken, PointEvent, ResultCache,
+    CampaignError, CampaignOutcome, CampaignSpec, CancelToken, LiveAggregates, PointEvent,
+    ResultCache,
 };
 use synapse_trace::TraceRecorder;
 
@@ -91,7 +92,7 @@ use synapse_trace::TraceRecorder;
 /// /campaigns?cluster=1` submissions, which execute through
 /// [`ClusterBackend::run_distributed`] instead of the local sweep
 /// engine — same observer contract as
-/// [`synapse_campaign::run_campaign_on`], so both paths stream the
+/// [`synapse_campaign::run_campaign_live`], so both paths stream the
 /// identical NDJSON event shapes.
 pub trait ClusterBackend: Send + Sync {
     /// Execute `spec` across the registered workers, emitting merged
@@ -102,14 +103,21 @@ pub trait ClusterBackend: Send + Sync {
     /// lease lifecycle (assigned/completed/failed/reassigned/split/
     /// local) and propagates its causality id to workers as the
     /// `X-Synapse-Trace` request header.
+    ///
     /// Each grid index reaches `observer` exactly once, which is what
     /// lets the server fold the merged stream into the job's live
-    /// aggregates as it does for a local sweep.
+    /// view `live` as it does for a local sweep. The backend only
+    /// reads that view: the report's slices are `live`'s
+    /// ([`CampaignReport::assemble_from_view`]), and a run whose view
+    /// holds another number of points than the grid fails.
+    ///
+    /// [`CampaignReport::assemble_from_view`]: synapse_campaign::CampaignReport::assemble_from_view
     fn run_distributed(
         &self,
         spec: &CampaignSpec,
         cache: &ResultCache,
         observer: &(dyn Fn(PointEvent) + Sync),
+        live: &LiveAggregates,
         recorder: Option<&TraceRecorder>,
         cancel: &CancelToken,
     ) -> Result<CampaignOutcome, CampaignError>;

@@ -21,8 +21,9 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use serde::Serialize;
 use serde_json::json;
-use synapse_campaign::{AggregateMetrics, CampaignSpec};
+use synapse_campaign::{AggregateMetrics, CampaignSpec, Overall, Slice, View};
 use synapse_trace::TraceRecorder;
 
 use crate::http::{self, Request};
@@ -198,7 +199,7 @@ pub(crate) enum Reply {
     Shutdown(Vec<u8>),
 }
 
-fn json_reply(status: u16, reason: &str, value: &serde_json::Value) -> Reply {
+fn json_reply(status: u16, reason: &str, value: &impl Serialize) -> Reply {
     Reply::Full(http::json_bytes(status, reason, value))
 }
 
@@ -466,7 +467,7 @@ fn campaign_aggregates(request: &Request, state: &ServerState, id: &str) -> Repl
     with_job(state, id, |job| aggregates_reply(request, &job))
 }
 
-fn aggregates_reply(request: &Request, job: &Job) -> Reply {
+pub(crate) fn aggregates_reply(request: &Request, job: &Job) -> Reply {
     let axis = request.query_value("axis");
     if let Some(axis) = axis {
         if !synapse_campaign::aggregate::AXES
@@ -500,17 +501,40 @@ fn aggregates_reply(request: &Request, job: &Job) -> Reply {
     // folds the point into the view, so a `done` read last is never
     // below the view's point count, and a state read first that says
     // `completed` still vouches for a complete view.
-    let state_name = job.with_progress(|p| p.state.name());
-    let mut doc = job.live().render(axis, metric);
+    let status = job.with_progress(|p| p.state.name());
+    let View {
+        overall,
+        points,
+        slices,
+        v,
+    } = job.live().view(axis, metric);
     let done = job.with_progress(|p| p.done);
-    if let serde_json::Value::Object(obj) = &mut doc {
-        obj.insert("id".into(), json!(job.public_id()));
-        obj.insert("name".into(), json!(job.spec.name));
-        obj.insert("status".into(), json!(state_name));
-        obj.insert("done".into(), json!(done));
-        obj.insert("total".into(), json!(job.total));
-    }
+    let doc = AggregatesDoc {
+        done,
+        id: job.public_id(),
+        name: job.spec.name.clone(),
+        overall,
+        points,
+        slices,
+        status,
+        total: job.total,
+        v,
+    };
     json_reply(200, "OK", &doc)
+}
+
+/// The `/aggregates` document: the job's keys around its view's.
+#[derive(Serialize)]
+struct AggregatesDoc {
+    done: usize,
+    id: String,
+    name: String,
+    overall: Overall,
+    points: usize,
+    slices: Vec<Slice>,
+    status: &'static str,
+    total: usize,
+    v: u64,
 }
 
 /// `POST /campaigns[?cluster=1]`: parse a TOML or JSON spec, enqueue a

@@ -9,7 +9,7 @@
 //! descriptors, not threads. CPU-bound request handling (spec parsing,
 //! report assembly, cluster probes) is dispatched to a small handler
 //! pool so the reactor never blocks; a fixed pool of queue workers at
-//! the back drains jobs through [`synapse_campaign::run_campaign_on`].
+//! the back drains jobs through [`synapse_campaign::run_campaign_live`].
 //! Job events reach the reactor through an eventfd wakeup (the hook
 //! wired into every [`Job`]), which coalesces bursts into single
 //! wakes. All jobs share one [`ResultCache`] handle — the sharded
@@ -48,10 +48,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use serde::Serialize;
 use serde_json::json;
 use synapse_campaign::{
-    expand_range, run_campaign_on, AggregateMetrics, CampaignEngine, CampaignError, CampaignSpec,
-    PointEvent, ResultCache, ResultText, RunConfig, RunStats, AGGREGATES_VERSION,
+    expand_range, run_campaign_live, AggregateMetrics, CampaignEngine, CampaignError, CampaignSpec,
+    PointEvent, ResultCache, ResultText, RunConfig, RunStats, Slice, AGGREGATES_VERSION,
 };
 
 use synapse_trace::TraceRecorder;
@@ -132,9 +133,9 @@ pub const HEARTBEAT_EVERY: Duration = Duration::from_secs(10);
 /// Serialize one event document to its NDJSON line.
 #[expect(
     clippy::expect_used,
-    reason = "serializing owned in-memory data; Value/string serialization is infallible"
+    reason = "serializing owned in-memory data is infallible"
 )]
-pub(crate) fn ndjson(value: &serde_json::Value) -> String {
+pub(crate) fn ndjson(value: &impl Serialize) -> String {
     serde_json::to_string(value).expect("event serializes")
 }
 
@@ -833,24 +834,33 @@ fn emit_snapshot_delta(job: &Arc<Job>, force: bool) {
     let Some(slices) = slices else {
         return;
     };
-    let mut doc = json!({
-        "event": "snapshot",
-        "done": done,
-        "total": job.total,
-        "cache_hits": cache_hits,
-        "simulated": done - cache_hits,
-        "mean_abs_error_pct": live.mean_abs_error_pct().unwrap_or(0.0),
-        "v": AGGREGATES_VERSION,
+    let line = ndjson(&Snapshot {
+        cache_hits,
+        done,
+        event: "snapshot",
+        mean_abs_error_pct: live.mean_abs_error_pct().unwrap_or(0.0),
+        simulated: done - cache_hits,
+        slices,
+        total: job.total,
+        v: AGGREGATES_VERSION,
     });
-    // Moved in, not passed through `json!`, which would copy the tree.
-    if let serde_json::Value::Object(obj) = &mut doc {
-        obj.insert("slices".into(), serde_json::Value::Array(slices));
-    }
-    let line = ndjson(&doc);
     let metrics = AggregateMetrics::get();
     metrics.snapshots_emitted.inc();
     metrics.snapshot_bytes.observe(line.len() as f64);
     job.push_shared_event(line);
+}
+
+/// One `snapshot` delta event.
+#[derive(Serialize)]
+struct Snapshot {
+    cache_hits: usize,
+    done: usize,
+    event: &'static str,
+    mean_abs_error_pct: f64,
+    simulated: usize,
+    slices: Vec<Slice>,
+    total: usize,
+    v: u64,
 }
 
 /// Publish a finished (or failed) outcome: sealed trace, final state,
@@ -929,7 +939,14 @@ fn run_sweep_job(state: &ServerState, job: &Arc<Job>) {
         workers: job.workers,
     };
     let observer = point_observer(job);
-    let outcome = run_campaign_on(&job.spec, &config, &state.cache, &observer, &job.cancel);
+    let outcome = run_campaign_live(
+        &job.spec,
+        &config,
+        &state.cache,
+        &observer,
+        job.live(),
+        &job.cancel,
+    );
     publish_outcome(job, outcome);
 }
 
@@ -949,8 +966,14 @@ fn run_distributed_job(state: &ServerState, job: &Arc<Job>) {
     };
     let observer = point_observer(job);
     let recorder = job.recorder().map(|r| &**r);
-    let outcome =
-        backend.run_distributed(&job.spec, &state.cache, &observer, recorder, &job.cancel);
+    let outcome = backend.run_distributed(
+        &job.spec,
+        &state.cache,
+        &observer,
+        job.live(),
+        recorder,
+        &job.cancel,
+    );
     publish_outcome(job, outcome);
 }
 
@@ -1875,6 +1898,81 @@ mod tests {
             negative += usize::from(result.error_pct() < 0.0);
         }
         assert!(negative > 0);
+    }
+
+    /// The live plane's two documents against the tree serializer: the
+    /// `snapshot` line a job emits, and `/aggregates` unfiltered and
+    /// filtered by axis, metric and both, whose job keys sit between
+    /// the view's in sorted order.
+    #[test]
+    fn derived_live_documents_match_the_tree_serializer() {
+        let mut spec = spec();
+        spec.name = "a \"quoted\" view\n".into();
+        spec.machines = vec!["thinkie".into(), "comet".into()];
+        spec.kernels = vec!["asm".into(), "c".into()];
+        let points = synapse_campaign::expand(&spec);
+        let (results, _) =
+            CampaignEngine::new(&points, &ResultCache::in_memory(), &RunConfig::default())
+                .run(&|_| {}, &synapse_campaign::CancelToken::new())
+                .unwrap();
+        let job = Arc::new(Job::new(7, spec, points.len(), 1, JobKind::Sweep, 0));
+        let live = job.live();
+        let (mut version, mut cursor) = (0, 0);
+        for (at, result) in results.iter().enumerate() {
+            let (done, cache_hits) = (at + 1, at / 2);
+            job.with_progress(|p| (p.done, p.cache_hits) = (done, cache_hits));
+            live.record(result);
+            let (slices, next) = live.delta_since(version);
+            version = next;
+            let tree = ndjson(&json!({
+                "event": "snapshot",
+                "done": done,
+                "total": job.total,
+                "cache_hits": cache_hits,
+                "simulated": done - cache_hits,
+                "mean_abs_error_pct": live.mean_abs_error_pct().unwrap(),
+                "slices": slices,
+                "v": AGGREGATES_VERSION,
+            }));
+            emit_snapshot_delta(&job, true);
+            let mut line = Vec::new();
+            (cursor, _, _) = job.ring_events_into(EventRing::Aggregates, cursor, &mut line, 1);
+            assert_eq!(
+                line,
+                format!("{tree}\n").into_bytes(),
+                "after {done} points"
+            );
+
+            for (axis, metric) in [(None, None), (Some("machine"), None)]
+                .into_iter()
+                .chain([(None, Some("tx")), (Some("kernel"), Some("error_pct"))])
+            {
+                let query = [("axis", axis), ("metric", metric)]
+                    .iter()
+                    .filter_map(|(key, value)| Some(format!("{key}={}&", (*value)?)))
+                    .collect::<String>();
+                let request = Request {
+                    method: "GET".into(),
+                    target: format!("/campaigns/j7/aggregates?{query}"),
+                    headers: Vec::new(),
+                    body: Vec::new(),
+                };
+                let Reply::Full(reply) = routes::aggregates_reply(&request, &job) else {
+                    panic!("a full reply");
+                };
+                let reply = String::from_utf8(reply).unwrap();
+                let mut tree = live.view(axis, metric).serialize_value();
+                if let serde_json::Value::Object(obj) = &mut tree {
+                    obj.insert("id".into(), json!(job.public_id()));
+                    obj.insert("name".into(), json!(job.spec.name));
+                    obj.insert("status".into(), json!(job.state().name()));
+                    obj.insert("done".into(), json!(done));
+                    obj.insert("total".into(), json!(job.total));
+                }
+                let body = reply.split_once("\r\n\r\n").unwrap().1;
+                assert_eq!(body, ndjson(&tree), "{axis:?} {metric:?} after {done}");
+            }
+        }
     }
 
     #[test]
