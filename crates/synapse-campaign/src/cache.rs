@@ -106,10 +106,6 @@ impl fmt::Debug for Fingerprint {
 }
 
 impl Serialize for Fingerprint {
-    fn serialize_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push('"');
         out.push_str(&self.hex());
@@ -340,10 +336,6 @@ impl ResultText {
 }
 
 impl Serialize for ResultText {
-    fn serialize_value(&self) -> Value {
-        serde_json::from_str(&self.0).expect("a stored result text parses")
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push_str(&self.0);
     }

@@ -127,14 +127,8 @@ impl PartialEq<String> for Name {
 }
 
 impl Serialize for Name {
-    fn serialize_value(&self) -> Value {
-        Value::Str(self.0.to_string())
-    }
     fn write_json(&self, out: &mut String) {
         serde::json::write_escaped(out, self.0);
-    }
-    fn as_map_key(&self) -> Option<&str> {
-        Some(self.0)
     }
 }
 

@@ -11,10 +11,16 @@
 //!
 //! Inline tables, dotted keys, dates and multi-line strings are not
 //! supported — the parser reports them as errors rather than guessing.
+//! So is nesting deeper than [`MAX_NESTING`] (arrays in a value, or
+//! tables in a header): a spec is untrusted input, and the reader must
+//! not recurse or build trees without bound.
 
 use serde_json::{Map, Value};
 
 use crate::error::CampaignError;
+
+/// The deepest arrays may nest in one value, and tables in one header.
+pub const MAX_NESTING: usize = 128;
 
 /// Parse TOML text into a JSON object value.
 pub fn toml_to_value(text: &str) -> Result<Value, CampaignError> {
@@ -46,12 +52,15 @@ pub fn toml_to_value(text: &str) -> Result<Value, CampaignError> {
             // Multi-line arrays: keep consuming lines until brackets
             // balance (strings in specs never contain brackets — the
             // subset documents this).
-            while value_text.starts_with('[') && !brackets_balance(&value_text) {
+            while value_text.starts_with('[') && bracket_depths(&value_text).0 != 0 {
                 let Some((_, next)) = lines.next() else {
                     return Err(err("unterminated array".into()));
                 };
                 value_text.push(' ');
                 value_text.push_str(strip_comment(next).trim());
+            }
+            if bracket_depths(&value_text).1 > MAX_NESTING as i64 {
+                return Err(err(format!("arrays nested deeper than {MAX_NESTING}")));
             }
             let value = parse_value(value_text.trim()).map_err(err)?;
             let table = navigate(&mut root, &current_path).map_err(err)?;
@@ -78,8 +87,10 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn brackets_balance(s: &str) -> bool {
-    let mut depth = 0i64;
+/// The bracket depth at the end of `s`, and the deepest it reached
+/// (brackets inside strings not counted).
+fn bracket_depths(s: &str) -> (i64, i64) {
+    let (mut depth, mut deepest) = (0i64, 0i64);
     let mut in_string = false;
     for c in s.chars() {
         match c {
@@ -88,8 +99,9 @@ fn brackets_balance(s: &str) -> bool {
             ']' if !in_string => depth -= 1,
             _ => {}
         }
+        deepest = deepest.max(depth);
     }
-    depth == 0
+    (depth, deepest)
 }
 
 fn parse_path(header: &str) -> Result<Vec<String>, String> {
@@ -99,6 +111,9 @@ fn parse_path(header: &str) -> Result<Vec<String>, String> {
         .collect::<Result<_, _>>()?;
     if parts.is_empty() {
         return Err("empty table header".into());
+    }
+    if parts.len() > MAX_NESTING {
+        return Err(format!("tables nested deeper than {MAX_NESTING}"));
     }
     Ok(parts)
 }
@@ -314,6 +329,16 @@ mod tests {
         assert!(e2.to_string().contains("line 1"), "{e2}");
         let e3 = toml_to_value("x = 1\nx = 2\n").unwrap_err();
         assert!(e3.to_string().contains("duplicate"), "{e3}");
+    }
+
+    #[test]
+    fn nesting_stops_at_the_limit() {
+        let array = |n| format!("x = {}1{}\n", "[".repeat(n), "]".repeat(n));
+        let header = |n| format!("[{}]\n", vec!["a"; n].join("."));
+        assert!(toml_to_value(&array(MAX_NESTING)).is_ok());
+        assert!(toml_to_value(&header(MAX_NESTING)).is_ok());
+        assert!(toml_to_value(&array(MAX_NESTING + 1)).is_err());
+        assert!(toml_to_value(&header(MAX_NESTING + 1)).is_err());
     }
 
     #[test]

@@ -312,7 +312,7 @@ impl Coordinator {
                 false,
                 false,
             ),
-            (Ok(_), Some(id)) => Self::watch_lease(link, id, run),
+            (Ok(_), Some(id)) => Self::watch_lease(link, id, lease, run),
         };
         let alive = !(broke || matches!(outcome, LeaseRun::Failed(_))) || Self::probe(link);
         if alive && (hung_up || broke) {
@@ -326,7 +326,7 @@ impl Coordinator {
     /// Watch one submitted lease job to its end: how the lease ended,
     /// whether this coordinator hung up on the stream, and whether the
     /// stream itself failed.
-    fn watch_lease(link: &dyn Link, id: &str, run: &Run) -> (LeaseRun, bool, bool) {
+    fn watch_lease(link: &dyn Link, id: &str, lease: &Lease, run: &Run) -> (LeaseRun, bool, bool) {
         let mut worker_error: Option<String> = None;
         let mut hung_up = false;
         // Keepalive delivery matters: a lease queued behind a busy
@@ -344,12 +344,26 @@ impl Coordinator {
                         ClusterMetrics::get()
                             .batch_points
                             .observe(points.len() as f64);
-                        run.collector.record_batch(points, run.observer);
-                        let complete = run.collector.is_complete();
-                        if complete {
-                            run.progress.bump();
+                        let range = lease.start..lease.end;
+                        match run
+                            .collector
+                            .record_lease_batch(range, points, run.observer)
+                        {
+                            Ok(_) => {
+                                let complete = run.collector.is_complete();
+                                if complete {
+                                    run.progress.bump();
+                                }
+                                !complete
+                            }
+                            Err(index) => {
+                                worker_error = Some(format!(
+                                    "malformed batch frame: index {index} outside lease {}..{}",
+                                    lease.start, lease.end
+                                ));
+                                false
+                            }
                         }
-                        !complete
                     }
                     // A line that is not JSON, or a frame that does not
                     // check out, may have carried results; merging past

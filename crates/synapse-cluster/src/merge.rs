@@ -10,6 +10,7 @@
 //! in grid order, which is what makes the assembled report
 //! byte-identical to a single-process sweep.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -114,6 +115,22 @@ impl Collector {
             }
         }
         fresh
+    }
+
+    /// [`record_batch`](Collector::record_batch) for a frame that
+    /// streamed in on the lease over `lease`: an entry whose index lies
+    /// outside the lease fails the whole frame — `Err` with that index —
+    /// and nothing from the frame is merged.
+    pub fn record_lease_batch(
+        &self,
+        lease: Range<usize>,
+        points: Vec<(PointResult, bool)>,
+        observer: &(dyn Fn(PointEvent) + Sync),
+    ) -> Result<usize, usize> {
+        match points.iter().find(|(r, _)| !lease.contains(&r.point.index)) {
+            Some((stray, _)) => Err(stray.point.index),
+            None => Ok(self.record_batch(points, observer)),
+        }
     }
 
     /// Whether every grid point has landed (lock-free read).
@@ -262,6 +279,22 @@ mod tests {
         assert_eq!(collector.missing_in(0, rs.len()), 0);
         assert_eq!(*events.lock().unwrap(), vec![1, 2, 3, 4], "monotone done");
         assert_eq!(collector.into_results().unwrap(), rs, "grid order restored");
+    }
+
+    #[test]
+    fn a_lease_frame_with_an_entry_outside_the_lease_merges_nothing() {
+        let rs = results();
+        let collector = Collector::new(rs.len());
+        let frame = |indices: &[usize]| indices.iter().map(|&i| (rs[i].clone(), false)).collect();
+        assert_eq!(
+            collector.record_lease_batch(1..3, frame(&[1, 3, 2]), &|_| {}),
+            Err(3)
+        );
+        assert_eq!(collector.done(), 0, "not even the entries inside the lease");
+        assert_eq!(
+            collector.record_lease_batch(1..3, frame(&[2, 1]), &|_| {}),
+            Ok(2)
+        );
     }
 
     #[test]

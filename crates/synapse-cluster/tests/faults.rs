@@ -33,7 +33,8 @@ const RUN_DEADLINE: Duration = Duration::from_secs(30);
 /// The fault kinds. `Stall` yields only heartbeats until the
 /// coordinator hangs up; `Silence` is the client's stream-silence
 /// error; `Kill` fails the call and every later one to that worker;
-/// `Cancel` fires the campaign's cancel token.
+/// `Cancel` fires the campaign's cancel token; `Lie` adds to a batch
+/// frame, last, an entry whose index lies outside the lease.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Fault {
     Refuse,
@@ -47,12 +48,14 @@ enum Fault {
     Stall,
     Silence,
     Cancel,
+    Lie,
 }
 
-const FAULTS: [Fault; 11] = {
+const FAULTS: [Fault; 12] = {
     use Fault::*;
     [
         Refuse, Break, Kill, Duplicate, Reorder, Cut, Truncated, Failed, Stall, Silence, Cancel,
+        Lie,
     ]
 };
 
@@ -125,6 +128,8 @@ struct Log {
     failures: HashMap<(usize, usize), usize>,
     killed: BTreeSet<usize>,
     hits: BTreeSet<Fault>,
+    /// `Lie` frames after which the coordinator kept reading the lease.
+    lies_believed: usize,
 }
 
 /// A fake cluster: worker links `fake:0..workers`, the campaign's
@@ -167,6 +172,8 @@ impl Net {
         planned.then(|| match fault {
             Fault::Stall => (fault, 1),
             Fault::Reorder => (fault, 1 + frame % (frames - 3)),
+            // A batch frame.
+            Fault::Lie => (fault, 1 + frame % (frames - 2)),
             _ => (fault, frame),
         })
     }
@@ -198,6 +205,23 @@ impl Net {
             Some((Fault::Failed, k)) => {
                 lines.truncate(k);
                 lines.push(r#"{"event":"failed","error":"injected"}"#.into());
+            }
+            Some((Fault::Lie, k)) => {
+                // The frame's first result again, under an index past
+                // either end of the lease (past the grid, when the
+                // lease is the whole grid).
+                let mut frame = points
+                    .chunks(self.batch(range))
+                    .nth(k - 1)
+                    .unwrap()
+                    .to_vec();
+                let (mut lie, cached) = frame[0].clone();
+                Arc::make_mut(&mut lie).point.index = match range {
+                    (0, end) => end,
+                    (start, _) => start - 1,
+                };
+                frame.push((lie, cached));
+                lines[k] = lease_batch_line(&frame, None);
             }
             _ => {}
         }
@@ -292,6 +316,9 @@ impl Link for FakeLink<'_> {
             drop(log);
             if !on_line(line) {
                 break;
+            }
+            if fault == Some((Fault::Lie, i)) {
+                self.net.log.lock().unwrap().lies_believed += 1;
             }
             last = line;
         }
@@ -417,6 +444,9 @@ fn run_seed(seed: usize, (coordinator, net): &(Arc<Coordinator>, Arc<Net>)) -> &
             "Err"
         }
     };
+    if log.lies_believed > 0 {
+        breach(format!("{} lying frames merged", log.lies_believed));
+    }
     for (id, addr) in coordinator.registry().live() {
         if log.killed.iter().any(|w| addr == format!("fake:{w}")) {
             breach(format!("killed worker {id} still live"));

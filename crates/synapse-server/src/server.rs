@@ -1961,7 +1961,7 @@ mod tests {
                     panic!("a full reply");
                 };
                 let reply = String::from_utf8(reply).unwrap();
-                let mut tree = live.view(axis, metric).serialize_value();
+                let mut tree = serde_json::to_value(live.view(axis, metric)).unwrap();
                 if let serde_json::Value::Object(obj) = &mut tree {
                     obj.insert("id".into(), json!(job.public_id()));
                     obj.insert("name".into(), json!(job.spec.name));
