@@ -13,7 +13,7 @@ use std::ops::{Deref, Range};
 use std::path::Path;
 
 use serde::json::{plain_f64, plain_u64, write_u64, Parser};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use synapse_store::{Document, ShardedDb, DEFAULT_DOC_LIMIT};
 
 use crate::error::CampaignError;
@@ -118,16 +118,9 @@ fn not_a_fingerprint(text: &str) -> serde::Error {
 }
 
 impl<'de> Deserialize<'de> for Fingerprint {
-    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
-        let text = value
-            .as_str()
-            .ok_or_else(|| serde::Error::new(format!("expected string, found {}", value.kind())))?;
-        Fingerprint::parse(text).ok_or_else(|| not_a_fingerprint(text))
-    }
-
     fn parse_json(parser: &mut Parser<'_>) -> Result<Self, serde::Error> {
         if parser.peek() != Some(b'"') {
-            return Self::deserialize(&parser.parse_value()?);
+            return Err(parser.mismatch("string"));
         }
         let text = parser.parse_str()?;
         Fingerprint::parse(&text).ok_or_else(|| not_a_fingerprint(&text))
@@ -501,6 +494,7 @@ mod tests {
     use super::*;
     use crate::runner::PointResult;
     use crate::spec::CampaignSpec;
+    use serde::Value;
     use synapse_store::sharded::MANIFEST_FILE;
 
     fn points() -> Vec<ScenarioPoint> {

@@ -5,7 +5,7 @@ use std::fmt;
 use std::ops::Deref;
 
 use serde::json::{write_shortest, write_u64, Parser};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use synapse::emulator::KernelChoice;
 use synapse_pilot::SchedulerPolicy;
 use synapse_sim::{FsKind, ParallelMode, MACHINE_NAMES};
@@ -137,15 +137,9 @@ fn unknown_name(spelling: &str) -> serde::Error {
 }
 
 impl<'de> Deserialize<'de> for Name {
-    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
-        let spelling = value
-            .as_str()
-            .ok_or_else(|| serde::Error::new(format!("expected string, found {}", value.kind())))?;
-        Name::resolve(spelling).ok_or_else(|| unknown_name(spelling))
-    }
     fn parse_json(parser: &mut Parser<'_>) -> Result<Self, serde::Error> {
         if parser.peek() != Some(b'"') {
-            return Self::deserialize(&parser.parse_value()?);
+            return Err(parser.mismatch("string"));
         }
         let spelling = parser.parse_str()?;
         Name::resolve(&spelling).ok_or_else(|| unknown_name(&spelling))

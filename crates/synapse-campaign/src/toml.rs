@@ -49,17 +49,22 @@ pub fn toml_to_value(text: &str) -> Result<Value, CampaignError> {
         } else if let Some((key, value_text)) = line.split_once('=') {
             let key = parse_key(key.trim()).map_err(err)?;
             let mut value_text = value_text.trim().to_string();
+            let mut brackets = Brackets::default();
+            brackets.scan(&value_text);
             // Multi-line arrays: keep consuming lines until brackets
             // balance (strings in specs never contain brackets — the
-            // subset documents this).
-            while value_text.starts_with('[') && bracket_depths(&value_text).0 != 0 {
+            // subset documents this). Each line is scanned once, as it
+            // is appended.
+            while value_text.starts_with('[') && brackets.depth != 0 {
                 let Some((_, next)) = lines.next() else {
                     return Err(err("unterminated array".into()));
                 };
+                let next = strip_comment(next).trim();
+                brackets.scan(next);
                 value_text.push(' ');
-                value_text.push_str(strip_comment(next).trim());
+                value_text.push_str(next);
             }
-            if bracket_depths(&value_text).1 > MAX_NESTING as i64 {
+            if brackets.deepest > MAX_NESTING as i64 {
                 return Err(err(format!("arrays nested deeper than {MAX_NESTING}")));
             }
             let value = parse_value(value_text.trim()).map_err(err)?;
@@ -87,21 +92,28 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-/// The bracket depth at the end of `s`, and the deepest it reached
-/// (brackets inside strings not counted).
-fn bracket_depths(s: &str) -> (i64, i64) {
-    let (mut depth, mut deepest) = (0i64, 0i64);
-    let mut in_string = false;
-    for c in s.chars() {
-        match c {
-            '"' => in_string = !in_string,
-            '[' if !in_string => depth += 1,
-            ']' if !in_string => depth -= 1,
-            _ => {}
+/// The bracket depth over the text scanned so far: where it ends, and
+/// the deepest it reached (brackets inside strings not counted).
+#[derive(Default)]
+struct Brackets {
+    depth: i64,
+    deepest: i64,
+    in_string: bool,
+}
+
+impl Brackets {
+    /// Continue the scan over `s`.
+    fn scan(&mut self, s: &str) {
+        for c in s.chars() {
+            match c {
+                '"' => self.in_string = !self.in_string,
+                '[' if !self.in_string => self.depth += 1,
+                ']' if !self.in_string => self.depth -= 1,
+                _ => {}
+            }
+            self.deepest = self.deepest.max(self.depth);
         }
-        deepest = deepest.max(depth);
     }
-    (depth, deepest)
 }
 
 fn parse_path(header: &str) -> Result<Vec<String>, String> {
@@ -221,7 +233,11 @@ fn parse_value(text: &str) -> Result<Value, String> {
         return Ok(Value::U64(n));
     }
     if let Ok(f) = cleaned.parse::<f64>() {
-        return Ok(Value::F64(f));
+        // The spec is read from its JSON text, which has no spelling
+        // for NaN or an infinity.
+        if f.is_finite() {
+            return Ok(Value::F64(f));
+        }
     }
     Err(format!("cannot parse value {text:?}"))
 }
@@ -315,6 +331,19 @@ mod tests {
     }
 
     #[test]
+    fn a_long_multiline_array_reads_in_linear_time() {
+        // 40,000 lines: rescanning the whole value after each appended
+        // line took seconds even in release.
+        let text = format!("threads = [\n{}]\nnext = 1\n", "  1,\n".repeat(40_000));
+        let start = std::time::Instant::now();
+        let v = toml_to_value(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(v["threads"].as_array().unwrap().len(), 40_000);
+        assert_eq!(v["next"], 1);
+        assert!(elapsed.as_secs_f64() < 2.0, "took {elapsed:?}");
+    }
+
+    #[test]
     fn nested_tables() {
         let v = toml_to_value("[a.b]\nx = 1\n[a.c]\ny = 2\n").unwrap();
         assert_eq!(v["a"]["b"]["x"], 1);
@@ -329,6 +358,10 @@ mod tests {
         assert!(e2.to_string().contains("line 1"), "{e2}");
         let e3 = toml_to_value("x = 1\nx = 2\n").unwrap_err();
         assert!(e3.to_string().contains("duplicate"), "{e3}");
+        for float in ["nan", "-inf", "1e999"] {
+            let e4 = toml_to_value(&format!("x = 1\ny = {float}\n")).unwrap_err();
+            assert!(e4.to_string().contains("line 2"), "{e4}");
+        }
     }
 
     #[test]

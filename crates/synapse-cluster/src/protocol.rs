@@ -69,7 +69,10 @@ pub enum WorkerEvent {
 
 /// Parse one NDJSON line of a lease stream. `None` only for a line
 /// that is not JSON (a torn frame), which fails the lease; JSON
-/// without a known string `event` is [`WorkerEvent::Other`].
+/// without a known string `event` is [`WorkerEvent::Other`], unless it
+/// carries a `points` array: only a batch frame does, so it is read as
+/// one (and is [`WorkerEvent::Malformed`] if its event was damaged)
+/// rather than dropped with the results it carries.
 pub fn parse_event(line: &str) -> Option<WorkerEvent> {
     // Batch frames are nearly every byte of a lease stream: a sound
     // one decodes straight into results. Anything else — including a
@@ -95,6 +98,7 @@ pub fn parse_event(line: &str) -> Option<WorkerEvent> {
         "truncated" => WorkerEvent::Truncated {
             dropped: value["dropped"].as_u64().unwrap_or(0),
         },
+        _ if value["points"].as_array().is_some() => parse_batch(line),
         _ => WorkerEvent::Other,
     };
     Some(event)

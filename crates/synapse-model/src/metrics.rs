@@ -16,10 +16,10 @@
 //! bench`) and the profiler/emulator consult it to decide which
 //! quantities to collect and replay.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Resource class a metric belongs to (first column of Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ResourceClass {
     /// Host-level information (cores, frequency, load, runtime).
     System,
@@ -56,7 +56,7 @@ impl ResourceClass {
 }
 
 /// Support level for one usage column of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Support {
     /// `+` — fully supported.
     Yes,
@@ -87,7 +87,7 @@ impl Support {
 }
 
 /// Usage flags for a single metric: the four columns of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MetricUsage {
     /// Integrated total over runtime.
     pub total: Support,
@@ -114,7 +114,7 @@ const fn usage(
 }
 
 /// One row of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Metric {
     /// Resource class (table grouping).
     pub class: ResourceClass,

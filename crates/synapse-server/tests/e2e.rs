@@ -428,15 +428,15 @@ fn cancellation_stops_a_running_job_mid_grid() {
 
 #[test]
 fn cancelling_a_queued_job_settles_immediately() {
-    // One queue worker held by a job that cannot finish first (the
-    // ~55k-point grid); a second job queued behind it is DELETEd
-    // before it ever runs.
+    // One queue worker held by a job that cannot finish until it is
+    // cancelled; a second job queued behind it is DELETEd before it
+    // ever runs.
     let (client, handle, join) = boot(ServerConfig {
         queue_workers: 1,
         job_workers: 1,
         ..Default::default()
     });
-    let busy_id = id_of(client.submit(huge_spec()));
+    let busy_id = id_of(client.submit(endless_spec()));
     let queued_id = id_of(client.submit(small_spec()));
     let before = client.status(&queued_id).unwrap();
     assert_eq!(before["status"].as_str(), Some("queued"));
@@ -1201,8 +1201,9 @@ fn mid_stream_disconnect_reclaims_the_connection_slot() {
         job_workers: 1,
         ..Default::default()
     });
-    // A queued job's stream stays open indefinitely (heartbeats only).
-    let hog = id_of(client.submit(huge_spec()));
+    // A queued job's stream stays open indefinitely (heartbeats only)
+    // behind a hog that cannot finish until it is cancelled.
+    let hog = id_of(client.submit(endless_spec()));
     let quiet = id_of(client.submit(small_spec()));
     let watcher = raw_get(handle.addr(), &format!("/campaigns/{quiet}/events"));
     await_gauge(&client, |active| active >= 2, 30, "watcher attached");

@@ -9,8 +9,8 @@
 
 use std::cell::RefCell;
 
-use serde::json::write_value;
-use serde::{Deserialize, Serialize, Value};
+use serde::json::{write_value, Parser};
+use serde::{Deserialize, Serialize};
 
 use crate::error::StoreError;
 
@@ -96,11 +96,11 @@ impl Serialize for CanonicalJson {
 }
 
 impl<'de> Deserialize<'de> for CanonicalJson {
-    // `parse_json` keeps the default: read the value as a tree, then
-    // render it here once.
-    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
+    // Read as a tree, then rendered here once.
+    fn parse_json(parser: &mut Parser<'_>) -> Result<Self, serde::Error> {
+        let value = parser.parse_value()?;
         Ok(CanonicalJson(exact_size(|out| {
-            write_value(out, value, None, 0)
+            write_value(out, &value, None, 0)
         })))
     }
 }
