@@ -467,7 +467,7 @@ impl ResultCache {
         Ok(self.db.save()?)
     }
 
-    /// Merge small shard files and drop tombstoned ones.
+    /// Merge small shard files into grouped ones.
     pub fn compact(&self) -> Result<synapse_store::CompactStats, CampaignError> {
         Ok(self.db.compact()?)
     }

@@ -1,12 +1,14 @@
 //! Mutators for damaged-bytes tests: truncation, byte flips, junk,
 //! repeated lines, hostile values, deep nesting and long arrays, each
-//! applied to a text in place. Shared by `spec_damage.rs` here and
-//! `crates/synapse-cluster/tests/read_damage.rs` (which includes this
-//! file by path); the includer declares `mod support` for [`Rng`].
+//! applied to a text in place, and for JSON texts repeated and retyped
+//! keys. Shared by `spec_damage.rs` here,
+//! `crates/synapse-cluster/tests/read_damage.rs` and the store's
+//! `src/sharded/damage_props.rs` (which include this file by path);
+//! the includer declares `mod support` beside it for [`Rng`].
 
 #![allow(dead_code, reason = "each includer uses its own subset")]
 
-use crate::support::Rng;
+use super::support::Rng;
 
 /// Text that parses as a value, or nearly, and that a parser could
 /// mishandle, `|`-separated; from `nan` on, each is a whole value.
@@ -43,8 +45,10 @@ pub fn damage(text: &mut String, rng: &mut Rng) {
         3 => {
             // A repeated line: a repeated key, table or array entry.
             let lines: Vec<&str> = text.lines().collect();
-            let line = format!("\n{}\n", lines[rng.below(lines.len())]);
-            text.insert_str(at(text, rng), &line);
+            if !lines.is_empty() {
+                let line = format!("\n{}\n", lines[rng.below(lines.len())]);
+                text.insert_str(at(text, rng), &line);
+            }
         }
         4 => {
             // A value swapped for a hostile one.
@@ -74,5 +78,49 @@ pub fn damage(text: &mut String, rng: &mut Rng) {
                 text.insert_str(open + 1, &"1, ".repeat(rng.pick(&[1_000, 20_000])));
             }
         }
+    }
+}
+
+/// The byte ranges of `"name":` keys in `text` (plain names only).
+pub fn keys(text: &str) -> Vec<(usize, usize)> {
+    let bytes = text.as_bytes();
+    let mut found = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        if bytes[at] == b'"' {
+            let end = at
+                + 1
+                + bytes[at + 1..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
+                    .count();
+            if end > at + 1 && bytes[end..].starts_with(b"\":") {
+                found.push((at, end + 2));
+                at = end + 2;
+                continue;
+            }
+        }
+        at += 1;
+    }
+    found
+}
+
+/// One damage: most often a key repeated ahead of itself with a
+/// hostile value, or a key renamed to another member's (so that member
+/// repeats, likely with a value of the wrong type); otherwise one of
+/// the spec parsers' damages.
+pub fn damage_json(text: &mut String, rng: &mut Rng) {
+    let keys = keys(text);
+    if keys.is_empty() || rng.chance(1, 2) {
+        return damage(text, rng);
+    }
+    let (start, end) = keys[rng.below(keys.len())];
+    if rng.chance(1, 2) {
+        let repeated = format!("{}{},", &text[start..end], junk(rng, true));
+        text.insert_str(start, &repeated);
+    } else {
+        let (other_start, other_end) = keys[rng.below(keys.len())];
+        let other = text[other_start..other_end].to_string();
+        text.replace_range(start..end, &other);
     }
 }

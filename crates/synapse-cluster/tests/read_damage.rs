@@ -23,7 +23,7 @@ mod damage;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
-use damage::{damage, junk};
+use damage::damage_json;
 use support::Rng;
 use synapse_campaign::{
     run_campaign_on, CampaignSpec, CancelToken, PointEvent, PointResult, ResultCache, RunConfig,
@@ -60,50 +60,6 @@ fn recording() -> (String, String, Vec<Arc<PointResult>>) {
     results.sort_by_key(|result| result.point.index);
     let report = serde_json::to_string(&outcome.report).unwrap();
     (recorder.render(), report, results)
-}
-
-/// The byte ranges of `"name":` keys in `text` (plain names only).
-fn keys(text: &str) -> Vec<(usize, usize)> {
-    let bytes = text.as_bytes();
-    let mut found = Vec::new();
-    let mut at = 0;
-    while at < bytes.len() {
-        if bytes[at] == b'"' {
-            let end = at
-                + 1
-                + bytes[at + 1..]
-                    .iter()
-                    .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
-                    .count();
-            if end > at + 1 && bytes[end..].starts_with(b"\":") {
-                found.push((at, end + 2));
-                at = end + 2;
-                continue;
-            }
-        }
-        at += 1;
-    }
-    found
-}
-
-/// One damage: most often a key repeated ahead of itself with a
-/// hostile value, or a key renamed to another member's (so that member
-/// repeats, likely with a value of the wrong type); otherwise one of
-/// the spec parsers' damages.
-fn damage_json(text: &mut String, rng: &mut Rng) {
-    let keys = keys(text);
-    if keys.is_empty() || rng.chance(1, 2) {
-        return damage(text, rng);
-    }
-    let (start, end) = keys[rng.below(keys.len())];
-    if rng.chance(1, 2) {
-        let repeated = format!("{}{},", &text[start..end], junk(rng, true));
-        text.insert_str(start, &repeated);
-    } else {
-        let (other_start, other_end) = keys[rng.below(keys.len())];
-        let other = text[other_start..other_end].to_string();
-        text.replace_range(start..end, &other);
-    }
 }
 
 /// How a damaged input read.

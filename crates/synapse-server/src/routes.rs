@@ -706,6 +706,9 @@ fn worker_heartbeat(_: &Request, state: &ServerState, id: &str) -> Reply {
 }
 
 #[cfg(test)]
+mod damage_props;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -108,18 +108,6 @@ impl FileStore {
         }
         Ok(keys)
     }
-
-    /// Delete every profile stored for an exact key. `Ok(true)` when
-    /// anything was removed.
-    pub fn remove(&self, key: &ProfileKey) -> Result<bool, StoreError> {
-        let dir = self.key_dir(key);
-        if dir.exists() {
-            fs::remove_dir_all(dir)?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
 }
 
 /// Link the finished file `tmp` to the first free sequence number in
@@ -259,19 +247,6 @@ mod tests {
         store.save(&profile("b", "", 1.0)).unwrap();
         let keys = store.keys().unwrap();
         assert_eq!(keys.len(), 2);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn remove_deletes_all_runs_for_key() {
-        let dir = tmp("remove");
-        let store = FileStore::open(&dir).unwrap();
-        let p = profile("app", "steps=10", 1.0);
-        store.save(&p).unwrap();
-        store.save(&p).unwrap();
-        assert!(store.remove(&p.key).unwrap());
-        assert!(!store.remove(&p.key).unwrap());
-        assert!(store.load_matching(&p.key).unwrap().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,8 +18,12 @@
 //!   On-disk stores are multi-process safe: opens/saves/compactions
 //!   run under an advisory [`FileLock`] and dirty saves merge back
 //!   documents concurrent processes added, so cluster workers can
-//!   share one cache directory. Campaign result caches and profiles
-//!   both live in it.
+//!   share one cache directory. A save or compaction commits by
+//!   renaming the manifest into place last, so a process that dies at
+//!   any filesystem step leaves a store that opens with every document
+//!   of every finished save; with no `fsync`, a power loss is not
+//!   covered (the crash model is in [`sharded`]). Campaign result
+//!   caches and profiles both live in it.
 //! * [`FileStore`] — one profile per JSON file, unlimited samples.
 //! * [`ProfileStore`] — the backend-independent interface the profiler
 //!   and emulator use ("search the database for a matching profile"),
@@ -31,6 +35,7 @@
 pub mod document;
 pub mod error;
 pub mod filestore;
+mod fs;
 pub mod lock;
 pub mod profilestore;
 pub mod sharded;

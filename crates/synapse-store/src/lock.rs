@@ -1,13 +1,15 @@
 //! Advisory cross-process file locking for shared store directories.
 //!
 //! Several processes (cluster workers, concurrent CLI runs) may share
-//! one [`ShardedDb`](crate::ShardedDb) directory. Writes are already
-//! atomic per file (temp + rename), but the manifest commit and the
-//! read-merge-write of a dirty save must not interleave between
-//! processes, or a layout rewrite can orphan another process's data.
-//! [`FileLock`] wraps `flock(2)` on a dedicated lock file inside the
-//! store directory: exclusive, advisory, released on drop (and by the
-//! kernel if the holder dies — no stale-lock recovery needed).
+//! one [`ShardedDb`](crate::ShardedDb) directory. Each file is
+//! replaced whole (temp + rename), but a save reads, merges and
+//! rewrites files and then commits a new manifest, and two such
+//! sequences must not interleave between processes, or one commit
+//! could drop the files of another. [`FileLock`] wraps `flock(2)` on a
+//! dedicated lock file inside the store directory: exclusive,
+//! advisory, released on drop — and by the kernel if the holder dies,
+//! so a process that crashes mid-save leaves no stale lock, only what
+//! the store's crash model allows (see [`crate::sharded`]).
 //!
 //! Acquisition first tries non-blocking so contention is *observable*:
 //! the store counts how often a save had to wait on another process,

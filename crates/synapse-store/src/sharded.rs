@@ -17,13 +17,25 @@
 //!
 //! The manifest maps every occupied shard to exactly one data file.
 //! Fresh saves give each shard its own file; [`ShardedDb::compact`]
-//! merges small neighbouring shards into grouped files (and drops
-//! tombstoned ones) so a store of many tiny shards does not degenerate
-//! into hundreds of near-empty files. Writes go through a temp-file +
-//! rename so a crash mid-save never truncates existing data.
+//! merges small neighbouring shards into grouped files so a store of
+//! many tiny shards does not degenerate into hundreds of near-empty
+//! files.
+//!
+//! **Crash model.** A process may die at any filesystem step. A save
+//! and a compaction both end in one commit: each rewritten data file
+//! is written to a temp file and renamed into place, then the manifest
+//! is, and the manifest's rename is the commit point; only then are
+//! files the new layout does not list removed. A file the committed
+//! manifest lists is only ever replaced by one holding the same
+//! shards, so whichever step a crash lands on, the manifest and its
+//! files agree, the store opens, and every document of a finished save
+//! is there (of a save cut short, those in the listed files it had
+//! replaced). The store issues no `fsync`, so none of this holds across
+//! a power loss or a kernel crash, where a rename can reach the disk
+//! before the data it names. The crate's crash property checks the
+//! model over a fake filesystem that crashes at a seeded step.
 
 use std::collections::BTreeMap;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -34,7 +46,7 @@ use synapse_telemetry::Counter;
 
 use crate::document::{Document, DEFAULT_DOC_LIMIT};
 use crate::error::StoreError;
-use crate::lock::FileLock;
+use crate::fs::{Fs, Lock, RealFs, Stamp};
 
 /// Number of shards a keyspace is split into (one byte of prefix).
 pub const SHARD_COUNT: usize = 256;
@@ -92,8 +104,6 @@ fn hex_val(b: u8) -> Option<u8> {
 pub struct SaveStats {
     /// Shard data files (re)written.
     pub data_files_written: usize,
-    /// Shard data files deleted (all their documents removed).
-    pub data_files_removed: usize,
     /// Documents serialized into the written files.
     pub docs_written: usize,
     /// Whether the manifest was rewritten.
@@ -163,21 +173,33 @@ struct Group {
 }
 
 impl Group {
-    fn singleton(shard: u8) -> Group {
-        Group {
-            file: format!("{shard:02x}.json"),
-            shards: vec![shard],
+    /// The group over `shards` (sorted, not empty), named as the
+    /// `committed` layout names that shard set, or else `ab.json` /
+    /// `ab-cd.json` after its first and last shard — suffixed `.1`,
+    /// `.2`, … past every name `committed` gives another shard set, so
+    /// that no commit overwrites a listed file with other shards.
+    fn named(shards: Vec<u8>, committed: &[Group]) -> Group {
+        if let Some(same) = committed.iter().find(|g| g.shards == shards) {
+            return same.clone();
         }
+        let (first, last) = (shards[0], shards[shards.len() - 1]);
+        let stem = if first == last {
+            format!("{first:02x}")
+        } else {
+            format!("{first:02x}-{last:02x}")
+        };
+        let file = (0..)
+            .map(|n| match n {
+                0 => format!("{stem}.json"),
+                n => format!("{stem}.{n}.json"),
+            })
+            .find(|file| committed.iter().all(|g| g.file != *file))
+            .expect("some suffix is free");
+        Group { file, shards }
     }
 
-    fn spanning(shards: Vec<u8>) -> Group {
-        debug_assert!(!shards.is_empty());
-        let file = if shards.len() == 1 {
-            format!("{:02x}.json", shards[0])
-        } else {
-            format!("{:02x}-{:02x}.json", shards[0], shards[shards.len() - 1])
-        };
-        Group { file, shards }
+    fn is_dirty(&self, dirty: &[bool]) -> bool {
+        self.shards.iter().any(|&s| dirty[s as usize])
     }
 }
 
@@ -186,10 +208,6 @@ struct State {
     shards: Vec<BTreeMap<String, Document>>,
     /// Shards mutated since the last successful save.
     dirty: Vec<bool>,
-    /// Keys removed since the last save: the lock-aware reconcile must
-    /// not resurrect them from disk (deletion-vs-foreign-insert is
-    /// undecidable from file contents alone).
-    removed: std::collections::BTreeSet<String>,
     /// Current on-disk layout (empty until the first save).
     groups: Vec<Group>,
     /// Whether the on-disk manifest reflects `groups` and doc counts.
@@ -203,8 +221,8 @@ struct State {
 /// generation is unchanged; when it moves, the first miss per shard
 /// folds that shard's data file in and re-arms the cheap path.
 struct ReloadProbe {
-    /// Last observed manifest stamp (mtime + length).
-    stamp: Option<ManifestStamp>,
+    /// Last observed manifest stamp (inode + mtime + length).
+    stamp: Option<Stamp>,
     /// Bumped every time the stamp changes.
     generation: u64,
     /// Generation each shard was last folded at (0 = never).
@@ -226,7 +244,6 @@ impl State {
         State {
             shards: (0..SHARD_COUNT).map(|_| BTreeMap::new()).collect(),
             dirty: vec![false; SHARD_COUNT],
-            removed: std::collections::BTreeSet::new(),
             groups: Vec::new(),
             manifest_synced: false,
         }
@@ -245,7 +262,7 @@ impl State {
 /// another process added to it are merged back in, so concurrent
 /// writers sharing one directory never lose each other's results.
 pub struct ShardedDb {
-    dir: Option<PathBuf>,
+    dir: Option<Dir>,
     doc_limit: usize,
     engine: String,
     state: RwLock<State>,
@@ -288,73 +305,158 @@ pub struct StoreCounters {
 /// recorded document count.
 type DiskManifest = (Vec<Group>, BTreeMap<String, u64>);
 
-/// A manifest's inode number, mtime and length.
-#[expect(
-    clippy::disallowed_types,
-    reason = "a file mtime is compared for change only; it never reaches a result or a trace"
-)]
-type ManifestStamp = (u64, std::time::SystemTime, u64);
-
-/// The manifest's change stamp (inode + mtime + length): a changed
-/// stamp means another process saved. Every save renames a fresh temp
-/// file over the manifest, made while the manifest it replaces still
-/// exists, so each save's inode differs from the last one's even when
-/// two saves of an equal-length manifest land within one tick of a
-/// coarse filesystem clock. `None` when no manifest exists (nothing
-/// saved yet).
-fn manifest_stamp(dir: &Path) -> Option<ManifestStamp> {
-    use std::os::unix::fs::MetadataExt as _;
-    let meta = fs::metadata(dir.join(MANIFEST_FILE)).ok()?;
-    Some((meta.ino(), meta.modified().ok()?, meta.len()))
+/// An on-disk store's directory and the filesystem it is reached
+/// through.
+struct Dir {
+    path: PathBuf,
+    fs: Arc<dyn Fs>,
 }
 
-/// Read and validate the on-disk manifest, if one exists: the groups
-/// plus each data file's recorded document count (kept so a save that
-/// adopts another process's layout can write back honest counts for
-/// files it never loaded).
-fn read_disk_manifest(dir: &Path) -> Result<Option<DiskManifest>, StoreError> {
-    let manifest_path = dir.join(MANIFEST_FILE);
-    if !manifest_path.exists() {
-        return Ok(None);
+impl Dir {
+    fn manifest_path(&self) -> PathBuf {
+        self.path.join(MANIFEST_FILE)
     }
-    let manifest: Manifest = serde_json::from_str(&fs::read_to_string(&manifest_path)?)?;
-    if manifest.format != FORMAT_VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "manifest format {} (this engine reads {})",
-            manifest.format, FORMAT_VERSION
-        )));
+
+    fn shard_root(&self) -> PathBuf {
+        self.path.join(SHARD_DIR)
     }
-    if manifest.shard_count as usize != SHARD_COUNT {
-        return Err(StoreError::Corrupt(format!(
-            "manifest declares {} shards (expected {})",
-            manifest.shard_count, SHARD_COUNT
-        )));
+
+    /// The manifest's change stamp (inode + mtime + length): a changed
+    /// stamp means another process saved. Every save renames a fresh
+    /// temp file over the manifest, made while the manifest it replaces
+    /// still exists, so each save's inode differs from the last one's
+    /// even when two saves of an equal-length manifest land within one
+    /// tick of a coarse filesystem clock. `None` when no manifest
+    /// exists (nothing saved yet).
+    fn manifest_stamp(&self) -> Option<Stamp> {
+        self.fs.stamp(&self.manifest_path())
     }
-    let mut groups = Vec::with_capacity(manifest.groups.len());
-    let mut doc_counts = BTreeMap::new();
-    let mut claimed = vec![false; SHARD_COUNT];
-    for entry in &manifest.groups {
-        let mut shards = Vec::with_capacity(entry.shards.len());
-        for &s in &entry.shards {
-            let idx = s as usize;
-            if idx >= SHARD_COUNT {
-                return Err(StoreError::Corrupt(format!("shard id {s} out of range")));
-            }
-            if claimed[idx] {
-                return Err(StoreError::Corrupt(format!(
-                    "shard {s:02x} claimed by more than one data file"
-                )));
-            }
-            claimed[idx] = true;
-            shards.push(s as u8);
+
+    /// Read and validate the on-disk manifest, if one exists: the
+    /// groups plus each data file's recorded document count (kept so a
+    /// save that adopts another process's layout can write back honest
+    /// counts for files it never loaded).
+    fn read_manifest(&self) -> Result<Option<DiskManifest>, StoreError> {
+        if self.manifest_stamp().is_none() {
+            return Ok(None);
         }
-        doc_counts.insert(entry.file.clone(), entry.docs);
-        groups.push(Group {
-            file: entry.file.clone(),
-            shards,
-        });
+        let manifest: Manifest = serde_json::from_str(&self.fs.read(&self.manifest_path())?)?;
+        if manifest.format != FORMAT_VERSION {
+            return Err(StoreError::Corrupt(format!(
+                "manifest format {} (this engine reads {})",
+                manifest.format, FORMAT_VERSION
+            )));
+        }
+        if manifest.shard_count as usize != SHARD_COUNT {
+            return Err(StoreError::Corrupt(format!(
+                "manifest declares {} shards (expected {})",
+                manifest.shard_count, SHARD_COUNT
+            )));
+        }
+        let mut groups = Vec::with_capacity(manifest.groups.len());
+        let mut doc_counts = BTreeMap::new();
+        let mut claimed = vec![false; SHARD_COUNT];
+        for entry in &manifest.groups {
+            let mut shards = Vec::with_capacity(entry.shards.len());
+            for &s in &entry.shards {
+                let idx = s as usize;
+                if idx >= SHARD_COUNT {
+                    return Err(StoreError::Corrupt(format!("shard id {s} out of range")));
+                }
+                if claimed[idx] {
+                    return Err(StoreError::Corrupt(format!(
+                        "shard {s:02x} claimed by more than one data file"
+                    )));
+                }
+                claimed[idx] = true;
+                shards.push(s as u8);
+            }
+            doc_counts.insert(entry.file.clone(), entry.docs);
+            groups.push(Group {
+                file: entry.file.clone(),
+                shards,
+            });
+        }
+        Ok(Some((groups, doc_counts)))
     }
-    Ok(Some((groups, doc_counts)))
+
+    /// The documents of one group's data file.
+    fn read_group(&self, group: &Group) -> Result<Vec<Document>, StoreError> {
+        let text = self.fs.read(&self.shard_root().join(&group.file))?;
+        Ok(serde_json::from_str(&text)?)
+    }
+
+    /// Read all group files, fanning out over worker threads.
+    fn load_groups(
+        &self,
+        groups: &[Group],
+        workers: usize,
+    ) -> Result<Vec<Vec<Document>>, StoreError> {
+        let auto = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .min(16);
+        let workers = if workers == 0 { auto } else { workers }.clamp(1, groups.len().max(1));
+
+        let next = AtomicUsize::new(0);
+        let loaded: Mutex<Vec<Option<Vec<Document>>>> = Mutex::new(vec![None; groups.len()]);
+        let first_error: Mutex<Option<StoreError>> = Mutex::new(None);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    if idx >= groups.len() {
+                        return;
+                    }
+                    if first_error.lock().expect("error lock").is_some() {
+                        return;
+                    }
+                    match self.read_group(&groups[idx]) {
+                        Ok(docs) => loaded.lock().expect("load lock")[idx] = Some(docs),
+                        Err(e) => {
+                            first_error.lock().expect("error lock").get_or_insert(e);
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        if let Some(e) = first_error.into_inner().expect("error lock") {
+            return Err(e);
+        }
+        loaded
+            .into_inner()
+            .expect("load lock")
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.ok_or_else(|| {
+                    StoreError::Corrupt(format!("shard file {:?} was not loaded", groups[i].file))
+                })
+            })
+            .collect()
+    }
+
+    /// Remove every shard file `groups` does not list: files of older
+    /// layouts, and temp files a crash left.
+    fn sweep(&self, groups: &[Group]) -> Result<(), StoreError> {
+        let shard_root = self.shard_root();
+        for name in self.fs.list(&shard_root)? {
+            if groups.iter().all(|g| g.file != name) {
+                self.fs.remove(&shard_root.join(name))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Write via a temp file + rename, so that a reader or a crash
+    /// finds the old file or the new one, never a part of one.
+    fn write_atomic(&self, path: &Path, contents: &str) -> Result<(), StoreError> {
+        let tmp = path.with_extension("json.tmp");
+        self.fs.write(&tmp, contents)?;
+        self.fs.rename(&tmp, path)?;
+        Ok(())
+    }
 }
 
 impl ShardedDb {
@@ -365,16 +467,25 @@ impl ShardedDb {
 
     /// An in-memory store with a custom per-document limit.
     pub fn in_memory_with_limit(doc_limit: usize) -> Self {
+        Self::new(None, doc_limit, String::new(), |_| true)
+    }
+
+    fn new(
+        dir: Option<Dir>,
+        doc_limit: usize,
+        engine: String,
+        admit: fn(&Document) -> bool,
+    ) -> Self {
         ShardedDb {
-            dir: None,
+            dir,
             doc_limit,
-            engine: String::new(),
+            engine,
             state: RwLock::new(State::empty()),
             lock_acquisitions: Arc::new(Counter::new()),
             lock_contention: Arc::new(Counter::new()),
             reconciled_docs: Arc::new(Counter::new()),
             reload: Mutex::new(ReloadProbe::new()),
-            admit: |_| true,
+            admit,
         }
     }
 
@@ -391,8 +502,8 @@ impl ShardedDb {
     }
 
     /// Take the store directory's advisory lock, recording contention.
-    fn lock_dir(&self, dir: &Path) -> Result<FileLock, StoreError> {
-        let (lock, contended) = FileLock::exclusive(&dir.join(LOCK_FILE))?;
+    fn lock_dir(&self, dir: &Dir) -> Result<Lock, StoreError> {
+        let (lock, contended) = dir.fs.lock(&dir.path.join(LOCK_FILE))?;
         self.lock_acquisitions.inc();
         if contended {
             self.lock_contention.inc();
@@ -428,9 +539,9 @@ impl ShardedDb {
     /// only the documents read from disk that `admit` accepts. The
     /// check runs once per document, wherever one enters this handle
     /// from disk: the open itself, the reload-on-miss fold and the
-    /// reconcile of a lock-aware save. A document that fails it is
-    /// dropped, as if the file had never held it; documents handed to
-    /// [`upsert`](ShardedDb::upsert) are not checked.
+    /// reconcile of a lock-aware save or a compaction. A document that
+    /// fails it is dropped, as if the file had never held it; documents
+    /// handed to [`upsert`](ShardedDb::upsert) are not checked.
     pub fn open_checked(
         dir: impl AsRef<Path>,
         doc_limit: usize,
@@ -439,120 +550,96 @@ impl ShardedDb {
         admit: fn(&Document) -> bool,
     ) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
-        let engine = engine.into();
-        let db = ShardedDb {
-            dir: Some(dir.clone()),
+        Self::open_on(
+            Arc::new(RealFs),
+            dir,
             doc_limit,
-            engine,
-            state: RwLock::new(State::empty()),
-            lock_acquisitions: Arc::new(Counter::new()),
-            lock_contention: Arc::new(Counter::new()),
-            reconciled_docs: Arc::new(Counter::new()),
-            reload: Mutex::new(ReloadProbe::new()),
+            engine.into(),
+            workers,
             admit,
-        };
-        if !dir.join(MANIFEST_FILE).exists() {
+        )
+    }
+
+    /// [`open_checked`](ShardedDb::open_checked) over the filesystem
+    /// `fs`.
+    pub(crate) fn open_on(
+        fs: Arc<dyn Fs>,
+        path: PathBuf,
+        doc_limit: usize,
+        engine: String,
+        workers: usize,
+        admit: fn(&Document) -> bool,
+    ) -> Result<Self, StoreError> {
+        let db = Self::new(Some(Dir { path, fs }), doc_limit, engine, admit);
+        let dir = db.dir.as_ref().expect("an on-disk store");
+        if dir.manifest_stamp().is_none() {
             // Nothing on disk yet: an empty store needs no lock (the
             // directory may not even exist until the first save).
             return Ok(db);
         }
-        // Load under the directory lock so a concurrent save/compaction
-        // cannot remove data files between the manifest read and the
-        // file reads.
-        let lock = db.lock_dir(&dir)?;
-        let (groups, _doc_counts) = read_disk_manifest(&dir)?.unwrap_or_default();
-        let docs_per_group = Self::load_groups(&dir, &groups, workers)?;
-        let mut state = State::empty();
-        for (group, docs) in groups.iter().zip(docs_per_group) {
-            for doc in docs {
-                doc.check_limit(doc_limit)?;
-                let shard = shard_of(&doc.id);
-                if !group.shards.contains(&shard) {
-                    return Err(StoreError::Corrupt(format!(
-                        "document {:?} routes to shard {shard:02x}, outside its data file {:?}",
-                        doc.id, group.file
-                    )));
-                }
-                if (db.admit)(&doc) {
-                    state.shards[shard as usize].insert(doc.id.clone(), doc);
-                }
+        // Load under the directory lock so that no commit sweeps data
+        // files between the manifest read and the file reads.
+        let lock = db.lock_dir(dir)?;
+        let (groups, _doc_counts) = dir.read_manifest()?.unwrap_or_default();
+        let docs_per_group = dir.load_groups(&groups, workers)?;
+        {
+            let mut state = db.state.write();
+            for (group, docs) in groups.iter().zip(docs_per_group) {
+                db.fold(&mut state.shards, group, docs)?;
             }
+            state.groups = groups;
+            state.manifest_synced = true;
         }
-        state.groups = groups;
-        state.manifest_synced = true;
         // The in-memory image now matches this manifest: stamp it so
         // reload-on-miss stays on its cheap (stat-only) path until
         // another process actually saves.
-        if let Some(stamp) = manifest_stamp(&dir) {
+        if let Some(stamp) = dir.manifest_stamp() {
             let mut probe = db.reload.lock().expect("reload probe lock");
             probe.stamp = Some(stamp);
             probe.generation = 1;
             probe.shard_synced = vec![1; SHARD_COUNT];
         }
         drop(lock);
-        *db.state.write() = state;
         Ok(db)
     }
 
-    /// Read all group files, fanning out over worker threads.
-    fn load_groups(
-        dir: &Path,
-        groups: &[Group],
-        workers: usize,
-    ) -> Result<Vec<Vec<Document>>, StoreError> {
-        let shard_root = dir.join(SHARD_DIR);
-        let auto = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(16);
-        let workers = if workers == 0 { auto } else { workers }.clamp(1, groups.len().max(1));
-
-        let next = AtomicUsize::new(0);
-        let loaded: Mutex<Vec<Option<Vec<Document>>>> = Mutex::new(vec![None; groups.len()]);
-        let first_error: Mutex<Option<StoreError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= groups.len() {
-                        return;
-                    }
-                    if first_error.lock().expect("error lock").is_some() {
-                        return;
-                    }
-                    let path = shard_root.join(&groups[idx].file);
-                    let outcome = fs::read_to_string(&path)
-                        .map_err(StoreError::from)
-                        .and_then(|json| Ok(serde_json::from_str::<Vec<Document>>(&json)?));
-                    match outcome {
-                        Ok(docs) => loaded.lock().expect("load lock")[idx] = Some(docs),
-                        Err(e) => {
-                            first_error.lock().expect("error lock").get_or_insert(e);
-                            return;
-                        }
-                    }
-                });
+    /// Bring the documents read from `group`'s data file into
+    /// `shards` — the one way a document enters from disk. The whole
+    /// file is checked first: a document over the size limit, or one
+    /// that routes outside the group's shards, fails it and folds
+    /// nothing. Then each document this handle does not hold already
+    /// (what it holds wins) and that `admit` accepts is added. Returns
+    /// how many were.
+    fn fold(
+        &self,
+        shards: &mut [BTreeMap<String, Document>],
+        group: &Group,
+        docs: Vec<Document>,
+    ) -> Result<u64, StoreError> {
+        for doc in &docs {
+            doc.check_limit(self.doc_limit)?;
+            let shard = shard_of(&doc.id);
+            if !group.shards.contains(&shard) {
+                return Err(StoreError::Corrupt(format!(
+                    "document {:?} routes to shard {shard:02x}, outside its data file {:?}",
+                    doc.id, group.file
+                )));
             }
-        });
-        if let Some(e) = first_error.into_inner().expect("error lock") {
-            return Err(e);
         }
-        loaded
-            .into_inner()
-            .expect("load lock")
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.ok_or_else(|| {
-                    StoreError::Corrupt(format!("shard file {:?} was not loaded", groups[i].file))
-                })
-            })
-            .collect()
+        let mut added = 0;
+        for doc in docs {
+            let bucket = &mut shards[shard_of(&doc.id) as usize];
+            if !bucket.contains_key(&doc.id) && (self.admit)(&doc) {
+                bucket.insert(doc.id.clone(), doc);
+                added += 1;
+            }
+        }
+        Ok(added)
     }
 
     /// Directory this store persists into (None for in-memory stores).
     pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
+        self.dir.as_ref().map(|dir| dir.path.as_path())
     }
 
     /// Configured per-document size limit.
@@ -570,9 +657,9 @@ impl ShardedDb {
     /// missed shard's data file back in before answering — a worker
     /// sharing a cache directory learns its peers' results at *read*
     /// time, not only when its own next save reconciles. The fold is
-    /// insert-only (local mutations and tombstones win) and per
-    /// manifest generation, so a miss storm on an unchanged directory
-    /// costs one `stat` per miss and no reads.
+    /// insert-only (what this handle holds wins) and per manifest
+    /// generation, so a miss storm on an unchanged directory costs one
+    /// `stat` per miss and no reads.
     pub fn get(&self, key: &str) -> Option<Document> {
         self.read(key, Document::clone)
     }
@@ -596,13 +683,13 @@ impl ShardedDb {
     /// since this handle last looked. Opportunistic by design — reads
     /// race saves without the directory lock (data files are replaced
     /// by atomic rename, so a read sees a complete old or new file,
-    /// never a torn one), and any read failure just stays a miss.
-    /// Returns whether `key` is present afterwards.
+    /// never a torn one), and any read or fold failure just stays a
+    /// miss. Returns whether `key` is present afterwards.
     fn reload_on_miss(&self, key: &str, shard: u8) -> bool {
-        let Some(dir) = self.dir.as_deref() else {
+        let Some(dir) = &self.dir else {
             return false;
         };
-        let Some(stamp) = manifest_stamp(dir) else {
+        let Some(stamp) = dir.manifest_stamp() else {
             return false;
         };
         let generation = {
@@ -618,43 +705,24 @@ impl ShardedDb {
         };
         // Read manifest + the one group file covering the shard,
         // outside both locks.
-        let folded = read_disk_manifest(dir)
-            .ok()
-            .flatten()
-            .and_then(|(groups, _)| {
-                let group = groups.into_iter().find(|g| g.shards.contains(&shard))?;
-                let json = fs::read_to_string(dir.join(SHARD_DIR).join(&group.file)).ok()?;
-                let docs = serde_json::from_str::<Vec<Document>>(&json).ok()?;
-                Some((group, docs))
-            });
+        let folded = dir.read_manifest().ok().flatten().and_then(|(groups, _)| {
+            let group = groups.into_iter().find(|g| g.shards.contains(&shard))?;
+            let docs = dir.read_group(&group).ok()?;
+            Some((group, docs))
+        });
         let mut probe = self.reload.lock().expect("reload probe lock");
         let hit = match folded {
             Some((group, docs)) => {
                 let mut state = self.state.write();
-                let mut merged = 0u64;
-                for doc in docs {
-                    let s = shard_of(&doc.id);
-                    // Skip documents that don't belong (corrupt file),
-                    // were locally removed (tombstones win), that we
-                    // already hold (local mutations win), or that the
-                    // store does not admit.
-                    if !group.shards.contains(&s)
-                        || state.removed.contains(&doc.id)
-                        || state.shards[s as usize].contains_key(&doc.id)
-                        || !(self.admit)(&doc)
-                    {
-                        continue;
+                // Folded docs are already on disk: not dirty.
+                if let Ok(merged) = self.fold(&mut state.shards, &group, docs) {
+                    self.reconciled_docs.add(merged);
+                    // The whole file was folded: every shard it covers
+                    // is now synced to this generation.
+                    for s in &group.shards {
+                        let synced = &mut probe.shard_synced[*s as usize];
+                        *synced = (*synced).max(generation);
                     }
-                    // Folded docs are already on disk: not dirty.
-                    state.shards[s as usize].insert(doc.id.clone(), doc);
-                    merged += 1;
-                }
-                self.reconciled_docs.add(merged);
-                // The whole file was folded: every shard it covers is
-                // now synced to this generation.
-                for s in &group.shards {
-                    let synced = &mut probe.shard_synced[*s as usize];
-                    *synced = (*synced).max(generation);
                 }
                 state.shards[shard as usize].contains_key(key)
             }
@@ -674,23 +742,9 @@ impl ShardedDb {
         doc.check_limit(self.doc_limit)?;
         let shard = shard_of(&doc.id) as usize;
         let mut state = self.state.write();
-        state.removed.remove(&doc.id);
         state.shards[shard].insert(doc.id.clone(), doc);
         state.dirty[shard] = true;
         Ok(())
-    }
-
-    /// Remove a document by key, returning it. The shard is marked
-    /// dirty so the next save rewrites (or tombstones) its file.
-    pub fn remove(&self, key: &str) -> Option<Document> {
-        let shard = shard_of(key) as usize;
-        let mut state = self.state.write();
-        let removed = state.shards[shard].remove(key);
-        if removed.is_some() {
-            state.dirty[shard] = true;
-            state.removed.insert(key.to_string());
-        }
-        removed
     }
 
     /// Total number of documents.
@@ -745,170 +799,34 @@ impl ShardedDb {
     /// about to rewrite — so several processes sharing one cache
     /// directory never lose each other's results (on a key collision
     /// this handle's document wins).
-    ///
-    /// Known asymmetry: the merge is insert-only. A document a *peer*
-    /// process removed while this handle still holds it in memory is
-    /// written back by this handle's next save of that shard —
-    /// deletion-vs-foreign-insert is undecidable from file contents,
-    /// and the tombstone set only covers this handle's own removals.
-    /// For the campaign result cache (insert-only, deterministic
-    /// values) resurrection is harmless; a workload that deletes
-    /// concurrently across processes would need per-document
-    /// versioning this store does not implement.
     pub fn save(&self) -> Result<SaveStats, StoreError> {
         let mut state = self.state.write();
         let Some(dir) = &self.dir else {
             state.dirty.iter_mut().for_each(|d| *d = false);
             return Ok(SaveStats::default());
         };
-        let any_dirty = state.dirty.iter().any(|&d| d);
-        if !any_dirty && state.manifest_synced {
+        if !state.dirty.contains(&true) && state.manifest_synced {
             return Ok(SaveStats::default());
         }
-        let shard_root = dir.join(SHARD_DIR);
-        fs::create_dir_all(&shard_root)?;
-        let _lock = self.lock_dir(dir)?;
-
-        let State {
-            shards,
-            dirty,
-            removed,
-            groups,
-            manifest_synced,
-        } = &mut *state;
-
-        // Another process may have saved or compacted since this handle
-        // last synced: its manifest is the layout ground truth now. Its
-        // per-file doc counts are kept for the files this save leaves
-        // untouched (this handle may never have loaded them, so its
-        // in-memory counts would understate them).
-        let mut disk_doc_counts = BTreeMap::new();
-        if let Some((disk_groups, counts)) = read_disk_manifest(dir)? {
-            *groups = disk_groups;
-            disk_doc_counts = counts;
+        let (_lock, disk_doc_counts) = self.reconcile(dir, &mut state, Group::is_dirty)?;
+        // The layout stays; each dirty shard it does not cover gets a
+        // file of its own.
+        let mut uncovered = state.dirty.clone();
+        for &s in state.groups.iter().flat_map(|g| &g.shards) {
+            uncovered[s as usize] = false;
         }
-        // Merge foreign documents out of every data file this save will
-        // rewrite. Missing keys are other processes' fresh results;
-        // keys we also hold stay ours (results are deterministic, so
-        // the bodies agree anyway).
-        let mut reconciled = 0u64;
-        for group in groups.iter() {
-            if !group.shards.iter().any(|&s| dirty[s as usize]) {
-                continue;
-            }
-            let path = shard_root.join(&group.file);
-            if !path.exists() {
-                continue;
-            }
-            let docs: Vec<Document> = serde_json::from_str(&fs::read_to_string(&path)?)?;
-            for doc in docs {
-                doc.check_limit(self.doc_limit)?;
-                let shard = shard_of(&doc.id);
-                if !group.shards.contains(&shard) {
-                    return Err(StoreError::Corrupt(format!(
-                        "document {:?} routes to shard {shard:02x}, outside its data file {:?}",
-                        doc.id, group.file
-                    )));
-                }
-                let bucket = &mut shards[shard as usize];
-                if !bucket.contains_key(&doc.id) && !removed.contains(&doc.id) && (self.admit)(&doc)
-                {
-                    bucket.insert(doc.id.clone(), doc);
-                    reconciled += 1;
-                }
-            }
+        let mut plan = state.groups.clone();
+        for (s, _) in uncovered.iter().enumerate().filter(|(_, &u)| u) {
+            plan.push(Group::named(vec![s as u8], &state.groups));
         }
-        if reconciled > 0 {
-            self.reconciled_docs.add(reconciled);
-        }
-
-        // Plan the post-save layout without touching `groups`, so an
-        // I/O error part-way through leaves the in-memory layout and
-        // dirty set intact and a retry repeats the whole save. Dirty
-        // shards not yet covered by the layout get their own fresh
-        // singleton file.
-        let mut covered = vec![false; SHARD_COUNT];
-        for g in groups.iter() {
-            for &s in &g.shards {
-                covered[s as usize] = true;
-            }
-        }
-        let mut planned = groups.clone();
-        for s in 0..SHARD_COUNT {
-            if dirty[s] && !covered[s] && !shards[s].is_empty() {
-                planned.push(Group::singleton(s as u8));
-            }
-        }
-
-        let mut stats = SaveStats::default();
-        let mut kept = Vec::with_capacity(planned.len());
-        for group in planned {
-            let is_dirty = group.shards.iter().any(|&s| dirty[s as usize]);
-            if !is_dirty {
-                kept.push(group);
-                continue;
-            }
-            let docs: Vec<&Document> = group
-                .shards
-                .iter()
-                .flat_map(|&s| shards[s as usize].values())
-                .collect();
-            let path = shard_root.join(&group.file);
-            if docs.is_empty() {
-                // Every document of this file is gone: tombstone it.
-                if path.exists() {
-                    fs::remove_file(&path)?;
-                    stats.data_files_removed += 1;
-                }
-            } else {
-                write_atomic(&path, &serde_json::to_string(&docs)?)?;
-                stats.data_files_written += 1;
-                stats.docs_written += docs.len();
-                kept.push(group);
-            }
-        }
-
-        let manifest = Manifest {
-            format: FORMAT_VERSION,
-            engine: self.engine.clone(),
-            shard_count: SHARD_COUNT as u32,
-            groups: kept
-                .iter()
-                .map(|g| {
-                    let rewritten = g.shards.iter().any(|&s| dirty[s as usize]);
-                    let docs = if rewritten {
-                        // This save just wrote the file from memory.
-                        g.shards
-                            .iter()
-                            .map(|&s| shards[s as usize].len() as u64)
-                            .sum()
-                    } else {
-                        // Untouched file: trust the count of whoever
-                        // wrote it (this handle may never have loaded
-                        // it).
-                        disk_doc_counts.get(&g.file).copied().unwrap_or_else(|| {
-                            g.shards
-                                .iter()
-                                .map(|&s| shards[s as usize].len() as u64)
-                                .sum()
-                        })
-                    };
-                    GroupEntry {
-                        file: g.file.clone(),
-                        shards: g.shards.iter().map(|&s| s as u32).collect(),
-                        docs,
-                    }
-                })
-                .collect(),
-        };
-        write_atomic(&dir.join(MANIFEST_FILE), &serde_json::to_string(&manifest)?)?;
-        // Commit: every write landed, so the new layout becomes real.
-        stats.manifest_written = true;
-        *groups = kept;
-        *manifest_synced = true;
-        dirty.iter_mut().for_each(|d| *d = false);
-        removed.clear();
-        Ok(stats)
+        let rewrite: Vec<bool> = plan.iter().map(|g| g.is_dirty(&state.dirty)).collect();
+        let (data_files_written, docs_written) =
+            self.commit(dir, &mut state, plan, &rewrite, &disk_doc_counts)?;
+        Ok(SaveStats {
+            data_files_written,
+            docs_written,
+            manifest_written: true,
+        })
     }
 
     /// Compact the on-disk layout with [`DEFAULT_COMPACT_TARGET`].
@@ -917,10 +835,10 @@ impl ShardedDb {
     }
 
     /// Rewrite the layout so neighbouring shards merge into data files
-    /// of at least `target_docs` documents, dropping tombstoned (empty)
-    /// shards and any stale files. Compaction is idempotent: a second
-    /// pass over a compacted store rewrites nothing. In-memory stores
-    /// have no layout and return a no-op.
+    /// of at least `target_docs` documents, and sweep any stale files.
+    /// Compaction is idempotent: a second pass over a compacted store
+    /// rewrites nothing. In-memory stores have no layout and return a
+    /// no-op.
     pub fn compact_with_target(&self, target_docs: usize) -> Result<CompactStats, StoreError> {
         let target_docs = target_docs.max(1);
         let mut state = self.state.write();
@@ -932,40 +850,13 @@ impl ShardedDb {
                 changed: false,
             });
         };
-        fs::create_dir_all(dir)?;
-        let _lock = self.lock_dir(dir)?;
-
-        // Compaction rewrites the whole layout from memory, so first
-        // fold in *everything* another process may have written: adopt
-        // the on-disk layout and merge every document we don't hold.
-        if let Some((disk_groups, _doc_counts)) = read_disk_manifest(dir)? {
-            let shard_root = dir.join(SHARD_DIR);
-            let mut reconciled = 0u64;
-            for group in &disk_groups {
-                let path = shard_root.join(&group.file);
-                if !path.exists() {
-                    continue;
-                }
-                let docs: Vec<Document> = serde_json::from_str(&fs::read_to_string(&path)?)?;
-                for doc in docs {
-                    doc.check_limit(self.doc_limit)?;
-                    let key_removed = state.removed.contains(&doc.id);
-                    let bucket = &mut state.shards[shard_of(&doc.id) as usize];
-                    if !bucket.contains_key(&doc.id) && !key_removed {
-                        bucket.insert(doc.id.clone(), doc);
-                        reconciled += 1;
-                    }
-                }
-            }
-            if reconciled > 0 {
-                self.reconciled_docs.add(reconciled);
-            }
-            state.groups = disk_groups;
-        }
+        // Compaction rewrites the whole layout from memory, so it first
+        // folds in every file.
+        let (_lock, _) = self.reconcile(dir, &mut state, |_, _| true)?;
 
         // The ideal grouping is a pure function of shard occupancy, so
         // re-running compaction reproduces it exactly (idempotence).
-        let mut new_groups: Vec<Group> = Vec::new();
+        let mut plan: Vec<Group> = Vec::new();
         let mut run: Vec<u8> = Vec::new();
         let mut run_docs = 0usize;
         for s in 0..SHARD_COUNT {
@@ -976,92 +867,136 @@ impl ShardedDb {
             run.push(s as u8);
             run_docs += n;
             if run_docs >= target_docs {
-                new_groups.push(Group::spanning(std::mem::take(&mut run)));
+                plan.push(Group::named(std::mem::take(&mut run), &state.groups));
                 run_docs = 0;
             }
         }
         if !run.is_empty() {
-            new_groups.push(Group::spanning(run));
+            plan.push(Group::named(run, &state.groups));
         }
 
         let docs = state.doc_count();
-        let any_dirty = state.dirty.iter().any(|&d| d);
         let files_before = state.groups.len();
-        let shard_root = dir.join(SHARD_DIR);
-        if new_groups == state.groups && !any_dirty && state.manifest_synced {
-            // Layout already compact; still sweep any stale files an
-            // interrupted earlier pass may have left behind.
-            sweep_stale_files(&shard_root, &state.groups)?;
-            return Ok(CompactStats {
-                files_before,
-                files_after: files_before,
-                docs,
-                changed: false,
-            });
+        let changed = plan != state.groups || state.dirty.contains(&true) || !state.manifest_synced;
+        if changed {
+            let rewrite = vec![true; plan.len()];
+            self.commit(dir, &mut state, plan, &rewrite, &BTreeMap::new())?;
+        } else {
+            // Still sweep what an interrupted earlier pass left behind.
+            dir.sweep(&state.groups)?;
         }
+        Ok(CompactStats {
+            files_before,
+            files_after: state.groups.len(),
+            docs,
+            changed,
+        })
+    }
 
-        fs::create_dir_all(&shard_root)?;
-        for group in &new_groups {
-            let docs: Vec<&Document> = group
+    /// What a commit holds and knows before it plans: the directory
+    /// lock (the directories made first), the on-disk layout, which
+    /// replaces this handle's, and the documents of the files of the
+    /// groups `wanted` picks, folded in. Returns the lock and each
+    /// listed file's recorded document count.
+    fn reconcile(
+        &self,
+        dir: &Dir,
+        state: &mut State,
+        wanted: fn(&Group, &[bool]) -> bool,
+    ) -> Result<(Lock, BTreeMap<String, u64>), StoreError> {
+        dir.fs.create_dir_all(&dir.shard_root())?;
+        let lock = self.lock_dir(dir)?;
+        let Some((groups, doc_counts)) = dir.read_manifest()? else {
+            return Ok((lock, BTreeMap::new()));
+        };
+        let mut reconciled = 0;
+        for group in groups.iter().filter(|g| wanted(g, &state.dirty)) {
+            reconciled += self.fold(&mut state.shards, group, dir.read_group(group)?)?;
+        }
+        self.reconciled_docs.add(reconciled);
+        state.groups = groups;
+        Ok((lock, doc_counts))
+    }
+
+    /// The one commit of a save or a compaction: write each group of
+    /// `plan` that `rewrite` marks, from memory; then the manifest of
+    /// `plan`, the commit point; then sweep every shard file `plan`
+    /// does not list (older layouts, temp files a crash left). Groups
+    /// come from [`Group::named`], so no file the committed layout
+    /// lists is overwritten with other shards. `disk_doc_counts` gives
+    /// the counts of the files kept as they are. Returns the data files
+    /// and the documents written.
+    fn commit(
+        &self,
+        dir: &Dir,
+        state: &mut State,
+        plan: Vec<Group>,
+        rewrite: &[bool],
+        disk_doc_counts: &BTreeMap<String, u64>,
+    ) -> Result<(usize, usize), StoreError> {
+        let shard_root = dir.shard_root();
+        let mut written = (0, 0);
+        let mut entries = Vec::with_capacity(plan.len());
+        for (group, &rewrite) in plan.iter().zip(rewrite) {
+            let in_memory = group
                 .shards
                 .iter()
-                .flat_map(|&s| state.shards[s as usize].values())
-                .collect();
-            write_atomic(
-                &shard_root.join(&group.file),
-                &serde_json::to_string(&docs)?,
-            )?;
+                .map(|&s| state.shards[s as usize].len() as u64)
+                .sum();
+            let docs = if rewrite {
+                debug_assert!(state
+                    .groups
+                    .iter()
+                    .all(|g| g.file != group.file || g.shards == group.shards));
+                let docs: Vec<&Document> = group
+                    .shards
+                    .iter()
+                    .flat_map(|&s| state.shards[s as usize].values())
+                    .collect();
+                dir.write_atomic(
+                    &shard_root.join(&group.file),
+                    &serde_json::to_string(&docs)?,
+                )?;
+                written = (written.0 + 1, written.1 + docs.len());
+                in_memory
+            } else {
+                // Untouched file: trust the count of whoever wrote it
+                // (this handle may never have loaded it).
+                disk_doc_counts
+                    .get(&group.file)
+                    .copied()
+                    .unwrap_or(in_memory)
+            };
+            entries.push(GroupEntry {
+                file: group.file.clone(),
+                shards: group.shards.iter().map(|&s| s as u32).collect(),
+                docs,
+            });
         }
         let manifest = Manifest {
             format: FORMAT_VERSION,
             engine: self.engine.clone(),
             shard_count: SHARD_COUNT as u32,
-            groups: new_groups
-                .iter()
-                .map(|g| GroupEntry {
-                    file: g.file.clone(),
-                    shards: g.shards.iter().map(|&s| s as u32).collect(),
-                    docs: g
-                        .shards
-                        .iter()
-                        .map(|&s| state.shards[s as usize].len() as u64)
-                        .sum(),
-                })
-                .collect(),
+            groups: entries,
         };
-        // The manifest write is the commit point: only after it lands
-        // are files of the old layout removed, so a crash in between
-        // leaves a manifest whose every referenced file exists (the
-        // orphans are invisible to `open` and swept by a later pass).
-        write_atomic(&dir.join(MANIFEST_FILE), &serde_json::to_string(&manifest)?)?;
-        let files_after = new_groups.len();
-        state.groups = new_groups;
+        dir.write_atomic(&dir.manifest_path(), &serde_json::to_string(&manifest)?)?;
+        state.groups = plan;
         state.manifest_synced = true;
         state.dirty.iter_mut().for_each(|d| *d = false);
-        state.removed.clear();
-        sweep_stale_files(&shard_root, &state.groups)?;
-        Ok(CompactStats {
-            files_before,
-            files_after,
-            docs,
-            changed: true,
-        })
+        dir.sweep(&state.groups)?;
+        Ok(written)
     }
 
     /// Current store summary.
     pub fn stats(&self) -> ShardStats {
         let state = self.state.read();
-        let bytes_on_disk = self
-            .dir
-            .as_ref()
-            .map(|dir| {
-                let mut bytes = file_len(&dir.join(MANIFEST_FILE));
-                for g in &state.groups {
-                    bytes += file_len(&dir.join(SHARD_DIR).join(&g.file));
-                }
-                bytes
-            })
-            .unwrap_or(0);
+        let bytes_on_disk = self.dir.as_ref().map_or(0, |dir| {
+            let shard_root = dir.shard_root();
+            std::iter::once(dir.manifest_path())
+                .chain(state.groups.iter().map(|g| shard_root.join(&g.file)))
+                .map(|path| dir.fs.stamp(&path).map_or(0, |stamp| stamp.2))
+                .sum()
+        });
         ShardStats {
             docs: state.doc_count(),
             occupied_shards: state.shards.iter().filter(|s| !s.is_empty()).count(),
@@ -1076,49 +1011,23 @@ impl ShardedDb {
     }
 }
 
-fn file_len(path: &Path) -> u64 {
-    fs::metadata(path).map(|m| m.len()).unwrap_or(0)
-}
+#[cfg(test)]
+#[path = "../../../vendor/serde_json/tests/support/mod.rs"]
+mod support;
 
-/// Remove every file in the shard directory the current layout does
-/// not reference (leftovers from interrupted compactions and `.tmp`
-/// residue from interrupted writes).
-fn sweep_stale_files(shard_root: &Path, groups: &[Group]) -> Result<(), StoreError> {
-    if !shard_root.exists() {
-        return Ok(());
-    }
-    for entry in fs::read_dir(shard_root)? {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if !groups.iter().any(|g| g.file == name) {
-            fs::remove_file(&path)?;
-        }
-    }
-    Ok(())
-}
+#[cfg(test)]
+mod crash_props;
 
-/// Write via a temp file + rename so readers never observe a
-/// half-written file and a crash cannot truncate existing data.
-fn write_atomic(path: &Path, contents: &str) -> Result<(), StoreError> {
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)?;
-    Ok(())
-}
+#[cfg(test)]
+mod damage_props;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn doc(id: &str, n: i64) -> Document {
         Document::new(id, &n).unwrap()
-    }
-
-    /// The number a [`doc`] holds.
-    fn n(doc: Document) -> i64 {
-        doc.decode().unwrap()
     }
 
     /// A 16-hex-digit key landing in shard `shard` (fingerprint-like).
@@ -1147,21 +1056,6 @@ mod tests {
     }
 
     #[test]
-    fn upsert_get_remove_and_dirty_tracking() {
-        let db = ShardedDb::in_memory();
-        assert!(db.is_empty());
-        db.upsert(doc(&hexkey(0x11, 1), 1)).unwrap();
-        db.upsert(doc(&hexkey(0x22, 2), 2)).unwrap();
-        assert_eq!(db.len(), 2);
-        assert_eq!(db.dirty_shards(), vec![0x11, 0x22]);
-        assert_eq!(n(db.get(&hexkey(0x11, 1)).unwrap()), 1);
-        assert!(db.get(&hexkey(0x33, 3)).is_none());
-        assert!(db.remove(&hexkey(0x11, 1)).is_some());
-        assert!(db.remove(&hexkey(0x11, 1)).is_none());
-        assert_eq!(db.len(), 1);
-    }
-
-    #[test]
     fn doc_limit_enforced() {
         let db = ShardedDb::in_memory_with_limit(16);
         let big = Document::new(hexkey(0, 0), &"x".repeat(64)).unwrap();
@@ -1172,97 +1066,7 @@ mod tests {
     }
 
     #[test]
-    fn save_open_roundtrip_and_layout() {
-        let dir = tmpdir("roundtrip");
-        let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "test-engine").unwrap();
-        for s in [0x00u8, 0x7f, 0xff] {
-            for t in 0..3 {
-                db.upsert(doc(&hexkey(s, t), t as i64)).unwrap();
-            }
-        }
-        let stats = db.save().unwrap();
-        assert_eq!(stats.data_files_written, 3);
-        assert_eq!(stats.docs_written, 9);
-        assert!(stats.manifest_written);
-        assert!(dir.join(MANIFEST_FILE).exists());
-        assert!(dir.join(SHARD_DIR).join("7f.json").exists());
-
-        let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "test-engine").unwrap();
-        assert_eq!(back.len(), 9);
-        assert_eq!(n(back.get(&hexkey(0x7f, 2)).unwrap()), 2);
-        assert!(back.dirty_shards().is_empty());
-        assert_eq!(back.stats().engine, "test-engine");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn save_rewrites_only_dirty_shard_files() {
-        let dir = tmpdir("dirty-only");
-        let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        // 10k docs spread over all 256 shards: the monolithic-store
-        // pathology this type exists to fix.
-        for t in 0..10_000u64 {
-            db.upsert(doc(&hexkey((t % 256) as u8, t), t as i64))
-                .unwrap();
-        }
-        let first = db.save().unwrap();
-        assert_eq!(first.data_files_written, 256);
-
-        let mtime = |name: &str| {
-            fs::metadata(dir.join(SHARD_DIR).join(name))
-                .unwrap()
-                .modified()
-                .unwrap()
-        };
-        let before: Vec<(String, _)> = (0..256)
-            .map(|s| {
-                let name = format!("{s:02x}.json");
-                let t = mtime(&name);
-                (name, t)
-            })
-            .collect();
-        // Let the filesystem clock tick so an unwanted rewrite would
-        // be visible in mtimes, not hidden by timestamp granularity.
-        std::thread::sleep(std::time::Duration::from_millis(25));
-
-        // One new point: exactly one data file (+ manifest) rewrites.
-        db.upsert(doc(&hexkey(0x42, 99_999), -1)).unwrap();
-        assert_eq!(db.dirty_shards(), vec![0x42]);
-        let second = db.save().unwrap();
-        assert_eq!(second.data_files_written, 1, "{second:?}");
-        assert!(second.manifest_written);
-        let rewritten: Vec<&str> = before
-            .iter()
-            .filter(|(name, t)| mtime(name) != *t)
-            .map(|(name, _)| name.as_str())
-            .collect();
-        assert_eq!(rewritten, vec!["42.json"], "only the dirty shard file");
-
-        // Nothing dirty ⇒ nothing written at all.
-        let third = db.save().unwrap();
-        assert_eq!(third, SaveStats::default());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn removing_all_docs_of_a_shard_tombstones_its_file() {
-        let dir = tmpdir("tombstone");
-        let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        db.upsert(doc(&hexkey(0x10, 1), 1)).unwrap();
-        db.upsert(doc(&hexkey(0x20, 2), 2)).unwrap();
-        db.save().unwrap();
-        assert!(dir.join(SHARD_DIR).join("10.json").exists());
-        db.remove(&hexkey(0x10, 1)).unwrap();
-        let stats = db.save().unwrap();
-        assert_eq!(stats.data_files_removed, 1);
-        assert!(!dir.join(SHARD_DIR).join("10.json").exists());
-        let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        assert_eq!(back.len(), 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compaction_merges_small_shards_and_is_idempotent() {
+    fn compaction_merges_small_shards_by_target() {
         let dir = tmpdir("compact");
         let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         for s in 0..32u8 {
@@ -1270,7 +1074,7 @@ mod tests {
                 db.upsert(doc(&hexkey(s, t), t as i64)).unwrap();
             }
         }
-        db.save().unwrap();
+        assert_eq!(db.save().unwrap().docs_written, 32 * 4);
         assert_eq!(db.stats().data_files, 32);
 
         let pass = db.compact_with_target(40).unwrap();
@@ -1280,42 +1084,6 @@ mod tests {
         assert_eq!(pass.files_after, 4);
         assert!(dir.join(SHARD_DIR).join("00-09.json").exists());
         assert!(!dir.join(SHARD_DIR).join("00.json").exists());
-
-        let again = db.compact_with_target(40).unwrap();
-        assert!(!again.changed, "{again:?}");
-        assert_eq!(again.files_after, 4);
-
-        // Contents survive the rewrite, including through a reload.
-        let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        assert_eq!(back.len(), 32 * 4);
-        assert_eq!(back.stats().data_files, 4);
-        assert_eq!(n(back.get(&hexkey(0x1f, 3)).unwrap()), 3);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn writes_into_a_compacted_group_rewrite_only_that_file() {
-        let dir = tmpdir("compact-dirty");
-        let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        for s in 0..16u8 {
-            db.upsert(doc(&hexkey(s, 0), 0)).unwrap();
-        }
-        db.save().unwrap();
-        db.compact_with_target(8).unwrap();
-        assert_eq!(db.stats().data_files, 2);
-
-        db.upsert(doc(&hexkey(0x03, 9), 9)).unwrap();
-        let stats = db.save().unwrap();
-        assert_eq!(stats.data_files_written, 1);
-        assert_eq!(stats.docs_written, 9, "whole 8-shard group rewritten");
-
-        // A shard outside any group gets a fresh singleton file.
-        db.upsert(doc(&hexkey(0xaa, 1), 1)).unwrap();
-        let stats = db.save().unwrap();
-        assert_eq!(stats.data_files_written, 1);
-        assert!(dir.join(SHARD_DIR).join("aa.json").exists());
-        let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        assert_eq!(back.len(), 18);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1331,7 +1099,7 @@ mod tests {
         let serial = ShardedDb::open_with_workers(&dir, DEFAULT_DOC_LIMIT, "e", 1).unwrap();
         let parallel = ShardedDb::open_with_workers(&dir, DEFAULT_DOC_LIMIT, "e", 8).unwrap();
         let auto = ShardedDb::open_with_workers(&dir, DEFAULT_DOC_LIMIT, "e", 0).unwrap();
-        assert_eq!(serial.len(), 2_000);
+        assert_eq!((serial.len(), serial.dirty_shards().len()), (2_000, 0));
         assert_eq!(serial.keys(), parallel.keys());
         assert_eq!(serial.keys(), auto.keys());
         fs::remove_dir_all(&dir).unwrap();
@@ -1389,46 +1157,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_handles_sharing_a_dir_never_lose_each_others_saves() {
-        // Two handles on one directory stand in for two serve
-        // processes sharing a cluster cache dir. Both mutate the SAME
-        // shard before either saves — the last-writer-wins hazard the
-        // lock-aware save exists to close.
-        let dir = tmpdir("shared");
-        let a = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        let b = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        a.upsert(doc(&hexkey(0x42, 1), 1)).unwrap();
-        b.upsert(doc(&hexkey(0x42, 2), 2)).unwrap();
-        a.save().unwrap();
-        // b's save rewrites 42.json, but first merges a's document back
-        // out of it.
-        b.save().unwrap();
-        assert_eq!(b.len(), 2, "b reconciled a's doc during its save");
-        assert_eq!(b.stats().reconciled_docs, 1);
-        assert!(b.stats().lock_acquisitions >= 1);
-        let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        assert_eq!(back.len(), 2, "both processes' documents on disk");
-        assert!(back.get(&hexkey(0x42, 1)).is_some());
-        assert!(back.get(&hexkey(0x42, 2)).is_some());
-
-        // a saves a disjoint shard: it must adopt b's manifest (which
-        // now owns 42.json) instead of clobbering it with its stale
-        // layout.
-        a.upsert(doc(&hexkey(0x10, 3), 3)).unwrap();
-        a.save().unwrap();
-        let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        assert_eq!(back.len(), 3);
-
-        // Compaction from a stale handle folds in everything first.
-        b.compact_with_target(2).unwrap();
-        assert_eq!(b.len(), 3, "compact reconciled the whole store");
-        let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        assert_eq!(back.len(), 3);
-        assert!(back.get(&hexkey(0x10, 3)).is_some());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn stats_reflect_store_shape() {
         let dir = tmpdir("stats");
         let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "engine-tag").unwrap();
@@ -1445,116 +1173,26 @@ mod tests {
         assert_eq!(s.data_files, 2);
         assert_eq!(s.dirty_shards, 0);
         assert!(s.bytes_on_disk > 0);
+        assert_eq!(s.lock_acquisitions, 1, "the save took the directory lock");
         assert_eq!(s.engine, "engine-tag");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn reads_fold_in_peer_saves_without_a_local_save() {
-        let dir = tmpdir("reload");
+    fn what_a_handle_holds_wins_over_what_folds_in() {
+        let dir = tmpdir("own-wins");
+        let (k1, k2) = (hexkey(0x11, 1), hexkey(0x11, 2));
         let a = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         let b = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-
-        // a saves; b sees the document at *read* time, no reopen.
-        a.upsert(doc(&hexkey(0x42, 1), 1)).unwrap();
-        a.save().unwrap();
-        let found = b.get(&hexkey(0x42, 1)).expect("miss folds in peer save");
-        assert_eq!(n(found), 1);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.stats().reconciled_docs, 1);
-
-        // The fold is not a local mutation: b has nothing to save.
-        assert_eq!(b.stats().dirty_shards, 0);
-
-        // Misses on untouched shards stay misses and don't refold.
-        assert!(b.get(&hexkey(0x42, 99)).is_none());
-        assert!(b.get(&hexkey(0x07, 1)).is_none());
-        assert_eq!(
-            b.stats().reconciled_docs,
-            1,
-            "no rereads while the manifest is unchanged"
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_checked_store_drops_what_it_does_not_admit_wherever_disk_enters() {
-        // Admits even numbers only; `upsert` is not checked.
-        let even = |doc: &Document| doc.decode::<i64>().is_ok_and(|n| n % 2 == 0);
-        let k = |tail| hexkey(0x21, tail);
-        let odd = 1;
-        let dir = tmpdir("checked");
-        let writer = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        writer.upsert(doc(&k(1), 2)).unwrap();
-        writer.upsert(doc(&k(2), odd)).unwrap();
-        writer.save().unwrap();
-
-        // The open.
-        let checked = ShardedDb::open_checked(&dir, DEFAULT_DOC_LIMIT, "e", 1, even).unwrap();
-        assert_eq!(checked.len(), 1);
-        assert!(checked.get(&k(2)).is_none());
-        checked.upsert(doc(&k(5), odd)).unwrap();
-        assert_eq!(n(checked.get(&k(5)).unwrap()), odd, "upserts are kept");
-
-        // The reload-on-miss fold. The manifest's mtime is set back to
-        // what the checked store last saw, and the manifest keeps its
-        // length: what two saves within one tick of a coarse clock
-        // leave. The fold must happen all the same.
-        let manifest = dir.join(MANIFEST_FILE);
-        let seen = fs::metadata(&manifest).unwrap();
-        writer.upsert(doc(&k(3), 4)).unwrap();
-        writer.upsert(doc(&k(4), odd)).unwrap();
-        writer.save().unwrap();
-        assert_eq!(fs::metadata(&manifest).unwrap().len(), seen.len());
-        fs::File::options()
-            .write(true)
-            .open(&manifest)
-            .unwrap()
-            .set_modified(seen.modified().unwrap())
-            .unwrap();
-        assert_eq!(n(checked.get(&k(3)).expect("the fold admits 4")), 4);
-        assert!(checked.get(&k(4)).is_none());
-
-        // The reconcile of a lock-aware save.
-        writer.upsert(doc(&k(6), odd)).unwrap();
-        writer.upsert(doc(&k(7), 8)).unwrap();
-        writer.save().unwrap();
-        checked.upsert(doc(&k(8), 10)).unwrap();
-        checked.save().unwrap();
-        assert_eq!(n(checked.get(&k(7)).expect("the reconcile admits 8")), 8);
-        assert!(checked.get(&k(6)).is_none());
-        let mut keys = checked.keys();
-        keys.sort();
-        assert_eq!(keys, [k(1), k(3), k(5), k(7), k(8)]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn reload_respects_local_tombstones_and_mutations() {
-        let dir = tmpdir("reload-tombstone");
-        let k1 = hexkey(0x11, 1);
-        let k2 = hexkey(0x11, 2);
-        let k3 = hexkey(0x11, 3);
-        let a = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         a.upsert(doc(&k1, 1)).unwrap();
-        a.upsert(doc(&k2, 1)).unwrap();
         a.save().unwrap();
-
-        let b = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        b.remove(&k1).unwrap();
-        b.upsert(doc(&k2, 7)).unwrap();
-
-        // a rewrites the shard file (still carrying k1 and its stale
-        // k2); a k3 miss on b folds that file back in.
-        a.upsert(doc(&k3, 1)).unwrap();
-        a.save().unwrap();
-        assert_eq!(n(b.get(&k3).expect("fresh peer doc folds in")), 1);
-        assert!(b.get(&k1).is_none(), "local tombstone wins over the fold");
-        assert_eq!(
-            n(b.get(&k2).unwrap()),
-            7,
-            "local mutation wins over the fold"
-        );
+        b.upsert(doc(&k1, 7)).unwrap();
+        // The miss folds a's file in, and b's save reconciles it.
+        assert!(b.get(&k2).is_none());
+        b.save().unwrap();
+        assert_eq!(b.stats().reconciled_docs, 0);
+        let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
+        assert_eq!(back.get(&k1).unwrap().decode::<i64>().unwrap(), 7);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,36 +1,9 @@
-//! Property tests for the sharded store: routing totality/stability,
-//! dirty-shard-only saves, and compaction idempotence.
-
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! Property tests for the sharded store's routing: totality and
+//! stability. What the store does on disk is held by the crate's crash
+//! property (`src/sharded/crash_props.rs`).
 
 use proptest::prelude::*;
-use synapse_store::{shard_of, Document, ShardedDb, DEFAULT_DOC_LIMIT, SHARD_COUNT};
-
-/// A scratch directory unique to this process *and* this test case, so
-/// the 64 generated cases of a property never share state.
-fn case_dir(tag: &str) -> PathBuf {
-    static CASE: AtomicUsize = AtomicUsize::new(0);
-    let n = CASE.fetch_add(1, Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!(
-        "synapse-sharded-props-{tag}-{}-{n}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-fn doc(key: &str, n: i64) -> Document {
-    Document::new(key, &n).expect("small doc")
-}
-
-/// Distinct shards touched by a set of keys.
-fn shards_of(keys: &[String]) -> Vec<u8> {
-    let mut shards: Vec<u8> = keys.iter().map(|k| shard_of(k)).collect();
-    shards.sort_unstable();
-    shards.dedup();
-    shards
-}
+use synapse_store::{shard_of, SHARD_COUNT};
 
 proptest! {
     #[test]
@@ -47,107 +20,5 @@ proptest! {
     fn hex_keys_route_by_their_visible_prefix(key in "[0-9a-f]{16}") {
         let expect = u8::from_str_radix(&key[..2], 16).unwrap();
         prop_assert_eq!(shard_of(&key), expect);
-    }
-
-    #[test]
-    fn random_doc_sets_roundtrip_through_save_and_open(
-        keys in proptest::collection::vec("[0-9a-f]{16}", 1..40),
-        workers in 0usize..9,
-    ) {
-        let dir = case_dir("roundtrip");
-        let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "props").unwrap();
-        for (i, key) in keys.iter().enumerate() {
-            db.upsert(doc(key, i as i64)).unwrap();
-        }
-        db.save().unwrap();
-        let back = ShardedDb::open_with_workers(&dir, DEFAULT_DOC_LIMIT, "props", workers).unwrap();
-        prop_assert_eq!(back.len(), db.len());
-        for key in &keys {
-            prop_assert_eq!(back.get(key), db.get(key));
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn saves_touch_only_files_of_mutated_shards(
-        initial in proptest::collection::vec("[0-9a-f]{16}", 1..60),
-        extra in proptest::collection::vec("[0-9a-f]{16}", 1..8),
-    ) {
-        let dir = case_dir("dirty");
-        let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "props").unwrap();
-        for key in &initial {
-            db.upsert(doc(key, 0)).unwrap();
-        }
-        db.save().unwrap();
-        prop_assert!(db.dirty_shards().is_empty());
-
-        for key in &extra {
-            db.upsert(doc(key, 1)).unwrap();
-        }
-        let mutated = shards_of(&extra);
-        prop_assert_eq!(db.dirty_shards(), mutated.clone());
-        let stats = db.save().unwrap();
-        // One data file per mutated shard at most (files can also be
-        // shared after compaction, never multiplied).
-        prop_assert!(stats.data_files_written <= mutated.len());
-        prop_assert!(stats.data_files_written >= 1);
-        // An untouched re-save writes nothing at all.
-        prop_assert_eq!(db.save().unwrap().data_files_written, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compaction_is_idempotent_and_preserves_contents(
-        keys in proptest::collection::vec("[0-9a-f]{16}", 1..80),
-        target in 1usize..40,
-    ) {
-        let dir = case_dir("compact");
-        let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "props").unwrap();
-        for (i, key) in keys.iter().enumerate() {
-            db.upsert(doc(key, i as i64)).unwrap();
-        }
-        db.save().unwrap();
-
-        let first = db.compact_with_target(target).unwrap();
-        let manifest_after_first =
-            std::fs::read_to_string(dir.join(synapse_store::sharded::MANIFEST_FILE)).unwrap();
-        let second = db.compact_with_target(target).unwrap();
-        prop_assert!(!second.changed, "second pass must be a no-op: {:?}", second);
-        prop_assert_eq!(first.files_after, second.files_after);
-        let manifest_after_second =
-            std::fs::read_to_string(dir.join(synapse_store::sharded::MANIFEST_FILE)).unwrap();
-        prop_assert_eq!(manifest_after_first, manifest_after_second);
-
-        // Contents survive both passes and a reload.
-        let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "props").unwrap();
-        prop_assert_eq!(back.len(), db.len());
-        for key in &keys {
-            prop_assert_eq!(back.get(key), db.get(key));
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn removals_tombstone_and_survive_reload(
-        keys in proptest::collection::vec("[0-9a-f]{16}", 2..40),
-        drop_each in 2usize..5,
-    ) {
-        let dir = case_dir("remove");
-        let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "props").unwrap();
-        for key in &keys {
-            db.upsert(doc(key, 7)).unwrap();
-        }
-        db.save().unwrap();
-        let dropped: Vec<&String> = keys.iter().step_by(drop_each).collect();
-        for key in &dropped {
-            db.remove(key);
-        }
-        db.save().unwrap();
-        let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "props").unwrap();
-        prop_assert_eq!(back.len(), db.len());
-        for key in &dropped {
-            prop_assert!(back.get(key).is_none());
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

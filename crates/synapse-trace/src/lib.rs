@@ -175,7 +175,12 @@ struct PointLine {
 /// How replay treats divergences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayMode {
-    /// Any divergence is an error — the CI gate.
+    /// Any divergence is an error — the CI gate. It checks framing,
+    /// order and that each result decodes, not that a result is the
+    /// one recorded: point lines carry no result digest, so an edited
+    /// number that still decodes verifies clean. A per-point digest
+    /// would close that, as a trace format change with its own
+    /// [`TRACE_VERSION`] bump.
     Strict,
     /// Divergences are collected into the summary — the audit tool.
     Lenient,
