@@ -5,9 +5,11 @@
 //! and I/O emulation off, as the paper states). The application's side
 //! of each figure comes from the same point: its cycles are the
 //! profile's `directed_cycles`, and its instruction rate is the
-//! machine's `Application` kernel IPC.
+//! machine's `Application` kernel IPC. Fig 9's second table is the
+//! steady-state Tx, [`PointResult::steady_tx`]; its signed error is
+//! [`PointResult::steady_error_pct`], the one definition the paper
+//! claims test.
 
-use synapse_campaign::runner::emulation_plan;
 use synapse_campaign::PointResult;
 use synapse_model::stats::error_pct;
 use synapse_sim::{machine_ref, KernelClass};
@@ -25,7 +27,9 @@ pub enum Metric {
     Cycles,
     /// Execution time Tx, the emulator's startup included (Fig 9).
     Tx,
-    /// Tx minus the emulator's fixed startup (Fig 9's plotted error).
+    /// Tx minus the emulator's fixed startup (Fig 9's plotted error):
+    /// [`PointResult::steady_tx`], whose error is
+    /// [`PointResult::steady_error_pct`].
     SteadyTx,
     /// Retired instructions (Fig 10).
     Instructions,
@@ -55,11 +59,7 @@ impl Metric {
         match self {
             Metric::Cycles => r.consumed_cycles as f64,
             Metric::Tx => r.tx,
-            Metric::SteadyTx => {
-                r.tx - emulation_plan(&r.point)
-                    .expect("engine-run point")
-                    .sim_startup_seconds
-            }
+            Metric::SteadyTx => r.steady_tx(),
             Metric::Instructions => r.instructions as f64,
             Metric::Ipc => r.instructions as f64 / r.consumed_cycles as f64,
         }

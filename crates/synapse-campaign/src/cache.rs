@@ -377,10 +377,11 @@ impl ResultCache {
     /// reader.
     ///
     /// A stored document that does not decode as a [`PointResult`]
-    /// with [valid times](PointResult::times_are_valid) is dropped as
-    /// it loads (and as a peer's save folds in later), so it is a miss:
-    /// [`hit_text`](ResultCache::hit_text) can then hand out stored
-    /// text without decoding it.
+    /// with [valid times](PointResult::times_are_valid) is not served
+    /// as it loads (or as a peer's save folds in later), so it is a
+    /// miss: [`hit_text`](ResultCache::hit_text) can then hand out
+    /// stored text without decoding it. A save writes it back as read
+    /// (see [`ShardedDb::open_checked`]).
     pub fn open_with_workers(dir: impl AsRef<Path>, workers: usize) -> Result<Self, CampaignError> {
         let db = ShardedDb::open_checked(dir, DEFAULT_DOC_LIMIT, engine_tag(), workers, |doc| {
             doc.decode::<PointResult>()

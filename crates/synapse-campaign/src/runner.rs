@@ -59,10 +59,31 @@ impl PointResult {
     /// Relative emulation error vs. the application baseline, in
     /// percent (positive ⇒ emulation slower).
     pub fn error_pct(&self) -> f64 {
+        self.error_pct_of(self.tx)
+    }
+
+    /// Emulated Tx without the emulator's fixed startup: `tx` minus
+    /// the point's plan's `sim_startup_seconds`. The startup dominates
+    /// short runs (Fig 5); this is the steady-state time the model
+    /// predicts.
+    pub fn steady_tx(&self) -> f64 {
+        let plan = emulation_plan(&self.point).expect("a result names catalog entries");
+        self.tx - plan.sim_startup_seconds
+    }
+
+    /// [`error_pct`](PointResult::error_pct) of
+    /// [`steady_tx`](PointResult::steady_tx): the emulation's
+    /// steady-state error, in percent (positive ⇒ emulation slower).
+    pub fn steady_error_pct(&self) -> f64 {
+        self.error_pct_of(self.steady_tx())
+    }
+
+    /// The signed error of an emulated time `tx` against `app_tx`.
+    fn error_pct_of(&self, tx: f64) -> f64 {
         if self.app_tx <= 0.0 {
             return 0.0;
         }
-        (self.tx - self.app_tx) / self.app_tx * 100.0
+        (tx - self.app_tx) / self.app_tx * 100.0
     }
 
     /// Cycle overshoot fraction (kernel quantization + overhead).

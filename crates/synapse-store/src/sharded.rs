@@ -206,6 +206,11 @@ impl Group {
 struct State {
     /// One bucket per shard, keys ordered within each bucket.
     shards: Vec<BTreeMap<String, Document>>,
+    /// Per shard, the documents read from disk that `admit` rejected:
+    /// never served, only written back as read, so that a checked
+    /// handle erases nothing from the directory. Disjoint from
+    /// `shards`.
+    unserved: Vec<BTreeMap<String, Document>>,
     /// Shards mutated since the last successful save.
     dirty: Vec<bool>,
     /// Current on-disk layout (empty until the first save).
@@ -243,6 +248,7 @@ impl State {
     fn empty() -> State {
         State {
             shards: (0..SHARD_COUNT).map(|_| BTreeMap::new()).collect(),
+            unserved: (0..SHARD_COUNT).map(|_| BTreeMap::new()).collect(),
             dirty: vec![false; SHARD_COUNT],
             groups: Vec::new(),
             manifest_synced: false,
@@ -251,6 +257,22 @@ impl State {
 
     fn doc_count(&self) -> usize {
         self.shards.iter().map(BTreeMap::len).sum()
+    }
+
+    /// What shard `s`'s part of a data file holds: the served
+    /// documents and the unserved ones, in id order.
+    fn file_docs(&self, s: u8) -> Vec<&Document> {
+        let (served, unserved) = (&self.shards[s as usize], &self.unserved[s as usize]);
+        let mut docs: Vec<&Document> = served.values().chain(unserved.values()).collect();
+        if !unserved.is_empty() {
+            docs.sort_unstable_by(|a, b| a.id.cmp(&b.id));
+        }
+        docs
+    }
+
+    /// How many documents shard `s`'s part of a data file holds.
+    fn file_doc_count(&self, s: u8) -> usize {
+        self.shards[s as usize].len() + self.unserved[s as usize].len()
     }
 }
 
@@ -282,8 +304,8 @@ pub struct ShardedDb {
     /// *reads*: a miss learns peers' saved results without waiting for
     /// this handle's next save).
     reload: Mutex<ReloadProbe>,
-    /// Which documents read from disk the store keeps: the rest are
-    /// dropped as they load, fold or reconcile in (see
+    /// Which documents read from disk the store serves: the rest are
+    /// kept unserved as they load, fold or reconcile in (see
     /// [`ShardedDb::open_checked`]).
     admit: fn(&Document) -> bool,
 }
@@ -535,13 +557,19 @@ impl ShardedDb {
         Self::open_checked(dir, doc_limit, engine, workers, |_| true)
     }
 
-    /// [`open_with_workers`](ShardedDb::open_with_workers), keeping
+    /// [`open_with_workers`](ShardedDb::open_with_workers), serving
     /// only the documents read from disk that `admit` accepts. The
     /// check runs once per document, wherever one enters this handle
     /// from disk: the open itself, the reload-on-miss fold and the
     /// reconcile of a lock-aware save or a compaction. A document that
-    /// fails it is dropped, as if the file had never held it; documents
-    /// handed to [`upsert`](ShardedDb::upsert) are not checked.
+    /// fails it is not served — [`get`](ShardedDb::get),
+    /// [`read`](ShardedDb::read), [`len`](ShardedDb::len),
+    /// [`keys`](ShardedDb::keys) and [`for_each`](ShardedDb::for_each)
+    /// do not see it — but a save or a compaction writes it back as
+    /// read, so two handles with different rules sharing a directory
+    /// never erase each other's documents. An
+    /// [`upsert`](ShardedDb::upsert) of its id replaces it; upserted
+    /// documents are not checked.
     pub fn open_checked(
         dir: impl AsRef<Path>,
         doc_limit: usize,
@@ -585,7 +613,7 @@ impl ShardedDb {
         {
             let mut state = db.state.write();
             for (group, docs) in groups.iter().zip(docs_per_group) {
-                db.fold(&mut state.shards, group, docs)?;
+                db.fold(&mut state, group, docs)?;
             }
             state.groups = groups;
             state.manifest_synced = true;
@@ -603,16 +631,17 @@ impl ShardedDb {
         Ok(db)
     }
 
-    /// Bring the documents read from `group`'s data file into
-    /// `shards` — the one way a document enters from disk. The whole
-    /// file is checked first: a document over the size limit, or one
-    /// that routes outside the group's shards, fails it and folds
-    /// nothing. Then each document this handle does not hold already
-    /// (what it holds wins) and that `admit` accepts is added. Returns
-    /// how many were.
+    /// Bring the documents read from `group`'s data file into `state`
+    /// — the one way a document enters from disk. The whole file is
+    /// checked first: a document over the size limit, or one that
+    /// routes outside the group's shards, fails it and folds nothing.
+    /// Then each document this handle does not serve already (what it
+    /// serves wins) is served if `admit` accepts it, and otherwise kept
+    /// unserved, replacing an older unserved copy. Returns how many
+    /// were served.
     fn fold(
         &self,
-        shards: &mut [BTreeMap<String, Document>],
+        state: &mut State,
         group: &Group,
         docs: Vec<Document>,
     ) -> Result<u64, StoreError> {
@@ -628,10 +657,16 @@ impl ShardedDb {
         }
         let mut added = 0;
         for doc in docs {
-            let bucket = &mut shards[shard_of(&doc.id) as usize];
-            if !bucket.contains_key(&doc.id) && (self.admit)(&doc) {
-                bucket.insert(doc.id.clone(), doc);
+            let shard = shard_of(&doc.id) as usize;
+            if state.shards[shard].contains_key(&doc.id) {
+                continue;
+            }
+            if (self.admit)(&doc) {
+                state.unserved[shard].remove(&doc.id);
+                state.shards[shard].insert(doc.id.clone(), doc);
                 added += 1;
+            } else {
+                state.unserved[shard].insert(doc.id.clone(), doc);
             }
         }
         Ok(added)
@@ -715,7 +750,7 @@ impl ShardedDb {
             Some((group, docs)) => {
                 let mut state = self.state.write();
                 // Folded docs are already on disk: not dirty.
-                if let Ok(merged) = self.fold(&mut state.shards, &group, docs) {
+                if let Ok(merged) = self.fold(&mut state, &group, docs) {
                     self.reconciled_docs.add(merged);
                     // The whole file was folded: every shard it covers
                     // is now synced to this generation.
@@ -737,11 +772,13 @@ impl ShardedDb {
         hit
     }
 
-    /// Insert or replace a document under its id.
+    /// Insert or replace a document under its id (an unserved one
+    /// too).
     pub fn upsert(&self, doc: Document) -> Result<(), StoreError> {
         doc.check_limit(self.doc_limit)?;
         let shard = shard_of(&doc.id) as usize;
         let mut state = self.state.write();
+        state.unserved[shard].remove(&doc.id);
         state.shards[shard].insert(doc.id.clone(), doc);
         state.dirty[shard] = true;
         Ok(())
@@ -860,7 +897,7 @@ impl ShardedDb {
         let mut run: Vec<u8> = Vec::new();
         let mut run_docs = 0usize;
         for s in 0..SHARD_COUNT {
-            let n = state.shards[s].len();
+            let n = state.file_doc_count(s as u8);
             if n == 0 {
                 continue;
             }
@@ -910,8 +947,10 @@ impl ShardedDb {
             return Ok((lock, BTreeMap::new()));
         };
         let mut reconciled = 0;
-        for group in groups.iter().filter(|g| wanted(g, &state.dirty)) {
-            reconciled += self.fold(&mut state.shards, group, dir.read_group(group)?)?;
+        for group in &groups {
+            if wanted(group, &state.dirty) {
+                reconciled += self.fold(state, group, dir.read_group(group)?)?;
+            }
         }
         self.reconciled_docs.add(reconciled);
         state.groups = groups;
@@ -919,9 +958,9 @@ impl ShardedDb {
     }
 
     /// The one commit of a save or a compaction: write each group of
-    /// `plan` that `rewrite` marks, from memory; then the manifest of
-    /// `plan`, the commit point; then sweep every shard file `plan`
-    /// does not list (older layouts, temp files a crash left). Groups
+    /// `plan` that `rewrite` marks, from memory, unserved documents
+    /// included; then the manifest of `plan`, the commit point; then
+    /// sweep every shard file `plan` does not list (older layouts, temp files a crash left). Groups
     /// come from [`Group::named`], so no file the committed layout
     /// lists is overwritten with other shards. `disk_doc_counts` gives
     /// the counts of the files kept as they are. Returns the data files
@@ -941,7 +980,7 @@ impl ShardedDb {
             let in_memory = group
                 .shards
                 .iter()
-                .map(|&s| state.shards[s as usize].len() as u64)
+                .map(|&s| state.file_doc_count(s) as u64)
                 .sum();
             let docs = if rewrite {
                 debug_assert!(state
@@ -951,7 +990,7 @@ impl ShardedDb {
                 let docs: Vec<&Document> = group
                     .shards
                     .iter()
-                    .flat_map(|&s| state.shards[s as usize].values())
+                    .flat_map(|&s| state.file_docs(s))
                     .collect();
                 dir.write_atomic(
                     &shard_root.join(&group.file),

@@ -7,15 +7,17 @@
 //! crashing at a seeded one of those steps; and once more crash-free
 //! with the crashed operation skipped. A crashed handle is reopened,
 //! re-upserts what it had not saved, and redoes the operation — in the
-//! replay too, at the same point. A key's body is a function of the
-//! key, so every check compares bytes. A failing seed reports its
-//! operations and the filesystem steps they took.
+//! replay too, at the same point. The crashed play must leave the
+//! manifest and the shard files it lists byte for byte as the replay
+//! does. A key's body is a function of the key, so every check
+//! compares bytes. A failing seed reports its operations and the
+//! filesystem steps they took.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use super::{shard_of, Dir, Group, ShardedDb, SHARD_DIR};
+use super::{shard_of, Dir, Group, ShardedDb, MANIFEST_FILE, SHARD_DIR};
 use crate::document::{Document, DEFAULT_DOC_LIMIT};
 use crate::fs::fake::{Disk, FakeFs};
 
@@ -49,6 +51,16 @@ fn even(doc: &Document) -> bool {
     doc.decode::<u64>().is_ok_and(|n| n % 2 == 0)
 }
 
+/// The admit rule of handle `h`.
+fn rule(h: usize) -> fn(&Document) -> bool {
+    RULES[usize::from(h != CHECKED)]
+}
+
+/// Whether handle `h` serves `key`'s document.
+fn admits(h: usize, key: &str) -> bool {
+    rule(h)(&doc(key))
+}
+
 /// The one document a key ever has: its body is its tail.
 fn doc(key: &str) -> Document {
     let tail = u64::from_str_radix(&key[2..], 16).unwrap();
@@ -66,7 +78,7 @@ macro_rules! ensure {
 }
 
 fn open(disk: &Arc<Mutex<Disk>>, h: usize) -> Result<(Arc<FakeFs>, ShardedDb), String> {
-    let (fs, rule) = (FakeFs::new(disk), RULES[usize::from(h != CHECKED)]);
+    let fs = FakeFs::new(disk);
     let workers = 1 + disk.lock().unwrap().steps as usize % 3;
     let db = ShardedDb::open_on(
         fs.clone(),
@@ -74,7 +86,7 @@ fn open(disk: &Arc<Mutex<Disk>>, h: usize) -> Result<(Arc<FakeFs>, ShardedDb), S
         DEFAULT_DOC_LIMIT,
         String::new(),
         workers,
-        rule,
+        rule(h),
     );
     Ok((fs, db.map_err(|e| format!("h{h}: the open failed: {e}"))?))
 }
@@ -146,12 +158,12 @@ impl Run {
             }
             Op::Reopen => return self.reopen(h),
             Op::Get(shard, tail) => {
-                // A saved document no checked handle may have dropped is
-                // found, as written, and a repeated get reads nothing.
+                // A saved document the handle admits is found, as
+                // written, and a repeated get reads nothing.
                 let key = format!("{shard:02x}{tail:014x}");
                 let found = db.get(&key);
                 let (reads, saved) = (self.disk().reads, self.acked.contains(&key));
-                let ok = found.is_some() || !saved || !even(&doc(&key));
+                let ok = found.is_some() || !saved || !admits(h, &key);
                 let ok = ok && found.iter().all(|found| *found == doc(&key));
                 let ok = ok && db.get(&key) == found && self.disk().reads == reads;
                 ensure!(
@@ -225,6 +237,18 @@ impl Run {
         Ok(())
     }
 
+    /// The manifest's text and the text of each shard file it lists.
+    fn committed(&self) -> Result<Vec<String>, String> {
+        let files = self.disk().files.clone();
+        let text = |path: &Path| files.get(path).map(|file| file.1.clone());
+        let groups = self.manifest()?.into_iter();
+        let listed = groups.map(|g| Path::new(DIR).join(SHARD_DIR).join(g.file));
+        Ok(std::iter::once(Path::new(DIR).join(MANIFEST_FILE))
+            .chain(listed)
+            .filter_map(|path| text(&path))
+            .collect())
+    }
+
     /// The groups the manifest on disk lists.
     fn manifest(&self) -> Result<Vec<Group>, String> {
         let dir = Dir {
@@ -255,7 +279,7 @@ impl Run {
         let lost = self
             .acked
             .iter()
-            .find(|k| even(&doc(k)) && !held.contains(*k));
+            .find(|k| admits(h, k) && !held.contains(*k));
         ensure!(lost.is_none(), "h{h}: saved {lost:?} is gone");
         ensure!(
             foreign.is_empty(),
@@ -297,10 +321,8 @@ fn check_seed(seed: u64) -> Check {
             (rng.below(handles), op)
         })
         .collect();
-    // Each play ends with the keys a fresh checked process loads: what
-    // the crash-free replay must match. (Their layout may differ: an
-    // unchecked handle writes back an odd document the checked one
-    // dropped if it still holds it, and a crash can cut that short.)
+    // Each play ends with the committed bytes: what the crash-free
+    // replay must match.
     let play = |crash, skip, name: &str| {
         let disk = Arc::new(Mutex::new(Disk {
             crash,
@@ -319,8 +341,8 @@ fn check_seed(seed: u64) -> Check {
         };
         let crashed = run.play(&ops, skip);
         let steps = run.disk().steps;
-        let keys = crashed.and_then(|at| Ok((open(&run.disk, CHECKED)?.1.keys(), at, steps)));
-        keys.map_err(|e| {
+        let committed = crashed.and_then(|at| Ok((run.committed()?, at, steps)));
+        committed.map_err(|e| {
             let (ops, steps) = (run.log.join("\n"), run.disk().log.join("\n"));
             format!("seed {seed}, {name}: {e}\noperations:\n{ops}\nfilesystem steps:\n{steps}")
         })
@@ -330,7 +352,7 @@ fn check_seed(seed: u64) -> Check {
     let (crashed, at, _) = play(Some(crash), None, &format!("crash at step {}", crash.0))?;
     let at = at.ok_or(format!("seed {seed}: step {} never came", crash.0))?;
     let (replayed, _, _) = play(None, Some(at), &format!("replay without operation {at}"))?;
-    ensure!(crashed == replayed, "seed {seed}: after a crash at step {}, a replay without operation {at} holds {replayed:?}, not {crashed:?}", crash.0);
+    ensure!(crashed == replayed, "seed {seed}: after a crash at step {}, a replay without operation {at} commits {replayed:?}, not {crashed:?}", crash.0);
     Ok(())
 }
 

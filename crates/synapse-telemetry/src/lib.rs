@@ -223,16 +223,6 @@ impl Histogram {
         self.observe(started.elapsed().as_secs_f64());
     }
 
-    /// Start a [`Span`] that records its lifetime into this histogram
-    /// when dropped.
-    pub fn start_span(self: &Arc<Self>) -> Span {
-        Span {
-            hist: Arc::clone(self),
-            started: Instant::now(),
-            armed: true,
-        }
-    }
-
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
@@ -279,35 +269,6 @@ impl Histogram {
             }
         }
         *self.bounds.last().expect("non-empty bounds")
-    }
-}
-
-/// A timed scope: records the seconds between construction and drop
-/// into its histogram. [`discard`](Span::discard) cancels the record
-/// (e.g. an error path that should not pollute a latency series).
-pub struct Span {
-    hist: Arc<Histogram>,
-    started: Instant,
-    armed: bool,
-}
-
-impl Span {
-    /// Seconds since the span started (without ending it).
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    /// Drop without recording.
-    pub fn discard(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if self.armed {
-            self.hist.observe(self.started.elapsed().as_secs_f64());
-        }
     }
 }
 
@@ -790,20 +751,6 @@ mod tests {
         let inf = Histogram::new(&[1.0]);
         inf.observe(50.0);
         assert_eq!(inf.quantile(0.99), 1.0);
-    }
-
-    #[test]
-    fn span_records_on_drop_and_discard_cancels() {
-        let r = Registry::new();
-        let h = r.histogram("span_seconds", "test", DURATION_BUCKETS);
-        {
-            let _s = h.start_span();
-        }
-        assert_eq!(h.count(), 1);
-        let s = h.start_span();
-        assert!(s.elapsed_secs() >= 0.0);
-        s.discard();
-        assert_eq!(h.count(), 1, "discarded span must not record");
     }
 
     #[test]

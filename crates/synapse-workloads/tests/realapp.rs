@@ -3,26 +3,11 @@
 //! Gromacs runs: CPU and disk output scale with the step count, disk
 //! input and memory stay constant.
 
-use std::path::PathBuf;
-
 use synapse::config::ProfilerConfig;
 use synapse::Profiler;
 use synapse_model::{ProfileKey, Tags};
 
-/// Locate the built `synapse-mdsim` binary next to the test
-/// executable; skip when absent.
-fn mdsim_binary() -> Option<PathBuf> {
-    let mut dir = std::env::current_exe().ok()?;
-    dir.pop();
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    let candidate = dir.join("synapse-mdsim");
-    candidate.exists().then_some(candidate)
-}
-
-fn profile_mdsim(steps: u64) -> Option<synapse_model::Profile> {
-    let bin = mdsim_binary()?;
+fn profile_mdsim(steps: u64) -> synapse_model::Profile {
     let out = std::env::temp_dir().join(format!(
         "synapse-realapp-{}-{steps}.trj",
         std::process::id()
@@ -31,7 +16,7 @@ fn profile_mdsim(steps: u64) -> Option<synapse_model::Profile> {
     let key = ProfileKey::new("synapse-mdsim", Tags::new().with("steps", steps));
     let outcome = profiler
         .profile_command(
-            bin.to_str().unwrap(),
+            env!("CARGO_BIN_EXE_synapse-mdsim"),
             &[
                 "--steps",
                 &steps.to_string(),
@@ -48,16 +33,13 @@ fn profile_mdsim(steps: u64) -> Option<synapse_model::Profile> {
         .expect("profile mdsim");
     assert_eq!(outcome.timed.exit_code, 0, "mdsim ran cleanly");
     let _ = std::fs::remove_file(out);
-    Some(outcome.profile)
+    outcome.profile
 }
 
 #[test]
 fn mdsim_profiles_cleanly_and_scales_with_steps() {
-    let Some(small) = profile_mdsim(800) else {
-        eprintln!("synapse-mdsim not built; skipping");
-        return;
-    };
-    let large = profile_mdsim(4000).unwrap();
+    let small = profile_mdsim(800);
+    let large = profile_mdsim(4000);
     assert!(small.validate().is_ok());
     assert!(large.validate().is_ok());
 
@@ -87,11 +69,8 @@ fn mdsim_profiles_cleanly_and_scales_with_steps() {
 
 #[test]
 fn mdsim_memory_is_constant_in_steps() {
-    let Some(small) = profile_mdsim(600) else {
-        eprintln!("synapse-mdsim not built; skipping");
-        return;
-    };
-    let large = profile_mdsim(3000).unwrap();
+    let small = profile_mdsim(600);
+    let large = profile_mdsim(3000);
     let ms = small.totals().mem_peak;
     let ml = large.totals().mem_peak;
     assert!(ms > 0 && ml > 0, "memory observed");
@@ -107,10 +86,7 @@ fn mdsim_memory_is_constant_in_steps() {
 #[test]
 fn mdsim_profile_feeds_emulation_roundtrip() {
     use synapse::emulator::{EmulationPlan, Emulator, KernelChoice};
-    let Some(profile) = profile_mdsim(1500) else {
-        eprintln!("synapse-mdsim not built; skipping");
-        return;
-    };
+    let profile = profile_mdsim(1500);
     let report = Emulator::new(EmulationPlan {
         kernel: KernelChoice::Spin,
         emulate_network: false,

@@ -6,6 +6,7 @@
 
 use bench::e3::{pairs, rows, Metric};
 use bench::{e2, e3, e4};
+use synapse_campaign::runner::emulation_plan;
 use synapse_campaign::PointResult;
 use synapse_sim::machine_ref;
 use synapse_workloads::AppModel;
@@ -210,4 +211,88 @@ fn figures_render() {
     assert!(f12.contains("titan") && f12.contains("supermic"));
     assert!(e4::run_fig13().contains("OpenMP"));
     assert!(e4::run_fig14().contains("OpenMPI"));
+}
+
+// ---- Steady-state fidelity ---------------------------------------------
+
+/// The cross-resource sweep's results, in grid order.
+fn campaign() -> Vec<PointResult> {
+    bench::campaign(include_str!("../examples/campaign.toml"))
+}
+
+/// Mean |steady error| of the results `keep` picks.
+fn mean_steady_error(results: &[PointResult], keep: impl Fn(&PointResult) -> bool) -> f64 {
+    let errors: Vec<f64> = results
+        .iter()
+        .filter(|r| keep(r))
+        .map(|r| r.steady_error_pct().abs())
+        .collect();
+    assert!(!errors.is_empty(), "no point picked");
+    errors.iter().sum::<f64>() / errors.len() as f64
+}
+
+/// Each machine's mean |steady error|, in order of first appearance.
+fn steady_error_by_machine(results: &[PointResult]) -> Vec<(&str, f64)> {
+    let mut machines: Vec<&str> = Vec::new();
+    for r in results {
+        if !machines.contains(&&*r.point.machine) {
+            machines.push(&r.point.machine);
+        }
+    }
+    machines
+        .into_iter()
+        .map(|m| (m, mean_steady_error(results, |r| r.point.machine == m)))
+        .collect()
+}
+
+#[test]
+fn steady_error_is_raw_error_less_the_startup() {
+    for results in [campaign(), e2::results(), e3::results(), e4::results()] {
+        for r in &results {
+            let startup = emulation_plan(&r.point).unwrap().sim_startup_seconds;
+            let offset = 100.0 * startup / r.app_tx;
+            let gap = r.error_pct() - r.steady_error_pct();
+            assert!((gap - offset).abs() <= 1e-9 * offset.abs(), "{r:?}");
+        }
+    }
+}
+
+#[test]
+fn steady_error_is_small_on_the_profiling_resource_and_grows_off_it() {
+    // Fig 7: a profile emulated off the resource it was profiled on
+    // errs more than on it. The bound is on the mean: single points
+    // on the profiling host err by up to ~6 %.
+    for (spec, results) in [("campaign", campaign()), ("e2", e2::results())] {
+        let home = |r: &PointResult| r.point.machine == r.point.profile_machine;
+        let same = mean_steady_error(&results, home);
+        assert!(same <= 5.0, "{spec}: {same:.3} on the profiling resource");
+        for (machine, error) in steady_error_by_machine(&results) {
+            assert!(error >= same, "{spec}: {machine} {error:.3} < {same:.3}");
+        }
+    }
+}
+
+#[test]
+fn steady_error_stays_under_per_machine_ceilings() {
+    // Absolute ceilings (today's value + 1.0) on the cross-resource
+    // sweep: `sim_error_pct`'s relative bound, over a raw error near
+    // 68 %, would let the steady error grow by a third unnoticed.
+    const CEILINGS: [(&str, f64); 6] = [
+        ("thinkie", 3.39),
+        ("titan", 5.28),
+        ("comet", 7.41),
+        ("supermic", 13.24),
+        ("archer", 17.40),
+        ("stampede", 29.30),
+    ];
+    const ALL_POINTS: f64 = 12.67;
+    let results = campaign();
+    let by_machine = steady_error_by_machine(&results);
+    assert_eq!(by_machine.len(), CEILINGS.len());
+    for (machine, ceiling) in CEILINGS {
+        let (_, error) = by_machine.iter().find(|m| m.0 == machine).unwrap();
+        assert!(*error <= ceiling, "{machine}: {error:.3} > {ceiling}");
+    }
+    let all = mean_steady_error(&results, |_| true);
+    assert!(all <= ALL_POINTS, "all points: {all:.3} > {ALL_POINTS}");
 }
