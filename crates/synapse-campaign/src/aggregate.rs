@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
 use serde::{Deserialize, Serialize};
+use synapse_model::stats::diff_pct;
 
 use crate::grid::Name;
 use crate::runner::PointResult;
@@ -693,13 +694,9 @@ pub fn reference_errors(results: &[PointResult], reference: &str) -> Vec<Referen
         if r.point.machine == reference {
             continue;
         }
-        if let Some(&base) = ref_tx.get(&key_of(r)) {
-            if base > 0.0 {
-                diffs
-                    .entry(r.point.machine)
-                    .or_default()
-                    .push((r.tx - base) / base * 100.0);
-            }
+        if let Some(&base) = ref_tx.get(&key_of(r)).filter(|&&base| base > 0.0) {
+            let diff = diff_pct(r.tx, base);
+            diffs.entry(r.point.machine).or_default().extend(diff);
         }
     }
     diffs

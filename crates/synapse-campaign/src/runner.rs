@@ -11,6 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 use synapse::emulator::{EmulationPlan, Emulator};
+use synapse_model::stats::diff_pct;
 use synapse_sim::Noise;
 
 use crate::cache::Fingerprint;
@@ -83,7 +84,7 @@ impl PointResult {
         if self.app_tx <= 0.0 {
             return 0.0;
         }
-        (tx - self.app_tx) / self.app_tx * 100.0
+        diff_pct(tx, self.app_tx).unwrap_or(0.0)
     }
 
     /// Cycle overshoot fraction (kernel quantization + overhead).

@@ -288,8 +288,9 @@ pub(crate) fn run(invocation: Invocation, out: &mut impl Write) -> Result<(), Cl
             }
             if let Some(path) = report {
                 // Reconstructed purely from the record — the simulator
-                // is never invoked, so this is byte-identical to the
-                // live run's report or an error.
+                // is never invoked for it (a strict replay's re-derivation
+                // above is the only sweep), so this is byte-identical to
+                // the live run's report or an error.
                 let report = loaded.reconstruct_report()?;
                 let rendered = if path.extension().is_some_and(|e| e == "csv") {
                     report.to_csv()
@@ -527,8 +528,8 @@ mod tests {
         );
         assert!(summary["trace"]["trace_id"].as_str().is_some());
 
-        // Strict replay of the recorded trace reconstructs the report
-        // byte-identically without invoking the simulator.
+        // Strict replay of the recorded trace re-derives it clean and
+        // reconstructs the report byte-identically.
         let reconstructed = dir.join("replayed.json");
         let replay_text = output_text(Invocation::CampaignReplay {
             trace: trace_path.clone(),

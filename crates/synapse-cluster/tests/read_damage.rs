@@ -9,10 +9,12 @@
 //!
 //! No input may panic or overflow the stack. A damaged input is
 //! rejected — an `Err`, a `Malformed` frame, a line that is not JSON —
-//! unless the damage left it a text the reader's own checks admit (a
-//! flipped digit in a time, a repeated key with its own value): then a
-//! trace that verifies must also rebuild its report, and a frame that
-//! reads must carry every point it declares. The clean inputs read.
+//! unless the damage left it a text the reader's own checks admit. A
+//! strict trace verify re-derives every point, so it admits only damage
+//! outside the causal stream (annotations, heartbeats): the trace it
+//! admits has the clean trace's canonical bytes and rebuilds its
+//! report. A frame that reads (a repeated key with its own value) must
+//! carry every point it declares. The clean inputs read.
 
 #[path = "../../../vendor/serde_json/tests/support/mod.rs"]
 mod support;
@@ -30,7 +32,7 @@ use synapse_campaign::{
 };
 use synapse_cluster::protocol::{parse_event, WorkerEvent};
 use synapse_server::lease_batch_line;
-use synapse_trace::{ReplayMode, Trace, TraceRecorder};
+use synapse_trace::{ReplayMode, Trace, TraceError, TraceRecorder};
 
 /// Cases per corpus text.
 const CASES: usize = 300;
@@ -78,7 +80,7 @@ fn guarded(text: &str, what: &str, run: impl FnOnce() -> Outcome) -> Outcome {
     })
 }
 
-fn read_trace(text: &str) -> Outcome {
+fn read_trace(text: &str, clean: &Trace) -> Outcome {
     let Ok(trace) = Trace::parse(text) else {
         return Outcome::Rejected;
     };
@@ -87,7 +89,9 @@ fn read_trace(text: &str) -> Outcome {
     match trace.verify(ReplayMode::Strict) {
         Err(_) => Outcome::Rejected,
         Ok(_) => {
-            // What strict verification admits, replay admits too.
+            // What strict verification admits is the recorded causal
+            // stream, and replay admits it too.
+            assert_eq!(trace.canonical_bytes(), clean.canonical_bytes());
             trace.reconstruct_report().unwrap();
             Outcome::Admitted
         }
@@ -146,7 +150,7 @@ fn damaged_traces_and_frames_are_rejected_never_a_panic() {
             damage_json(&mut text, &mut rng);
         }
         count(guarded(&text, &format!("trace case {case}"), || {
-            read_trace(&text)
+            read_trace(&text, &clean)
         }));
         for (n, (frame, declared)) in frames.iter().enumerate() {
             let mut text = frame.clone();
@@ -165,4 +169,26 @@ fn damaged_traces_and_frames_are_rejected_never_a_panic() {
         rejected > 10 * admitted,
         "{rejected} rejected, {admitted} admitted"
     );
+}
+
+#[test]
+fn a_flipped_digit_in_a_recorded_result_fails_strict_verify_at_its_line() {
+    let (trace, _, _) = recording();
+    // Point 187's line: the header, `started`, then points 0..=187.
+    let line_no = 190;
+    let line = trace.lines().nth(line_no - 1).unwrap();
+    assert!(line.starts_with("{\"kind\":\"event\",\"t\":\"point\",\"index\":187,"));
+    let edited_line = line.replacen(
+        "\"app_tx\":3.19307872990676,",
+        "\"app_tx\":3.19317872990676,",
+        1,
+    );
+    assert_ne!(edited_line, line, "point 187's app_tx moved: {line}");
+    let edited = Trace::parse(&trace.replacen(line, &edited_line, 1)).unwrap();
+    match edited.verify(ReplayMode::Strict) {
+        Err(TraceError::Divergence(msg)) => {
+            assert_eq!(msg, "line 190: point 187 differs from its re-derivation")
+        }
+        other => panic!("expected a divergence, got {other:?}"),
+    }
 }

@@ -38,11 +38,12 @@
 //! Replay has two modes: [`ReplayMode::Strict`] (any divergence is an
 //! error — the zero-flake CI gate) and [`ReplayMode::Lenient`]
 //! (divergences are collected and reported — the audit tool).
-//! [`Trace::verify`] is a fast structural scan (no per-point parsing);
-//! [`Trace::replay_on`] re-drives an observer with fully parsed
-//! events; [`Trace::reconstruct_report`] rebuilds the byte-identical
-//! [`CampaignReport`]. None of them enters the engine —
-//! `tests/replay_no_resim.rs` pins that.
+//! [`Trace::verify`] walks the causal stream, decoding every point;
+//! strict mode then records the header's spec again (one cold sweep)
+//! and compares causal lines byte for byte. [`Trace::replay_on`]
+//! re-drives an observer and [`Trace::reconstruct_report`] rebuilds
+//! the byte-identical [`CampaignReport`], neither entering the engine
+//! (`tests/replay_engine_counters.rs` pins both costs).
 
 mod metrics;
 
@@ -54,8 +55,8 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use synapse_campaign::{
-    campaign_trace_id, CampaignError, CampaignReport, CampaignSpec, PointEvent, PointResult,
-    RunStats, ENGINE_VERSION,
+    campaign_trace_id, run_campaign_on, CampaignError, CampaignReport, CampaignSpec, CancelToken,
+    PointEvent, PointResult, ResultCache, RunConfig, RunStats, ENGINE_VERSION,
 };
 
 use crate::metrics::TraceMetrics;
@@ -175,12 +176,11 @@ struct PointLine {
 /// How replay treats divergences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayMode {
-    /// Any divergence is an error — the CI gate. It checks framing,
-    /// order and that each result decodes, not that a result is the
-    /// one recorded: point lines carry no result digest, so an edited
-    /// number that still decodes verifies clean. A per-point digest
-    /// would close that, as a trace format change with its own
-    /// [`TRACE_VERSION`] bump.
+    /// Any divergence is an error — the CI gate. After the structural
+    /// walk it re-derives every point: one cold sweep of the header's
+    /// spec, whose recording must equal the trace's causal lines byte
+    /// for byte. A trace another engine version recorded fails: this
+    /// build cannot vouch for its results.
     Strict,
     /// Divergences are collected into the summary — the audit tool.
     Lenient,
@@ -216,6 +216,17 @@ fn diverge(mode: ReplayMode, divergences: &mut Vec<String>, msg: String) -> Resu
             Ok(())
         }
     }
+}
+
+/// How a replay treats a break in the causal stream: it reads past
+/// framing (`started`/`finished` lines, a point after the terminal
+/// event, an unrecognized line); the other two end it.
+enum Fault {
+    Framing,
+    /// A point out of order, a cancelled sweep or a truncated ring.
+    Stream,
+    /// A point whose result is not admitted.
+    Corrupt,
 }
 
 /// Fast structural probe of a per-point line: its grid index, without
@@ -509,97 +520,105 @@ impl Trace {
     /// warmth, or cluster topology — this is what the CI gate compares.
     pub fn canonical_bytes(&self) -> String {
         let mut out = String::with_capacity(self.header_line.len() + 64 * self.lines.len());
-        out.push_str(&self.header_line);
-        out.push('\n');
-        for line in &self.lines {
-            if line.starts_with("{\"kind\":\"event\",") {
-                out.push_str(line);
-                out.push('\n');
-            }
+        for (line, _) in self.causal_lines() {
+            out.push_str(line);
+            out.push('\n');
         }
         out
     }
 
-    /// Validate the causal stream — the replay scan: line framing,
-    /// canonical grid order, index coverage, terminal completeness, and
-    /// every point's result as [`replay_on`](Trace::replay_on) admits
-    /// it (decodable, with valid times).
-    ///
-    /// Strict mode returns the first divergence as an error; lenient
-    /// mode collects all of them into the summary. Both count every
-    /// divergence in `synapse_trace_replay_divergences_total`.
+    /// The causal stratum, numbered as in the file: the header (line
+    /// 1), then every event line.
+    fn causal_lines(&self) -> impl Iterator<Item = (&str, usize)> {
+        let all = std::iter::once(&self.header_line).chain(&self.lines);
+        let numbered = all.map(String::as_str).zip(1..);
+        numbered.filter(|&(line, no)| no == 1 || line.starts_with("{\"kind\":\"event\","))
+    }
+
+    /// Validate the causal stream: line framing, canonical grid order,
+    /// index coverage, terminal completeness, and every point's result
+    /// as [`replay_on`](Trace::replay_on) admits it (decodable, with
+    /// valid times). Strict mode then re-derives every point and
+    /// returns the first divergence as an error; lenient mode collects
+    /// all of them. Both count every divergence in
+    /// `synapse_trace_replay_divergences_total`.
     pub fn verify(&self, mode: ReplayMode) -> Result<ReplaySummary, TraceError> {
+        let (total, mut divergences) = (self.header.points, Vec::new());
+        let mut fail = |msg| diverge(mode, &mut divergences, msg);
+        let (points, annotations, started, finished) = self.walk(
+            &mut |_, line, reason| fail(format!("line {line}: {reason}")),
+            &mut |_, _| {},
+        )?;
+        if !started {
+            fail("no started event".to_string())?;
+        }
+        if !finished {
+            let held = format!("{points}/{total} points");
+            fail(format!("trace ends without a finished event ({held})"))?;
+        }
+        if mode == ReplayMode::Strict {
+            if let Some(msg) = self.rederive()? {
+                fail(msg)?;
+            }
+        }
+        Ok(ReplaySummary {
+            total,
+            points,
+            annotations,
+            divergences,
+        })
+    }
+
+    /// The one walk of the causal stream: `fault` meets each break with
+    /// its line number (an error ends the walk), `point` each admitted
+    /// result with its index. Returns the point lines and annotations
+    /// seen, and whether a `started` and a `finished` line were.
+    fn walk(
+        &self,
+        fault: &mut dyn FnMut(Fault, usize, String) -> Result<(), TraceError>,
+        point: &mut dyn FnMut(usize, PointResult),
+    ) -> Result<(usize, usize, bool, bool), TraceError> {
+        use Fault::{Corrupt, Framing, Stream};
         let total = self.header.points;
         let started_expected = format!("{STARTED_PREFIX}\"total\":{total}}}");
         let finished_expected = format!("{FINISHED_PREFIX}\"points\":{total}}}");
-        let mut divergences = Vec::new();
-        let mut started = false;
-        let mut finished = false;
-        let mut terminal = false;
-        let mut next = 0usize;
-        let mut points = 0usize;
-        let mut annotations = 0usize;
-        for (offset, line) in self.lines.iter().enumerate() {
-            let line_no = offset + 2; // header is line 1
+        let (mut started, mut finished, mut terminal) = (false, false, false);
+        let (mut next, mut points, mut annotations) = (0, 0, 0);
+        for (line, line_no) in self.lines.iter().zip(2..) {
+            let mut at = |kind, what: String| fault(kind, line_no, what);
             if let Some(index) = point_line_index(line) {
                 if terminal {
-                    diverge(
-                        mode,
-                        &mut divergences,
-                        format!("line {line_no}: point {index} after the terminal event"),
-                    )?;
+                    at(Framing, format!("point {index} after the terminal event"))?;
                 }
                 if index != next {
-                    diverge(
-                        mode,
-                        &mut divergences,
-                        format!("line {line_no}: expected point {next}, found {index}"),
-                    )?;
+                    at(Stream, format!("expected point {next}, found {index}"))?;
                 }
-                if let Err(reason) = point_result(line) {
-                    diverge(mode, &mut divergences, format!("line {line_no}: {reason}"))?;
+                match point_result(line) {
+                    Ok(result) => point(index, result),
+                    Err(reason) => at(Corrupt, reason)?,
                 }
                 next = index + 1;
                 points += 1;
             } else if line.starts_with(STARTED_PREFIX) {
                 if started || points > 0 {
-                    diverge(
-                        mode,
-                        &mut divergences,
-                        format!("line {line_no}: duplicate or late started event"),
-                    )?;
+                    at(Framing, "duplicate or late started event".into())?;
                 }
                 if *line != started_expected {
-                    diverge(
-                        mode,
-                        &mut divergences,
-                        format!("line {line_no}: started event disagrees with header"),
-                    )?;
+                    at(Framing, "started event disagrees with header".into())?;
                 }
                 started = true;
             } else if line.starts_with(FINISHED_PREFIX) {
                 if *line != finished_expected || points != total {
-                    diverge(
-                        mode,
-                        &mut divergences,
-                        format!("line {line_no}: finished with {points}/{total} points present"),
-                    )?;
+                    let present = format!("finished with {points}/{total} points present");
+                    at(Framing, present)?;
                 }
                 finished = true;
                 terminal = true;
             } else if line.starts_with(CANCELLED_PREFIX) {
-                diverge(
-                    mode,
-                    &mut divergences,
-                    format!("line {line_no}: trace records a cancelled sweep"),
-                )?;
+                at(Stream, "trace records a cancelled sweep".into())?;
                 terminal = true;
             } else if line.starts_with(TRUNCATED_PREFIX) {
-                diverge(
-                    mode,
-                    &mut divergences,
-                    format!("line {line_no}: event ring truncated before recording"),
-                )?;
+                at(Stream, "event ring truncated before recording".into())?;
             } else if line.starts_with("{\"kind\":\"timing\"")
                 || line.starts_with("{\"kind\":\"lease\"")
                 || line.starts_with("{\"kind\":\"span\"")
@@ -610,35 +629,49 @@ impl Trace {
                 // never part of the causal record.
             } else {
                 let shown: String = line.chars().take(60).collect();
-                diverge(
-                    mode,
-                    &mut divergences,
-                    format!("line {line_no}: unrecognized line {shown:?}"),
-                )?;
+                at(Framing, format!("unrecognized line {shown:?}"))?;
             }
         }
-        if !started {
-            diverge(mode, &mut divergences, "no started event".to_string())?;
+        Ok((points, annotations, started, finished))
+    }
+
+    /// Strict verify's proof: record the header's spec again, as
+    /// `campaign run --record` does, over an empty in-memory cache; the
+    /// first causal line that differs is the divergence returned. The
+    /// simulator is bit-deterministic, so a clean trace has none.
+    fn rederive(&self) -> Result<Option<String>, TraceError> {
+        let recorded_by = self.header.engine_version;
+        if recorded_by != ENGINE_VERSION {
+            return Ok(Some(format!(
+                "line 1: engine v{recorded_by} recorded this trace; this build runs engine \
+                 v{ENGINE_VERSION} and cannot vouch for its results"
+            )));
         }
-        if !finished {
-            diverge(
-                mode,
-                &mut divergences,
-                format!("trace ends without a finished event ({points}/{total} points)"),
-            )?;
-        }
-        Ok(ReplaySummary {
-            total,
-            points,
-            annotations,
-            divergences,
-        })
+        // Sweep only the grid whose every point line the walk has read.
+        let spec = match self.header.spec.clone().validated() {
+            Ok(spec) if spec.point_count() == self.header.points => spec,
+            _ => return Ok(Some("line 1: spec does not expand to its points".into())),
+        };
+        let again = TraceRecorder::new(&spec);
+        let observer = |event: PointEvent| again.observe(&event);
+        let (config, cache) = (RunConfig::default(), ResultCache::in_memory());
+        run_campaign_on(&spec, &config, &cache, &observer, &CancelToken::new())?;
+        // The walk held the trace to the re-derivation's line count or more.
+        let (rendered, what) = (again.render(), "differs from its re-derivation");
+        let mut derived = rendered.lines();
+        let mut recorded = self.causal_lines();
+        let first = recorded.find(|&(line, _)| derived.next() != Some(line));
+        Ok(first.map(|(line, no)| match point_line_index(line) {
+            Some(index) => format!("line {no}: point {index} {what}"),
+            None => format!("line {no}: {what}"),
+        }))
     }
 
     /// Re-drive an observer from the recorded causal stream, exactly
     /// as the live engine would have: `Started`, every point in grid
-    /// order with a monotone `done` counter, then `Finished`. Strict
-    /// by construction — any structural or parse failure is an error.
+    /// order with a monotone `done` counter, then `Finished`. Framing
+    /// faults are read past; a cancelled, truncated, misordered or
+    /// incomplete stream is an error.
     ///
     /// Returns the recorded results (grid order) and synthesized run
     /// stats (every point "served from the record": zero simulated,
@@ -648,39 +681,24 @@ impl Trace {
         observer: &(dyn Fn(PointEvent) + Sync),
     ) -> Result<(Vec<PointResult>, RunStats), TraceError> {
         let total = self.header.points;
-        let mut results: Vec<Arc<PointResult>> = Vec::with_capacity(total);
+        let mut results = Vec::with_capacity(total);
         observer(PointEvent::Started { total });
-        for (offset, line) in self.lines.iter().enumerate() {
-            let line_no = offset + 2;
-            if let Some(index) = point_line_index(line) {
-                if index != results.len() {
-                    return Err(TraceError::Divergence(format!(
-                        "line {line_no}: expected point {}, found {index}",
-                        results.len()
-                    )));
-                }
-                let result = point_result(line).map_err(|reason| TraceError::Corrupt {
-                    line: line_no,
-                    reason,
-                })?;
-                let shared = Arc::new(result);
+        self.walk(
+            &mut |fault, line, reason| match fault {
+                Fault::Framing => Ok(()),
+                Fault::Stream => Err(TraceError::Divergence(format!("line {line}: {reason}"))),
+                Fault::Corrupt => Err(TraceError::Corrupt { line, reason }),
+            },
+            &mut |index, result| {
                 observer(PointEvent::PointDone {
-                    result: shared.clone(),
+                    result: Arc::new(result.clone()),
                     cached: true,
                     done: index + 1,
                     total,
                 });
-                results.push(shared);
-            } else if line.starts_with(CANCELLED_PREFIX) {
-                return Err(TraceError::Divergence(
-                    "trace records a cancelled sweep".to_string(),
-                ));
-            } else if line.starts_with(TRUNCATED_PREFIX) {
-                return Err(TraceError::Divergence(
-                    "event ring truncated before recording".to_string(),
-                ));
-            }
-        }
+                results.push(result);
+            },
+        )?;
         if results.len() != total {
             return Err(TraceError::Divergence(format!(
                 "trace holds {}/{total} points",
@@ -689,19 +707,11 @@ impl Trace {
         }
         let stats = RunStats {
             points: total,
-            simulated: 0,
             cache_hits: total,
-            wall_secs: 0.0,
-            expand_secs: 0.0,
-            sweep_secs: 0.0,
-            aggregate_secs: 0.0,
+            ..RunStats::default()
         };
         observer(PointEvent::Finished { stats });
-        let owned = results
-            .into_iter()
-            .map(|shared| Arc::try_unwrap(shared).unwrap_or_else(|held| (*held).clone()))
-            .collect();
-        Ok((owned, stats))
+        Ok((results, stats))
     }
 
     /// Rebuild the deterministic [`CampaignReport`] from the recorded
@@ -959,6 +969,72 @@ mod tests {
             assert_eq!(lenient.points, 8);
             assert_eq!(lenient.divergences.len(), 1, "{:?}", lenient.divergences);
             assert!(lenient.divergences[0].contains("finite and non-negative"));
+        }
+    }
+
+    #[test]
+    fn an_edited_result_that_still_decodes_fails_strict_verify_at_its_line() {
+        let (text, _) = record_run(2);
+        let line_no = 2 + 1 + 5; // header, started, points 0..=4
+        let line = text.lines().nth(line_no - 1).unwrap();
+        assert_eq!(point_line_index(line), Some(5));
+        let at = line.find("\"app_tx\":").unwrap() + "\"app_tx\":".len();
+        let digit = line[at..].find(|c: char| matches!(c, '1'..='8')).unwrap() + at;
+        let mut edited_line = line.to_string();
+        edited_line.replace_range(digit..=digit, "9");
+        let trace = Trace::parse(&text.replacen(line, &edited_line, 1)).unwrap();
+        match trace.verify(ReplayMode::Strict) {
+            Err(TraceError::Divergence(msg)) => assert_eq!(
+                msg,
+                format!("line {line_no}: point 5 differs from its re-derivation")
+            ),
+            other => panic!("expected a divergence, got {other:?}"),
+        }
+        // The structural walk alone admits it.
+        assert!(trace.verify(ReplayMode::Lenient).unwrap().is_clean());
+        assert!(trace.reconstruct_report().is_ok());
+    }
+
+    #[test]
+    fn another_engines_trace_fails_strict_verify_only() {
+        let (text, outcome) = record_run(2);
+        let foreign = text.replacen(
+            &format!("\"engine_version\":{ENGINE_VERSION},"),
+            &format!("\"engine_version\":{},", ENGINE_VERSION + 1),
+            1,
+        );
+        let trace = Trace::parse(&foreign).unwrap();
+        match trace.verify(ReplayMode::Strict) {
+            Err(TraceError::Divergence(msg)) => {
+                assert!(msg.starts_with("line 1: "), "{msg}");
+                assert!(msg.contains("cannot vouch"), "{msg}");
+            }
+            other => panic!("expected a divergence, got {other:?}"),
+        }
+        let lenient = trace.verify(ReplayMode::Lenient).unwrap();
+        assert!(lenient.is_clean());
+        assert_eq!(lenient.points, 8);
+        assert_eq!(
+            trace.reconstruct_report().unwrap().to_json().unwrap(),
+            outcome.report.to_json().unwrap()
+        );
+    }
+
+    #[test]
+    fn a_header_spec_that_is_not_the_recorded_grid_is_never_swept() {
+        let (text, _) = record_run(2);
+        // A grid larger than the lines hold, and one that does not
+        // validate (expanding it would panic).
+        for (from, to) in [
+            ("\"steps\":[10000,50000]", "\"steps\":[10000,50000,90000]"),
+            ("\"thinkie\",\"comet\"]", "\"thinkie\",\"nowhere\"]"),
+        ] {
+            let trace = Trace::parse(&text.replacen(from, to, 1)).unwrap();
+            assert!(trace.verify(ReplayMode::Lenient).unwrap().is_clean());
+            match trace.verify(ReplayMode::Strict) {
+                Err(TraceError::Divergence(msg)) => assert!(msg.starts_with("line 1: "), "{msg}"),
+                other => panic!("{to}: expected a divergence, got {other:?}"),
+            }
         }
     }
 
